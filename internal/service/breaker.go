@@ -47,13 +47,16 @@ const (
 // failure-rate trip → open (the gateway stops sending ops) → after a
 // cooldown, half-open (one probe) → closed on success, open again on
 // failure. All methods take an explicit now so tests are deterministic.
+// It is also the gateway's only per-OSD health record: /v1/osds and
+// /v1/status report its state, failure run and last error (Health).
 type Breaker struct {
 	mu        sync.Mutex
 	threshold int           // consecutive failures that trip; <=0 disables
 	cooldown  time.Duration // open → half-open delay
 
 	state    BreakerState
-	consec   int     // consecutive failures while closed
+	consec   int     // failures since the last success, in any state
+	lastErr  string  // cause of the latest failure; "" after a success
 	ewma     float64 // decayed failure rate (1=fail)
 	samples  int
 	openedAt time.Time
@@ -107,15 +110,24 @@ func (b *Breaker) Allow(now time.Time) bool {
 
 // Record feeds one real op outcome observed against the OSD at time now.
 // Cancelled hedge losers must NOT be recorded (truthful scoring).
-func (b *Breaker) Record(ok bool, now time.Time) {
+func (b *Breaker) Record(ok bool, now time.Time) { b.record(ok, nil, now) }
+
+// record is Record with the failure's cause kept for Health.
+func (b *Breaker) record(ok bool, cause error, now time.Time) {
 	if b == nil || b.threshold <= 0 {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	fail := 0.0
-	if !ok {
+	if ok {
+		b.consec, b.lastErr = 0, ""
+	} else {
 		fail = 1.0
+		b.consec++
+		if cause != nil {
+			b.lastErr = cause.Error()
+		}
 	}
 	if b.samples == 0 {
 		b.ewma = fail
@@ -129,20 +141,14 @@ func (b *Breaker) Record(ok bool, now time.Time) {
 		b.probing = false
 		if ok {
 			b.state = BreakerClosed
-			b.consec = 0
 			b.ewma = 0
 			b.samples = 0
 		} else {
 			b.trip(now)
 		}
 	case BreakerClosed:
-		if ok {
-			b.consec = 0
-			return
-		}
-		b.consec++
-		if b.consec >= b.threshold ||
-			(b.samples >= breakerEWMAMinSamples && b.ewma >= breakerEWMATrip) {
+		if !ok && (b.consec >= b.threshold ||
+			(b.samples >= breakerEWMAMinSamples && b.ewma >= breakerEWMATrip)) {
 			b.trip(now)
 		}
 	case BreakerOpen:
@@ -159,7 +165,6 @@ func (b *Breaker) Record(ok bool, now time.Time) {
 func (b *Breaker) trip(now time.Time) {
 	b.state = BreakerOpen
 	b.openedAt = now
-	b.consec = 0
 	b.probing = false
 	if b.onTrip != nil {
 		b.onTrip()
@@ -175,6 +180,17 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
+}
+
+// Health returns the run of failures since the last success and the
+// latest failure's cause ("" once an op has succeeded again).
+func (b *Breaker) Health() (fails int, lastErr string) {
+	if b == nil || b.threshold <= 0 {
+		return 0, ""
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.consec, b.lastErr
 }
 
 // FailureRate returns the EWMA failure-rate estimate in [0,1].

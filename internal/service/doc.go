@@ -48,10 +48,21 @@
 //
 // Bounded in-flight admission returns 429 (with Retry-After) when the
 // gateway is saturated; fewer than k reachable shards returns 503 with
-// Retry-After; per-OSD consecutive-failure tracking feeds /v1/osds health;
-// every request emits one structured (slog JSON) log line; /metrics exposes
+// Retry-After; /v1/osds health (gateway_down, consecutive_fails,
+// last_error) and /v1/status.osds_down are read off each OSD's circuit
+// Breaker, the one per-OSD health record; every request emits one structured (slog JSON) log line; /metrics exposes
 // Prometheus-text counters and latency histograms (per-op latency, bytes
 // in/out, degraded reads, reconstructions, shard errors, admission drops).
+//
+// # Gateway source map
+//
+// The gateway is three files on three seams (cubeFS's Access /
+// ClusterManager / Proxy split, scaled down):
+//
+//	gateway.go           data path: config, PUT/GET/DELETE, /v1/status
+//	osd.go               per OSD: store + Breaker + the one resilient shard
+//	                     op every PUT, GET and DELETE shard goes through
+//	index.go, metawal.go object index (lookup/commit/remove) and its WAL
 //
 // # Resilience
 //

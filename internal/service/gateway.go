@@ -29,31 +29,6 @@ var (
 	ErrTooLarge = errors.New("service: object too large")
 )
 
-// OverloadError is an admission rejection with the policy's decision
-// attached: a Retry-After derived from live queue depth or token refill
-// time (not a constant), and the DecisionTrace naming the rejected
-// counterfactual candidates. errors.Is(err, ErrOverloaded) matches it,
-// so every existing 429 path is unchanged.
-type OverloadError struct {
-	RetryAfter time.Duration
-	Trace      *qos.DecisionTrace
-}
-
-// Error implements error.
-func (e *OverloadError) Error() string {
-	if e.Trace != nil {
-		return fmt.Sprintf("%v (%s)", ErrOverloaded, e.Trace.Reason)
-	}
-	return ErrOverloaded.Error()
-}
-
-// Is makes errors.Is(err, ErrOverloaded) true for admission rejections.
-func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
-
-// SimClock is implemented by backends that accumulate simulated time (the
-// virtual cluster); the gateway surfaces it on /v1/status when present.
-type SimClock interface{ SimSeconds() float64 }
-
 // GatewayConfig parameterizes the access gateway.
 type GatewayConfig struct {
 	// K and M are the RS(k,m) geometry; K+M shards are placed per object.
@@ -83,10 +58,6 @@ type GatewayConfig struct {
 	Tenants map[string]qos.TenantConfig
 	// MaxObjectBytes bounds PUT bodies.
 	MaxObjectBytes int64
-	// FailThreshold is the consecutive-error count after which an OSD is
-	// reported down on /v1/osds (informational; the data path still
-	// attempts every placed shard so recovery is observed immediately).
-	FailThreshold int
 	// Retries bounds automatic re-attempts of a transient shard-op
 	// failure (injected faults, timeouts, transport resets); 0 disables.
 	// Each retry backs off exponentially from RetryBase (capped at
@@ -102,7 +73,8 @@ type GatewayConfig struct {
 	// OSD's circuit breaker (an EWMA failure-rate criterion also applies;
 	// see Breaker). Open OSDs are skipped by read waves and writes
 	// degrade around them until a half-open probe succeeds after
-	// BreakerCooldown. 0 disables the breakers.
+	// BreakerCooldown. The breaker is also the OSD's health record on
+	// /v1/osds and /v1/status. 0 disables the breakers and that view.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Seed drives the retry-jitter RNG (deterministic backoff sequences
@@ -135,7 +107,6 @@ func DefaultGatewayConfig() GatewayConfig {
 		RequestTimeout:   15 * time.Second,
 		MaxInflight:      256,
 		MaxObjectBytes:   64 << 20,
-		FailThreshold:    3,
 		Retries:          2,
 		RetryBase:        20 * time.Millisecond,
 		RetryMax:         250 * time.Millisecond,
@@ -184,18 +155,6 @@ func (c *GatewayConfig) validate() error {
 	return nil
 }
 
-// objectMeta is the gateway's in-memory object index entry: logical size,
-// the CRUSH-placed OSD per shard, and which shards actually landed. skey
-// is the generation-stamped backend key ("key@gen"): each PUT writes a
-// fresh generation, so a failed overwrite is rolled back without touching
-// the previous object's shards.
-type objectMeta struct {
-	size int64
-	skey string
-	osds []int
-	ok   []bool // shard i written successfully at PUT time
-}
-
 // ObjectInfo describes a stored object.
 type ObjectInfo struct {
 	Key     string `json:"key"`
@@ -213,44 +172,28 @@ type GetInfo struct {
 	ShardErrors   int  // shard fetches that failed or timed out
 }
 
-// osdHealth is the per-OSD consecutive-failure tracker feeding /v1/osds.
-type osdHealth struct {
-	mu      sync.Mutex
-	consec  int
-	down    bool
-	lastErr string
-}
-
 // Gateway is the access layer: object PUT/GET/DELETE over k+m shard
 // stores, with CRUSH placement, degraded-read fallback, bounded
-// admission, structured logs and Prometheus-text metrics.
+// admission, structured logs and Prometheus-text metrics (source map in
+// doc.go).
 type Gateway struct {
 	cfg    GatewayConfig
 	code   *rs.Code
 	placer *Placer
-	stores []ShardStore   // fault-injection wrappers over the backends
-	faults []*FaultStore  // the same wrappers, typed (= stores[i])
+	osds   []osdPath // indexed by OSD ID
 	log    *slog.Logger
 	reg    *Registry
-
-	breakers []*Breaker
+	series *gatewaySeries
 
 	admission qos.AdmissionPolicy
 	retry     retry.Policy
-	tenants   sync.Map // tenant names seen by admit(), for /v1/status
+	tenants   sync.Map // tenant identity → *tenantSeries, filled by tenant()
 
 	gen atomic.Uint64 // generation stamp for backend shard keys
 
-	rngMu sync.Mutex
-	rng   *rand.Rand // retry-jitter source (seeded)
-
-	mu         sync.RWMutex
-	objects    map[string]*objectMeta
-	stored     int64    // sum of object sizes
-	wal        *metaWAL // nil when MetaDir is unset
-	compacting bool     // a snapshot write is running outside the lock
-
-	health []osdHealth
+	// Embedded so index state has one owner: gateway code calls lookup,
+	// commit and remove and touches no field of it.
+	*metaIndex
 }
 
 // NewGateway wires a gateway over one ShardStore per OSD (indexed by OSD
@@ -276,17 +219,25 @@ func NewGateway(cfg GatewayConfig, stores []ShardStore, placer *Placer) (*Gatewa
 	if logger == nil {
 		logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
+	reg := NewRegistry()
 	g := &Gateway{
-		cfg:     cfg,
-		code:    code,
-		placer:  placer,
-		log:     logger,
-		reg:     NewRegistry(),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		objects: map[string]*objectMeta{},
-		health:  make([]osdHealth, len(stores)),
+		cfg:    cfg,
+		code:   code,
+		placer: placer,
+		log:    logger,
+		reg:    reg,
+		series: newGatewaySeries(reg),
 	}
-	g.retry = retry.Policy{Max: cfg.Retries, Base: cfg.RetryBase, Cap: cfg.RetryMax, Jitter: g.jitter}
+	// Seeded jitter: a random extra in [0, 50%] of the capped exponential
+	// base, from one RNG shared by every shard op.
+	var rngMu sync.Mutex
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	g.retry = retry.Policy{Max: cfg.Retries, Base: cfg.RetryBase, Cap: cfg.RetryMax,
+		Jitter: func(d time.Duration) time.Duration {
+			rngMu.Lock()
+			defer rngMu.Unlock()
+			return time.Duration(rng.Int63n(int64(d/2) + 1))
+		}}
 	g.admission = cfg.Admission
 	if g.admission == nil {
 		if len(cfg.Tenants) > 0 {
@@ -295,319 +246,33 @@ func NewGateway(cfg GatewayConfig, stores []ShardStore, placer *Placer) (*Gatewa
 			g.admission = qos.NewMaxInflight(cfg.MaxInflight)
 		}
 	}
-	// Every backend is wrapped in a FaultStore so chaos is injectable on
-	// any gateway at runtime (a zero spec is a straight pass-through).
-	g.faults = make([]*FaultStore, len(stores))
-	g.stores = make([]ShardStore, len(stores))
-	g.breakers = make([]*Breaker, len(stores))
+	g.osds = make([]osdPath, len(stores))
 	for i, s := range stores {
-		fs := NewFaultStore(s, i, cfg.Seed)
-		g.faults[i] = fs
-		g.stores[i] = fs
 		b := NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-		b.onTrip = func() { g.reg.Counter("ecgate_breaker_trips_total").Inc() }
-		g.breakers[i] = b
-	}
-	if cfg.MetaDir != "" {
-		wal, objects, maxGen, err := openMetaWAL(cfg.MetaDir, cfg.MetaCompactThreshold)
-		if err != nil {
-			return nil, err
+		b.onTrip = g.series.breakerTrips.Inc
+		g.osds[i] = osdPath{
+			gw: g,
+			// Every backend is wrapped in a FaultStore so chaos is
+			// injectable on any gateway at runtime (a zero spec is a
+			// straight pass-through).
+			store:   NewFaultStore(s, i, cfg.Seed),
+			breaker: b,
+			state:   reg.Gauge(fmt.Sprintf("ecgate_breaker_state{osd=\"%d\"}", i)),
 		}
-		g.wal = wal
-		g.objects = objects
-		g.gen.Store(maxGen)
-		var stored int64
-		for _, m := range objects {
-			stored += m.size
-		}
-		g.stored = stored
-		g.reg.Gauge("ecgate_objects").Set(int64(len(objects)))
-		g.reg.Gauge("ecgate_bytes_stored").Set(stored)
 	}
+	var maxGen uint64
+	if g.metaIndex, maxGen, err = openMetaIndex(cfg.MetaDir, cfg.MetaCompactThreshold, logger, g.series); err != nil {
+		return nil, err
+	}
+	g.gen.Store(maxGen)
 	return g, nil
 }
 
 // Close releases the metadata WAL (no-op for in-memory gateways).
 func (g *Gateway) Close() error { return g.wal.Close() }
 
-// FaultStore returns OSD osd's fault-injection wrapper (admin surface and
-// tests).
-func (g *Gateway) FaultStore(osd int) *FaultStore { return g.faults[osd] }
-
-// Breaker returns OSD osd's circuit breaker.
-func (g *Gateway) Breaker(osd int) *Breaker { return g.breakers[osd] }
-
-// FaultStatuses lists every OSD's injection spec and stats (/v1/faults).
-func (g *Gateway) FaultStatuses() []FaultStatus {
-	out := make([]FaultStatus, len(g.faults))
-	for i, f := range g.faults {
-		out[i] = FaultStatus{OSD: i, Spec: f.Fault(), Stats: f.FaultStats()}
-	}
-	return out
-}
-
 // Metrics returns the gateway's registry (the /metrics source).
 func (g *Gateway) Metrics() *Registry { return g.reg }
-
-// Config returns the gateway configuration.
-func (g *Gateway) Config() GatewayConfig { return g.cfg }
-
-// AdmissionPolicy returns the gateway's admission gate (tests, status).
-func (g *Gateway) AdmissionPolicy() qos.AdmissionPolicy { return g.admission }
-
-// admit asks the admission policy whether this request may enter,
-// honouring a shaping delay if the policy asks for one. On success the
-// returned func must be called exactly once when the request completes;
-// on rejection the error is an *OverloadError carrying the policy's
-// DecisionTrace and its queue-derived Retry-After hint.
-func (g *Gateway) admit(ctx context.Context, tenant string) (func(), error) {
-	req := qos.Request{Tenant: tenant, Cost: 1, Now: time.Now().UnixNano()}
-	if tenant != "" {
-		g.tenants.Store(tenant, struct{}{})
-	}
-	d := g.admission.Admit(req)
-	if !d.Admit {
-		g.reg.Counter("ecgate_admission_rejected_total").Inc()
-		if tenant != "" {
-			g.reg.Counter(fmt.Sprintf("ecgate_tenant_rejected_total{tenant=%q}", tenant)).Inc()
-		}
-		return nil, &OverloadError{RetryAfter: d.RetryAfter, Trace: d.Trace}
-	}
-	if d.Delay > 0 {
-		if err := sleep(ctx, d.Delay); err != nil {
-			g.admission.Release(req)
-			return nil, err
-		}
-		g.reg.Counter("ecgate_admission_throttled_total").Inc()
-	}
-	g.reg.Gauge("ecgate_inflight").Add(1)
-	if tenant != "" {
-		g.reg.Counter(fmt.Sprintf("ecgate_tenant_admitted_total{tenant=%q}", tenant)).Inc()
-		g.reg.Gauge(fmt.Sprintf("ecgate_tenant_inflight{tenant=%q}", tenant)).Add(1)
-	}
-	return func() {
-		g.admission.Release(req)
-		g.reg.Gauge("ecgate_inflight").Add(-1)
-		if tenant != "" {
-			g.reg.Gauge(fmt.Sprintf("ecgate_tenant_inflight{tenant=%q}", tenant)).Add(-1)
-		}
-	}, nil
-}
-
-// noteResult feeds the per-OSD health tracker.
-func (g *Gateway) noteResult(osd int, err error) {
-	h := &g.health[osd]
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err == nil || errors.Is(err, ErrNotFound) {
-		h.consec = 0
-		h.down = false
-		h.lastErr = ""
-		return
-	}
-	h.consec++
-	h.lastErr = err.Error()
-	if h.consec >= g.cfg.FailThreshold {
-		h.down = true
-	}
-}
-
-// errCircuitOpen marks a shard op short-circuited by an open breaker:
-// the OSD was never contacted. Not retryable; reads reconstruct around
-// it, writes degrade.
-var errCircuitOpen = errors.New("service: circuit breaker open")
-
-// transient reports whether a shard-op error is worth retrying: injected
-// faults, per-shard deadline expiry and transport hiccups are; a definite
-// down signal (ErrOSDDown), a missing shard, a cancelled parent request
-// and a skipped (breaker-open) op are not.
-func transient(err error) bool {
-	switch {
-	case err == nil,
-		errors.Is(err, ErrNotFound),
-		errors.Is(err, ErrOSDDown),
-		errors.Is(err, errCircuitOpen),
-		errors.Is(err, context.Canceled):
-		return false
-	}
-	return true
-}
-
-// jitter is the seeded jitter hook for the shared retry.Policy: a
-// random extra in [0, 50%] of the capped exponential base.
-func (g *Gateway) jitter(d time.Duration) time.Duration {
-	g.rngMu.Lock()
-	j := time.Duration(g.rng.Int63n(int64(d/2) + 1))
-	g.rngMu.Unlock()
-	return j
-}
-
-// score feeds one completed attempt's truthful outcome into the health
-// tracker, the circuit breaker and the per-op latency histogram. ctx is
-// the parent request context: a failure caused by its cancellation or
-// deadline (client disconnect, request timeout) says nothing about the
-// OSD's health and must not count against it — a burst of disconnects
-// would otherwise trip breakers on perfectly healthy OSDs.
-func (g *Gateway) score(ctx context.Context, osd int, op string, err error, dur time.Duration) {
-	g.reg.Histogram(fmt.Sprintf("ecgate_shard_seconds{op=%q}", op)).Observe(dur)
-	if err != nil && (errors.Is(err, context.Canceled) || ctx.Err() != nil) {
-		return
-	}
-	g.noteResult(osd, err)
-	g.breakers[osd].Record(err == nil || errors.Is(err, ErrNotFound), time.Now())
-	g.reg.Gauge(fmt.Sprintf("ecgate_breaker_state{osd=\"%d\"}", osd)).Set(int64(g.breakers[osd].State()))
-}
-
-// attempt runs fn once against one shard store under the per-shard
-// deadline and scores the outcome.
-func (g *Gateway) attempt(ctx context.Context, osd int, op string, fn func(ctx context.Context) error) error {
-	start := time.Now()
-	sctx, cancel := context.WithTimeout(ctx, g.cfg.ShardTimeout)
-	err := fn(sctx)
-	cancel()
-	g.score(ctx, osd, op, err, time.Since(start))
-	return err
-}
-
-// allow consults the OSD's breaker, counting short-circuited ops.
-func (g *Gateway) allow(osd int) bool {
-	if g.breakers[osd].Allow(time.Now()) {
-		return true
-	}
-	g.reg.Counter("ecgate_breaker_skipped_total").Inc()
-	g.reg.Gauge(fmt.Sprintf("ecgate_breaker_state{osd=\"%d\"}", osd)).Set(int64(g.breakers[osd].State()))
-	return false
-}
-
-// shardOp is the write/delete-side shard op: up to 1+Retries attempts
-// with exponential backoff and seeded jitter on transient failures. The
-// breaker is consulted before EVERY attempt, not just the first, so a
-// circuit that trips mid-loop (including on our own failed half-open
-// probe) stops the retries immediately.
-func (g *Gateway) shardOp(ctx context.Context, osd int, op string, fn func(ctx context.Context) error) error {
-	var err error
-	for a := 0; ; a++ {
-		if !g.allow(osd) {
-			if err == nil {
-				err = errCircuitOpen
-			}
-			return err
-		}
-		err = g.attempt(ctx, osd, op, fn)
-		if err == nil || !transient(err) || g.retry.Exhausted(a) || ctx.Err() != nil {
-			return err
-		}
-		g.reg.Counter(fmt.Sprintf("ecgate_shard_retries_total{op=%q}", op)).Inc()
-		if sleep(ctx, g.retry.Backoff(a)) != nil {
-			return err
-		}
-	}
-}
-
-// hedgedGet fetches one shard, launching a single hedged second attempt
-// if the first has not answered within HedgeDelay. First result wins; the
-// loser is cancelled and — truthful scoring — only attempts that ran to
-// their own completion are recorded against the OSD's health and breaker.
-func (g *Gateway) hedgedGet(ctx context.Context, skey string, shard, osd int) ([]byte, error) {
-	run := func(c context.Context) ([]byte, error) {
-		return g.stores[osd].Get(c, skey, shard)
-	}
-	// No hedging while the OSD's breaker is half-open: the breaker admitted
-	// exactly one probe, and a hedge would double it behind its back.
-	if g.cfg.HedgeDelay <= 0 || g.breakers[osd].State() == BreakerHalfOpen {
-		var data []byte
-		err := g.attempt(ctx, osd, "get", func(c context.Context) error {
-			var e error
-			data, e = run(c)
-			return e
-		})
-		if err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
-	type res struct {
-		data  []byte
-		err   error
-		hedge bool
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan res, 2)
-	launch := func(hedge bool) {
-		go func() {
-			start := time.Now()
-			sctx, scancel := context.WithTimeout(cctx, g.cfg.ShardTimeout)
-			defer scancel()
-			data, err := run(sctx)
-			if cctx.Err() == nil {
-				g.score(ctx, osd, "get", err, time.Since(start))
-			}
-			ch <- res{data, err, hedge}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(g.cfg.HedgeDelay)
-	defer timer.Stop()
-	hedged := false
-	for received := 0; ; {
-		select {
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				g.reg.Counter("ecgate_hedged_reads_total").Inc()
-				launch(true)
-			}
-		case r := <-ch:
-			received++
-			if r.err == nil {
-				if r.hedge {
-					g.reg.Counter("ecgate_hedge_wins_total").Inc()
-				}
-				return r.data, nil
-			}
-			if !hedged || received == 2 {
-				return nil, r.err
-			}
-			// First attempt failed with a hedge in flight: its result may
-			// still win.
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// fetchShard is the read-side shard op: breaker gate (re-checked before
-// every attempt, so a circuit tripping mid-loop stops the retries),
-// hedged GET, bounded retry on transient failures, length validation.
-func (g *Gateway) fetchShard(ctx context.Context, skey string, shard, osd int, want int64) ([]byte, error) {
-	var (
-		data []byte
-		err  error
-	)
-	for a := 0; ; a++ {
-		if !g.allow(osd) {
-			if err == nil {
-				err = errCircuitOpen
-			}
-			return nil, err
-		}
-		data, err = g.hedgedGet(ctx, skey, shard, osd)
-		if err == nil {
-			if int64(len(data)) != want {
-				return nil, fmt.Errorf("service: shard %d length %d, want %d", shard, len(data), want)
-			}
-			return data, nil
-		}
-		if !transient(err) || g.retry.Exhausted(a) || ctx.Err() != nil {
-			return nil, err
-		}
-		g.reg.Counter(`ecgate_shard_retries_total{op="get"}`).Inc()
-		if sleep(ctx, g.retry.Backoff(a)) != nil {
-			return nil, err
-		}
-	}
-}
 
 // shardLen returns the per-shard stream length for a payload of size
 // bytes: full stripes of ChunkSize plus one padded final stripe.
@@ -625,7 +290,7 @@ func (g *Gateway) shardLen(size int64) int64 {
 // any partial shards are deleted. Fewer than k+m (but ≥ k) is a degraded
 // write, counted and recorded in the object's shard mask.
 func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (ObjectInfo, error) {
-	release, err := g.admit(ctx, TenantFrom(ctx))
+	release, err := g.admit(ctx)
 	if err != nil {
 		return ObjectInfo{}, err
 	}
@@ -664,122 +329,61 @@ func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (Objec
 	}
 
 	// Fan out shard writes, each under its own deadline.
-	errs := make([]error, width)
+	meta := &objectMeta{size: int64(len(data)), skey: skey, osds: osds, ok: make([]bool, width)}
 	var wg sync.WaitGroup
 	for i := 0; i < width; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = g.shardOp(ctx, osds[i], "put", func(c context.Context) error {
-				return g.stores[osds[i]].Put(c, skey, i, shards[i].Bytes())
+			p := &g.osds[osds[i]]
+			_, err := p.do(ctx, "put", 0, func(c context.Context) ([]byte, error) {
+				return nil, p.store.Put(c, skey, i, shards[i].Bytes())
 			})
+			meta.ok[i] = err == nil
 		}(i)
 	}
 	wg.Wait()
 
-	ok := make([]bool, width)
 	written := 0
-	for i, e := range errs {
-		if e == nil {
-			ok[i] = true
+	for _, ok := range meta.ok {
+		if ok {
 			written++
-		} else {
-			g.reg.Counter(`ecgate_shard_errors_total{op="put"}`).Inc()
 		}
 	}
+	g.series.op["put"].errors.Add(int64(width - written))
 	if written < g.cfg.K {
 		// Not durable: roll back this generation's shards. The previous
 		// object generation (if any) is untouched and stays readable.
-		for i := range ok {
-			if ok[i] {
-				i := i
-				_ = g.shardOp(ctx, osds[i], "delete", func(c context.Context) error {
-					return g.stores[osds[i]].Delete(c, skey, i)
-				})
-			}
-		}
+		g.deleteShards(ctx, meta, "put")
 		return ObjectInfo{}, fmt.Errorf("%w: %d of %d shard writes landed, need %d",
 			ErrInsufficientShards, written, width, g.cfg.K)
 	}
 	if written < width {
-		g.reg.Counter("ecgate_degraded_writes_total").Inc()
+		g.series.degradedWrites.Inc()
 	}
 
-	meta := &objectMeta{size: int64(len(data)), skey: skey, osds: osds, ok: ok}
-	g.mu.Lock()
-	if g.wal != nil {
-		// Durably log before the in-memory index moves: an acknowledged
-		// PUT must survive a kill. On log failure the index is untouched
-		// and this generation's shards are rolled back.
-		if err := g.wal.appendPut(key, meta); err != nil {
-			g.mu.Unlock()
-			g.deleteShards(ctx, meta, "put")
-			return ObjectInfo{}, err
-		}
-	}
-	old := g.objects[key]
-	if old != nil {
-		g.stored -= old.size
-	}
-	g.objects[key] = meta
-	g.stored += meta.size
-	objs := len(g.objects)
-	stored := g.stored
-	var snap map[string]*objectMeta
-	if g.wal != nil {
-		g.reg.Counter("ecgate_wal_records_total").Inc()
-		if g.wal.shouldCompact() && !g.compacting {
-			// Rotate under the lock (rename + fresh file, cheap); the
-			// expensive snapshot marshal+fsync runs after Unlock so
-			// compaction never stalls other requests. objectMeta values are
-			// immutable once indexed, so a shallow copy is a consistent
-			// rotation-point snapshot.
-			g.compacting = true
-			if err := g.wal.rotate(); err != nil {
-				// Safe either way: the full-index snapshot below also
-				// covers the records still sitting in the unrotated WAL.
-				g.log.LogAttrs(ctx, slog.LevelError, "wal rotation failed",
-					slog.String("error", err.Error()))
-			}
-			snap = make(map[string]*objectMeta, len(g.objects))
-			for k, m := range g.objects {
-				snap[k] = m
-			}
-		}
-	}
-	g.mu.Unlock()
-	if snap != nil {
-		if err := g.wal.writeSnapshot(snap); err != nil {
-			g.log.LogAttrs(ctx, slog.LevelError, "wal compaction failed",
-				slog.String("error", err.Error()))
-		} else {
-			g.reg.Counter("ecgate_wal_compactions_total").Inc()
-		}
-		g.mu.Lock()
-		g.compacting = false
-		g.mu.Unlock()
+	old, err := g.commit(key, meta)
+	if err != nil {
+		g.deleteShards(ctx, meta, "put")
+		return ObjectInfo{}, err
 	}
 	if old != nil {
 		// Best-effort cleanup of the superseded generation's shards.
 		g.deleteShards(ctx, old, "put")
 	}
-	g.reg.Gauge("ecgate_objects").Set(int64(objs))
-	g.reg.Gauge("ecgate_bytes_stored").Set(stored)
-	g.reg.Counter("ecgate_bytes_in_total").Add(int64(len(data)))
-
+	g.series.bytesIn.Add(int64(len(data)))
 	return ObjectInfo{Key: key, Size: meta.size, Shards: width, Written: written, OSDs: osds}, nil
 }
 
-// fetchResult carries one shard fetch outcome.
-type fetchResult struct {
-	idx  int
-	data []byte
-	err  error
-}
-
 // deleteShards removes every landed shard of one object generation, best
-// effort (down OSDs and already-gone shards are not errors).
+// effort (down OSDs and already-gone shards are not errors). It runs
+// detached from ctx's cancellation and deadline: its callers have already
+// decided this generation must go (failed or superseded PUT, logged
+// DELETE), and a request that failed because its deadline expired or its
+// client left would otherwise cancel every delete before it is sent and
+// leak the shards for good. Each attempt is still bounded by ShardTimeout.
 func (g *Gateway) deleteShards(ctx context.Context, meta *objectMeta, op string) {
+	ctx = context.WithoutCancel(ctx)
 	var wg sync.WaitGroup
 	for i := range meta.ok {
 		if !meta.ok[i] {
@@ -788,33 +392,37 @@ func (g *Gateway) deleteShards(ctx context.Context, meta *objectMeta, op string)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			err := g.shardOp(ctx, meta.osds[i], "delete", func(c context.Context) error {
-				return g.stores[meta.osds[i]].Delete(c, meta.skey, i)
+			p := &g.osds[meta.osds[i]]
+			_, err := p.do(ctx, "delete", 0, func(c context.Context) ([]byte, error) {
+				return nil, p.store.Delete(c, meta.skey, i)
 			})
 			if err != nil && !errors.Is(err, ErrNotFound) {
-				g.reg.Counter(fmt.Sprintf("ecgate_shard_errors_total{op=%q}", op)).Inc()
+				g.series.op[op].errors.Inc()
 			}
 		}(i)
 	}
 	wg.Wait()
 }
 
-// fetchWave fetches the given shard indices concurrently through the
-// resilient read path (breaker gate, hedged GET, bounded retry, length
-// validation).
-func (g *Gateway) fetchWave(ctx context.Context, key string, meta *objectMeta, idxs []int, want int64) []fetchResult {
-	out := make([]fetchResult, len(idxs))
+// fetchWave fetches the given shard indices concurrently into have and
+// returns how many arrived.
+func (g *Gateway) fetchWave(ctx context.Context, meta *objectMeta, idxs []int, want int64, have [][]byte) int {
 	var wg sync.WaitGroup
-	for n, i := range idxs {
+	for _, i := range idxs {
 		wg.Add(1)
-		go func(n, i int) {
+		go func(i int) {
 			defer wg.Done()
-			data, err := g.fetchShard(ctx, key, i, meta.osds[i], want)
-			out[n] = fetchResult{idx: i, data: data, err: err}
-		}(n, i)
+			have[i], _ = g.fetchShard(ctx, meta.skey, i, meta.osds[i], want)
+		}(i)
 	}
 	wg.Wait()
-	return out
+	got := 0
+	for _, i := range idxs {
+		if have[i] != nil {
+			got++
+		}
+	}
+	return got
 }
 
 // GetObject reads an object back. The k data shards are fetched first;
@@ -823,14 +431,12 @@ func (g *Gateway) fetchWave(ctx context.Context, key string, meta *objectMeta, i
 // through StreamDecode — a degraded read. Fewer than k reachable shards
 // is ErrInsufficientShards.
 func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, error) {
-	release, err := g.admit(ctx, TenantFrom(ctx))
+	release, err := g.admit(ctx)
 	if err != nil {
 		return nil, GetInfo{}, err
 	}
 	defer release()
-	g.mu.RLock()
-	meta, exists := g.objects[key]
-	g.mu.RUnlock()
+	meta, exists := g.lookup(key)
 	if !exists {
 		return nil, GetInfo{}, ErrNotFound
 	}
@@ -843,7 +449,6 @@ func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, e
 	width := g.cfg.K + g.cfg.M
 	want := g.shardLen(meta.size)
 	have := make([][]byte, width)
-	got, shardErrs := 0, 0
 
 	// Wave 1: the data shards that were written.
 	var wave []int
@@ -852,14 +457,8 @@ func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, e
 			wave = append(wave, i)
 		}
 	}
-	for _, r := range g.fetchWave(ctx, meta.skey, meta, wave, want) {
-		if r.err != nil {
-			shardErrs++
-			continue
-		}
-		have[r.idx] = r.data
-		got++
-	}
+	tried := len(wave)
+	got := g.fetchWave(ctx, meta, wave, want, have)
 
 	// Parity waves: replace every missing data shard, walking the parity
 	// candidates in order until k streams are in hand or none remain.
@@ -875,18 +474,13 @@ func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, e
 		if len(wave) == 0 {
 			break
 		}
-		for _, r := range g.fetchWave(ctx, meta.skey, meta, wave, want) {
-			if r.err != nil {
-				shardErrs++
-				continue
-			}
-			have[r.idx] = r.data
-			got++
-		}
+		tried += len(wave)
+		got += g.fetchWave(ctx, meta, wave, want, have)
 	}
+	shardErrs := tried - got
+	g.series.op["get"].errors.Add(int64(shardErrs))
 	if got < g.cfg.K {
-		g.reg.Counter("ecgate_failed_reads_total").Inc()
-		g.reg.Counter(`ecgate_shard_errors_total{op="get"}`).Add(int64(shardErrs))
+		g.series.failedReads.Inc()
 		return nil, GetInfo{ShardErrors: shardErrs},
 			fmt.Errorf("%w: %d of %d shards fetched, need %d", ErrInsufficientShards, got, width, g.cfg.K)
 	}
@@ -894,15 +488,12 @@ func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, e
 	// Rebuild the payload. Missing data shards (nil readers) are
 	// reconstructed from parity inside StreamDecode's per-stream plan.
 	reconstructed := 0
-	for d := 0; d < g.cfg.K; d++ {
-		if have[d] == nil {
-			reconstructed++
-		}
-	}
 	readers := make([]io.Reader, width)
 	for i, b := range have {
 		if b != nil {
 			readers[i] = bytes.NewReader(b)
+		} else if i < g.cfg.K {
+			reconstructed++
 		}
 	}
 	var out bytes.Buffer
@@ -913,47 +504,25 @@ func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, e
 
 	info := GetInfo{Size: meta.size, Degraded: reconstructed > 0, Reconstructed: reconstructed, ShardErrors: shardErrs}
 	if info.Degraded {
-		g.reg.Counter("ecgate_degraded_reads_total").Inc()
-		g.reg.Counter("ecgate_reconstructed_shards_total").Add(int64(reconstructed))
+		g.series.degradedReads.Inc()
+		g.series.reconstructedShards.Add(int64(reconstructed))
 	}
-	if shardErrs > 0 {
-		g.reg.Counter(`ecgate_shard_errors_total{op="get"}`).Add(int64(shardErrs))
-	}
-	g.reg.Counter("ecgate_bytes_out_total").Add(meta.size)
+	g.series.bytesOut.Add(meta.size)
 	return out.Bytes(), info, nil
 }
 
-// DeleteObject removes the object's shards (best effort on down OSDs) and
-// forgets it; a subsequent GET is ErrNotFound.
+// DeleteObject forgets the object, then removes its shards (best effort
+// on down OSDs); a subsequent GET is ErrNotFound.
 func (g *Gateway) DeleteObject(ctx context.Context, key string) error {
-	release, err := g.admit(ctx, TenantFrom(ctx))
+	release, err := g.admit(ctx)
 	if err != nil {
 		return err
 	}
 	defer release()
-	g.mu.Lock()
-	meta, exists := g.objects[key]
-	if exists && g.wal != nil {
-		if err := g.wal.appendDelete(key); err != nil {
-			// Not durably logged: keep serving the object rather than
-			// resurrect it after a restart.
-			g.mu.Unlock()
-			return err
-		}
-		g.reg.Counter("ecgate_wal_records_total").Inc()
+	meta, err := g.remove(key)
+	if err != nil {
+		return err
 	}
-	if exists {
-		delete(g.objects, key)
-		g.stored -= meta.size
-		g.reg.Gauge("ecgate_objects").Set(int64(len(g.objects)))
-		g.reg.Gauge("ecgate_bytes_stored").Set(g.stored)
-	}
-	g.mu.Unlock()
-	if !exists {
-		return ErrNotFound
-	}
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
-	defer cancel()
 	g.deleteShards(ctx, meta, "delete")
 	return nil
 }
@@ -976,117 +545,56 @@ type StatusInfo struct {
 	SimSeconds      float64 `json:"sim_seconds,omitempty"`
 
 	// Tenants holds per-tenant admission and latency stats, keyed by
-	// X-Tenant header value; present once any named tenant has been seen.
+	// tenant identity (a configured X-Tenant value, or "other" for every
+	// unconfigured one); present once any named tenant has been seen.
 	Tenants map[string]TenantStatus `json:"tenants,omitempty"`
-}
-
-// TenantStatus is one tenant's entry in /v1/status.
-type TenantStatus struct {
-	Admitted   int64   `json:"admitted"`
-	Rejected   int64   `json:"rejected"`
-	Inflight   int64   `json:"inflight"`
-	Requests   int64   `json:"requests"`
-	P99Seconds float64 `json:"p99_seconds"` // bucket upper bound (conservative)
 }
 
 // Status snapshots the gateway.
 func (g *Gateway) Status() StatusInfo {
-	g.mu.RLock()
-	objs, stored := len(g.objects), g.stored
-	g.mu.RUnlock()
-	down := 0
-	for i := range g.health {
-		g.health[i].mu.Lock()
-		if g.health[i].down {
-			down++
-		}
-		g.health[i].mu.Unlock()
-	}
+	// One tracker, two names: an OSD is down in the gateway's view exactly
+	// while its breaker is not closed.
 	open := 0
-	for _, b := range g.breakers {
-		if b.State() != BreakerClosed {
+	for i := range g.osds {
+		if g.osds[i].breaker.State() != BreakerClosed {
 			open++
 		}
 	}
 	var retries int64
-	for _, op := range []string{"get", "put", "delete"} {
-		retries += g.reg.Counter(fmt.Sprintf("ecgate_shard_retries_total{op=%q}", op)).Value()
+	for _, s := range g.series.op {
+		retries += s.retries.Value()
 	}
 	st := StatusInfo{
 		Scheme:          fmt.Sprintf("RS(%d,%d)", g.cfg.K, g.cfg.M),
 		Backend:         g.cfg.Backend,
 		ChunkSize:       g.cfg.ChunkSize,
-		Objects:         objs,
-		BytesStored:     stored,
-		OSDs:            len(g.stores),
-		OSDsDown:        down,
+		Objects:         int(g.series.objects.Value()),
+		BytesStored:     g.series.bytesStored.Value(),
+		OSDs:            len(g.osds),
+		OSDsDown:        open,
 		BreakersOpen:    open,
 		Retries:         retries,
-		HedgedReads:     g.reg.Counter("ecgate_hedged_reads_total").Value(),
-		DegradedReads:   g.reg.Counter("ecgate_degraded_reads_total").Value(),
-		Reconstructions: g.reg.Counter("ecgate_reconstructed_shards_total").Value(),
-		AdmissionDrops:  g.reg.Counter("ecgate_admission_rejected_total").Value(),
+		HedgedReads:     g.series.hedgedReads.Value(),
+		DegradedReads:   g.series.degradedReads.Value(),
+		Reconstructions: g.series.reconstructedShards.Value(),
+		AdmissionDrops:  g.series.admissionRejected.Value(),
 	}
 	if g.cfg.Sim != nil {
 		st.SimSeconds = g.cfg.Sim.SimSeconds()
 	}
-	g.tenants.Range(func(k, _ any) bool {
-		name := k.(string)
-		h := g.reg.Histogram(fmt.Sprintf("ecgate_tenant_request_seconds{tenant=%q}", name))
+	g.tenants.Range(func(k, v any) bool {
+		ts := v.(*tenantSeries)
 		if st.Tenants == nil {
 			st.Tenants = make(map[string]TenantStatus)
 		}
-		st.Tenants[name] = TenantStatus{
-			Admitted:   g.reg.Counter(fmt.Sprintf("ecgate_tenant_admitted_total{tenant=%q}", name)).Value(),
-			Rejected:   g.reg.Counter(fmt.Sprintf("ecgate_tenant_rejected_total{tenant=%q}", name)).Value(),
-			Inflight:   g.reg.Gauge(fmt.Sprintf("ecgate_tenant_inflight{tenant=%q}", name)).Value(),
-			Requests:   h.Count(),
-			P99Seconds: h.Quantile(0.99),
+		st.Tenants[k.(string)] = TenantStatus{
+			Admitted:   ts.admitted.Value(),
+			Rejected:   ts.rejected.Value(),
+			Inflight:   ts.inflight.Value(),
+			Requests:   ts.seconds.Count(),
+			P99Seconds: ts.seconds.Quantile(0.99),
 		}
 		return true
 	})
 	return st
-}
-
-// OSDStatus is one row of /v1/osds: the backend's self-reported stat
-// merged with the gateway's health view.
-type OSDStatus struct {
-	OSDStat
-	Down    bool    `json:"gateway_down"`
-	Fails   int     `json:"consecutive_fails"`
-	Breaker string  `json:"breaker"`
-	ErrRate float64 `json:"error_rate_ewma"`
-	LastErr string  `json:"last_error,omitempty"`
-	Error   string  `json:"stat_error,omitempty"`
-}
-
-// OSDStatuses stats every OSD (short per-OSD deadline).
-func (g *Gateway) OSDStatuses(ctx context.Context) []OSDStatus {
-	out := make([]OSDStatus, len(g.stores))
-	var wg sync.WaitGroup
-	for i := range g.stores {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, g.cfg.ShardTimeout)
-			defer cancel()
-			st, err := g.stores[i].Stat(sctx)
-			if err != nil {
-				out[i].OSDStat = OSDStat{ID: i}
-				out[i].Error = err.Error()
-			} else {
-				out[i].OSDStat = st
-			}
-			h := &g.health[i]
-			h.mu.Lock()
-			out[i].Down = h.down
-			out[i].Fails = h.consec
-			out[i].LastErr = h.lastErr
-			h.mu.Unlock()
-			out[i].Breaker = g.breakers[i].State().String()
-			out[i].ErrRate = g.breakers[i].FailureRate()
-		}(i)
-	}
-	wg.Wait()
-	return out
 }

@@ -35,12 +35,12 @@ func httpStatus(err error) (code int, retryAfter string) {
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound, ""
 	case errors.Is(err, ErrOverloaded):
-		retry := "1"
+		var hint time.Duration
 		var oe *OverloadError
-		if errors.As(err, &oe) && oe.RetryAfter > time.Second {
-			retry = strconv.Itoa(int((oe.RetryAfter + time.Second - 1) / time.Second))
+		if errors.As(err, &oe) {
+			hint = oe.RetryAfter
 		}
-		return http.StatusTooManyRequests, retry
+		return http.StatusTooManyRequests, retryAfterSeconds(hint)
 	case errors.Is(err, ErrInsufficientShards):
 		return http.StatusServiceUnavailable, "2"
 	case errors.Is(err, ErrTooLarge):
@@ -105,11 +105,11 @@ func (g *Gateway) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/faults/{osd}", func(w http.ResponseWriter, r *http.Request) {
 		osd, err := strconv.Atoi(r.PathValue("osd"))
-		if err != nil || osd < 0 || osd >= len(g.faults) {
+		if err != nil || osd < 0 || osd >= len(g.osds) {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad osd id"})
 			return
 		}
-		serveSetFault(w, r, g.faults[osd], osd)
+		serveSetFault(w, r, g.osds[osd].store, osd)
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -228,10 +228,10 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, op string)
 
 	dur := time.Since(start)
 	g.reg.Counter(fmt.Sprintf("ecgate_requests_total{op=%q,code=\"%d\"}", op, status)).Inc()
-	g.reg.Histogram(fmt.Sprintf("ecgate_request_seconds{op=%q}", op)).Observe(dur)
-	if tenant != "" {
-		g.reg.Counter(fmt.Sprintf("ecgate_tenant_requests_total{tenant=%q,op=%q}", tenant, op)).Inc()
-		g.reg.Histogram(fmt.Sprintf("ecgate_tenant_request_seconds{tenant=%q}", tenant)).Observe(dur)
+	g.series.op[op].request.Observe(dur)
+	if _, ts := g.tenant(tenant); ts != nil {
+		ts.requests[op].Inc()
+		ts.seconds.Observe(dur)
 	}
 
 	attrs := []slog.Attr{

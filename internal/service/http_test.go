@@ -11,9 +11,12 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ecarray/internal/crush"
+	"ecarray/internal/qos"
 )
 
 // simService boots a gateway over a fresh virtual cluster behind a real
@@ -359,5 +362,203 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "plain_seconds_count 1\n") {
 		t.Fatalf("plain histogram count missing:\n%s", buf.String())
+	}
+}
+
+// tenantService boots a gateway over blockStores (every PUT parks until
+// release is closed) with gold:3 and bronze:1 sharing 4 slots, so
+// weighted-fair gives gold 3, bronze 1 and every unconfigured name
+// together the default share of shareOf(4, 1, 4+1) = 1.
+func tenantService(t *testing.T) (srv *httptest.Server, gw *Gateway, entered <-chan struct{}, release chan struct{}) {
+	t.Helper()
+	stores := make([]ShardStore, 6)
+	enterCh := make(chan struct{}, 64)
+	release = make(chan struct{})
+	for i := range stores {
+		stores[i] = &blockStore{MemStore: NewMemStore(i), release: release, enter: func() {
+			select {
+			case enterCh <- struct{}{}:
+			default:
+			}
+		}}
+	}
+	gw = buildGateway(t, stores, func(cfg *GatewayConfig) {
+		cfg.MaxInflight = 4
+		cfg.Tenants = map[string]qos.TenantConfig{"gold": {Weight: 3}, "bronze": {Weight: 1}}
+	})
+	srv = httptest.NewServer(gw.Handler())
+	t.Cleanup(srv.Close)
+	return srv, gw, enterCh, release
+}
+
+func tenantClient(url, tenant string) *GateClient {
+	gc := NewGateClient(url)
+	gc.SetRetries(0) // observe the raw 429
+	gc.SetTenant(tenant)
+	return gc
+}
+
+// TestTenantAdmissionHTTP: over HTTP, a tenant past its weighted-fair
+// share gets 429 with a Retry-After while another tenant is still
+// admitted, and the decision shows on the per-tenant series and in
+// /v1/status.tenants.
+func TestTenantAdmissionHTTP(t *testing.T) {
+	srv, _, entered, release := tenantService(t)
+	ctx := context.Background()
+	bronze, gold := tenantClient(srv.URL, "bronze"), tenantClient(srv.URL, "gold")
+
+	parked := make(chan error, 1)
+	go func() {
+		_, err := bronze.PutObject(ctx, "t/slow", payload(4096, 1))
+		parked <- err
+	}()
+	<-entered // bronze's single slot is held
+
+	var se *StatusError
+	_, err := bronze.PutObject(ctx, "t/over", payload(4096, 2))
+	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter == "" {
+		t.Fatalf("bronze over its share: got %v, want 429 with Retry-After", err)
+	}
+	if _, _, err := gold.GetObject(ctx, "t/missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("gold beside a saturated bronze: got %v, want admitted (404)", err)
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked bronze put: %v", err)
+	}
+
+	text, err := gold.MetricsText(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		`ecgate_tenant_admitted_total{tenant="bronze"}`:        1,
+		`ecgate_tenant_rejected_total{tenant="bronze"}`:        1,
+		`ecgate_tenant_inflight{tenant="bronze"}`:              0,
+		`ecgate_tenant_request_seconds_count{tenant="bronze"}`: 2,
+		`ecgate_tenant_admitted_total{tenant="gold"}`:          1,
+		`ecgate_tenant_rejected_total{tenant="gold"}`:          0,
+	} {
+		if got := metricValue(t, text, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	st, err := gold.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := st.Tenants["bronze"]
+	if b.Admitted != 1 || b.Rejected != 1 || b.Requests != 2 || b.P99Seconds <= 0 {
+		t.Fatalf("/v1/status bronze = %+v", b)
+	}
+	if len(st.Tenants) != 2 {
+		t.Fatalf("/v1/status tenants = %v, want bronze and gold", st.Tenants)
+	}
+}
+
+// TestTenantCardinalityBounded: X-Tenant is caller-controlled, so names
+// outside GatewayConfig.Tenants must not mint state. A thousand distinct
+// values leave the registry and /v1/status.tenants where two requests
+// left them; together they hold ONE default share, not one each; and a
+// configured tenant's share is untouched by the flood.
+func TestTenantCardinalityBounded(t *testing.T) {
+	srv, gw, entered, release := tenantService(t)
+	ctx := context.Background()
+	series := func() int {
+		gw.reg.mu.Lock()
+		defer gw.reg.mu.Unlock()
+		return len(gw.reg.series)
+	}
+	// First sight of the two identities in play resolves their bundles
+	// and the one requests_total series this flood produces.
+	for _, name := range []string{"gold", "stranger"} {
+		if _, _, err := tenantClient(srv.URL, name).GetObject(ctx, "c/missing"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	before := series()
+	for i := 0; i < 1000; i++ {
+		if _, _, err := tenantClient(srv.URL, fmt.Sprintf("t-%d", i)).GetObject(ctx, "c/missing"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("tenant t-%d: %v", i, err)
+		}
+	}
+	if after := series(); after != before {
+		t.Fatalf("1000 distinct X-Tenant values grew the registry from %d to %d series", before, after)
+	}
+	st := gw.Status()
+	if len(st.Tenants) != 2 || st.Tenants[otherTenant].Admitted != 1001 || st.Tenants["gold"].Admitted != 1 {
+		t.Fatalf("/v1/status tenants after the flood: %v", st.Tenants)
+	}
+
+	// Two different unconfigured names contend for the same single slot.
+	parked := make(chan error, 1)
+	go func() {
+		_, err := tenantClient(srv.URL, "alice").PutObject(ctx, "c/slow", payload(4096, 3))
+		parked <- err
+	}()
+	<-entered
+	var se *StatusError
+	if _, err := tenantClient(srv.URL, "bob").PutObject(ctx, "c/over", payload(4096, 4)); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+		t.Fatalf("second unconfigured tenant: got %v, want 429 (shared default share)", err)
+	}
+	if _, _, err := tenantClient(srv.URL, "gold").GetObject(ctx, "c/missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("gold during the flood: got %v, want admitted (404)", err)
+	}
+	close(release)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked put: %v", err)
+	}
+}
+
+// shapingPolicy admits everything after a fixed throttle delay and counts
+// the slots it has out.
+type shapingPolicy struct {
+	delay time.Duration
+	held  atomic.Int64
+}
+
+func (p *shapingPolicy) Name() string { return "shaping" }
+func (p *shapingPolicy) Admit(qos.Request) qos.Decision {
+	p.held.Add(1)
+	return qos.Decision{Admit: true, Delay: p.delay}
+}
+func (p *shapingPolicy) Release(qos.Request) { p.held.Add(-1) }
+
+// TestAdmissionCancelDuringThrottle: a request cancelled while it serves
+// a shaping delay gives its slot back at once instead of holding it for
+// the rest of the delay — at both front doors, which share admitRequest.
+func TestAdmissionCancelDuringThrottle(t *testing.T) {
+	pol := &shapingPolicy{delay: time.Minute}
+	gw := buildGateway(t, memStores(6), func(cfg *GatewayConfig) { cfg.Admission = pol })
+	reached := false
+	osd := AdmissionMiddleware(pol, http.HandlerFunc(func(http.ResponseWriter, *http.Request) { reached = true }))
+	doors := map[string]func(ctx context.Context){
+		"gateway": func(ctx context.Context) { _, _, _ = gw.GetObject(ctx, "x") },
+		"ecstored middleware": func(ctx context.Context) {
+			osd.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/stat", nil).WithContext(ctx))
+		},
+	}
+	for name, serve := range doors {
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			serve(ctx)
+			close(done)
+		}()
+		for pol.held.Load() == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: cancelled request still serving its throttle delay", name)
+		}
+		if n := pol.held.Load(); n != 0 {
+			t.Fatalf("%s: %d slots still held after the cancelled request returned", name, n)
+		}
+	}
+	if reached {
+		t.Fatal("cancelled request reached the handler")
 	}
 }

@@ -201,3 +201,66 @@ func suffixed(base, labels, suffix string) string {
 	}
 	return base + suffix + "{" + labels[:len(labels)-1] + "}"
 }
+
+// shardOps are the shard-level operations, the op label of every per-op
+// series.
+var shardOps = []string{"put", "get", "delete"}
+
+// opSeries is one op's share of the per-op series.
+type opSeries struct {
+	request *Histogram // ecgate_request_seconds{op}
+	shard   *Histogram // ecgate_shard_seconds{op}: one sample per scored attempt
+	retries *Counter   // ecgate_shard_retries_total{op}
+	errors  *Counter   // ecgate_shard_errors_total{op}
+}
+
+// gatewaySeries holds every fixed-name gateway series, resolved once in
+// NewGateway so the request path never formats a series name or takes the
+// registry mutex for them. What stays dynamic is
+// ecgate_requests_total{op,code} (the code is only known afterwards), a
+// tenant's bundle on its first request (tenantSeries) and one
+// ecgate_breaker_state gauge per OSD (held by its osdPath).
+type gatewaySeries struct {
+	op map[string]*opSeries
+
+	inflight, objects, bytesStored        *Gauge
+	bytesIn, bytesOut                     *Counter
+	admissionRejected, admissionThrottled *Counter
+	breakerTrips, breakerSkipped          *Counter
+	hedgedReads, hedgeWins                *Counter
+	degradedWrites, degradedReads         *Counter
+	reconstructedShards, failedReads      *Counter
+	walRecords, walCompactions            *Counter
+}
+
+func newGatewaySeries(r *Registry) *gatewaySeries {
+	s := &gatewaySeries{
+		op:                  map[string]*opSeries{},
+		inflight:            r.Gauge("ecgate_inflight"),
+		objects:             r.Gauge("ecgate_objects"),
+		bytesStored:         r.Gauge("ecgate_bytes_stored"),
+		bytesIn:             r.Counter("ecgate_bytes_in_total"),
+		bytesOut:            r.Counter("ecgate_bytes_out_total"),
+		admissionRejected:   r.Counter("ecgate_admission_rejected_total"),
+		admissionThrottled:  r.Counter("ecgate_admission_throttled_total"),
+		breakerTrips:        r.Counter("ecgate_breaker_trips_total"),
+		breakerSkipped:      r.Counter("ecgate_breaker_skipped_total"),
+		hedgedReads:         r.Counter("ecgate_hedged_reads_total"),
+		hedgeWins:           r.Counter("ecgate_hedge_wins_total"),
+		degradedWrites:      r.Counter("ecgate_degraded_writes_total"),
+		degradedReads:       r.Counter("ecgate_degraded_reads_total"),
+		reconstructedShards: r.Counter("ecgate_reconstructed_shards_total"),
+		failedReads:         r.Counter("ecgate_failed_reads_total"),
+		walRecords:          r.Counter("ecgate_wal_records_total"),
+		walCompactions:      r.Counter("ecgate_wal_compactions_total"),
+	}
+	for _, op := range shardOps {
+		s.op[op] = &opSeries{
+			request: r.Histogram(fmt.Sprintf("ecgate_request_seconds{op=%q}", op)),
+			shard:   r.Histogram(fmt.Sprintf("ecgate_shard_seconds{op=%q}", op)),
+			retries: r.Counter(fmt.Sprintf("ecgate_shard_retries_total{op=%q}", op)),
+			errors:  r.Counter(fmt.Sprintf("ecgate_shard_errors_total{op=%q}", op)),
+		}
+	}
+	return s
+}

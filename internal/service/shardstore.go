@@ -56,6 +56,10 @@ type FaultInjector interface {
 	RestoreOSD(id int) error
 }
 
+// SimClock is implemented by backends that accumulate simulated time (the
+// virtual cluster); the gateway surfaces it on /v1/status when present.
+type SimClock interface{ SimSeconds() float64 }
+
 // shardName is the canonical backend object name for (key, shard).
 func shardName(key string, shard int) string {
 	return fmt.Sprintf("%s#%d", key, shard)
