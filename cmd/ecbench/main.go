@@ -64,7 +64,7 @@ func main() {
 	qd := flag.Int("qd", 0, "override queue depth")
 	csvdir := flag.String("csvdir", "", "also write each table as CSV into this directory")
 	codecKernel := flag.String("codec-kernel", "auto",
-		"GF kernel tier for the RS codec: auto, scalar, avx2 (alias vector), fused or gfni")
+		"GF kernel tier for the RS codec: auto, scalar, avx2, fused or gfni")
 	codecConc := flag.Int("codec-conc", 0, "max codec worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	calibrate := flag.Bool("calibrate", false, "derive simulated encode cost from the real codec's measured MB/s")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")

@@ -5,18 +5,35 @@ import (
 	"testing"
 )
 
+// tinyTables memoizes tinyScenario. The package's tests run sequentially, so
+// a plain map needs no lock.
+var tinyTables = map[string]Table{}
+
+// tinyScenario returns the Tiny-scale table of one scenario, run on a fresh
+// suite the first time a test in this binary asks for it. Tests that only
+// read a table share it through here instead of each paying for the run
+// again; a test that needs an independent run calls RunScenario itself.
+func tinyScenario(t *testing.T, id string) Table {
+	t.Helper()
+	if tb, ok := tinyTables[id]; ok {
+		return tb
+	}
+	tb, err := tinySuite(t).RunScenario(id)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	tinyTables[id] = tb
+	return tb
+}
+
 func TestScenarioIDsCovered(t *testing.T) {
-	s := tinySuite(t)
 	for _, id := range ScenarioIDs() {
-		tb, err := s.RunScenario(id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		tb := tinyScenario(t, id)
 		if len(tb.Rows) == 0 || len(tb.Columns) == 0 {
 			t.Fatalf("%s produced an empty table", id)
 		}
 	}
-	if _, err := s.RunScenario("nope"); err == nil {
+	if _, err := tinySuite(t).RunScenario("nope"); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }
@@ -25,11 +42,7 @@ func TestScenarioIDsCovered(t *testing.T) {
 // must cost more private-network bytes per requested byte than the healthy
 // phase — the §IV-E effect the scenario exists to expose.
 func TestDegradedReadScenarioShowsTax(t *testing.T) {
-	s := tinySuite(t)
-	tb, err := s.RunScenario("degraded-read")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tinyScenario(t, "degraded-read")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 phases", len(tb.Rows))
 	}
@@ -63,11 +76,7 @@ func TestDegradedReadScenarioShowsTax(t *testing.T) {
 // TestRecoveryInterferenceThrottle: the throttled repair row must take
 // longer than the unthrottled one.
 func TestRecoveryInterferenceThrottle(t *testing.T) {
-	s := tinySuite(t)
-	tb, err := s.RunScenario("recovery-interference")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tinyScenario(t, "recovery-interference")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 rates", len(tb.Rows))
 	}
@@ -88,10 +97,7 @@ func TestRecoveryInterferenceThrottle(t *testing.T) {
 // and zero gray-path activity (the counters only move when the knobs are
 // on).
 func TestGrayFailureScenarioBoundsTail(t *testing.T) {
-	tb, err := tinySuite(t).RunScenario("gray-failure")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := tinyScenario(t, "gray-failure")
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows = %d, want 2 modes x 3 phases", len(tb.Rows))
 	}
@@ -136,12 +142,10 @@ func TestGrayFailureScenarioBoundsTail(t *testing.T) {
 }
 
 // TestScenarioTablesDeterministic: scenario tables are rendered from the
-// deterministic runner, so two fresh suites must agree cell for cell.
+// deterministic runner, so two fresh suites must agree cell for cell. The
+// shared table came from one fresh suite; the second run here is independent.
 func TestScenarioTablesDeterministic(t *testing.T) {
-	a, err := tinySuite(t).RunScenario("degraded-read")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := tinyScenario(t, "degraded-read")
 	b, err := tinySuite(t).RunScenario("degraded-read")
 	if err != nil {
 		t.Fatal(err)

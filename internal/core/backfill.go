@@ -40,13 +40,7 @@ func (pl *Pool) Backfill(p *sim.Proc) (BackfillStats, error) {
 		if len(pg.bf) == 0 {
 			continue
 		}
-		var err error
-		if pl.profile.IsEC() {
-			err = pl.backfillECPG(p, &ps, pg, &st)
-		} else {
-			err = pl.backfillReplicatedPG(p, &ps, pg, &st)
-		}
-		if err != nil {
+		if err := pl.backfillPG(p, &ps, pg, &st); err != nil {
 			return st, err
 		}
 		st.PGsBackfilled++
@@ -82,15 +76,6 @@ func backfillNeeds(pg *PG, synced map[int]uint64, full map[int]bool) map[string]
 	return need
 }
 
-func sortedNeedObjects(need map[string][]int) []string {
-	out := make([]string, 0, len(need))
-	for obj := range need {
-		out = append(out, obj)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // flipClean moves every backfilling position back into live service and
 // drops its divergence records.
 func (pg *PG) flipClean() {
@@ -110,12 +95,10 @@ func (pg *PG) flipClean() {
 	}
 }
 
-// backfillECPG re-syncs an EC PG's backfilling positions by reconstructing
-// each divergent object's stale chunks from k live shards.
-func (pl *Pool) backfillECPG(p *sim.Proc, ps *paceState, pg *PG, st *BackfillStats) error {
-	g := pl.geom()
-	cm := &pl.c.cfg.Cost
-
+// backfillPG re-syncs one PG's backfilling positions: each divergent object
+// is rewritten onto the stale positions that need it, round after round
+// until no foreground write slipped in behind the pass.
+func (pl *Pool) backfillPG(p *sim.Proc, ps *paceState, pg *PG, st *BackfillStats) error {
 	synced := map[int]uint64{}
 	full := map[int]bool{}
 	for pos, e := range pg.bf {
@@ -129,68 +112,27 @@ func (pl *Pool) backfillECPG(p *sim.Proc, ps *paceState, pg *PG, st *BackfillSta
 		if len(need) == 0 {
 			break
 		}
-		for _, obj := range sortedNeedObjects(need) {
+		for _, obj := range sortedKeys(need) {
 			positions := need[obj]
 
 			// The PG lock serializes the object's sync against foreground
 			// writes: a write that slips in after this sync bumps the epoch
 			// past target and the convergence loop picks it up next round.
 			pg.lock.Acquire(p, 1)
-			_, primID := pg.primary()
-			if primID < 0 {
-				pg.lock.Release(1)
-				return fmt.Errorf("core: pg %d.%d has no live OSDs", pl.id, pg.id)
-			}
-			prim := pl.c.osds[primID]
-
-			srcs := make([]int, 0, g.k)
-			for pos := 0; pos < g.k+g.m && len(srcs) < g.k; pos++ {
-				if pg.live(pos) {
-					srcs = append(srcs, pos)
-				}
-			}
-			if len(srcs) < g.k {
-				pg.lock.Release(1)
-				return fmt.Errorf("core: pg object %s beyond repair", obj)
-			}
-			results := make([][]byte, len(srcs))
-			pl.fetchShards(p, pg, prim, obj, srcs, 0, g.shardSize, results)
-			st.BytesPulled += int64(len(srcs)) * g.shardSize
-
-			// Reconstruction cost: one recover-matrix row of k coefficients
-			// per stale chunk over the shard bytes.
-			prim.Node.CPU.Exec(p, perKB(int64(len(positions))*g.shardSize*int64(g.k), cm.EncodeCostPerKB()), 0)
-			var shardBytes map[int][]byte
-			if pl.c.cfg.CarryData {
-				var err error
-				shardBytes, err = pl.rebuildShardBytes(obj, srcs, positions, results, g)
-				if err != nil {
-					pg.lock.Release(1)
-					return err
-				}
-			}
-
-			latch := sim.NewLatch(pl.c.e, len(positions))
-			for _, pos := range positions {
-				osd := pl.c.osds[pg.shards[pos]]
-				var payload []byte
-				if shardBytes != nil {
-					payload = shardBytes[pos]
-				}
-				pl.c.e.GoNamed("backfill", obj, pos, func(sp *sim.Proc) {
-					pl.c.sendPrivate(sp, prim.Node, osd.Node, g.shardSize)
-					osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-					osd.Store.Write(sp, obj, 0, payload, g.shardSize)
-					pl.c.sendPrivate(sp, osd.Node, prim.Node, 0)
-					latch.Done()
-				})
-			}
-			latch.Wait(p)
+			pulled, pushed, err := pl.repairObject(p, pg, "backfill", obj, positions)
 			pg.lock.Release(1)
+			if err != nil {
+				return err
+			}
 
 			st.ObjectsSynced++
-			st.ShardsSynced += len(positions)
-			st.BytesRestored += int64(len(positions)) * g.shardSize
+			if pl.profile.IsEC() {
+				st.ShardsSynced += len(positions)
+			} else {
+				st.ReplicasCopied += len(positions)
+			}
+			st.BytesPulled += pulled
+			st.BytesRestored += pushed
 			pl.pace(p, ps, st.BytesPulled+st.BytesRestored)
 		}
 		for pos := range synced {
@@ -201,74 +143,6 @@ func (pl *Pool) backfillECPG(p *sim.Proc, ps *paceState, pg *PG, st *BackfillSta
 			break
 		}
 		// Foreground writes landed mid-pass; another round syncs the delta.
-	}
-	pg.flipClean()
-	return nil
-}
-
-// backfillReplicatedPG re-syncs a replicated PG's backfilling positions by
-// copying each divergent object from a live replica.
-func (pl *Pool) backfillReplicatedPG(p *sim.Proc, ps *paceState, pg *PG, st *BackfillStats) error {
-	cm := &pl.c.cfg.Cost
-
-	synced := map[int]uint64{}
-	full := map[int]bool{}
-	for pos, e := range pg.bf {
-		synced[pos] = e.depart
-		full[pos] = e.full
-	}
-
-	for {
-		target := pg.epoch
-		need := backfillNeeds(pg, synced, full)
-		if len(need) == 0 {
-			break
-		}
-		for _, obj := range sortedNeedObjects(need) {
-			positions := need[obj]
-			size := pg.objects[obj]
-			if size <= 0 {
-				continue
-			}
-
-			pg.lock.Acquire(p, 1)
-			_, primID := pg.primary()
-			if primID < 0 {
-				pg.lock.Release(1)
-				return fmt.Errorf("core: pg %d.%d has no live replicas", pl.id, pg.id)
-			}
-			prim := pl.c.osds[primID]
-
-			prim.Node.CPU.Exec(p, 0, cm.StoreSubmitKern)
-			data := prim.Store.Read(p, obj, 0, size)
-			st.BytesPulled += size
-
-			latch := sim.NewLatch(pl.c.e, len(positions))
-			for _, pos := range positions {
-				osd := pl.c.osds[pg.shards[pos]]
-				pl.c.e.GoNamed("backfill", obj, pos, func(sp *sim.Proc) {
-					pl.c.sendPrivate(sp, prim.Node, osd.Node, size)
-					osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-					osd.Store.Write(sp, obj, 0, data, size)
-					pl.c.sendPrivate(sp, osd.Node, prim.Node, 0)
-					latch.Done()
-				})
-			}
-			latch.Wait(p)
-			pg.lock.Release(1)
-
-			st.ObjectsSynced++
-			st.ReplicasCopied += len(positions)
-			st.BytesRestored += int64(len(positions)) * size
-			pl.pace(p, ps, st.BytesPulled+st.BytesRestored)
-		}
-		for pos := range synced {
-			synced[pos] = target
-			full[pos] = false
-		}
-		if pg.epoch == target {
-			break
-		}
 	}
 	pg.flipClean()
 	return nil

@@ -9,6 +9,13 @@
 // virtual time and maintain the counters behind every figure of the paper's
 // evaluation (throughput/latency, CPU utilization and context switches, I/O
 // amplification, private network traffic, and data-layout effects).
+//
+// What a primary pays to move a shard to or from another OSD — the model
+// behind the I/O-amplification and private-network figures, and behind the
+// §II-C repair cost — is priced in exactly one place: pushShard and
+// pullShard in cluster.go. The foreground paths (ec.go, replicated.go,
+// tailfetch.go) and the repair passes (recovery.go, backfill.go, scrub.go)
+// only decide which shards move.
 package core
 
 import (
@@ -47,13 +54,13 @@ func (o *OSD) Up() bool { return o.up }
 
 // Cluster is the assembled storage system.
 type Cluster struct {
-	cfg     Config
-	e       *sim.Engine
-	public  *netsim.Network
-	private *netsim.Network
-	client  *Node
-	nodes   []*Node
-	osds    []*OSD
+	cfg      Config
+	e        *sim.Engine
+	public   *netsim.Network
+	private  *netsim.Network
+	client   *Node
+	nodes    []*Node
+	osds     []*OSD
 	cmap     *crush.Map
 	pools    map[string]*Pool
 	poolList []*Pool // creation order, for deterministic iteration
@@ -294,6 +301,43 @@ func (c *Cluster) sendPrivate(p *sim.Proc, from, to *Node, payload int64) {
 	c.execSend(p, from, payload)
 	c.private.Send(p, from.Name, to.Name, payload)
 	c.execRecv(p, to, payload)
+}
+
+// pushShard writes [off, off+n) of obj on the OSD `to` on behalf of `from` —
+// the primary, or the copy source of a replica repair — and returns once the
+// write is durable and acknowledged: straight into the local store when the
+// two are the same OSD, otherwise payload out over the private network,
+// dispatch and transaction prep at the receiver, its store write, and a
+// zero-byte commit ack back. payload may be nil (size-only mode).
+func (c *Cluster) pushShard(sp *sim.Proc, from, to *OSD, obj string, off int64, payload []byte, n int64) {
+	cm := &c.cfg.Cost
+	if to == from {
+		from.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
+		from.Store.Write(sp, obj, off, payload, n)
+		return
+	}
+	c.sendPrivate(sp, from.Node, to.Node, n)
+	to.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
+	to.Store.Write(sp, obj, off, payload, n)
+	c.sendPrivate(sp, to.Node, from.Node, 0)
+}
+
+// pullShard reads [off, off+n) of obj from the OSD `from` into the OSD `to`:
+// a local store read when the two are the same OSD, otherwise a zero-byte
+// request out, dispatch and the store read at the holder, and the bytes back
+// over the private network. Together with pushShard this is the only place a
+// shard transfer is priced; every op and repair path moves data through them.
+func (c *Cluster) pullShard(sp *sim.Proc, to, from *OSD, obj string, off, n int64) []byte {
+	cm := &c.cfg.Cost
+	if from == to {
+		to.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
+		return to.Store.Read(sp, obj, off, n)
+	}
+	c.sendPrivate(sp, to.Node, from.Node, 0)
+	from.Node.CPU.Exec(sp, cm.DispatchUser, cm.StoreSubmitKern)
+	data := from.Store.Read(sp, obj, off, n)
+	c.sendPrivate(sp, from.Node, to.Node, n)
+	return data
 }
 
 // sendPublicToPrimary moves payload from the client to a storage node.

@@ -89,8 +89,8 @@ type Config struct {
 	CodecConcurrency int
 
 	// CodecKernel selects the GF(2^8) kernel tier the real codec runs on:
-	// "" or "auto" (fastest available), "scalar", "avx2" (alias "vector"),
-	// "fused", or "gfni". The selection is process-wide (the kernel tables
+	// "" or "auto" (fastest available), "scalar", "avx2", "fused", or
+	// "gfni". The selection is process-wide (the kernel tables
 	// are global); every tier is byte-identical, so — like the concurrency
 	// knob — it changes wall-clock time and calibrated encode cost, never
 	// simulated metrics.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ecarray/internal/sim"
@@ -16,65 +17,56 @@ func (pl *Pool) encodeCost(dataBytes int64) time.Duration {
 }
 
 // fetchShards pulls the byte range [shardOff, shardOff+perShard) of the
-// given shard positions from their OSDs into results, concurrently,
-// returning when all transfers complete. Results are indexed by position in
-// shardPos. The primary's own shard is read locally (loopback if same node).
-func (pl *Pool) fetchShards(p *sim.Proc, pg *PG, prim *OSD, obj string, shardPos []int, shardOff, perShard int64, results [][]byte) {
-	cm := &pl.c.cfg.Cost
+// given shard positions from their OSDs, concurrently, returning when all
+// transfers complete. Results are indexed by position in shardPos. The
+// primary's own shard is read locally.
+func (pl *Pool) fetchShards(p *sim.Proc, pg *PG, prim *OSD, obj string, shardPos []int, shardOff, perShard int64) [][]byte {
+	results := make([][]byte, len(shardPos))
 	latch := sim.NewLatch(pl.c.e, len(shardPos))
 	for i, pos := range shardPos {
-		i, pos := i, pos
 		osd := pl.c.osds[pg.shards[pos]]
 		pl.c.e.GoNamed("ecfetch", obj, pos, func(sp *sim.Proc) {
-			if osd == prim {
-				prim.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
-				results[i] = prim.Store.Read(sp, obj, shardOff, perShard)
-			} else {
-				// Chunk request to the shard OSD, data response back.
-				pl.c.sendPrivate(sp, prim.Node, osd.Node, 0)
-				osd.Node.CPU.Exec(sp, cm.DispatchUser, cm.StoreSubmitKern)
-				results[i] = osd.Store.Read(sp, obj, shardOff, perShard)
-				pl.c.sendPrivate(sp, osd.Node, prim.Node, perShard)
-			}
+			results[i] = pl.c.pullShard(sp, prim, osd, obj, shardOff, perShard)
 			latch.Done()
 		})
 	}
 	latch.Wait(p)
+	return results
 }
 
-// dataShardSources picks the shard positions used to materialize the k data
-// chunks: every live data shard, plus enough live parity shards to
-// substitute for missing ones (degraded read, reconstructed via the recover
-// matrix of §II-C). The second return lists the missing data positions.
-func (pl *Pool) dataShardSources(pg *PG) (srcs []int, missingData []int, err error) {
+// fetchK pulls [shardOff, shardOff+perShard) of k shards of obj to the
+// primary, for a read or the read phase of a sub-stripe write: by default
+// all-or-nothing from the PG's first k live positions; with the
+// gray-failure knobs on, the tail-tolerant race over every live position
+// (tailfetch.go). results is aligned with srcs.
+func (pl *Pool) fetchK(p *sim.Proc, pg *PG, prim *OSD, obj string, shardOff, perShard int64) (srcs []int, results [][]byte, err error) {
 	g := pl.geom()
-	for j := 0; j < g.k; j++ {
-		if pg.live(j) {
-			srcs = append(srcs, j)
-		} else {
-			missingData = append(missingData, j)
-		}
+	if pl.c.cfg.Gray.tailEnabled() {
+		return pl.tailFetch(p, pg, prim, obj, pg.sources(nil, g.k+g.m), g.k, shardOff, perShard)
 	}
-	for j := g.k; j < g.k+g.m && len(srcs) < g.k; j++ {
-		if pg.live(j) {
-			srcs = append(srcs, j)
-		}
-	}
+	srcs = pg.sources(nil, g.k)
 	if len(srcs) < g.k {
 		return nil, nil, fmt.Errorf("core: pg %d.%d: only %d of %d shards live",
 			pl.id, pg.id, pg.liveShards(), g.k+g.m)
 	}
-	return srcs, missingData, nil
+	return srcs, pl.fetchShards(p, pg, prim, obj, srcs, shardOff, perShard), nil
 }
 
 // materializeStripes turns fetched shard ranges into per-stripe data chunks,
-// reconstructing missing data shards when necessary. In size-only mode it
-// returns presence-only entries.
-func (pl *Pool) materializeStripes(p *sim.Proc, prim *OSD, srcs, missingData []int,
+// reconstructing the data shards absent from srcs (degraded read, via the
+// recover matrix of §II-C). In size-only mode it returns presence-only
+// entries.
+func (pl *Pool) materializeStripes(p *sim.Proc, prim *OSD, srcs []int,
 	results [][]byte, s0, s1 int64) (map[int64][][]byte, error) {
 	g := pl.geom()
 	cm := &pl.c.cfg.Cost
 	perShard := (s1 - s0) * g.unit
+	var missingData []int
+	for j := 0; j < g.k; j++ {
+		if !slices.Contains(srcs, j) {
+			missingData = append(missingData, j)
+		}
+	}
 
 	// Reconstruction cost: one recover-matrix row (k coefficients) per
 	// missing data shard, over the whole range.
@@ -144,31 +136,15 @@ func (pl *Pool) readEC(p *sim.Proc, obj string, off, length int64) ([]byte, erro
 	if len(missing) > 0 {
 		ms0, ms1 := missing[0], missing[len(missing)-1]+1
 		perShard := (ms1 - ms0) * g.unit
-		var srcs, missingData []int
-		var results [][]byte
-		if pl.c.cfg.Gray.tailEnabled() {
-			var err error
-			srcs, results, err = pl.tailFetch(p, pg, prim, obj, pl.tailCandidates(pg), g.k, ms0*g.unit, perShard)
-			if err != nil {
-				pg.lock.Release(1)
-				prim.Workers.Release(1)
-				return nil, err
-			}
-			missingData = missingDataOf(g.k, srcs)
-		} else {
-			var err error
-			srcs, missingData, err = pl.dataShardSources(pg)
-			if err != nil {
-				pg.lock.Release(1)
-				prim.Workers.Release(1)
-				return nil, err
-			}
-			results = make([][]byte, len(srcs))
-			pl.fetchShards(p, pg, prim, obj, srcs, ms0*g.unit, perShard, results)
+		srcs, results, err := pl.fetchK(p, pg, prim, obj, ms0*g.unit, perShard)
+		if err != nil {
+			pg.lock.Release(1)
+			prim.Workers.Release(1)
+			return nil, err
 		}
 		// RS-concatenation: compose chunks into stripes.
 		prim.Node.CPU.Exec(p, perKB(int64(g.k)*perShard, cm.ConcatPerKB), 0)
-		fetched, err := pl.materializeStripes(p, prim, srcs, missingData, results, ms0, ms1)
+		fetched, err := pl.materializeStripes(p, prim, srcs, results, ms0, ms1)
 		if err != nil {
 			pg.lock.Release(1)
 			prim.Workers.Release(1)
@@ -234,27 +210,10 @@ func (pl *Pool) initObject(p *sim.Proc, pg *PG, prim *OSD, obj string) {
 	// Encode the whole object's parity.
 	prim.Node.CPU.Exec(p, pl.encodeCost(g.stripes*g.stripeWidth), 0)
 
-	latch := sim.NewLatch(pl.c.e, pg.liveShards())
-	for pos, osdID := range pg.shards {
-		if !pg.live(pos) {
-			continue
-		}
-		osd := pl.c.osds[osdID]
-		pl.c.e.GoNamed("ecinit", obj, -1, func(sp *sim.Proc) {
-			if osd == prim {
-				prim.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
-				prim.Store.Write(sp, obj, 0, nil, g.shardSize)
-			} else {
-				pl.c.sendPrivate(sp, prim.Node, osd.Node, g.shardSize)
-				osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-				osd.Store.Write(sp, obj, 0, nil, g.shardSize)
-				pl.c.sendPrivate(sp, osd.Node, prim.Node, 0)
-			}
-			prim.Node.CPU.Exec(sp, cm.CommitUser, 0)
-			latch.Done()
-		})
-	}
-	latch.Wait(p)
+	pl.fanOut(p, pg, "ecinit", obj, pg.sources(nil, g.k+g.m), func(sp *sim.Proc, _ int, osd *OSD) {
+		pl.c.pushShard(sp, prim, osd, obj, 0, nil, g.shardSize)
+		prim.Node.CPU.Exec(sp, cm.CommitUser, 0)
+	})
 	pg.inited[obj] = true
 	pg.noteObject(obj, g.stripes*g.stripeWidth)
 }
@@ -270,11 +229,10 @@ func (pl *Pool) writeEC(p *sim.Proc, obj string, off int64, data []byte, length 
 	cm := &pl.c.cfg.Cost
 	g := pl.geom()
 	pg := pl.pgOf(obj)
-	primPos, primID := pg.primary()
+	_, primID := pg.primary()
 	if primID < 0 || pg.liveShards() < g.k {
 		return fmt.Errorf("core: pg %d.%d cannot write (%d live shards)", pl.id, pg.id, pg.liveShards())
 	}
-	_ = primPos
 	prim := pl.c.osds[primID]
 
 	pl.c.sendPublicToPrimary(p, prim.Node, length)
@@ -299,27 +257,13 @@ func (pl *Pool) writeEC(p *sim.Proc, obj string, off int64, data []byte, length 
 	// reuse across writes, so this bypasses the read-side stripe cache.)
 	var oldStripes map[int64][][]byte
 	if !fullStripes {
-		var srcs, missingData []int
-		var results [][]byte
-		var err error
-		if pl.c.cfg.Gray.tailEnabled() {
-			srcs, results, err = pl.tailFetch(p, pg, prim, obj, pl.tailCandidates(pg), g.k, s0*g.unit, perShard)
-			if err == nil {
-				missingData = missingDataOf(g.k, srcs)
-			}
-		} else {
-			srcs, missingData, err = pl.dataShardSources(pg)
-			if err == nil {
-				results = make([][]byte, len(srcs))
-				pl.fetchShards(p, pg, prim, obj, srcs, s0*g.unit, perShard, results)
-			}
-		}
+		srcs, results, err := pl.fetchK(p, pg, prim, obj, s0*g.unit, perShard)
 		if err != nil {
 			pg.lock.Release(1)
 			prim.Workers.Release(1)
 			return err
 		}
-		oldStripes, err = pl.materializeStripes(p, prim, srcs, missingData, results, s0, s1)
+		oldStripes, err = pl.materializeStripes(p, prim, srcs, results, s0, s1)
 		if err != nil {
 			pg.lock.Release(1)
 			prim.Workers.Release(1)
@@ -349,19 +293,9 @@ func (pl *Pool) writeEC(p *sim.Proc, obj string, off int64, data []byte, length 
 		if !pg.live(pos) {
 			continue
 		}
-		pos := pos
 		osd := pl.c.osds[osdID]
 		pl.c.e.GoNamed("ecwrite", obj, pos, func(sp *sim.Proc) {
-			payload := shardData[pos]
-			if osd == prim {
-				prim.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
-				prim.Store.Write(sp, obj, s0*g.unit, payload, perShard)
-			} else {
-				pl.c.sendPrivate(sp, prim.Node, osd.Node, perShard)
-				osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-				osd.Store.Write(sp, obj, s0*g.unit, payload, perShard)
-				pl.c.sendPrivate(sp, osd.Node, prim.Node, 0)
-			}
+			pl.c.pushShard(sp, prim, osd, obj, s0*g.unit, shardData[pos], perShard)
 			pg.lock.Acquire(sp, 1)
 			prim.Node.CPU.Exec(sp, cm.CommitUser, 0)
 			pg.lock.Release(1)

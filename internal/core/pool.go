@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ecarray/internal/rs"
 	"ecarray/internal/sim"
@@ -310,6 +311,21 @@ func (pg *PG) primary() (shardPos int, osd int) {
 		}
 	}
 	return -1, -1
+}
+
+// sources returns the first max live shard positions outside exclude, in
+// ascending order. Data positions precede parity, so asking an EC PG for k of
+// them yields every live data shard plus just enough parity to substitute
+// for the missing ones (§II-C) — the choice reads, read-modify-writes and
+// every repair pass make.
+func (pg *PG) sources(exclude []int, max int) []int {
+	out := make([]int, 0, max)
+	for pos := 0; pos < len(pg.shards) && len(out) < max; pos++ {
+		if pg.live(pos) && !slices.Contains(exclude, pos) {
+			out = append(out, pos)
+		}
+	}
+	return out
 }
 
 // liveShards counts live (serving, non-backfilling) shard positions.

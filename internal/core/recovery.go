@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ecarray/internal/sim"
@@ -93,15 +92,27 @@ func (pl *Pool) Recover(p *sim.Proc) (RecoveryStats, error) {
 		if err := pl.assignReplacements(pgid, pg, missing); err != nil {
 			return st, err
 		}
-		if pl.profile.IsEC() {
-			if err := pl.recoverECPG(p, &ps, pg, missing, &st); err != nil {
+		// The replacements hold nothing yet: every object of the PG is
+		// rebuilt onto them from the survivors.
+		for _, obj := range sortedKeys(pg.objects) {
+			pulled, pushed, err := pl.repairObject(p, pg, "recover", obj, missing)
+			if err != nil {
 				return st, err
 			}
-		} else {
-			if err := pl.recoverReplicatedPG(p, &ps, pg, missing, &st); err != nil {
-				return st, err
+			st.ObjectsRepaired++
+			if pl.profile.IsEC() {
+				st.ShardsRebuilt += len(missing)
+			} else {
+				st.ReplicasCopied += len(missing)
 			}
+			st.BytesPulled += pulled
+			st.BytesRebuilt += pushed
+			pl.pace(p, &ps, st.BytesPulled+st.BytesRebuilt)
 		}
+		if pg.scache != nil {
+			pg.scache.clear()
+		}
+		pg.maybeAllClean()
 		st.PGsRepaired++
 	}
 	st.DurationSimulated = time.Duration(p.Now() - start)
@@ -157,164 +168,6 @@ func (pl *Pool) assignReplacements(pgid int, pg *PG, missing []int) error {
 		inUse[cand[i]] = true
 	}
 	return nil
-}
-
-// recoverECPG rebuilds the missing shards of every object in an EC PG.
-func (pl *Pool) recoverECPG(p *sim.Proc, ps *paceState, pg *PG, rebuilt []int, st *RecoveryStats) error {
-	g := pl.geom()
-	cm := &pl.c.cfg.Cost
-	_, primID := pg.primary()
-	prim := pl.c.osds[primID]
-
-	for _, obj := range sortedObjects(pg) {
-		// Pull k surviving shards (positions other than the rebuilt ones;
-		// backfilling positions hold stale bytes and cannot be sources).
-		srcs := make([]int, 0, g.k)
-		for pos := 0; pos < g.k+g.m && len(srcs) < g.k; pos++ {
-			if !contains(rebuilt, pos) && pg.live(pos) {
-				srcs = append(srcs, pos)
-			}
-		}
-		if len(srcs) < g.k {
-			return fmt.Errorf("core: pg object %s beyond repair", obj)
-		}
-		results := make([][]byte, len(srcs))
-		pl.fetchShards(p, pg, prim, obj, srcs, 0, g.shardSize, results)
-		st.BytesPulled += int64(len(srcs)) * g.shardSize
-
-		// Reconstruct all missing shards (decode cost: one recover-matrix
-		// row of k coefficients per missing shard over the shard bytes).
-		prim.Node.CPU.Exec(p, perKB(int64(len(rebuilt))*g.shardSize*int64(g.k), cm.EncodeCostPerKB()), 0)
-		var shardBytes map[int][]byte
-		if pl.c.cfg.CarryData {
-			var err error
-			shardBytes, err = pl.rebuildShardBytes(obj, srcs, rebuilt, results, g)
-			if err != nil {
-				return err
-			}
-		}
-
-		// Push each rebuilt shard to its replacement OSD.
-		latch := sim.NewLatch(pl.c.e, len(rebuilt))
-		for _, pos := range rebuilt {
-			pos := pos
-			osd := pl.c.osds[pg.shards[pos]]
-			var payload []byte
-			if shardBytes != nil {
-				payload = shardBytes[pos]
-			}
-			pl.c.e.GoNamed("recover", obj, pos, func(sp *sim.Proc) {
-				if osd == prim {
-					prim.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
-					prim.Store.Write(sp, obj, 0, payload, g.shardSize)
-				} else {
-					pl.c.sendPrivate(sp, prim.Node, osd.Node, g.shardSize)
-					osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-					osd.Store.Write(sp, obj, 0, payload, g.shardSize)
-					pl.c.sendPrivate(sp, osd.Node, prim.Node, 0)
-				}
-				latch.Done()
-			})
-		}
-		latch.Wait(p)
-		st.ObjectsRepaired++
-		st.ShardsRebuilt += len(rebuilt)
-		st.BytesRebuilt += int64(len(rebuilt)) * g.shardSize
-		pl.pace(p, ps, st.BytesPulled+st.BytesRebuilt)
-	}
-	if pg.scache != nil {
-		pg.scache.clear()
-	}
-	pg.maybeAllClean()
-	return nil
-}
-
-// rebuildShardBytes reconstructs missing shard contents stripe by stripe.
-func (pl *Pool) rebuildShardBytes(obj string, srcs, rebuilt []int, results [][]byte, g ecGeom) (map[int][]byte, error) {
-	out := map[int][]byte{}
-	for _, pos := range rebuilt {
-		out[pos] = make([]byte, g.shardSize)
-	}
-	for s := int64(0); s < g.stripes; s++ {
-		shards := make([][]byte, g.k+g.m)
-		base := s * g.unit
-		for i, pos := range srcs {
-			if results[i] == nil {
-				return nil, fmt.Errorf("core: recovery fetch for %s shard %d empty", obj, pos)
-			}
-			shards[pos] = results[i][base : base+g.unit]
-		}
-		if err := pl.code.Reconstruct(shards); err != nil {
-			return nil, fmt.Errorf("core: recovery reconstruct %s stripe %d: %w", obj, s, err)
-		}
-		for _, pos := range rebuilt {
-			copy(out[pos][base:base+g.unit], shards[pos])
-		}
-	}
-	return out, nil
-}
-
-// recoverReplicatedPG restores full object copies onto replacement OSDs.
-// The copy source must be a surviving replica: replacements were assigned
-// into the shard list already but hold no data yet.
-func (pl *Pool) recoverReplicatedPG(p *sim.Proc, ps *paceState, pg *PG, rebuilt []int, st *RecoveryStats) error {
-	cm := &pl.c.cfg.Cost
-	source := -1
-	for pos, osd := range pg.shards {
-		if osd >= 0 && !contains(rebuilt, pos) && pg.live(pos) {
-			source = osd
-			break
-		}
-	}
-	if source < 0 {
-		return fmt.Errorf("core: pg %d.%d has no surviving replicas", pl.id, pg.id)
-	}
-	prim := pl.c.osds[source]
-	for _, obj := range sortedObjects(pg) {
-		size := pg.objects[obj]
-		if size <= 0 {
-			continue
-		}
-		prim.Node.CPU.Exec(p, 0, cm.StoreSubmitKern)
-		data := prim.Store.Read(p, obj, 0, size)
-		st.BytesPulled += size
-		latch := sim.NewLatch(pl.c.e, len(rebuilt))
-		for _, pos := range rebuilt {
-			osd := pl.c.osds[pg.shards[pos]]
-			pl.c.e.GoNamed("recover", obj, -1, func(sp *sim.Proc) {
-				pl.c.sendPrivate(sp, prim.Node, osd.Node, size)
-				osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-				osd.Store.Write(sp, obj, 0, data, size)
-				pl.c.sendPrivate(sp, osd.Node, prim.Node, 0)
-				latch.Done()
-			})
-		}
-		latch.Wait(p)
-		st.ObjectsRepaired++
-		st.ReplicasCopied += len(rebuilt)
-		st.BytesRebuilt += int64(len(rebuilt)) * size
-		pl.pace(p, ps, st.BytesPulled+st.BytesRebuilt)
-	}
-	pg.maybeAllClean()
-	return nil
-}
-
-func sortedObjects(pg *PG) []string {
-	out := make([]string, 0, len(pg.objects))
-	for obj := range pg.objects {
-		out = append(out, obj)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func contains(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // Degraded reports how many PGs currently serve reads by reconstruction:

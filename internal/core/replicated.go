@@ -34,15 +34,7 @@ func (pl *Pool) writeReplicated(p *sim.Proc, obj string, off int64, data []byte,
 		}
 		osd := pl.c.osds[osdID]
 		pl.c.e.GoNamed("rep", obj, -1, func(sp *sim.Proc) {
-			if osd == prim {
-				prim.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
-				prim.Store.Write(sp, obj, off, data, length)
-			} else {
-				pl.c.sendPrivate(sp, prim.Node, osd.Node, length)
-				osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-				osd.Store.Write(sp, obj, off, data, length)
-				pl.c.sendPrivate(sp, osd.Node, prim.Node, 0) // commit ack
-			}
+			pl.c.pushShard(sp, prim, osd, obj, off, data, length)
 			// Commit handling at the primary re-takes the PG lock briefly.
 			pg.lock.Acquire(sp, 1)
 			prim.Node.CPU.Exec(sp, cm.CommitUser, 0)
@@ -84,21 +76,14 @@ func (pl *Pool) readReplicated(p *sim.Proc, obj string, off, length int64) ([]by
 		// Tail-tolerant read: the primary replica is preferred, but a request
 		// past the deadline (or hedged) fails over to a secondary, which holds
 		// an identical full copy of the object.
-		var cands []int
-		for pos := range pg.shards {
-			if pg.live(pos) {
-				cands = append(cands, pos)
-			}
-		}
-		_, results, err := pl.tailFetch(p, pg, prim, obj, cands, 1, off, length)
+		_, results, err := pl.tailFetch(p, pg, prim, obj, pg.sources(nil, len(pg.shards)), 1, off, length)
 		if err != nil {
 			prim.Workers.Release(1)
 			return nil, err
 		}
 		data = results[0]
 	} else {
-		prim.Node.CPU.Exec(p, 0, cm.StoreSubmitKern)
-		data = prim.Store.Read(p, obj, off, length)
+		data = pl.c.pullShard(p, prim, prim, obj, off, length)
 	}
 	prim.Workers.Release(1)
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,14 +84,15 @@ func (pl *Pool) Scrub(p *sim.Proc) (ScrubStats, error) {
 		if len(pg.objects) == 0 {
 			continue
 		}
-		var err error
-		if pl.profile.IsEC() {
-			err = pl.scrubECPG(p, pg, &st)
-		} else {
-			err = pl.scrubReplicatedPG(p, pg, &st)
-		}
-		if err != nil {
-			return st, err
+		for _, obj := range sortedKeys(pg.objects) {
+			// The PG lock holds foreground writes off the object between
+			// its verify sweep and its repair.
+			pg.lock.Acquire(p, 1)
+			err := pl.scrubObject(p, pg, obj, &st)
+			pg.lock.Release(1)
+			if err != nil {
+				return st, err
+			}
 		}
 		st.PGsScrubbed++
 	}
@@ -114,172 +116,65 @@ func latentLivePositions(pg *PG, obj string) []int {
 	return out
 }
 
-// scrubECPG verifies and repairs one EC PG.
-func (pl *Pool) scrubECPG(p *sim.Proc, pg *PG, st *ScrubStats) error {
-	g := pl.geom()
+// scrubObject verifies every live copy of one object and repairs the bad
+// ones. The caller holds the PG lock.
+func (pl *Pool) scrubObject(p *sim.Proc, pg *PG, obj string, st *ScrubStats) error {
 	cm := &pl.c.cfg.Cost
-	for _, obj := range sortedObjects(pg) {
-		pg.lock.Acquire(p, 1)
-		_, primID := pg.primary()
-		if primID < 0 {
-			pg.lock.Release(1)
+	live := pg.sources(nil, len(pg.shards))
+	size := pg.objects[obj] // bytes per copy
+	var prim *OSD
+	var results [][]byte
+	if pl.profile.IsEC() {
+		if len(live) == 0 {
 			return fmt.Errorf("core: pg %d.%d has no live OSDs", pl.id, pg.id)
 		}
-		prim := pl.c.osds[primID]
+		// Verify sweep: the primary pulls every live shard in full and
+		// checksums the scanned bytes.
+		size = pl.geom().shardSize
+		prim = pl.c.osds[pg.shards[live[0]]]
+		results = pl.fetchShards(p, pg, prim, obj, live, 0, size)
+		prim.Node.CPU.Exec(p, perKB(int64(len(live))*size, cm.ConcatPerKB), 0)
+	} else {
+		// Verify sweep: every live replica reads its full copy in place.
+		pl.fanOut(p, pg, "scrub", obj, live, func(sp *sim.Proc, _ int, osd *OSD) {
+			osd.Node.CPU.Exec(sp, cm.DispatchUser, cm.StoreSubmitKern)
+			osd.Store.Read(sp, obj, 0, size)
+		})
+	}
+	st.BytesScanned += int64(len(live)) * size
+	st.ObjectsScanned++
 
-		// Verify sweep: pull every live shard copy in full.
-		var live []int
-		for pos := range pg.shards {
-			if pg.live(pos) {
-				live = append(live, pos)
-			}
+	bad := latentLivePositions(pg, obj)
+	if len(bad) == 0 {
+		return nil
+	}
+	st.ErrorsFound += len(bad)
+	if pl.profile.IsEC() {
+		// Repair by reconstruction from the first k good shards, which the
+		// verify sweep already fetched.
+		srcs := pg.sources(bad, pl.profile.K)
+		if len(srcs) < pl.profile.K {
+			return fmt.Errorf("core: pg %d.%d: object %s beyond repair (%d good shards)", pl.id, pg.id, obj, len(srcs))
 		}
-		results := make([][]byte, len(live))
-		pl.fetchShards(p, pg, prim, obj, live, 0, g.shardSize, results)
-		st.BytesScanned += int64(len(live)) * g.shardSize
-		// Checksum verification of the scanned bytes at the primary.
-		prim.Node.CPU.Exec(p, perKB(int64(len(live))*g.shardSize, cm.ConcatPerKB), 0)
-		st.ObjectsScanned++
-
-		bad := latentLivePositions(pg, obj)
-		if len(bad) == 0 {
-			pg.lock.Release(1)
-			continue
-		}
-		st.ErrorsFound += len(bad)
-
-		// Repair by reconstruction from k good shards (already fetched).
-		srcs := make([]int, 0, g.k)
-		srcResults := make([][]byte, 0, g.k)
+		srcResults := make([][]byte, 0, len(srcs))
 		for i, pos := range live {
-			if len(srcs) == g.k {
-				break
-			}
-			if !pg.latent[obj][pos] {
-				srcs = append(srcs, pos)
+			if slices.Contains(srcs, pos) {
 				srcResults = append(srcResults, results[i])
 			}
 		}
-		if len(srcs) < g.k {
-			pg.lock.Release(1)
-			return fmt.Errorf("core: pg object %s beyond repair (%d good shards)", obj, len(srcs))
+		if err := pl.rebuildEC(p, pg, prim, "scrub", obj, srcs, srcResults, bad); err != nil {
+			return err
 		}
-		prim.Node.CPU.Exec(p, perKB(int64(len(bad))*g.shardSize*int64(g.k), cm.EncodeCostPerKB()), 0)
-		var shardBytes map[int][]byte
-		if pl.c.cfg.CarryData {
-			var err error
-			shardBytes, err = pl.rebuildShardBytes(obj, srcs, bad, srcResults, g)
-			if err != nil {
-				pg.lock.Release(1)
-				return err
-			}
-		}
-		latch := sim.NewLatch(pl.c.e, len(bad))
-		for _, pos := range bad {
-			osd := pl.c.osds[pg.shards[pos]]
-			var payload []byte
-			if shardBytes != nil {
-				payload = shardBytes[pos]
-			}
-			pl.c.e.GoNamed("scrub", obj, pos, func(sp *sim.Proc) {
-				pl.c.sendPrivate(sp, prim.Node, osd.Node, g.shardSize)
-				osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-				osd.Store.Write(sp, obj, 0, payload, g.shardSize)
-				pl.c.sendPrivate(sp, osd.Node, prim.Node, 0)
-				latch.Done()
-			})
-		}
-		latch.Wait(p)
-		for _, pos := range bad {
-			delete(pg.latent[obj], pos)
-		}
-		if len(pg.latent[obj]) == 0 {
-			delete(pg.latent, obj)
-		}
-		st.ShardsRepaired += len(bad)
-		st.BytesRepaired += int64(len(bad)) * g.shardSize
-		if pg.scache != nil {
-			pg.scache.clear()
-		}
-		pg.lock.Release(1)
-	}
-	return nil
-}
-
-// scrubReplicatedPG verifies and repairs one replicated PG.
-func (pl *Pool) scrubReplicatedPG(p *sim.Proc, pg *PG, st *ScrubStats) error {
-	cm := &pl.c.cfg.Cost
-	for _, obj := range sortedObjects(pg) {
-		size := pg.objects[obj]
-		if size <= 0 {
-			continue
-		}
-		pg.lock.Acquire(p, 1)
-
-		// Verify sweep: every live replica reads its full copy.
-		var live []int
-		for pos := range pg.shards {
-			if pg.live(pos) {
-				live = append(live, pos)
-			}
-		}
-		latch := sim.NewLatch(pl.c.e, len(live))
-		for _, pos := range live {
-			osd := pl.c.osds[pg.shards[pos]]
-			pl.c.e.GoNamed("scrub", obj, pos, func(sp *sim.Proc) {
-				osd.Node.CPU.Exec(sp, cm.DispatchUser, cm.StoreSubmitKern)
-				osd.Store.Read(sp, obj, 0, size)
-				latch.Done()
-			})
-		}
-		latch.Wait(p)
-		st.BytesScanned += int64(len(live)) * size
-		st.ObjectsScanned++
-
-		bad := latentLivePositions(pg, obj)
-		if len(bad) == 0 {
-			pg.lock.Release(1)
-			continue
-		}
-		st.ErrorsFound += len(bad)
-
+		pg.scache.clear()
+	} else {
 		// Repair by re-copy from the first clean live replica.
-		source := -1
-		for _, pos := range live {
-			if !pg.latent[obj][pos] {
-				source = pos
-				break
-			}
+		pulled, _, err := pl.copyReplica(p, pg, "scrub", obj, bad)
+		if err != nil {
+			return err
 		}
-		if source < 0 {
-			pg.lock.Release(1)
-			return fmt.Errorf("core: object %s has no clean replica", obj)
-		}
-		src := pl.c.osds[pg.shards[source]]
-		src.Node.CPU.Exec(p, 0, cm.StoreSubmitKern)
-		data := src.Store.Read(p, obj, 0, size)
-		st.BytesScanned += size
-		rlatch := sim.NewLatch(pl.c.e, len(bad))
-		for _, pos := range bad {
-			osd := pl.c.osds[pg.shards[pos]]
-			pl.c.e.GoNamed("scrub", obj, pos, func(sp *sim.Proc) {
-				pl.c.sendPrivate(sp, src.Node, osd.Node, size)
-				osd.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
-				osd.Store.Write(sp, obj, 0, data, size)
-				pl.c.sendPrivate(sp, osd.Node, src.Node, 0)
-				rlatch.Done()
-			})
-		}
-		rlatch.Wait(p)
-		for _, pos := range bad {
-			delete(pg.latent[obj], pos)
-		}
-		if len(pg.latent[obj]) == 0 {
-			delete(pg.latent, obj)
-		}
-		st.ShardsRepaired += len(bad)
-		st.BytesRepaired += int64(len(bad)) * size
-		pg.lock.Release(1)
+		st.BytesScanned += pulled
 	}
+	st.ShardsRepaired += len(bad)
+	st.BytesRepaired += int64(len(bad)) * size
 	return nil
 }

@@ -32,48 +32,11 @@ type shardReq struct {
 	data      []byte // valid only when done && !failed && !abandoned
 }
 
-// tailCandidates lists the shard positions the tail fetch may draw on, in
-// preference order: live data shards first (no reconstruction cost), then
-// every live parity shard as reconstruction spares.
-func (pl *Pool) tailCandidates(pg *PG) []int {
-	g := pl.geom()
-	out := make([]int, 0, g.k+g.m)
-	for j := 0; j < g.k; j++ {
-		if pg.live(j) {
-			out = append(out, j)
-		}
-	}
-	for j := g.k; j < g.k+g.m; j++ {
-		if pg.live(j) {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// missingDataOf returns the data positions (0..k-1) absent from winners —
-// the shards materializeStripes must reconstruct.
-func missingDataOf(k int, winners []int) []int {
-	var missing []int
-	for j := 0; j < k; j++ {
-		found := false
-		for _, w := range winners {
-			if w == j {
-				found = true
-				break
-			}
-		}
-		if !found {
-			missing = append(missing, j)
-		}
-	}
-	return missing
-}
-
 // tailFetch pulls [shardOff, shardOff+perShard) of `need` shards out of
-// candidates (in preference order), tolerating gray failures: a request
-// past GrayConfig.ShardTimeout is abandoned and the next candidate issued
-// instead; an injected error retries with exponential backoff up to
+// candidates (in preference order: for EC the live data shards, which need
+// no reconstruction, then live parity as spares), tolerating gray failures:
+// a request past GrayConfig.ShardTimeout is abandoned and the next candidate
+// issued instead; an injected error retries with exponential backoff up to
 // ShardRetries before failing over; once the oldest outstanding request has
 // waited HedgeDelay, one speculative extra request joins the race. The
 // first `need` completions win — losers are abandoned and their bytes
@@ -86,7 +49,6 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 	candidates []int, need int, shardOff, perShard int64) (winners []int, results [][]byte, err error) {
 	c := pl.c
 	g := &c.cfg.Gray
-	cm := &c.cfg.Cost
 	e := c.e
 	if len(candidates) < need {
 		return nil, nil, fmt.Errorf("core: pg %d.%d: only %d of %d shards live",
@@ -112,16 +74,7 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 			for {
 				r.issued = sp.Now()
 				dev.TakeFault() // drop faults belonging to other I/O paths
-				var data []byte
-				if osd == prim {
-					prim.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
-					data = prim.Store.Read(sp, obj, shardOff, perShard)
-				} else {
-					c.sendPrivate(sp, prim.Node, osd.Node, 0)
-					osd.Node.CPU.Exec(sp, cm.DispatchUser, cm.StoreSubmitKern)
-					data = osd.Store.Read(sp, obj, shardOff, perShard)
-					c.sendPrivate(sp, osd.Node, prim.Node, perShard)
-				}
+				data := c.pullShard(sp, prim, osd, obj, shardOff, perShard)
 				faulted := dev.TakeFault()
 				if !r.scored {
 					r.scored = true

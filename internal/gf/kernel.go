@@ -32,7 +32,7 @@ const (
 	// KernelScalar is the per-byte 256-entry product-table reference loop.
 	KernelScalar
 	// KernelAVX2 is the per-source nibble-table bulk kernel (AVX2 PSHUFB on
-	// amd64, portable pure-Go otherwise). This is PR 1's "vector" tier.
+	// amd64, portable pure-Go otherwise).
 	KernelAVX2
 	// KernelFused is the multi-source fused tier: row batches run the
 	// 4-row AVX2 matrix kernel on amd64 (sources loaded once for all
@@ -44,10 +44,6 @@ const (
 	// ZMM registers). Falls back to KernelFused where undetected.
 	KernelGFNI
 )
-
-// KernelVector is PR 1's name for the per-source AVX2 tier, kept so
-// existing callers and tests keep meaning the same data path.
-const KernelVector = KernelAVX2
 
 // String names the kernel ("auto", "scalar", "avx2", "fused", "gfni").
 func (k Kernel) String() string {
@@ -66,15 +62,14 @@ func (k Kernel) String() string {
 	return "unknown"
 }
 
-// ParseKernel maps a name from String back to a Kernel. "vector" is
-// accepted as an alias for "avx2" (the tier's PR-1 name).
+// ParseKernel maps a name from String back to a Kernel.
 func ParseKernel(name string) (Kernel, bool) {
 	switch name {
 	case "auto", "":
 		return KernelAuto, true
 	case "scalar":
 		return KernelScalar, true
-	case "avx2", "vector":
+	case "avx2":
 		return KernelAVX2, true
 	case "fused":
 		return KernelFused, true

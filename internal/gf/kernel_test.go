@@ -29,10 +29,6 @@ func TestKernelNames(t *testing.T) {
 	if got, ok := ParseKernel(""); !ok || got != KernelAuto {
 		t.Error("empty kernel name must parse as auto")
 	}
-	// The PR-1 name for the per-source tier must keep working.
-	if got, ok := ParseKernel("vector"); !ok || got != KernelAVX2 {
-		t.Error(`"vector" must parse as the avx2 tier`)
-	}
 }
 
 func TestSetKernelResolvesAuto(t *testing.T) {
@@ -88,7 +84,7 @@ func TestMulSliceDifferential(t *testing.T) {
 			want := make([]byte, n)
 			got := make([]byte, n)
 			withKernel(t, KernelScalar, func() { MulSlice(c, src, want) })
-			withKernel(t, KernelVector, func() { MulSlice(c, src, got) })
+			withKernel(t, KernelAVX2, func() { MulSlice(c, src, got) })
 			if !bytes.Equal(got, want) {
 				t.Fatalf("MulSlice(c=%d, n=%d, off=%d): vector != scalar", c, n, off)
 			}
@@ -110,7 +106,7 @@ func TestMulAddSliceDifferential(t *testing.T) {
 			want := append([]byte(nil), base...)
 			got := append([]byte(nil), base...)
 			withKernel(t, KernelScalar, func() { MulAddSlice(c, src, want) })
-			withKernel(t, KernelVector, func() { MulAddSlice(c, src, got) })
+			withKernel(t, KernelAVX2, func() { MulAddSlice(c, src, got) })
 			if !bytes.Equal(got, want) {
 				t.Fatalf("MulAddSlice(c=%d, n=%d, off=%d): vector != scalar", c, n, off)
 			}
@@ -128,7 +124,7 @@ func TestAddSliceDifferential(t *testing.T) {
 		want := append([]byte(nil), base...)
 		got := append([]byte(nil), base...)
 		withKernel(t, KernelScalar, func() { AddSlice(src, want) })
-		withKernel(t, KernelVector, func() { AddSlice(src, got) })
+		withKernel(t, KernelAVX2, func() { AddSlice(src, got) })
 		if !bytes.Equal(got, want) {
 			t.Fatalf("AddSlice(n=%d): vector != scalar", n)
 		}
@@ -147,7 +143,7 @@ func TestVectorAliasedExact(t *testing.T) {
 			want := append([]byte(nil), orig...)
 			withKernel(t, KernelScalar, func() { MulSlice(c, want, want) })
 			got := append([]byte(nil), orig...)
-			withKernel(t, KernelVector, func() { MulSlice(c, got, got) })
+			withKernel(t, KernelAVX2, func() { MulSlice(c, got, got) })
 			if !bytes.Equal(got, want) {
 				t.Fatalf("aliased MulSlice(c=%d, n=%d) mismatch", c, n)
 			}
@@ -155,7 +151,7 @@ func TestVectorAliasedExact(t *testing.T) {
 			want2 := append([]byte(nil), orig...)
 			withKernel(t, KernelScalar, func() { MulAddSlice(c, want2, want2) })
 			got2 := append([]byte(nil), orig...)
-			withKernel(t, KernelVector, func() { MulAddSlice(c, got2, got2) })
+			withKernel(t, KernelAVX2, func() { MulAddSlice(c, got2, got2) })
 			if !bytes.Equal(got2, want2) {
 				t.Fatalf("aliased MulAddSlice(c=%d, n=%d) mismatch", c, n)
 			}
@@ -164,7 +160,7 @@ func TestVectorAliasedExact(t *testing.T) {
 	// Aliased AddSlice must zero the slice (x ^ x = 0).
 	buf := make([]byte, 1000)
 	rng.Read(buf)
-	withKernel(t, KernelVector, func() { AddSlice(buf, buf) })
+	withKernel(t, KernelAVX2, func() { AddSlice(buf, buf) })
 	for i, b := range buf {
 		if b != 0 {
 			t.Fatalf("aliased AddSlice: buf[%d] = %d, want 0", i, b)
@@ -182,7 +178,7 @@ func TestVectorEveryCoefficient(t *testing.T) {
 	got := make([]byte, len(src))
 	for c := 0; c < 256; c++ {
 		withKernel(t, KernelScalar, func() { MulSlice(byte(c), src, want) })
-		withKernel(t, KernelVector, func() { MulSlice(byte(c), src, got) })
+		withKernel(t, KernelAVX2, func() { MulSlice(byte(c), src, got) })
 		if !bytes.Equal(got, want) {
 			t.Fatalf("coefficient %d: vector != scalar", c)
 		}
@@ -193,7 +189,7 @@ func BenchmarkKernels(b *testing.B) {
 	src := make([]byte, 64*1024)
 	dst := make([]byte, 64*1024)
 	rand.New(rand.NewSource(3)).Read(src)
-	for _, k := range []Kernel{KernelScalar, KernelVector} {
+	for _, k := range []Kernel{KernelScalar, KernelAVX2} {
 		for _, op := range []string{"MulSlice", "MulAddSlice", "AddSlice"} {
 			b.Run(fmt.Sprintf("%s/%s", op, k), func(b *testing.B) {
 				prev := SetKernel(k)

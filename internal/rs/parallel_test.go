@@ -75,7 +75,7 @@ func TestEncodeDifferential(t *testing.T) {
 				for i := base.k; i < base.k+base.m; i++ {
 					clear(got[i]) // wipe parity so Encode must recompute it
 				}
-				withGFKernel(t, gf.KernelVector, func() {
+				withGFKernel(t, gf.KernelAVX2, func() {
 					if err := base.WithConcurrency(conc).Encode(got); err != nil {
 						t.Fatal(err)
 					}
@@ -121,7 +121,7 @@ func TestReconstructDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				withGFKernel(t, gf.KernelVector, func() {
+				withGFKernel(t, gf.KernelAVX2, func() {
 					if err := c.WithConcurrency(4).Reconstruct(got); err != nil {
 						t.Fatal(err)
 					}
@@ -161,7 +161,7 @@ func TestUpdateParityDifferential(t *testing.T) {
 				}
 			})
 			got := cloneShards(shards)
-			withGFKernel(t, gf.KernelVector, func() {
+			withGFKernel(t, gf.KernelAVX2, func() {
 				if err := c.WithConcurrency(3).UpdateParity(idx, got[idx], newData, got[c.k:]); err != nil {
 					t.Fatal(err)
 				}
@@ -229,8 +229,8 @@ func BenchmarkEncode(b *testing.B) {
 			conc   int
 		}{
 			{"scalar-serial", gf.KernelScalar, 1},
-			{"vector-serial", gf.KernelVector, 1},
-			{"vector-parallel", gf.KernelVector, 0},
+			{"vector-serial", gf.KernelAVX2, 1},
+			{"vector-parallel", gf.KernelAVX2, 0},
 		} {
 			name := fmt.Sprintf("RS(%d,%d)/64KiB/%s", km[0], km[1], mode.name)
 			b.Run(name, func(b *testing.B) {
@@ -262,7 +262,7 @@ func BenchmarkEncodeSpeedup(b *testing.B) {
 		scalarMBps = MeasureEncodeMBps(base, 64<<10, 30e6)
 	})
 	var vectorMBps float64
-	withGFKernel(b, gf.KernelVector, func() {
+	withGFKernel(b, gf.KernelAVX2, func() {
 		vectorMBps = MeasureEncodeMBps(base.WithConcurrency(0), 64<<10, 30e6)
 	})
 	// Keep the timed section meaningful: run the hot path itself.
