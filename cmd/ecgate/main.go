@@ -3,8 +3,6 @@
 // the zero-copy stream codec, places them with CRUSH, and serves GETs
 // with transparent degraded-read fallback when OSDs are down or slow.
 //
-// Server mode:
-//
 //	ecgate -listen :7310 -backend sim                 # in-process virtual cluster
 //	ecgate -listen :7310 -backend mem -hosts 3 -osds-per-host 2
 //	ecgate -listen :7310 -backend osd -osd-urls http://h1:7411,http://h2:7411,...
@@ -15,26 +13,21 @@
 // named tenant gets an inflight share proportional to its weight and
 // unnamed tenants share a weight-1 default.
 //
-// Smoke mode (used by CI) drives a running gateway — and optionally a
-// set of ecstored daemons — through a put / degraded-get / delete
-// round trip and exits non-zero on any mismatch:
-//
-//	ecgate -smoke -url http://127.0.0.1:7310 -osd-urls http://127.0.0.1:7411,...
+// ecgate only serves. What drives it: `go test ./cmd/ecgate` (this wiring,
+// in-process, on all three backends) and `bash benchmarks/run.sh -check`
+// (real processes over sockets, every GET byte-compared).
 package main
 
 import (
-	"bytes"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"ecarray/internal/crush"
 	"ecarray/internal/qos"
@@ -42,36 +35,44 @@ import (
 )
 
 func main() {
-	var (
-		listen      = flag.String("listen", ":7310", "HTTP listen address")
-		backend     = flag.String("backend", "sim", "shard backend: sim | mem | osd")
-		hosts       = flag.Int("hosts", 3, "sim/mem: failure-domain hosts")
-		osdsPerHost = flag.Int("osds-per-host", 2, "sim/mem: OSDs per host")
-		deviceMB    = flag.Int64("device-mb", 256, "sim: device capacity in MiB")
-		seed        = flag.Int64("seed", 1, "sim: device RNG seed")
-		k           = flag.Int("k", 4, "RS data shards")
-		m           = flag.Int("m", 2, "RS parity shards")
-		chunk       = flag.Int("chunk", 64<<10, "stripe-unit (per-shard chunk) bytes")
-		maxInflight = flag.Int("max-inflight", 256, "admission bound; excess requests get 429")
-		tenants     = flag.String("tenants", "", "weighted-fair admission: comma-separated name:weight pairs (empty = flat max-inflight)")
-		osdURLs     = flag.String("osd-urls", "", "osd backend / smoke: comma-separated ecstored base URLs")
-		metaDir     = flag.String("meta-dir", "", "metadata WAL directory (empty = volatile in-memory index)")
-
-		smoke = flag.Bool("smoke", false, "run the smoke driver against -url instead of serving")
-		chaos = flag.Bool("chaos", false, "smoke: add the chaos leg (fault injection, hedges, breaker trip)")
-		url   = flag.String("url", "http://127.0.0.1:7310", "smoke: gateway base URL")
-	)
-	flag.Parse()
-
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	fs := flag.NewFlagSet("ecgate", flag.ExitOnError)
+	listen := fs.String("listen", ":7310", "HTTP listen address")
+	gw, err := newGateway(fs, os.Args[1:], logger)
+	if err != nil {
+		logger.Error("ecgate", "error", err.Error())
+		os.Exit(1)
+	}
+	st := gw.Status()
+	logger.Info("ecgate listening", "addr", *listen, "backend", st.Backend, "scheme", st.Scheme, "osds", st.OSDs)
+	if err := http.ListenAndServe(*listen, gw.Handler()); err != nil {
+		logger.Error("serve", "error", err.Error())
+		os.Exit(1)
+	}
+}
 
-	if *smoke {
-		if err := runSmoke(*url, splitURLs(*osdURLs), *chaos, logger); err != nil {
-			logger.Error("smoke failed", "error", err.Error())
-			os.Exit(1)
-		}
-		logger.Info("smoke passed", "gateway", *url)
-		return
+// newGateway is everything between the command line and a servable
+// gateway: it declares the gateway's flags on fs, parses args, builds the
+// chosen backend's stores and CRUSH map, and wires the gateway over them.
+// main adds only -listen and the listener, so a test can boot exactly what
+// the binary boots.
+func newGateway(fs *flag.FlagSet, args []string, logger *slog.Logger) (*service.Gateway, error) {
+	var (
+		backend     = fs.String("backend", "sim", "shard backend: sim | mem | osd")
+		hosts       = fs.Int("hosts", 3, "sim/mem: failure-domain hosts")
+		osdsPerHost = fs.Int("osds-per-host", 2, "sim/mem: OSDs per host")
+		deviceMB    = fs.Int64("device-mb", 256, "sim: device capacity in MiB")
+		seed        = fs.Int64("seed", 1, "sim device, retry-jitter and fault-injection RNG seed")
+		k           = fs.Int("k", 4, "RS data shards")
+		m           = fs.Int("m", 2, "RS parity shards")
+		chunk       = fs.Int("chunk", 64<<10, "stripe-unit (per-shard chunk) bytes")
+		maxInflight = fs.Int("max-inflight", 256, "admission bound; excess requests get 429")
+		tenants     = fs.String("tenants", "", "weighted-fair admission: comma-separated name:weight pairs (empty = flat max-inflight)")
+		osdURLs     = fs.String("osd-urls", "", "osd backend: comma-separated ecstored base URLs")
+		metaDir     = fs.String("meta-dir", "", "metadata WAL directory (empty = volatile in-memory index)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
 	cfg := service.DefaultGatewayConfig()
@@ -81,7 +82,7 @@ func main() {
 	if *tenants != "" {
 		tc, err := parseTenants(*tenants)
 		if err != nil {
-			fatal(logger, "tenants", err)
+			return nil, fmt.Errorf("tenants: %w", err)
 		}
 		cfg.Tenants = tc
 		logger.Info("weighted-fair admission", "tenants", len(tc), "limit", cfg.MaxInflight)
@@ -101,23 +102,21 @@ func main() {
 			Hosts: *hosts, OSDsPerHost: *osdsPerHost, DeviceBytes: *deviceMB << 20, Seed: *seed,
 		})
 		if err != nil {
-			fatal(logger, "sim cluster", err)
+			return nil, fmt.Errorf("sim cluster: %w", err)
 		}
 		stores, cmap = vc.Stores(), vc.CrushMap()
-		cfg.Faults, cfg.Sim = vc, vc
+		cfg.Sim = vc
 	case "mem":
 		cmap = crush.Uniform(*hosts, *osdsPerHost)
-		mems := make([]*service.MemStore, cmap.Devices())
-		for i := range mems {
-			mems[i] = service.NewMemStore(i)
-			mems[i].SetHost(cmap.Host(i))
-			stores = append(stores, mems[i])
+		for i := 0; i < cmap.Devices(); i++ {
+			ms := service.NewMemStore(i)
+			ms.SetHost(cmap.Host(i))
+			stores = append(stores, ms)
 		}
-		cfg.Faults = memFaults(mems)
 	case "osd":
 		urls := splitURLs(*osdURLs)
 		if len(urls) == 0 {
-			fatal(logger, "osd backend", errors.New("-osd-urls required"))
+			return nil, errors.New("osd backend: -osd-urls required")
 		}
 		// One ecstored daemon per failure domain.
 		cmap = crush.Uniform(len(urls), 1)
@@ -125,28 +124,14 @@ func main() {
 			stores = append(stores, service.NewOSDClient(i, u))
 		}
 	default:
-		fatal(logger, "backend", fmt.Errorf("unknown backend %q", *backend))
+		return nil, fmt.Errorf("unknown backend %q", *backend)
 	}
 
 	placer, err := service.NewPlacer(cmap, cfg.K+cfg.M)
 	if err != nil {
-		fatal(logger, "placer", err)
+		return nil, fmt.Errorf("placer: %w", err)
 	}
-	gw, err := service.NewGateway(cfg, stores, placer)
-	if err != nil {
-		fatal(logger, "gateway", err)
-	}
-
-	logger.Info("ecgate listening", "addr", *listen, "backend", *backend,
-		"scheme", fmt.Sprintf("RS(%d,%d)", cfg.K, cfg.M), "osds", len(stores))
-	if err := http.ListenAndServe(*listen, gw.Handler()); err != nil {
-		fatal(logger, "serve", err)
-	}
-}
-
-func fatal(logger *slog.Logger, what string, err error) {
-	logger.Error(what, "error", err.Error())
-	os.Exit(1)
+	return service.NewGateway(cfg, stores, placer)
 }
 
 // parseTenants turns "gold:3,silver:2,bronze:1" into per-tenant
@@ -163,8 +148,10 @@ func parseTenants(s string) (map[string]qos.TenantConfig, error) {
 			return nil, fmt.Errorf("tenant %q: want name:weight", pair)
 		}
 		w, err := strconv.ParseFloat(weight, 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("tenant %q: weight must be a positive number", pair)
+		// !(w > 0) rather than w <= 0: NaN parses without error and fails
+		// every comparison.
+		if err != nil || !(w > 0) || math.IsInf(w, 1) {
+			return nil, fmt.Errorf("tenant %q: weight must be a positive finite number", pair)
 		}
 		out[name] = qos.TenantConfig{Weight: w}
 	}
@@ -182,258 +169,4 @@ func splitURLs(s string) []string {
 		}
 	}
 	return out
-}
-
-// memFaults adapts a MemStore fleet to the gateway's FaultInjector.
-type memFaults []*service.MemStore
-
-func (f memFaults) FailOSD(id int) error {
-	if id < 0 || id >= len(f) {
-		return fmt.Errorf("osd %d out of range", id)
-	}
-	f[id].Fail()
-	return nil
-}
-
-func (f memFaults) RestoreOSD(id int) error {
-	if id < 0 || id >= len(f) {
-		return fmt.Errorf("osd %d out of range", id)
-	}
-	f[id].Restore()
-	return nil
-}
-
-// runSmoke is the CI smoke driver: object round trip, forced degraded
-// read, delete, plus a direct shard round trip against each ecstored URL.
-// With chaos set it finishes with the fault-injection leg.
-func runSmoke(gateURL string, osdURLs []string, chaos bool, logger *slog.Logger) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	gc := service.NewGateClient(gateURL)
-	if err := gc.WaitReady(ctx, 30*time.Second); err != nil {
-		return err
-	}
-	st, err := gc.Status(ctx)
-	if err != nil {
-		return fmt.Errorf("status: %w", err)
-	}
-	logger.Info("gateway up", "scheme", st.Scheme, "backend", st.Backend, "osds", st.OSDs)
-
-	// Deterministic payload spanning several stripes plus a ragged tail.
-	payload := make([]byte, 1<<20+12345)
-	rand.New(rand.NewSource(42)).Read(payload)
-	const key = "smoke/obj-1"
-
-	oi, err := gc.PutObject(ctx, key, payload)
-	if err != nil {
-		return fmt.Errorf("put: %w", err)
-	}
-	if oi.Written != oi.Shards {
-		return fmt.Errorf("put landed %d of %d shards", oi.Written, oi.Shards)
-	}
-	logger.Info("put ok", "key", key, "size", oi.Size, "osds", fmt.Sprint(oi.OSDs))
-
-	got, degraded, err := gc.GetObject(ctx, key)
-	if err != nil {
-		return fmt.Errorf("get: %w", err)
-	}
-	if degraded {
-		return errors.New("healthy get reported degraded")
-	}
-	if !bytes.Equal(got, payload) {
-		return errors.New("healthy get: payload mismatch")
-	}
-
-	// Kill the OSD holding data shard 0 and read through reconstruction.
-	victim := oi.OSDs[0]
-	if err := gc.FailOSD(ctx, victim); err != nil {
-		return fmt.Errorf("fail osd %d: %w", victim, err)
-	}
-	got, degraded, err = gc.GetObject(ctx, key)
-	if err != nil {
-		return fmt.Errorf("degraded get: %w", err)
-	}
-	if !degraded {
-		return errors.New("get after OSD kill not reported degraded")
-	}
-	if !bytes.Equal(got, payload) {
-		return errors.New("degraded get: payload mismatch")
-	}
-	logger.Info("degraded get ok", "victim_osd", victim)
-
-	metrics, err := gc.MetricsText(ctx)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	for _, series := range []string{"ecgate_degraded_reads_total", "ecgate_reconstructed_shards_total"} {
-		if !strings.Contains(metrics, series) {
-			return fmt.Errorf("metrics missing %s", series)
-		}
-	}
-
-	if err := gc.RestoreOSD(ctx, victim); err != nil {
-		return fmt.Errorf("restore osd %d: %w", victim, err)
-	}
-	if err := gc.DeleteObject(ctx, key); err != nil {
-		return fmt.Errorf("delete: %w", err)
-	}
-	if _, _, err := gc.GetObject(ctx, key); !errors.Is(err, service.ErrNotFound) {
-		return fmt.Errorf("get after delete: want not-found, got %v", err)
-	}
-	logger.Info("object lifecycle ok")
-
-	// Direct shard round trip against each ecstored daemon.
-	for i, u := range osdURLs {
-		oc := service.NewOSDClient(i, u)
-		shard := []byte(fmt.Sprintf("shard-payload-%d", i))
-		if err := oc.Put(ctx, "smoke/shard", i, shard); err != nil {
-			return fmt.Errorf("osd %s put: %w", u, err)
-		}
-		back, err := oc.Get(ctx, "smoke/shard", i)
-		if err != nil {
-			return fmt.Errorf("osd %s get: %w", u, err)
-		}
-		if !bytes.Equal(back, shard) {
-			return fmt.Errorf("osd %s shard mismatch", u)
-		}
-		stat, err := oc.Stat(ctx)
-		if err != nil {
-			return fmt.Errorf("osd %s stat: %w", u, err)
-		}
-		if stat.Shards < 1 {
-			return fmt.Errorf("osd %s stat reports %d shards", u, stat.Shards)
-		}
-		if err := oc.Delete(ctx, "smoke/shard", i); err != nil {
-			return fmt.Errorf("osd %s delete: %w", u, err)
-		}
-		if _, err := oc.Get(ctx, "smoke/shard", i); !errors.Is(err, service.ErrNotFound) {
-			return fmt.Errorf("osd %s get after delete: want not-found, got %v", u, err)
-		}
-		logger.Info("ecstored round trip ok", "url", u, "backend", stat.Backend)
-	}
-
-	if chaos {
-		if err := runChaos(ctx, gc, logger); err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-	}
-	return nil
-}
-
-// runChaos drives the gateway through injected shard faults: transient
-// errors and stalls on two OSDs must stay invisible to clients (every GET
-// byte-identical, zero object-op failures), a partition must trip that
-// OSD's breaker, and the retry/hedge/breaker counters must move.
-func runChaos(ctx context.Context, gc *service.GateClient, logger *slog.Logger) error {
-	st, err := gc.Status(ctx)
-	if err != nil {
-		return fmt.Errorf("status: %w", err)
-	}
-	if st.OSDs < 3 {
-		return fmt.Errorf("need >=3 OSDs for chaos, have %d", st.OSDs)
-	}
-
-	// 10% transient errors + stalls longer than the hedge delay on two OSDs.
-	flaky := service.FaultSpec{ErrorProb: 0.1, LatencyMult: 5, StuckProb: 0.05, StuckMs: 400}
-	for _, osd := range []int{0, 1} {
-		if err := gc.SetFault(ctx, osd, flaky); err != nil {
-			return fmt.Errorf("set fault on osd %d: %w", osd, err)
-		}
-	}
-	logger.Info("chaos faults armed", "osds", "0,1",
-		"error_prob", flaky.ErrorProb, "stuck_ms", flaky.StuckMs)
-
-	rng := rand.New(rand.NewSource(7))
-	payloads := make(map[string][]byte, 200)
-	for i := 0; i < 200; i++ {
-		payload := make([]byte, 4096+rng.Intn(8192))
-		rng.Read(payload)
-		key := fmt.Sprintf("chaos/obj-%d", i)
-		payloads[key] = payload
-		if _, err := gc.PutObject(ctx, key, payload); err != nil {
-			return fmt.Errorf("put %s under faults: %w", key, err)
-		}
-		got, _, err := gc.GetObject(ctx, key)
-		if err != nil {
-			return fmt.Errorf("get %s under faults: %w", key, err)
-		}
-		if !bytes.Equal(got, payload) {
-			return fmt.Errorf("get %s under faults: payload mismatch", key)
-		}
-	}
-	logger.Info("chaos cycles ok", "cycles", 200)
-
-	// Full partition on OSD 0: the breaker must trip and reads must keep
-	// succeeding through parity, byte-identical.
-	if err := gc.SetFault(ctx, 0, service.FaultSpec{Partition: true}); err != nil {
-		return fmt.Errorf("partition osd 0: %w", err)
-	}
-	for i := 0; i < 20; i++ {
-		key := fmt.Sprintf("chaos/obj-%d", i)
-		got, _, err := gc.GetObject(ctx, key)
-		if err != nil {
-			return fmt.Errorf("get %s under partition: %w", key, err)
-		}
-		if !bytes.Equal(got, payloads[key]) {
-			return fmt.Errorf("get %s under partition: payload mismatch", key)
-		}
-	}
-	st, err = gc.Status(ctx)
-	if err != nil {
-		return fmt.Errorf("status after partition: %w", err)
-	}
-	if st.BreakersOpen == 0 {
-		return fmt.Errorf("partition did not trip a breaker")
-	}
-	if st.Retries == 0 {
-		return fmt.Errorf("injected faults produced zero shard retries")
-	}
-	logger.Info("breaker tripped", "open", st.BreakersOpen,
-		"retries", st.Retries, "hedged", st.HedgedReads)
-
-	// Clear every fault; after the cooldown the breaker must close again.
-	for _, osd := range []int{0, 1} {
-		if err := gc.SetFault(ctx, osd, service.FaultSpec{}); err != nil {
-			return fmt.Errorf("clear fault on osd %d: %w", osd, err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, _, err := gc.GetObject(ctx, "chaos/obj-0"); err != nil {
-			return fmt.Errorf("get after fault clear: %w", err)
-		}
-		st, err = gc.Status(ctx)
-		if err != nil {
-			return err
-		}
-		if st.BreakersOpen == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("breaker still open after faults cleared")
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-
-	metrics, err := gc.MetricsText(ctx)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	for _, series := range []string{
-		"ecgate_shard_retries_total", "ecgate_breaker_trips_total", "ecgate_breaker_state",
-	} {
-		if !strings.Contains(metrics, series) {
-			return fmt.Errorf("metrics missing %s", series)
-		}
-	}
-
-	// Leave the namespace clean for any following smoke steps.
-	for i := 0; i < 200; i++ {
-		if err := gc.DeleteObject(ctx, fmt.Sprintf("chaos/obj-%d", i)); err != nil {
-			return fmt.Errorf("chaos cleanup delete: %w", err)
-		}
-	}
-	logger.Info("chaos leg ok")
-	return nil
 }

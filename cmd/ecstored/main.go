@@ -13,6 +13,10 @@
 //	mem  in-memory shard map (default; fast, volatile)
 //	sim  one simulated SSD + BlueStore-style store on a discrete-event
 //	     engine, so shard ops carry a simulated service-time cost
+//
+// Faults are not injected here: the gateway wraps its client for every OSD
+// in the service's one FaultStore (POST /v1/faults/{osd} on ecgate), and a
+// real crash is a real kill -9.
 package main
 
 import (
@@ -33,7 +37,7 @@ func main() {
 		backend  = flag.String("backend", "mem", "shard store backend: mem | sim")
 		host     = flag.String("host", "", "failure-domain host label (default nodeN)")
 		deviceMB = flag.Int64("device-mb", 256, "sim backend: device capacity in MiB")
-		seed     = flag.Int64("seed", 1, "device / fault-injection RNG seed")
+		seed     = flag.Int64("seed", 1, "sim backend: device RNG seed")
 		inflight = flag.Int("max-inflight", 0, "shard-request admission bound; 0 = unlimited, excess gets 429")
 	)
 	flag.Parse()
@@ -64,11 +68,6 @@ func main() {
 		logger.Error("unknown backend", "backend", *backend)
 		os.Exit(1)
 	}
-
-	// Wrap the store so this daemon exposes the /v1/faults admin surface:
-	// chaos drivers can inject shard-level errors, latency and partitions
-	// without restarting it.
-	st = service.NewFaultStore(st, *id, *seed)
 
 	srv := service.NewOSDServer(*id, st, logger)
 	h := srv.Handler()

@@ -60,11 +60,9 @@ import (
 
 	"ecarray/internal/bench"
 	"ecarray/internal/core"
-	"ecarray/internal/crush"
 	"ecarray/internal/qos"
 	"ecarray/internal/retry"
 	"ecarray/internal/rs"
-	"ecarray/internal/service"
 	"ecarray/internal/sim"
 	"ecarray/internal/ssd"
 	"ecarray/internal/trace"
@@ -173,15 +171,13 @@ type (
 	GrayOpResult = workload.GrayOpResult
 )
 
-// Multi-tenant QoS types: admission and routing policies shared by the
-// simulator data path (Config.QoS, Job.Tenant) and the service gateway
-// (GatewayConfig.Admission, the X-Tenant header). Every decision can emit
-// an auditable DecisionTrace with the rejected counterfactuals.
+// Multi-tenant QoS types: admission policies shared by the simulator
+// data path (Config.QoS, Job.Tenant) and the service gateway
+// (service.GatewayConfig.Admission, the X-Tenant header). Every decision
+// can emit an auditable DecisionTrace with the rejected counterfactuals.
 type (
 	// AdmissionPolicy decides admit/throttle/reject per request.
 	AdmissionPolicy = qos.AdmissionPolicy
-	// RoutingPolicy picks one target from a candidate set, with a trace.
-	RoutingPolicy = qos.RoutingPolicy
 	// TenantConfig holds one tenant's weight, token rate/burst and
 	// shaping bound.
 	TenantConfig = qos.TenantConfig
@@ -192,10 +188,6 @@ type (
 	// DecisionTrace is the auditable record of one policy decision,
 	// including the rejected counterfactual candidates.
 	DecisionTrace = qos.DecisionTrace
-	// RouteTarget is one routing candidate (id, load, weight).
-	RouteTarget = qos.Target
-	// RouteDecision is a routing verdict with its trace.
-	RouteDecision = qos.RouteDecision
 	// QoSConfig wires an admission policy into a simulated cluster
 	// (assign to Config.QoS).
 	QoSConfig = core.QoSConfig
@@ -221,45 +213,6 @@ type (
 	BenchTable = bench.Table
 	// Scheme pairs a display name with a pool profile.
 	Scheme = bench.Scheme
-)
-
-// Service types: the networked BlobStore-style frontend (cmd/ecgate access
-// gateway + cmd/ecstored shard-store daemons) over the ShardStore seam.
-type (
-	// Gateway is the access layer: object PUT/GET/DELETE over k+m shard
-	// stores with CRUSH placement, degraded-read fallback, bounded
-	// admission and Prometheus-text metrics.
-	Gateway = service.Gateway
-	// GatewayConfig parameterizes the gateway (see DefaultGatewayConfig).
-	GatewayConfig = service.GatewayConfig
-	// ShardStore is the per-OSD shard storage contract the gateway fans
-	// out to — implemented in-process (MemStore, the simulated cluster)
-	// and over HTTP (OSDClient → ecstored).
-	ShardStore = service.ShardStore
-	// SimClusterBackend is the in-process virtual cluster: simulated SSDs
-	// with BlueStore-style stores as the first pluggable service backend.
-	SimClusterBackend = service.SimCluster
-	// SimClusterConfig sizes the virtual cluster.
-	SimClusterConfig = service.SimClusterConfig
-	// ObjectInfo describes a stored object (PUT response).
-	ObjectInfo = service.ObjectInfo
-	// GateClient is the object-level HTTP client for an ecgate gateway.
-	GateClient = service.GateClient
-	// OSDClient is the gateway-side ShardStore speaking HTTP to ecstored.
-	OSDClient = service.OSDClient
-	// FaultSpec is one OSD's network-fault injection knob set (error
-	// probability, latency inflation, stuck ops, full partition).
-	FaultSpec = service.FaultSpec
-	// FaultStatus pairs an OSD's fault spec with its injection stats.
-	FaultStatus = service.FaultStatus
-	// FaultStoreWrapper is the deterministic fault-injecting ShardStore
-	// wrapper behind the /v1/faults admin endpoints.
-	FaultStoreWrapper = service.FaultStore
-	// ShardBreaker is the per-OSD circuit breaker guarding the gateway's
-	// shard data path.
-	ShardBreaker = service.Breaker
-	// CrushMap is the straw2 placement map the gateway places against.
-	CrushMap = crush.Map
 )
 
 // Trace types.
@@ -410,45 +363,6 @@ func NewWeightedFair(limit int, def TenantConfig, tenants map[string]TenantConfi
 
 // UnlimitedAdmission returns the always-admit policy (still traced).
 func UnlimitedAdmission() AdmissionPolicy { return qos.Unlimited{} }
-
-// NewRoundRobinRouter returns a routing policy cycling through targets.
-func NewRoundRobinRouter() RoutingPolicy { return qos.NewRoundRobin() }
-
-// LeastLoadedRouter returns a routing policy picking the lowest-load
-// target; WeightedScorerRouter scores targets by weight/(1+load).
-func LeastLoadedRouter() RoutingPolicy { return qos.LeastLoaded{} }
-
-// WeightedScorerRouter returns the weight/(1+load) scoring router.
-func WeightedScorerRouter() RoutingPolicy { return qos.WeightedScorer{} }
-
-// DefaultGatewayConfig returns production-shaped gateway defaults:
-// RS(4,2), 64 KiB chunks, bounded admission, degraded-read fallback.
-func DefaultGatewayConfig() GatewayConfig { return service.DefaultGatewayConfig() }
-
-// NewSimClusterBackend builds the in-process virtual cluster backend for
-// the service gateway (what `ecgate -backend=sim` boots).
-func NewSimClusterBackend(cfg SimClusterConfig) (*SimClusterBackend, error) {
-	return service.NewSimCluster(cfg)
-}
-
-// DefaultSimClusterConfig returns a small 3-host × 2-OSD virtual cluster.
-func DefaultSimClusterConfig() SimClusterConfig { return service.DefaultSimClusterConfig() }
-
-// NewGateway wires an access gateway over one ShardStore per OSD, placing
-// k+m shards per object with CRUSH. See cmd/ecgate for the HTTP server.
-func NewGateway(cfg GatewayConfig, stores []ShardStore, m *CrushMap) (*Gateway, error) {
-	placer, err := service.NewPlacer(m, cfg.K+cfg.M)
-	if err != nil {
-		return nil, err
-	}
-	return service.NewGateway(cfg, stores, placer)
-}
-
-// NewGateClient returns an object-level HTTP client for a running ecgate.
-func NewGateClient(baseURL string) *GateClient { return service.NewGateClient(baseURL) }
-
-// UniformCrushMap builds a placement map of hosts × perHost uniform OSDs.
-func UniformCrushMap(hosts, perHost int) *CrushMap { return crush.Uniform(hosts, perHost) }
 
 // NewRS constructs an RS(k,m) codec.
 func NewRS(k, m int) (*RS, error) { return rs.New(k, m) }

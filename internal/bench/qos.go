@@ -230,24 +230,5 @@ func (s *Suite) scenarioQoSOverload() (Table, error) {
 			fair.p99Ratio("gold"), unlim.p99Ratio("gold")),
 		fmt.Sprintf("weighted-fair rejected %d ops, every one with a retained DecisionTrace (%d in the audit ring)",
 			fair.report.Total.Total().Rejected, len(fair.traces)))
-
-	// Routing demonstration: score the three pools as placement targets for
-	// a new gold workload by overload-phase goodput headroom, tracing the
-	// rejected counterfactuals alongside the chosen target.
-	targets := make([]qos.Target, 0, 3)
-	for _, tn := range qosTenants() {
-		base := fair.res.Job(tn.name + "-base")
-		load := 0.0
-		if c := caps[tn.name]; c > 0 {
-			load = base.Phases[1].IOPS / c
-		}
-		targets = append(targets, qos.Target{ID: tn.name, Load: load, Weight: tn.weight})
-	}
-	rd := qos.LeastLoaded{}.Route("gold", targets)
-	if rd.Trace != nil {
-		t.Notes = append(t.Notes, fmt.Sprintf(
-			"routing (least-loaded over pool load): chose %s; trace records %d candidates (%s)",
-			rd.Target, len(rd.Trace.Candidates), rd.Trace.Reason))
-	}
 	return t, nil
 }

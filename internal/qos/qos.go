@@ -1,33 +1,27 @@
-// Package qos is the multi-tenant admission-control and routing policy
-// layer shared by both front doors of the system: the simulator's
-// open-loop workload path (internal/core consults a policy before
-// dispatching each op) and the HTTP gateway (internal/service runs its
-// bounded-in-flight gate as one implementation of the same interface).
+// Package qos is the multi-tenant admission-control policy layer shared
+// by both front doors of the system: the simulator's open-loop workload
+// path (internal/core consults a policy before dispatching each op) and
+// the HTTP gateway (internal/service runs its bounded-in-flight gate as
+// one implementation of the same interface). Neither front door routes —
+// placement is CRUSH's — so there is no routing policy here.
 //
 // The paper (Koh et al., IISWC 2017) measures how online erasure coding
 // inflates latency and CPU against replication; this package asks the
 // production follow-up: at 120% of capacity, who absorbs the inflation?
 // Policies make that an explicit, auditable decision.
 //
-// Two policy families:
-//
-//   - AdmissionPolicy decides whether one request enters the system now,
-//     after a delay (shaping), or not at all. Implementations:
-//     Unlimited (admit everything), TokenBucket (per-tenant rate+burst
-//     with a bounded shaping window), MaxInflight (the gateway's
-//     classic bounded-concurrency gate), and WeightedFair (MaxInflight
-//     partitioned across tenants in proportion to configured weights —
-//     strict shares, so a heavy tenant cannot starve a light one).
-//
-//   - RoutingPolicy picks one target (a pool, an OSD, a backend) from a
-//     candidate set: RoundRobin, LeastLoaded, or WeightedScorer
-//     (weight/(1+load) — prefer high weight, penalize load).
+// An AdmissionPolicy decides whether one request enters the system now,
+// after a delay (shaping), or not at all. Implementations: Unlimited
+// (admit everything), TokenBucket (per-tenant rate+burst with a bounded
+// shaping window), MaxInflight (the gateway's classic bounded-concurrency
+// gate), and WeightedFair (MaxInflight partitioned across tenants in
+// proportion to configured weights — strict shares, so a heavy tenant
+// cannot starve a light one).
 //
 // Every decision carries a DecisionTrace naming the policy, the inputs
 // it saw, and the rejected counterfactual candidates with the reason
-// each lost — so "why was this request 429'd" and "why did this tenant
-// land on that pool" are answerable from the trace alone, in the style
-// of the inference-sim online routing pipeline.
+// each lost — so "why was this request 429'd" is answerable from the
+// trace alone, in the style of the inference-sim admission pipeline.
 //
 // Determinism: policies use only the caller-supplied Request.Now clock
 // and their own internal counters — no wall-clock reads, no RNG — so
@@ -77,8 +71,8 @@ type Decision struct {
 	Trace      *DecisionTrace
 }
 
-// Candidate is one alternative a policy weighed — an admission outcome
-// or a routing target — kept in the trace whether or not it won.
+// Candidate is one alternative a policy weighed — an admission outcome —
+// kept in the trace whether or not it won.
 type Candidate struct {
 	ID     string
 	Score  float64
@@ -120,8 +114,8 @@ type AdmissionPolicy interface {
 // TenantConfig parameterizes one tenant under a policy. Zero values
 // fall back to policy defaults.
 type TenantConfig struct {
-	// Weight is the tenant's share weight under WeightedFair (and the
-	// scoring weight a router may use). Non-positive means 1.
+	// Weight is the tenant's share weight under WeightedFair.
+	// Non-positive means 1.
 	Weight float64
 	// Rate is the TokenBucket refill in tokens (ops) per second.
 	// Non-positive means the tenant is not rate-limited.
@@ -443,123 +437,4 @@ func (w *WeightedFair) Release(r Request) {
 	if w.inflight[r.Tenant] > 0 {
 		w.inflight[r.Tenant]--
 	}
-}
-
-// ---------------------------------------------------------------------
-// Routing
-
-// Target is one routing candidate: a pool, an OSD, a backend.
-type Target struct {
-	ID     string
-	Load   float64 // current occupancy in caller units (images, ops, queue depth)
-	Weight float64 // capacity/preference weight; non-positive means 1
-}
-
-func (t Target) weight() float64 {
-	if t.Weight <= 0 {
-		return 1
-	}
-	return t.Weight
-}
-
-// RouteDecision is a routing verdict: the chosen target (by index into
-// the candidate slice and by ID) plus the full candidate trace.
-type RouteDecision struct {
-	Index  int
-	Target string
-	Trace  *DecisionTrace
-}
-
-// RoutingPolicy picks one target from a candidate set. Route returns
-// Index -1 when targets is empty.
-type RoutingPolicy interface {
-	Name() string
-	Route(tenant string, targets []Target) RouteDecision
-}
-
-// routeTrace builds the decision trace for a scored routing choice.
-func routeTrace(policy, tenant string, targets []Target, scores []float64, chosen int, why string) RouteDecision {
-	trace := &DecisionTrace{Policy: policy, Tenant: tenant, Admitted: true, Reason: why}
-	for i, t := range targets {
-		c := Candidate{ID: t.ID, Score: scores[i], Chosen: i == chosen}
-		if i != chosen {
-			c.Reason = fmt.Sprintf("score %.3f vs %.3f", scores[i], scores[chosen])
-		}
-		trace.Candidates = append(trace.Candidates, c)
-	}
-	return RouteDecision{Index: chosen, Target: targets[chosen].ID, Trace: trace}
-}
-
-// RoundRobin cycles through targets in order, ignoring load and weight.
-type RoundRobin struct {
-	mu   sync.Mutex
-	next int
-}
-
-// NewRoundRobin builds a round-robin router.
-func NewRoundRobin() *RoundRobin { return &RoundRobin{} }
-
-// Name implements RoutingPolicy.
-func (rr *RoundRobin) Name() string { return "round-robin" }
-
-// Route implements RoutingPolicy.
-func (rr *RoundRobin) Route(tenant string, targets []Target) RouteDecision {
-	if len(targets) == 0 {
-		return RouteDecision{Index: -1}
-	}
-	rr.mu.Lock()
-	chosen := rr.next % len(targets)
-	rr.next++
-	rr.mu.Unlock()
-	scores := make([]float64, len(targets))
-	return routeTrace("round-robin", tenant, targets, scores, chosen,
-		fmt.Sprintf("turn %d of %d", chosen, len(targets)))
-}
-
-// LeastLoaded picks the target with the lowest Load, lowest index on
-// ties — deterministic for the simulator.
-type LeastLoaded struct{}
-
-// Name implements RoutingPolicy.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// Route implements RoutingPolicy.
-func (LeastLoaded) Route(tenant string, targets []Target) RouteDecision {
-	if len(targets) == 0 {
-		return RouteDecision{Index: -1}
-	}
-	chosen := 0
-	scores := make([]float64, len(targets))
-	for i, t := range targets {
-		scores[i] = -t.Load // higher score = less loaded
-		if t.Load < targets[chosen].Load {
-			chosen = i
-		}
-	}
-	return routeTrace("least-loaded", tenant, targets, scores, chosen,
-		fmt.Sprintf("load %.1f is lowest of %d targets", targets[chosen].Load, len(targets)))
-}
-
-// WeightedScorer scores each target weight/(1+load) — prefer capacity,
-// penalize occupancy — and picks the best, lowest index on ties.
-type WeightedScorer struct{}
-
-// Name implements RoutingPolicy.
-func (WeightedScorer) Name() string { return "weighted-scorer" }
-
-// Route implements RoutingPolicy.
-func (WeightedScorer) Route(tenant string, targets []Target) RouteDecision {
-	if len(targets) == 0 {
-		return RouteDecision{Index: -1}
-	}
-	chosen := 0
-	scores := make([]float64, len(targets))
-	for i, t := range targets {
-		scores[i] = t.weight() / (1 + t.Load)
-		if scores[i] > scores[chosen] {
-			chosen = i
-		}
-	}
-	return routeTrace("weighted-scorer", tenant, targets, scores, chosen,
-		fmt.Sprintf("score %.3f is highest of %d targets", scores[chosen], len(targets)))
 }

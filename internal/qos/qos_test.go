@@ -124,51 +124,6 @@ func TestQoSWeightedFairShares(t *testing.T) {
 	}
 }
 
-func TestQoSRouting(t *testing.T) {
-	targets := []Target{
-		{ID: "rep", Load: 3, Weight: 1},
-		{ID: "rs63", Load: 1, Weight: 2},
-		{ID: "rs104", Load: 1, Weight: 1},
-	}
-	rr := NewRoundRobin()
-	seen := map[string]int{}
-	for i := 0; i < 6; i++ {
-		seen[rr.Route("t", targets).Target]++
-	}
-	for _, tg := range targets {
-		if seen[tg.ID] != 2 {
-			t.Errorf("round-robin %s chosen %d times, want 2", tg.ID, seen[tg.ID])
-		}
-	}
-
-	ll := LeastLoaded{}.Route("t", targets)
-	if ll.Target != "rs63" {
-		t.Errorf("least-loaded chose %s, want rs63 (lowest load, lowest index tie-break)", ll.Target)
-	}
-	if len(ll.Trace.Candidates) != 3 {
-		t.Errorf("routing trace must keep all candidates: %+v", ll.Trace)
-	}
-	losers := 0
-	for _, c := range ll.Trace.Candidates {
-		if !c.Chosen && c.Reason != "" {
-			losers++
-		}
-	}
-	if losers != 2 {
-		t.Errorf("counterfactual candidates missing reasons: %+v", ll.Trace.Candidates)
-	}
-
-	ws := WeightedScorer{}.Route("t", targets)
-	// Scores: 1/4=0.25, 2/2=1.0, 1/2=0.5 — rs63 wins.
-	if ws.Target != "rs63" {
-		t.Errorf("weighted scorer chose %s, want rs63", ws.Target)
-	}
-
-	if d := (LeastLoaded{}).Route("t", nil); d.Index != -1 {
-		t.Errorf("empty target set should return Index -1, got %d", d.Index)
-	}
-}
-
 func TestQoSUnlimitedTraces(t *testing.T) {
 	d := Unlimited{}.Admit(Request{Tenant: "x", Now: 42})
 	if !d.Admit || d.Trace == nil || !d.Trace.Admitted || d.Trace.Tenant != "x" {

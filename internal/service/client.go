@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -31,18 +32,55 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("service: http %d", e.Code)
 }
 
-// decodeError turns a non-2xx response into an error: sentinel errors for
-// the codes the gateway data path must act on, StatusError otherwise.
+// send builds and issues one request: the optional body, the context's
+// request ID, and the tenant header when there is one.
+func send(ctx context.Context, hc *http.Client, method, u string, body []byte, tenant string) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	if err != nil {
+		return nil, err
+	}
+	setRequestIDHeader(ctx, req)
+	if tenant != "" {
+		req.Header.Set(TenantHeader, tenant)
+	}
+	return hc.Do(req)
+}
+
+// finish consumes and closes a response. On 2xx, out says what the caller
+// wants of the body: a *[]byte takes it raw, nil drains it (so the
+// connection is reused), anything else is JSON-decoded into. Any other
+// status becomes an error: ErrNotFound for 404, else a StatusError.
+func finish(resp *http.Response, out any) error {
+	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return decodeError(resp)
+	}
+	switch out := out.(type) {
+	case nil:
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return nil
+	case *[]byte:
+		var err error
+		*out, err = io.ReadAll(resp.Body)
+		return err
+	default:
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+}
+
+// decodeError turns a non-2xx response into an error, keeping the full
+// status detail (the 429/503 semantics matter to callers) except for 404,
+// which is the ErrNotFound sentinel.
 func decodeError(resp *http.Response) error {
 	var body errorBody
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
 	_ = json.Unmarshal(raw, &body)
-	switch resp.StatusCode {
-	case http.StatusNotFound:
+	if resp.StatusCode == http.StatusNotFound {
 		return ErrNotFound
-	case http.StatusServiceUnavailable:
-		// An ecstored answering 503 is a down OSD from the gateway's view.
-		return fmt.Errorf("%w: %s", ErrOSDDown, body.Error)
 	}
 	return &StatusError{Code: resp.StatusCode, Message: body.Error, RetryAfter: resp.Header.Get("Retry-After")}
 }
@@ -67,125 +105,56 @@ func NewOSDClient(id int, baseURL string) *OSDClient {
 	return &OSDClient{id: id, base: strings.TrimRight(baseURL, "/"), hc: defaultHTTPClient()}
 }
 
-// BaseURL returns the daemon address.
-func (c *OSDClient) BaseURL() string { return c.base }
-
 func (c *OSDClient) shardURL(key string, shard int) string {
 	return fmt.Sprintf("%s/v1/shards/%s/%d", c.base, url.PathEscape(key), shard)
 }
 
-func (c *OSDClient) do(ctx context.Context, method, u string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+// call is one daemon request finished into out. The two ways a daemon is
+// down from the gateway's view both come back as ErrOSDDown: it cannot be
+// reached (connection refused / reset / deadline), or it answers 503.
+func (c *OSDClient) call(ctx context.Context, method, u string, body []byte, out any) error {
+	resp, err := send(ctx, c.hc, method, u, body, "")
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("%w: %v", ErrOSDDown, err)
 	}
-	setRequestIDHeader(ctx, req)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		// Connection refused / reset / deadline: the OSD is unreachable.
-		return nil, fmt.Errorf("%w: %v", ErrOSDDown, err)
+	err = finish(resp, out)
+	var se *StatusError
+	if errors.As(err, &se) && se.Code == http.StatusServiceUnavailable {
+		return fmt.Errorf("%w: %s", ErrOSDDown, se.Message)
 	}
-	return resp, nil
-}
-
-// SetFault pushes a network-fault spec to the daemon's /v1/faults admin
-// endpoint (FaultStore-wrapped daemons only).
-func (c *OSDClient) SetFault(ctx context.Context, spec FaultSpec) error {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(ctx, http.MethodPost, c.base+"/v1/faults", body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return err
 }
 
 // Put implements ShardStore.
 func (c *OSDClient) Put(ctx context.Context, key string, shard int, data []byte) error {
-	resp, err := c.do(ctx, http.MethodPut, c.shardURL(key, shard), data)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return c.call(ctx, http.MethodPut, c.shardURL(key, shard), data, nil)
 }
 
 // Get implements ShardStore.
-func (c *OSDClient) Get(ctx context.Context, key string, shard int) ([]byte, error) {
-	resp, err := c.do(ctx, http.MethodGet, c.shardURL(key, shard), nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(resp.Body)
+func (c *OSDClient) Get(ctx context.Context, key string, shard int) (data []byte, err error) {
+	err = c.call(ctx, http.MethodGet, c.shardURL(key, shard), nil, &data)
+	return data, err
 }
 
 // Delete implements ShardStore.
 func (c *OSDClient) Delete(ctx context.Context, key string, shard int) error {
-	resp, err := c.do(ctx, http.MethodDelete, c.shardURL(key, shard), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return c.call(ctx, http.MethodDelete, c.shardURL(key, shard), nil, nil)
 }
 
 // Stat implements ShardStore.
-func (c *OSDClient) Stat(ctx context.Context) (OSDStat, error) {
-	resp, err := c.do(ctx, http.MethodGet, c.base+"/v1/stat", nil)
-	if err != nil {
-		return OSDStat{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return OSDStat{}, decodeError(resp)
-	}
-	var st OSDStat
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return OSDStat{}, err
-	}
+func (c *OSDClient) Stat(ctx context.Context) (st OSDStat, err error) {
+	err = c.call(ctx, http.MethodGet, c.base+"/v1/stat", nil, &st)
 	st.ID = c.id
-	return st, nil
+	return st, err
 }
 
 // Healthz probes the daemon's liveness endpoint.
 func (c *OSDClient) Healthz(ctx context.Context) error {
-	resp, err := c.do(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return c.call(ctx, http.MethodGet, c.base+"/healthz", nil, nil)
 }
 
 // GateClient is the object-level HTTP client for an ecgate gateway — what
-// load drivers, the smoke leg and service tests speak. Object ops retry
+// load drivers and the service's own tests speak. Object ops retry
 // 429/503 responses automatically (bodies are byte slices, so every
 // attempt re-sends the full payload), honoring the server's Retry-After
 // hint capped at maxRetryWait.
@@ -224,35 +193,29 @@ func (c *GateClient) objectURL(key string) string {
 	return c.base + "/v1/objects/" + url.PathEscape(key)
 }
 
-func (c *GateClient) do(ctx context.Context, method, u string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+// call is one admin request, sent once and finished into out.
+func (c *GateClient) call(ctx context.Context, method, path string, body []byte, out any) error {
+	resp, err := send(ctx, c.hc, method, c.base+path, body, c.tenant)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	setRequestIDHeader(ctx, req)
-	if c.tenant != "" {
-		req.Header.Set(TenantHeader, c.tenant)
-	}
-	return c.hc.Do(req)
+	return finish(resp, out)
 }
 
-// doRetry issues the request, re-sending on 429 (admission overload) and
-// 503 (temporarily short on shards) until the retry budget runs out. The
-// final response — whatever its code — is returned for normal decoding.
-func (c *GateClient) doRetry(ctx context.Context, method, u string, body []byte) (*http.Response, error) {
+// doRetry issues an object request, re-sending on 429 (admission overload)
+// and 503 (temporarily short on shards) until the retry budget runs out.
+// The final response — whatever its code — is finished into out; its
+// headers are returned for callers that read them.
+func (c *GateClient) doRetry(ctx context.Context, method, key string, body []byte, out any) (http.Header, error) {
 	for attempt := 0; ; attempt++ {
-		resp, err := c.do(ctx, method, u, body)
+		resp, err := send(ctx, c.hc, method, c.objectURL(key), body, c.tenant)
 		if err != nil {
 			return nil, err
 		}
 		retryable := resp.StatusCode == http.StatusTooManyRequests ||
 			resp.StatusCode == http.StatusServiceUnavailable
 		if !retryable || c.retry.Exhausted(attempt) {
-			return resp, nil
+			return resp.Header, finish(resp, out)
 		}
 		wait := c.retryWait(resp, attempt)
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
@@ -279,172 +242,73 @@ func (c *GateClient) retryWait(resp *http.Response, attempt int) time.Duration {
 }
 
 // PutObject stores data under key.
-func (c *GateClient) PutObject(ctx context.Context, key string, data []byte) (ObjectInfo, error) {
-	resp, err := c.doRetry(ctx, http.MethodPut, c.objectURL(key), data)
-	if err != nil {
-		return ObjectInfo{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return ObjectInfo{}, decodeGateError(resp)
-	}
-	var oi ObjectInfo
-	if err := json.NewDecoder(resp.Body).Decode(&oi); err != nil {
-		return ObjectInfo{}, err
-	}
-	return oi, nil
+func (c *GateClient) PutObject(ctx context.Context, key string, data []byte) (oi ObjectInfo, err error) {
+	_, err = c.doRetry(ctx, http.MethodPut, key, data, &oi)
+	return oi, err
 }
 
 // GetObject reads key back; degraded reports whether the gateway had to
 // reconstruct data shards from parity.
 func (c *GateClient) GetObject(ctx context.Context, key string) (data []byte, degraded bool, err error) {
-	resp, err := c.doRetry(ctx, http.MethodGet, c.objectURL(key), nil)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, decodeGateError(resp)
-	}
-	data, err = io.ReadAll(resp.Body)
-	return data, resp.Header.Get("X-EC-Degraded") == "true", err
+	h, err := c.doRetry(ctx, http.MethodGet, key, nil, &data)
+	return data, h.Get("X-EC-Degraded") == "true", err
 }
 
 // DeleteObject removes key.
 func (c *GateClient) DeleteObject(ctx context.Context, key string) error {
-	resp, err := c.doRetry(ctx, http.MethodDelete, c.objectURL(key), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return decodeGateError(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
-// decodeGateError keeps the full status detail (the gateway's 429/503
-// semantics matter to callers), mapping only 404 to ErrNotFound.
-func decodeGateError(resp *http.Response) error {
-	var body errorBody
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	_ = json.Unmarshal(raw, &body)
-	if resp.StatusCode == http.StatusNotFound {
-		return ErrNotFound
-	}
-	return &StatusError{Code: resp.StatusCode, Message: body.Error, RetryAfter: resp.Header.Get("Retry-After")}
+	_, err := c.doRetry(ctx, http.MethodDelete, key, nil, nil)
+	return err
 }
 
 // Status fetches /v1/status.
-func (c *GateClient) Status(ctx context.Context) (StatusInfo, error) {
-	var st StatusInfo
-	err := c.getJSON(ctx, "/v1/status", &st)
+func (c *GateClient) Status(ctx context.Context) (st StatusInfo, err error) {
+	err = c.call(ctx, http.MethodGet, "/v1/status", nil, &st)
 	return st, err
 }
 
 // OSDs fetches /v1/osds.
-func (c *GateClient) OSDs(ctx context.Context) ([]OSDStatus, error) {
-	var out []OSDStatus
-	err := c.getJSON(ctx, "/v1/osds", &out)
+func (c *GateClient) OSDs(ctx context.Context) (out []OSDStatus, err error) {
+	err = c.call(ctx, http.MethodGet, "/v1/osds", nil, &out)
 	return out, err
-}
-
-func (c *GateClient) getJSON(ctx context.Context, path string, v any) error {
-	resp, err := c.do(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeGateError(resp)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// FailOSD kills OSD id through the gateway's fault-injection endpoint.
-func (c *GateClient) FailOSD(ctx context.Context, id int) error {
-	return c.postFault(ctx, id, "fail")
-}
-
-// RestoreOSD revives OSD id.
-func (c *GateClient) RestoreOSD(ctx context.Context, id int) error {
-	return c.postFault(ctx, id, "restore")
-}
-
-func (c *GateClient) postFault(ctx context.Context, id int, action string) error {
-	resp, err := c.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/osds/%d/%s", c.base, id, action), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeGateError(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
 }
 
 // Faults fetches every OSD's injection spec and stats.
-func (c *GateClient) Faults(ctx context.Context) ([]FaultStatus, error) {
-	var out []FaultStatus
-	err := c.getJSON(ctx, "/v1/faults", &out)
+func (c *GateClient) Faults(ctx context.Context) (out []FaultStatus, err error) {
+	err = c.call(ctx, http.MethodGet, "/v1/faults", nil, &out)
 	return out, err
 }
 
-// SetFault pushes a network-fault spec for one OSD through the gateway's
-// admin surface.
+// SetFault replaces one OSD's fault spec through the gateway's admin
+// surface — the service's kill switch: FaultSpec{Partition: true} cuts the
+// OSD off, the zero spec heals it.
 func (c *GateClient) SetFault(ctx context.Context, osd int, spec FaultSpec) error {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return err
 	}
-	resp, err := c.do(ctx, http.MethodPost, fmt.Sprintf("%s/v1/faults/%d", c.base, osd), body)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return decodeGateError(resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
+	return c.call(ctx, http.MethodPost, fmt.Sprintf("/v1/faults/%d", osd), body, nil)
 }
 
 // MetricsText fetches the raw /metrics exposition.
 func (c *GateClient) MetricsText(ctx context.Context) (string, error) {
-	resp, err := c.do(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", decodeGateError(resp)
-	}
-	raw, err := io.ReadAll(resp.Body)
+	var raw []byte
+	err := c.call(ctx, http.MethodGet, "/metrics", nil, &raw)
 	return string(raw), err
 }
 
 // WaitReady polls /healthz until the deadline (boot synchronization for
-// smoke drivers), backing off exponentially between probes so a slow boot
+// load drivers), backing off exponentially between probes so a slow boot
 // is not hammered with a tight poll loop.
 func (c *GateClient) WaitReady(ctx context.Context, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	wait := 10 * time.Millisecond
 	for {
-		resp, err := c.do(ctx, http.MethodGet, c.base+"/healthz", nil)
+		err := c.call(ctx, http.MethodGet, "/healthz", nil, nil)
 		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
+			return nil
 		}
 		if time.Now().After(deadline) {
-			if err != nil {
-				return fmt.Errorf("service: gateway not ready: %w", err)
-			}
-			return fmt.Errorf("service: gateway not ready")
+			return fmt.Errorf("service: gateway not ready: %w", err)
 		}
 		select {
 		case <-ctx.Done():

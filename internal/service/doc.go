@@ -57,12 +57,17 @@
 // # Gateway source map
 //
 // The gateway is three files on three seams (cubeFS's Access /
-// ClusterManager / Proxy split, scaled down):
+// ClusterManager / Proxy split, scaled down), plus the fault injector and
+// the HTTP clients:
 //
 //	gateway.go           data path: config, PUT/GET/DELETE, /v1/status
 //	osd.go               per OSD: store + Breaker + the one resilient shard
 //	                     op every PUT, GET and DELETE shard goes through
 //	index.go, metawal.go object index (lookup/commit/remove) and its WAL
+//	faultstore.go        how an OSD fails: the one fault injector, wrapped
+//	                     around every backend's store by NewGateway
+//	client.go            GateClient and OSDClient over one request path
+//	                     (send, finish)
 //
 // # Resilience
 //
@@ -76,8 +81,11 @@
 // failing OSD from the data path until it proves itself again. Every
 // gateway wraps its stores in a FaultStore — a deterministic, seeded
 // fault injector (error probability, latency inflation, stuck ops, full
-// partition) runtime-controlled via POST /v1/faults/{osd} on both ecgate
-// and ecstored — so the whole stack is chaos-testable over real sockets.
+// partition) runtime-controlled via POST /v1/faults/{osd} on ecgate. It
+// is the only injector and the gateway is the only tier: killing an OSD
+// is {"partition":true}, on the sim, mem and osd backends alike, so the
+// whole stack is chaos-testable over real sockets (a real crash is a real
+// kill -9 of the daemon).
 //
 // With MetaDir set the object index is crash-safe: every put/delete is
 // appended to an fsynced JSONL write-ahead log (metaWAL) before it is

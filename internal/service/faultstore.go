@@ -15,9 +15,11 @@ import (
 // classifies it retryable.
 var ErrInjected = errors.New("service: injected fault")
 
-// FaultSpec is one OSD's network-fault injection profile. All fields are
-// runtime-settable through POST /v1/faults/{osd} on ecgate and ecstored
-// (JSON body in exactly this shape), and a zero spec is a no-op.
+// FaultSpec is one OSD's network-fault injection profile, and the only
+// way an OSD fails in the service: {"partition":true} kills it, {} heals
+// it. All fields are runtime-settable through POST /v1/faults/{osd} on
+// ecgate (JSON body in exactly this shape; unknown fields are rejected),
+// whatever the backend, and a zero spec is a no-op.
 type FaultSpec struct {
 	// ErrorProb injects ErrInjected with this probability before the op
 	// reaches the store (the op never executes).
@@ -67,14 +69,6 @@ type FaultStatus struct {
 	Stats FaultStats `json:"stats"`
 }
 
-// FaultControl is implemented by stores whose faults are runtime-settable;
-// the HTTP layers expose it as the /v1/faults admin endpoints.
-type FaultControl interface {
-	SetFault(FaultSpec) error
-	Fault() FaultSpec
-	FaultStats() FaultStats
-}
-
 // FaultStore wraps a ShardStore with deterministic, seeded network-fault
 // injection at the service tier — the HTTP-path sibling of the simulator's
 // gray-failure knobs. With a zero spec every op passes straight through;
@@ -105,10 +99,7 @@ func NewFaultStore(inner ShardStore, osd int, seed int64) *FaultStore {
 	}
 }
 
-// Inner returns the wrapped store.
-func (f *FaultStore) Inner() ShardStore { return f.inner }
-
-// SetFault implements FaultControl: replaces the injection profile.
+// SetFault replaces the injection profile.
 func (f *FaultStore) SetFault(spec FaultSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
@@ -119,14 +110,14 @@ func (f *FaultStore) SetFault(spec FaultSpec) error {
 	return nil
 }
 
-// Fault implements FaultControl.
+// Fault returns the current injection profile.
 func (f *FaultStore) Fault() FaultSpec {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.spec
 }
 
-// FaultStats implements FaultControl.
+// FaultStats returns the injection counters.
 func (f *FaultStore) FaultStats() FaultStats {
 	return FaultStats{
 		Errors:      f.errors.Load(),

@@ -88,9 +88,6 @@ type GatewayConfig struct {
 	MetaCompactThreshold int
 	// Logger receives one structured line per request; nil discards.
 	Logger *slog.Logger
-	// Faults, when non-nil, exposes kill/revive admin endpoints
-	// (POST /v1/osds/{id}/fail, /restore) — wired for the virtual cluster.
-	Faults FaultInjector
 	// Sim, when non-nil, reports simulated time on /v1/status.
 	Sim SimClock
 	// Backend names the shard-store flavour for /v1/status.
@@ -252,9 +249,10 @@ func NewGateway(cfg GatewayConfig, stores []ShardStore, placer *Placer) (*Gatewa
 		b.onTrip = g.series.breakerTrips.Inc
 		g.osds[i] = osdPath{
 			gw: g,
-			// Every backend is wrapped in a FaultStore so chaos is
-			// injectable on any gateway at runtime (a zero spec is a
-			// straight pass-through).
+			// Every backend is wrapped in a FaultStore — the service's one
+			// fault injector — so an OSD can be killed, slowed or made
+			// flaky on any gateway at runtime (a zero spec is a straight
+			// pass-through).
 			store:   NewFaultStore(s, i, cfg.Seed),
 			breaker: b,
 			state:   reg.Gauge(fmt.Sprintf("ecgate_breaker_state{osd=\"%d\"}", i)),

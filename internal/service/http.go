@@ -68,10 +68,9 @@ func writeError(w http.ResponseWriter, err error) int {
 //	DELETE /v1/objects/{key}   remove it
 //	GET    /v1/status          gateway + cluster summary
 //	GET    /v1/osds            per-OSD stat + gateway health view
-//	POST   /v1/osds/{id}/fail     kill an OSD (fault-injecting backends)
-//	POST   /v1/osds/{id}/restore  revive it
 //	GET    /v1/faults          per-OSD injection specs + stats
-//	POST   /v1/faults/{osd}    set an OSD's network-fault spec (JSON body)
+//	POST   /v1/faults/{osd}    set an OSD's fault spec (JSON FaultSpec body:
+//	                           {"partition":true} kills it, {} heals it)
 //	GET    /metrics            Prometheus text exposition
 //	GET    /healthz            liveness
 func (g *Gateway) Handler() http.Handler {
@@ -92,12 +91,6 @@ func (g *Gateway) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/osds", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, g.OSDStatuses(r.Context()))
-	})
-	mux.HandleFunc("POST /v1/osds/{id}/fail", func(w http.ResponseWriter, r *http.Request) {
-		g.serveFault(w, r, true)
-	})
-	mux.HandleFunc("POST /v1/osds/{id}/restore", func(w http.ResponseWriter, r *http.Request) {
-		g.serveFault(w, r, false)
 	})
 
 	mux.HandleFunc("GET /v1/faults", func(w http.ResponseWriter, r *http.Request) {
@@ -123,46 +116,27 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// serveFault handles the kill/revive admin endpoints.
-func (g *Gateway) serveFault(w http.ResponseWriter, r *http.Request, fail bool) {
-	if g.cfg.Faults == nil {
-		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "backend has no fault injector"})
-		return
-	}
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad osd id"})
-		return
-	}
-	if fail {
-		err = g.cfg.Faults.FailOSD(id)
-	} else {
-		err = g.cfg.Faults.RestoreOSD(id)
-	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		return
-	}
-	action := "restored"
-	if fail {
-		action = "failed"
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"osd": id, "state": action})
-}
-
-// serveSetFault decodes a FaultSpec body into one OSD's FaultStore —
-// shared by the gateway and ecstored admin surfaces.
-func serveSetFault(w http.ResponseWriter, r *http.Request, fc FaultControl, osd int) {
+// serveSetFault decodes a FaultSpec body into one OSD's FaultStore. The
+// decode is strict — an unknown field or anything after the object is a
+// 400 — because a mistyped spec that answered 200 would leave the operator
+// believing an OSD is cut off when nothing was injected.
+func serveSetFault(w http.ResponseWriter, r *http.Request, fs *FaultStore, osd int) {
 	var spec FaultSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<10)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 64<<10))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("trailing data after the spec object")
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad fault spec: " + err.Error()})
 		return
 	}
-	if err := fc.SetFault(spec); err != nil {
+	if err := fs.SetFault(spec); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, FaultStatus{OSD: osd, Spec: fc.Fault(), Stats: fc.FaultStats()})
+	writeJSON(w, http.StatusOK, FaultStatus{OSD: osd, Spec: fs.Fault(), Stats: fs.FaultStats()})
 }
 
 // serveObject is the object data path: admission, the op itself, then one

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"ecarray/internal/crush"
@@ -20,13 +22,13 @@ import (
 )
 
 // simService boots a gateway over a fresh virtual cluster behind a real
-// HTTP server, returning the client and the cluster's fault injector.
-func simService(t *testing.T, mutate func(*GatewayConfig)) (*GateClient, *SimCluster, *Gateway) {
+// HTTP server, returning the client and the gateway.
+func simService(t *testing.T, mutate func(*GatewayConfig)) (*GateClient, *Gateway) {
 	t.Helper()
-	gw, vc := newSimGateway(t, mutate)
+	gw := newSimGateway(t, mutate)
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
-	return NewGateClient(srv.URL), vc, gw
+	return NewGateClient(srv.URL), gw
 }
 
 // metricValue scrapes one plain counter/gauge value out of an exposition.
@@ -57,7 +59,7 @@ func TestServiceE2E(t *testing.T) {
 		payload []byte
 	}
 	run := func(t *testing.T) outcome {
-		gc, _, _ := simService(t, nil)
+		gc, _ := simService(t, nil)
 		ctx := context.Background()
 		data := payload(700<<10+321, 42)
 
@@ -71,7 +73,7 @@ func TestServiceE2E(t *testing.T) {
 		}
 
 		// Kill the OSD holding data shard 0 through the admin endpoint.
-		if err := gc.FailOSD(ctx, oi.OSDs[0]); err != nil {
+		if err := gc.SetFault(ctx, oi.OSDs[0], FaultSpec{Partition: true}); err != nil {
 			t.Fatalf("fail osd: %v", err)
 		}
 		got, degraded, err = gc.GetObject(ctx, "e2e/obj")
@@ -128,7 +130,7 @@ func TestServiceE2E(t *testing.T) {
 // TestHTTPErrorMapping drives each error path over real HTTP and checks
 // status codes and Retry-After headers.
 func TestHTTPErrorMapping(t *testing.T) {
-	gc, vc, gw := simService(t, func(cfg *GatewayConfig) {
+	gc, gw := simService(t, func(cfg *GatewayConfig) {
 		cfg.MaxObjectBytes = 1 << 20
 	})
 	ctx := context.Background()
@@ -159,8 +161,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if _, err := gc.PutObject(ctx, "stuck", payload(64<<10, 3)); err != nil {
 		t.Fatal(err)
 	}
-	for id := 0; id < vc.OSDs()-gw.cfg.K+1; id++ {
-		if err := vc.FailOSD(id); err != nil {
+	for id := 0; id < len(gw.osds)-gw.cfg.K+1; id++ {
+		if err := gw.FaultStore(id).SetFault(FaultSpec{Partition: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,8 +177,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("put with <k reachable: got %v, want 503", err)
 	}
-	for id := 0; id < vc.OSDs(); id++ {
-		_ = vc.RestoreOSD(id)
+	for id := 0; id < len(gw.osds); id++ {
+		_ = gw.FaultStore(id).SetFault(FaultSpec{})
 	}
 
 	// 400: empty key (PUT /v1/objects/ matches the {key...} wildcard with
@@ -242,7 +244,8 @@ func TestHTTPOverload(t *testing.T) {
 func TestOSDServerRoundTrip(t *testing.T) {
 	ms := NewMemStore(3)
 	ms.SetHost("node3")
-	srv := httptest.NewServer(NewOSDServer(3, ms, nil).Handler())
+	fs := NewFaultStore(ms, 3, 1)
+	srv := httptest.NewServer(NewOSDServer(3, fs, nil).Handler())
 	t.Cleanup(srv.Close)
 	oc := NewOSDClient(3, srv.URL)
 	ctx := context.Background()
@@ -272,9 +275,45 @@ func TestOSDServerRoundTrip(t *testing.T) {
 		t.Fatalf("get after delete: got %v, want ErrNotFound", err)
 	}
 
-	ms.Fail()
+	if err := fs.SetFault(FaultSpec{Partition: true}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := oc.Get(ctx, "x", 0); !errors.Is(err, ErrOSDDown) {
 		t.Fatalf("failed OSD: got %v, want ErrOSDDown", err)
+	}
+}
+
+// TestOSDServerPutBodyErrors: only a shard body over the limit is a 413; a
+// sender that goes away mid-body (a gateway cancelling a hedged or
+// timed-out send) is a 400, so ecstored_ops_total{code="413"} counts
+// oversized shards and nothing else. Neither stores anything.
+func TestOSDServerPutBodyErrors(t *testing.T) {
+	ms := NewMemStore(0)
+	osd := NewOSDServer(0, ms, nil)
+	osd.maxShard = 1 << 10
+	h := osd.Handler()
+	put := func(body io.Reader) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/shards/k/0", body))
+		return rec.Code
+	}
+	if code := put(bytes.NewReader(make([]byte, 1<<10+1))); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized shard: status %d, want 413", code)
+	}
+	aborted := io.MultiReader(strings.NewReader("half a sh"), iotest.ErrReader(io.ErrUnexpectedEOF))
+	if code := put(aborted); code != http.StatusBadRequest {
+		t.Fatalf("aborted body: status %d, want 400", code)
+	}
+	if code := put(bytes.NewReader(make([]byte, 1<<10))); code != http.StatusOK {
+		t.Fatalf("shard at the limit: status %d, want 200", code)
+	}
+	for code, want := range map[string]int64{"413": 1, "400": 1, "200": 1} {
+		if n := osd.Metrics().Counter(`ecstored_ops_total{op="put",code="` + code + `"}`).Value(); n != want {
+			t.Fatalf("ecstored_ops_total{op=put,code=%s} = %d, want %d", code, n, want)
+		}
+	}
+	if keys := ms.Keys(); len(keys) != 1 {
+		t.Fatalf("stored shards %v, want only the one at the limit", keys)
 	}
 }
 

@@ -34,9 +34,6 @@ func (p *Placer) Width() int { return p.width }
 // Devices returns the total device count in the map.
 func (p *Placer) Devices() int { return p.m.Devices() }
 
-// Host returns the failure-domain host of a device.
-func (p *Placer) Host(dev int) string { return p.m.Host(dev) }
-
 // keyPG hashes an object key to its placement-group ID (FNV-1a 64).
 func keyPG(key string) uint64 {
 	sum := uint64(14695981039346656037)

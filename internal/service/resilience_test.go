@@ -22,7 +22,7 @@ import (
 // buildGateway wires a gateway over the given 6 stores with a uniform
 // 3×2 CRUSH map — the fixture for resilience tests that need custom
 // (flaky, slow, counting) shard stores.
-func buildGateway(t *testing.T, stores []ShardStore, mutate func(*GatewayConfig)) *Gateway {
+func buildGateway(t testing.TB, stores []ShardStore, mutate func(*GatewayConfig)) *Gateway {
 	t.Helper()
 	placer, err := NewPlacer(crush.Uniform(3, 2), 6)
 	if err != nil {
@@ -972,10 +972,10 @@ func TestWaitReadyCancel(t *testing.T) {
 	}
 }
 
-// TestFaultAdminEndpoints drives the /v1/faults surface over real HTTP on
-// both the gateway and an ecstored daemon.
+// TestFaultAdminEndpoints drives the gateway's /v1/faults surface over
+// real HTTP.
 func TestFaultAdminEndpoints(t *testing.T) {
-	gc, _, gw := simService(t, nil)
+	gc, gw := simService(t, nil)
 	ctx := context.Background()
 
 	spec := FaultSpec{ErrorProb: 0.25, LatencyMult: 2}
@@ -1003,23 +1003,59 @@ func TestFaultAdminEndpoints(t *testing.T) {
 		t.Fatalf("clear fault: %v", err)
 	}
 
-	// ecstored daemon surface: only reachable when the store is wrapped.
-	fs := NewFaultStore(NewMemStore(4), 4, 1)
-	srv := httptest.NewServer(NewOSDServer(4, fs, nil).Handler())
-	t.Cleanup(srv.Close)
-	oc := NewOSDClient(4, srv.URL)
-	if err := oc.SetFault(ctx, FaultSpec{Partition: true}); err != nil {
-		t.Fatalf("ecstored set fault: %v", err)
+	// A mistyped field or anything after the object is a 400 that injects
+	// nothing — a 200 here would tell the operator OSD 0 is cut off when it
+	// is not.
+	for _, body := range []string{`{"partion":true}`, `{"partition":true} trailing`, `{"partition":true}{}`} {
+		var se *StatusError
+		err := gc.call(ctx, http.MethodPost, "/v1/faults/0", []byte(body), nil)
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Fatalf("body %s: got %v, want 400", body, err)
+		}
+		if got := gw.FaultStore(0).Fault(); got.Active() {
+			t.Fatalf("rejected body %s still injected %+v", body, got)
+		}
 	}
-	if err := oc.Put(ctx, "x", 0, []byte("y")); !errors.Is(err, ErrOSDDown) {
-		t.Fatalf("partitioned daemon put: got %v, want ErrOSDDown", err)
+}
+
+// FuzzFaultSpecBody throws arbitrary bytes at POST /v1/faults/0: the
+// handler must not panic, and a body it accepts must have installed a spec
+// that passes validate() and that survives a json.Marshal round trip
+// through the same endpoint unchanged.
+func FuzzFaultSpecBody(f *testing.F) {
+	for _, seed := range []string{
+		`{}`, `{"partition":true}`, `{"error_prob":0.1,"latency_mult":5,"stuck_prob":0.05,"stuck_ms":400}`,
+		`{"delay_ms":-1}`, `{"error_prob":3}`, `{"partion":true}`, `{"partition":true} x`, `null`, ``, `[`, `{"stuck_ms":1e99}`,
+	} {
+		f.Add([]byte(seed))
 	}
-	if err := oc.SetFault(ctx, FaultSpec{}); err != nil {
-		t.Fatalf("ecstored clear fault: %v", err)
+	gw := buildGateway(f, memStores(6), nil)
+	h := gw.Handler()
+	post := func(body []byte) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/faults/0", bytes.NewReader(body)))
+		return rec.Code
 	}
-	if err := oc.Put(ctx, "x", 0, []byte("y")); err != nil {
-		t.Fatalf("put after clear: %v", err)
-	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		switch code := post(body); code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d for body %q", code, body)
+		}
+		spec := gw.FaultStore(0).Fault()
+		if err := spec.validate(); err != nil {
+			t.Fatalf("accepted body %q installed invalid spec %+v: %v", body, spec, err)
+		}
+		again, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("marshal %+v: %v", spec, err)
+		}
+		if code := post(again); code != http.StatusOK || gw.FaultStore(0).Fault() != spec {
+			t.Fatalf("spec %+v did not round-trip through %s: status %d, now %+v", spec, again, code, gw.FaultStore(0).Fault())
+		}
+	})
 }
 
 // TestWALTornTailTruncated: replay tolerating a torn tail is not enough —

@@ -18,10 +18,11 @@ const MaxShardBytes = 128 << 20
 // the BlobNode of the service split. It is store-agnostic — the same
 // handler serves the in-memory backend and a simulated BlueStore OSD.
 type OSDServer struct {
-	id    int
-	store ShardStore
-	log   *slog.Logger
-	reg   *Registry
+	id       int
+	store    ShardStore
+	log      *slog.Logger
+	reg      *Registry
+	maxShard int64 // PUT body limit: MaxShardBytes, smaller only in tests
 }
 
 // NewOSDServer wraps a shard store for OSD id.
@@ -29,7 +30,7 @@ func NewOSDServer(id int, store ShardStore, logger *slog.Logger) *OSDServer {
 	if logger == nil {
 		logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
-	return &OSDServer{id: id, store: store, log: logger, reg: NewRegistry()}
+	return &OSDServer{id: id, store: store, log: logger, reg: NewRegistry(), maxShard: MaxShardBytes}
 }
 
 // Metrics returns the daemon's registry.
@@ -41,8 +42,6 @@ func (s *OSDServer) Metrics() *Registry { return s.reg }
 //	GET    /v1/shards/{key}/{idx}  read it
 //	DELETE /v1/shards/{key}/{idx}  remove it
 //	GET    /v1/stat                backend stat
-//	GET    /v1/faults              injection spec + stats (FaultStore backends)
-//	POST   /v1/faults[/{osd}]      set this daemon's network-fault spec
 //	GET    /metrics                Prometheus text exposition
 //	GET    /healthz                liveness
 func (s *OSDServer) Handler() http.Handler {
@@ -56,22 +55,6 @@ func (s *OSDServer) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/shards/{key}/{idx}", func(w http.ResponseWriter, r *http.Request) {
 		s.serveShard(w, r, "delete")
 	})
-	if fc, ok := s.store.(FaultControl); ok {
-		mux.HandleFunc("GET /v1/faults", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, []FaultStatus{{OSD: s.id, Spec: fc.Fault(), Stats: fc.FaultStats()}})
-		})
-		mux.HandleFunc("POST /v1/faults", func(w http.ResponseWriter, r *http.Request) {
-			serveSetFault(w, r, fc, s.id)
-		})
-		mux.HandleFunc("POST /v1/faults/{osd}", func(w http.ResponseWriter, r *http.Request) {
-			if osd, err := strconv.Atoi(r.PathValue("osd")); err != nil || osd != s.id {
-				writeJSON(w, http.StatusBadRequest,
-					errorBody{Error: fmt.Sprintf("this daemon is osd %d", s.id)})
-				return
-			}
-			serveSetFault(w, r, fc, s.id)
-		})
-	}
 	mux.HandleFunc("GET /v1/stat", func(w http.ResponseWriter, r *http.Request) {
 		st, err := s.store.Stat(r.Context())
 		if err != nil {
@@ -121,10 +104,16 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 		status = http.StatusBadRequest
 		writeJSON(w, status, errorBody{Error: "bad shard path: want /v1/shards/{key}/{idx}"})
 	case op == "put":
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxShardBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxShard))
 		if err != nil {
-			status = http.StatusRequestEntityTooLarge
-			writeJSON(w, status, errorBody{Error: err.Error()})
+			// Only an oversized body is 413; a sender that went away
+			// mid-body (a cancelled hedge or timed-out send) is a 400.
+			status = http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, errorBody{Error: "reading body: " + err.Error()})
 			break
 		}
 		opErr = s.store.Put(r.Context(), key, idx, body)

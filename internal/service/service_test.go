@@ -14,7 +14,7 @@ import (
 
 // newSimGateway boots a gateway over a fresh virtual cluster with the
 // default RS(4,2) geometry.
-func newSimGateway(t *testing.T, mutate func(*GatewayConfig)) (*Gateway, *SimCluster) {
+func newSimGateway(t *testing.T, mutate func(*GatewayConfig)) *Gateway {
 	t.Helper()
 	vc, err := NewSimCluster(SimClusterConfig{Hosts: 3, OSDsPerHost: 2, DeviceBytes: 64 << 20, Seed: 1})
 	if err != nil {
@@ -22,7 +22,6 @@ func newSimGateway(t *testing.T, mutate func(*GatewayConfig)) (*Gateway, *SimClu
 	}
 	cfg := DefaultGatewayConfig()
 	cfg.Backend = "sim"
-	cfg.Faults = vc
 	cfg.Sim = vc
 	if mutate != nil {
 		mutate(&cfg)
@@ -35,7 +34,7 @@ func newSimGateway(t *testing.T, mutate func(*GatewayConfig)) (*Gateway, *SimClu
 	if err != nil {
 		t.Fatalf("gateway: %v", err)
 	}
-	return gw, vc
+	return gw
 }
 
 func payload(n int, seed int64) []byte {
@@ -47,7 +46,7 @@ func payload(n int, seed int64) []byte {
 // TestObjectRoundTrip covers put/get/delete on the healthy path, including
 // sizes that are not stripe-aligned and the empty object.
 func TestObjectRoundTrip(t *testing.T) {
-	gw, _ := newSimGateway(t, nil)
+	gw := newSimGateway(t, nil)
 	ctx := context.Background()
 	for _, size := range []int{0, 1, 4096, 64 << 10, 256<<10 + 17, 1 << 20} {
 		key := fmt.Sprintf("obj-%d", size)
@@ -78,7 +77,7 @@ func TestObjectRoundTrip(t *testing.T) {
 // TestDegradedReadEveryDataShard kills, in turn, the OSD behind each data
 // shard and checks the read is served byte-identical via reconstruction.
 func TestDegradedReadEveryDataShard(t *testing.T) {
-	gw, vc := newSimGateway(t, nil)
+	gw := newSimGateway(t, nil)
 	ctx := context.Background()
 	data := payload(300<<10+999, 3)
 	oi, err := gw.PutObject(ctx, "victim", data)
@@ -87,7 +86,7 @@ func TestDegradedReadEveryDataShard(t *testing.T) {
 	}
 	for shard := 0; shard < gw.cfg.K; shard++ {
 		osd := oi.OSDs[shard]
-		if err := vc.FailOSD(osd); err != nil {
+		if err := gw.FaultStore(osd).SetFault(FaultSpec{Partition: true}); err != nil {
 			t.Fatalf("fail osd %d: %v", osd, err)
 		}
 		got, info, err := gw.GetObject(ctx, "victim")
@@ -100,7 +99,7 @@ func TestDegradedReadEveryDataShard(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("shard %d down: payload mismatch", shard)
 		}
-		if err := vc.RestoreOSD(osd); err != nil {
+		if err := gw.FaultStore(osd).SetFault(FaultSpec{}); err != nil {
 			t.Fatalf("restore osd %d: %v", osd, err)
 		}
 	}
@@ -112,14 +111,14 @@ func TestDegradedReadEveryDataShard(t *testing.T) {
 // TestParityShardLoss kills a parity OSD: reads stay non-degraded because
 // all k data shards are intact.
 func TestParityShardLoss(t *testing.T) {
-	gw, vc := newSimGateway(t, nil)
+	gw := newSimGateway(t, nil)
 	ctx := context.Background()
 	data := payload(128<<10, 11)
 	oi, err := gw.PutObject(ctx, "pobj", data)
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if err := vc.FailOSD(oi.OSDs[gw.cfg.K]); err != nil {
+	if err := gw.FaultStore(oi.OSDs[gw.cfg.K]).SetFault(FaultSpec{Partition: true}); err != nil {
 		t.Fatal(err)
 	}
 	got, info, err := gw.GetObject(ctx, "pobj")
@@ -138,7 +137,7 @@ func TestParityShardLoss(t *testing.T) {
 // a fresh PUT both return ErrInsufficientShards, and the failed PUT leaves
 // no orphan shards behind.
 func TestInsufficientShards(t *testing.T) {
-	gw, vc := newSimGateway(t, nil)
+	gw := newSimGateway(t, nil)
 	ctx := context.Background()
 	data := payload(96<<10, 5)
 	oi, err := gw.PutObject(ctx, "doomed", data)
@@ -146,7 +145,7 @@ func TestInsufficientShards(t *testing.T) {
 		t.Fatalf("put: %v", err)
 	}
 	for _, osd := range oi.OSDs[:gw.cfg.M+1] {
-		if err := vc.FailOSD(osd); err != nil {
+		if err := gw.FaultStore(osd).SetFault(FaultSpec{Partition: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +158,7 @@ func TestInsufficientShards(t *testing.T) {
 	// The failed overwrite must not have destroyed or orphaned anything on
 	// the surviving OSDs beyond the original object's shards.
 	for _, osd := range oi.OSDs[:gw.cfg.M+1] {
-		if err := vc.RestoreOSD(osd); err != nil {
+		if err := gw.FaultStore(osd).SetFault(FaultSpec{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +174,7 @@ func TestInsufficientShards(t *testing.T) {
 // TestNotFoundAfterDelete checks the delete → 404 contract at the API
 // layer.
 func TestNotFoundAfterDelete(t *testing.T) {
-	gw, _ := newSimGateway(t, nil)
+	gw := newSimGateway(t, nil)
 	ctx := context.Background()
 	if _, err := gw.PutObject(ctx, "gone", payload(4096, 1)); err != nil {
 		t.Fatalf("put: %v", err)

@@ -14,8 +14,8 @@ import (
 var (
 	// ErrNotFound reports a shard (or object) that does not exist.
 	ErrNotFound = errors.New("service: not found")
-	// ErrOSDDown reports an OSD that is administratively failed or
-	// unreachable.
+	// ErrOSDDown reports an OSD that is partitioned (FaultSpec.Partition)
+	// or unreachable.
 	ErrOSDDown = errors.New("service: osd down")
 )
 
@@ -25,7 +25,6 @@ type OSDStat struct {
 	ID      int    `json:"id"`
 	Backend string `json:"backend"`
 	Host    string `json:"host,omitempty"`
-	Up      bool   `json:"up"`
 	Shards  int64  `json:"shards"`
 	Bytes   int64  `json:"bytes"`
 	// SimSeconds is the simulated-time cost this OSD has accumulated
@@ -48,14 +47,6 @@ type ShardStore interface {
 	Stat(ctx context.Context) (OSDStat, error)
 }
 
-// FaultInjector is implemented by backends that can kill and revive their
-// OSDs at runtime (the virtual cluster). The gateway exposes it as admin
-// endpoints so service tests and smoke drivers can force degraded reads.
-type FaultInjector interface {
-	FailOSD(id int) error
-	RestoreOSD(id int) error
-}
-
 // SimClock is implemented by backends that accumulate simulated time (the
 // virtual cluster); the gateway surfaces it on /v1/status when present.
 type SimClock interface{ SimSeconds() float64 }
@@ -74,7 +65,6 @@ type MemStore struct {
 	mu     sync.RWMutex
 	shards map[string][]byte
 	bytes  int64
-	failed bool
 }
 
 // NewMemStore returns an empty in-memory shard store for OSD id.
@@ -85,35 +75,11 @@ func NewMemStore(id int) *MemStore {
 // SetHost labels the store with a host name (placement display only).
 func (s *MemStore) SetHost(h string) { s.host = h }
 
-// Fail makes every subsequent op return ErrOSDDown (test hook).
-func (s *MemStore) Fail() {
-	s.mu.Lock()
-	s.failed = true
-	s.mu.Unlock()
-}
-
-// Restore clears Fail.
-func (s *MemStore) Restore() {
-	s.mu.Lock()
-	s.failed = false
-	s.mu.Unlock()
-}
-
-func (s *MemStore) check(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if s.failed {
-		return ErrOSDDown
-	}
-	return nil
-}
-
 // Put implements ShardStore.
 func (s *MemStore) Put(ctx context.Context, key string, shard int, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.check(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	name := shardName(key, shard)
@@ -131,7 +97,7 @@ func (s *MemStore) Put(ctx context.Context, key string, shard int, data []byte) 
 func (s *MemStore) Get(ctx context.Context, key string, shard int) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := s.check(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	data, ok := s.shards[shardName(key, shard)]
@@ -147,7 +113,7 @@ func (s *MemStore) Get(ctx context.Context, key string, shard int) ([]byte, erro
 func (s *MemStore) Delete(ctx context.Context, key string, shard int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.check(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	name := shardName(key, shard)
@@ -171,7 +137,6 @@ func (s *MemStore) Stat(ctx context.Context) (OSDStat, error) {
 		ID:      s.id,
 		Backend: "mem",
 		Host:    s.host,
-		Up:      !s.failed,
 		Shards:  int64(len(s.shards)),
 		Bytes:   s.bytes,
 	}, nil

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"ecarray/internal/crush"
 	"ecarray/internal/sim"
@@ -16,7 +15,7 @@ import (
 type SimClusterConfig struct {
 	// Hosts × OSDsPerHost OSDs are built, named node0..nodeH-1 for CRUSH
 	// failure-domain spreading (the paper's 4-node × 13-OSD array shape).
-	Hosts      int
+	Hosts       int
 	OSDsPerHost int
 	// DeviceBytes is each simulated SSD's capacity (must be a multiple of
 	// 1 MiB, the flash block size).
@@ -55,10 +54,8 @@ type simOSD struct {
 	st    *store.Store
 	sizes map[string]int64 // logical shard sizes (store objects are padded)
 	state struct {
-		failed bool
-		delay  time.Duration // injected real-time stall before each op
-		bytes  int64
-		busy   sim.Time // simulated time spent serving this OSD's ops
+		bytes int64
+		busy  sim.Time // simulated time spent serving this OSD's ops
 	}
 }
 
@@ -127,75 +124,11 @@ func (vc *SimCluster) CrushMap() *crush.Map { return vc.cmap }
 // OSDs returns the number of OSDs.
 func (vc *SimCluster) OSDs() int { return len(vc.osds) }
 
-// Host returns the failure-domain host of an OSD.
-func (vc *SimCluster) Host(id int) string { return vc.osds[id].host }
-
 // SimSeconds returns total simulated time accumulated by the cluster.
 func (vc *SimCluster) SimSeconds() float64 {
 	vc.mu.Lock()
 	defer vc.mu.Unlock()
 	return vc.eng.Now().Seconds()
-}
-
-func (vc *SimCluster) checkOSD(id int) error {
-	if id < 0 || id >= len(vc.osds) {
-		return fmt.Errorf("service: osd %d out of range [0,%d)", id, len(vc.osds))
-	}
-	return nil
-}
-
-// FailOSD implements FaultInjector: the OSD's ops return ErrOSDDown until
-// RestoreOSD.
-func (vc *SimCluster) FailOSD(id int) error {
-	if err := vc.checkOSD(id); err != nil {
-		return err
-	}
-	vc.mu.Lock()
-	vc.osds[id].state.failed = true
-	vc.mu.Unlock()
-	return nil
-}
-
-// RestoreOSD implements FaultInjector.
-func (vc *SimCluster) RestoreOSD(id int) error {
-	if err := vc.checkOSD(id); err != nil {
-		return err
-	}
-	vc.mu.Lock()
-	vc.osds[id].state.failed = false
-	vc.mu.Unlock()
-	return nil
-}
-
-// SetDelay injects a real-time stall before each of the OSD's ops — a
-// gray (slow-but-alive) OSD, used to exercise the gateway's per-shard
-// deadlines without wiring a full gray-failure model into the service.
-func (vc *SimCluster) SetDelay(id int, d time.Duration) error {
-	if err := vc.checkOSD(id); err != nil {
-		return err
-	}
-	vc.mu.Lock()
-	vc.osds[id].state.delay = d
-	vc.mu.Unlock()
-	return nil
-}
-
-// stall applies the injected delay outside the engine lock, honouring ctx.
-func (o *simOSD) stall(ctx context.Context) error {
-	o.vc.mu.Lock()
-	d := o.state.delay
-	o.vc.mu.Unlock()
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return ctx.Err()
-	}
 }
 
 // run executes one shard op as a simulated process, serialized on the
@@ -207,9 +140,6 @@ func (o *simOSD) run(ctx context.Context, name string, fn func(p *sim.Proc)) err
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if o.state.failed {
-		return ErrOSDDown
-	}
 	before := o.vc.eng.Now()
 	o.vc.eng.RunProc(name, fn)
 	o.state.busy += o.vc.eng.Now() - before
@@ -218,9 +148,6 @@ func (o *simOSD) run(ctx context.Context, name string, fn func(p *sim.Proc)) err
 
 // Put implements ShardStore.
 func (o *simOSD) Put(ctx context.Context, key string, shard int, data []byte) error {
-	if err := o.stall(ctx); err != nil {
-		return err
-	}
 	name := shardName(key, shard)
 	return o.run(ctx, "svc/put", func(p *sim.Proc) {
 		if old, ok := o.sizes[name]; ok {
@@ -236,9 +163,6 @@ func (o *simOSD) Put(ctx context.Context, key string, shard int, data []byte) er
 
 // Get implements ShardStore.
 func (o *simOSD) Get(ctx context.Context, key string, shard int) ([]byte, error) {
-	if err := o.stall(ctx); err != nil {
-		return nil, err
-	}
 	name := shardName(key, shard)
 	var out []byte
 	found := false
@@ -264,9 +188,6 @@ func (o *simOSD) Get(ctx context.Context, key string, shard int) ([]byte, error)
 
 // Delete implements ShardStore.
 func (o *simOSD) Delete(ctx context.Context, key string, shard int) error {
-	if err := o.stall(ctx); err != nil {
-		return err
-	}
 	name := shardName(key, shard)
 	found := false
 	err := o.run(ctx, "svc/delete", func(p *sim.Proc) {
@@ -297,7 +218,6 @@ func (o *simOSD) Stat(ctx context.Context) (OSDStat, error) {
 		ID:         o.id,
 		Backend:    "sim",
 		Host:       o.host,
-		Up:         !o.state.failed,
 		Shards:     int64(len(o.sizes)),
 		Bytes:      o.state.bytes,
 		SimSeconds: o.state.busy.Seconds(),
