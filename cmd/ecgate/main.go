@@ -65,7 +65,7 @@ func newGateway(fs *flag.FlagSet, args []string, logger *slog.Logger) (*service.
 		seed        = fs.Int64("seed", 1, "sim device, retry-jitter and fault-injection RNG seed")
 		k           = fs.Int("k", 4, "RS data shards")
 		m           = fs.Int("m", 2, "RS parity shards")
-		chunk       = fs.Int("chunk", 64<<10, "stripe-unit (per-shard chunk) bytes")
+		chunk       = fs.Int("chunk", 64<<10, "largest stripe unit (per-shard chunk) in bytes; objects smaller than a stripe use a smaller one, recorded per object")
 		maxInflight = fs.Int("max-inflight", 256, "admission bound; excess requests get 429")
 		tenants     = fs.String("tenants", "", "weighted-fair admission: comma-separated name:weight pairs (empty = flat max-inflight)")
 		osdURLs     = fs.String("osd-urls", "", "osd backend: comma-separated ecstored base URLs")

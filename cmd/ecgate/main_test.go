@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -99,6 +100,34 @@ func TestGatewayWiringPerBackend(t *testing.T) {
 			}
 			if _, _, err := gc.GetObject(ctx, key); !errors.Is(err, service.ErrNotFound) {
 				t.Fatalf("get after delete: got %v, want ErrNotFound", err)
+			}
+
+			// Every stripe geometry -k 4 -chunk 65536 produces (the sizes of
+			// service.TestStripeGeometry), healthy and with data shard 0
+			// cut off: each backend, SimCluster included, stores and returns
+			// shards that are not a multiple of -chunk long.
+			const stripe = 4 * 64 << 10
+			for _, size := range []int{0, 1, 511, 512, 513, 8 << 10, stripe - 1, stripe, stripe + 1, 300 << 10, 3*stripe + 7} {
+				key := fmt.Sprintf("wiring/geo-%d", size)
+				data := payload[:size]
+				oi, err := gc.PutObject(ctx, key, data)
+				if err != nil || oi.Written != oi.Shards {
+					t.Fatalf("put %d bytes: %+v, err %v", size, oi, err)
+				}
+				if err := gc.SetFault(ctx, oi.OSDs[0], service.FaultSpec{Partition: true}); err != nil {
+					t.Fatal(err)
+				}
+				got, degraded, err := gc.GetObject(ctx, key)
+				if err != nil || degraded != (size > 0) || !bytes.Equal(got, data) {
+					t.Fatalf("degraded get of %d bytes: err=%v degraded=%v match=%v", size, err, degraded, bytes.Equal(got, data))
+				}
+				if err := gc.SetFault(ctx, oi.OSDs[0], service.FaultSpec{}); err != nil {
+					t.Fatal(err)
+				}
+				got, degraded, err = gc.GetObject(ctx, key)
+				if err != nil || degraded || !bytes.Equal(got, data) {
+					t.Fatalf("healthy get of %d bytes: err=%v degraded=%v match=%v", size, err, degraded, bytes.Equal(got, data))
+				}
 			}
 		})
 	}

@@ -69,9 +69,9 @@ func TestCalibrateEncodePlumbing(t *testing.T) {
 	}
 }
 
-// TestCalibrationNotesRecordKernel verifies the ROADMAP item: calibrated
-// runs must record which codec kernel produced the measured MB/s, in both
-// the table notes and the CSV output.
+// TestCalibrationNotesRecordKernel: calibrated runs record which codec
+// kernel produced the measured MB/s, in both the table notes and the CSV
+// output.
 func TestCalibrationNotesRecordKernel(t *testing.T) {
 	opt := Tiny()
 	opt.CalibrateEncode = true

@@ -305,9 +305,9 @@ func (s *Suite) encodeMBps(k, m int) float64 {
 }
 
 // CalibrationNotes renders one note line per measured codec, recording the
-// throughput and the kernel tier that produced it (the open ROADMAP item:
-// paper-band comparisons must say which codec generated them). Empty when
-// nothing was calibrated.
+// throughput and the kernel tier that produced it, so a paper-band
+// comparison says which codec generated it. Empty when nothing was
+// calibrated.
 func (s *Suite) CalibrationNotes() []string {
 	notes := make([]string, 0, len(s.mbps))
 	for _, c := range s.sortedCalibrations() {

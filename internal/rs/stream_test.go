@@ -229,11 +229,10 @@ func TestStreamEncodeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestConcurrentSteadyStateAllocs extends the allocation gate to the
-// WithConcurrency codec (the open ROADMAP item): with the runJobs task
-// list pooled, carry-mode clusters running CodecConcurrency > 1 must be 0
-// allocs/stripe too, for block Encode and for streaming. Stripes are sized
-// so the parallel fan-out actually engages (several spans, several
-// workers).
+// WithConcurrency codec: with the runJobs task list pooled, carry-mode
+// clusters running CodecConcurrency > 1 must be 0 allocs/stripe too, for
+// block Encode and for streaming. Stripes are sized so the parallel
+// fan-out actually engages (several spans, several workers).
 func TestConcurrentSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under -race; alloc counts are not stable")

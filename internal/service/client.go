@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -65,7 +66,9 @@ func finish(resp *http.Response, out any) error {
 		return nil
 	case *[]byte:
 		var err error
-		*out, err = io.ReadAll(resp.Body)
+		// No limit of our own: the caller asked for whatever the object
+		// or shard holds.
+		*out, err = readBody(resp.Body, resp.ContentLength, math.MaxInt64)
 		return err
 	default:
 		return json.NewDecoder(resp.Body).Decode(out)

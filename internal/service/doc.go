@@ -28,15 +28,20 @@
 //   - OSDClient: the HTTP client for a remote ecstored daemon.
 //
 // Because placement (CRUSH straw2 over the healthy map), striping geometry
-// (chunk size, RS(k,m)) and shard layout are identical across backends, the
-// same gateway code path is exercised whether the shards live in process
-// memory, in the simulator, or behind real HTTP daemons.
+// (per-object chunk size, RS(k,m)) and shard layout are identical across
+// backends, the same gateway code path is exercised whether the shards
+// live in process memory, in the simulator, or behind real HTTP daemons.
 //
 // # Data path
 //
-// PUT bodies are striped with the zero-copy rs.StreamEncode path into k+m
-// shard streams and fanned out to the placed OSDs with a per-shard
-// deadline; at least k writes must land or the put fails with
+// PUT bodies are read into one buffer sized by their Content-Length
+// (readBody) and striped with the zero-copy rs.StreamEncode path into k+m
+// shard streams. ChunkSize (-chunk) is the largest stripe unit; objects
+// smaller than a stripe use a smaller one, recorded per object
+// (Gateway.chunkFor, objectMeta.chunk, the WAL record's optional "chunk"),
+// so what is stored is (k+m)/k × the object plus at most 512 bytes per
+// chunk at every size. The shards are fanned out to the placed OSDs with a
+// per-shard deadline; at least k writes must land or the put fails with
 // ErrInsufficientShards (HTTP 503) and the partial shards are deleted.
 // GET fetches the k data shards first; any shard that is down, slow past
 // its deadline, or corrupt-length is replaced by parity fetches and the

@@ -33,8 +33,9 @@ var (
 type GatewayConfig struct {
 	// K and M are the RS(k,m) geometry; K+M shards are placed per object.
 	K, M int
-	// ChunkSize is the stripe-unit (per-shard chunk) in bytes for the
-	// StreamEncode/StreamDecode path.
+	// ChunkSize is the largest stripe unit (per-shard chunk) in bytes for
+	// the StreamEncode/StreamDecode path; objects smaller than a stripe
+	// use a smaller one, recorded per object (see chunkFor).
 	ChunkSize int
 	// ShardTimeout bounds each shard-store op; a shard slower than this is
 	// abandoned and the read falls back to parity reconstruction.
@@ -95,7 +96,7 @@ type GatewayConfig struct {
 }
 
 // DefaultGatewayConfig returns production-shaped defaults for a 6-OSD
-// virtual cluster: RS(4,2), 64 KiB chunks, 2 s shard deadline.
+// virtual cluster: RS(4,2), stripe units up to 64 KiB, 2 s shard deadline.
 func DefaultGatewayConfig() GatewayConfig {
 	return GatewayConfig{
 		K: 4, M: 2,
@@ -259,7 +260,7 @@ func NewGateway(cfg GatewayConfig, stores []ShardStore, placer *Placer) (*Gatewa
 		}
 	}
 	var maxGen uint64
-	if g.metaIndex, maxGen, err = openMetaIndex(cfg.MetaDir, cfg.MetaCompactThreshold, logger, g.series); err != nil {
+	if g.metaIndex, maxGen, err = openMetaIndex(cfg.MetaDir, cfg.MetaCompactThreshold, cfg.ChunkSize, logger, g.series); err != nil {
 		return nil, err
 	}
 	g.gen.Store(maxGen)
@@ -272,16 +273,27 @@ func (g *Gateway) Close() error { return g.wal.Close() }
 // Metrics returns the gateway's registry (the /metrics source).
 func (g *Gateway) Metrics() *Registry { return g.reg }
 
-// shardLen returns the per-shard stream length for a payload of size
-// bytes: full stripes of ChunkSize plus one padded final stripe.
-func (g *Gateway) shardLen(size int64) int64 {
-	if size == 0 {
-		return 0
-	}
-	stripe := int64(g.cfg.ChunkSize) * int64(g.cfg.K)
-	stripes := (size + stripe - 1) / stripe
-	return stripes * int64(g.cfg.ChunkSize)
+// chunkFor returns the stripe unit an object of size bytes is striped at:
+// the object is spread evenly over the stripes it needs at ChunkSize, in
+// 512-byte steps. What is stored is then (k+m)/k × size plus at most 512 B
+// per chunk at every size; striping a small object at ChunkSize itself
+// would pad it to a whole k × ChunkSize stripe (48× an 8 KiB object at the
+// defaults). A size that is a multiple of k × ChunkSize keeps ChunkSize
+// exactly.
+func (g *Gateway) chunkFor(size int64) int {
+	k, largest := int64(g.cfg.K), int64(g.cfg.ChunkSize)
+	size = max(size, 1) // an empty object still gets a positive chunk
+	stripes := ceilDiv(size, k*largest)
+	return int(min(largest, 512*ceilDiv(ceilDiv(size, k*stripes), 512)))
 }
+
+// shardLen returns the per-shard stream length for a payload of size
+// bytes striped at chunk: whole stripes, the last one zero-padded.
+func (g *Gateway) shardLen(size int64, chunk int) int64 {
+	return ceilDiv(size, int64(g.cfg.K)*int64(chunk)) * int64(chunk)
+}
+
+func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
 // PutObject stripes data into k+m shards and fans them out to the placed
 // OSDs. At least k shards must land; fewer is ErrInsufficientShards and
@@ -315,19 +327,20 @@ func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (Objec
 	// Stripe through the zero-copy stream path into k+m shard buffers.
 	shards := make([]bytes.Buffer, width)
 	writers := make([]io.Writer, width)
-	shardCap := int(g.shardLen(int64(len(data))))
+	chunk := g.chunkFor(int64(len(data)))
+	shardCap := int(g.shardLen(int64(len(data)), chunk))
 	for i := range shards {
 		shards[i].Grow(shardCap)
 		writers[i] = &shards[i]
 	}
 	if len(data) > 0 {
-		if _, err := g.code.StreamEncode(bytes.NewReader(data), writers, g.cfg.ChunkSize); err != nil {
+		if _, err := g.code.StreamEncode(bytes.NewReader(data), writers, chunk); err != nil {
 			return ObjectInfo{}, fmt.Errorf("service: encode: %w", err)
 		}
 	}
 
 	// Fan out shard writes, each under its own deadline.
-	meta := &objectMeta{size: int64(len(data)), skey: skey, osds: osds, ok: make([]bool, width)}
+	meta := &objectMeta{size: int64(len(data)), chunk: chunk, skey: skey, osds: osds, ok: make([]bool, width)}
 	var wg sync.WaitGroup
 	for i := 0; i < width; i++ {
 		wg.Add(1)
@@ -445,7 +458,7 @@ func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, e
 	defer cancel()
 
 	width := g.cfg.K + g.cfg.M
-	want := g.shardLen(meta.size)
+	want := g.shardLen(meta.size, meta.chunk)
 	have := make([][]byte, width)
 
 	// Wave 1: the data shards that were written.
@@ -496,7 +509,7 @@ func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, e
 	}
 	var out bytes.Buffer
 	out.Grow(int(meta.size))
-	if err := g.code.StreamDecode(&out, readers, meta.size, g.cfg.ChunkSize); err != nil {
+	if err := g.code.StreamDecode(&out, readers, meta.size, meta.chunk); err != nil {
 		return nil, GetInfo{ShardErrors: shardErrs}, fmt.Errorf("service: decode: %w", err)
 	}
 

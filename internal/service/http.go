@@ -24,6 +24,49 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// bodyHead is readBody's first buffer: what a sender is granted before it
+// has sent anything.
+const bodyHead = 1 << 20
+
+// readBody reads a body whose sender declared its length (Content-Length;
+// negative when it did not, as with a chunked body) into a buffer of that
+// size, where io.ReadAll would start at 512 bytes and grow by a quarter at
+// a time, copying and clearing a large body several times over. The
+// declaration is a sizing hint, not trusted: a declared length over limit
+// is refused as an *http.MaxBytesError before anything is allocated or
+// read, a body that ends short of it is io.ErrUnexpectedEOF, and the
+// buffer starts at bodyHead and is regrown to at most eight times the
+// bytes that have arrived (a body up to 8 MiB costs one copy, of its first
+// 1 MiB), so a peer that declares much and sends little pins little, and
+// no declaration can ask for more memory than the bytes behind it earn.
+// limit bounds only the declaration; the bytes actually read are bounded
+// by r (the handlers pass an http.MaxBytesReader), which is all an
+// undeclared body has.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
+		return nil, &http.MaxBytesError{Limit: limit}
+	}
+	if declared < 0 {
+		return io.ReadAll(r)
+	}
+	buf, n := make([]byte, min(declared, bodyHead)), 0
+	for {
+		m, err := io.ReadFull(r, buf[n:])
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if n += m; int64(n) == declared {
+			return buf, nil
+		}
+		head := buf
+		buf = make([]byte, min(declared, 8*int64(n)))
+		copy(buf, head)
+	}
+}
+
 // httpStatus maps gateway errors onto status codes and Retry-After hints.
 // Admission rejections carry the policy's live hint (queue depth or
 // token refill time) on the OverloadError; a bare ErrOverloaded keeps
@@ -156,7 +199,8 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, op string)
 	)
 	switch op {
 	case "put":
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxObjectBytes+1))
+		limit := g.cfg.MaxObjectBytes
+		body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
 		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {

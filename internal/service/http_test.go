@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -127,6 +128,55 @@ func TestServiceE2E(t *testing.T) {
 	}
 }
 
+// countingReader counts the body bytes a handler consumed. Not being one
+// of the reader types httptest.NewRequest recognises, it also leaves the
+// request without a Content-Length, like a chunked upload.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// putBody sends body to a PUT route of h with the given Content-Length
+// (-1: none, a chunked upload) and returns the status and how many body
+// bytes the handler consumed.
+func putBody(h http.Handler, path string, body []byte, declared int64) (code int, consumed int64) {
+	cr := &countingReader{r: bytes.NewReader(body)}
+	req := httptest.NewRequest(http.MethodPut, path, cr)
+	req.ContentLength = declared
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec.Code, cr.n
+}
+
+// checkBodyLimits drives a PUT route with body limit limit through the ways
+// a body can disagree with the limit or with its own Content-Length. Both
+// daemons read bodies through readBody and must answer alike: a declared
+// length over the limit is a 413 before a byte of it is read, a sender
+// that hangs up short of its declared length is a 400, and a chunked body
+// is accepted up to the limit and a 413 past it. Of the keys it uses only
+// "fits" may be stored afterwards.
+func checkBodyLimits(t *testing.T, h http.Handler, pathOf func(key string) string, limit int) {
+	t.Helper()
+	if code, consumed := putBody(h, pathOf("declared-over"), make([]byte, limit+1), int64(limit+1)); code != http.StatusRequestEntityTooLarge || consumed != 0 {
+		t.Fatalf("declared length over the limit: status %d after consuming %d body bytes, want 413 after 0", code, consumed)
+	}
+	if code, _ := putBody(h, pathOf("hung-up"), []byte("half a sh"), 100); code != http.StatusBadRequest {
+		t.Fatalf("body shorter than declared: status %d, want 400", code)
+	}
+	if code, _ := putBody(h, pathOf("fits"), make([]byte, limit), -1); code != http.StatusOK {
+		t.Fatalf("chunked body at the limit: status %d, want 200", code)
+	}
+	if code, _ := putBody(h, pathOf("chunked-over"), make([]byte, limit+1), -1); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("chunked body over the limit: status %d, want 413", code)
+	}
+}
+
 // TestHTTPErrorMapping drives each error path over real HTTP and checks
 // status codes and Retry-After headers.
 func TestHTTPErrorMapping(t *testing.T) {
@@ -154,6 +204,13 @@ func TestHTTPErrorMapping(t *testing.T) {
 	_, err := gc.PutObject(ctx, "big", payload(1<<20+1, 2))
 	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized put: got %v, want 413", err)
+	}
+	checkBodyLimits(t, gw.Handler(), func(key string) string { return "/v1/objects/limits/" + key }, 1<<20)
+	if _, _, err := gc.GetObject(ctx, "limits/fits"); err != nil {
+		t.Fatalf("chunked put at the limit was not stored: %v", err)
+	}
+	if st := gw.Status(); st.Objects != 1 {
+		t.Fatalf("%d objects after the refused bodies, want only limits/fits", st.Objects)
 	}
 
 	// 503 + Retry-After: 2 when fewer than k shards are reachable: fail
@@ -286,7 +343,8 @@ func TestOSDServerRoundTrip(t *testing.T) {
 // TestOSDServerPutBodyErrors: only a shard body over the limit is a 413; a
 // sender that goes away mid-body (a gateway cancelling a hedged or
 // timed-out send) is a 400, so ecstored_ops_total{code="413"} counts
-// oversized shards and nothing else. Neither stores anything.
+// oversized shards and nothing else. Neither stores anything. The same
+// holds whether or not the body declared its length (checkBodyLimits).
 func TestOSDServerPutBodyErrors(t *testing.T) {
 	ms := NewMemStore(0)
 	osd := NewOSDServer(0, ms, nil)
@@ -307,13 +365,14 @@ func TestOSDServerPutBodyErrors(t *testing.T) {
 	if code := put(bytes.NewReader(make([]byte, 1<<10))); code != http.StatusOK {
 		t.Fatalf("shard at the limit: status %d, want 200", code)
 	}
-	for code, want := range map[string]int64{"413": 1, "400": 1, "200": 1} {
+	checkBodyLimits(t, h, func(key string) string { return "/v1/shards/" + key + "/0" }, 1<<10)
+	for code, want := range map[string]int64{"413": 3, "400": 2, "200": 2} {
 		if n := osd.Metrics().Counter(`ecstored_ops_total{op="put",code="` + code + `"}`).Value(); n != want {
 			t.Fatalf("ecstored_ops_total{op=put,code=%s} = %d, want %d", code, n, want)
 		}
 	}
-	if keys := ms.Keys(); len(keys) != 1 {
-		t.Fatalf("stored shards %v, want only the one at the limit", keys)
+	if keys := ms.Keys(); !reflect.DeepEqual(keys, []string{"fits#0", "k#0"}) {
+		t.Fatalf("stored shards %v, want only the two at the limit", keys)
 	}
 }
 

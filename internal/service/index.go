@@ -6,15 +6,17 @@ import (
 )
 
 // objectMeta is the gateway's object index entry: logical size, the
-// CRUSH-placed OSD per shard, and which shards actually landed. skey is
+// stripe unit it was encoded at (Gateway.chunkFor), the CRUSH-placed OSD
+// per shard, and which shards actually landed. skey is
 // the generation-stamped backend key ("key@gen"): each PUT writes a fresh
 // generation, so a failed overwrite is rolled back without touching the
 // previous object's shards. Entries are immutable once indexed.
 type objectMeta struct {
-	size int64
-	skey string
-	osds []int
-	ok   []bool // shard i written successfully at PUT time
+	size  int64
+	chunk int
+	skey  string
+	osds  []int
+	ok    []bool // shard i written successfully at PUT time
 }
 
 // metaIndex is the gateway's object index: key → objectMeta in memory,
@@ -35,12 +37,12 @@ type metaIndex struct {
 // openMetaIndex returns an empty in-memory index when dir is "", else the
 // index replayed from the WAL in dir plus the highest generation stamp it
 // holds (see openMetaWAL).
-func openMetaIndex(dir string, compactThreshold int, logger *slog.Logger, m *gatewaySeries) (*metaIndex, uint64, error) {
+func openMetaIndex(dir string, compactThreshold, defaultChunk int, logger *slog.Logger, m *gatewaySeries) (*metaIndex, uint64, error) {
 	x := &metaIndex{objects: map[string]*objectMeta{}, logger: logger, m: m}
 	if dir == "" {
 		return x, 0, nil
 	}
-	wal, objects, maxGen, err := openMetaWAL(dir, compactThreshold)
+	wal, objects, maxGen, err := openMetaWAL(dir, compactThreshold, defaultChunk)
 	if err != nil {
 		return nil, 0, err
 	}

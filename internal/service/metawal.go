@@ -46,14 +46,18 @@ const (
 )
 
 // walRecord is one JSONL line: op "put" carries the full object meta,
-// op "del" only the key.
+// op "del" only the key. Chunk is written only when the object's stripe
+// unit differs from the gateway's ChunkSize; a record without it — every
+// record written before stripe geometry became per object — reads as
+// ChunkSize.
 type walRecord struct {
-	Op   string `json:"op"`
-	Key  string `json:"key"`
-	Size int64  `json:"size,omitempty"`
-	SKey string `json:"skey,omitempty"`
-	OSDs []int  `json:"osds,omitempty"`
-	OK   []bool `json:"ok,omitempty"`
+	Op    string `json:"op"`
+	Key   string `json:"key"`
+	Size  int64  `json:"size,omitempty"`
+	Chunk int    `json:"chunk,omitempty"`
+	SKey  string `json:"skey,omitempty"`
+	OSDs  []int  `json:"osds,omitempty"`
+	OK    []bool `json:"ok,omitempty"`
 }
 
 // metaWAL is the gateway's durable metadata log. Callers (the gateway)
@@ -65,13 +69,15 @@ type metaWAL struct {
 	f       *os.File
 	records int // appends since the last compaction
 	compact int // compaction threshold (records)
+	chunk   int // the stripe unit a record without a chunk field means
 }
 
 // openMetaWAL loads the snapshot and replays the WAL from dir (created if
 // missing), returning the recovered object index and the highest backend
 // generation stamp seen (the gateway resumes its generation counter above
-// it so new PUTs can never collide with replayed shard keys).
-func openMetaWAL(dir string, compactThreshold int) (*metaWAL, map[string]*objectMeta, uint64, error) {
+// it so new PUTs can never collide with replayed shard keys). defaultChunk
+// is the gateway's ChunkSize.
+func openMetaWAL(dir string, compactThreshold, defaultChunk int) (*metaWAL, map[string]*objectMeta, uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("service: meta dir: %w", err)
 	}
@@ -79,7 +85,7 @@ func openMetaWAL(dir string, compactThreshold int) (*metaWAL, map[string]*object
 		compactThreshold = 1024
 	}
 	objects := map[string]*objectMeta{}
-	if err := replayFile(filepath.Join(dir, snapFileName), objects); err != nil {
+	if err := replayFile(filepath.Join(dir, snapFileName), objects, defaultChunk); err != nil {
 		return nil, nil, 0, err
 	}
 	// A leftover rotated log means a compaction was interrupted before its
@@ -89,15 +95,15 @@ func openMetaWAL(dir string, compactThreshold int) (*metaWAL, map[string]*object
 	hadOld := false
 	if _, err := os.Stat(oldPath); err == nil {
 		hadOld = true
-		if err := replayFile(oldPath, objects); err != nil {
+		if err := replayFile(oldPath, objects, defaultChunk); err != nil {
 			return nil, nil, 0, err
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, nil, 0, fmt.Errorf("service: stat %s: %w", walOldFileName, err)
 	}
-	w := &metaWAL{dir: dir, compact: compactThreshold}
+	w := &metaWAL{dir: dir, compact: compactThreshold, chunk: defaultChunk}
 	walPath := filepath.Join(dir, walFileName)
-	n, good, err := replayWAL(walPath, objects)
+	n, good, err := replayWAL(walPath, objects, defaultChunk)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -154,8 +160,8 @@ func genOf(skey string) uint64 {
 // replayFile applies every record of a JSONL file to the index; a missing
 // file is an empty log. A torn final line (crash mid-append) is ignored;
 // corruption anywhere else is an error.
-func replayFile(path string, objects map[string]*objectMeta) error {
-	_, _, err := replayWAL(path, objects)
+func replayFile(path string, objects map[string]*objectMeta, defaultChunk int) error {
+	_, _, err := replayWAL(path, objects, defaultChunk)
 	return err
 }
 
@@ -165,8 +171,9 @@ func replayFile(path string, objects map[string]*objectMeta) error {
 // or a final line missing its newline (the append was cut short before it
 // could be acknowledged) — is a torn tail: tolerated here and truncated by
 // openMetaWAL before the log is appended to again. A bad line with more
-// records after it is real corruption and refuses to load.
-func replayWAL(path string, objects map[string]*objectMeta) (int, int64, error) {
+// records after it is real corruption and refuses to load. A put record
+// without a chunk field is read at defaultChunk.
+func replayWAL(path string, objects map[string]*objectMeta, defaultChunk int) (int, int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, 0, nil
@@ -205,7 +212,10 @@ func replayWAL(path string, objects map[string]*objectMeta) (int, int64, error) 
 			default:
 				switch rec.Op {
 				case "put":
-					objects[rec.Key] = &objectMeta{size: rec.Size, skey: rec.SKey, osds: rec.OSDs, ok: rec.OK}
+					if rec.Chunk == 0 {
+						rec.Chunk = defaultChunk
+					}
+					objects[rec.Key] = &objectMeta{size: rec.Size, chunk: rec.Chunk, skey: rec.SKey, osds: rec.OSDs, ok: rec.OK}
 				case "del":
 					delete(objects, rec.Key)
 				default:
@@ -248,8 +258,18 @@ func (w *metaWAL) append(rec walRecord) error {
 	return nil
 }
 
+// putRecord is the one encoding of an index entry, for the log and the
+// snapshot alike.
+func (w *metaWAL) putRecord(key string, m *objectMeta) walRecord {
+	rec := walRecord{Op: "put", Key: key, Size: m.size, SKey: m.skey, OSDs: m.osds, OK: m.ok}
+	if m.chunk != w.chunk {
+		rec.Chunk = m.chunk
+	}
+	return rec
+}
+
 func (w *metaWAL) appendPut(key string, m *objectMeta) error {
-	return w.append(walRecord{Op: "put", Key: key, Size: m.size, SKey: m.skey, OSDs: m.osds, OK: m.ok})
+	return w.append(w.putRecord(key, m))
 }
 
 func (w *metaWAL) appendDelete(key string) error {
@@ -302,7 +322,7 @@ func (w *metaWAL) writeSnapshot(objects map[string]*objectMeta) error {
 	bw := bufio.NewWriter(f)
 	enc := json.NewEncoder(bw)
 	for key, m := range objects {
-		if err := enc.Encode(walRecord{Op: "put", Key: key, Size: m.size, SKey: m.skey, OSDs: m.osds, OK: m.ok}); err != nil {
+		if err := enc.Encode(w.putRecord(key, m)); err != nil {
 			f.Close()
 			return fmt.Errorf("service: snapshot encode: %w", err)
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"ecarray/internal/crush"
+	"ecarray/internal/rs"
 )
 
 // buildGateway wires a gateway over the given 6 stores with a uniform
@@ -689,7 +691,7 @@ func TestWALTornTail(t *testing.T) {
 	if err := os.WriteFile(walPath, []byte(rec("a")+rec("b")+`{"op":"put","key":"torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, objects, maxGen, err := openMetaWAL(dir, 0)
+	w, objects, maxGen, err := openMetaWAL(dir, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("torn tail must replay: %v", err)
 	}
@@ -706,7 +708,7 @@ func TestWALTornTail(t *testing.T) {
 		[]byte(rec("a")+"{corrupt}\n"+rec("b")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := openMetaWAL(dir2, 0); err == nil {
+	if _, _, _, err := openMetaWAL(dir2, 0, 64<<10); err == nil {
 		t.Fatal("mid-file corruption must be an error, not silently skipped")
 	}
 }
@@ -1072,7 +1074,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err := os.WriteFile(walPath, []byte(rec("a", 7)+`{"op":"put","key":"torn`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, objects, _, err := openMetaWAL(dir, 0)
+	w, objects, _, err := openMetaWAL(dir, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("torn tail must replay: %v", err)
 	}
@@ -1086,7 +1088,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2, objects2, maxGen, err := openMetaWAL(dir, 0)
+	w2, objects2, maxGen, err := openMetaWAL(dir, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("second restart must replay cleanly: %v", err)
 	}
@@ -1111,7 +1113,7 @@ func TestWALUnterminatedTailDropped(t *testing.T) {
 		append(append(full, '\n'), unterminated...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, objects, _, err := openMetaWAL(dir, 0)
+	w, objects, _, err := openMetaWAL(dir, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("unterminated tail must replay: %v", err)
 	}
@@ -1122,7 +1124,7 @@ func TestWALUnterminatedTailDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	w2, objects2, _, err := openMetaWAL(dir, 0)
+	w2, objects2, _, err := openMetaWAL(dir, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("restart after append: %v", err)
 	}
@@ -1150,7 +1152,7 @@ func TestWALInterruptedCompaction(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, walFileName), rec("fresh", "fresh@3"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, objects, maxGen, err := openMetaWAL(dir, 0)
+	w, objects, maxGen, err := openMetaWAL(dir, 0, 64<<10)
 	if err != nil {
 		t.Fatalf("open with leftover rotation: %v", err)
 	}
@@ -1169,7 +1171,7 @@ func TestWALInterruptedCompaction(t *testing.T) {
 		t.Fatalf("rotated log not cleaned up: %v", err)
 	}
 	snapped := map[string]*objectMeta{}
-	if err := replayFile(filepath.Join(dir, snapFileName), snapped); err != nil {
+	if err := replayFile(filepath.Join(dir, snapFileName), snapped, 64<<10); err != nil {
 		t.Fatal(err)
 	}
 	if snapped["rotated"] == nil {
@@ -1434,10 +1436,11 @@ func TestOSDHealthViewFromBreaker(t *testing.T) {
 }
 
 // TestWALParentFormat: a MetaDir written by the gateway as it was before
-// the index moved behind metaIndex (snapshot + log, an overwrite and a
-// delete; bytes captured from that commit) is served unchanged — same
-// objects, same generation keys, and the generation counter resumes
-// above them.
+// the index moved behind metaIndex and before stripe geometry became per
+// object (snapshot + log, an overwrite and a delete; bytes captured from
+// that commit) is served unchanged — same objects, same generation keys,
+// every chunk-less record read at cfg.ChunkSize, and the generation
+// counter resumes above them.
 func TestWALParentFormat(t *testing.T) {
 	dir := t.TempDir()
 	files := map[string]string{
@@ -1453,25 +1456,51 @@ func TestWALParentFormat(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Replay the op sequence that produced those files on an index-less
-	// gateway, so the stores hold the shards the records point at.
+	// The stores hold what that gateway left behind for the two live
+	// records: shards striped at the full ChunkSize, so a 1 KB object is
+	// one 64 KiB chunk per shard. Seeded with the codec directly — today's
+	// PutObject would write today's geometry, not the parent's.
 	ctx := context.Background()
 	stores := memStores(6)
-	seedGW := buildGateway(t, stores, nil)
+	cfg := DefaultGatewayConfig()
+	code, err := rs.New(cfg.K, cfg.M)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[string][]byte{}
-	for i, key := range []string{"xv/a", "xv/b", "xv/a", "xv/c"} {
-		want[key] = payload(1000+i, int64(i))
-		if _, err := seedGW.PutObject(ctx, key, want[key]); err != nil {
+	for _, o := range []struct {
+		key, skey string
+		size      int
+		osds      []int
+	}{
+		{"xv/a", "xv/a@3", 1002, []int{2, 5, 3, 1, 4, 0}},
+		{"xv/c", "xv/c@4", 1003, []int{3, 0, 5, 4, 2, 1}},
+	} {
+		want[o.key] = payload(o.size, int64(o.size))
+		shards := make([]bytes.Buffer, len(o.osds))
+		writers := make([]io.Writer, len(o.osds))
+		for i := range shards {
+			writers[i] = &shards[i]
+		}
+		if _, err := code.StreamEncode(bytes.NewReader(want[o.key]), writers, cfg.ChunkSize); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := seedGW.DeleteObject(ctx, "xv/b"); err != nil {
-		t.Fatal(err)
+		for i, osd := range o.osds {
+			if shards[i].Len() != cfg.ChunkSize {
+				t.Fatalf("parent-shaped shard is %d bytes, want one full %d-byte chunk", shards[i].Len(), cfg.ChunkSize)
+			}
+			if err := stores[osd].Put(ctx, o.skey, i, shards[i].Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	gw := buildGateway(t, stores, func(cfg *GatewayConfig) { cfg.MetaDir = dir })
 	t.Cleanup(func() { gw.Close() })
 	for _, key := range []string{"xv/a", "xv/c"} {
+		if m, _ := gw.lookup(key); m.chunk != cfg.ChunkSize {
+			t.Fatalf("%s: chunk-less record read at chunk %d, want cfg.ChunkSize %d", key, m.chunk, cfg.ChunkSize)
+		}
 		got, info, err := gw.GetObject(ctx, key)
 		if err != nil || info.Degraded || !bytes.Equal(got, want[key]) {
 			t.Fatalf("get %s from the parent's MetaDir: err=%v info=%+v", key, err, info)
@@ -1488,5 +1517,75 @@ func TestWALParentFormat(t *testing.T) {
 	}
 	if m, _ := gw.lookup("xv/d"); m.skey != "xv/d@5" {
 		t.Fatalf("generation resumed at %q, want xv/d@5", m.skey)
+	}
+}
+
+// TestWALChunkField is TestWALParentFormat's twin for the format written
+// today: objects of every geometry survive a compaction and a restart byte
+// for byte, a snapshot or log line carries "chunk" exactly when the
+// object's stripe unit is not cfg.ChunkSize, and a line that does not
+// carry it is the parent's line.
+func TestWALChunkField(t *testing.T) {
+	dir := t.TempDir()
+	stores := memStores(6)
+	mk := func() *Gateway {
+		return buildGateway(t, stores, func(cfg *GatewayConfig) {
+			cfg.MetaDir = dir
+			cfg.MetaCompactThreshold = 4
+		})
+	}
+	ctx := context.Background()
+	gw := mk()
+	// Four PUTs reach the threshold, so these are snapshot lines; the
+	// fifth lands in the fresh log. chunk 0: striped at cfg.ChunkSize, so
+	// the line must not carry the field.
+	chunkOf := map[string]int{}
+	want := map[string][]byte{}
+	for i, o := range []struct {
+		key         string
+		size, chunk int
+	}{{"g/1", 1, 512}, {"g/8k", 8 << 10, 2048}, {"g/300k", 300 << 10, 38400}, {"g/1m", 1 << 20, 0}, {"g/513", 513, 512}} {
+		chunkOf[o.key] = o.chunk
+		want[o.key] = payload(o.size, int64(70+i))
+		if _, err := gw.PutObject(ctx, o.key, want[o.key]); err != nil {
+			t.Fatalf("put %s: %v", o.key, err)
+		}
+	}
+	if n := gw.Metrics().Counter("ecgate_wal_compactions_total").Value(); n != 1 {
+		t.Fatalf("wal_compactions_total = %d, want 1", n)
+	}
+	lines := 0
+	for _, name := range []string{snapFileName, walFileName} {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%s: %v in %q", name, err, line)
+			}
+			lines++
+			key := rec["key"].(string)
+			chunk, has := rec["chunk"]
+			switch wantChunk := chunkOf[key]; {
+			case wantChunk == 0 && has:
+				t.Fatalf("%s: %s is striped at cfg.ChunkSize, yet its line carries chunk=%v", name, key, chunk)
+			case wantChunk != 0 && (!has || int(chunk.(float64)) != wantChunk):
+				t.Fatalf("%s: %s line has chunk=%v (present=%v), want %d", name, key, chunk, has, wantChunk)
+			}
+		}
+	}
+	if lines != len(want) {
+		t.Fatalf("snapshot + log hold %d lines, want %d", lines, len(want))
+	}
+	// gw is abandoned, as a killed gateway would be.
+	gw2 := mk()
+	t.Cleanup(func() { gw2.Close() })
+	for key, data := range want {
+		got, info, err := gw2.GetObject(ctx, key)
+		if err != nil || info.Degraded || !bytes.Equal(got, data) {
+			t.Fatalf("restarted get %s: err=%v info=%+v match=%v", key, err, info, bytes.Equal(got, data))
+		}
 	}
 }

@@ -104,7 +104,7 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 		status = http.StatusBadRequest
 		writeJSON(w, status, errorBody{Error: "bad shard path: want /v1/shards/{key}/{idx}"})
 	case op == "put":
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxShard))
+		body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxShard), r.ContentLength, s.maxShard)
 		if err != nil {
 			// Only an oversized body is 413; a sender that went away
 			// mid-body (a cancelled hedge or timed-out send) is a 400.
