@@ -165,10 +165,14 @@ func TestShardGetCancelledMidBody(t *testing.T) {
 // TestPutGetBytesAllocated gates the data path's allocation the way
 // TestStreamEncodeSteadyStateAllocs gates the codec's: through a gateway
 // handler and six ecstored handlers over loopback HTTP, a PUT and a GET of
-// a 4 MiB object allocate at most 14× the object between client, gateway
-// and daemons together (every hop holds the body once or twice; growing
-// each of those buffers by copying, as io.ReadAll does, made it 28×), and
-// an 8 KiB PUT sends the daemons (k+m)/k × 8 KiB, not a padded stripe.
+// a 4 MiB object allocate at most 7× the object between client, gateway and
+// daemons together. The floor while shards cross ShardStore as whole
+// slices is 5×: the daemons' stored shards 1.5, the gateway's PUT shard
+// buffers 1.5 and GET shard buffers 1, the client's own read 1; the
+// regrown head of the PUT buffers and per-request odds and ends make it
+// 5.7×. (Growing every hop's buffer by copying, as io.ReadAll does, made
+// it 28×; a buffer per hop and a copy between them, 10×.) And an 8 KiB PUT
+// sends the daemons (k+m)/k × 8 KiB, not a padded stripe.
 func TestPutGetBytesAllocated(t *testing.T) {
 	stores := make([]ShardStore, 6)
 	osds := make([]*OSDServer, 6)
@@ -216,8 +220,8 @@ func TestPutGetBytesAllocated(t *testing.T) {
 	}) / pairs
 	times := float64(perPair) / float64(len(large))
 	t.Logf("a 4 MiB PUT+GET allocates %.1f× the object", times)
-	if times > 14 {
-		t.Fatalf("a 4 MiB PUT+GET allocates %d bytes (%.1f× the object), want at most 14×", perPair, times)
+	if times > 7 {
+		t.Fatalf("a 4 MiB PUT+GET allocates %d bytes (%.1f× the object), want at most 7×", perPair, times)
 	}
 
 	before := bytesIn()

@@ -8,7 +8,7 @@
 //	Module    Binary        Role
 //	------    ------        ----
 //	Gateway   cmd/ecgate    Access layer: object PUT/GET/DELETE over HTTP,
-//	                        striping through rs.StreamEncode/StreamDecode,
+//	                        RS(k,m) striping in rs.StreamEncode's layout,
 //	                        CRUSH shard placement, degraded-read fallback,
 //	                        admission control, request logs, /metrics.
 //	OSD       cmd/ecstored  BlobNode layer: one shard-store daemon per OSD,
@@ -34,9 +34,16 @@
 //
 // # Data path
 //
-// PUT bodies are read into one buffer sized by their Content-Length
-// (readBody) and striped with the zero-copy rs.StreamEncode path into k+m
-// shard streams. ChunkSize (-chunk) is the largest stripe unit; objects
+// Each process writes each payload byte once. A PUT is admitted and placed
+// before a byte of its body is read (a refused upload costs nothing, and
+// an admitted one reads its body under the request deadline); then
+// PutObjectFrom reads every stripe's k chunks from the request body
+// straight to their final offsets in k+m whole-shard buffers and encodes
+// that stripe's parity in place beside them — byte for byte the shards
+// rs.StreamEncode writes, with no stripe buffer and no per-shard sink in
+// between. The buffers are granted the way readBody grants a declared
+// length: bodyHead between the data shards first, then at most eight times
+// what has arrived. ChunkSize (-chunk) is the largest stripe unit; objects
 // smaller than a stripe use a smaller one, recorded per object
 // (Gateway.chunkFor, objectMeta.chunk, the WAL record's optional "chunk"),
 // so what is stored is (k+m)/k × the object plus at most 512 bytes per
@@ -45,9 +52,20 @@
 // ErrInsufficientShards (HTTP 503) and the partial shards are deleted.
 // GET fetches the k data shards first; any shard that is down, slow past
 // its deadline, or corrupt-length is replaced by parity fetches and the
-// payload is rebuilt through rs.StreamDecode — a degraded read, counted on
-// /metrics and proven byte-identical to the healthy read by tests. DELETE
-// fans out shard deletes and forgets the object; a subsequent GET is 404.
+// missing data shards are rebuilt whole (rs.ReconstructData) — a degraded
+// read, counted on /metrics and proven byte-identical to the healthy read
+// by tests. GetObjectTo then gives its admission slot back, sends the
+// headers and writes the payload chunk by chunk from the shard buffers to
+// the client; there is no whole-object buffer on either path. DELETE fans
+// out shard deletes and forgets the object; a subsequent GET is 404.
+//
+// Shard buffers cross ShardStore by reference (the ownership rule is on
+// the interface): ecstored stores the buffer it read a PUT body into and
+// serves a GET from the buffer it holds, and an in-process MemStore keeps
+// the gateway's shard buffers themselves. What remains is that a shard
+// crosses the seam as one []byte, so both daemons hold whole shards;
+// streaming them (ROADMAP item 1) waits for the benchmark harness, whose
+// tracedStore and stage replay speak that []byte interface.
 //
 // # Production concerns
 //

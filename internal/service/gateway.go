@@ -33,9 +33,9 @@ var (
 type GatewayConfig struct {
 	// K and M are the RS(k,m) geometry; K+M shards are placed per object.
 	K, M int
-	// ChunkSize is the largest stripe unit (per-shard chunk) in bytes for
-	// the StreamEncode/StreamDecode path; objects smaller than a stripe
-	// use a smaller one, recorded per object (see chunkFor).
+	// ChunkSize is the largest stripe unit (per-shard chunk) in bytes;
+	// objects smaller than a stripe use a smaller one, recorded per
+	// object (see chunkFor).
 	ChunkSize int
 	// ShardTimeout bounds each shard-store op; a shard slower than this is
 	// abandoned and the read falls back to parity reconstruction.
@@ -295,11 +295,20 @@ func (g *Gateway) shardLen(size int64, chunk int) int64 {
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-// PutObject stripes data into k+m shards and fans them out to the placed
-// OSDs. At least k shards must land; fewer is ErrInsufficientShards and
-// any partial shards are deleted. Fewer than k+m (but ≥ k) is a degraded
-// write, counted and recorded in the object's shard mask.
+// PutObject stores data under key: PutObjectFrom over a byte slice.
 func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (ObjectInfo, error) {
+	return g.PutObjectFrom(ctx, key, bytes.NewReader(data), int64(len(data)))
+}
+
+// PutObjectFrom reads a size-byte object from body, stripes it into k+m
+// shards and fans them out to the placed OSDs. At least k shards must
+// land; fewer is ErrInsufficientShards and any partial shards are deleted.
+// Fewer than k+m (but ≥ k) is a degraded write, counted and recorded in
+// the object's shard mask. Nothing is read from body, and nothing sized by
+// it allocated, until the request is admitted, within the size limit and
+// placed; a body that ends short of size is ErrBadRequest and reaches no
+// store.
+func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader, size int64) (ObjectInfo, error) {
 	release, err := g.admit(ctx)
 	if err != nil {
 		return ObjectInfo{}, err
@@ -308,8 +317,11 @@ func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (Objec
 	if key == "" {
 		return ObjectInfo{}, fmt.Errorf("%w: empty key", ErrBadRequest)
 	}
-	if int64(len(data)) > g.cfg.MaxObjectBytes {
-		return ObjectInfo{}, fmt.Errorf("%w: %d bytes > limit %d", ErrTooLarge, len(data), g.cfg.MaxObjectBytes)
+	if size < 0 {
+		return ObjectInfo{}, fmt.Errorf("%w: negative size %d", ErrBadRequest, size)
+	}
+	if size > g.cfg.MaxObjectBytes {
+		return ObjectInfo{}, fmt.Errorf("%w: %d bytes > limit %d", ErrTooLarge, size, g.cfg.MaxObjectBytes)
 	}
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
@@ -319,28 +331,19 @@ func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (Objec
 	if err != nil {
 		return ObjectInfo{}, fmt.Errorf("service: placement: %w", err)
 	}
+	chunk := g.chunkFor(size)
+	shards, err := g.readShards(ctx, body, size, chunk)
+	if err != nil {
+		return ObjectInfo{}, err
+	}
 	// Generation-stamped backend key: a fresh name per PUT, so overwrites
 	// never mutate the live object's shards in place (the stamp cannot
 	// collide with a user key — it always ends in "@<number>").
 	skey := fmt.Sprintf("%s@%d", key, g.gen.Add(1))
 
-	// Stripe through the zero-copy stream path into k+m shard buffers.
-	shards := make([]bytes.Buffer, width)
-	writers := make([]io.Writer, width)
-	chunk := g.chunkFor(int64(len(data)))
-	shardCap := int(g.shardLen(int64(len(data)), chunk))
-	for i := range shards {
-		shards[i].Grow(shardCap)
-		writers[i] = &shards[i]
-	}
-	if len(data) > 0 {
-		if _, err := g.code.StreamEncode(bytes.NewReader(data), writers, chunk); err != nil {
-			return ObjectInfo{}, fmt.Errorf("service: encode: %w", err)
-		}
-	}
-
-	// Fan out shard writes, each under its own deadline.
-	meta := &objectMeta{size: int64(len(data)), chunk: chunk, skey: skey, osds: osds, ok: make([]bool, width)}
+	// Fan out shard writes, each under its own deadline. The stores may
+	// keep the buffers (ShardStore.Put): they are not touched again.
+	meta := &objectMeta{size: size, chunk: chunk, skey: skey, osds: osds, ok: make([]bool, width)}
 	var wg sync.WaitGroup
 	for i := 0; i < width; i++ {
 		wg.Add(1)
@@ -348,7 +351,7 @@ func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (Objec
 			defer wg.Done()
 			p := &g.osds[osds[i]]
 			_, err := p.do(ctx, "put", 0, func(c context.Context) ([]byte, error) {
-				return nil, p.store.Put(c, skey, i, shards[i].Bytes())
+				return nil, p.store.Put(c, skey, i, shards[i])
 			})
 			meta.ok[i] = err == nil
 		}(i)
@@ -382,8 +385,55 @@ func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (Objec
 		// Best-effort cleanup of the superseded generation's shards.
 		g.deleteShards(ctx, old, "put")
 	}
-	g.series.bytesIn.Add(int64(len(data)))
-	return ObjectInfo{Key: key, Size: meta.size, Shards: width, Written: written, OSDs: osds}, nil
+	g.series.bytesIn.Add(size)
+	return ObjectInfo{Key: key, Size: size, Shards: width, Written: written, OSDs: osds}, nil
+}
+
+// readShards reads a size-byte body into the k+m whole-shard buffers a PUT
+// fans out: each stripe's k chunks land at their final offset in the data
+// shards and the stripe's parity is encoded in place beside them, so no
+// payload byte is written twice. RS works byte position by byte position,
+// so the shards equal what rs.StreamEncode writes at the same chunk. The
+// buffers follow readBody's rule for a declared length: bodyHead between
+// the data shards up front, then at most eight times what has arrived
+// (one copy of the head for an object over bodyHead), so a sender that
+// declares much and sends little pins little. The zero padding after the
+// payload's last byte is the buffers' own zero fill.
+func (g *Gateway) readShards(ctx context.Context, body io.Reader, size int64, chunk int) ([][]byte, error) {
+	k, c := g.cfg.K, int64(chunk)
+	shardLen := g.shardLen(size, chunk)
+	have := min(shardLen, max(c, bodyHead/int64(k)/c*c)) // allocated per shard, in whole stripes
+	shards := make([][]byte, k+g.cfg.M)
+	for i := range shards {
+		shards[i] = make([]byte, have)
+	}
+	views := make([][]byte, len(shards))
+	for off, left := int64(0), size; off < shardLen; off += c {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
+		}
+		if off == have {
+			have = min(shardLen, 8*have)
+			for i, head := range shards {
+				shards[i] = make([]byte, have)
+				copy(shards[i], head)
+			}
+		}
+		for i := range views {
+			views[i] = shards[i][off : off+c]
+		}
+		for d := 0; d < k && left > 0; d++ {
+			n := min(c, left)
+			if _, err := io.ReadFull(body, views[d][:n]); err != nil {
+				return nil, bodyError(err, g.cfg.MaxObjectBytes)
+			}
+			left -= n
+		}
+		if err := g.code.Encode(views); err != nil {
+			return nil, fmt.Errorf("service: encode: %w", err)
+		}
+	}
+	return shards, nil
 }
 
 // deleteShards removes every landed shard of one object generation, best
@@ -436,23 +486,64 @@ func (g *Gateway) fetchWave(ctx context.Context, meta *objectMeta, idxs []int, w
 	return got
 }
 
-// GetObject reads an object back. The k data shards are fetched first;
-// any that are missing, down, slow past the shard deadline, or
-// wrong-length are replaced by parity shards and the payload is rebuilt
-// through StreamDecode — a degraded read. Fewer than k reachable shards
-// is ErrInsufficientShards.
+// GetObject reads an object back into memory: GetObjectTo over a buffer.
 func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, error) {
+	var out bytes.Buffer
+	info, _, err := g.GetObjectTo(ctx, key, &out, func(info GetInfo) { out.Grow(int(info.Size)) })
+	if err != nil {
+		return nil, info, err
+	}
+	return out.Bytes(), info, nil
+}
+
+// GetObjectTo reads an object back and writes it to w. The k data shards
+// are fetched first; any that are missing, down, slow past the shard
+// deadline, or wrong-length are replaced by parity shards and rebuilt —
+// a degraded read. Fewer than k reachable shards is ErrInsufficientShards.
+// Once the shards are in hand (and the admission slot given back) header,
+// if not nil, is told how the read was served; then the payload goes to w
+// chunk by chunk straight from the shard buffers. written is what w took:
+// short of info.Size only with w's error, in which case header has already
+// run and the caller must not start a second response.
+func (g *Gateway) GetObjectTo(ctx context.Context, key string, w io.Writer, header func(GetInfo)) (info GetInfo, written int64, err error) {
+	meta, shards, info, err := g.fetchObject(ctx, key)
+	if err != nil {
+		return info, 0, err
+	}
+	if header != nil {
+		header(info)
+	}
+	c := int64(meta.chunk)
+	for off := int64(0); written < meta.size; off += c {
+		for d := 0; d < g.cfg.K && written < meta.size; d++ {
+			n, err := w.Write(shards[d][off : off+min(c, meta.size-written)])
+			written += int64(n)
+			if err != nil {
+				return info, written, fmt.Errorf("service: writing object: %w", err)
+			}
+		}
+	}
+	g.series.bytesOut.Add(meta.size)
+	return info, written, nil
+}
+
+// fetchObject is the admitted half of a GET: look the object up, fetch k
+// of its shards in waves and rebuild any missing data shard, under the
+// request deadline. It returns the k data shards (and whatever parity was
+// fetched); the admission slot is released on return, before a byte goes
+// to the client.
+func (g *Gateway) fetchObject(ctx context.Context, key string) (*objectMeta, [][]byte, GetInfo, error) {
 	release, err := g.admit(ctx)
 	if err != nil {
-		return nil, GetInfo{}, err
+		return nil, nil, GetInfo{}, err
 	}
 	defer release()
 	meta, exists := g.lookup(key)
 	if !exists {
-		return nil, GetInfo{}, ErrNotFound
+		return nil, nil, GetInfo{}, ErrNotFound
 	}
 	if meta.size == 0 {
-		return []byte{}, GetInfo{}, nil
+		return meta, nil, GetInfo{}, nil
 	}
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
@@ -488,38 +579,32 @@ func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, e
 		tried += len(wave)
 		got += g.fetchWave(ctx, meta, wave, want, have)
 	}
-	shardErrs := tried - got
-	g.series.op["get"].errors.Add(int64(shardErrs))
+	info := GetInfo{ShardErrors: tried - got}
+	g.series.op["get"].errors.Add(int64(info.ShardErrors))
 	if got < g.cfg.K {
 		g.series.failedReads.Inc()
-		return nil, GetInfo{ShardErrors: shardErrs},
+		return nil, nil, info,
 			fmt.Errorf("%w: %d of %d shards fetched, need %d", ErrInsufficientShards, got, width, g.cfg.K)
 	}
 
-	// Rebuild the payload. Missing data shards (nil readers) are
-	// reconstructed from parity inside StreamDecode's per-stream plan.
-	reconstructed := 0
-	readers := make([]io.Reader, width)
-	for i, b := range have {
-		if b != nil {
-			readers[i] = bytes.NewReader(b)
-		} else if i < g.cfg.K {
-			reconstructed++
+	// Rebuild the missing data shards from parity, whole shards at once;
+	// the fetched ones (the stores' own buffers, ShardStore.Get) are only
+	// read.
+	for _, b := range have[:g.cfg.K] {
+		if b == nil {
+			info.Reconstructed++
 		}
 	}
-	var out bytes.Buffer
-	out.Grow(int(meta.size))
-	if err := g.code.StreamDecode(&out, readers, meta.size, meta.chunk); err != nil {
-		return nil, GetInfo{ShardErrors: shardErrs}, fmt.Errorf("service: decode: %w", err)
-	}
-
-	info := GetInfo{Size: meta.size, Degraded: reconstructed > 0, Reconstructed: reconstructed, ShardErrors: shardErrs}
-	if info.Degraded {
+	if info.Reconstructed > 0 {
+		if err := g.code.ReconstructData(have); err != nil {
+			return nil, nil, info, fmt.Errorf("service: decode: %w", err)
+		}
+		info.Degraded = true
 		g.series.degradedReads.Inc()
-		g.series.reconstructedShards.Add(int64(reconstructed))
+		g.series.reconstructedShards.Add(int64(info.Reconstructed))
 	}
-	g.series.bytesOut.Add(meta.size)
-	return out.Bytes(), info, nil
+	info.Size = meta.size
+	return meta, have, info, nil
 }
 
 // DeleteObject forgets the object, then removes its shards (best effort

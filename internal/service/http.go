@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -65,6 +66,18 @@ func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
 		buf = make([]byte, min(declared, 8*int64(n)))
 		copy(buf, head)
 	}
+}
+
+// bodyError turns a failed read of a PUT body into the error its client is
+// answered with: over the limit is ErrTooLarge (413); a body short of its
+// declared length, a client that left, or one that stalled past the read
+// deadline is ErrBadRequest (400).
+func bodyError(err error, limit int64) error {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return fmt.Errorf("%w: body over %d bytes", ErrTooLarge, limit)
+	}
+	return fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
 }
 
 // httpStatus maps gateway errors onto status codes and Retry-After hints.
@@ -199,19 +212,24 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, op string)
 	)
 	switch op {
 	case "put":
+		// An admitted upload holds its slot while the body arrives, so the
+		// body is read under the request's deadline too (net/http resets
+		// it for the connection's next request). A writer with no
+		// connection under it cannot set one and has no client to stall.
+		_ = http.NewResponseController(w).SetReadDeadline(start.Add(g.cfg.RequestTimeout))
 		limit := g.cfg.MaxObjectBytes
-		body, err := readBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength, limit)
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				opErr = fmt.Errorf("%w: body over %d bytes", ErrTooLarge, g.cfg.MaxObjectBytes)
-			} else {
-				opErr = fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
+		body, size := io.Reader(http.MaxBytesReader(w, r.Body, limit)), r.ContentLength
+		if size < 0 {
+			// No declared length to lay the shards out by: read it whole.
+			data, err := readBody(body, size, limit)
+			if err != nil {
+				opErr = bodyError(err, limit)
+				status = writeError(w, opErr)
+				break
 			}
-			status = writeError(w, opErr)
-			break
+			body, size = bytes.NewReader(data), int64(len(data))
 		}
-		oi, err := g.PutObject(r.Context(), key, body)
+		oi, err := g.PutObjectFrom(r.Context(), key, body, size)
 		if err != nil {
 			opErr = err
 			status = writeError(w, err)
@@ -220,21 +238,22 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, op string)
 		bytesN, written, status = oi.Size, oi.Written, http.StatusOK
 		writeJSON(w, http.StatusOK, oi)
 	case "get":
-		var data []byte
-		data, info, opErr = g.GetObject(r.Context(), key)
-		if opErr != nil {
+		info, bytesN, opErr = g.GetObjectTo(r.Context(), key, w, func(info GetInfo) {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set("Content-Length", strconv.FormatInt(info.Size, 10))
+			if info.Degraded {
+				w.Header().Set("X-EC-Degraded", "true")
+				w.Header().Set("X-EC-Reconstructed", strconv.Itoa(info.Reconstructed))
+			}
+			status = http.StatusOK
+			w.WriteHeader(http.StatusOK)
+		})
+		// An error after the 200 went out is the client leaving mid-body:
+		// the response stays short of its Content-Length, so net/http
+		// closes the connection and the client sees an unexpected EOF.
+		if opErr != nil && status == 0 {
 			status = writeError(w, opErr)
-			break
 		}
-		bytesN, status = int64(len(data)), http.StatusOK
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		if info.Degraded {
-			w.Header().Set("X-EC-Degraded", "true")
-			w.Header().Set("X-EC-Reconstructed", strconv.Itoa(info.Reconstructed))
-		}
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
 	case "delete":
 		if opErr = g.DeleteObject(r.Context(), key); opErr != nil {
 			status = writeError(w, opErr)
@@ -245,8 +264,13 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, op string)
 	}
 
 	dur := time.Since(start)
-	g.reg.Counter(fmt.Sprintf("ecgate_requests_total{op=%q,code=\"%d\"}", op, status)).Inc()
-	g.series.op[op].request.Observe(dur)
+	series := g.series.op[op]
+	if status == okCode[op] {
+		series.ok.Inc()
+	} else {
+		g.reg.Counter(requestsSeries("ecgate_requests_total", op, status)).Inc()
+	}
+	series.request.Observe(dur)
 	if _, ts := g.tenant(tenant); ts != nil {
 		ts.requests[op].Inc()
 		ts.seconds.Observe(dur)

@@ -12,7 +12,6 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
@@ -249,51 +248,23 @@ func TestHTTPErrorMapping(t *testing.T) {
 // TestHTTPOverload checks the 429 + Retry-After mapping end to end using
 // a gateway whose single admission slot is held by a parked request.
 func TestHTTPOverload(t *testing.T) {
-	stores := make([]ShardStore, 6)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var enterOnce sync.Once
-	enter := func() { enterOnce.Do(func() { close(entered) }) }
-	for i := range stores {
-		stores[i] = &blockStore{MemStore: NewMemStore(i), enter: enter, release: release}
-	}
-	placer, err := NewPlacer(crush.Uniform(3, 2), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultGatewayConfig()
-	cfg.MaxInflight = 1
-	gw, err := NewGateway(cfg, stores, placer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw, unpark := parkedGateway(t)
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
 	gc := NewGateClient(srv.URL)
 	// Observe the raw server mapping: client-side 429 retries would each
 	// be rejected too, raising the pressure-derived Retry-After hint.
 	gc.SetRetries(0)
-	ctx := context.Background()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := gc.PutObject(ctx, "slow", payload(4096, 1))
-		done <- err
-	}()
-	<-entered
 
 	var se *StatusError
-	_, err = gc.PutObject(ctx, "rejected", payload(4096, 2))
+	_, err := gc.PutObject(context.Background(), "rejected", payload(4096, 2))
 	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded put: got %v, want 429", err)
 	}
 	if se.RetryAfter != "1" {
 		t.Fatalf("429 Retry-After = %q, want \"1\" on an idle-edge rejection", se.RetryAfter)
 	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("parked put: %v", err)
-	}
+	unpark()
 }
 
 // TestOSDServerRoundTrip exercises the ecstored HTTP surface through

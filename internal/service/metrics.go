@@ -206,8 +206,19 @@ func suffixed(base, labels, suffix string) string {
 // series.
 var shardOps = []string{"put", "get", "delete"}
 
+// okCode is the status each op answers with when it succeeds, at the
+// gateway and the daemon alike.
+var okCode = map[string]int{"put": 200, "get": 200, "delete": 204}
+
+// requestsSeries names one {op,code} series of a requests-by-outcome
+// counter family (ecgate_requests_total, ecstored_ops_total).
+func requestsSeries(family, op string, code int) string {
+	return fmt.Sprintf("%s{op=%q,code=\"%d\"}", family, op, code)
+}
+
 // opSeries is one op's share of the per-op series.
 type opSeries struct {
+	ok      *Counter   // ecgate_requests_total{op,code=okCode[op]}
 	request *Histogram // ecgate_request_seconds{op}
 	shard   *Histogram // ecgate_shard_seconds{op}: one sample per scored attempt
 	retries *Counter   // ecgate_shard_retries_total{op}
@@ -217,7 +228,7 @@ type opSeries struct {
 // gatewaySeries holds every fixed-name gateway series, resolved once in
 // NewGateway so the request path never formats a series name or takes the
 // registry mutex for them. What stays dynamic is
-// ecgate_requests_total{op,code} (the code is only known afterwards), a
+// ecgate_requests_total{op,code} for a request that failed, a
 // tenant's bundle on its first request (tenantSeries) and one
 // ecgate_breaker_state gauge per OSD (held by its osdPath).
 type gatewaySeries struct {
@@ -256,6 +267,7 @@ func newGatewaySeries(r *Registry) *gatewaySeries {
 	}
 	for _, op := range shardOps {
 		s.op[op] = &opSeries{
+			ok:      r.Counter(requestsSeries("ecgate_requests_total", op, okCode[op])),
 			request: r.Histogram(fmt.Sprintf("ecgate_request_seconds{op=%q}", op)),
 			shard:   r.Histogram(fmt.Sprintf("ecgate_shard_seconds{op=%q}", op)),
 			retries: r.Counter(fmt.Sprintf("ecgate_shard_retries_total{op=%q}", op)),

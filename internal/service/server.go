@@ -23,6 +23,17 @@ type OSDServer struct {
 	log      *slog.Logger
 	reg      *Registry
 	maxShard int64 // PUT body limit: MaxShardBytes, smaller only in tests
+
+	// Resolved once, so a shard request neither formats a series name nor
+	// takes the registry mutex unless it failed.
+	ops               map[string]osdOpSeries
+	bytesIn, bytesOut *Counter
+}
+
+// osdOpSeries is one op's share of the daemon's series.
+type osdOpSeries struct {
+	ok      *Counter   // ecstored_ops_total{op,code=okCode[op]}
+	seconds *Histogram // ecstored_op_seconds{op}
 }
 
 // NewOSDServer wraps a shard store for OSD id.
@@ -30,7 +41,19 @@ func NewOSDServer(id int, store ShardStore, logger *slog.Logger) *OSDServer {
 	if logger == nil {
 		logger = slog.New(slog.NewJSONHandler(io.Discard, nil))
 	}
-	return &OSDServer{id: id, store: store, log: logger, reg: NewRegistry(), maxShard: MaxShardBytes}
+	reg := NewRegistry()
+	s := &OSDServer{id: id, store: store, log: logger, reg: reg, maxShard: MaxShardBytes,
+		ops:      map[string]osdOpSeries{},
+		bytesIn:  reg.Counter("ecstored_bytes_in_total"),
+		bytesOut: reg.Counter("ecstored_bytes_out_total"),
+	}
+	for _, op := range shardOps {
+		s.ops[op] = osdOpSeries{
+			ok:      reg.Counter(requestsSeries("ecstored_ops_total", op, okCode[op])),
+			seconds: reg.Histogram(fmt.Sprintf("ecstored_op_seconds{op=%q}", op)),
+		}
+	}
+	return s
 }
 
 // Metrics returns the daemon's registry.
@@ -116,6 +139,7 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 			writeJSON(w, status, errorBody{Error: "reading body: " + err.Error()})
 			break
 		}
+		// The store may keep body (ShardStore.Put): nobody else holds it.
 		opErr = s.store.Put(r.Context(), key, idx, body)
 		status = shardStatus(opErr)
 		if opErr != nil {
@@ -123,7 +147,7 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 			break
 		}
 		n = int64(len(body))
-		s.reg.Counter("ecstored_bytes_in_total").Add(n)
+		s.bytesIn.Add(n)
 		w.WriteHeader(http.StatusOK)
 	case op == "get":
 		var data []byte
@@ -133,12 +157,16 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 			writeJSON(w, status, errorBody{Error: opErr.Error()})
 			break
 		}
-		n = int64(len(data))
-		s.reg.Counter("ecstored_bytes_out_total").Add(n)
+		s.bytesOut.Add(int64(len(data)))
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
+		// A write that fails is the gateway leaving mid-body (a cancelled
+		// hedge, a deadline): the response stays short of its
+		// Content-Length, so net/http closes the connection.
+		var sent int
+		sent, opErr = w.Write(data)
+		n = int64(sent)
 	case op == "delete":
 		opErr = s.store.Delete(r.Context(), key, idx)
 		status = shardStatus(opErr)
@@ -149,11 +177,21 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 		status = http.StatusNoContent
 		w.WriteHeader(http.StatusNoContent)
 	}
-	s.reg.Counter(fmt.Sprintf("ecstored_ops_total{op=%q,code=\"%d\"}", op, status)).Inc()
-	s.reg.Histogram(fmt.Sprintf("ecstored_op_seconds{op=%q}", op)).Observe(time.Since(start))
-	s.log.LogAttrs(r.Context(), slog.LevelInfo, "shard",
+	series, dur := s.ops[op], time.Since(start)
+	if status == okCode[op] {
+		series.ok.Inc()
+	} else {
+		s.reg.Counter(requestsSeries("ecstored_ops_total", op, status)).Inc()
+	}
+	series.seconds.Observe(dur)
+	attrs := []slog.Attr{
 		slog.String("request_id", reqID),
 		slog.String("op", op), slog.String("key", key), slog.Int("idx", idx),
 		slog.Int("status", status), slog.Int64("bytes", n),
-		slog.Float64("ms", float64(time.Since(start).Microseconds())/1e3))
+		slog.Float64("ms", float64(dur.Microseconds())/1e3),
+	}
+	if opErr != nil {
+		attrs = append(attrs, slog.String("error", opErr.Error()))
+	}
+	s.log.LogAttrs(r.Context(), slog.LevelInfo, "shard", attrs...)
 }

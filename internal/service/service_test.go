@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"ecarray/internal/crush"
 )
 
 // newSimGateway boots a gateway over a fresh virtual cluster with the
@@ -207,41 +205,40 @@ func (b *blockStore) Put(ctx context.Context, key string, shard int, data []byte
 	return b.MemStore.Put(ctx, key, shard, data)
 }
 
+// parkedGateway returns a gateway whose single admission slot is held by a
+// PUT parked in its stores; unpark lets that PUT finish and checks it did.
+func parkedGateway(t *testing.T) (gw *Gateway, unpark func()) {
+	t.Helper()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	stores := make([]ShardStore, 6)
+	for i := range stores {
+		stores[i] = &blockStore{MemStore: NewMemStore(i), enter: func() { once.Do(func() { close(entered) }) }, release: release}
+	}
+	gw = buildGateway(t, stores, func(cfg *GatewayConfig) { cfg.MaxInflight = 1 })
+	parked := make(chan error, 1)
+	go func() {
+		_, err := gw.PutObject(context.Background(), "slow", payload(4096, 1))
+		parked <- err
+	}()
+	<-entered // the parked PUT holds the only admission slot
+	return gw, func() {
+		t.Helper()
+		close(release)
+		if err := <-parked; err != nil {
+			t.Fatalf("parked put: %v", err)
+		}
+	}
+}
+
 // TestAdmissionOverload saturates a MaxInflight=1 gateway and checks the
 // second request is rejected with ErrOverloaded while the first completes.
 func TestAdmissionOverload(t *testing.T) {
-	stores := make([]ShardStore, 6)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var enterOnce sync.Once
-	enter := func() { enterOnce.Do(func() { close(entered) }) }
-	for i := range stores {
-		stores[i] = &blockStore{MemStore: NewMemStore(i), enter: enter, release: release}
-	}
-	placer, err := NewPlacer(crush.Uniform(3, 2), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultGatewayConfig()
-	cfg.MaxInflight = 1
-	gw, err := NewGateway(cfg, stores, placer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	done := make(chan error, 1)
-	go func() {
-		_, err := gw.PutObject(ctx, "slow", payload(4096, 1))
-		done <- err
-	}()
-	<-entered // the first PUT holds the only admission slot
-	if _, err := gw.PutObject(ctx, "rejected", payload(4096, 2)); !errors.Is(err, ErrOverloaded) {
+	gw, unpark := parkedGateway(t)
+	if _, err := gw.PutObject(context.Background(), "rejected", payload(4096, 2)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second put: got %v, want ErrOverloaded", err)
 	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("first put: %v", err)
-	}
+	unpark()
 	if n := gw.Metrics().Counter("ecgate_admission_rejected_total").Value(); n != 1 {
 		t.Fatalf("admission_rejected_total = %d, want 1", n)
 	}

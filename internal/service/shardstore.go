@@ -35,10 +35,16 @@ type OSDStat struct {
 // ShardStore is the seam between the access gateway and one OSD's shard
 // storage: the BlobNode-facing contract. Implementations must be safe for
 // concurrent use and must honour ctx cancellation at least between ops.
+//
+// Shard buffers change hands instead of being copied: a shard is replaced
+// or deleted as a whole, never edited, so one buffer can be the caller's,
+// the store's and a reader's at once as long as nobody writes to it.
 type ShardStore interface {
 	// Put stores one shard of an object, overwriting any previous bytes.
+	// The store may keep data; do not modify it after the call.
 	Put(ctx context.Context, key string, shard int, data []byte) error
-	// Get returns the shard's bytes, ErrNotFound if absent.
+	// Get returns the shard's bytes, ErrNotFound if absent. The result may
+	// be the store's own buffer; do not modify the result.
 	Get(ctx context.Context, key string, shard int) ([]byte, error)
 	// Delete removes the shard; deleting an absent shard returns
 	// ErrNotFound (callers that want idempotence ignore it).
@@ -57,7 +63,9 @@ func shardName(key string, shard int) string {
 }
 
 // MemStore is a mutex-guarded in-memory ShardStore: the default ecstored
-// backend and the cheapest test double.
+// backend and the cheapest test double. It keeps the buffer Put is given
+// and Get returns the buffer it holds; an overwrite or Delete drops the
+// store's reference and leaves a reader's bytes as they were.
 type MemStore struct {
 	id   int
 	host string
@@ -86,10 +94,8 @@ func (s *MemStore) Put(ctx context.Context, key string, shard int, data []byte) 
 	if old, ok := s.shards[name]; ok {
 		s.bytes -= int64(len(old))
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.shards[name] = cp
-	s.bytes += int64(len(cp))
+	s.shards[name] = data
+	s.bytes += int64(len(data))
 	return nil
 }
 
@@ -104,9 +110,7 @@ func (s *MemStore) Get(ctx context.Context, key string, shard int) ([]byte, erro
 	if !ok {
 		return nil, ErrNotFound
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	return data, nil
 }
 
 // Delete implements ShardStore.
