@@ -346,8 +346,8 @@ func runSweep(suite *bench.Suite, preset string, grid bench.Grid, shardSpec, out
 	if err := report.WriteFile(outPath); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("wrote %d cell(s) to %s in %s (shard %d/%d)\n",
-		len(report.Cells), outPath, time.Since(start).Round(time.Second), shardIdx, shardCount)
+	fmt.Printf("wrote %d cell(s) to %s in %.1fs elapsed on %d worker(s) (shard %d/%d)\n",
+		len(report.Cells), outPath, time.Since(start).Seconds(), bench.SweepWorkers(len(report.Cells)), shardIdx, shardCount)
 }
 
 // runCompare diffs two reports and exits non-zero on regression: the CI

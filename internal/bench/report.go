@@ -74,8 +74,12 @@ type ReportConfig struct {
 type EngineInfo struct {
 	Events         uint64  `json:"events"`
 	VirtualSeconds float64 `json:"virtual_seconds"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	EventsPerSec   float64 `json:"events_per_sec"`
+	// WallSeconds is the sum of every cell's own wall time. Cells run side
+	// by side on all cores, so it is core-seconds, not the sweep's elapsed
+	// time, and EventsPerSec = Events / WallSeconds is the per-core rate:
+	// comparable across worker counts and with reports from serial runs.
+	WallSeconds  float64 `json:"wall_seconds"`
+	EventsPerSec float64 `json:"events_per_sec"`
 }
 
 // CellReport is one sweep cell's outcome. All fields above the timing

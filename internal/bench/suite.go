@@ -262,7 +262,16 @@ type Suite struct {
 type engineStats struct {
 	events  uint64        // engine events dispatched
 	virtual time.Duration // simulated time covered
-	wall    time.Duration // wall-clock time spent running engines
+	// wall is the sum of each run's own wall-clock time. Sweep cells run
+	// side by side, so this is core-seconds, not elapsed time: events/wall
+	// stays the per-core figure whatever the number of workers.
+	wall time.Duration
+}
+
+func (a *engineStats) add(b engineStats) {
+	a.events += b.events
+	a.virtual += b.virtual
+	a.wall += b.wall
 }
 
 // NewSuite returns an empty suite.
@@ -367,26 +376,33 @@ func (s *Suite) applyCodecConfig(cfg *core.Config, profile core.Profile) {
 	}
 }
 
-// drainAndNote finishes one simulation run: it drains the engine and folds
-// the run's dispatched events, simulated time and wall time into the
-// suite's engine-throughput accounting. started is taken just before the
-// run's cluster was built, so setup cost counts against the simulator too.
+// finishRun ends one simulation run: it closes the engine (killing what is
+// still in flight and retiring its worker goroutines, which would otherwise
+// pin the whole cluster for the life of the process) and returns the run's
+// dispatched events, simulated time and wall time. started is taken just
+// before the run's cluster was built, so setup cost counts against the
+// simulator too.
+func finishRun(e *sim.Engine, started time.Time) engineStats {
+	e.Close()
+	return engineStats{events: e.Executed(), virtual: e.Now().Duration(), wall: time.Since(started)}
+}
+
+// drainAndNote finishes one run and folds it into the suite's
+// engine-throughput accounting.
 func (s *Suite) drainAndNote(e *sim.Engine, started time.Time) {
-	e.Drain()
-	s.eng.events += e.Executed()
-	s.eng.virtual += e.Now().Duration()
-	s.eng.wall += time.Since(started)
+	s.eng.add(finishRun(e, started))
 }
 
 // EngineReport renders the simulator's aggregate throughput across all runs
-// so far: dispatched events per wall second and the virtual-to-wall time
+// so far: dispatched events per second of run wall time (summed per run, so
+// core-seconds when sweep cells overlapped) and the virtual-to-wall time
 // ratio. Empty before any run.
 func (s *Suite) EngineReport() string {
 	if s.eng.events == 0 || s.eng.wall <= 0 {
 		return ""
 	}
 	wall := s.eng.wall.Seconds()
-	return fmt.Sprintf("engine: %.1fM events in %.1fs wall (%.2fM events/s; %.1fs simulated, %.2fx real time)",
+	return fmt.Sprintf("engine: %.1fM events in %.1f core-s (%.2fM events/s per core; %.1fs simulated, %.2fx real time)",
 		float64(s.eng.events)/1e6, wall,
 		float64(s.eng.events)/wall/1e6,
 		s.eng.virtual.Seconds(), s.eng.virtual.Seconds()/wall)

@@ -3,6 +3,9 @@ package bench
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecarray/internal/core"
@@ -19,6 +22,7 @@ import (
 //
 // Every cell is independently seeded from its identity (cellSeed folds the
 // cell ID into the base seed), so cells are deterministic in isolation:
+// RunSweep runs them side by side on every core, and
 // a grid can be split across CI matrix legs or machines with RunSweep's
 // shard arguments and the shard reports merged back with MergeReports into
 // a report byte-identical (modulo host/timing fields) to an unsharded run.
@@ -245,10 +249,23 @@ func cellSeed(base int64, id string) int64 {
 	return base ^ int64(sum&0x7fffffffffffffff)
 }
 
+// SweepWorkers is how many cells of a sweep run side by side: one per
+// core the Go scheduler may use, and never more than there are cells. A
+// worker beyond GOMAXPROCS would only make every in-flight cell slower.
+func SweepWorkers(cells int) int {
+	return min(runtime.GOMAXPROCS(0), cells)
+}
+
 // RunSweep executes this shard's slice of the grid (cells whose
 // enumeration index ≡ shardIdx mod shardCount; pass 0, 1 for the whole
 // grid) and returns the machine-readable report. progress, when non-nil,
 // is called after each cell with the shard-local done count and total.
+//
+// Cells are independent (own engine, own seed), so they run on
+// SweepWorkers goroutines; every deterministic field of the report is the
+// same at any GOMAXPROCS. progress is called from the calling goroutine,
+// in completion order. If cells fail, no further cells are started and the
+// error of the failing cell that comes first in the grid is returned.
 func (s *Suite) RunSweep(preset string, g Grid, shardIdx, shardCount int,
 	progress func(done, total int, id string)) (*BenchReport, error) {
 	if err := g.validate(); err != nil {
@@ -281,21 +298,41 @@ func (s *Suite) RunSweep(preset string, g Grid, shardIdx, shardCount int,
 		ShardIndex: shardIdx,
 		ShardCount: shardCount,
 	}
-	engBase := s.eng
-	for done, k := range mine {
-		cr, err := s.runSweepCell(k)
-		if err != nil {
-			return nil, fmt.Errorf("bench: cell %s: %w", k.ID(), err)
+
+	// The GF kernel is process-wide, so only cells of one kernel may be in
+	// flight together: cells run kernel by kernel, kernels in the order the
+	// grid first names them.
+	var kernels []string
+	byKernel := map[string][]CellKey{}
+	for _, k := range mine {
+		if _, seen := byKernel[k.Kernel]; !seen {
+			kernels = append(kernels, k.Kernel)
 		}
-		r.Cells = append(r.Cells, cr)
-		if progress != nil {
-			progress(done+1, len(mine), k.ID())
+		byKernel[k.Kernel] = append(byKernel[k.Kernel], k)
+	}
+	var eng engineStats
+	done := 0
+	for _, kern := range kernels {
+		cells := byKernel[kern]
+		outcomes := s.runKernelGroup(kern, cells, func(k CellKey) {
+			done++
+			if progress != nil {
+				progress(done, len(mine), k.ID())
+			}
+		})
+		for i, o := range outcomes {
+			if o.err != nil {
+				return nil, fmt.Errorf("bench: cell %s: %w", cells[i].ID(), o.err)
+			}
+			r.Cells = append(r.Cells, o.report)
+			eng.add(o.eng)
 		}
 	}
+	s.eng.add(eng)
 	r.Engine = EngineInfo{
-		Events:         s.eng.events - engBase.events,
-		VirtualSeconds: (s.eng.virtual - engBase.virtual).Seconds(),
-		WallSeconds:    (s.eng.wall - engBase.wall).Seconds(),
+		Events:         eng.events,
+		VirtualSeconds: eng.virtual.Seconds(),
+		WallSeconds:    eng.wall.Seconds(),
 	}
 	if r.Engine.WallSeconds > 0 {
 		r.Engine.EventsPerSec = float64(r.Engine.Events) / r.Engine.WallSeconds
@@ -304,6 +341,70 @@ func (s *Suite) RunSweep(preset string, g Grid, shardIdx, shardCount int,
 	r.sortCells()
 	r.Checks = computeReportChecks(r)
 	return r, nil
+}
+
+// cellOutcome is what one sweep cell hands back to RunSweep: cells run
+// concurrently, so they share nothing and the caller does the summing.
+// A cell that was never started (an earlier one failed) stays zero.
+type cellOutcome struct {
+	report CellReport
+	eng    engineStats
+	err    error
+}
+
+// runKernelGroup runs cells — all of one kernel — on SweepWorkers
+// goroutines with that kernel active and returns their outcomes, in the
+// order of cells. completed is called on the calling goroutine after each
+// cell that succeeded. After a failure no further cell is started.
+func (s *Suite) runKernelGroup(kernel string, cells []CellKey, completed func(CellKey)) []cellOutcome {
+	kern, _ := gf.ParseKernel(kernel) // validated with the grid
+	prev := gf.SetKernel(kern)
+	defer gf.SetKernel(prev)
+	if s.Opt.CalibrateEncode {
+		// Measure before any cell runs: a measurement must not share the
+		// cores with simulation, and afterwards cells only read the cache.
+		for _, k := range cells {
+			if p := schemeByName(k.Scheme).Profile; p.IsEC() {
+				s.encodeMBps(p.K, p.M)
+			}
+		}
+	}
+
+	outcomes := make([]cellOutcome, len(cells))
+	var (
+		next   atomic.Int64 // index of the next cell to start
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	finished := make(chan int)
+	for w := SweepWorkers(len(cells)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(cells) {
+					return
+				}
+				o := &outcomes[i]
+				o.report, o.eng, o.err = s.runSweepCell(cells[i])
+				if o.err != nil {
+					failed.Store(true)
+				}
+				finished <- i
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	for i := range finished {
+		if outcomes[i].err == nil {
+			completed(cells[i])
+		}
+	}
+	return outcomes
 }
 
 // reportConfig snapshots the deterministic run shape.
@@ -332,23 +433,14 @@ func (s *Suite) reportConfig(preset string) ReportConfig {
 	}
 }
 
-// runSweepCell runs one grid cell on a fresh cluster: the cell's kernel
-// tier is activated for the duration (it changes wall-clock time and
-// calibration provenance, never simulated metrics), the stripe unit is
-// applied to the cluster config, and the cell's own seed drives both the
-// cluster and the load generator.
-func (s *Suite) runSweepCell(k CellKey) (CellReport, error) {
-	scheme := schemeByName(k.Scheme)
-	if scheme == nil {
-		return CellReport{}, fmt.Errorf("unknown scheme %q", k.Scheme)
-	}
-	kern, ok := gf.ParseKernel(k.Kernel)
-	if !ok {
-		return CellReport{}, fmt.Errorf("unknown codec kernel %q", k.Kernel)
-	}
-	prev := gf.SetKernel(kern)
-	defer gf.SetKernel(prev)
-
+// runSweepCell runs one grid cell on a fresh cluster, with the cell's
+// kernel tier already active (runKernelGroup; the tier changes wall-clock
+// time and calibration provenance, never simulated metrics): the stripe
+// unit is applied to the cluster config, and the cell's own seed drives
+// both the cluster and the load generator. It runs concurrently with other
+// cells and so only reads the suite.
+func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
+	scheme := schemeByName(k.Scheme) // validated with the grid
 	id := k.ID()
 	seed := cellSeed(s.Opt.Seed, id)
 	started := time.Now()
@@ -358,7 +450,7 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, error) {
 	cfg.CodecKernel = k.Kernel
 	c, img, err := s.clusterWith(cfg, scheme.Profile)
 	if err != nil {
-		return CellReport{}, err
+		return CellReport{}, engineStats{}, err
 	}
 
 	op := workload.Read
@@ -382,12 +474,11 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, error) {
 		img.Prefill()
 		job.Ramp = s.Opt.Ramp
 	}
-	engBefore := s.eng
 	res, err := s.runCellJob(c, img, job, k.fault())
 	if err != nil {
-		return CellReport{}, err
+		return CellReport{}, engineStats{}, err
 	}
-	s.drainAndNote(c.Engine(), started)
+	eng := finishRun(c.Engine(), started)
 
 	cell := Cell{Result: res}
 	gray := c.GrayMetrics()
@@ -418,8 +509,8 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, error) {
 		NetPerReq:        cell.NetPerReq(),
 		FlashWritePerReq: cell.FlashWritePerReq(),
 		Errors:           res.Errors,
-		EngineEvents:     s.eng.events - engBefore.events,
-		SimSeconds:       (s.eng.virtual - engBefore.virtual).Seconds(),
+		EngineEvents:     eng.events,
+		SimSeconds:       eng.virtual.Seconds(),
 
 		GrayShardTimeouts: gray.ShardTimeouts,
 		GrayShardFaults:   gray.ShardFaults,
@@ -431,12 +522,11 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, error) {
 
 		Checks: cellChecks(k, cell),
 	}
-	wall := s.eng.wall - engBefore.wall
-	cr.WallMS = float64(wall.Microseconds()) / 1e3
-	if secs := wall.Seconds(); secs > 0 {
+	cr.WallMS = float64(eng.wall.Microseconds()) / 1e3
+	if secs := eng.wall.Seconds(); secs > 0 {
 		cr.EventsPerSec = float64(cr.EngineEvents) / secs
 	}
-	return cr, nil
+	return cr, eng, nil
 }
 
 // runCellJob executes one cell's job under its fault state. The healthy

@@ -23,6 +23,7 @@ func smallConfig(carry bool) Config {
 func newTestCluster(t *testing.T, cfg Config) (*sim.Engine, *Cluster) {
 	t.Helper()
 	e := sim.NewEngine()
+	t.Cleanup(e.Close)
 	c, err := New(e, cfg)
 	if err != nil {
 		t.Fatal(err)

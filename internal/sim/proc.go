@@ -40,11 +40,15 @@ type procKilled struct{}
 // back into the engine's pool. After a body ends the worker still holds the
 // dispatch baton, so it keeps executing events until the baton moves — and
 // if the very next start event re-spawns this worker, it runs the new body
-// without any handoff at all.
+// without any handoff at all. Engine.Close closes resume, which ends the
+// goroutine.
 func (p *Proc) loop() {
 	e := p.e
+	defer e.workers.Done()
 	for {
-		<-p.resume
+		if _, ok := <-p.resume; !ok {
+			return
+		}
 		for {
 			p.runBody()
 			e.recycle(p)

@@ -31,12 +31,27 @@
 // waits on at most one thing), so blocking allocates nothing. Model
 // components such as CPUs, NICs, SSDs and PG locks are built from these
 // primitives in the other internal packages.
+//
+// An engine's pooled workers are real goroutines, and everything a process
+// body captured stays reachable through them: call Engine.Close when a run
+// is over (it drains what is still live, retires the workers and waits for
+// them to exit), or every engine a program ever ran stays pinned in memory.
+//
+// One engine uses one core, and a lone engine on an otherwise idle multi-P
+// process is slower than the same engine at GOMAXPROCS=1: every baton
+// handoff readies a goroutine (chansend → ready → wakep), which futex-wakes
+// an idle P that finds nothing to run. The 24-cell benchmark sweep, run one
+// cell at a time on two cores, spent 12 % of its samples in runtime.futex
+// and 10 % in findRunnable and took 15.4–17.5 s against 12.9 s at
+// GOMAXPROCS=1. The cure is to keep every P busy with an engine of its own
+// (bench.RunSweep runs one cell per core), not to tune the engine.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -77,6 +92,8 @@ type Engine struct {
 	free     []*Proc       // parked worker goroutines ready for reuse
 	executed uint64
 	fatal    any
+	workers  sync.WaitGroup // started worker goroutines, for Close
+	closed   bool
 }
 
 // forever is the dispatch bound of an unbounded Run.
@@ -165,6 +182,9 @@ func (e *Engine) drive(limit Time) {
 	if e.driving {
 		panic("sim: Run/RunUntil/RunProc re-entered from engine or process context")
 	}
+	if e.closed {
+		panic("sim: Run/RunUntil/RunProc on a closed engine")
+	}
 	e.driving = true
 	e.limit = limit
 	e.dispatch(nil, false)
@@ -233,6 +253,7 @@ func (e *Engine) dispatch(self *Proc, dead bool) bool {
 				// The worker goroutine is created on first dispatch, not at
 				// Go time, so engines built but never run own none.
 				q.started = true
+				e.workers.Add(1)
 				go q.loop()
 			}
 		default: // wakeup
@@ -305,6 +326,25 @@ func (e *Engine) Drain() {
 	}
 }
 
+// Close ends the engine's life: it drains any live processes, then retires
+// every pooled worker goroutine and returns once they have exited. Without
+// it the workers stay parked for the life of the program — one per process
+// that was ever concurrently live, for every engine ever run. The clock and
+// counters stay readable; spawning or running afterwards panics. Close is
+// idempotent.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	e.Drain()
+	e.closed = true
+	for _, p := range e.free {
+		close(p.resume)
+	}
+	e.free = nil
+	e.workers.Wait()
+}
+
 // stopNow brakes dispatch unconditionally (Drain's kill phase).
 func stopNow() bool { return true }
 
@@ -340,6 +380,9 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 // are only rendered when read — on a process panic, in practice — so hot
 // spawn paths avoid a fmt.Sprintf per sub-operation.
 func (e *Engine) GoNamed(prefix, arg string, id int, fn func(p *Proc)) {
+	if e.closed {
+		panic("sim: Go on a closed engine")
+	}
 	p := e.getProc()
 	p.namePrefix, p.nameArg, p.nameID = prefix, arg, id
 	p.fn = fn

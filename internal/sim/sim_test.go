@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -581,4 +582,50 @@ func TestWakerWaitTimeoutStaleTimer(t *testing.T) {
 	})
 	e.Schedule(time.Millisecond, w.Wake)
 	e.Run()
+}
+
+// TestCloseRetiresWorkers: an engine that ran a fan of processes (some
+// finished, some still parked) owns no goroutine after Close, and a closed
+// engine refuses new work loudly instead of hanging on a dead pool.
+func TestCloseRetiresWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine()
+	for i := 0; i < 32; i++ {
+		e.Go("sleeper", func(p *Proc) { p.Sleep(time.Microsecond) })
+		e.Go("stuck", func(p *Proc) { NewSignal(e).Wait(p) })
+	}
+	e.RunUntil(Time(time.Millisecond))
+	e.Go("unstarted", func(p *Proc) { t.Error("process spawned after the last run must not execute") })
+	if got := runtime.NumGoroutine() - before; got < 32 {
+		t.Fatalf("engine holds %d goroutines before Close, want its pooled workers", got)
+	}
+	events, now := e.Executed(), e.Now()
+	e.Close()
+	e.Close() // idempotent
+	if e.Live() != 0 {
+		t.Fatalf("live after Close = %d, want 0", e.Live())
+	}
+	if e.Now() != now || e.Executed() < events {
+		t.Fatalf("Close moved the clock or lost events: %v/%d -> %v/%d", now, events, e.Now(), e.Executed())
+	}
+	// Close waits for the workers' loops to return; the runtime may take a
+	// moment more to retire the goroutines themselves.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after Close, %d before the engine existed", got, before)
+	}
+
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s on a closed engine must panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("Go", func() { e.Go("late", func(p *Proc) {}) })
+	mustPanic("Run", e.Run)
 }

@@ -25,6 +25,19 @@ import (
 
 const unmapped = ^uint32(0)
 
+// The logical-to-physical map is a table of fixed-size leaves allocated on
+// first write, and a block's reverse map is allocated when the block is
+// first programmed; a missing leaf or reverse map reads as all-unmapped. A
+// simulated device is sized for the worst case (every shard of every object)
+// while a benchmark cell touches a few thousand pages of it, so the maps
+// cost what the run touches rather than what the device could hold.
+const (
+	l2pLeafBits = 10
+	l2pLeafSize = 1 << l2pLeafBits
+)
+
+type l2pLeaf [l2pLeafSize]uint32
+
 // Config describes the simulated device.
 type Config struct {
 	// Capacity is the logical (host-visible) size in bytes. It must be a
@@ -109,7 +122,7 @@ func (c *Config) validate() error {
 }
 
 type block struct {
-	p2l        []uint32 // physical page slot -> logical page (unmapped if free/stale)
+	p2l        []uint32 // physical page slot -> logical page (unmapped if free/stale); nil until first programmed
 	written    int      // pages programmed so far
 	valid      int      // pages still mapped
 	eraseCount int64
@@ -189,10 +202,10 @@ type Device struct {
 	e      *sim.Engine
 	name   string
 	queue  *sim.Resource
-	blocks []*block
-	l2p    []uint32 // logical page -> physical page id
-	free   []int    // free block indexes (LIFO)
-	active int      // block currently being filled
+	blocks []block
+	l2p    []*l2pLeaf // logical page -> physical page id, by leaf (nil leaf: all unmapped)
+	free   []int      // free block indexes (LIFO)
+	active int        // block currently being filled
 	data   map[int64][]byte
 
 	lastReadEnd  int64 // sequential-read detector
@@ -223,21 +236,11 @@ func New(e *sim.Engine, name string, cfg Config) (*Device, error) {
 		e:      e,
 		name:   name,
 		queue:  sim.NewResource(e, name+"/queue", cfg.QueueDepth),
-		blocks: make([]*block, physBlocks),
-		l2p:    make([]uint32, logicalPages),
+		blocks: make([]block, physBlocks),
+		l2p:    make([]*l2pLeaf, (logicalPages+l2pLeafSize-1)>>l2pLeafBits),
 		busy:   &stats.Counter{},
 	}
-	fillUnmapped(d.l2p)
-	// One backing array and one bulk fill for all per-block page maps:
-	// device construction is on the wall-clock path of every benchmark
-	// cell (a cluster builds one device per OSD).
-	backing := make([]block, physBlocks)
-	p2ls := make([]uint32, physBlocks*cfg.PagesPerBlock)
-	fillUnmapped(p2ls)
-	for i := range d.blocks {
-		backing[i].p2l = p2ls[i*cfg.PagesPerBlock : (i+1)*cfg.PagesPerBlock]
-		d.blocks[i] = &backing[i]
-	}
+	d.free = make([]int, 0, physBlocks-1)
 	for i := physBlocks - 1; i >= 1; i-- {
 		d.free = append(d.free, i)
 	}
@@ -319,6 +322,34 @@ func (d *Device) TakeFault() bool {
 
 func (d *Device) pageOf(off int64) int64 { return off / int64(d.cfg.PageSize) }
 
+// lookup returns the physical page backing lpn, or unmapped.
+func (d *Device) lookup(lpn int64) uint32 {
+	leaf := d.l2p[lpn>>l2pLeafBits]
+	if leaf == nil {
+		return unmapped
+	}
+	return leaf[lpn&(l2pLeafSize-1)]
+}
+
+// mapping returns the map slot of lpn, allocating its leaf on first use.
+func (d *Device) mapping(lpn int64) *uint32 {
+	leaf := d.l2p[lpn>>l2pLeafBits]
+	if leaf == nil {
+		leaf = new(l2pLeaf)
+		fillUnmapped(leaf[:])
+		d.l2p[lpn>>l2pLeafBits] = leaf
+	}
+	return &leaf[lpn&(l2pLeafSize-1)]
+}
+
+// invalidate drops the reverse mapping of a physical page whose logical
+// page was overwritten, trimmed or migrated.
+func (d *Device) invalidate(phys uint32) {
+	b, slot := d.decodePhys(phys)
+	d.blocks[b].p2l[slot] = unmapped
+	d.blocks[b].valid--
+}
+
 func (d *Device) checkRange(off, length int64) {
 	if off < 0 || length <= 0 || off+length > d.cfg.Capacity {
 		panic(fmt.Sprintf("ssd %s: out-of-range I/O off=%d len=%d cap=%d", d.name, off, length, d.cfg.Capacity))
@@ -339,27 +370,36 @@ func (d *Device) decodePhys(p uint32) (b, slot int) {
 // migrated by GC) so the caller can charge time for it.
 func (d *Device) allocPage(lpn int64) (migrated int) {
 	migrated = d.maybeGC()
-	blk := d.blocks[d.active]
+	d.program(lpn)
+	return migrated
+}
+
+// program maps lpn to the next slot of the active block (moving on to a
+// free block when the active one is full) and invalidates the page's
+// previous mapping. It never triggers GC, so GC migrates pages through it.
+func (d *Device) program(lpn int64) {
+	blk := &d.blocks[d.active]
 	if blk.written == d.cfg.PagesPerBlock {
 		if len(d.free) == 0 {
 			panic("ssd: no free blocks (over-provisioning exhausted)")
 		}
 		d.active = d.free[len(d.free)-1]
 		d.free = d.free[:len(d.free)-1]
-		blk = d.blocks[d.active]
+		blk = &d.blocks[d.active]
 	}
-	// Invalidate the previous mapping.
-	if old := d.l2p[lpn]; old != unmapped {
-		ob, oslot := d.decodePhys(old)
-		d.blocks[ob].p2l[oslot] = unmapped
-		d.blocks[ob].valid--
+	if blk.p2l == nil {
+		blk.p2l = make([]uint32, d.cfg.PagesPerBlock)
+		fillUnmapped(blk.p2l)
+	}
+	m := d.mapping(lpn)
+	if *m != unmapped {
+		d.invalidate(*m)
 	}
 	slot := blk.written
 	blk.p2l[slot] = uint32(lpn)
 	blk.written++
 	blk.valid++
-	d.l2p[lpn] = d.physPageID(d.active, slot)
-	return migrated
+	*m = d.physPageID(d.active, slot)
 }
 
 // maybeGC reclaims blocks greedily (minimum valid pages first) until the
@@ -370,19 +410,20 @@ func (d *Device) maybeGC() (migrated int) {
 		low = 1
 	}
 	for len(d.free) < low {
-		victim := -1
-		for i, b := range d.blocks {
+		victim, fewest := -1, 0
+		for i := range d.blocks {
+			b := &d.blocks[i]
 			if i == d.active || b.written < d.cfg.PagesPerBlock {
 				continue
 			}
-			if victim < 0 || b.valid < d.blocks[victim].valid {
-				victim = i
+			if victim < 0 || b.valid < fewest {
+				victim, fewest = i, b.valid
 			}
 		}
 		if victim < 0 {
 			return migrated // nothing eligible; writes will fill the active block
 		}
-		vb := d.blocks[victim]
+		vb := &d.blocks[victim]
 		if vb.valid == d.cfg.PagesPerBlock {
 			// Device is genuinely full of valid data; GC cannot help.
 			return migrated
@@ -392,18 +433,20 @@ func (d *Device) maybeGC() (migrated int) {
 			if lpn == unmapped {
 				continue
 			}
-			if d.l2p[lpn] != d.physPageID(victim, slot) {
+			m := d.mapping(int64(lpn)) // the page was mapped once, so its leaf exists
+			if *m != d.physPageID(victim, slot) {
 				continue // stale
 			}
 			d.st.FlashReadBytes += int64(d.cfg.PageSize)
 			d.st.FlashWriteBytes += int64(d.cfg.PageSize)
 			d.st.GCMigratedPages++
 			migrated++
+			// Unmap here, where block and slot are known, so program need
+			// not decode them back out of the old mapping.
 			vb.p2l[slot] = unmapped
 			vb.valid--
-			d.l2p[lpn] = unmapped // re-map below
-			m := d.allocPageNoGC(int64(lpn))
-			_ = m
+			*m = unmapped
+			d.program(int64(lpn))
 		}
 		// Erase and free the victim.
 		for j := range vb.p2l {
@@ -416,30 +459,6 @@ func (d *Device) maybeGC() (migrated int) {
 		d.free = append(d.free, victim)
 	}
 	return migrated
-}
-
-// allocPageNoGC is allocPage without recursion into GC (used by GC itself).
-func (d *Device) allocPageNoGC(lpn int64) int {
-	blk := d.blocks[d.active]
-	if blk.written == d.cfg.PagesPerBlock {
-		if len(d.free) == 0 {
-			panic("ssd: no free blocks during GC migration")
-		}
-		d.active = d.free[len(d.free)-1]
-		d.free = d.free[:len(d.free)-1]
-		blk = d.blocks[d.active]
-	}
-	if old := d.l2p[lpn]; old != unmapped {
-		ob, oslot := d.decodePhys(old)
-		d.blocks[ob].p2l[oslot] = unmapped
-		d.blocks[ob].valid--
-	}
-	slot := blk.written
-	blk.p2l[slot] = uint32(lpn)
-	blk.written++
-	blk.valid++
-	d.l2p[lpn] = d.physPageID(d.active, slot)
-	return 0
 }
 
 // Read performs a host read of [off, off+length). In CarryData mode it
@@ -513,7 +532,7 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte, length int64) {
 	for pg := firstPage; pg <= lastPage; pg++ {
 		pStart, pEnd := pg*ps, (pg+1)*ps
 		full := off <= pStart && off+length >= pEnd
-		if !full && !seqMerge && d.l2p[pg] != unmapped {
+		if !full && !seqMerge && d.lookup(pg) != unmapped {
 			// Sub-page overwrite of mapped data: internal read-modify-write.
 			// A sequential sub-page stream coalesces in the write buffer
 			// instead (no RMW), which is why a bare SSD's sequential small
@@ -567,7 +586,7 @@ func (d *Device) Corrupt(off, length int64) {
 		return
 	}
 	ps := int64(d.cfg.PageSize)
-	for pg := d.pageOf(off); pg <= d.pageOf(off + length - 1); pg++ {
+	for pg := d.pageOf(off); pg <= d.pageOf(off+length-1); pg++ {
 		pdata, ok := d.data[pg]
 		if !ok {
 			continue
@@ -594,11 +613,9 @@ func (d *Device) Trim(off, length int64) {
 	firstPage := (off + ps - 1) / ps // first fully covered page
 	lastPage := (off + length) / ps  // one past last fully covered
 	for pg := firstPage; pg < lastPage; pg++ {
-		if phys := d.l2p[pg]; phys != unmapped {
-			b, slot := d.decodePhys(phys)
-			d.blocks[b].p2l[slot] = unmapped
-			d.blocks[b].valid--
-			d.l2p[pg] = unmapped
+		if phys := d.lookup(pg); phys != unmapped {
+			d.invalidate(phys)
+			*d.mapping(pg) = unmapped
 			d.st.TrimmedBytes += ps
 			if d.cfg.CarryData {
 				delete(d.data, pg)
@@ -646,20 +663,27 @@ func (d *Device) BusySeconds() float64 { return float64(d.busy.Value()) / 1e9 }
 // physical slot that claims it, and per-block valid counts must match.
 func (d *Device) CheckInvariants() error {
 	validByBlock := make([]int, len(d.blocks))
-	for lpn, phys := range d.l2p {
-		if phys == unmapped {
+	for li, leaf := range d.l2p {
+		if leaf == nil {
 			continue
 		}
-		b, slot := d.decodePhys(phys)
-		if b < 0 || b >= len(d.blocks) || slot >= d.cfg.PagesPerBlock {
-			return fmt.Errorf("ssd %s: lpn %d maps to invalid phys %d", d.name, lpn, phys)
+		for i, phys := range leaf {
+			if phys == unmapped {
+				continue
+			}
+			lpn := li<<l2pLeafBits | i
+			b, slot := d.decodePhys(phys)
+			if b < 0 || b >= len(d.blocks) || slot >= d.cfg.PagesPerBlock {
+				return fmt.Errorf("ssd %s: lpn %d maps to invalid phys %d", d.name, lpn, phys)
+			}
+			if p2l := d.blocks[b].p2l; p2l == nil || p2l[slot] != uint32(lpn) {
+				return fmt.Errorf("ssd %s: lpn %d phys %d reverse-map mismatch", d.name, lpn, phys)
+			}
+			validByBlock[b]++
 		}
-		if d.blocks[b].p2l[slot] != uint32(lpn) {
-			return fmt.Errorf("ssd %s: lpn %d phys %d reverse-map mismatch", d.name, lpn, phys)
-		}
-		validByBlock[b]++
 	}
-	for i, b := range d.blocks {
+	for i := range d.blocks {
+		b := &d.blocks[i]
 		if b.valid != validByBlock[i] {
 			return fmt.Errorf("ssd %s: block %d valid=%d, actual=%d", d.name, i, b.valid, validByBlock[i])
 		}

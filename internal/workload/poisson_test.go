@@ -25,6 +25,7 @@ func carryCluster(t *testing.T, conc int) (*core.Cluster, *core.Image) {
 	cfg.CarryData = true
 	cfg.CodecConcurrency = conc
 	e := sim.NewEngine()
+	t.Cleanup(e.Close)
 	c, err := core.New(e, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,9 @@ func scenarioClusterCfg(t *testing.T, carry bool, codecConc int, tweak func(*cor
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	c, err := core.New(sim.NewEngine(), cfg)
+	e := sim.NewEngine()
+	t.Cleanup(e.Close)
+	c, err := core.New(e, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

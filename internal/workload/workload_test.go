@@ -15,6 +15,7 @@ func testCluster(t *testing.T, profile core.Profile, imageSize int64) (*core.Clu
 	cfg.PGsPerPool = 128
 	cfg.Store.WALRegion = 32 << 20
 	e := sim.NewEngine()
+	t.Cleanup(e.Close)
 	c, err := core.New(e, cfg)
 	if err != nil {
 		t.Fatal(err)
