@@ -8,6 +8,14 @@ import (
 	"ecarray/internal/stats"
 )
 
+// newEngine returns an engine that is closed when the test ends, so its
+// pooled workers do not outlive it.
+func newEngine(tb testing.TB) *sim.Engine {
+	e := sim.NewEngine()
+	tb.Cleanup(e.Close)
+	return e
+}
+
 func testNet(e *sim.Engine) *Network {
 	n := New(e, Config{
 		Name:            "test",
@@ -23,7 +31,7 @@ func testNet(e *sim.Engine) *Network {
 }
 
 func TestTransferTiming(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	var done sim.Time
 	e.Go("send", func(p *sim.Proc) {
@@ -39,7 +47,7 @@ func TestTransferTiming(t *testing.T) {
 }
 
 func TestByteAccounting(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	e.Go("send", func(p *sim.Proc) {
 		n.Send(p, "a", "b", 1000)
@@ -56,7 +64,7 @@ func TestByteAccounting(t *testing.T) {
 }
 
 func TestMsgOverheadCounted(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := New(e, Config{Name: "x", Bandwidth: 1 << 30, MsgOverhead: 100})
 	n.AddNode("a")
 	n.AddNode("b")
@@ -68,7 +76,7 @@ func TestMsgOverheadCounted(t *testing.T) {
 }
 
 func TestLoopbackNotCounted(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	var done sim.Time
 	e.Go("send", func(p *sim.Proc) {
@@ -89,7 +97,7 @@ func TestLoopbackNotCounted(t *testing.T) {
 
 func TestSenderSerialization(t *testing.T) {
 	// Two concurrent sends from the same node must serialize on its TX link.
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	var t1, t2 sim.Time
 	e.Go("s1", func(p *sim.Proc) { n.Send(p, "a", "b", 1<<20); t1 = p.Now() })
@@ -107,7 +115,7 @@ func TestSenderSerialization(t *testing.T) {
 func TestReceiverIncastContention(t *testing.T) {
 	// Two senders to one receiver: RX side must serialize (the EC
 	// RS-concatenation incast pattern).
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	var done []sim.Time
 	for _, from := range []string{"a", "b"} {
@@ -127,7 +135,7 @@ func TestReceiverIncastContention(t *testing.T) {
 
 func TestParallelDisjointPairsOverlap(t *testing.T) {
 	// a→b and c→... use disjoint NICs; they must overlap fully.
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	n.AddNode("d")
 	for _, pair := range [][2]string{{"a", "b"}, {"c", "d"}} {
@@ -143,7 +151,7 @@ func TestParallelDisjointPairsOverlap(t *testing.T) {
 }
 
 func TestAttachSeries(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	s := stats.NewSeries(time.Second)
 	n.AttachSeries(s)
@@ -155,7 +163,7 @@ func TestAttachSeries(t *testing.T) {
 }
 
 func TestUnknownNodePanics(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	e.Go("send", func(p *sim.Proc) { n.Send(p, "a", "zzz", 10) })
 	defer func() {
@@ -167,7 +175,7 @@ func TestUnknownNodePanics(t *testing.T) {
 }
 
 func TestDuplicateNodePanics(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	defer func() {
 		if recover() == nil {
@@ -178,7 +186,7 @@ func TestDuplicateNodePanics(t *testing.T) {
 }
 
 func TestHasNode(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	if !n.HasNode("a") || n.HasNode("zzz") {
 		t.Fatal("HasNode wrong")
@@ -194,7 +202,7 @@ func TestTenGbEConfig(t *testing.T) {
 
 func TestThroughputCeiling(t *testing.T) {
 	// Saturating one TX link: delivered rate must not exceed bandwidth.
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	const msgs = 64
 	const size = 1 << 20
@@ -214,7 +222,7 @@ func TestThroughputCeiling(t *testing.T) {
 // serialization is unchanged, other paths are unaffected, and 0/1 restore
 // healthy timing.
 func TestNodeLatencyMultiplier(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	n := testNet(e)
 	ser := time.Duration((1 << 20) * int64(time.Second) / (1 << 30))
 	healthy := sim.Time(2*ser + 10*time.Microsecond)

@@ -13,7 +13,7 @@ import (
 // resource handoffs must allocate nothing — 0 allocs/event and 0
 // allocs/switch.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "mutex", 1)
 	child := func(p *Proc) {
 		r.Acquire(p, 1)
@@ -84,10 +84,10 @@ func TestDrainThenReuseDeterministic(t *testing.T) {
 		return log
 	}
 
-	fresh := NewEngine()
+	fresh := newEngine(t)
 	want := workloadB(fresh)
 
-	used := NewEngine()
+	used := newEngine(t)
 	// Workload A: sleepers, resource holders and never-woken waiters, then
 	// a mid-flight Drain that kills them all and recycles their workers.
 	ra := NewResource(used, "a", 2)

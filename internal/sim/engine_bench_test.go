@@ -6,15 +6,16 @@ import (
 )
 
 // The BenchmarkEngine* suite measures the engine's steady-state hot paths:
-// events/second (Schedule), park/resume switches/second (Sleep), pooled
-// spawn/complete cycles (GoSwitch), and queued resource handoffs
-// (ResourceContention). All report allocations; TestEngineSteadyStateAllocs
-// asserts they are zero in steady state.
+// events/second (Schedule), a process resuming itself (Sleep),
+// cross-process switches (PingPong), pooled spawn/complete cycles
+// (GoSwitch), and queued resource handoffs (ResourceContention). All report
+// allocations; TestEngineSteadyStateAllocs asserts they are zero in steady
+// state.
 
 // BenchmarkEngineSchedule dispatches self-rescheduling fn events: the
 // engine-context event path (heap push/pop + dispatch), one event per op.
 func BenchmarkEngineSchedule(b *testing.B) {
-	e := NewEngine()
+	e := newEngine(b)
 	n := 0
 	var fn func()
 	fn = func() {
@@ -29,10 +30,11 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineSleep measures one park/resume switch per op: a process
-// sleeping in a loop (wake event + engine⇄process handoff).
+// BenchmarkEngineSleep measures one park/resume per op by a lone process
+// sleeping in a loop: a wake event the sleeper dispatches to itself, so no
+// goroutine switch at all.
 func BenchmarkEngineSleep(b *testing.B) {
-	e := NewEngine()
+	e := newEngine(b)
 	e.Go("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(time.Nanosecond)
@@ -43,10 +45,28 @@ func BenchmarkEngineSleep(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEnginePingPong measures one cross-process switch per op: two
+// sleepers offset by 1 ns alternate, so every wake event resumes the
+// process that is not running.
+func BenchmarkEnginePingPong(b *testing.B) {
+	e := newEngine(b)
+	for i := 0; i < 2; i++ {
+		e.Go("pinger", func(p *Proc) {
+			p.Sleep(time.Duration(i+1) * time.Nanosecond)
+			for j := i + 1; j < b.N; j += 2 {
+				p.Sleep(2 * time.Nanosecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkEngineGoSwitch measures a full pooled spawn: Go + start event +
 // body + worker recycle per op, the cycle every EC sub-operation pays.
 func BenchmarkEngineGoSwitch(b *testing.B) {
-	e := NewEngine()
+	e := newEngine(b)
 	body := func(p *Proc) {}
 	e.Go("warm", body) // create the worker once
 	e.Run()
@@ -62,7 +82,7 @@ func BenchmarkEngineGoSwitch(b *testing.B) {
 // a capacity-1 resource under 4-way contention: intrusive wait-queue links,
 // grant wakeups and the FIFO handoff. One op is one acquire+hold+release.
 func BenchmarkEngineResourceContention(b *testing.B) {
-	e := NewEngine()
+	e := newEngine(b)
 	r := NewResource(e, "mutex", 1)
 	const workers = 4
 	per := b.N/workers + 1

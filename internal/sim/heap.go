@@ -1,6 +1,6 @@
 package sim
 
-// The event queue is a concrete binary min-heap of typed event records,
+// The event queue is a concrete 4-ary min-heap of typed event records,
 // ordered by (time, sequence). Compared to container/heap over an interface
 // type, pushing costs no allocation (records live in the slice; sequence
 // numbers make the order total, so heap-internal layout never affects pop

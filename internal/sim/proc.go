@@ -5,14 +5,16 @@ import (
 	"time"
 )
 
-// Proc is a simulation process: a pooled worker goroutine interleaved with
+// Proc is a simulation process: a pooled worker coroutine interleaved with
 // the engine. After its body returns the worker parks and Engine.Go hands it
 // out again, so steady-state fan-out spawns no goroutines and allocates
 // nothing in the engine.
 type Proc struct {
-	e      *Engine
-	resume chan struct{}
-	fn     func(p *Proc)
+	e     *Engine
+	fn    func(p *Proc)
+	next  func() (struct{}, bool) // resumes the coroutine (driver only); nil until started
+	stop  func()                  // ends a worker suspended between bodies (Close)
+	yield func(struct{}) bool     // suspends the coroutine back to the driver
 
 	// Lazily formatted debug name (see GoNamed).
 	namePrefix string
@@ -24,7 +26,6 @@ type Proc struct {
 	parkGen  uint64 // bumped on every resume; never reset, so stale wakeups drop
 	parked   bool
 	killed   bool
-	started  bool // worker goroutine exists (created on first start event)
 
 	// Intrusive wait-queue link (Resource/Latch/Signal/Waker). A parked
 	// process waits on at most one primitive, so one link suffices and
@@ -36,28 +37,22 @@ type Proc struct {
 
 type procKilled struct{}
 
-// loop is the worker goroutine: run one process body per resume, then park
-// back into the engine's pool. After a body ends the worker still holds the
-// dispatch baton, so it keeps executing events until the baton moves — and
-// if the very next start event re-spawns this worker, it runs the new body
-// without any handoff at all. Engine.Close closes resume, which ends the
-// goroutine.
-func (p *Proc) loop() {
+// loop is the worker coroutine: run one process body per start, then park
+// back into the engine's pool. After a body ends the worker keeps executing
+// events until one resumes a process — and if that is a start event
+// re-spawning this very worker, it runs the new body without any switch at
+// all; otherwise it hands off and yields until its next spawn.
+// Engine.Close stops the coroutine (yield returns false), which ends it.
+func (p *Proc) loop(yield func(struct{}) bool) {
+	p.yield = yield
 	e := p.e
-	defer e.workers.Done()
 	for {
-		if _, ok := <-p.resume; !ok {
-			return
-		}
-		for {
-			p.runBody()
-			e.recycle(p)
-			// Still holding the baton: keep dispatching. True means the
-			// next start event re-spawned this very worker — run the new
-			// body directly; false means the baton moved on, so block for
-			// the next spawn.
-			if !e.dispatch(p, true) {
-				break
+		p.runBody()
+		e.recycle(p)
+		if q := e.dispatch(); q != p {
+			e.handoff = q
+			if !yield(struct{}{}) {
+				return
 			}
 		}
 	}
@@ -98,12 +93,17 @@ func (p *Proc) Name() string {
 func (p *Proc) Now() Time { return p.e.now }
 
 // park suspends the process until its wakeup event fires (the caller must
-// already have arranged one) or Drain kills it. The blocking goroutine keeps
-// the dispatch baton and runs the event loop itself until its own wakeup
-// surfaces or the baton has to move.
+// already have arranged one) or Drain kills it. The blocking process runs
+// the event loop itself: when its own wakeup is next it simply returns;
+// otherwise it hands the next process to the driver and yields until the
+// driver resumes it.
 func (p *Proc) park() {
 	p.parked = true
-	p.e.dispatch(p, false)
+	e := p.e
+	if q := e.dispatch(); q != p {
+		e.handoff = q
+		p.yield(struct{}{})
+	}
 	if p.killed {
 		panic(procKilled{})
 	}

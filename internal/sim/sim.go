@@ -6,11 +6,12 @@
 // — not simulated fidelity — bounds how large a cluster and how long a
 // timeline the evaluation can afford. The engine advances a virtual clock
 // through a time-ordered heap of typed event records and runs simulation
-// processes as goroutines with a strict engine⇄process handoff: exactly one
-// goroutine (the engine or a single process) is ever runnable, so runs are
+// processes as coroutines (iter.Pull) driven by the Run caller: exactly one
+// of them (the driver or a single process) ever runs, so runs are
 // bit-for-bit deterministic for a given seed and independent of GOMAXPROCS.
 //
-// Two design choices keep the hot path off the allocator and the scheduler:
+// Three design choices keep the hot path off the allocator and the
+// scheduler:
 //
 //   - Events are concrete records, not boxed closures. A process wakeup —
 //     the dominant event kind (every Sleep, Resource grant, Latch open and
@@ -18,12 +19,23 @@
 //     directly in the heap slot; the generation guard makes stale wakeups
 //     (a process resumed by someone else first, or killed by Drain) drop
 //     harmlessly. Only Engine.Schedule carries a func() payload.
-//   - Processes are pooled. Engine.Go reuses a parked worker goroutine and
-//     its resume channel instead of spawning fresh ones; fan-out-heavy model
-//     code (an EC write spawns k+m shard writers per op) churns no
-//     goroutines in steady state. Process names are stored as unformatted
-//     {prefix, arg, id} parts and only rendered by Name() — on panic, in
-//     practice — so spawning never pays fmt.Sprintf either (GoNamed).
+//   - Processes are pooled. Engine.Go reuses a parked worker coroutine
+//     instead of creating a fresh one; fan-out-heavy model code (an EC
+//     write spawns k+m shard writers per op) churns no goroutines in steady
+//     state. Process names are stored as unformatted {prefix, arg, id}
+//     parts and only rendered by Name() — on panic, in practice — so
+//     spawning never pays fmt.Sprintf either (GoNamed).
+//   - Switches bypass the scheduler. A process that blocks runs the
+//     dispatch loop itself and keeps going when its own wakeup is next (no
+//     switch at all); otherwise it yields to the driver, which resumes the
+//     next process. Both are coroswitch calls: the current thread jumps
+//     straight to the target goroutine, with no ready/wakep and no global
+//     scheduler lock. The channel baton this replaced took chansend → ready
+//     → wakep → sched.lock on 96 % of the 22.5 M events of the benchmark
+//     sweep, and two engines running side by side contended on that lock.
+//     At -cpu 1 / 2, a pooled spawn (BenchmarkEngineGoSwitch) went from
+//     533 / 496 to 160 / 191 ns and a cross-process switch
+//     (BenchmarkEnginePingPong) from 265 / 274 to 175 / 178 ns.
 //
 // Processes block on virtual time (Sleep), on counted resources (Resource),
 // and on synchronization primitives (Latch, Signal, Waker). Waiting
@@ -32,26 +44,21 @@
 // components such as CPUs, NICs, SSDs and PG locks are built from these
 // primitives in the other internal packages.
 //
-// An engine's pooled workers are real goroutines, and everything a process
-// body captured stays reachable through them: call Engine.Close when a run
-// is over (it drains what is still live, retires the workers and waits for
-// them to exit), or every engine a program ever ran stays pinned in memory.
+// An engine's pooled workers are real (suspended) goroutines, and everything
+// a process body captured stays reachable through them: call Engine.Close
+// when a run is over (it drains what is still live and stops every worker
+// coroutine), or every engine a program ever ran stays pinned in memory.
 //
-// One engine uses one core, and a lone engine on an otherwise idle multi-P
-// process is slower than the same engine at GOMAXPROCS=1: every baton
-// handoff readies a goroutine (chansend → ready → wakep), which futex-wakes
-// an idle P that finds nothing to run. The 24-cell benchmark sweep, run one
-// cell at a time on two cores, spent 12 % of its samples in runtime.futex
-// and 10 % in findRunnable and took 15.4–17.5 s against 12.9 s at
-// GOMAXPROCS=1. The cure is to keep every P busy with an engine of its own
-// (bench.RunSweep runs one cell per core), not to tune the engine.
+// One engine uses one core. A process that calls runtime.Goexit (t.Fatal
+// in a test) ends the driver goroutine too: iter.Pull passes the Goexit on
+// to the caller of next.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -73,12 +80,13 @@ func (t Time) String() string { return time.Duration(t).String() }
 //
 // Internally the engine has no goroutine of its own while running. The
 // dispatch loop executes on whichever goroutine is active — the driver (the
-// Run/RunUntil caller) or the process that just blocked — and the "baton"
-// moves directly to the process the next event resumes: one channel handoff
-// per process switch, and none at all when a process's own wakeup is the
-// next event (the common case for a process sleeping through consecutive
-// model delays). Exactly one goroutine is ever runnable, so determinism is
-// unaffected by where the loop happens to run.
+// Run/RunUntil caller) or the process that just blocked. Each process is a
+// coroutine that only the driver resumes: a process whose own wakeup is the
+// next event keeps running (no switch at all — the common case for a
+// process sleeping through consecutive model delays); otherwise it names
+// the next process in handoff and yields, and the driver resumes that one.
+// A cross-process switch is two coroutine switches. Exactly one goroutine
+// ever runs, so determinism is unaffected by where the loop happens to run.
 type Engine struct {
 	now      Time
 	seq      uint64
@@ -86,13 +94,12 @@ type Engine struct {
 	limit    Time // dispatch bound of the current drive
 	driving  bool // a drive is active (guards against re-entry)
 	events   eventQueue
-	driverCh chan struct{} // hands the baton back to the driver
-	stopWhen func() bool   // optional extra dispatch brake (RunProc, Drain)
-	live     []*Proc       // live processes, unordered (swap-removed); see spawnSeq
-	free     []*Proc       // parked worker goroutines ready for reuse
+	handoff  *Proc       // process a yielding process asks the driver to resume
+	stopWhen func() bool // optional extra dispatch brake (RunProc, Drain)
+	live     []*Proc     // live processes, unordered (swap-removed); see spawnSeq
+	free     []*Proc     // parked worker coroutines ready for reuse
 	executed uint64
 	fatal    any
-	workers  sync.WaitGroup // started worker goroutines, for Close
 	closed   bool
 }
 
@@ -101,7 +108,7 @@ const forever = Time(1<<63 - 1)
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	e := &Engine{driverCh: make(chan struct{})}
+	e := &Engine{}
 	e.events.now = &e.now
 	return e
 }
@@ -171,13 +178,14 @@ func (e *Engine) RunProc(name string, fn func(p *Proc)) {
 }
 
 // drive runs the dispatch loop from the driver goroutine until the limit,
-// the event queue, a stop predicate or a process panic ends it.
+// the event queue, a stop predicate or a process panic ends it. It resumes
+// the process each event names; when that process yields it leaves the next
+// one in handoff, or nil once no event is ready.
 //
 // Drives do not nest: a Schedule callback or process re-entering
-// Run/RunUntil/RunProc would clobber the active bound and, when the baton
-// is held by a process, deadlock on its own resume — so re-entry panics
-// loudly instead. (The pre-baton engine tolerated driver-context nesting;
-// nothing used it.)
+// Run/RunUntil/RunProc would clobber the active bound and, from a process,
+// resume coroutines from inside one of them — so re-entry panics loudly
+// instead. A process may drive a different engine.
 func (e *Engine) drive(limit Time) {
 	if e.driving {
 		panic("sim: Run/RunUntil/RunProc re-entered from engine or process context")
@@ -187,7 +195,9 @@ func (e *Engine) drive(limit Time) {
 	}
 	e.driving = true
 	e.limit = limit
-	e.dispatch(nil, false)
+	for q := e.dispatch(); q != nil; q, e.handoff = e.handoff, nil {
+		q.next()
+	}
 	e.driving = false
 	if e.fatal != nil {
 		panic(e.fatal)
@@ -196,7 +206,7 @@ func (e *Engine) drive(limit Time) {
 
 // runFn executes a Schedule callback. A panic becomes the engine fatal and
 // surfaces verbatim from the driver's Run — it must not unwind (and be
-// attributed to) whatever process happens to hold the dispatch baton.
+// attributed to) whatever process happens to be running the dispatch loop.
 func (e *Engine) runFn(fn func()) {
 	defer func() {
 		if r := recover(); r != nil && e.fatal == nil {
@@ -206,37 +216,20 @@ func (e *Engine) runFn(fn func()) {
 	fn()
 }
 
-// ready reports whether the baton holder should dispatch another event.
+// ready reports whether the dispatch loop should pop another event.
 func (e *Engine) ready() bool {
 	return e.fatal == nil &&
 		e.events.len() > 0 && e.events.headTime() <= e.limit &&
 		(e.stopWhen == nil || !e.stopWhen())
 }
 
-// dispatch executes ready events on the calling goroutine — the current
-// baton holder. self is the process running the loop (nil when the driver
-// holds the baton); dead marks a worker whose process body just ended.
-//
-// The loop ends when
-//   - self's own wakeup (or, for a dead worker, its re-spawn) is popped:
-//     no handoff at all, returns true and the goroutine just keeps running;
-//   - another process must run: the baton passes with one channel send, and
-//     a parked self then blocks for its own resume (returns true once it
-//     arrives) while a dead worker returns false to await its next spawn;
-//   - no event is ready: the baton returns to the driver.
-func (e *Engine) dispatch(self *Proc, dead bool) bool {
-	for {
-		if !e.ready() {
-			if self == nil {
-				return false
-			}
-			e.driverCh <- struct{}{}
-			if dead {
-				return false
-			}
-			<-self.resume
-			return true
-		}
+// dispatch executes ready events on the calling goroutine — the driver or
+// the process that just blocked or finished — until one resumes a process,
+// and returns that process (marked running), or nil once no event is ready.
+// The caller runs it: directly when it is the caller itself, otherwise by
+// resuming its coroutine from the driver.
+func (e *Engine) dispatch() *Proc {
+	for e.ready() {
 		ev := e.events.pop()
 		if ev.t < e.now {
 			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, ev.t))
@@ -249,12 +242,10 @@ func (e *Engine) dispatch(self *Proc, dead bool) bool {
 			e.runFn(ev.fn)
 			continue
 		case ev.gen == genStart:
-			if !q.started {
-				// The worker goroutine is created on first dispatch, not at
+			if q.next == nil {
+				// The worker coroutine is created on first dispatch, not at
 				// Go time, so engines built but never run own none.
-				q.started = true
-				e.workers.Add(1)
-				go q.loop()
+				q.next, q.stop = iter.Pull(q.loop)
 			}
 		default: // wakeup
 			if !q.parked || q.parkGen != ev.gen {
@@ -263,23 +254,12 @@ func (e *Engine) dispatch(self *Proc, dead bool) bool {
 			q.parked = false
 		}
 		q.parkGen++
-		if q == self {
-			return true // direct self-resume: no handoff at all
-		}
-		q.resume <- struct{}{}
-		if self == nil {
-			<-e.driverCh // driver regains the baton, keeps dispatching
-			continue
-		}
-		if dead {
-			return false
-		}
-		<-self.resume
-		return true
+		return q
 	}
+	return nil
 }
 
-// Drain kills every live process so their goroutines park back in the pool,
+// Drain kills every live process so their workers park back in the pool,
 // then runs remaining events. Call it when a run ends before all processes
 // naturally complete (e.g. a fixed-duration workload with requests still in
 // flight). Determinism after Drain is preserved for subsequent spawns (the
@@ -326,12 +306,12 @@ func (e *Engine) Drain() {
 	}
 }
 
-// Close ends the engine's life: it drains any live processes, then retires
-// every pooled worker goroutine and returns once they have exited. Without
-// it the workers stay parked for the life of the program — one per process
-// that was ever concurrently live, for every engine ever run. The clock and
-// counters stay readable; spawning or running afterwards panics. Close is
-// idempotent.
+// Close ends the engine's life: it drains any live processes, then stops
+// every pooled worker coroutine and returns once they have exited. Without
+// it the workers stay suspended for the life of the program — one per
+// process that was ever concurrently live, for every engine ever run. The
+// clock and counters stay readable; spawning or running afterwards panics.
+// Close is idempotent.
 func (e *Engine) Close() {
 	if e.closed {
 		return
@@ -339,10 +319,9 @@ func (e *Engine) Close() {
 	e.Drain()
 	e.closed = true
 	for _, p := range e.free {
-		close(p.resume)
+		p.stop() // only a started worker ever reaches the pool
 	}
 	e.free = nil
-	e.workers.Wait()
 }
 
 // stopNow brakes dispatch unconditionally (Drain's kill phase).
@@ -358,17 +337,17 @@ func (e *Engine) liveProcs() []*Proc {
 	return ps
 }
 
-// switchTo force-resumes a parked process from the driver (Drain kills).
-// The baton passes to p and comes back via driverCh once p (and any dispatch
-// chain it triggers) blocks again.
+// switchTo force-resumes a parked process from the driver (Drain kills),
+// out of event order; the guard bump drops its pending wakeup. Drain holds
+// dispatch still, so p yields straight back with no handoff once it has
+// unwound and parked its worker.
 func (e *Engine) switchTo(p *Proc) {
 	p.parked = false
 	p.parkGen++
-	p.resume <- struct{}{}
-	<-e.driverCh
+	p.next()
 }
 
-// Go spawns a process. fn runs on a (pooled) goroutine, starting at the
+// Go spawns a process. fn runs on a (pooled) coroutine, starting at the
 // current virtual time, and may block with Sleep/Acquire/Wait. When fn
 // returns the process ends and its worker parks for reuse.
 func (e *Engine) Go(name string, fn func(p *Proc)) {
@@ -394,8 +373,8 @@ func (e *Engine) GoNamed(prefix, arg string, id int, fn func(p *Proc)) {
 	e.events.push(event{t: e.now, seq: e.seq, proc: p, gen: genStart})
 }
 
-// getProc pops a parked worker from the pool, or creates one (goroutine and
-// resume channel included) when the pool is empty.
+// getProc pops a parked worker from the pool, or creates a Proc when the
+// pool is empty; its coroutine is created by its first start event.
 func (e *Engine) getProc() *Proc {
 	if n := len(e.free); n > 0 {
 		p := e.free[n-1]
@@ -404,12 +383,12 @@ func (e *Engine) getProc() *Proc {
 		p.killed = false
 		return p
 	}
-	return &Proc{e: e, resume: make(chan struct{}), nameID: -1}
+	return &Proc{e: e, nameID: -1}
 }
 
 // recycle removes a finished process from the live set and parks its worker
-// in the pool. Runs on the worker goroutine while the engine is blocked in
-// switchTo, so it needs no locking.
+// in the pool. Runs on the worker coroutine, the only goroutine running, so
+// it needs no locking.
 func (e *Engine) recycle(p *Proc) {
 	last := len(e.live) - 1
 	q := e.live[last]

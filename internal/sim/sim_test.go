@@ -1,20 +1,29 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 )
 
-func TestClockStartsAtZero(t *testing.T) {
+// newEngine returns an engine that is closed when the test ends, so its
+// pooled workers do not outlive it.
+func newEngine(tb testing.TB) *Engine {
 	e := NewEngine()
+	tb.Cleanup(e.Close)
+	return e
+}
+
+func TestClockStartsAtZero(t *testing.T) {
+	e := newEngine(t)
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
 }
 
 func TestScheduleOrdering(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	var order []int
 	e.Schedule(3*time.Millisecond, func() { order = append(order, 3) })
 	e.Schedule(1*time.Millisecond, func() { order = append(order, 1) })
@@ -29,7 +38,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -44,7 +53,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 }
 
 func TestProcSleep(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	var wake Time
 	e.Go("sleeper", func(p *Proc) {
 		p.Sleep(5 * time.Millisecond)
@@ -57,7 +66,7 @@ func TestProcSleep(t *testing.T) {
 }
 
 func TestProcSleepZeroAndNegative(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	ran := false
 	e.Go("p", func(p *Proc) {
 		p.Sleep(0)
@@ -79,7 +88,7 @@ func TestProcSleepZeroAndNegative(t *testing.T) {
 }
 
 func TestSleepUntil(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	var times []Time
 	e.Go("p", func(p *Proc) {
 		p.SleepUntil(Time(2 * time.Millisecond))
@@ -94,7 +103,7 @@ func TestSleepUntil(t *testing.T) {
 }
 
 func TestInterleavedProcs(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a0")
@@ -116,7 +125,7 @@ func TestInterleavedProcs(t *testing.T) {
 }
 
 func TestRunUntilStopsAndResumes(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	count := 0
 	e.Go("ticker", func(p *Proc) {
 		for i := 0; i < 10; i++ {
@@ -138,7 +147,7 @@ func TestRunUntilStopsAndResumes(t *testing.T) {
 }
 
 func TestResourceMutualExclusion(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "mutex", 1)
 	var inside, maxInside int
 	for i := 0; i < 5; i++ {
@@ -163,7 +172,7 @@ func TestResourceMutualExclusion(t *testing.T) {
 }
 
 func TestResourceParallelism(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "pool", 4)
 	for i := 0; i < 8; i++ {
 		e.Go("worker", func(p *Proc) {
@@ -183,7 +192,7 @@ func TestResourceParallelism(t *testing.T) {
 }
 
 func TestResourceFIFO(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "mutex", 1)
 	var order []int
 	for i := 0; i < 6; i++ {
@@ -204,7 +213,7 @@ func TestResourceFIFO(t *testing.T) {
 }
 
 func TestResourceMultiUnit(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "pool", 3)
 	var got []string
 	e.Go("big", func(p *Proc) {
@@ -226,7 +235,7 @@ func TestResourceMultiUnit(t *testing.T) {
 }
 
 func TestTryAcquire(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "pool", 2)
 	if !r.TryAcquire(2) {
 		t.Fatal("TryAcquire on free resource must succeed")
@@ -241,7 +250,7 @@ func TestTryAcquire(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "cpu", 2)
 	e.Go("w", func(p *Proc) {
 		r.Acquire(p, 1)
@@ -257,7 +266,7 @@ func TestResourceUtilization(t *testing.T) {
 }
 
 func TestResourceInvalidOps(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "r", 2)
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -273,7 +282,7 @@ func TestResourceInvalidOps(t *testing.T) {
 }
 
 func TestLatch(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	l := NewLatch(e, 3)
 	var doneAt Time
 	e.Go("waiter", func(p *Proc) {
@@ -294,7 +303,7 @@ func TestLatch(t *testing.T) {
 }
 
 func TestLatchZeroAndOverdone(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	l := NewLatch(e, 0)
 	ran := false
 	e.Go("waiter", func(p *Proc) {
@@ -314,7 +323,7 @@ func TestLatchZeroAndOverdone(t *testing.T) {
 }
 
 func TestSignalBroadcast(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	s := NewSignal(e)
 	woke := 0
 	for i := 0; i < 4; i++ {
@@ -345,7 +354,7 @@ func TestSignalBroadcast(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
-		e := NewEngine()
+		e := newEngine(t)
 		r := NewResource(e, "mutex", 1)
 		var log []string
 		for i := 0; i < 4; i++ {
@@ -376,7 +385,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestDrainKillsParkedProcs(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	finished := false
 	e.Go("stuck", func(p *Proc) {
 		s := NewSignal(e) // never fired
@@ -397,7 +406,7 @@ func TestDrainKillsParkedProcs(t *testing.T) {
 }
 
 func TestDrainRunsDeferredCleanup(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	r := NewResource(e, "mutex", 1)
 	cleaned := false
 	e.Go("holder", func(p *Proc) {
@@ -423,21 +432,96 @@ func TestDrainRunsDeferredCleanup(t *testing.T) {
 }
 
 func TestProcPanicPropagates(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	e.Go("bad", func(p *Proc) { panic("boom") })
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("process panic must propagate out of Run")
+		}
+		if s, _ := r.(string); s != `sim: process "bad" panicked: boom` {
+			t.Fatalf("panic value = %v, want the process name and its own value", r)
 		}
 	}()
 	e.Run()
 }
 
+// TestProcessGoexitEndsDriver: runtime.Goexit inside a process body (what
+// t.Fatal does) must end the goroutine driving the engine too, not leave it
+// blocked for a process that will never run again.
+func TestProcessGoexitEndsDriver(t *testing.T) {
+	e := NewEngine() // not closed: the run it was in never finished
+	e.Go("quitter", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("driver still blocked 5s after a process called runtime.Goexit")
+	}
+	if returned {
+		t.Fatal("Run returned normally after a process called runtime.Goexit")
+	}
+}
+
+// TestEngineDrivenFromAnotherEnginesProcess: a process of one engine may
+// run a second engine to completion; both must produce exactly the event
+// logs they produce when run separately.
+func TestEngineDrivenFromAnotherEnginesProcess(t *testing.T) {
+	workload := func(e *Engine, name string, log *[]string) {
+		r := NewResource(e, "mutex", 1)
+		for i := 0; i < 3; i++ {
+			e.GoNamed(name, "", i, func(p *Proc) {
+				for j := 0; j < 3; j++ {
+					r.Acquire(p, 1)
+					*log = append(*log, fmt.Sprintf("%s@%v", p.Name(), p.Now()))
+					p.Sleep(time.Duration(i+1) * time.Microsecond)
+					r.Release(1)
+				}
+			})
+		}
+	}
+	var wantA, wantB []string
+	a := newEngine(t)
+	workload(a, "a", &wantA)
+	a.Run()
+	b := newEngine(t)
+	workload(b, "b", &wantB)
+	b.Run()
+
+	var gotA, gotB []string
+	outer, inner := newEngine(t), newEngine(t)
+	workload(outer, "a", &gotA)
+	workload(inner, "b", &gotB)
+	outer.Go("driver", func(p *Proc) {
+		p.Sleep(2 * time.Microsecond)
+		inner.Run()
+		p.Sleep(time.Microsecond)
+	})
+	outer.Run()
+	for _, c := range []struct {
+		name      string
+		got, want []string
+	}{{"outer", gotA, wantA}, {"inner", gotB, wantB}} {
+		if fmt.Sprint(c.got) != fmt.Sprint(c.want) {
+			t.Errorf("%s engine log %v, run alone %v", c.name, c.got, c.want)
+		}
+	}
+}
+
 // TestNestedRunPanics pins the re-entrancy guard: Run/RunUntil re-entered
-// from a Schedule callback must fail loudly (the baton-passing dispatch
-// cannot nest) rather than silently corrupt the outer run's bound.
+// from a Schedule callback must fail loudly (the dispatch loop cannot nest)
+// rather than silently corrupt the outer run's bound.
 func TestNestedRunPanics(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	var nested any
 	e.Schedule(time.Millisecond, func() {
 		defer func() { nested = recover() }()
@@ -451,11 +535,11 @@ func TestNestedRunPanics(t *testing.T) {
 
 // TestScheduleFnPanicNotAttributedToProc pins engine-context panic
 // attribution: a panicking Schedule callback must surface verbatim from
-// Run even when a blocked process's goroutine holds the dispatch baton —
+// Run even when a blocked process is the one running the dispatch loop —
 // not unwind that process's body, not run its defers, and not be reported
 // as that process panicking.
 func TestScheduleFnPanicNotAttributedToProc(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	unwound := false
 	e.Go("innocent", func(p *Proc) {
 		defer func() { unwound = true }()
@@ -500,7 +584,7 @@ func TestNewRandDeterministic(t *testing.T) {
 }
 
 func BenchmarkParkResume(b *testing.B) {
-	e := NewEngine()
+	e := newEngine(b)
 	e.Go("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(time.Nanosecond)
@@ -511,7 +595,7 @@ func BenchmarkParkResume(b *testing.B) {
 }
 
 func BenchmarkEventDispatch(b *testing.B) {
-	e := NewEngine()
+	e := newEngine(b)
 	var fn func()
 	n := 0
 	fn = func() {
@@ -530,7 +614,7 @@ func BenchmarkEventDispatch(b *testing.B) {
 // Wake returns false at the deadline, and after a timeout a late Wake is
 // banked as pending for the next wait rather than lost or misdelivered.
 func TestWakerWaitTimeout(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	w := NewWaker(e)
 	var log []string
 	e.Go("waiter", func(p *Proc) {
@@ -567,7 +651,7 @@ func TestWakerWaitTimeout(t *testing.T) {
 // TestWakerWaitTimeoutStaleTimer: when a Wake wins the race, the loser
 // timer event must be dropped as stale and not disturb a later park.
 func TestWakerWaitTimeoutStaleTimer(t *testing.T) {
-	e := NewEngine()
+	e := newEngine(t)
 	w := NewWaker(e)
 	e.Go("waiter", func(p *Proc) {
 		if !w.WaitTimeout(p, 50*time.Millisecond) {

@@ -161,7 +161,7 @@ func TestLazyMapsMatchDenseReference(t *testing.T) {
 	)
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := DefaultConfig(capacity)
-		e := sim.NewEngine()
+		e := newEngine(t)
 		d, err := New(e, "lazy", cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +225,7 @@ func TestLazyMapsMatchDenseReference(t *testing.T) {
 // TestNewDeviceIsSparse pins construction cost to the block table: a 2 GiB
 // device with dense maps allocated about 4.6 MB, 24 of them per cluster.
 func TestNewDeviceIsSparse(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	d, err := New(e, "d", DefaultConfig(2<<30))

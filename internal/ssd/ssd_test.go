@@ -16,6 +16,14 @@ func testConfig(capacity int64) Config {
 	return cfg
 }
 
+// newEngine returns an engine that is closed when the test ends, so its
+// pooled workers do not outlive it.
+func newEngine(tb testing.TB) *sim.Engine {
+	e := sim.NewEngine()
+	tb.Cleanup(e.Close)
+	return e
+}
+
 // run executes fn as a simulation process and drives it to completion.
 func run(t *testing.T, e *sim.Engine, fn func(p *sim.Proc)) {
 	t.Helper()
@@ -24,7 +32,7 @@ func run(t *testing.T, e *sim.Engine, fn func(p *sim.Proc)) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	bad := []Config{
 		{},
 		{Capacity: 12345, PageSize: 4096, PagesPerBlock: 256, OverProvision: 0.1, QueueDepth: 4, SeqReadFactor: 1},
@@ -43,7 +51,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	d, err := New(e, "d0", testConfig(16*testBlockBytes))
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +75,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 }
 
 func TestOverwriteVisible(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	d, _ := New(e, "d0", testConfig(16*testBlockBytes))
 	run(t, e, func(p *sim.Proc) {
 		d.Write(p, 0, []byte("AAAA"), 4)
@@ -81,7 +89,7 @@ func TestOverwriteVisible(t *testing.T) {
 }
 
 func TestHostCountersAndOps(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	run(t, e, func(p *sim.Proc) {
@@ -102,7 +110,7 @@ func TestHostCountersAndOps(t *testing.T) {
 }
 
 func TestSequentialWriteAmpNearOne(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(64 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	run(t, e, func(p *sim.Proc) {
@@ -122,7 +130,7 @@ func TestSequentialWriteAmpNearOne(t *testing.T) {
 }
 
 func TestRandomOverwriteAmplifiesWrites(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	cfg.OverProvision = 0.10
 	d, _ := New(e, "d0", cfg)
@@ -151,7 +159,7 @@ func TestRandomOverwriteAmplifiesWrites(t *testing.T) {
 }
 
 func TestTrimReducesGCPressure(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := testConfig(16 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	run(t, e, func(p *sim.Proc) {
@@ -174,7 +182,7 @@ func TestTrimReducesGCPressure(t *testing.T) {
 }
 
 func TestTrimPartialPagesIgnored(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	d, _ := New(e, "d0", testConfig(16*testBlockBytes))
 	run(t, e, func(p *sim.Proc) {
 		d.Write(p, 0, bytes.Repeat([]byte{7}, 8192), 8192)
@@ -188,7 +196,7 @@ func TestTrimPartialPagesIgnored(t *testing.T) {
 }
 
 func TestSubPageRandomWriteCausesRMW(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	run(t, e, func(p *sim.Proc) {
@@ -202,7 +210,7 @@ func TestSubPageRandomWriteCausesRMW(t *testing.T) {
 }
 
 func TestSequentialSubPageWritesCoalesce(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	run(t, e, func(p *sim.Proc) {
@@ -222,7 +230,7 @@ func TestSequentialSubPageWritesCoalesce(t *testing.T) {
 
 func TestSequentialReadFasterThanRandom(t *testing.T) {
 	timeFor := func(seqPattern bool) sim.Time {
-		e := sim.NewEngine()
+		e := newEngine(t)
 		cfg := DefaultConfig(64 * testBlockBytes)
 		d, _ := New(e, "d0", cfg)
 		e.Go("t", func(p *sim.Proc) {
@@ -256,7 +264,7 @@ func TestSequentialReadFasterThanRandom(t *testing.T) {
 func TestQueueSerialization(t *testing.T) {
 	// More concurrent requests than queue depth: the device must serialize
 	// the excess, so total time exceeds one service time.
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	cfg.QueueDepth = 2
 	d, _ := New(e, "d0", cfg)
@@ -272,7 +280,7 @@ func TestQueueSerialization(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	d, _ := New(e, "d0", testConfig(16*testBlockBytes))
 	for name, fn := range map[string]func(p *sim.Proc){
 		"read past end":  func(p *sim.Proc) { d.Read(p, 16*testBlockBytes-1, 2) },
@@ -280,7 +288,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		"zero length":    func(p *sim.Proc) { d.Read(p, 0, 0) },
 		"write past end": func(p *sim.Proc) { d.Write(p, 16*testBlockBytes, nil, 1) },
 	} {
-		e := sim.NewEngine()
+		e := newEngine(t)
 		d2, _ := New(e, "d0", testConfig(16*testBlockBytes))
 		_ = d
 		e.Go(name, func(p *sim.Proc) { fn(p) })
@@ -297,7 +305,7 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestBusyAccounting(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	run(t, e, func(p *sim.Proc) { d.Write(p, 0, nil, 4096) })
@@ -309,7 +317,7 @@ func TestBusyAccounting(t *testing.T) {
 func TestDataIntegrityUnderGC(t *testing.T) {
 	// Property: after heavy random overwrites that force GC, every page
 	// still reads back the last value written to it.
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := testConfig(8 * testBlockBytes)
 	cfg.OverProvision = 0.15
 	d, _ := New(e, "d0", cfg)
@@ -354,7 +362,7 @@ func TestWriteAmpFormula(t *testing.T) {
 }
 
 func BenchmarkWrite4K(b *testing.B) {
-	e := sim.NewEngine()
+	e := newEngine(b)
 	cfg := DefaultConfig(256 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	rng := sim.NewRand(4)
@@ -368,7 +376,7 @@ func BenchmarkWrite4K(b *testing.B) {
 }
 
 func BenchmarkGCHeavyWorkload(b *testing.B) {
-	e := sim.NewEngine()
+	e := newEngine(b)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	cfg.OverProvision = 0.08
 	d, _ := New(e, "d0", cfg)
@@ -391,7 +399,7 @@ var _ = time.Second // keep time imported for config literals in failures
 // counters form one measurement window — resetting one without the other
 // skews per-phase busy fractions.
 func TestResetStatsResetsBusyTime(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	d, _ := New(e, "d0", DefaultConfig(16*testBlockBytes))
 	run(t, e, func(p *sim.Proc) { d.Write(p, 0, nil, 4096) })
 	if d.BusySeconds() <= 0 {
@@ -409,7 +417,7 @@ func TestResetStatsResetsBusyTime(t *testing.T) {
 // TestDegradationLatencyMultiplier: a degraded device serves the same
 // request slower by exactly the multiplier; clearing restores it.
 func TestDegradationLatencyMultiplier(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	var healthy, slow, restored sim.Time
@@ -440,7 +448,7 @@ func TestDegradationLatencyMultiplier(t *testing.T) {
 // stuck and faulted; TakeFault reports-and-clears; the stuck delay lands
 // in the service time.
 func TestDegradationErrorAndStuck(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)
 	d, _ := New(e, "d0", cfg)
 	deg := Degradation{ErrorProb: 1, StuckProb: 1, StuckDelay: 50 * time.Millisecond}
@@ -472,7 +480,7 @@ func TestDegradationErrorAndStuck(t *testing.T) {
 
 // TestDegradationValidation rejects out-of-range knobs.
 func TestDegradationValidation(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	d, _ := New(e, "d0", DefaultConfig(16*testBlockBytes))
 	for _, deg := range []Degradation{
 		{ErrorProb: 1.5},

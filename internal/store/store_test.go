@@ -10,6 +10,14 @@ import (
 
 const testDevCap = 512 << 20 // 512 MiB
 
+// newEngine returns an engine that is closed when the test ends, so its
+// pooled workers do not outlive it.
+func newEngine(tb testing.TB) *sim.Engine {
+	e := sim.NewEngine()
+	tb.Cleanup(e.Close)
+	return e
+}
+
 func newStore(t *testing.T, e *sim.Engine, carry bool, tweak func(*Config)) *Store {
 	t.Helper()
 	scfg := ssd.DefaultConfig(testDevCap)
@@ -36,7 +44,7 @@ func run(t *testing.T, e *sim.Engine, fn func(p *sim.Proc)) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	dev, _ := ssd.New(e, "d", ssd.DefaultConfig(testDevCap))
 	bad := []Config{
 		{MinAlloc: 0, BlockSize: 4096},
@@ -58,7 +66,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, true, nil)
 	run(t, e, func(p *sim.Proc) {
 		payload := []byte("object store payload 123")
@@ -77,7 +85,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadHolesAndMissing(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, true, nil)
 	run(t, e, func(p *sim.Proc) {
 		// Missing object: zeroes, no device I/O.
@@ -99,7 +107,7 @@ func TestReadHolesAndMissing(t *testing.T) {
 }
 
 func TestSubBlockWriteRMW(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, func(c *Config) { c.DeferredThreshold = 0; c.CacheBlocks = 0 })
 	run(t, e, func(p *sim.Proc) {
 		st.Write(p, "o", 0, nil, 8192) // establish data
@@ -118,7 +126,7 @@ func TestSubBlockWriteRMW(t *testing.T) {
 }
 
 func TestFreshWriteNoRMW(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, func(c *Config) { c.DeferredThreshold = 0 })
 	run(t, e, func(p *sim.Proc) {
 		st.Write(p, "o", 1000, nil, 100) // unaligned, but nothing written before
@@ -129,7 +137,7 @@ func TestFreshWriteNoRMW(t *testing.T) {
 }
 
 func TestDeferredWritesHitWAL(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, nil) // threshold 32K
 	run(t, e, func(p *sim.Proc) {
 		st.Write(p, "o", 0, nil, 4096)
@@ -145,7 +153,7 @@ func TestDeferredWritesHitWAL(t *testing.T) {
 }
 
 func TestWALDoublesDeviceWrites(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, func(c *Config) { c.MetaPerOp = 0 })
 	run(t, e, func(p *sim.Proc) {
 		for i := int64(0); i < 64; i++ {
@@ -160,7 +168,7 @@ func TestWALDoublesDeviceWrites(t *testing.T) {
 }
 
 func TestMetadataFlushes(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, func(c *Config) { c.MetaPerOp = 512 })
 	run(t, e, func(p *sim.Proc) {
 		for i := int64(0); i < 16; i++ { // 16*512 = 8KB = 2 flushes
@@ -173,7 +181,7 @@ func TestMetadataFlushes(t *testing.T) {
 }
 
 func TestBlockCacheAbsorbsRepeatReads(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, nil)
 	run(t, e, func(p *sim.Proc) {
 		st.Write(p, "o", 0, nil, 4096)
@@ -194,7 +202,7 @@ func TestBlockCacheAbsorbsRepeatReads(t *testing.T) {
 }
 
 func TestWriteInvalidatesCache(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, true, nil)
 	run(t, e, func(p *sim.Proc) {
 		st.Write(p, "o", 0, []byte("AAAA"), 4)
@@ -209,7 +217,7 @@ func TestWriteInvalidatesCache(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, func(c *Config) { c.CacheBlocks = 4 })
 	run(t, e, func(p *sim.Proc) {
 		st.Write(p, "o", 0, nil, 64*4096)
@@ -226,7 +234,7 @@ func TestCacheEviction(t *testing.T) {
 }
 
 func TestDeleteFreesAndTrims(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, true, nil)
 	run(t, e, func(p *sim.Proc) {
 		st.Write(p, "o", 0, bytes.Repeat([]byte{9}, 65536), 65536)
@@ -252,7 +260,7 @@ func TestDeleteFreesAndTrims(t *testing.T) {
 }
 
 func TestLargeWriteSpansUnits(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, true, nil)
 	payload := make([]byte, 300_000) // spans many 16K units
 	for i := range payload {
@@ -273,7 +281,7 @@ func TestLargeWriteSpansUnits(t *testing.T) {
 }
 
 func TestStatsAndReset(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, nil)
 	run(t, e, func(p *sim.Proc) {
 		st.Write(p, "o", 0, nil, 4096)
@@ -299,7 +307,7 @@ func TestInvalidRangesPanic(t *testing.T) {
 	}
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {
-			e := sim.NewEngine()
+			e := newEngine(t)
 			st := newStore(t, e, false, nil)
 			e.Go("t", func(p *sim.Proc) { fn(st, p) })
 			defer func() {
@@ -313,7 +321,7 @@ func TestInvalidRangesPanic(t *testing.T) {
 }
 
 func TestWALWrapAround(t *testing.T) {
-	e := sim.NewEngine()
+	e := newEngine(t)
 	st := newStore(t, e, false, func(c *Config) { c.WALRegion = 64 << 10 }) // tiny WAL
 	run(t, e, func(p *sim.Proc) {
 		for i := int64(0); i < 64; i++ {
