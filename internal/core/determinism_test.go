@@ -13,6 +13,14 @@ import (
 // the cluster metrics plus a digest of the bytes read back.
 func runDeterminismWorkload(t *testing.T, codecConc int) (Metrics, string) {
 	t.Helper()
+	m, digest, _, _, _ := runDeterminismWorkloadOn(t, codecConc)
+	return m, digest
+}
+
+// runDeterminismWorkloadOn is runDeterminismWorkload that also hands back
+// the engine, cluster and pool it ran on.
+func runDeterminismWorkloadOn(t *testing.T, codecConc int) (Metrics, string, *sim.Engine, *Cluster, *Pool) {
+	t.Helper()
 	cfg := smallConfig(true)
 	cfg.CodecConcurrency = codecConc
 	e, c := newTestCluster(t, cfg)
@@ -50,7 +58,7 @@ func runDeterminismWorkload(t *testing.T, codecConc int) (Metrics, string) {
 		}
 		digest = fmt.Sprintf("%016x", sum)
 	})
-	return c.Metrics(), digest
+	return c.Metrics(), digest, e, c, pool
 }
 
 // TestMetricsDeterministicUnderCodecConcurrency is the determinism
@@ -88,28 +96,58 @@ func fnvDigest(s string) string {
 	return fmt.Sprintf("%016x", sum)
 }
 
-// Golden digests of the determinism workload, captured from the engine as it
-// existed before the typed-event/pooled-proc rebuild. Any change to these
-// values means the simulator's event ordering (and therefore every simulated
-// metric) shifted — exactly what the rebuild promised not to do. Re-capture
-// deliberately only when a simulated-fidelity change is intended.
+// goldenRun is what the engine golden pins of one determinism run: a digest
+// of everything simulated that the run exposes, and the engine's event count.
+type goldenRun struct {
+	digest string
+	events uint64
+}
+
+// runGoldenWorkload runs the determinism workload, drains the engine, reads
+// one more range on the drained engine (reusing parked workers; the range
+// spans a cached stripe and one that must be fetched), and folds the
+// metrics, the private network's own counters, the payload digest and the
+// post-drain bytes into one digest. Metrics print with %#v so no Stringer
+// can hide a field.
+func runGoldenWorkload(t *testing.T, codecConc int) goldenRun {
+	t.Helper()
+	m, payload, e, c, pool := runDeterminismWorkloadOn(t, codecConc)
+	e.Drain()
+	var post []byte
+	e.RunProc("post-drain", func(p *sim.Proc) {
+		var err error
+		if post, err = pool.ReadObject(p, "obj-1", 60000, 9000); err != nil {
+			t.Errorf("post-drain read: %v", err)
+		}
+	})
+	net := c.PrivateNetwork()
+	return goldenRun{
+		digest: fnvDigest(fmt.Sprintf("%#v|net=%d/%d/%d|payload=%s|post=%s|final=%#v",
+			m, net.Bytes(), net.Messages(), net.LoopbackBytes(), payload, fnvDigest(string(post)), c.Metrics())),
+		events: e.Executed(),
+	}
+}
+
+// Golden values of the determinism workload. Any change to the digest means
+// simulated behaviour shifted — event ordering, timing, traffic or bytes.
+// goldenEngineEvents counts dispatched engine events; it moves when the
+// simulator spends a different number of events on the same behaviour.
+// Re-capture deliberately only when such a change is intended.
 const (
-	goldenMetricsDigest = "fb2afae2f1281c02"
-	goldenPayloadDigest = "34dbc89b7791f385"
+	goldenEngineDigest = "7a59ca2d18d14d9f"
+	goldenEngineEvents = 1568
 )
 
-// TestGoldenEngineDigest pins the old-vs-new engine equivalence: the same
-// seed and config must keep producing byte-identical Metrics and payload
-// bytes across the engine rebuild, at codec concurrency 1 and 4 alike.
+// TestGoldenEngineDigest pins the determinism workload's simulated output
+// and event count, at codec concurrency 1 and 4 alike.
 func TestGoldenEngineDigest(t *testing.T) {
 	for _, conc := range []int{1, 4} {
-		m, d := runDeterminismWorkload(t, conc)
-		if got := fnvDigest(fmt.Sprintf("%+v", m)); got != goldenMetricsDigest {
-			t.Errorf("conc %d: metrics digest = %s, want golden %s\nmetrics: %+v",
-				conc, got, goldenMetricsDigest, m)
+		g := runGoldenWorkload(t, conc)
+		if g.digest != goldenEngineDigest {
+			t.Errorf("conc %d: digest = %s, want golden %s", conc, g.digest, goldenEngineDigest)
 		}
-		if d != goldenPayloadDigest {
-			t.Errorf("conc %d: payload digest = %s, want golden %s", conc, d, goldenPayloadDigest)
+		if g.events != goldenEngineEvents {
+			t.Errorf("conc %d: engine events = %d, want golden %d", conc, g.events, goldenEngineEvents)
 		}
 	}
 }

@@ -8,16 +8,21 @@ import (
 	"ecarray/internal/sim"
 )
 
-// goldenScenarioDigest pins the full ScenarioResult of a fault+recovery
-// scenario — closed-loop and open-loop jobs, a mid-run OSD failure, a
-// throttled repair pass, phase windows, samples and the event log — as
-// produced by the engine before the typed-event/pooled-proc rebuild, plus
-// one more operation issued after Engine.Drain (which exercises process
+// goldenScenarioDigest pins every field of the ScenarioResult of a
+// fault+recovery scenario — closed-loop and open-loop jobs, a mid-run OSD
+// failure, a throttled repair pass, phase windows, samples and the event
+// log — plus the cluster's metrics and private-network counters and the
+// bytes of one more read issued after Engine.Drain (which exercises process
 // reuse from the drained pool). A changed value means simulated behaviour
-// shifted; re-capture only when that is intended.
-const goldenScenarioDigest = "191858a06bfa456b"
+// shifted; re-capture only when that is intended. goldenScenarioEvents is
+// the engine's dispatched-event count over the same run: it moves when the
+// simulator spends a different number of events on the same behaviour.
+const (
+	goldenScenarioDigest = "e4c1b40df29ec066"
+	goldenScenarioEvents = 798648
+)
 
-func scenarioGoldenDigest(t *testing.T, codecConc int) string {
+func scenarioGoldenDigest(t *testing.T, codecConc int) (string, uint64) {
 	t.Helper()
 	c, imgEC, imgRep := scenarioCluster(t, true, codecConc)
 	imgEC.Prefill()
@@ -47,14 +52,14 @@ func scenarioGoldenDigest(t *testing.T, codecConc int) string {
 	// One more request on the drained engine: with the pooled-process
 	// engine this reuses parked workers (including ones killed by Drain),
 	// and must not perturb simulated behaviour.
-	var post int64
+	var post []byte
+	var postAt sim.Time
 	e.RunProc("post-drain", func(p *sim.Proc) {
-		data, err := imgEC.Read(p, 0, 8<<10)
-		if err != nil {
+		var err error
+		if post, err = imgEC.Read(p, 0, 8<<10); err != nil {
 			t.Errorf("post-drain read: %v", err)
-			return
 		}
-		post = int64(len(data)) + int64(p.Now())
+		postAt = p.Now()
 	})
 
 	sum := uint64(14695981039346656037)
@@ -64,9 +69,14 @@ func scenarioGoldenDigest(t *testing.T, codecConc int) string {
 			sum *= 1099511628211
 		}
 	}
-	fold(fmt.Sprintf("%+v", res))
-	fold(fmt.Sprintf("post=%d", post))
-	return fmt.Sprintf("%016x", sum)
+	// %#v, not %+v: JobResult promotes Result.String, which would hide
+	// every per-job field but the summary line.
+	fold(fmt.Sprintf("%#v", *res))
+	net := c.PrivateNetwork()
+	fold(fmt.Sprintf("metrics=%#v|net=%d/%d/%d", c.Metrics(), net.Bytes(), net.Messages(), net.LoopbackBytes()))
+	fold(fmt.Sprintf("post=%d@%d|", len(post), postAt))
+	fold(string(post))
+	return fmt.Sprintf("%016x", sum), e.Executed()
 }
 
 // TestScenarioGoldenDigest is the old-vs-new engine regression for whole
@@ -75,9 +85,14 @@ func scenarioGoldenDigest(t *testing.T, codecConc int) string {
 // recovery, and process reuse after Drain.
 func TestScenarioGoldenDigest(t *testing.T) {
 	for _, conc := range []int{1, 4} {
-		if got := scenarioGoldenDigest(t, conc); got != goldenScenarioDigest {
+		got, events := scenarioGoldenDigest(t, conc)
+		if got != goldenScenarioDigest {
 			t.Errorf("codec concurrency %d: scenario digest = %s, want golden %s",
 				conc, got, goldenScenarioDigest)
+		}
+		if events != goldenScenarioEvents {
+			t.Errorf("codec concurrency %d: engine events = %d, want golden %d",
+				conc, events, goldenScenarioEvents)
 		}
 	}
 }
