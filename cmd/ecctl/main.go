@@ -59,8 +59,9 @@ func main() {
 	cfg := ecarray.DefaultConfig()
 	cfg.DeviceCapacity = 2 << 30
 	cfg.PGsPerPool = max(*pgs, 32)
-	if cmd == "osd-df" || cmd == "degrade" {
-		// Health scores only accumulate on the tail-tolerant read path.
+	if cmd == "degrade" {
+		// Every read scores OSD health; the demo also wants the tuned
+		// deadlines, hedges and breaker acting on the degraded OSD.
 		cfg.Gray = ecarray.DefaultGrayConfig()
 	}
 	cluster, err := ecarray.NewCluster(cfg)

@@ -51,8 +51,7 @@
 //	})
 //
 // See the examples directory for runnable programs (examples/scenario
-// shows mixed tenants with a mid-run failure) and DESIGN.md for the
-// mapping from paper sections to modules.
+// shows mixed tenants with a mid-run failure).
 package ecarray
 
 import (
@@ -151,8 +150,8 @@ type (
 type (
 	// GrayConfig holds the tail-tolerance knobs — per-shard request
 	// deadlines with retry/backoff, hedged reads, and OSD health scoring
-	// with circuit-breaker eject. Assign to Config.Gray to enable; the
-	// zero value leaves the classic data path untouched.
+	// with circuit-breaker eject — tuning the shard fetch every read runs.
+	// The zero value turns each mechanism off.
 	GrayConfig = core.GrayConfig
 	// OSDDegradation describes an injected gray fault on one OSD: device
 	// degradation and/or a host network latency multiplier.

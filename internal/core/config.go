@@ -67,8 +67,9 @@ type Config struct {
 	Cost CostModel
 
 	// Gray holds the gray-failure tolerance knobs (shard timeouts, hedged
-	// reads, health scoring, circuit breaker). The zero value disables the
-	// whole subsystem; see DefaultGrayConfig for tuned defaults.
+	// reads, health thresholds, circuit breaker) that tune the read path's
+	// shard fetch. The zero value turns every mechanism off; see
+	// DefaultGrayConfig for tuned defaults.
 	Gray GrayConfig
 
 	// QoS wires a multi-tenant admission policy in front of the pools

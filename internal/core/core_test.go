@@ -393,6 +393,40 @@ func TestStripeCacheServesSequentialReads(t *testing.T) {
 	_ = pl
 }
 
+// TestStripeCacheDropForgetsOrder: a dropped key must also leave the FIFO
+// order, or its stale slot later evicts a live re-insertion of that key.
+func TestStripeCacheDropForgetsOrder(t *testing.T) {
+	sc := newStripeCache(2)
+	a, b := stripeKey{"obj", 0}, stripeKey{"obj", 1}
+	sc.put(a, nil)
+	sc.drop(a)
+	sc.put(a, nil)
+	sc.put(b, nil)
+	if _, ok := sc.get(a); !ok {
+		t.Fatalf("re-inserted key evicted by its dropped slot: order %v", sc.order)
+	}
+}
+
+// TestECReadEventCount pins the engine events one RS(6,3) 4 KiB read costs
+// with the gray-failure knobs at zero: the k shard fetches wake the reader
+// once, when the k-th lands, not once per completion.
+func TestECReadEventCount(t *testing.T) {
+	e, c := newTestCluster(t, smallConfig(false))
+	c.CreatePool("ec", ProfileEC(6, 3)) //nolint:errcheck
+	img, _ := c.CreateImage("ec", "img", 8<<20)
+	img.Prefill()
+	before := e.Executed()
+	runOp(t, e, c, func(p *sim.Proc) {
+		if _, err := img.Read(p, 1<<20, 4096); err != nil {
+			t.Error(err)
+		}
+	})
+	const want = 107
+	if got := e.Executed() - before; got != want {
+		t.Fatalf("RS(6,3) 4 KiB read took %d engine events, want %d", got, want)
+	}
+}
+
 func TestHeartbeatTraffic(t *testing.T) {
 	e, c := newTestCluster(t, smallConfig(false))
 	e.RunFor(61 * time.Second)

@@ -16,40 +16,13 @@ func (pl *Pool) encodeCost(dataBytes int64) time.Duration {
 	return perKB(dataBytes*int64(pl.profile.M), pl.c.cfg.Cost.EncodeCostPerKB())
 }
 
-// fetchShards pulls the byte range [shardOff, shardOff+perShard) of the
-// given shard positions from their OSDs, concurrently, returning when all
-// transfers complete. Results are indexed by position in shardPos. The
-// primary's own shard is read locally.
-func (pl *Pool) fetchShards(p *sim.Proc, pg *PG, prim *OSD, obj string, shardPos []int, shardOff, perShard int64) [][]byte {
-	results := make([][]byte, len(shardPos))
-	latch := sim.NewLatch(pl.c.e, len(shardPos))
-	for i, pos := range shardPos {
-		osd := pl.c.osds[pg.shards[pos]]
-		pl.c.e.GoNamed("ecfetch", obj, pos, func(sp *sim.Proc) {
-			results[i] = pl.c.pullShard(sp, prim, osd, obj, shardOff, perShard)
-			latch.Done()
-		})
-	}
-	latch.Wait(p)
-	return results
-}
-
 // fetchK pulls [shardOff, shardOff+perShard) of k shards of obj to the
-// primary, for a read or the read phase of a sub-stripe write: by default
-// all-or-nothing from the PG's first k live positions; with the
-// gray-failure knobs on, the tail-tolerant race over every live position
-// (tailfetch.go). results is aligned with srcs.
+// primary, for a read or the read phase of a sub-stripe write: the PG's
+// first k live positions are asked first and the live parity positions are
+// the spares (tailfetch.go). results is aligned with srcs.
 func (pl *Pool) fetchK(p *sim.Proc, pg *PG, prim *OSD, obj string, shardOff, perShard int64) (srcs []int, results [][]byte, err error) {
 	g := pl.geom()
-	if pl.c.cfg.Gray.tailEnabled() {
-		return pl.tailFetch(p, pg, prim, obj, pg.sources(nil, g.k+g.m), g.k, shardOff, perShard)
-	}
-	srcs = pg.sources(nil, g.k)
-	if len(srcs) < g.k {
-		return nil, nil, fmt.Errorf("core: pg %d.%d: only %d of %d shards live",
-			pl.id, pg.id, pg.liveShards(), g.k+g.m)
-	}
-	return srcs, pl.fetchShards(p, pg, prim, obj, srcs, shardOff, perShard), nil
+	return pl.tailFetch(p, pg, prim, obj, pg.sources(nil, g.k+g.m), g.k, shardOff, perShard)
 }
 
 // materializeStripes turns fetched shard ranges into per-stripe data chunks,

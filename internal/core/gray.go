@@ -16,14 +16,16 @@ import (
 // EC latency is the latency of the slowest shard). This file holds the
 // fault-injection surface (DegradeOSD/RestoreOSDHealth), the per-OSD health
 // tracker feeding the circuit breaker, and the knobs/counters for the
-// tail-tolerant fetch path in ec.go.
+// shard fetch in tailfetch.go.
 
-// GrayConfig are the gray-failure tolerance knobs. The zero value disables
-// every mechanism: no timeouts, no hedging, no health tracking — and,
-// critically, no RNG draws or extra events, so default-config runs stay
-// byte-identical to a build without the subsystem.
+// GrayConfig are the gray-failure tolerance knobs. They tune the one shard
+// fetch every read runs (tailfetch.go). The zero value turns off deadlines,
+// hedging, retries and the breaker: a read then waits for its first
+// candidates, an injected device error fails over to a spare at once, and
+// every request is still scored by the health tracker, which draws no
+// randomness.
 type GrayConfig struct {
-	// ShardTimeout is the per-shard request deadline on the tail-tolerant
+	// ShardTimeout is the per-shard request deadline on the shard
 	// fetch path: a request outstanding this long is abandoned and its
 	// shard served by reconstruction from a spare shard (EC) or another
 	// replica, when one is live. 0 disables deadlines.
@@ -76,11 +78,6 @@ func DefaultGrayConfig() GrayConfig {
 		EjectAfter:     30,
 		Probation:      100 * time.Millisecond,
 	}
-}
-
-// tailEnabled reports whether the tail-tolerant fetch path is on at all.
-func (g *GrayConfig) tailEnabled() bool {
-	return g.ShardTimeout > 0 || g.HedgeDelay > 0
 }
 
 func (g *GrayConfig) alpha() float64 {
@@ -315,8 +312,9 @@ func (c *Cluster) applyNodeNetDegradation(n *Node) {
 }
 
 // noteShardSample scores one completed (or abandoned) shard request against
-// the OSD's health tracker and runs the circuit breaker. Called only from
-// the tail-tolerant fetch path, so default-config runs never touch it.
+// the OSD's health tracker and runs the circuit breaker. Every shard request
+// of the read path calls it; with the knobs at zero it only updates the
+// EWMAs, since no threshold can flag the OSD.
 func (c *Cluster) noteShardSample(id int, lat time.Duration, failed bool) {
 	g := &c.cfg.Gray
 	h := &c.gray[id]

@@ -153,6 +153,54 @@ func TestGrayReplicatedReadFailsOver(t *testing.T) {
 	}
 }
 
+// TestInjectedDeviceErrorsFailOver pins what an injected device error means
+// with the gray-failure knobs at zero: the faulted shard is counted and never
+// served. The victim's stored bytes are corrupted too, so serving them would
+// show. An EC read rebuilds the shard from a parity spare; a replicated read
+// falls back to a secondary.
+func TestInjectedDeviceErrorsFailOver(t *testing.T) {
+	for _, prof := range []Profile{ProfileEC(4, 2), ProfileReplicated(3)} {
+		t.Run(prof.String(), func(t *testing.T) {
+			e, c := newTestCluster(t, smallConfig(true))
+			pl, _ := c.CreatePool("data", prof)
+			img, _ := c.CreateImage("data", "img", 8<<20)
+			payload := pattern(100_000, 23)
+			runOp(t, e, c, func(p *sim.Proc) {
+				if err := img.Write(p, 0, payload, int64(len(payload))); err != nil {
+					t.Error(err)
+				}
+			})
+
+			// EC: a non-primary data shard. Replicated: the primary, the
+			// only copy a healthy read touches.
+			obj := img.ObjectName(0)
+			pg := pl.pgOf(obj)
+			victim := pg.shards[1]
+			if !prof.IsEC() {
+				_, victim = pg.primary()
+			}
+			c.osds[victim].Store.Corrupt(obj, 0, int64(len(payload)))
+			if err := c.DegradeOSD(victim, OSDDegradation{Device: ssd.Degradation{ErrorProb: 1}}); err != nil {
+				t.Fatal(err)
+			}
+
+			runOp(t, e, c, func(p *sim.Proc) {
+				got, err := img.Read(p, 0, int64(len(payload)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, payload) {
+					t.Error("read served the faulted shard's bytes")
+				}
+			})
+			if gm := c.GrayMetrics(); gm.ShardFaults == 0 {
+				t.Fatalf("injected errors not counted: %+v", gm)
+			}
+		})
+	}
+}
+
 // TestGrayBreakerEjectsAndReadmits drives the full lifecycle: sustained slow
 // service flags the OSD (osd-slow), the breaker ejects it into the
 // MarkOSDOut lifecycle (osd-eject), RestoreOSDHealth re-admits it through

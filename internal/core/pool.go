@@ -386,7 +386,12 @@ func (sc *stripeCache) put(k stripeKey, chunks [][]byte) {
 	sc.entries[k] = chunks
 }
 
-func (sc *stripeCache) drop(k stripeKey) { delete(sc.entries, k) }
+func (sc *stripeCache) drop(k stripeKey) {
+	if _, ok := sc.entries[k]; ok {
+		delete(sc.entries, k)
+		sc.order = slices.DeleteFunc(sc.order, func(o stripeKey) bool { return o == k })
+	}
+}
 
 func (sc *stripeCache) clear() {
 	sc.entries = map[stripeKey][][]byte{}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ecarray/internal/sim"
@@ -102,7 +103,10 @@ func (pl *Pool) repairEC(p *sim.Proc, pg *PG, tag, obj string, targets []int) (p
 	}
 	_, primID := pg.primary() // exists: the sources are live
 	prim := pl.c.osds[primID]
-	results := pl.fetchShards(p, pg, prim, obj, srcs, 0, g.shardSize)
+	results := make([][]byte, len(srcs))
+	pl.fanOut(p, pg, "ecfetch", obj, srcs, func(sp *sim.Proc, pos int, osd *OSD) {
+		results[slices.Index(srcs, pos)] = pl.c.pullShard(sp, prim, osd, obj, 0, g.shardSize)
+	})
 	err = pl.rebuildEC(p, pg, prim, tag, obj, srcs, results, targets)
 	return int64(g.k) * g.shardSize, int64(len(targets)) * g.shardSize, err
 }

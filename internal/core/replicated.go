@@ -52,9 +52,11 @@ func (pl *Pool) writeReplicated(p *sim.Proc, obj string, off int64, data []byte,
 	return nil
 }
 
-// readReplicated serves reads from the primary replica only: no replica
-// traffic, no coding work — the baseline against which the paper measures
-// RS-concatenation overheads.
+// readReplicated serves reads from the primary replica: no replica traffic,
+// no coding work — the baseline against which the paper measures
+// RS-concatenation overheads. Only a faulted request, or one the
+// gray-failure knobs abandon or hedge, falls over to a secondary, which
+// holds an identical full copy.
 func (pl *Pool) readReplicated(p *sim.Proc, obj string, off, length int64) ([]byte, error) {
 	cm := &pl.c.cfg.Cost
 	pg := pl.pgOf(obj)
@@ -71,22 +73,12 @@ func (pl *Pool) readReplicated(p *sim.Proc, obj string, off, length int64) ([]by
 	prim.Node.CPU.Exec(p, cm.DispatchUser+cm.PGLockBaseline, 0)
 	pg.lock.Release(1)
 
-	var data []byte
-	if pl.c.cfg.Gray.tailEnabled() {
-		// Tail-tolerant read: the primary replica is preferred, but a request
-		// past the deadline (or hedged) fails over to a secondary, which holds
-		// an identical full copy of the object.
-		_, results, err := pl.tailFetch(p, pg, prim, obj, pg.sources(nil, len(pg.shards)), 1, off, length)
-		if err != nil {
-			prim.Workers.Release(1)
-			return nil, err
-		}
-		data = results[0]
-	} else {
-		data = pl.c.pullShard(p, prim, prim, obj, off, length)
-	}
+	_, results, err := pl.tailFetch(p, pg, prim, obj, pg.sources(nil, len(pg.shards)), 1, off, length)
 	prim.Workers.Release(1)
+	if err != nil {
+		return nil, err
+	}
 
 	pl.c.sendPublicToClient(p, prim.Node, length)
-	return data, nil
+	return results[0], nil
 }

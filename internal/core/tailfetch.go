@@ -8,17 +8,18 @@ import (
 	"ecarray/internal/sim"
 )
 
-// The tail-tolerant shard fetch: the gray-failure counterpart of
-// fetchShards (ec.go). EC read latency is the latency of the slowest shard
-// (§IV), so a degraded-but-alive OSD drags every read that touches it. This
-// path bounds that tail with per-request deadlines (falling back to
-// reconstruction from a spare shard), bounded retry with exponential
-// backoff on intermittent errors, and hedged reads (one speculative extra
-// request, first-k-wins). It runs only when GrayConfig enables it; the
-// default configuration keeps the untouched fetchShards path, byte for
-// byte.
+// The shard fetch every read runs: an EC read (or a sub-stripe write's read
+// phase) pulling k shards to the primary, and a replicated read pulling one
+// copy. EC read latency is the latency of the slowest shard (§IV), so a
+// degraded-but-alive OSD drags every read that touches it. GrayConfig's
+// knobs tune how this one path bounds that tail: per-request deadlines
+// (falling back to reconstruction from a spare shard), bounded retry with
+// exponential backoff on intermittent errors, and hedged reads (one
+// speculative extra request, first-k-wins). With the knobs at zero a
+// request is never abandoned or hedged, and an injected device error fails
+// over to a spare at once.
 
-// shardReq is one in-flight request on the tail-tolerant path.
+// shardReq is one in-flight shard request.
 type shardReq struct {
 	pos      int      // shard position within the PG
 	issued   sim.Time // last (re)issue time, for deadline/hedge clocks
@@ -30,6 +31,63 @@ type shardReq struct {
 	abandoned bool   // deadline passed or lost the race: bytes are discarded
 	scored    bool   // health sample already recorded (timeout abandonment)
 	data      []byte // valid only when done && !failed && !abandoned
+}
+
+// shardRace is the state one tailFetch call shares between the waiting
+// caller and its request processes, in one allocation: each process
+// captures only the race, its request and its OSD.
+type shardRace struct {
+	c      *Cluster
+	prim   *OSD
+	obj    string
+	off, n int64 // shard byte range
+	need   int
+	rp     retry.Policy
+	waker  *sim.Waker
+	reqs   []shardReq  // issue order; reqs[i] asks candidates[i]
+	done   []*shardReq // completion order, for first-k-wins
+	won    int         // successful completions not abandoned
+}
+
+// serve runs request r against osd until it succeeds, fails for good or is
+// abandoned, scoring its first attempt with the health tracker.
+func (s *shardRace) serve(sp *sim.Proc, r *shardReq, osd *OSD) {
+	c := s.c
+	dev := osd.Store.Device()
+	for {
+		r.issued = sp.Now()
+		dev.TakeFault() // drop faults belonging to other I/O paths
+		data := c.pullShard(sp, s.prim, osd, s.obj, s.off, s.n)
+		faulted := dev.TakeFault()
+		if !r.scored {
+			r.scored = true
+			c.noteShardSample(osd.ID, time.Duration(sp.Now()-r.issued), faulted)
+		}
+		if r.abandoned {
+			return // too late — the caller moved on; discard the bytes
+		}
+		if !faulted {
+			r.data, r.done = data, true
+			s.done = append(s.done, r)
+			// Only the need-th success changes a decision of the waiter's;
+			// waking it for each would cost a switch apiece.
+			s.won++
+			if s.won == s.need {
+				s.waker.Wake()
+			}
+			return
+		}
+		c.grayM.ShardFaults++
+		if s.rp.Exhausted(r.attempts) {
+			r.failed, r.done = true, true
+			s.done = append(s.done, r)
+			s.waker.Wake()
+			return
+		}
+		sp.Sleep(s.rp.Backoff(r.attempts))
+		r.attempts++
+		c.grayM.ShardRetries++
+	}
 }
 
 // tailFetch pulls [shardOff, shardOff+perShard) of `need` shards out of
@@ -55,52 +113,25 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 			pl.id, pg.id, len(candidates), need)
 	}
 
-	waker := sim.NewWaker(e)
-	// Uncapped, jitterless schedule: the simulated path wants exact
-	// RetryBackoff << attempt waits (golden digests pin the sequence).
-	rp := retry.Policy{Max: g.ShardRetries, Base: g.RetryBackoff}
-	var reqs []*shardReq
-	var doneSeq []*shardReq // completion order, for first-k-wins
-	next := 0               // next unused candidate
+	// Each candidate is issued at most once, so both slices are sized up
+	// front and pointers into reqs stay valid.
+	race := &shardRace{
+		c: c, prim: prim, obj: obj, off: shardOff, n: perShard, need: need,
+		// Uncapped, jitterless schedule: the simulated path wants exact
+		// RetryBackoff << attempt waits (golden digests pin the sequence).
+		rp:    retry.Policy{Max: g.ShardRetries, Base: g.RetryBackoff},
+		waker: sim.NewWaker(e),
+		reqs:  make([]shardReq, 0, len(candidates)),
+		done:  make([]*shardReq, 0, len(candidates)),
+	}
+	spare := func() bool { return len(race.reqs) < len(candidates) }
 
 	issue := func(hedge bool) {
-		pos := candidates[next]
-		next++
-		r := &shardReq{pos: pos, issued: e.Now(), hedge: hedge}
-		reqs = append(reqs, r)
+		pos := candidates[len(race.reqs)]
+		race.reqs = append(race.reqs, shardReq{pos: pos, issued: e.Now(), hedge: hedge})
+		r := &race.reqs[len(race.reqs)-1]
 		osd := c.osds[pg.shards[pos]]
-		e.GoNamed("tailfetch", obj, pos, func(sp *sim.Proc) {
-			dev := osd.Store.Device()
-			for {
-				r.issued = sp.Now()
-				dev.TakeFault() // drop faults belonging to other I/O paths
-				data := c.pullShard(sp, prim, osd, obj, shardOff, perShard)
-				faulted := dev.TakeFault()
-				if !r.scored {
-					r.scored = true
-					c.noteShardSample(osd.ID, time.Duration(sp.Now()-r.issued), faulted)
-				}
-				if r.abandoned {
-					return // too late — the caller moved on; discard the bytes
-				}
-				if !faulted {
-					r.data, r.done = data, true
-					doneSeq = append(doneSeq, r)
-					waker.Wake()
-					return
-				}
-				c.grayM.ShardFaults++
-				if rp.Exhausted(r.attempts) {
-					r.failed, r.done = true, true
-					doneSeq = append(doneSeq, r)
-					waker.Wake()
-					return
-				}
-				sp.Sleep(rp.Backoff(r.attempts))
-				r.attempts++
-				c.grayM.ShardRetries++
-			}
-		})
+		e.GoNamed("tailfetch", obj, pos, func(sp *sim.Proc) { race.serve(sp, r, osd) })
 	}
 
 	for i := 0; i < need; i++ {
@@ -108,21 +139,11 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 	}
 
 	hedged := false
-	for {
-		won := 0
-		for _, r := range doneSeq {
-			if !r.failed && !r.abandoned {
-				won++
-			}
-		}
-		if won >= need {
-			break
-		}
-
+	for race.won < need {
 		now := e.Now()
-		spare := func() bool { return next < len(candidates) }
 		oldest := sim.Time(-1)
-		for _, r := range reqs {
+		for i := range race.reqs {
+			r := &race.reqs[i]
 			if r.abandoned {
 				continue
 			}
@@ -168,7 +189,8 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 			}
 		}
 		oldest = -1
-		for _, r := range reqs {
+		for i := range race.reqs {
+			r := &race.reqs[i]
 			if r.abandoned || r.done {
 				continue
 			}
@@ -183,17 +205,18 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 			consider(time.Duration(oldest+sim.Time(g.HedgeDelay)) - time.Duration(now))
 		}
 		if wait < 0 {
-			waker.Wait(p)
+			race.waker.Wait(p)
 		} else {
-			waker.WaitTimeout(p, wait)
+			race.waker.WaitTimeout(p, wait)
 		}
 	}
 
 	// First-`need`-wins: later completions and still-outstanding requests
 	// lose the race. Their bytes are discarded; a loser that eventually
 	// completes still feeds the health tracker with its true latency.
+	winners, results = make([]int, 0, need), make([][]byte, 0, need)
 	taken := 0
-	for _, r := range doneSeq {
+	for _, r := range race.done {
 		if r.failed || r.abandoned {
 			continue
 		}
@@ -208,8 +231,8 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 			c.grayM.HedgesWon++
 		}
 	}
-	for _, r := range reqs {
-		if !r.done {
+	for i := range race.reqs {
+		if r := &race.reqs[i]; !r.done {
 			r.abandoned = true
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // simulator spends a different number of events on the same behaviour.
 const (
 	goldenScenarioDigest = "e4c1b40df29ec066"
-	goldenScenarioEvents = 798648
+	goldenScenarioEvents = 801132
 )
 
 func scenarioGoldenDigest(t *testing.T, codecConc int) (string, uint64) {
