@@ -178,5 +178,35 @@ func FuzzEncodeReconstruct(f *testing.F) {
 		if ok, err := c.Verify(damaged); err != nil || !ok {
 			t.Fatalf("RS(%d,%d): reconstructed stripe fails Verify (ok=%v err=%v)", k, m, ok, err)
 		}
+
+		// The same shards missing as zero-length slices over stale bytes:
+		// each is rebuilt in place into its capacity, by Reconstruct and by
+		// ReconstructData (which leaves missing parity as it was).
+		for _, dataOnly := range []bool{false, true} {
+			damaged := cloneShards(shards)
+			stale := make(map[int][]byte, nDrop)
+			for _, d := range order[:nDrop] {
+				stale[d] = bytes.Repeat([]byte{0xFF}, size)
+				damaged[d] = stale[d][:0]
+			}
+			reconstruct := par.Reconstruct
+			if dataOnly {
+				reconstruct = par.ReconstructData
+			}
+			if err := reconstruct(damaged); err != nil {
+				t.Fatalf("RS(%d,%d) drop %v in place: reconstruct: %v", k, m, order[:nDrop], err)
+			}
+			for _, d := range order[:nDrop] {
+				if dataOnly && d >= k {
+					if len(damaged[d]) != 0 {
+						t.Fatalf("RS(%d,%d): ReconstructData rebuilt parity shard %d", k, m, d)
+					}
+					continue
+				}
+				if !bytes.Equal(damaged[d], shards[d]) || &damaged[d][0] != &stale[d][0] {
+					t.Fatalf("RS(%d,%d) drop %v: shard %d not restored in place", k, m, order[:nDrop], d)
+				}
+			}
+		}
 	})
 }

@@ -114,14 +114,17 @@ func (c *Code) Generator() *matrix.Matrix { return c.gen.Clone() }
 // String implements fmt.Stringer, e.g. "RS(6,3)".
 func (c *Code) String() string { return fmt.Sprintf("RS(%d,%d)", c.k, c.m) }
 
-func (c *Code) checkShards(shards [][]byte, allowNil bool) (size int, err error) {
+// checkShards returns the common length of the present shards. A shard is
+// missing when it is empty (nil or zero-length); allowMissing says whether
+// that is allowed.
+func (c *Code) checkShards(shards [][]byte, allowMissing bool) (size int, err error) {
 	if len(shards) != c.k+c.m {
 		return 0, fmt.Errorf("%w: got %d, want %d", ErrShardCount, len(shards), c.k+c.m)
 	}
 	size = -1
 	for _, s := range shards {
-		if s == nil {
-			if !allowNil {
+		if len(s) == 0 {
+			if !allowMissing {
 				return 0, ErrShardSize
 			}
 			continue
@@ -129,7 +132,7 @@ func (c *Code) checkShards(shards [][]byte, allowNil bool) (size int, err error)
 		if size < 0 {
 			size = len(s)
 		}
-		if len(s) != size || size == 0 {
+		if len(s) != size {
 			return 0, ErrShardSize
 		}
 	}
@@ -178,8 +181,12 @@ func (c *Code) Verify(shards [][]byte) (bool, error) {
 	return true, nil
 }
 
-// Reconstruct rebuilds every missing (nil) shard in place, data and parity
-// alike. At least k shards must be present. Present shards are never
+// Reconstruct rebuilds every missing shard in place, data and parity
+// alike. A shard is missing when it is empty: nil, or zero-length. A
+// zero-length shard whose capacity holds a whole shard is rebuilt into that
+// capacity (which must not overlap a present shard), so a caller can
+// recycle its buffers; a nil one, or one with too little capacity, gets a
+// new buffer. At least k shards must be present. Present shards are never
 // modified. This is the paper's decoding operation: a recover matrix is
 // formed by inverting the generator rows of k surviving chunks and
 // multiplying it with those chunks (§II-C, Fig 3c).
@@ -187,9 +194,9 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	return c.reconstruct(shards, false)
 }
 
-// ReconstructData rebuilds only the missing data shards, leaving missing
-// parity shards nil. This matches a degraded read, which does not need to
-// re-materialize parity.
+// ReconstructData rebuilds only the missing data shards, as Reconstruct
+// does, leaving missing parity shards as they are. This matches a degraded
+// read, which does not need to re-materialize parity.
 func (c *Code) ReconstructData(shards [][]byte) error {
 	return c.reconstruct(shards, true)
 }
@@ -221,7 +228,7 @@ func (c *Code) reconstruct(shards [][]byte, dataOnly bool) error {
 	}
 	present := make([]int, 0, c.k+c.m)
 	for i, s := range shards {
-		if s != nil {
+		if len(s) != 0 {
 			present = append(present, i)
 		}
 	}
@@ -241,10 +248,10 @@ func (c *Code) reconstruct(shards [][]byte, dataOnly bool) error {
 	// missing rows are independent, so they shard across workers together.
 	var dataJobs []mulJob
 	for d := 0; d < c.k; d++ {
-		if shards[d] != nil {
+		if len(shards[d]) != 0 {
 			continue
 		}
-		out := make([]byte, size)
+		out := rebuildInto(shards[d], size)
 		dataJobs = append(dataJobs, mulJob{coeffs: recover.Row(d), srcs: src, out: out})
 		shards[d] = out
 	}
@@ -255,15 +262,25 @@ func (c *Code) reconstruct(shards [][]byte, dataOnly bool) error {
 	// Rebuild missing parity from the (now complete) data shards.
 	var parityJobs []mulJob
 	for p := 0; p < c.m; p++ {
-		if shards[c.k+p] != nil {
+		if len(shards[c.k+p]) != 0 {
 			continue
 		}
-		out := make([]byte, size)
+		out := rebuildInto(shards[c.k+p], size)
 		parityJobs = append(parityJobs, mulJob{coeffs: c.gen.Row(c.k + p), srcs: shards[:c.k], out: out})
 		shards[c.k+p] = out
 	}
 	c.runJobs(parityJobs, size)
 	return nil
+}
+
+// rebuildInto returns the buffer a missing shard is rebuilt into: its own
+// capacity when that holds size bytes, else a new buffer. Its contents are
+// overwritten, so stale bytes there do not matter.
+func rebuildInto(missing []byte, size int) []byte {
+	if cap(missing) >= size {
+		return missing[:size]
+	}
+	return make([]byte, size)
 }
 
 // Split partitions data into k equally sized data shards plus m zeroed

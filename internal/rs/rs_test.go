@@ -186,6 +186,44 @@ func TestReconstructPreservesPresentShards(t *testing.T) {
 	}
 }
 
+// TestReconstructIntoCapacity: a zero-length missing shard is rebuilt in
+// place into its capacity, whatever stale bytes that holds, by Reconstruct
+// and ReconstructData alike; a nil one, or one whose capacity is too
+// small, gets a new buffer.
+func TestReconstructIntoCapacity(t *testing.T) {
+	c := MustNew(6, 3)
+	orig := randShards(t, c, 1024, 17)
+	for _, dataOnly := range []bool{false, true} {
+		work := cloneShards(orig)
+		stale := bytes.Repeat([]byte{0xFF}, 1024+64)
+		work[1] = stale[:0]               // data, rebuilt in place
+		work[3] = nil                     // data, allocated
+		work[7] = make([]byte, 0, 1024-1) // parity, too small: allocated
+		reconstruct := c.Reconstruct
+		if dataOnly {
+			reconstruct = c.ReconstructData
+		}
+		if err := reconstruct(work); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range []int{1, 3} {
+			if !bytes.Equal(work[i], orig[i]) {
+				t.Fatalf("dataOnly=%v: data shard %d not rebuilt", dataOnly, i)
+			}
+		}
+		if &work[1][0] != &stale[0] {
+			t.Fatalf("dataOnly=%v: a missing shard with room was rebuilt into a new buffer", dataOnly)
+		}
+		if dataOnly {
+			if len(work[7]) != 0 {
+				t.Fatal("ReconstructData rebuilt a parity shard")
+			}
+		} else if !bytes.Equal(work[7], orig[7]) {
+			t.Fatal("parity shard 7 not rebuilt")
+		}
+	}
+}
+
 func TestQuickRandomErasures(t *testing.T) {
 	// Property: for random data, random shard size and any random erasure set
 	// of size <= m, reconstruction recovers the original content exactly.

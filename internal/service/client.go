@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ecarray/internal/retry"
@@ -34,15 +35,40 @@ func (e *StatusError) Error() string {
 }
 
 // send builds and issues one request: the optional body, the context's
-// request ID, and the tenant header when there is one.
-func send(ctx context.Context, hc *http.Client, method, u string, body []byte, tenant string) (*http.Response, error) {
+// request ID, and the tenant header when there is one. net/http may go on
+// reading a request body after Do returns (an early 413 or 503, a
+// cancelled request) and closes it when done; with lent non-nil, every
+// copy of the body handed to it (the first, and any GetBody re-send)
+// counts in lent until it is closed, so a caller that waits on lent knows
+// body is its own again. A body under minPooledShard is copied instead of
+// lent: the copy costs less than the write of their own that a lent body's
+// headers take (see lentBody).
+func send(ctx context.Context, hc *http.Client, method, u string, body []byte, lent *sync.WaitGroup, tenant string) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
+		if lent != nil && len(body) < minPooledShard {
+			body, lent = bytes.Clone(body), nil
+		}
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
 		return nil, err
+	}
+	if lent != nil && body != nil {
+		lend := func(rc io.ReadCloser) io.ReadCloser {
+			lent.Add(1)
+			return &lentBody{ReadCloser: rc, done: lent.Done}
+		}
+		req.Body = lend(req.Body)
+		getBody := req.GetBody
+		req.GetBody = func() (io.ReadCloser, error) {
+			rc, err := getBody()
+			if err != nil {
+				return nil, err
+			}
+			return lend(rc), nil
+		}
 	}
 	setRequestIDHeader(ctx, req)
 	if tenant != "" {
@@ -51,24 +77,46 @@ func send(ctx context.Context, hc *http.Client, method, u string, body []byte, t
 	return hc.Do(req)
 }
 
+// lentBody is a request body over a buffer net/http only borrows: its
+// first Close reports that net/http is done reading it. (Not being one of
+// the in-memory readers net/http recognises, it makes the request headers
+// go out in a write of their own.)
+type lentBody struct {
+	io.ReadCloser
+	once sync.Once
+	done func()
+}
+
+func (b *lentBody) Close() error {
+	b.once.Do(b.done)
+	return b.ReadCloser.Close()
+}
+
+// pooledBody is a finish target like *[]byte for a caller that gives the
+// body back with putShardBuf: it arrives in a shard-pool buffer.
+type pooledBody []byte
+
 // finish consumes and closes a response. On 2xx, out says what the caller
-// wants of the body: a *[]byte takes it raw, nil drains it (so the
-// connection is reused), anything else is JSON-decoded into. Any other
-// status becomes an error: ErrNotFound for 404, else a StatusError.
+// wants of the body: a *[]byte takes it raw in an exact-length buffer, a
+// *pooledBody in a pool buffer, nil drains it (so the connection is
+// reused), anything else is JSON-decoded into. Any other status becomes an
+// error: ErrNotFound for 404, else a StatusError. No body read has a limit
+// of its own: the caller asked for whatever the object or shard holds.
 func finish(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return decodeError(resp)
 	}
+	var err error
 	switch out := out.(type) {
 	case nil:
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	case *[]byte:
-		var err error
-		// No limit of our own: the caller asked for whatever the object
-		// or shard holds.
-		*out, err = readBody(resp.Body, resp.ContentLength, math.MaxInt64)
+		*out, err = readBody(resp.Body, resp.ContentLength, math.MaxInt64, false)
+		return err
+	case *pooledBody:
+		*out, err = readBody(resp.Body, resp.ContentLength, math.MaxInt64, true)
 		return err
 	default:
 		return json.NewDecoder(resp.Body).Decode(out)
@@ -114,9 +162,13 @@ func (c *OSDClient) shardURL(key string, shard int) string {
 
 // call is one daemon request finished into out. The two ways a daemon is
 // down from the gateway's view both come back as ErrOSDDown: it cannot be
-// reached (connection refused / reset / deadline), or it answers 503.
+// reached (connection refused / reset / deadline), or it answers 503. It
+// returns only once net/http is done reading body (ShardStore.Put borrows
+// it).
 func (c *OSDClient) call(ctx context.Context, method, u string, body []byte, out any) error {
-	resp, err := send(ctx, c.hc, method, u, body, "")
+	var lent sync.WaitGroup
+	defer lent.Wait()
+	resp, err := send(ctx, c.hc, method, u, body, &lent, "")
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrOSDDown, err)
 	}
@@ -128,14 +180,16 @@ func (c *OSDClient) call(ctx context.Context, method, u string, body []byte, out
 	return err
 }
 
-// Put implements ShardStore.
+// Put implements ShardStore: it returns only once net/http is done with
+// data.
 func (c *OSDClient) Put(ctx context.Context, key string, shard int, data []byte) error {
 	return c.call(ctx, http.MethodPut, c.shardURL(key, shard), data, nil)
 }
 
-// Get implements ShardStore.
-func (c *OSDClient) Get(ctx context.Context, key string, shard int) (data []byte, err error) {
-	err = c.call(ctx, http.MethodGet, c.shardURL(key, shard), nil, &data)
+// Get implements ShardStore. The shard arrives in a shard-pool buffer.
+func (c *OSDClient) Get(ctx context.Context, key string, shard int) ([]byte, error) {
+	var data pooledBody
+	err := c.call(ctx, http.MethodGet, c.shardURL(key, shard), nil, &data)
 	return data, err
 }
 
@@ -198,7 +252,7 @@ func (c *GateClient) objectURL(key string) string {
 
 // call is one admin request, sent once and finished into out.
 func (c *GateClient) call(ctx context.Context, method, path string, body []byte, out any) error {
-	resp, err := send(ctx, c.hc, method, c.base+path, body, c.tenant)
+	resp, err := send(ctx, c.hc, method, c.base+path, body, nil, c.tenant)
 	if err != nil {
 		return err
 	}
@@ -211,7 +265,7 @@ func (c *GateClient) call(ctx context.Context, method, path string, body []byte,
 // headers are returned for callers that read them.
 func (c *GateClient) doRetry(ctx context.Context, method, key string, body []byte, out any) (http.Header, error) {
 	for attempt := 0; ; attempt++ {
-		resp, err := send(ctx, c.hc, method, c.objectURL(key), body, c.tenant)
+		resp, err := send(ctx, c.hc, method, c.objectURL(key), body, nil, c.tenant)
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -358,51 +357,42 @@ func TestPutFromAllocationTrailsBytes(t *testing.T) {
 	}
 }
 
-// TestMemStoreSharesBuffers pins the ownership rule written on ShardStore:
-// MemStore keeps the slice Put is given and Get returns the slice it
-// holds, and because a shard is replaced or deleted, never edited, a
-// reader still holding the old slice sees its bytes unchanged (the race
-// detector would flag a store that wrote into it).
-func TestMemStoreSharesBuffers(t *testing.T) {
+// TestShardStoreBufferOwnership pins the ownership rule written on
+// ShardStore for every implementation: Put only borrows the caller's
+// buffer, so overwriting it afterwards leaves the stored shard as it was,
+// and Get's result is the caller's, so overwriting it leaves the next Get
+// as it was.
+func TestShardStoreBufferOwnership(t *testing.T) {
 	ctx := context.Background()
-	ms := NewMemStore(0)
-	data := payload(4096, 1)
-	want := bytes.Clone(data)
-	if err := ms.Put(ctx, "k", 0, data); err != nil {
+	vc, err := NewSimCluster(DefaultSimClusterConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	held, err := ms.Get(ctx, "k", 0)
-	if err != nil || len(held) != len(data) || &held[0] != &data[0] {
-		t.Fatalf("Get: err=%v, returned a %d-byte slice that is not the one Put was given", err, len(held))
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			if !bytes.Equal(held, want) {
-				t.Error("a held shard changed under its reader")
-				return
+	daemon := httptest.NewServer(NewOSDServer(0, NewMemStore(0), nil).Handler())
+	t.Cleanup(daemon.Close)
+	for name, store := range map[string]ShardStore{
+		"mem":        NewMemStore(0),
+		"sim":        vc.Stores()[0],
+		"osd-client": NewOSDClient(0, daemon.URL),
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Under and over minPooledShard: plain and pooled buffers.
+			for _, size := range []int{2 << 10, 64 << 10} {
+				want := payload(size, int64(size))
+				data := bytes.Clone(want)
+				if err := store.Put(ctx, "k", 0, data); err != nil {
+					t.Fatal(err)
+				}
+				clear(data)
+				got, err := store.Get(ctx, "k", 0)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%d bytes: get after the caller overwrote its Put buffer: err=%v match=%v", size, err, bytes.Equal(got, want))
+				}
+				clear(got)
+				if again, err := store.Get(ctx, "k", 0); err != nil || !bytes.Equal(again, want) {
+					t.Fatalf("%d bytes: get after the caller overwrote a Get result: err=%v match=%v", size, err, bytes.Equal(again, want))
+				}
 			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := int64(2); i < 50; i++ {
-			if err := ms.Put(ctx, "k", 0, payload(4096, i)); err != nil {
-				t.Error(err)
-			}
-		}
-		if err := ms.Delete(ctx, "k", 0); err != nil {
-			t.Error(err)
-		}
-	}()
-	wg.Wait()
-	if !bytes.Equal(held, want) {
-		t.Fatal("the held shard changed after an overwrite and a delete")
-	}
-	if _, err := ms.Get(ctx, "k", 0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("get after delete: %v, want ErrNotFound", err)
+		})
 	}
 }

@@ -34,38 +34,48 @@
 //
 // # Data path
 //
-// Each process writes each payload byte once. A PUT is admitted and placed
-// before a byte of its body is read (a refused upload costs nothing, and
-// an admitted one reads its body under the request deadline); then
-// PutObjectFrom reads every stripe's k chunks from the request body
-// straight to their final offsets in k+m whole-shard buffers and encodes
-// that stripe's parity in place beside them — byte for byte the shards
-// rs.StreamEncode writes, with no stripe buffer and no per-shard sink in
-// between. The buffers are granted the way readBody grants a declared
-// length: bodyHead between the data shards first, then at most eight times
-// what has arrived. ChunkSize (-chunk) is the largest stripe unit; objects
-// smaller than a stripe use a smaller one, recorded per object
-// (Gateway.chunkFor, objectMeta.chunk, the WAL record's optional "chunk"),
-// so what is stored is (k+m)/k × the object plus at most 512 bytes per
-// chunk at every size. The shards are fanned out to the placed OSDs with a
-// per-shard deadline; at least k writes must land or the put fails with
-// ErrInsufficientShards (HTTP 503) and the partial shards are deleted.
-// GET fetches the k data shards first; any shard that is down, slow past
-// its deadline, or corrupt-length is replaced by parity fetches and the
-// missing data shards are rebuilt whole (rs.ReconstructData) — a degraded
-// read, counted on /metrics and proven byte-identical to the healthy read
-// by tests. GetObjectTo then gives its admission slot back, sends the
-// headers and writes the payload chunk by chunk from the shard buffers to
-// the client; there is no whole-object buffer on either path. DELETE fans
-// out shard deletes and forgets the object; a subsequent GET is 404.
+// A PUT is admitted and placed before a byte of its body is read (a
+// refused upload costs nothing, and an admitted one reads its body under
+// the request deadline); then PutObjectFrom reads every stripe's k chunks
+// from the request body straight to their final offsets in k+m
+// whole-shard buffers, zeroes the padding after the payload's last byte,
+// and encodes that stripe's parity in place beside them — byte for byte
+// the shards rs.StreamEncode writes, with no stripe buffer and no
+// per-shard sink in between. The buffers are granted the way readBody
+// grants a declared length: bodyHead between the data shards first, then
+// at most eight times what has arrived. ChunkSize (-chunk) is the largest
+// stripe unit; objects smaller than a stripe use a smaller one, recorded
+// per object (Gateway.chunkFor, objectMeta.chunk, the WAL record's
+// optional "chunk"), so what is stored is (k+m)/k × the object plus at
+// most 512 bytes per chunk at every size. The shards are fanned out to the
+// placed OSDs with a per-shard deadline; at least k writes must land or
+// the put fails with ErrInsufficientShards (HTTP 503) and the partial
+// shards are deleted. GET fetches the k data shards first; any shard that
+// is down, slow past its deadline, or corrupt-length is replaced by parity
+// fetches and the missing data shards are rebuilt whole
+// (rs.ReconstructData) — a degraded read, counted on /metrics and proven
+// byte-identical to the healthy read by tests. GetObjectTo then gives its
+// admission slot back, sends the headers and writes the payload chunk by
+// chunk from the shard buffers to the client; there is no whole-object
+// buffer on either path. DELETE fans out shard deletes and forgets the
+// object; a subsequent GET is 404.
 //
-// Shard buffers cross ShardStore by reference (the ownership rule is on
-// the interface): ecstored stores the buffer it read a PUT body into and
-// serves a GET from the buffer it holds, and an in-process MemStore keeps
-// the gateway's shard buffers themselves. What remains is that a shard
-// crosses the seam as one []byte, so both daemons hold whole shards;
-// streaming them (ROADMAP item 1) waits for the benchmark harness, whose
-// tracedStore and stage replay speak that []byte interface.
+// Every shard buffer has one owner (the rule is on ShardStore): Put
+// borrows the caller's buffer until it returns, and Get's result is the
+// caller's. So the gateway, readBody and ecstored draw their whole-shard
+// buffers from one size-classed pool (shardbuf.go; its classes are an
+// eighth of a power of two apart, so a buffer holds at most an eighth more
+// than its shard) and give them back when done: the gateway's PUT shards
+// once every shard Put has returned, its fetched and rebuilt GET shards
+// once the response is written, ecstored's PUT body once the store has it
+// and its GET buffer once it is sent. A body the reader keeps (GateClient's
+// GET) is read into an exact-length buffer instead. In steady state the
+// gateway allocates nothing sized by the object. The price is in the
+// store: MemStore keeps an exact-length copy of each shard it is given and
+// serves a copy of what it keeps. A shard still crosses the seam as one
+// []byte, so every process holds whole shards; streaming them (ROADMAP
+// item 1) waits for the benchmark harness, whose tracedStore and stage
+// replay speak that []byte interface.
 //
 // # Production concerns
 //
@@ -91,6 +101,8 @@
 //	                     around every backend's store by NewGateway
 //	client.go            GateClient and OSDClient over one request path
 //	                     (send, finish)
+//	shardbuf.go          the shard-buffer pool the data path recycles
+//	                     through
 //
 // # Resilience
 //

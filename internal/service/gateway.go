@@ -341,8 +341,9 @@ func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader,
 	// collide with a user key — it always ends in "@<number>").
 	skey := fmt.Sprintf("%s@%d", key, g.gen.Add(1))
 
-	// Fan out shard writes, each under its own deadline. The stores may
-	// keep the buffers (ShardStore.Put): they are not touched again.
+	// Fan out shard writes, each under its own deadline. A store only
+	// borrows a buffer until its Put returns (ShardStore.Put), so once
+	// every Put has returned, landed or not, the buffers are ours to reuse.
 	meta := &objectMeta{size: size, chunk: chunk, skey: skey, osds: osds, ok: make([]bool, width)}
 	var wg sync.WaitGroup
 	for i := 0; i < width; i++ {
@@ -357,6 +358,7 @@ func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader,
 		}(i)
 	}
 	wg.Wait()
+	putShardBufs(shards)
 
 	written := 0
 	for _, ok := range meta.ok {
@@ -397,16 +399,23 @@ func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader,
 // buffers follow readBody's rule for a declared length: bodyHead between
 // the data shards up front, then at most eight times what has arrived
 // (one copy of the head for an object over bodyHead), so a sender that
-// declares much and sends little pins little. The zero padding after the
-// payload's last byte is the buffers' own zero fill.
-func (g *Gateway) readShards(ctx context.Context, body io.Reader, size int64, chunk int) ([][]byte, error) {
+// declares much and sends little pins little. The buffers come from the
+// shard pool and hold stale bytes, so the zero padding after the payload's
+// last byte is written here; the caller gives them back with putShardBufs
+// (on an error they are already back).
+func (g *Gateway) readShards(ctx context.Context, body io.Reader, size int64, chunk int) (_ [][]byte, err error) {
 	k, c := g.cfg.K, int64(chunk)
 	shardLen := g.shardLen(size, chunk)
-	have := min(shardLen, max(c, bodyHead/int64(k)/c*c)) // allocated per shard, in whole stripes
+	have := min(shardLen, max(c, bodyHead/int64(k)/c*c)) // granted per shard, in whole stripes
 	shards := make([][]byte, k+g.cfg.M)
 	for i := range shards {
-		shards[i] = make([]byte, have)
+		shards[i] = getShardBuf(int(have))
 	}
+	defer func() {
+		if err != nil {
+			putShardBufs(shards)
+		}
+	}()
 	views := make([][]byte, len(shards))
 	for off, left := int64(0), size; off < shardLen; off += c {
 		if err := ctx.Err(); err != nil {
@@ -415,18 +424,20 @@ func (g *Gateway) readShards(ctx context.Context, body io.Reader, size int64, ch
 		if off == have {
 			have = min(shardLen, 8*have)
 			for i, head := range shards {
-				shards[i] = make([]byte, have)
+				shards[i] = getShardBuf(int(have))
 				copy(shards[i], head)
+				putShardBuf(head)
 			}
 		}
 		for i := range views {
 			views[i] = shards[i][off : off+c]
 		}
-		for d := 0; d < k && left > 0; d++ {
+		for d := 0; d < k; d++ {
 			n := min(c, left)
 			if _, err := io.ReadFull(body, views[d][:n]); err != nil {
 				return nil, bodyError(err, g.cfg.MaxObjectBytes)
 			}
+			clear(views[d][n:])
 			left -= n
 		}
 		if err := g.code.Encode(views); err != nil {
@@ -510,6 +521,7 @@ func (g *Gateway) GetObjectTo(ctx context.Context, key string, w io.Writer, head
 	if err != nil {
 		return info, 0, err
 	}
+	defer putShardBufs(shards)
 	if header != nil {
 		header(info)
 	}
@@ -530,8 +542,9 @@ func (g *Gateway) GetObjectTo(ctx context.Context, key string, w io.Writer, head
 // fetchObject is the admitted half of a GET: look the object up, fetch k
 // of its shards in waves and rebuild any missing data shard, under the
 // request deadline. It returns the k data shards (and whatever parity was
-// fetched); the admission slot is released on return, before a byte goes
-// to the client.
+// fetched), pool buffers the caller gives back with putShardBufs; on an
+// error they are already back. The admission slot is released on return,
+// before a byte goes to the client.
 func (g *Gateway) fetchObject(ctx context.Context, key string) (*objectMeta, [][]byte, GetInfo, error) {
 	release, err := g.admit(ctx)
 	if err != nil {
@@ -582,21 +595,23 @@ func (g *Gateway) fetchObject(ctx context.Context, key string) (*objectMeta, [][
 	info := GetInfo{ShardErrors: tried - got}
 	g.series.op["get"].errors.Add(int64(info.ShardErrors))
 	if got < g.cfg.K {
+		putShardBufs(have)
 		g.series.failedReads.Inc()
 		return nil, nil, info,
 			fmt.Errorf("%w: %d of %d shards fetched, need %d", ErrInsufficientShards, got, width, g.cfg.K)
 	}
 
-	// Rebuild the missing data shards from parity, whole shards at once;
-	// the fetched ones (the stores' own buffers, ShardStore.Get) are only
-	// read.
-	for _, b := range have[:g.cfg.K] {
+	// Rebuild the missing data shards from parity, whole shards at once,
+	// into pool buffers: rs rebuilds a zero-length shard into its capacity.
+	for d, b := range have[:g.cfg.K] {
 		if b == nil {
 			info.Reconstructed++
+			have[d] = getShardBuf(int(want))[:0]
 		}
 	}
 	if info.Reconstructed > 0 {
 		if err := g.code.ReconstructData(have); err != nil {
+			putShardBufs(have)
 			return nil, nil, info, fmt.Errorf("service: decode: %w", err)
 		}
 		info.Degraded = true

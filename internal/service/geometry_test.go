@@ -159,6 +159,49 @@ func TestStripeGeometry(t *testing.T) {
 	}
 }
 
+// TestPaddingFromDirtyPool: a PUT's shard buffers come from the pool
+// holding an earlier object's bytes, so the zero padding after an object's
+// last byte must be written, not inherited. Right after a random 4 MiB
+// object has given its buffers back, an object one byte short of 64 whole
+// stripes and one that ends a byte into its last stripe's second chunk
+// (the last two chunks all padding) are stored exactly as rs.StreamEncode
+// writes them and read back the same healthy and degraded. A 4 KiB stripe
+// unit puts all three objects' shard buffers in one pool class: the
+// 256 KiB the 4 MiB object's buffers start at, which is the whole shard
+// of the other two.
+func TestPaddingFromDirtyPool(t *testing.T) {
+	ctx := context.Background()
+	stores := memStores(6)
+	gw := buildGateway(t, stores, func(cfg *GatewayConfig) {
+		cfg.ChunkSize = 4 << 10
+		cfg.BreakerThreshold = 0 // checkReads cuts OSDs off again and again
+	})
+	k, c, stripes := gw.cfg.K, gw.cfg.ChunkSize, 64
+	for _, size := range []int{k*c*stripes - 1, k*c*(stripes-1) + c + 1} {
+		if _, err := gw.PutObject(ctx, "dirty", payload(4<<20, int64(size))); err != nil {
+			t.Fatal(err)
+		}
+		data := payload(size, int64(size)+1)
+		oi, err := gw.PutObject(ctx, "padded", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk := gw.chunkFor(int64(size))
+		if chunk != c || gw.shardLen(int64(size), chunk) != 256<<10 {
+			t.Fatalf("%d bytes: chunk %d, shard %d bytes; the test wants chunk %d and 256 KiB shards", size, chunk, gw.shardLen(int64(size), chunk), c)
+		}
+		ref := streamEncoded(t, gw, data, chunk)
+		meta, _ := gw.lookup("padded")
+		for i, osd := range oi.OSDs {
+			got, err := stores[osd].Get(ctx, meta.skey, i)
+			if err != nil || !bytes.Equal(got, ref[i]) {
+				t.Fatalf("%d bytes: shard %d: err=%v, equal to what StreamEncode writes: %v", size, i, err, bytes.Equal(got, ref[i]))
+			}
+		}
+		checkReads(t, gw, "padded", data, oi.OSDs)
+	}
+}
+
 // TestOverwriteAcrossGeometries: overwriting one key with objects of
 // different stripe units (8 KiB → 1 MiB → 8 KiB) leaves only the live
 // generation's shards, each of the live geometry's length.

@@ -42,29 +42,52 @@ const bodyHead = 1 << 20
 // no declaration can ask for more memory than the bytes behind it earn.
 // limit bounds only the declaration; the bytes actually read are bounded
 // by r (the handlers pass an http.MaxBytesReader), which is all an
-// undeclared body has.
-func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+// undeclared body has. The caller owns the result. A declared body's
+// interim buffers come from the shard pool and go back on a regrow; the
+// one that holds the whole body is a pool buffer too when pooled is set,
+// for a caller that hands it to putShardBuf when done with it, and an
+// exact-length make otherwise, so a caller that keeps the bytes holds no
+// more than they need. A pooled read starts in an idle pool buffer of the
+// whole declared length when there is one: the schedule bounds what a
+// sender makes us allocate, and a recycled buffer allocates nothing. So a
+// shard over bodyHead arrives in one buffer, without a head buffer that
+// would keep a pool class of its own filled.
+func readBody(r io.Reader, declared, limit int64, pooled bool) ([]byte, error) {
 	if declared > limit {
 		return nil, &http.MaxBytesError{Limit: limit}
 	}
 	if declared < 0 {
 		return io.ReadAll(r)
 	}
-	buf, n := make([]byte, min(declared, bodyHead)), 0
-	for {
+	alloc := func(n int64) []byte {
+		if n == declared && !pooled {
+			return make([]byte, n)
+		}
+		return getShardBuf(int(n))
+	}
+	var buf []byte
+	if pooled {
+		buf = idleShardBuf(int(declared))
+	}
+	if buf == nil {
+		buf = alloc(min(declared, bodyHead))
+	}
+	for n := 0; ; {
 		m, err := io.ReadFull(r, buf[n:])
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		if err != nil {
+			putShardBuf(buf)
 			return nil, err
 		}
 		if n += m; int64(n) == declared {
 			return buf, nil
 		}
 		head := buf
-		buf = make([]byte, min(declared, 8*int64(n)))
+		buf = alloc(min(declared, 8*int64(n)))
 		copy(buf, head)
+		putShardBuf(head)
 	}
 }
 
@@ -221,12 +244,13 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, op string)
 		body, size := io.Reader(http.MaxBytesReader(w, r.Body, limit)), r.ContentLength
 		if size < 0 {
 			// No declared length to lay the shards out by: read it whole.
-			data, err := readBody(body, size, limit)
+			data, err := readBody(body, size, limit, true)
 			if err != nil {
 				opErr = bodyError(err, limit)
 				status = writeError(w, opErr)
 				break
 			}
+			defer putShardBuf(data)
 			body, size = bytes.NewReader(data), int64(len(data))
 		}
 		oi, err := g.PutObjectFrom(r.Context(), key, body, size)

@@ -158,13 +158,14 @@ func (p *osdPath) attempt(ctx context.Context, seconds *Histogram, hedge time.Du
 }
 
 // fetchShard reads one shard through the OSD's resilient path, hedged,
-// and validates its length.
+// and validates its length. The result is the caller's (ShardStore.Get).
 func (g *Gateway) fetchShard(ctx context.Context, skey string, shard, osd int, want int64) ([]byte, error) {
 	p := &g.osds[osd]
 	data, err := p.do(ctx, "get", g.cfg.HedgeDelay, func(c context.Context) ([]byte, error) {
 		return p.store.Get(c, skey, shard)
 	})
 	if err == nil && int64(len(data)) != want {
+		putShardBuf(data)
 		return nil, fmt.Errorf("service: shard %d length %d, want %d", shard, len(data), want)
 	}
 	return data, err

@@ -127,7 +127,7 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 		status = http.StatusBadRequest
 		writeJSON(w, status, errorBody{Error: "bad shard path: want /v1/shards/{key}/{idx}"})
 	case op == "put":
-		body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxShard), r.ContentLength, s.maxShard)
+		body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxShard), r.ContentLength, s.maxShard, true)
 		if err != nil {
 			// Only an oversized body is 413; a sender that went away
 			// mid-body (a cancelled hedge or timed-out send) is a 400.
@@ -139,8 +139,10 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 			writeJSON(w, status, errorBody{Error: "reading body: " + err.Error()})
 			break
 		}
-		// The store may keep body (ShardStore.Put): nobody else holds it.
+		// The store only borrows body (ShardStore.Put): once Put returns
+		// it goes back to the pool.
 		opErr = s.store.Put(r.Context(), key, idx, body)
+		putShardBuf(body)
 		status = shardStatus(opErr)
 		if opErr != nil {
 			writeJSON(w, status, errorBody{Error: opErr.Error()})
@@ -167,6 +169,7 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 		var sent int
 		sent, opErr = w.Write(data)
 		n = int64(sent)
+		putShardBuf(data) // Get's result is ours (ShardStore.Get)
 	case op == "delete":
 		opErr = s.store.Delete(r.Context(), key, idx)
 		status = shardStatus(opErr)

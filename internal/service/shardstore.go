@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -36,15 +37,17 @@ type OSDStat struct {
 // storage: the BlobNode-facing contract. Implementations must be safe for
 // concurrent use and must honour ctx cancellation at least between ops.
 //
-// Shard buffers change hands instead of being copied: a shard is replaced
-// or deleted as a whole, never edited, so one buffer can be the caller's,
-// the store's and a reader's at once as long as nobody writes to it.
+// Every shard buffer has one owner at a time. Put borrows the caller's
+// buffer and Get hands its result over, so each side of the seam can reuse
+// its buffers (the gateway and ecstored recycle theirs through a pool)
+// without anyone else seeing the bytes change.
 type ShardStore interface {
 	// Put stores one shard of an object, overwriting any previous bytes.
-	// The store may keep data; do not modify it after the call.
+	// It reads data only until it returns: a store that keeps the bytes
+	// keeps its own copy, and the caller may reuse data afterwards.
 	Put(ctx context.Context, key string, shard int, data []byte) error
-	// Get returns the shard's bytes, ErrNotFound if absent. The result may
-	// be the store's own buffer; do not modify the result.
+	// Get returns the shard's bytes, ErrNotFound if absent. The result
+	// belongs to the caller, who may modify or reuse it.
 	Get(ctx context.Context, key string, shard int) ([]byte, error)
 	// Delete removes the shard; deleting an absent shard returns
 	// ErrNotFound (callers that want idempotence ignore it).
@@ -63,9 +66,10 @@ func shardName(key string, shard int) string {
 }
 
 // MemStore is a mutex-guarded in-memory ShardStore: the default ecstored
-// backend and the cheapest test double. It keeps the buffer Put is given
-// and Get returns the buffer it holds; an overwrite or Delete drops the
-// store's reference and leaves a reader's bytes as they were.
+// backend and the cheapest test double. Put keeps an exact-length copy of
+// what it is given, and Get returns a copy in a shard-pool buffer. A kept
+// copy is replaced or dropped as a whole, never edited, so Get copies it
+// outside the lock.
 type MemStore struct {
 	id   int
 	host string
@@ -85,6 +89,9 @@ func (s *MemStore) SetHost(h string) { s.host = h }
 
 // Put implements ShardStore.
 func (s *MemStore) Put(ctx context.Context, key string, shard int, data []byte) error {
+	// Exact length, not a pool buffer: a pooled class would round a
+	// stored shard up to the class's capacity.
+	kept := bytes.Clone(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -94,23 +101,25 @@ func (s *MemStore) Put(ctx context.Context, key string, shard int, data []byte) 
 	if old, ok := s.shards[name]; ok {
 		s.bytes -= int64(len(old))
 	}
-	s.shards[name] = data
-	s.bytes += int64(len(data))
+	s.shards[name] = kept
+	s.bytes += int64(len(kept))
 	return nil
 }
 
 // Get implements ShardStore.
 func (s *MemStore) Get(ctx context.Context, key string, shard int) ([]byte, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
+	data, ok := s.shards[shardName(key, shard)]
+	s.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	data, ok := s.shards[shardName(key, shard)]
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return data, nil
+	out := getShardBuf(len(data))
+	copy(out, data)
+	return out, nil
 }
 
 // Delete implements ShardStore.
