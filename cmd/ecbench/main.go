@@ -11,8 +11,7 @@
 //	        [-compare old.json new.json]
 //	        [-merge merged.json shard0.json shard1.json ...]
 //	        [-duration 8s] [-image 32] [-qd 256] [-csvdir out/]
-//	        [-codec-kernel auto|scalar|avx2|fused|gfni] [-codec-conc n]
-//	        [-calibrate]
+//	        [-codec-conc n] [-calibrate]
 //
 // Modes (mutually exclusive; combining them is a usage error):
 //
@@ -28,9 +27,10 @@
 //	-merge     merge shard reports into one (first argument is the output)
 //
 // Scale "paper" is the full campaign — 52-OSD array, 1KB..128KB blocks,
-// stripe-unit and codec-kernel axes (hours serially; shard it); "quick"
-// is a reduced sweep for iteration; "smoke" finishes in tens of seconds
-// and is what CI runs.
+// stripe-unit and fault-state axes, 672 cells (hours serially; shard
+// it); "quick" is a reduced sweep for iteration; "smoke" finishes in tens
+// of seconds and is what CI runs. The GF kernel tier is not a flag: the
+// CPU picks it (gfni, else fused; ECARRAY_NO_GFNI=1 masks gfni).
 package main
 
 import (
@@ -63,8 +63,6 @@ func main() {
 	imageGiB := flag.Int64("image", 0, "override image size in GiB")
 	qd := flag.Int("qd", 0, "override queue depth")
 	csvdir := flag.String("csvdir", "", "also write each table as CSV into this directory")
-	codecKernel := flag.String("codec-kernel", "auto",
-		"GF kernel tier for the RS codec: auto, scalar, avx2, fused or gfni")
 	codecConc := flag.Int("codec-conc", 0, "max codec worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	calibrate := flag.Bool("calibrate", false, "derive simulated encode cost from the real codec's measured MB/s")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -109,9 +107,6 @@ func main() {
 	if *csvdir != "" && (mode == "compare" || mode == "merge" || mode == "sweep") {
 		usageError(fmt.Errorf("-csvdir does not apply to -%s (sweep output is the JSON report)", mode))
 	}
-	if mode == "sweep" && explicit["codec-kernel"] {
-		usageError(fmt.Errorf("-codec-kernel does not apply to -sweep: the kernel is a grid axis, set per cell by the preset"))
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -143,12 +138,6 @@ func main() {
 		return
 	}
 
-	kern, ok := gf.ParseKernel(*codecKernel)
-	if !ok {
-		usageError(fmt.Errorf("unknown codec kernel %q", *codecKernel))
-	}
-	gf.SetKernel(kern)
-
 	var opt bench.Options
 	var grid bench.Grid
 	if mode == "sweep" {
@@ -178,7 +167,6 @@ func main() {
 		opt.QueueDepth = *qd
 	}
 	opt.CodecConcurrency = *codecConc
-	opt.CodecKernel = *codecKernel
 	opt.CalibrateEncode = *calibrate
 	if *calibrate {
 		workers := opt.CodecConcurrency

@@ -98,31 +98,3 @@ func TestCalibrationNotesRecordKernel(t *testing.T) {
 		t.Fatalf("CSV must carry the calibration note as a comment line:\n%s", csv)
 	}
 }
-
-// TestCodecKernelKnobPlumbing: the suite's kernel knob must reach the
-// cluster config and be validated.
-func TestCodecKernelKnobPlumbing(t *testing.T) {
-	opt := Tiny()
-	opt.CodecKernel = "scalar"
-	s, err := NewSuite(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gf.SetKernel(gf.KernelAuto)
-	c, _, err := s.clusterFor(Schemes()[1], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Config().CodecKernel; got != "scalar" {
-		t.Fatalf("cluster CodecKernel = %q, want scalar", got)
-	}
-	if gf.ActiveKernel() != gf.KernelScalar {
-		t.Fatalf("kernel knob not applied: active = %v", gf.ActiveKernel())
-	}
-
-	bad := Tiny()
-	bad.CodecKernel = "simd9000"
-	if _, err := NewSuite(bad); err == nil {
-		t.Fatal("unknown kernel name must be rejected")
-	}
-}

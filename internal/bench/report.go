@@ -31,8 +31,8 @@ type HostInfo struct {
 
 // CodecInfo records the codec capability of the producing machine.
 type CodecInfo struct {
-	// ActiveKernel is the process-wide GF kernel tier resolved at report
-	// time ("auto" requests resolve to the concrete tier).
+	// ActiveKernel is the GF kernel tier the CPU picked ("fused" or
+	// "gfni").
 	ActiveKernel string `json:"active_kernel"`
 	Accelerated  bool   `json:"accelerated"` // AVX2-backed vector tiers
 	GFNI         bool   `json:"gfni"`        // GFNI/AVX-512 tier hardware-backed
@@ -285,9 +285,12 @@ func MergeReports(reports ...*BenchReport) (*BenchReport, error) {
 	for i := range out.Cells {
 		seen[out.Cells[i].ID] = i
 	}
-	calSeen := map[calKey]bool{}
+	// Provenance is unioned per (k, m, kernel), since shards from different
+	// hosts may have measured on different tiers: the key is a
+	// CalibrationInfo with only those three fields set.
+	calSeen := map[CalibrationInfo]bool{}
 	for _, c := range out.Calibrations {
-		calSeen[calKey{k: c.K, m: c.M, kernel: c.Kernel}] = true
+		calSeen[CalibrationInfo{K: c.K, M: c.M, Kernel: c.Kernel}] = true
 	}
 	for _, r := range reports[1:] {
 		if r.SchemaVersion != base.SchemaVersion {
@@ -318,7 +321,7 @@ func MergeReports(reports ...*BenchReport) (*BenchReport, error) {
 		// Union the calibration provenance: each shard measured only the
 		// (k, m, kernel) combinations its cells needed.
 		for _, c := range r.Calibrations {
-			key := calKey{k: c.K, m: c.M, kernel: c.Kernel}
+			key := CalibrationInfo{K: c.K, M: c.M, Kernel: c.Kernel}
 			if !calSeen[key] {
 				calSeen[key] = true
 				out.Calibrations = append(out.Calibrations, c)

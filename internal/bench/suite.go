@@ -8,7 +8,7 @@
 // Beyond single figures, the sweep subsystem (sweep.go) runs full
 // cross-product campaigns — up to the paper-scale 52-OSD grid over
 // schemes, patterns, ops, the 1 KB..128 KB block sweep, stripe units and
-// codec-kernel tiers — with independently-seeded, shardable cells, and
+// fault states — with independently-seeded, shardable cells, and
 // serializes each run as a versioned machine-readable BenchReport
 // (report.go, BENCH_*.json). CompareReports (compare.go) diffs two
 // reports under noise-aware thresholds: the regression gate CI applies
@@ -64,11 +64,6 @@ type Options struct {
 	// clusters (0 = GOMAXPROCS, 1 = serial). Metrics are identical at any
 	// setting; only wall-clock time changes.
 	CodecConcurrency int
-	// CodecKernel selects the GF kernel tier ("auto", "scalar", "avx2",
-	// "fused", "gfni"; empty leaves the process-wide selection alone).
-	// Like concurrency, it never changes simulated metrics — only
-	// wall-clock time and, with CalibrateEncode, the measured encode cost.
-	CodecKernel string
 	// CalibrateEncode derives each EC scheme's simulated encode cost from
 	// the measured throughput of the real codec (rs.MeasureEncodeMBps)
 	// instead of the paper-calibrated constant. Measured numbers vary
@@ -229,23 +224,18 @@ func (c Cell) FlashWritePerReq() float64 {
 	return float64(c.Metrics.FlashWriteBytes) / float64(c.Bytes)
 }
 
-// calibration records one measured codec throughput and the kernel tier
-// that produced it, so figure notes and CSVs can attribute paper-band
-// comparisons to a concrete codec configuration.
+// calibration records one measured codec throughput and the worker count
+// that produced it; notes and reports add the kernel tier the CPU picked,
+// so figure notes and CSVs can attribute paper-band comparisons to a
+// concrete codec configuration.
 type calibration struct {
 	k, m    int
 	mbps    float64 // per-parity-row MB/s
-	kernel  string  // gf kernel tier active during the measurement
 	workers int
 }
 
-// calKey identifies one calibration measurement. The kernel is part of
-// the key because the sweep's codec-kernel axis measures each tier
-// separately (a gfni measurement must not be reused for a scalar cell).
-type calKey struct {
-	k, m   int
-	kernel string
-}
+// calKey identifies one calibration measurement: one per EC scheme.
+type calKey struct{ k, m int }
 
 // Suite runs and caches cells.
 type Suite struct {
@@ -279,23 +269,16 @@ func NewSuite(opt Options) (*Suite, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if opt.CodecKernel != "" {
-		k, ok := gf.ParseKernel(opt.CodecKernel)
-		if !ok {
-			return nil, fmt.Errorf("bench: unknown codec kernel %q", opt.CodecKernel)
-		}
-		gf.SetKernel(k)
-	}
 	return &Suite{Opt: opt, cells: map[Key]Cell{}, ssd: map[Key]Cell{}, mbps: map[calKey]calibration{}}, nil
 }
 
 // encodeMBps measures (and caches) the real codec's per-parity-row encode
-// throughput for RS(k,m), honoring the suite's concurrency knob and the
-// active GF kernel. The measurement uses 64 KiB shards — the granularity a
-// backend encodes at — and is normalized per parity row to match the cost
-// model's EncodePerKB semantics.
+// throughput for RS(k,m), honoring the suite's concurrency knob. The
+// measurement uses 64 KiB shards — the granularity a backend encodes at —
+// and is normalized per parity row to match the cost model's EncodePerKB
+// semantics.
 func (s *Suite) encodeMBps(k, m int) float64 {
-	key := calKey{k: k, m: m, kernel: gf.ActiveKernel().String()}
+	key := calKey{k: k, m: m}
 	if v, ok := s.mbps[key]; ok {
 		return v.mbps
 	}
@@ -309,7 +292,7 @@ func (s *Suite) encodeMBps(k, m int) float64 {
 	}
 	v := rs.MeasureEncodeMBps(code.WithConcurrency(s.Opt.CodecConcurrency), 64<<10, 60*time.Millisecond)
 	v *= float64(m) // data MB/s → per-parity-row MB/s
-	s.mbps[key] = calibration{k: k, m: m, mbps: v, kernel: key.kernel, workers: workers}
+	s.mbps[key] = calibration{k: k, m: m, mbps: v, workers: workers}
 	return v
 }
 
@@ -322,7 +305,7 @@ func (s *Suite) CalibrationNotes() []string {
 	for _, c := range s.sortedCalibrations() {
 		notes = append(notes, fmt.Sprintf(
 			"encode cost calibrated from measured codec: RS(%d,%d) %.0f MB/s per parity row (kernel=%s simd=%v gfni=%v workers=%d)",
-			c.k, c.m, c.mbps, c.kernel, gf.Accelerated(), gf.HasGFNI(), c.workers))
+			c.k, c.m, c.mbps, gf.ActiveKernel(), gf.Accelerated(), gf.HasGFNI(), c.workers))
 	}
 	if len(notes) == 0 {
 		return nil
@@ -330,8 +313,7 @@ func (s *Suite) CalibrationNotes() []string {
 	return notes
 }
 
-// sortedCalibrations returns every cached calibration in (k, m, kernel)
-// order.
+// sortedCalibrations returns every cached calibration in (k, m) order.
 func (s *Suite) sortedCalibrations() []calibration {
 	keys := make([]calKey, 0, len(s.mbps))
 	for k := range s.mbps {
@@ -341,10 +323,7 @@ func (s *Suite) sortedCalibrations() []calibration {
 		if keys[i].k != keys[j].k {
 			return keys[i].k < keys[j].k
 		}
-		if keys[i].m != keys[j].m {
-			return keys[i].m < keys[j].m
-		}
-		return keys[i].kernel < keys[j].kernel
+		return keys[i].m < keys[j].m
 	})
 	out := make([]calibration, 0, len(keys))
 	for _, k := range keys {
@@ -357,7 +336,7 @@ func (s *Suite) sortedCalibrations() []calibration {
 func (s *Suite) calibrationInfo() []CalibrationInfo {
 	var out []CalibrationInfo
 	for _, c := range s.sortedCalibrations() {
-		out = append(out, CalibrationInfo{K: c.k, M: c.m, MBps: c.mbps, Kernel: c.kernel, Workers: c.workers})
+		out = append(out, CalibrationInfo{K: c.k, M: c.m, MBps: c.mbps, Kernel: gf.ActiveKernel().String(), Workers: c.workers})
 	}
 	return out
 }
@@ -368,7 +347,6 @@ func (s *Suite) calibrationInfo() []CalibrationInfo {
 // one and miss the other.
 func (s *Suite) applyCodecConfig(cfg *core.Config, profile core.Profile) {
 	cfg.CodecConcurrency = s.Opt.CodecConcurrency
-	cfg.CodecKernel = s.Opt.CodecKernel
 	if s.Opt.CalibrateEncode && profile.IsEC() {
 		if mbps := s.encodeMBps(profile.K, profile.M); mbps > 0 {
 			cfg.Cost.EncodeMBps = mbps

@@ -17,7 +17,7 @@ import (
 // The sweep subsystem runs full cross-product grids — the paper-scale
 // campaign behind the headline figures (52-SSD array, three
 // fault-tolerance schemes, the 1 KB..128 KB block sweep, stripe-unit and
-// codec-kernel axes) — and serializes every run as a versioned
+// fault-state axes) — and serializes every run as a versioned
 // machine-readable BenchReport (BENCH_*.json).
 //
 // Every cell is independently seeded from its identity (cellSeed folds the
@@ -37,7 +37,7 @@ type Grid struct {
 	Ops         []string `json:"ops"`          // "read", "write"
 	BlockSizes  []int64  `json:"block_sizes"`  // bytes
 	StripeUnits []int64  `json:"stripe_units"` // bytes (EC chunk size)
-	Kernels     []string `json:"kernels"`      // GF kernel tiers
+	Kernels     []string `json:"kernels"`      // only "auto": kept because it is in every cell ID
 	Faults      []string `json:"faults"`       // cluster state: "none", "degraded", "recovering"
 }
 
@@ -142,8 +142,10 @@ func (g Grid) validate() error {
 		}
 	}
 	for _, kern := range g.Kernels {
-		if _, ok := gf.ParseKernel(kern); !ok {
-			return fmt.Errorf("bench: unknown codec kernel %q in grid", kern)
+		if kern != "auto" {
+			// The axis stays only because "auto" is folded into every cell
+			// ID, and so into every cell's seed.
+			return fmt.Errorf("bench: codec kernel %q in grid: only \"auto\" is valid (the CPU picks the kernel; ROADMAP item 4 removes the axis)", kern)
 		}
 	}
 	for _, fault := range g.Faults {
@@ -172,17 +174,6 @@ func schemeByName(name string) *Scheme {
 	return nil
 }
 
-// kernelLadder is the paper preset's fixed codec-kernel axis: every tier,
-// regardless of the local CPU, so the grid — and therefore the
-// shard-index-to-cell mapping — is identical on every machine and shards
-// produced on heterogeneous hosts merge. Tiers the CPU lacks dispatch
-// through the widest supported fallback: simulated metrics are identical
-// either way, and the per-cell wall/events-per-sec fields record what the
-// fallback actually cost (CodecInfo says whether gfni/avx2 were real).
-func kernelLadder() []string {
-	return []string{"scalar", "avx2", "fused", "gfni"}
-}
-
 // SweepPreset resolves a -scale preset name into run options and a grid:
 //
 //   - "smoke": the CI gate — 2 schemes × random × read/write × {4,16} KB on
@@ -192,11 +183,9 @@ func kernelLadder() []string {
 //     sweep on the small testbed, healthy cluster only.
 //   - "paper": the full campaign — 52-OSD array, 3 schemes × both
 //     patterns × read/write × the paper's 1 KB..128 KB sweep, stripe units
-//     {4,16,64} KB, the full codec-kernel ladder (fixed, not
-//     host-detected, so the grid is identical on every machine and shards
-//     from heterogeneous hosts merge), and all three fault states
-//     (healthy, degraded, recovering — the §IV-E axis). Hours of wall
-//     time serially; shard it (ecbench -shard i/n).
+//     {4,16,64} KB, and all three fault states (healthy, degraded,
+//     recovering — the §IV-E axis): 672 cells. Hours of wall time
+//     serially; shard it (ecbench -shard i/n).
 func SweepPreset(name string) (Options, Grid, error) {
 	switch name {
 	case "smoke":
@@ -230,7 +219,7 @@ func SweepPreset(name string) (Options, Grid, error) {
 			Ops:         []string{workload.Read.String(), workload.Write.String()},
 			BlockSizes:  PaperBlockSizes(),
 			StripeUnits: []int64{4 << 10, 16 << 10, 64 << 10},
-			Kernels:     kernelLadder(),
+			Kernels:     []string{"auto"},
 			Faults:      FaultAxis(),
 		}, nil
 	}
@@ -299,34 +288,20 @@ func (s *Suite) RunSweep(preset string, g Grid, shardIdx, shardCount int,
 		ShardCount: shardCount,
 	}
 
-	// The GF kernel is process-wide, so only cells of one kernel may be in
-	// flight together: cells run kernel by kernel, kernels in the order the
-	// grid first names them.
-	var kernels []string
-	byKernel := map[string][]CellKey{}
-	for _, k := range mine {
-		if _, seen := byKernel[k.Kernel]; !seen {
-			kernels = append(kernels, k.Kernel)
-		}
-		byKernel[k.Kernel] = append(byKernel[k.Kernel], k)
-	}
 	var eng engineStats
 	done := 0
-	for _, kern := range kernels {
-		cells := byKernel[kern]
-		outcomes := s.runKernelGroup(kern, cells, func(k CellKey) {
-			done++
-			if progress != nil {
-				progress(done, len(mine), k.ID())
-			}
-		})
-		for i, o := range outcomes {
-			if o.err != nil {
-				return nil, fmt.Errorf("bench: cell %s: %w", cells[i].ID(), o.err)
-			}
-			r.Cells = append(r.Cells, o.report)
-			eng.add(o.eng)
+	outcomes := s.runCells(mine, func(k CellKey) {
+		done++
+		if progress != nil {
+			progress(done, len(mine), k.ID())
 		}
+	})
+	for i, o := range outcomes {
+		if o.err != nil {
+			return nil, fmt.Errorf("bench: cell %s: %w", mine[i].ID(), o.err)
+		}
+		r.Cells = append(r.Cells, o.report)
+		eng.add(o.eng)
 	}
 	s.eng.add(eng)
 	r.Engine = EngineInfo{
@@ -352,14 +327,11 @@ type cellOutcome struct {
 	err    error
 }
 
-// runKernelGroup runs cells — all of one kernel — on SweepWorkers
-// goroutines with that kernel active and returns their outcomes, in the
-// order of cells. completed is called on the calling goroutine after each
-// cell that succeeded. After a failure no further cell is started.
-func (s *Suite) runKernelGroup(kernel string, cells []CellKey, completed func(CellKey)) []cellOutcome {
-	kern, _ := gf.ParseKernel(kernel) // validated with the grid
-	prev := gf.SetKernel(kern)
-	defer gf.SetKernel(prev)
+// runCells runs cells on SweepWorkers goroutines and returns their
+// outcomes, in the order of cells. completed is called on the calling
+// goroutine after each cell that succeeded. After a failure no further
+// cell is started.
+func (s *Suite) runCells(cells []CellKey, completed func(CellKey)) []cellOutcome {
 	if s.Opt.CalibrateEncode {
 		// Measure before any cell runs: a measurement must not share the
 		// cores with simulation, and afterwards cells only read the cache.
@@ -433,12 +405,10 @@ func (s *Suite) reportConfig(preset string) ReportConfig {
 	}
 }
 
-// runSweepCell runs one grid cell on a fresh cluster, with the cell's
-// kernel tier already active (runKernelGroup; the tier changes wall-clock
-// time and calibration provenance, never simulated metrics): the stripe
-// unit is applied to the cluster config, and the cell's own seed drives
-// both the cluster and the load generator. It runs concurrently with other
-// cells and so only reads the suite.
+// runSweepCell runs one grid cell on a fresh cluster: the stripe unit is
+// applied to the cluster config, and the cell's own seed drives both the
+// cluster and the load generator. It runs concurrently with other cells
+// and so only reads the suite.
 func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 	scheme := schemeByName(k.Scheme) // validated with the grid
 	id := k.ID()
@@ -447,7 +417,6 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 	cfg := s.baseConfig(seed)
 	cfg.StripeUnit = k.StripeUnit
 	s.applyCodecConfig(&cfg, scheme.Profile)
-	cfg.CodecKernel = k.Kernel
 	c, img, err := s.clusterWith(cfg, scheme.Profile)
 	if err != nil {
 		return CellReport{}, engineStats{}, err

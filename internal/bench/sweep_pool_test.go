@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"ecarray/internal/workload"
+	"ecarray/internal/gf"
 )
 
 // sweepAt runs the grid with microSweepOptions at the given GOMAXPROCS and
@@ -41,7 +41,9 @@ func sweepAt(t *testing.T, procs int, opt Options, g Grid, shardIdx, shardCount 
 }
 
 // TestSweepPoolDeterminism: the smoke grid digests the same on one worker,
-// on four, and shard-split across two runs and merged.
+// on four, and shard-split across two runs and merged. A calibrated run
+// measures the codec once per EC scheme, before any cell starts, on the
+// tier the CPU picked.
 func TestSweepPoolDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep runs are slow")
@@ -79,6 +81,38 @@ func TestSweepPoolDeterminism(t *testing.T) {
 	if got := four.Engine.WallSeconds * 1e3; got < cellMS*0.99 || got > cellMS*1.01 {
 		t.Fatalf("engine wall %.1f ms, cells sum to %.1f ms", got, cellMS)
 	}
+
+	// Calibrated: the measured encode cost feeds the simulation, so this run
+	// is checked for its calibrations, not its digest. On one worker the
+	// grid's first two cells are 3-Rep, which measure nothing, so a
+	// calibration made lazily by a cell would not yet be in the cache when
+	// the first cell completes.
+	opt := microSweepOptions()
+	opt.CalibrateEncode = true
+	opt.CodecConcurrency = 1
+	s, err := NewSuite(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	atFirstCell := -1
+	cal, err := s.RunSweep("micro", g, 0, 1, func(done, _ int, _ string) {
+		if done == 1 {
+			atFirstCell = len(s.mbps)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if atFirstCell != 1 {
+		t.Fatalf("%d calibrations cached when the first cell completed, want 1", atFirstCell)
+	}
+	if len(cal.Calibrations) != 1 {
+		t.Fatalf("calibrations %+v, want one for RS(6,3)", cal.Calibrations)
+	}
+	if c := cal.Calibrations[0]; c.K != 6 || c.M != 3 || c.Kernel != gf.ActiveKernel().String() || c.MBps <= 0 {
+		t.Fatalf("calibration %+v, want RS(6,3) measured on %v", c, gf.ActiveKernel())
+	}
 }
 
 // TestSweepPoolStopsOnFailure: the third cell of the grid cannot build its
@@ -109,55 +143,6 @@ func TestSweepPoolStopsOnFailure(t *testing.T) {
 		if procs == 1 && (len(ids) != 2 || ids[0] != cells[0].ID() || ids[1] != cells[1].ID()) {
 			t.Errorf("one worker ran %v, want exactly the two cells before the failure", ids)
 		}
-	}
-}
-
-// TestSweepPoolKernelGroups: the GF kernel is process-wide, so a grid with
-// two kernels must finish every cell of the first before starting any of
-// the second, and each calibration must have been measured under the kernel
-// it is filed under.
-func TestSweepPoolKernelGroups(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep runs are slow")
-	}
-	g := Grid{
-		Schemes:     []string{"RS(6,3)", "RS(10,4)"},
-		Patterns:    []string{workload.Random.String()},
-		Ops:         []string{workload.Write.String()},
-		BlockSizes:  []int64{4 << 10, 16 << 10},
-		StripeUnits: []int64{4 << 10},
-		Kernels:     []string{"scalar", "fused"},
-	}
-	opt := microSweepOptions()
-	opt.CalibrateEncode = true
-	opt.CodecConcurrency = 1
-	r, ids, err := sweepAt(t, 4, opt, g, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 8 {
-		t.Fatalf("ran %d cells, want 8", len(ids))
-	}
-	for i, id := range ids {
-		want := "/scalar/"
-		if i >= 4 {
-			want = "/fused/"
-		}
-		if !strings.Contains(id, want) {
-			t.Fatalf("cell %d to finish is %s, want a %s cell: kernels overlapped (%v)", i, id, want, ids)
-		}
-	}
-	got := map[calKey]bool{}
-	for _, c := range r.Calibrations {
-		got[calKey{k: c.K, m: c.M, kernel: c.Kernel}] = true
-	}
-	for _, want := range []calKey{{6, 3, "scalar"}, {6, 3, "fused"}, {10, 4, "scalar"}, {10, 4, "fused"}} {
-		if !got[want] {
-			t.Errorf("no calibration for %+v in %+v", want, r.Calibrations)
-		}
-	}
-	if len(r.Calibrations) != 4 {
-		t.Errorf("calibrations %+v, want one per scheme and kernel", r.Calibrations)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,7 +52,10 @@ func runMicroSweep(t *testing.T, shardIdx, shardCount int) *BenchReport {
 }
 
 func TestSweepPresets(t *testing.T) {
-	for _, name := range []string{"smoke", "quick", "paper"} {
+	// The paper's campaign is 672 cells: 3-Rep at one stripe unit plus two
+	// EC schemes at three, × seq/rand × read/write × 8 block sizes × 3
+	// fault states. Every preset's kernel axis is the single "auto" value.
+	for name, cells := range map[string]int{"smoke": 16, "quick": 48, "paper": 672} {
 		opt, g, err := SweepPreset(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -62,8 +66,11 @@ func TestSweepPresets(t *testing.T) {
 		if err := g.validate(); err != nil {
 			t.Fatalf("%s grid invalid: %v", name, err)
 		}
-		if len(g.Cells()) == 0 {
-			t.Fatalf("%s grid enumerates no cells", name)
+		if got := len(g.Cells()); got != cells {
+			t.Fatalf("%s grid enumerates %d cells, want %d", name, got, cells)
+		}
+		if len(g.Kernels) != 1 || g.Kernels[0] != "auto" {
+			t.Fatalf("%s kernel axis = %v, want [auto]", name, g.Kernels)
 		}
 	}
 	if _, _, err := SweepPreset("nope"); err == nil {
@@ -76,12 +83,6 @@ func TestSweepPresets(t *testing.T) {
 	}
 	if len(g.BlockSizes) != 8 || len(g.StripeUnits) < 2 {
 		t.Fatalf("paper grid too small: %+v", g)
-	}
-	// The kernel axis must be the fixed ladder, never host-detected:
-	// otherwise the shard-to-cell mapping differs across machines and
-	// heterogeneous shards stop merging.
-	if len(g.Kernels) != 4 {
-		t.Fatalf("paper kernel axis = %v, want the full fixed ladder", g.Kernels)
 	}
 }
 
@@ -135,6 +136,12 @@ func TestGridEnumeration(t *testing.T) {
 		if err := g.validate(); err == nil {
 			t.Errorf("bad grid %d accepted", i)
 		}
+	}
+	// A real tier name is no longer a grid value: the CPU picks the tier.
+	scalar := Grid{Schemes: []string{"3-Rep"}, Patterns: []string{"rand"}, Ops: []string{"read"},
+		BlockSizes: []int64{4096}, StripeUnits: []int64{4096}, Kernels: []string{"scalar"}}
+	if err := scalar.validate(); err == nil || !strings.Contains(err.Error(), "ROADMAP item 4") {
+		t.Errorf("Kernels [scalar]: err = %v, want a rejection naming ROADMAP item 4", err)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"ecarray/internal/crush"
-	"ecarray/internal/gf"
 	"ecarray/internal/netsim"
 	"ecarray/internal/qos"
 	"ecarray/internal/sim"
@@ -85,14 +84,6 @@ type Cluster struct {
 func New(e *sim.Engine, cfg Config) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.CodecKernel != "" {
-		// The kernel tables are process-wide; applying the knob here means
-		// every codec the cluster builds (pool encode, recovery rebuild,
-		// calibration) runs the requested tier. All tiers are
-		// byte-identical, so this never changes simulated metrics.
-		k, _ := gf.ParseKernel(cfg.CodecKernel)
-		gf.SetKernel(k)
 	}
 	c := &Cluster{
 		cfg:        cfg,

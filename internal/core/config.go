@@ -4,21 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"ecarray/internal/gf"
 	"ecarray/internal/netsim"
 	"ecarray/internal/ssd"
 	"ecarray/internal/store"
 )
-
-// validCodecKernel reports whether name is a known GF kernel tier (empty
-// means "leave the process-wide selection alone").
-func validCodecKernel(name string) bool {
-	if name == "" {
-		return true
-	}
-	_, ok := gf.ParseKernel(name)
-	return ok
-}
 
 // Config describes the cluster to build. The zero value is not valid; start
 // from DefaultConfig.
@@ -89,14 +78,6 @@ type Config struct {
 	// deterministic regardless of the knob.
 	CodecConcurrency int
 
-	// CodecKernel selects the GF(2^8) kernel tier the real codec runs on:
-	// "" or "auto" (fastest available), "scalar", "avx2", "fused", or
-	// "gfni". The selection is process-wide (the kernel tables
-	// are global); every tier is byte-identical, so — like the concurrency
-	// knob — it changes wall-clock time and calibrated encode cost, never
-	// simulated metrics.
-	CodecKernel string
-
 	// Seed drives all stochastic model components.
 	Seed int64
 }
@@ -162,8 +143,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: device capacity must be positive")
 	case c.CodecConcurrency < 0:
 		return fmt.Errorf("core: negative codec concurrency")
-	case !validCodecKernel(c.CodecKernel):
-		return fmt.Errorf("core: unknown codec kernel %q", c.CodecKernel)
 	case c.Cost.HeartbeatInterval <= 0:
 		return fmt.Errorf("core: heartbeat interval must be positive")
 	}

@@ -7,11 +7,30 @@ import (
 	"testing"
 )
 
-// vectorTiers lists every non-scalar tier; each must be byte-identical to
-// the scalar reference on any machine (tiers the CPU lacks fall back, so
-// running the full list everywhere is both safe and meaningful).
-func vectorTiers() []Kernel {
-	return []Kernel{KernelAVX2, KernelFused, KernelGFNI}
+// sourcesTier is one multi-source tier kernel, called directly; see
+// sliceTier. unfused is the per-source path both fused tiers use for
+// blocks and tails.
+type sourcesTier struct {
+	name string
+	fn   func(coeffs []byte, srcs [][]byte, off int, dst []byte, accumulate bool)
+}
+
+func sourcesTiers() []sourcesTier {
+	return []sourcesTier{
+		{"unfused", mulSourcesUnfused},
+		{"fused", mulSourcesFused},
+		{"gfni", mulSourcesGFNI},
+	}
+}
+
+// matrixTier is one row-batch tier kernel, called directly.
+type matrixTier struct {
+	name string
+	fn   func(mt *MatrixTables, srcs, dsts [][]byte, off, n int, accumulate bool)
+}
+
+func matrixTiers() []matrixTier {
+	return []matrixTier{{"fused", mulMatrixFused}, {"gfni", mulMatrixGFNI}}
 }
 
 // refMulSources computes the row product with plain table arithmetic,
@@ -67,10 +86,9 @@ func fusedLengths() []int {
 	return lens
 }
 
-// TestMulSourcesDifferential checks every vector tier's fused row product
-// against the plain-table reference across source counts, window offsets,
-// lengths, accumulate modes, and coefficient patterns including zeros and
-// ones.
+// TestMulSourcesDifferential checks every tier's row product against the
+// plain-table reference across source counts, window offsets, lengths,
+// accumulate modes, and coefficient patterns including zeros and ones.
 func TestMulSourcesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, nsrc := range []int{1, 2, 3, 4, 6, 10, 12} {
@@ -95,24 +113,13 @@ func TestMulSourcesDifferential(t *testing.T) {
 					want := append([]byte(nil), base...)
 					refMulSources(coeffs, srcs, off, want, accumulate)
 
-					for _, k := range vectorTiers() {
+					for _, tier := range sourcesTiers() {
 						got := append([]byte(nil), base...)
-						withKernel(t, k, func() {
-							MulSourcesRange(coeffs, srcs, off, got, accumulate)
-						})
+						tier.fn(coeffs, srcs, off, got, accumulate)
 						if !bytes.Equal(got, want) {
-							t.Fatalf("%v: MulSourcesRange(nsrc=%d n=%d off=%d acc=%v) != reference",
-								k, nsrc, n, off, accumulate)
+							t.Fatalf("%s: MulSourcesRange(nsrc=%d n=%d off=%d acc=%v) != reference",
+								tier.name, nsrc, n, off, accumulate)
 						}
-					}
-					// The scalar tier is itself exercised as a kernel.
-					got := append([]byte(nil), base...)
-					withKernel(t, KernelScalar, func() {
-						MulSourcesRange(coeffs, srcs, off, got, accumulate)
-					})
-					if !bytes.Equal(got, want) {
-						t.Fatalf("scalar: MulSourcesRange(nsrc=%d n=%d off=%d acc=%v) != reference",
-							nsrc, n, off, accumulate)
 					}
 				}
 			}
@@ -120,25 +127,25 @@ func TestMulSourcesDifferential(t *testing.T) {
 	}
 }
 
-// TestMulSourcesAllZeroCoeffs: with no contributing source the fused
+// TestMulSourcesAllZeroCoeffs: with no contributing source the row
 // product must zero dst (or leave it untouched when accumulating).
 func TestMulSourcesAllZeroCoeffs(t *testing.T) {
 	srcs := [][]byte{make([]byte, 256), make([]byte, 256)}
 	rand.New(rand.NewSource(3)).Read(srcs[0])
 	rand.New(rand.NewSource(4)).Read(srcs[1])
-	for _, k := range append(vectorTiers(), KernelScalar) {
+	for _, tier := range sourcesTiers() {
 		dst := bytes.Repeat([]byte{0xaa}, 256)
-		withKernel(t, k, func() { MulSources([]byte{0, 0}, srcs, dst) })
+		tier.fn([]byte{0, 0}, srcs, 0, dst, false)
 		for i, b := range dst {
 			if b != 0 {
-				t.Fatalf("%v: all-zero coeffs left dst[%d] = %d", k, i, b)
+				t.Fatalf("%s: all-zero coeffs left dst[%d] = %d", tier.name, i, b)
 			}
 		}
 		dst = bytes.Repeat([]byte{0xaa}, 256)
-		withKernel(t, k, func() { MulAddSources([]byte{0, 0}, srcs, dst) })
+		tier.fn([]byte{0, 0}, srcs, 0, dst, true)
 		for i, b := range dst {
 			if b != 0xaa {
-				t.Fatalf("%v: accumulate with zero coeffs changed dst[%d]", k, i)
+				t.Fatalf("%s: accumulate with zero coeffs changed dst[%d]", tier.name, i)
 			}
 		}
 	}
@@ -153,11 +160,11 @@ func TestMulSourcesAliasedSources(t *testing.T) {
 	srcs := [][]byte{shared, shared, shared}
 	want := make([]byte, len(shared))
 	refMulSources(coeffs, srcs, 0, want, false)
-	for _, k := range vectorTiers() {
+	for _, tier := range sourcesTiers() {
 		got := make([]byte, len(shared))
-		withKernel(t, k, func() { MulSources(coeffs, srcs, got) })
+		tier.fn(coeffs, srcs, 0, got, false)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%v: aliased sources mismatch", k)
+			t.Fatalf("%s: aliased sources mismatch", tier.name)
 		}
 	}
 }
@@ -182,9 +189,10 @@ func TestMulSourcesValidation(t *testing.T) {
 	})
 }
 
-// TestMulSliceGFNITier runs the single-source ops under the gfni tier over
-// the full differential length set (on non-GFNI machines this exercises
-// the fallback, which must be identical anyway).
+// TestMulSliceGFNITier runs the single-source ops through the exported
+// entry points, which run the gfni tier, over the full differential length
+// set (on non-GFNI machines this exercises the fallback, which must be
+// identical anyway).
 func TestMulSliceGFNITier(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range differentialLengths() {
@@ -193,8 +201,8 @@ func TestMulSliceGFNITier(t *testing.T) {
 		rng.Read(src)
 		want := make([]byte, n)
 		got := make([]byte, n)
-		withKernel(t, KernelScalar, func() { MulSlice(c, src, want) })
-		withKernel(t, KernelGFNI, func() { MulSlice(c, src, got) })
+		mulSliceScalar(c, src, want)
+		MulSlice(c, src, got)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("gfni MulSlice(c=%d, n=%d) != scalar", c, n)
 		}
@@ -202,8 +210,8 @@ func TestMulSliceGFNITier(t *testing.T) {
 		rng.Read(base)
 		want2 := append([]byte(nil), base...)
 		got2 := append([]byte(nil), base...)
-		withKernel(t, KernelScalar, func() { MulAddSlice(c, src, want2) })
-		withKernel(t, KernelGFNI, func() { MulAddSlice(c, src, got2) })
+		mulAddSliceScalar(c, src, want2)
+		MulAddSlice(c, src, got2)
 		if !bytes.Equal(got2, want2) {
 			t.Fatalf("gfni MulAddSlice(c=%d, n=%d) != scalar", c, n)
 		}
@@ -211,8 +219,8 @@ func TestMulSliceGFNITier(t *testing.T) {
 }
 
 // TestMulSourcesEveryCoefficient sweeps all 256 coefficients through the
-// fused tiers at an awkward length so every nibble-table row and every
-// GFNI bit matrix is exercised by the actual kernels.
+// tiers at an awkward length so every nibble-table row and every GFNI bit
+// matrix is exercised by the actual kernels.
 func TestMulSourcesEveryCoefficient(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	src := make([]byte, 257)
@@ -222,11 +230,11 @@ func TestMulSourcesEveryCoefficient(t *testing.T) {
 	for c := 0; c < 256; c++ {
 		coeffs := []byte{byte(c)}
 		refMulSources(coeffs, srcs, 0, want, false)
-		for _, k := range vectorTiers() {
+		for _, tier := range sourcesTiers() {
 			got := make([]byte, len(src))
-			withKernel(t, k, func() { MulSources(coeffs, srcs, got) })
+			tier.fn(coeffs, srcs, 0, got, false)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%v: coefficient %d mismatch", k, c)
+				t.Fatalf("%s: coefficient %d mismatch", tier.name, c)
 			}
 		}
 	}
@@ -266,18 +274,16 @@ func TestMulMatrixDifferential(t *testing.T) {
 							want[r] = append([]byte(nil), base[r]...)
 							refMulSources(rows[r], srcs, off, want[r][off:off+n], accumulate)
 						}
-						for _, k := range append(vectorTiers(), KernelScalar) {
+						for _, tier := range matrixTiers() {
 							got := make([][]byte, nrows)
 							for r := range got {
 								got[r] = append([]byte(nil), base[r]...)
 							}
-							withKernel(t, k, func() {
-								MulMatrixRange(mt, srcs, got, off, n, accumulate)
-							})
+							tier.fn(mt, srcs, got, off, n, accumulate)
 							for r := range got {
 								if !bytes.Equal(got[r], want[r]) {
-									t.Fatalf("%v: MulMatrix(rows=%d nsrc=%d n=%d off=%d acc=%v) row %d != reference",
-										k, nrows, nsrc, n, off, accumulate, r)
+									t.Fatalf("%s: MulMatrix(rows=%d nsrc=%d n=%d off=%d acc=%v) row %d != reference",
+										tier.name, nrows, nsrc, n, off, accumulate, r)
 								}
 							}
 						}
@@ -308,23 +314,29 @@ func BenchmarkMulMatrix(b *testing.B) {
 	for r := range dsts {
 		dsts[r] = make([]byte, n)
 	}
-	for _, k := range []Kernel{KernelAVX2, KernelFused, KernelGFNI} {
-		if k == KernelGFNI && !HasGFNI() {
+	// unfused is one per-source pass per row: the baseline row batching
+	// is measured against.
+	unfused := func(mt *MatrixTables, srcs, dsts [][]byte, off, n int, accumulate bool) {
+		for r := range dsts {
+			mulSourcesUnfused(mt.rows[r], srcs, off, dsts[r][off:off+n], accumulate)
+		}
+	}
+	for _, tier := range append([]matrixTier{{"unfused", unfused}}, matrixTiers()...) {
+		if tier.name == "gfni" && !HasGFNI() {
 			continue
 		}
-		b.Run(fmt.Sprintf("10x4/%s", k), func(b *testing.B) {
-			prev := SetKernel(k)
-			defer SetKernel(prev)
+		b.Run(fmt.Sprintf("10x4/%s", tier.name), func(b *testing.B) {
 			b.SetBytes(int64(n * 10))
 			for i := 0; i < b.N; i++ {
-				MulMatrix(mt, srcs, dsts)
+				tier.fn(mt, srcs, dsts, 0, n, false)
 			}
 		})
 	}
 }
 
-// BenchmarkMulSources compares the per-source tier against the fused
-// tiers on a 10-source row product (RS(10,4) geometry, 64 KiB shards).
+// BenchmarkMulSources compares the scalar reference and the per-source
+// path against the fused tiers on a 10-source row product (RS(10,4)
+// geometry, 64 KiB shards).
 func BenchmarkMulSources(b *testing.B) {
 	const n = 64 << 10
 	const nsrc = 10
@@ -337,16 +349,14 @@ func BenchmarkMulSources(b *testing.B) {
 		rng.Read(srcs[s])
 	}
 	dst := make([]byte, n)
-	for _, k := range []Kernel{KernelScalar, KernelAVX2, KernelFused, KernelGFNI} {
-		if k == KernelGFNI && !HasGFNI() {
+	for _, tier := range append([]sourcesTier{{"scalar", refMulSources}}, sourcesTiers()...) {
+		if tier.name == "gfni" && !HasGFNI() {
 			continue
 		}
-		b.Run(fmt.Sprintf("10src/%s", k), func(b *testing.B) {
-			prev := SetKernel(k)
-			defer SetKernel(prev)
+		b.Run(fmt.Sprintf("10src/%s", tier.name), func(b *testing.B) {
 			b.SetBytes(int64(n * nsrc))
 			for i := 0; i < b.N; i++ {
-				MulSources(coeffs, srcs, dst)
+				tier.fn(coeffs, srcs, 0, dst, false)
 			}
 		})
 	}

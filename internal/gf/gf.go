@@ -11,37 +11,31 @@
 //
 // # Kernel tiers
 //
-// The bulk operations come in a ladder of selectable kernels (see [Kernel]
-// and [SetKernel]), each byte-identical to the one below it:
+// The bulk operations run one of two tiers (see [Kernel]), both
+// byte-identical to the per-byte product-table loop the tests hold them
+// against:
 //
-//   - scalar — the per-byte 256-entry product-table reference loop. Exists
-//     so every other tier can be differentially validated against it.
-//   - avx2 — one SIMD kernel call per source shard: split low/high-nibble
-//     16-entry tables drive an AVX2 PSHUFB shuffle on amd64 (a pure-Go
-//     word-at-a-time kernel elsewhere). Each call re-reads and re-writes
-//     dst, so a k-source row product moves dst through the cache k times.
-//   - fused — the multi-source data path behind [MulSources] and
-//     [MulMatrix]: single-row products run in L1-resident blocks (dst is
-//     re-read from cache, not memory, between sources), and row batches —
-//     the encode path — run a 4-row assembly kernel on amd64 that loads
-//     and nibble-splits every source block once for all four rows, keeps
-//     the row accumulators in registers, and writes each output exactly
-//     once (~1.5-1.7× the per-source tier for RS(10,4) encode).
-//   - gfni — the fused kernel on GFNI/AVX-512: GF2P8AFFINEQB multiplies 64
-//     bytes per instruction using per-coefficient 8×8 bit-matrix tables
-//     (see gfniMat), roughly doubling the AVX2 kernel's width.
+//   - fused — single-source ops ([MulSlice], [MulAddSlice]) run split
+//     low/high-nibble tables through an AVX2 PSHUFB shuffle; single-row
+//     products ([MulSources]) run that kernel source by source over
+//     L1-resident blocks, so dst is re-read from cache, not memory, between
+//     sources; row batches ([MulMatrix], the encode path) run a 4-row assembly
+//     kernel that loads and nibble-splits every source block once for all
+//     four rows, keeps the row accumulators in registers, and writes each
+//     output exactly once.
+//   - gfni — the fused data path on GFNI/AVX-512: GF2P8AFFINEQB multiplies
+//     64 bytes per instruction using per-coefficient 8×8 bit-matrix tables
+//     (see gfniMat).
 //
-// # Detection and forcing a tier
+// # Detection
 //
-// KernelAuto resolves to [BestKernel]: gfni when CPUID reports GFNI +
-// AVX512F/BW/VL and the OS saves full ZMM state, fused otherwise. Setting
-// the environment variable ECARRAY_NO_GFNI (to any non-empty value) masks
-// GFNI detection, which CI uses to exercise the AVX2 fused path on GFNI
-// hardware. Building with the purego tag (or on non-amd64) removes all
-// assembly; the fused and gfni tiers then run the portable blocked loop.
-// [SetKernel] can force any tier at runtime — tiers the CPU lacks fall
-// back to the widest supported implementation, so forcing is always safe;
-// cmd/ecbench exposes this as -codec-kernel=scalar|avx2|fused|gfni.
+// The CPU picks the tier once, when the package initialises
+// ([ActiveKernel]): gfni when CPUID reports GFNI + AVX512F/BW/VL and the
+// OS saves full ZMM state, fused otherwise. There is no runtime switch.
+// Setting the environment variable ECARRAY_NO_GFNI (to any non-empty
+// value) masks GFNI detection, which CI uses to run the AVX2 fused path on
+// GFNI hardware. Building with the purego tag (or on non-amd64) removes
+// all assembly; both tiers then run the portable blocked loop.
 package gf
 
 // Polynomial is the primitive polynomial used to construct the field,
@@ -165,14 +159,7 @@ func MulSlice(c byte, src, dst []byte) {
 		copy(dst, src)
 		return
 	}
-	switch ActiveKernel() {
-	case KernelScalar:
-		mulSliceScalar(c, src, dst)
-	case KernelGFNI:
-		mulSliceGFNI(c, src, dst)
-	default:
-		mulSliceVector(c, src, dst)
-	}
+	mulSliceGFNI(c, src, dst)
 }
 
 // MulAddSlice sets dst[i] ^= c*src[i] for every i: the multiply-accumulate
@@ -189,24 +176,13 @@ func MulAddSlice(c byte, src, dst []byte) {
 		AddSlice(src, dst)
 		return
 	}
-	switch ActiveKernel() {
-	case KernelScalar:
-		mulAddSliceScalar(c, src, dst)
-	case KernelGFNI:
-		mulAddSliceGFNI(c, src, dst)
-	default:
-		mulAddSliceVector(c, src, dst)
-	}
+	mulAddSliceGFNI(c, src, dst)
 }
 
 // AddSlice sets dst[i] ^= src[i] for every i.
 func AddSlice(src, dst []byte) {
 	if len(src) != len(dst) {
 		panic("gf: AddSlice length mismatch")
-	}
-	if ActiveKernel() == KernelScalar {
-		addSliceScalar(src, dst)
-		return
 	}
 	addSliceVector(src, dst)
 }
@@ -245,16 +221,7 @@ func MulSourcesRange(coeffs []byte, srcs [][]byte, off int, dst []byte, accumula
 	if len(dst) == 0 {
 		return
 	}
-	switch ActiveKernel() {
-	case KernelScalar:
-		mulSourcesScalar(coeffs, srcs, off, dst, accumulate)
-	case KernelAVX2:
-		mulSourcesUnfused(coeffs, srcs, off, dst, accumulate)
-	case KernelGFNI:
-		mulSourcesGFNI(coeffs, srcs, off, dst, accumulate)
-	default:
-		mulSourcesFused(coeffs, srcs, off, dst, accumulate)
-	}
+	mulSourcesGFNI(coeffs, srcs, off, dst, accumulate)
 }
 
 // MulMatrix computes a batch of fused row products: for every row r,
@@ -296,20 +263,7 @@ func MulMatrixRange(mt *MatrixTables, srcs, dsts [][]byte, off, n int, accumulat
 	if n == 0 {
 		return
 	}
-	switch ActiveKernel() {
-	case KernelScalar:
-		for r := range dsts {
-			mulSourcesScalar(mt.rows[r], srcs, off, dsts[r][off:off+n], accumulate)
-		}
-	case KernelAVX2:
-		for r := range dsts {
-			mulSourcesUnfused(mt.rows[r], srcs, off, dsts[r][off:off+n], accumulate)
-		}
-	case KernelGFNI:
-		mulMatrixGFNI(mt, srcs, dsts, off, n, accumulate)
-	default:
-		mulMatrixFused(mt, srcs, dsts, off, n, accumulate)
-	}
+	mulMatrixGFNI(mt, srcs, dsts, off, n, accumulate)
 }
 
 // MulTable returns the 256-entry product table for coefficient c. Callers

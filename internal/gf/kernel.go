@@ -1,59 +1,27 @@
 package gf
 
-import (
-	"encoding/binary"
-	"sync/atomic"
-)
+import "encoding/binary"
 
-// Kernel selects the implementation tier behind the bulk slice operations
-// (MulSlice, MulAddSlice, AddSlice, MulSources). The tiers form a ladder:
-//
-//	scalar → avx2 → fused → gfni
-//
-// KernelScalar is the per-byte product-table reference loop every other
-// tier is differentially tested against. KernelAVX2 is the PR-1 hot path:
-// split low/high-nibble tables driving one PSHUFB kernel call per source
-// shard (dst is re-read and re-written once per source, and each source
-// is re-read once per output row). KernelFused is the multi-source data
-// path: single-row products run in L1-resident blocks, and row batches
-// (the encode path) run a 4-row kernel that loads and nibble-splits each
-// source block once for all rows, accumulating in registers and writing
-// each output exactly once. KernelGFNI is the fused kernel built on
-// GF2P8AFFINEQB over 64-byte ZMM registers, using per-coefficient 8×8
-// bit-matrix tables. Every tier produces byte-identical output; tiers
-// above the CPU's capability fall back to the widest available
-// implementation.
+// Kernel names the implementation tier behind the bulk slice operations
+// (MulSlice, MulAddSlice, AddSlice, MulSources, MulMatrix). The CPU picks
+// it once, when the package initialises; see ActiveKernel.
 type Kernel uint32
 
 const (
-	// KernelAuto resolves to the fastest kernel available at runtime
-	// (see BestKernel).
-	KernelAuto Kernel = iota
-	// KernelScalar is the per-byte 256-entry product-table reference loop.
-	KernelScalar
-	// KernelAVX2 is the per-source nibble-table bulk kernel (AVX2 PSHUFB on
-	// amd64, portable pure-Go otherwise).
-	KernelAVX2
 	// KernelFused is the multi-source fused tier: row batches run the
 	// 4-row AVX2 matrix kernel on amd64 (sources loaded once for all
 	// rows, accumulators in registers, each output written once);
 	// single-row products run in L1-resident blocks. Portable blocked
-	// loop elsewhere.
-	KernelFused
+	// loop under purego or off amd64.
+	KernelFused Kernel = iota
 	// KernelGFNI is the fused kernel using GFNI/AVX-512 (GF2P8AFFINEQB on
-	// ZMM registers). Falls back to KernelFused where undetected.
+	// ZMM registers).
 	KernelGFNI
 )
 
-// String names the kernel ("auto", "scalar", "avx2", "fused", "gfni").
+// String names the kernel ("fused", "gfni").
 func (k Kernel) String() string {
 	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelScalar:
-		return "scalar"
-	case KernelAVX2:
-		return "avx2"
 	case KernelFused:
 		return "fused"
 	case KernelGFNI:
@@ -62,53 +30,15 @@ func (k Kernel) String() string {
 	return "unknown"
 }
 
-// ParseKernel maps a name from String back to a Kernel.
-func ParseKernel(name string) (Kernel, bool) {
-	switch name {
-	case "auto", "":
-		return KernelAuto, true
-	case "scalar":
-		return KernelScalar, true
-	case "avx2":
-		return KernelAVX2, true
-	case "fused":
-		return KernelFused, true
-	case "gfni":
-		return KernelGFNI, true
-	}
-	return KernelAuto, false
-}
-
-// activeKernel holds the resolved kernel. It is atomic so tests and tools
-// can switch kernels while concurrent encoders are running without a data
-// race.
-var activeKernel atomic.Uint32
-
-// BestKernel reports the fastest tier available on this machine: gfni when
-// the CPU exposes GFNI+AVX-512 (and ECARRAY_NO_GFNI is unset), fused
-// otherwise. The fused tier itself degrades gracefully: AVX2 assembly on
-// amd64, the portable blocked loop elsewhere.
-func BestKernel() Kernel {
+// ActiveKernel reports the kernel the bulk operations run: gfni when the
+// CPU exposes GFNI+AVX-512 (and ECARRAY_NO_GFNI is unset), fused
+// otherwise.
+func ActiveKernel() Kernel {
 	if hasGFNI {
 		return KernelGFNI
 	}
 	return KernelFused
 }
-
-// SetKernel selects the kernel used by the bulk slice operations and
-// returns the previous selection. KernelAuto selects BestKernel. Safe for
-// concurrent use; in-flight operations finish on the kernel they started
-// with. Selecting a tier the CPU lacks is allowed: the dispatch falls back
-// to the widest supported implementation with identical output.
-func SetKernel(k Kernel) (prev Kernel) {
-	if k == KernelAuto {
-		k = BestKernel()
-	}
-	return Kernel(activeKernel.Swap(uint32(k)))
-}
-
-// ActiveKernel reports the kernel currently in use.
-func ActiveKernel() Kernel { return Kernel(activeKernel.Load()) }
 
 // Accelerated reports whether the vector tiers are backed by CPU SIMD
 // (AVX2 on amd64) rather than the portable pure-Go word kernel.
@@ -155,10 +85,10 @@ func initKernelTables() {
 		}
 		gfniMat[c] = m
 	}
-	activeKernel.Store(uint32(BestKernel()))
 }
 
-// --- scalar reference kernels (per-byte product table) ---
+// --- scalar kernels (per-byte product table): the reference every tier is
+// differentially tested against, and the body of the portable paths ---
 
 func mulSliceScalar(c byte, src, dst []byte) {
 	tbl := &mulTbl[c]
@@ -171,33 +101,6 @@ func mulAddSliceScalar(c byte, src, dst []byte) {
 	tbl := &mulTbl[c]
 	for i, s := range src {
 		dst[i] ^= tbl[s]
-	}
-}
-
-func addSliceScalar(src, dst []byte) {
-	for i, s := range src {
-		dst[i] ^= s
-	}
-}
-
-// mulSourcesScalar is the multi-source reference: the row product applied
-// strictly through the scalar per-byte kernels, one source at a time.
-func mulSourcesScalar(coeffs []byte, srcs [][]byte, off int, dst []byte, accumulate bool) {
-	first := !accumulate
-	for s, c := range coeffs {
-		if c == 0 {
-			continue
-		}
-		w := srcs[s][off : off+len(dst)]
-		if first {
-			mulSliceScalar(c, w, dst)
-			first = false
-			continue
-		}
-		mulAddSliceScalar(c, w, dst)
-	}
-	if first {
-		clear(dst)
 	}
 }
 
@@ -238,9 +141,9 @@ func mulAddSlicePortable(c byte, src, dst []byte) {
 	mulAddSliceScalar(c, src, dst)
 }
 
-// mulSourcesUnfused is the per-source data path (the KernelAVX2 tier and
-// the tail handler of the fused tiers): one vector kernel call per source,
-// re-reading dst between sources.
+// mulSourcesUnfused is the per-source data path (the body of each fused
+// block and the tail handler of both tiers): one vector kernel call per
+// source, re-reading dst between sources.
 func mulSourcesUnfused(coeffs []byte, srcs [][]byte, off int, dst []byte, accumulate bool) {
 	first := !accumulate
 	for s, c := range coeffs {

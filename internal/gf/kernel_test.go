@@ -7,41 +7,36 @@ import (
 	"testing"
 )
 
-// withKernel runs fn with the given kernel selected, restoring the
-// previous selection afterwards.
-func withKernel(t testing.TB, k Kernel, fn func()) {
-	t.Helper()
-	prev := SetKernel(k)
-	defer SetKernel(prev)
-	fn()
+// sliceTier is one single-source tier kernel, called directly rather than
+// through the exported entry points, so every tier is tested on every
+// machine. A tier the CPU lacks falls back to the widest one it has, so
+// running the full list everywhere is both safe and meaningful.
+type sliceTier struct {
+	name string
+	fn   func(c byte, src, dst []byte)
 }
 
-func TestKernelNames(t *testing.T) {
-	for _, k := range []Kernel{KernelAuto, KernelScalar, KernelAVX2, KernelFused, KernelGFNI} {
-		got, ok := ParseKernel(k.String())
-		if !ok || got != k {
-			t.Errorf("ParseKernel(%q) = %v, %v", k.String(), got, ok)
-		}
-	}
-	if _, ok := ParseKernel("simd9000"); ok {
-		t.Error("ParseKernel must reject unknown names")
-	}
-	if got, ok := ParseKernel(""); !ok || got != KernelAuto {
-		t.Error("empty kernel name must parse as auto")
+func mulSliceTiers() []sliceTier {
+	return []sliceTier{{"vector", mulSliceVector}, {"gfni", mulSliceGFNI}}
+}
+
+func mulAddSliceTiers() []sliceTier {
+	return []sliceTier{{"vector", mulAddSliceVector}, {"gfni", mulAddSliceGFNI}}
+}
+
+// addSliceRef is the plain XOR loop addSliceVector is checked against.
+func addSliceRef(src, dst []byte) {
+	for i, s := range src {
+		dst[i] ^= s
 	}
 }
 
-func TestSetKernelResolvesAuto(t *testing.T) {
-	prev := SetKernel(KernelAuto)
-	defer SetKernel(prev)
-	if ActiveKernel() != BestKernel() {
-		t.Fatalf("auto must resolve to BestKernel %v, got %v", BestKernel(), ActiveKernel())
+func TestActiveKernelFollowsCPU(t *testing.T) {
+	if got := ActiveKernel() == KernelGFNI; got != HasGFNI() {
+		t.Fatalf("ActiveKernel = %v with HasGFNI = %v", ActiveKernel(), HasGFNI())
 	}
-	if HasGFNI() && BestKernel() != KernelGFNI {
-		t.Fatalf("BestKernel = %v on a GFNI machine", BestKernel())
-	}
-	if !HasGFNI() && BestKernel() != KernelFused {
-		t.Fatalf("BestKernel = %v without GFNI, want fused", BestKernel())
+	if KernelFused.String() != "fused" || KernelGFNI.String() != "gfni" {
+		t.Fatalf("kernel names = %q, %q", KernelFused, KernelGFNI)
 	}
 }
 
@@ -69,9 +64,9 @@ func differentialLengths() []int {
 	return lens
 }
 
-// TestMulSliceDifferential checks the vector kernel against the scalar
-// reference for random coefficients over every tail length, including
-// operating on unaligned sub-slices.
+// TestMulSliceDifferential checks every single-source multiply tier
+// against the scalar reference for random coefficients over every tail
+// length, including operating on unaligned sub-slices.
 func TestMulSliceDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range differentialLengths() {
@@ -82,11 +77,13 @@ func TestMulSliceDifferential(t *testing.T) {
 			rng.Read(buf)
 			src := buf[off:]
 			want := make([]byte, n)
-			got := make([]byte, n)
-			withKernel(t, KernelScalar, func() { MulSlice(c, src, want) })
-			withKernel(t, KernelAVX2, func() { MulSlice(c, src, got) })
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulSlice(c=%d, n=%d, off=%d): vector != scalar", c, n, off)
+			mulSliceScalar(c, src, want)
+			for _, tier := range mulSliceTiers() {
+				got := make([]byte, n)
+				tier.fn(c, src, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s MulSlice(c=%d, n=%d, off=%d) != scalar", tier.name, c, n, off)
+				}
 			}
 		}
 	}
@@ -104,11 +101,13 @@ func TestMulAddSliceDifferential(t *testing.T) {
 			base := make([]byte, n)
 			rng.Read(base)
 			want := append([]byte(nil), base...)
-			got := append([]byte(nil), base...)
-			withKernel(t, KernelScalar, func() { MulAddSlice(c, src, want) })
-			withKernel(t, KernelAVX2, func() { MulAddSlice(c, src, got) })
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MulAddSlice(c=%d, n=%d, off=%d): vector != scalar", c, n, off)
+			mulAddSliceScalar(c, src, want)
+			for _, tier := range mulAddSliceTiers() {
+				got := append([]byte(nil), base...)
+				tier.fn(c, src, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s MulAddSlice(c=%d, n=%d, off=%d) != scalar", tier.name, c, n, off)
+				}
 			}
 		}
 	}
@@ -123,8 +122,8 @@ func TestAddSliceDifferential(t *testing.T) {
 		rng.Read(base)
 		want := append([]byte(nil), base...)
 		got := append([]byte(nil), base...)
-		withKernel(t, KernelScalar, func() { AddSlice(src, want) })
-		withKernel(t, KernelAVX2, func() { AddSlice(src, got) })
+		addSliceRef(src, want)
+		addSliceVector(src, got)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("AddSlice(n=%d): vector != scalar", n)
 		}
@@ -141,26 +140,30 @@ func TestVectorAliasedExact(t *testing.T) {
 			rng.Read(orig)
 
 			want := append([]byte(nil), orig...)
-			withKernel(t, KernelScalar, func() { MulSlice(c, want, want) })
-			got := append([]byte(nil), orig...)
-			withKernel(t, KernelAVX2, func() { MulSlice(c, got, got) })
-			if !bytes.Equal(got, want) {
-				t.Fatalf("aliased MulSlice(c=%d, n=%d) mismatch", c, n)
+			mulSliceScalar(c, want, want)
+			for _, tier := range mulSliceTiers() {
+				got := append([]byte(nil), orig...)
+				tier.fn(c, got, got)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s aliased MulSlice(c=%d, n=%d) mismatch", tier.name, c, n)
+				}
 			}
 
 			want2 := append([]byte(nil), orig...)
-			withKernel(t, KernelScalar, func() { MulAddSlice(c, want2, want2) })
-			got2 := append([]byte(nil), orig...)
-			withKernel(t, KernelAVX2, func() { MulAddSlice(c, got2, got2) })
-			if !bytes.Equal(got2, want2) {
-				t.Fatalf("aliased MulAddSlice(c=%d, n=%d) mismatch", c, n)
+			mulAddSliceScalar(c, want2, want2)
+			for _, tier := range mulAddSliceTiers() {
+				got2 := append([]byte(nil), orig...)
+				tier.fn(c, got2, got2)
+				if !bytes.Equal(got2, want2) {
+					t.Fatalf("%s aliased MulAddSlice(c=%d, n=%d) mismatch", tier.name, c, n)
+				}
 			}
 		}
 	}
 	// Aliased AddSlice must zero the slice (x ^ x = 0).
 	buf := make([]byte, 1000)
 	rng.Read(buf)
-	withKernel(t, KernelAVX2, func() { AddSlice(buf, buf) })
+	addSliceVector(buf, buf)
 	for i, b := range buf {
 		if b != 0 {
 			t.Fatalf("aliased AddSlice: buf[%d] = %d, want 0", i, b)
@@ -177,35 +180,44 @@ func TestVectorEveryCoefficient(t *testing.T) {
 	want := make([]byte, len(src))
 	got := make([]byte, len(src))
 	for c := 0; c < 256; c++ {
-		withKernel(t, KernelScalar, func() { MulSlice(byte(c), src, want) })
-		withKernel(t, KernelAVX2, func() { MulSlice(byte(c), src, got) })
-		if !bytes.Equal(got, want) {
-			t.Fatalf("coefficient %d: vector != scalar", c)
+		mulSliceScalar(byte(c), src, want)
+		for _, tier := range mulSliceTiers() {
+			tier.fn(byte(c), src, got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s coefficient %d != scalar", tier.name, c)
+			}
 		}
 	}
 }
 
+// BenchmarkKernels measures the single-source ops on each tier, the
+// scalar reference included.
 func BenchmarkKernels(b *testing.B) {
 	src := make([]byte, 64*1024)
 	dst := make([]byte, 64*1024)
 	rand.New(rand.NewSource(3)).Read(src)
-	for _, k := range []Kernel{KernelScalar, KernelAVX2} {
-		for _, op := range []string{"MulSlice", "MulAddSlice", "AddSlice"} {
-			b.Run(fmt.Sprintf("%s/%s", op, k), func(b *testing.B) {
-				prev := SetKernel(k)
-				defer SetKernel(prev)
-				b.SetBytes(int64(len(src)))
-				for i := 0; i < b.N; i++ {
-					switch op {
-					case "MulSlice":
-						MulSlice(0x57, src, dst)
-					case "MulAddSlice":
-						MulAddSlice(0x57, src, dst)
-					case "AddSlice":
-						AddSlice(src, dst)
-					}
-				}
-			})
+	run := func(name string, fn func()) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				fn()
+			}
+		})
+	}
+	for _, op := range []struct {
+		name  string
+		tiers []sliceTier
+	}{
+		{"MulSlice", append([]sliceTier{{"scalar", mulSliceScalar}}, mulSliceTiers()...)},
+		{"MulAddSlice", append([]sliceTier{{"scalar", mulAddSliceScalar}}, mulAddSliceTiers()...)},
+	} {
+		for _, tier := range op.tiers {
+			if tier.name == "gfni" && !HasGFNI() {
+				continue
+			}
+			run(fmt.Sprintf("%s/%s", op.name, tier.name), func() { tier.fn(0x57, src, dst) })
 		}
 	}
+	run("AddSlice/scalar", func() { addSliceRef(src, dst) })
+	run("AddSlice/vector", func() { addSliceVector(src, dst) })
 }

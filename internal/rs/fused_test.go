@@ -9,16 +9,9 @@ import (
 	"ecarray/internal/gf"
 )
 
-// fusedTiers lists the kernel tiers that must match the scalar reference
-// byte for byte. Tiers the CPU lacks fall back internally, so the full
-// list runs on every machine.
-func fusedTiers() []gf.Kernel {
-	return []gf.Kernel{gf.KernelAVX2, gf.KernelFused, gf.KernelGFNI}
-}
-
 // fusedTailSizes covers every 1..129-byte shard size (the unaligned tails
-// the ISSUE calls out) plus sizes straddling the fused kernels' 256-byte
-// chunk and the parallel span boundary.
+// of the vector kernels' blocks) plus sizes straddling the fused kernels'
+// 256-byte chunk and the parallel span boundary.
 func fusedTailSizes() []int {
 	sizes := make([]int, 0, 140)
 	for n := 1; n <= 129; n++ {
@@ -28,8 +21,8 @@ func fusedTailSizes() []int {
 	return sizes
 }
 
-// TestFusedEncodeDifferential proves the fused and GFNI kernels are
-// byte-identical to the scalar reference across the full k∈{2..10},
+// TestFusedEncodeDifferential proves the active kernel tier is
+// byte-identical to the generator's definition across the full k∈{2..10},
 // m∈{1..4} grid on unaligned 1..129-byte shard tails.
 func TestFusedEncodeDifferential(t *testing.T) {
 	sizes := fusedTailSizes()
@@ -41,26 +34,18 @@ func TestFusedEncodeDifferential(t *testing.T) {
 			for si := (k*7 + m) % 4; si < len(sizes); si += 4 {
 				size := sizes[si]
 				ref := randShards(t, c, size, int64(k*1000+m*100+size))
-				withGFKernel(t, gf.KernelScalar, func() {
-					if err := c.Encode(ref); err != nil {
-						t.Fatal(err)
-					}
-				})
-				for _, tier := range fusedTiers() {
-					got := cloneShards(ref)
-					for i := c.k; i < c.k+c.m; i++ {
-						clear(got[i])
-					}
-					withGFKernel(t, tier, func() {
-						if err := c.Encode(got); err != nil {
-							t.Fatal(err)
-						}
-					})
-					for i := range ref {
-						if !bytes.Equal(got[i], ref[i]) {
-							t.Fatalf("RS(%d,%d) size=%d tier=%v: shard %d differs from scalar",
-								k, m, size, tier, i)
-						}
+				encodeByDefinition(c, ref)
+				got := cloneShards(ref)
+				for i := c.k; i < c.k+c.m; i++ {
+					clear(got[i])
+				}
+				if err := c.Encode(got); err != nil {
+					t.Fatal(err)
+				}
+				for i := range ref {
+					if !bytes.Equal(got[i], ref[i]) {
+						t.Fatalf("RS(%d,%d) size=%d tier=%v: shard %d differs from the definition",
+							k, m, size, gf.ActiveKernel(), i)
 					}
 				}
 			}
@@ -69,69 +54,55 @@ func TestFusedEncodeDifferential(t *testing.T) {
 }
 
 // TestFusedEncodeAliasedSources: the same buffer appearing as several data
-// shards must encode identically on every tier (sources are read-only in
-// the fused kernels).
+// shards must encode by the definition (sources are read-only in the fused
+// kernels).
 func TestFusedEncodeAliasedSources(t *testing.T) {
-	for _, tier := range fusedTiers() {
-		c := MustNew(6, 3)
-		size := 4096 + 31
-		shared := make([]byte, size)
-		rand.New(rand.NewSource(17)).Read(shared)
-		shards := make([][]byte, 9)
-		shards[0], shards[1], shards[2] = shared, shared, shared
-		for i := 3; i < 9; i++ {
-			shards[i] = make([]byte, size)
-			rand.New(rand.NewSource(int64(18 + i))).Read(shards[i])
-		}
-		ref := cloneShards(shards)
-		withGFKernel(t, gf.KernelScalar, func() {
-			if err := c.Encode(ref); err != nil {
-				t.Fatal(err)
-			}
-		})
-		withGFKernel(t, tier, func() {
-			if err := c.Encode(shards); err != nil {
-				t.Fatal(err)
-			}
-		})
-		for i := range shards {
-			if !bytes.Equal(shards[i], ref[i]) {
-				t.Fatalf("tier %v: aliased encode shard %d differs", tier, i)
-			}
+	c := MustNew(6, 3)
+	size := 4096 + 31
+	shared := make([]byte, size)
+	rand.New(rand.NewSource(17)).Read(shared)
+	shards := make([][]byte, 9)
+	shards[0], shards[1], shards[2] = shared, shared, shared
+	for i := 3; i < 9; i++ {
+		shards[i] = make([]byte, size)
+		rand.New(rand.NewSource(int64(18 + i))).Read(shards[i])
+	}
+	ref := cloneShards(shards)
+	encodeByDefinition(c, ref)
+	if err := c.Encode(shards); err != nil {
+		t.Fatal(err)
+	}
+	for i := range shards {
+		if !bytes.Equal(shards[i], ref[i]) {
+			t.Fatalf("tier %v: aliased encode shard %d differs", gf.ActiveKernel(), i)
 		}
 	}
 }
 
 // TestFusedReconstructAndUpdateDifferential runs reconstruction and
-// incremental parity updates under the fused tiers against the scalar
-// reference on the paper's configurations.
+// incremental parity updates on the active tier against the definition on
+// the paper's configurations.
 func TestFusedReconstructAndUpdateDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, km := range [][2]int{{6, 3}, {10, 4}} {
 		c := MustNew(km[0], km[1])
 		for _, size := range []int{1, 129, 257, 4096 + 17} {
 			full := randShards(t, c, size, int64(size)*13)
-			withGFKernel(t, gf.KernelScalar, func() {
-				if err := c.Encode(full); err != nil {
-					t.Fatal(err)
-				}
-			})
-			for _, tier := range fusedTiers() {
+			encodeByDefinition(c, full)
+			for trial := 0; trial < 3; trial++ {
 				nDrop := 1 + rng.Intn(km[1])
 				dropped := rng.Perm(c.k + c.m)[:nDrop]
 				got := cloneShards(full)
 				for _, d := range dropped {
 					got[d] = nil
 				}
-				withGFKernel(t, tier, func() {
-					if err := c.WithConcurrency(3).Reconstruct(got); err != nil {
-						t.Fatal(err)
-					}
-				})
+				if err := c.WithConcurrency(3).Reconstruct(got); err != nil {
+					t.Fatal(err)
+				}
 				for i := range full {
 					if !bytes.Equal(got[i], full[i]) {
-						t.Fatalf("RS(%d,%d) size=%d tier=%v drop=%v: shard %d differs",
-							km[0], km[1], size, tier, dropped, i)
+						t.Fatalf("RS(%d,%d) size=%d drop=%v: shard %d differs",
+							km[0], km[1], size, dropped, i)
 					}
 				}
 
@@ -139,21 +110,16 @@ func TestFusedReconstructAndUpdateDifferential(t *testing.T) {
 				newData := make([]byte, size)
 				rng.Read(newData)
 				want := cloneShards(full)
-				withGFKernel(t, gf.KernelScalar, func() {
-					if err := c.UpdateParity(idx, want[idx], newData, want[c.k:]); err != nil {
-						t.Fatal(err)
-					}
-				})
+				want[idx] = newData
+				encodeByDefinition(c, want)
 				upd := cloneShards(full)
-				withGFKernel(t, tier, func() {
-					if err := c.UpdateParity(idx, upd[idx], newData, upd[c.k:]); err != nil {
-						t.Fatal(err)
-					}
-				})
+				if err := c.UpdateParity(idx, upd[idx], newData, upd[c.k:]); err != nil {
+					t.Fatal(err)
+				}
 				for p := 0; p < c.m; p++ {
 					if !bytes.Equal(upd[c.k+p], want[c.k+p]) {
-						t.Fatalf("RS(%d,%d) size=%d tier=%v: updated parity %d differs",
-							km[0], km[1], size, tier, p)
+						t.Fatalf("RS(%d,%d) size=%d: updated parity %d differs",
+							km[0], km[1], size, p)
 					}
 				}
 			}
@@ -161,72 +127,22 @@ func TestFusedReconstructAndUpdateDifferential(t *testing.T) {
 	}
 }
 
-// BenchmarkFusedSpeedup measures the acceptance comparison directly: the
-// fused multi-source path against PR 1's per-source vector path for
-// RS(10,4) on 64 KiB shards, serial codec, with the GFNI tier reported
-// separately when the CPU exposes it. The timed loop runs the
-// auto-selected (best fused) tier; the metrics carry the per-tier MB/s
-// and the speedup ratios.
-func BenchmarkFusedSpeedup(b *testing.B) {
-	base := MustNew(10, 4)
-	measure := func(k gf.Kernel) float64 {
-		var mbps float64
-		withGFKernel(b, k, func() {
-			mbps = MeasureEncodeMBps(base, 64<<10, 50e6)
-		})
-		return mbps
-	}
-	avx2 := measure(gf.KernelAVX2) // PR-1 per-source vector path
-	fused := measure(gf.KernelFused)
-	var gfni float64
-	if gf.HasGFNI() {
-		gfni = measure(gf.KernelGFNI)
-	}
-
-	// Timed section: the hot path itself under the auto-selected tier.
-	prev := gf.SetKernel(gf.KernelAuto)
-	defer gf.SetKernel(prev)
-	shards := randShards(b, base, 64<<10, 42)
-	b.SetBytes(10 * 64 << 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := base.Encode(shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(avx2, "avx2_MB/s")
-	b.ReportMetric(fused, "fused_MB/s")
-	if avx2 > 0 {
-		b.ReportMetric(fused/avx2, "fused_x_vs_avx2")
-	}
-	if gfni > 0 {
-		b.ReportMetric(gfni, "gfni_MB/s")
-		b.ReportMetric(gfni/avx2, "gfni_x_vs_avx2")
-	}
-}
-
-// BenchmarkEncodeTiers reports the full tier ladder on the paper's
-// configurations at 64 KiB shards.
+// BenchmarkEncodeTiers reports serial encode on the paper's configurations
+// at 64 KiB shards, on the tier the CPU picked (named in the sub-benchmark).
+// internal/gf's BenchmarkMulMatrix and BenchmarkMulSources hold the
+// per-tier numbers.
 func BenchmarkEncodeTiers(b *testing.B) {
 	for _, km := range [][2]int{{6, 3}, {10, 4}} {
-		for _, tier := range []gf.Kernel{gf.KernelScalar, gf.KernelAVX2, gf.KernelFused, gf.KernelGFNI} {
-			if tier == gf.KernelGFNI && !gf.HasGFNI() {
-				continue
-			}
-			b.Run(fmt.Sprintf("RS(%d,%d)/64KiB/%s", km[0], km[1], tier), func(b *testing.B) {
-				prev := gf.SetKernel(tier)
-				defer gf.SetKernel(prev)
-				c := MustNew(km[0], km[1])
-				shards := randShards(b, c, 64<<10, 42)
-				b.SetBytes(int64(km[0]) * 64 << 10)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := c.Encode(shards); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("RS(%d,%d)/64KiB/%s", km[0], km[1], gf.ActiveKernel()), func(b *testing.B) {
+			c := MustNew(km[0], km[1])
+			shards := randShards(b, c, 64<<10, 42)
+			b.SetBytes(int64(km[0]) * 64 << 10)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Encode(shards); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -12,10 +12,9 @@ import (
 // FuzzEncodeReconstruct is the codec round-trip fuzz target: derive an
 // RS(k,m) config and shard contents from the fuzz input, encode, drop up
 // to m shards (pattern also input-derived), reconstruct, and require the
-// original bytes back. It cross-checks the vector kernel against the
-// scalar reference and the parallel codec against the serial one on every
-// input, so a kernel or sharding bug found by the fuzzer is attributed
-// immediately.
+// original bytes back. It cross-checks the parallel codec's parity against
+// the generator's definition (encodeByDefinition) on every input, so a
+// kernel or sharding bug found by the fuzzer is attributed immediately.
 //
 // Run `go test -fuzz=FuzzEncodeReconstruct ./internal/rs` to explore; the
 // checked-in corpus under testdata/fuzz covers the (k,m) grid including
@@ -23,9 +22,9 @@ import (
 // FuzzStreamRoundTrip is the streaming round-trip fuzz target:
 // StreamEncode an input-derived payload at an input-derived chunk size,
 // drop an input-derived subset of shard streams, StreamDecode, and
-// require the original bytes back. It also cross-checks the active
-// (fused/GFNI) kernel's shard streams against the scalar reference so a
-// kernel divergence on the streaming path is attributed immediately.
+// require the original bytes back. It also cross-checks the parity shard
+// streams against the generator's definition so a kernel divergence on the
+// streaming path is attributed immediately.
 //
 // Run `go test -fuzz=FuzzStreamRoundTrip ./internal/rs` to explore; the
 // checked-in corpus under testdata/fuzz covers the paper's RS(6,3) and
@@ -48,37 +47,31 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		}
 		c := MustNew(k, m)
 
-		// Encode under the scalar reference and the active (best) kernel;
-		// every shard stream must match bit for bit.
-		encodeAll := func() [][]byte {
-			bufs := make([]*bytes.Buffer, k+m)
-			ws := make([]io.Writer, k+m)
-			for i := range ws {
-				bufs[i] = &bytes.Buffer{}
-				ws[i] = bufs[i]
-			}
-			n, err := c.StreamEncode(bytes.NewReader(data), ws, chunk)
-			if err != nil {
-				t.Fatalf("RS(%d,%d) chunk=%d: StreamEncode: %v", k, m, chunk, err)
-			}
-			if n != int64(len(data)) {
-				t.Fatalf("StreamEncode consumed %d bytes, want %d", n, len(data))
-			}
-			out := make([][]byte, k+m)
-			for i := range out {
-				out[i] = bufs[i].Bytes()
-			}
-			return out
+		bufs := make([]*bytes.Buffer, k+m)
+		ws := make([]io.Writer, k+m)
+		for i := range ws {
+			bufs[i] = &bytes.Buffer{}
+			ws[i] = bufs[i]
 		}
-		prev := gf.SetKernel(gf.KernelScalar)
-		ref := encodeAll()
-		gf.SetKernel(gf.KernelAuto)
-		got := encodeAll()
-		gf.SetKernel(prev)
+		n, err := c.StreamEncode(bytes.NewReader(data), ws, chunk)
+		if err != nil {
+			t.Fatalf("RS(%d,%d) chunk=%d: StreamEncode: %v", k, m, chunk, err)
+		}
+		if n != int64(len(data)) {
+			t.Fatalf("StreamEncode consumed %d bytes, want %d", n, len(data))
+		}
+		got := make([][]byte, k+m)
+		for i := range got {
+			got[i] = bufs[i].Bytes()
+		}
+		// Coding is bytewise, so whole parity streams must equal the
+		// definition applied to whole data streams.
+		ref := cloneShards(got)
+		encodeByDefinition(c, ref)
 		for i := range ref {
 			if !bytes.Equal(got[i], ref[i]) {
-				t.Fatalf("RS(%d,%d) chunk=%d: shard stream %d differs between scalar and %v kernels",
-					k, m, chunk, i, gf.BestKernel())
+				t.Fatalf("RS(%d,%d) chunk=%d: shard stream %d differs from the definition on the %v kernel",
+					k, m, chunk, i, gf.ActiveKernel())
 			}
 		}
 
@@ -140,22 +133,17 @@ func FuzzEncodeReconstruct(f *testing.F) {
 			}
 		}
 
-		// Encode with the scalar reference, then with the parallel vector
-		// codec; both parities must agree bit for bit.
+		// Encode by definition, then with the parallel codec; both
+		// parities must agree bit for bit.
 		ref := cloneShards(shards)
-		prev := gf.SetKernel(gf.KernelScalar)
-		err = c.Encode(ref)
-		gf.SetKernel(prev)
-		if err != nil {
-			t.Fatalf("scalar encode: %v", err)
-		}
+		encodeByDefinition(c, ref)
 		par := c.WithConcurrency(4)
 		if err := par.Encode(shards); err != nil {
 			t.Fatalf("parallel encode: %v", err)
 		}
 		for i := range shards {
 			if !bytes.Equal(shards[i], ref[i]) {
-				t.Fatalf("RS(%d,%d): parallel/vector shard %d differs from scalar reference", k, m, i)
+				t.Fatalf("RS(%d,%d): parallel shard %d differs from the definition", k, m, i)
 			}
 		}
 

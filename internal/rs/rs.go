@@ -13,20 +13,16 @@
 //
 // # Performance knobs
 //
-// The codec hot path (Encode, Reconstruct, UpdateParity) is tunable along
-// two axes:
-//
-//   - Kernel selection: the underlying GF(2^8) bulk operations come in a
-//     ladder of tiers (scalar reference → per-source AVX2 → fused
-//     multi-source → GFNI/AVX-512; see [ecarray/internal/gf.SetKernel]).
-//     Each parity row is one fused row product: all k data shards are
-//     consumed in a single pass and the row is written once, instead of
-//     re-reading it once per source. The scalar kernel exists for
-//     differential testing and baseline measurement.
-//   - Concurrency: [Code.WithConcurrency] returns a codec that shards row
-//     products across output rows and byte spans onto up to n goroutines.
-//     The default codec is serial. Output is byte-identical at any
-//     concurrency level, so simulation results stay deterministic.
+// The codec hot path (Encode, Reconstruct, UpdateParity) runs on the
+// GF(2^8) kernel tier the CPU picks once at start-up (fused AVX2, or
+// GFNI/AVX-512 where present; see [ecarray/internal/gf.ActiveKernel]).
+// Each parity row is one fused row product: all k data shards are consumed
+// in a single pass and the row is written once, instead of re-reading it
+// once per source. The one knob is concurrency: [Code.WithConcurrency]
+// returns a codec that shards row products across output rows and byte
+// spans onto up to n goroutines. The default codec is serial. Output is
+// byte-identical at any concurrency level, so simulation results stay
+// deterministic.
 //
 // StreamEncode/StreamDecode hold their stripe buffers in a pool shared by
 // every codec derived from the same New call, so steady-state streaming

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ecarray/internal/gf"
 )
 
 func randShards(t testing.TB, c *Code, size int, seed int64) [][]byte {
@@ -32,6 +34,22 @@ func cloneShards(shards [][]byte) [][]byte {
 		}
 	}
 	return out
+}
+
+// encodeByDefinition overwrites a stripe's parity shards straight from the
+// generator, parity[p][i] = Σ_s gen[k+p][s]·data[s][i], one gf.Mul per
+// term: the reference the codec's kernels are held against, sharing no
+// code with them.
+func encodeByDefinition(c *Code, shards [][]byte) {
+	for p := c.k; p < c.k+c.m; p++ {
+		for i := range shards[p] {
+			var v byte
+			for s := 0; s < c.k; s++ {
+				v ^= gf.Mul(c.gen.At(p, s), shards[s][i])
+			}
+			shards[p][i] = v
+		}
+	}
 }
 
 func TestNewValidation(t *testing.T) {
