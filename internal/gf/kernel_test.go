@@ -31,12 +31,22 @@ func addSliceRef(src, dst []byte) {
 	}
 }
 
-func TestActiveKernelFollowsCPU(t *testing.T) {
+func TestKernelNames(t *testing.T) {
+	for k, want := range map[Kernel]string{KernelFused: "fused", KernelGFNI: "gfni", KernelGFNI + 1: "unknown"} {
+		if got := k.String(); got != want {
+			t.Errorf("Kernel(%d).String() = %q, want %q", uint32(k), got, want)
+		}
+	}
+}
+
+// TestSetKernelResolvesAuto checks the kernel the package picks for this
+// CPU at init: gfni exactly when GFNI is usable, fused otherwise.
+func TestSetKernelResolvesAuto(t *testing.T) {
 	if got := ActiveKernel() == KernelGFNI; got != HasGFNI() {
 		t.Fatalf("ActiveKernel = %v with HasGFNI = %v", ActiveKernel(), HasGFNI())
 	}
-	if KernelFused.String() != "fused" || KernelGFNI.String() != "gfni" {
-		t.Fatalf("kernel names = %q, %q", KernelFused, KernelGFNI)
+	if !HasGFNI() && ActiveKernel() != KernelFused {
+		t.Fatalf("ActiveKernel = %v without GFNI, want fused", ActiveKernel())
 	}
 }
 
