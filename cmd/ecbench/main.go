@@ -26,10 +26,12 @@
 //	           regression — the CI gate
 //	-merge     merge shard reports into one (first argument is the output)
 //
-// Scale "paper" is the full campaign — 52-OSD array, 1KB..128KB blocks,
-// stripe-unit and fault-state axes, 672 cells (hours serially; shard
-// it); "quick" is a reduced sweep for iteration; "smoke" finishes in tens
-// of seconds and is what CI runs. The GF kernel tier is not a flag: the
+// -scale resolves through one preset table (bench.SweepPreset) in every
+// mode. Scale "paper" is the full campaign — 52-OSD array, 1KB..128KB
+// blocks, stripe-unit and fault-state axes, 672 cells (hours serially;
+// shard it); "quick" is a reduced sweep for iteration; "smoke" finishes in
+// tens of seconds and is what CI runs. Figures 1 and 5-18 are projections
+// of the preset's sweep cells. The GF kernel tier is not a flag: the
 // CPU picks it (gfni, else fused; ECARRAY_NO_GFNI=1 masks gfni).
 package main
 
@@ -138,24 +140,9 @@ func main() {
 		return
 	}
 
-	var opt bench.Options
-	var grid bench.Grid
-	if mode == "sweep" {
-		opt, grid, err = bench.SweepPreset(*scale)
-		if err != nil {
-			usageError(err)
-		}
-	} else {
-		switch *scale {
-		case "smoke":
-			opt = bench.Smoke()
-		case "quick":
-			opt = bench.Quick()
-		case "paper":
-			opt = bench.Paper()
-		default:
-			usageError(fmt.Errorf("unknown scale %q", *scale))
-		}
+	opt, grid, err := bench.SweepPreset(*scale)
+	if err != nil {
+		usageError(err)
 	}
 	if *duration > 0 {
 		opt.Duration = *duration

@@ -206,7 +206,8 @@ type (
 type (
 	// BenchOptions scales the figure reproduction.
 	BenchOptions = bench.Options
-	// Suite caches one run per (scheme, pattern, op, block size).
+	// Suite runs sweep cells and caches each by its cell ID; figures
+	// and sweeps read the same cells.
 	Suite = bench.Suite
 	// BenchTable is one rendered figure.
 	BenchTable = bench.Table

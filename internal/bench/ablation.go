@@ -5,11 +5,11 @@ import (
 	"time"
 
 	"ecarray/internal/core"
-	"ecarray/internal/sim"
 	"ecarray/internal/workload"
 )
 
-// Ablations isolate the design choices DESIGN.md calls out: each experiment
+// Ablations isolate the mechanisms the cost model is built from (`ecbench
+// -ablations`, README "ecbench scales and modes"): each experiment
 // switches one mechanism off (or sweeps one parameter) and reports how a
 // headline metric moves, demonstrating that the reproduced behaviour comes
 // from the modeled mechanism and not from an unrelated artifact.
@@ -63,25 +63,19 @@ func (s *Suite) RunAllAblations() ([]Table, error) {
 }
 
 // ablationRun builds a cluster with the mutation applied and runs one job.
+// Every run of an ablation shares the suite seed, so a row differs from
+// the next only by the mechanism it switches.
 func (s *Suite) ablationRun(profile core.Profile, mutate func(*core.Config),
-	job workload.Job, prefill bool) (Cell, error) {
+	job workload.Job, prefill bool) (CellReport, error) {
 	started := time.Now()
 	cfg := s.baseConfig(s.Opt.Seed)
 	s.applyCodecConfig(&cfg, profile)
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	e := sim.NewEngine()
-	c, err := core.New(e, cfg)
+	c, img, err := s.clusterWith(cfg, profile, "ablate")
 	if err != nil {
-		return Cell{}, err
-	}
-	if _, err := c.CreatePool("data", profile); err != nil {
-		return Cell{}, err
-	}
-	img, err := c.CreateImage("data", "ablate", s.Opt.ImageSize)
-	if err != nil {
-		return Cell{}, err
+		return CellReport{}, err
 	}
 	if prefill {
 		img.Prefill()
@@ -91,10 +85,10 @@ func (s *Suite) ablationRun(profile core.Profile, mutate func(*core.Config),
 	job.Seed = s.Opt.Seed
 	res, err := workload.Run(c, img, job)
 	if err != nil {
-		return Cell{}, err
+		return CellReport{}, err
 	}
-	s.drainAndNote(e, started)
-	return Cell{Result: res}, nil
+	s.drainAndNote(c.Engine(), started)
+	return newCellReport(res), nil
 }
 
 // ablateStripeWidth sweeps the EC stripe unit. The paper's §VIII notes that
@@ -119,7 +113,7 @@ func (s *Suite) ablateStripeWidth() (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			bsLabel(unit), bsLabel(6 * unit),
-			f1(cell.MBps), f2(ms(cell.MeanLatency)), f2(cell.DevWritePerReq()),
+			f1(cell.MBps), f2(cell.MeanLatencyUS / 1e3), f2(cell.DevWritePerReq),
 		})
 	}
 	t.Notes = append(t.Notes, "wider stripes amplify sub-stripe updates: more old data read, more chunks rewritten")
@@ -150,7 +144,7 @@ func (s *Suite) ablateStripeCache() (Table, error) {
 		if stripes == 0 {
 			label = "off"
 		}
-		t.Rows = append(t.Rows, []string{label, f1(cell.MBps), f2(cell.DevReadPerReq()), f2(cell.NetPerReq())})
+		t.Rows = append(t.Rows, []string{label, f1(cell.MBps), f2(cell.DevReadPerReq), f2(cell.NetPerReq)})
 	}
 	t.Notes = append(t.Notes, "without the cache every sequential request refetches its stripe from k OSDs")
 	return t, nil
@@ -178,7 +172,7 @@ func (s *Suite) ablateWAL() (Table, error) {
 		if threshold == 0 {
 			label = "off"
 		}
-		t.Rows = append(t.Rows, []string{label, f1(cell.MBps), f2(cell.DevWritePerReq())})
+		t.Rows = append(t.Rows, []string{label, f1(cell.MBps), f2(cell.DevWritePerReq)})
 	}
 	t.Notes = append(t.Notes, "journaling roughly doubles small-write device traffic")
 	return t, nil
@@ -240,7 +234,7 @@ func (s *Suite) ablatePGCount() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(pgs), f1(cell.MBps), f2(ms(cell.MeanLatency))})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(pgs), f1(cell.MBps), f2(cell.MeanLatencyUS / 1e3)})
 	}
 	t.Notes = append(t.Notes, "more PGs spread the PG-lock serialization that throttles random writes")
 	return t, nil

@@ -55,18 +55,95 @@ func TestSchemes(t *testing.T) {
 	}
 }
 
-func TestCellCaching(t *testing.T) {
-	s := tinySuite(t)
-	a, err := s.Cell(Schemes()[0], workload.Random, workload.Write, 4096)
+// TestEveryFigureRenders renders every figure at micro options with its
+// table count, then all of them again through RunAll: every cell, bare-SSD
+// baseline and time series is cached, so the second pass runs no
+// simulation at all.
+func TestEveryFigureRenders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure runs are slow")
+	}
+	tables := map[string]int{
+		"fig1": 1, "fig5": 2, "fig6": 2, "fig7": 2, "fig8": 2, "fig9": 2,
+		"fig10": 2, "fig11": 2, "fig12": 2, "fig13": 2, "fig14": 2, "fig15": 2,
+		"fig16": 2, "fig17": 2, "fig18": 2, "fig19": 1, "fig20": 2,
+	}
+	if len(tables) != len(FigureIDs()) {
+		t.Fatalf("table counts for %d figures, FigureIDs has %d", len(tables), len(FigureIDs()))
+	}
+	s, err := NewSuite(microSweepOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Cell(Schemes()[0], workload.Random, workload.Write, 4096)
+	for _, id := range FigureIDs() {
+		ts, err := s.RunFigure(id)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if len(ts) != tables[id] {
+			t.Fatalf("%s rendered %d tables, want %d", id, len(ts), tables[id])
+		}
+		for _, tb := range ts {
+			if len(tb.Rows) == 0 {
+				t.Errorf("%s table %s has no rows", id, tb.ID)
+			}
+		}
+	}
+	before := s.eng
+	if _, err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if s.eng != before {
+		t.Fatalf("second RunAll ran %d more engine events", s.eng.events-before.events)
+	}
+}
+
+// TestFigureCellsAreSweepCells: a figure is a projection of sweep cells.
+// Every number in fig7a is the MB/s of the sweep cell with the same key,
+// run by another suite.
+func TestFigureCellsAreSweepCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep runs are slow")
+	}
+	opt := microSweepOptions()
+	fig, err := NewSuite(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Ops != b.Ops || a.Bytes != b.Bytes {
-		t.Fatal("cached cell differs from original run")
+	tables, err := fig.RunFigure("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := NewSuite(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Grid{
+		Schemes:     []string{"3-Rep", "RS(6,3)", "RS(10,4)"},
+		Patterns:    []string{workload.Random.String()},
+		Ops:         []string{workload.Write.String()},
+		BlockSizes:  opt.BlockSizes,
+		StripeUnits: []int64{4 << 10},
+		Kernels:     []string{"auto"},
+		Faults:      []string{"none"},
+	}
+	r, err := sw.RunSweep("micro", g, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig7a := tables[0]
+	for i, bs := range opt.BlockSizes {
+		for j, sc := range g.Schemes {
+			k := CellKey{Scheme: sc, Pattern: g.Patterns[0], Op: g.Ops[0], BlockSize: bs,
+				StripeUnit: 4 << 10, Kernel: "auto", Fault: "none"}
+			c := r.Cell(k.ID())
+			if c == nil {
+				t.Fatalf("sweep has no cell %s", k.ID())
+			}
+			if got, want := fig7a.Rows[i][j+1], f1(c.MBps); got != want {
+				t.Errorf("fig7a %s at %s = %s MB/s, sweep cell %s = %s", sc, bsLabel(bs), got, k.ID(), want)
+			}
+		}
 	}
 }
 
@@ -110,21 +187,32 @@ func TestFigureIDsCovered(t *testing.T) {
 }
 
 // TestCalibrationInvariants asserts the qualitative shapes of the paper's
-// findings at tiny scale: who wins, in which direction, by roughly what
-// kind of factor. These bands are deliberately wide — they guard the
-// mechanisms, not the exact numbers.
+// findings on the figure cells at tiny scale: who wins, in which
+// direction, by roughly what kind of factor. These bands are deliberately
+// wide — they guard the mechanisms, not the exact numbers.
 func TestCalibrationInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration run is slow")
 	}
 	s := tinySuite(t)
 	const bs = 4096
-	cell := func(scheme int, pat workload.Pattern, op workload.Op) Cell {
-		c, err := s.Cell(Schemes()[scheme], pat, op, bs)
+	var keys []CellKey
+	for _, sc := range Schemes()[:2] {
+		for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
+			for _, op := range []workload.Op{workload.Read, workload.Write} {
+				keys = append(keys, s.figureKey(sc.Name, pat, op, bs))
+			}
+		}
+	}
+	if _, err := s.figureCells(keys...); err != nil { // run side by side
+		t.Fatal(err)
+	}
+	cell := func(scheme int, pat workload.Pattern, op workload.Op) CellReport {
+		c, err := s.figureCells(s.figureKey(Schemes()[scheme].Name, pat, op, bs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c
+		return c[0]
 	}
 	rep, rs63 := 0, 1
 
@@ -157,8 +245,8 @@ func TestCalibrationInvariants(t *testing.T) {
 		}
 	})
 	t.Run("EC rand-read amp ~ stripe/bs (paper 6.9x vs 3-Rep at 4KB)", func(t *testing.T) {
-		e := cell(rs63, workload.Random, workload.Read).DevReadPerReq()
-		r := cell(rep, workload.Random, workload.Read).DevReadPerReq()
+		e := cell(rs63, workload.Random, workload.Read).DevReadPerReq
+		r := cell(rep, workload.Random, workload.Read).DevReadPerReq
 		if e < 3 || e > 9 {
 			t.Errorf("RS(6,3) rand-read amp = %.1f, want ~6", e)
 		}
@@ -167,8 +255,8 @@ func TestCalibrationInvariants(t *testing.T) {
 		}
 	})
 	t.Run("EC write amp far above replication (paper up to 55x more)", func(t *testing.T) {
-		e := cell(rs63, workload.Random, workload.Write).DevWritePerReq()
-		r := cell(rep, workload.Random, workload.Write).DevWritePerReq()
+		e := cell(rs63, workload.Random, workload.Write).DevWritePerReq
+		r := cell(rep, workload.Random, workload.Write).DevWritePerReq
 		if r < 3 || r > 12 {
 			t.Errorf("3-Rep rand-write amp = %.1f, want ~3-10", r)
 		}
@@ -177,8 +265,8 @@ func TestCalibrationInvariants(t *testing.T) {
 		}
 	})
 	t.Run("replicated reads leave private network idle; EC reads do not (Fig 17)", func(t *testing.T) {
-		r := cell(rep, workload.Random, workload.Read).NetPerReq()
-		e := cell(rs63, workload.Random, workload.Read).NetPerReq()
+		r := cell(rep, workload.Random, workload.Read).NetPerReq
+		e := cell(rs63, workload.Random, workload.Read).NetPerReq
 		if r > 0.1 {
 			t.Errorf("3-Rep read private/req = %.2f, want ~0", r)
 		}
@@ -187,7 +275,7 @@ func TestCalibrationInvariants(t *testing.T) {
 		}
 	})
 	t.Run("3-Rep write private traffic ~2x request (replica pushes)", func(t *testing.T) {
-		r := cell(rep, workload.Random, workload.Write).NetPerReq()
+		r := cell(rep, workload.Random, workload.Write).NetPerReq
 		if r < 1.8 || r > 3 {
 			t.Errorf("3-Rep write private/req = %.2f, want ~2", r)
 		}
@@ -195,13 +283,13 @@ func TestCalibrationInvariants(t *testing.T) {
 	t.Run("EC needs more CPU and context switches per MB for writes", func(t *testing.T) {
 		rc := cell(rep, workload.Random, workload.Write)
 		ec := cell(rs63, workload.Random, workload.Write)
-		if ec.CtxPerMB() <= rc.CtxPerMB() {
-			t.Errorf("EC ctx/MB (%.0f) must exceed replication's (%.0f)", ec.CtxPerMB(), rc.CtxPerMB())
+		if ec.CtxPerMB <= rc.CtxPerMB {
+			t.Errorf("EC ctx/MB (%.0f) must exceed replication's (%.0f)", ec.CtxPerMB, rc.CtxPerMB)
 		}
 	})
 	t.Run("user-mode CPU dominates (paper: 70-75%)", func(t *testing.T) {
 		c := cell(rs63, workload.Random, workload.Write)
-		user, kern := c.Metrics.UserCPU, c.Metrics.KernelCPU
+		user, kern := c.UserCPU, c.KernelCPU
 		if share := user / (user + kern); share < 0.55 || share > 0.9 {
 			t.Errorf("user share = %.2f, want ~0.7", share)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ecarray/internal/core"
 	"ecarray/internal/workload"
 )
 
@@ -87,17 +88,48 @@ func (s *Suite) RunAll() ([]Table, error) {
 	return out, nil
 }
 
-// sweep gathers the three schemes' cells for a (pattern, op) family.
-func (s *Suite) sweep(pattern workload.Pattern, op workload.Op) (map[string][]Cell, error) {
-	out := map[string][]Cell{}
+// figureKey is the sweep cell a figure reads for one (scheme, pattern, op,
+// block size): the suite's stripe unit (the paper's 4 KiB by default) on a
+// healthy cluster.
+func (s *Suite) figureKey(scheme string, pattern workload.Pattern, op workload.Op, bs int64) CellKey {
+	su := s.Opt.StripeUnit
+	if su == 0 {
+		su = core.DefaultConfig().StripeUnit
+	}
+	return CellKey{Scheme: scheme, Pattern: pattern.String(), Op: op.String(),
+		BlockSize: bs, StripeUnit: su, Kernel: "auto", Fault: "none"}
+}
+
+// figureCells returns the reports of the given cells from the suite's one
+// cell path, running the missing ones side by side.
+func (s *Suite) figureCells(keys ...CellKey) ([]CellReport, error) {
+	outcomes, err := s.cells(keys, nil)
+	if err != nil {
+		return nil, err
+	}
+	reports := make([]CellReport, len(outcomes))
+	for i, o := range outcomes {
+		reports[i] = o.report
+	}
+	return reports, nil
+}
+
+// sweep gathers the three schemes' cells for a (pattern, op) family, one
+// per suite block size.
+func (s *Suite) sweep(pattern workload.Pattern, op workload.Op) (map[string][]CellReport, error) {
+	var keys []CellKey
 	for _, sc := range Schemes() {
 		for _, bs := range s.Opt.BlockSizes {
-			c, err := s.Cell(sc, pattern, op, bs)
-			if err != nil {
-				return nil, err
-			}
-			out[sc.Name] = append(out[sc.Name], c)
+			keys = append(keys, s.figureKey(sc.Name, pattern, op, bs))
 		}
+	}
+	reports, err := s.figureCells(keys...)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string][]CellReport{}
+	for i, k := range keys {
+		out[k.Scheme] = append(out[k.Scheme], reports[i])
 	}
 	return out, nil
 }
@@ -115,7 +147,7 @@ func (s *Suite) perfFigure(id, title string, pattern workload.Pattern, op worklo
 		thr.Rows = append(thr.Rows, []string{bsLabel(bs),
 			f1(cells["3-Rep"][i].MBps), f1(cells["RS(6,3)"][i].MBps), f1(cells["RS(10,4)"][i].MBps)})
 		lat.Rows = append(lat.Rows, []string{bsLabel(bs),
-			f2(ms(cells["3-Rep"][i].MeanLatency)), f2(ms(cells["RS(6,3)"][i].MeanLatency)), f2(ms(cells["RS(10,4)"][i].MeanLatency))})
+			f2(cells["3-Rep"][i].MeanLatencyUS / 1e3), f2(cells["RS(6,3)"][i].MeanLatencyUS / 1e3), f2(cells["RS(10,4)"][i].MeanLatencyUS / 1e3)})
 	}
 	return []Table{thr, lat}, nil
 }
@@ -137,7 +169,7 @@ func (s *Suite) cpuFigure(id, title string, op workload.Op) ([]Table, error) {
 			row := []string{bsLabel(bs)}
 			for _, sc := range []string{"3-Rep", "RS(6,3)", "RS(10,4)"} {
 				c := cells[sc][i]
-				row = append(row, f2(c.Metrics.UserCPU*100), f2(c.Metrics.KernelCPU*100))
+				row = append(row, f2(c.UserCPU*100), f2(c.KernelCPU*100))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -160,7 +192,7 @@ func (s *Suite) ctxFigure(id, title string, op workload.Op) ([]Table, error) {
 		}
 		for i, bs := range s.Opt.BlockSizes {
 			t.Rows = append(t.Rows, []string{bsLabel(bs),
-				f1(cells["3-Rep"][i].CtxPerMB()), f1(cells["RS(6,3)"][i].CtxPerMB()), f1(cells["RS(10,4)"][i].CtxPerMB())})
+				f1(cells["3-Rep"][i].CtxPerMB), f1(cells["RS(6,3)"][i].CtxPerMB), f1(cells["RS(10,4)"][i].CtxPerMB)})
 		}
 		out = append(out, t)
 	}
@@ -178,9 +210,9 @@ func (s *Suite) ampFigure(id, title string, pattern workload.Pattern, op workloa
 		Columns: []string{"bs", "3-Rep", "RS(6,3)", "RS(10,4)"}}
 	for i, bs := range s.Opt.BlockSizes {
 		rd.Rows = append(rd.Rows, []string{bsLabel(bs),
-			f2(cells["3-Rep"][i].DevReadPerReq()), f2(cells["RS(6,3)"][i].DevReadPerReq()), f2(cells["RS(10,4)"][i].DevReadPerReq())})
+			f2(cells["3-Rep"][i].DevReadPerReq), f2(cells["RS(6,3)"][i].DevReadPerReq), f2(cells["RS(10,4)"][i].DevReadPerReq)})
 		wr.Rows = append(wr.Rows, []string{bsLabel(bs),
-			f2(cells["3-Rep"][i].DevWritePerReq()), f2(cells["RS(6,3)"][i].DevWritePerReq()), f2(cells["RS(10,4)"][i].DevWritePerReq())})
+			f2(cells["3-Rep"][i].DevWritePerReq), f2(cells["RS(6,3)"][i].DevWritePerReq), f2(cells["RS(10,4)"][i].DevWritePerReq)})
 	}
 	if !withWrites {
 		return []Table{rd}, nil
@@ -202,7 +234,7 @@ func (s *Suite) readAmpFigure() ([]Table, error) {
 		}
 		for i, bs := range s.Opt.BlockSizes {
 			t.Rows = append(t.Rows, []string{bsLabel(bs),
-				f2(cells["3-Rep"][i].DevReadPerReq()), f2(cells["RS(6,3)"][i].DevReadPerReq()), f2(cells["RS(10,4)"][i].DevReadPerReq())})
+				f2(cells["3-Rep"][i].DevReadPerReq), f2(cells["RS(6,3)"][i].DevReadPerReq), f2(cells["RS(10,4)"][i].DevReadPerReq)})
 		}
 		out = append(out, t)
 	}
@@ -223,7 +255,7 @@ func (s *Suite) netFigure(id, title string, op workload.Op) ([]Table, error) {
 		}
 		for i, bs := range s.Opt.BlockSizes {
 			t.Rows = append(t.Rows, []string{bsLabel(bs),
-				f2(cells["3-Rep"][i].NetPerReq()), f2(cells["RS(6,3)"][i].NetPerReq()), f2(cells["RS(10,4)"][i].NetPerReq())})
+				f2(cells["3-Rep"][i].NetPerReq), f2(cells["RS(6,3)"][i].NetPerReq), f2(cells["RS(10,4)"][i].NetPerReq)})
 		}
 		out = append(out, t)
 	}
@@ -234,44 +266,26 @@ func (s *Suite) netFigure(id, title string, op workload.Op) ([]Table, error) {
 // 4 KB random requests across all six viewpoints.
 func (s *Suite) fig1() ([]Table, error) {
 	const bs = 4 << 10
-	get := func(sc Scheme, pat workload.Pattern, op workload.Op) (Cell, error) {
-		return s.Cell(sc, pat, op, bs)
-	}
-	rep, ec := Schemes()[0], Schemes()[2]
-	repR, err := get(rep, workload.Random, workload.Read)
+	rep, ec := Schemes()[0].Name, Schemes()[2].Name
+	c, err := s.figureCells(
+		s.figureKey(rep, workload.Random, workload.Read, bs), s.figureKey(rep, workload.Random, workload.Write, bs),
+		s.figureKey(ec, workload.Random, workload.Read, bs), s.figureKey(ec, workload.Random, workload.Write, bs))
 	if err != nil {
 		return nil, err
 	}
-	repW, err := get(rep, workload.Random, workload.Write)
-	if err != nil {
-		return nil, err
-	}
-	ecR, err := get(ec, workload.Random, workload.Read)
-	if err != nil {
-		return nil, err
-	}
-	ecW, err := get(ec, workload.Random, workload.Write)
-	if err != nil {
-		return nil, err
-	}
-	ratio := func(a, b float64) string {
-		if b == 0 {
-			return "inf"
-		}
-		return f2(a / b)
-	}
+	repR, repW, ecR, ecW := c[0], c[1], c[2], c[3]
 	t := Table{
 		ID:      "fig1",
 		Title:   "RS(10,4) normalized to 3-Replication, 4KB random requests (paper Fig 1)",
 		Columns: []string{"metric", "read", "write", "paper read", "paper write"},
 		Rows: [][]string{
 			{"throughput", ratio(ecR.MBps, repR.MBps), ratio(ecW.MBps, repW.MBps), "0.67", "0.14"},
-			{"latency", ratio(ms(ecR.MeanLatency), ms(repR.MeanLatency)), ratio(ms(ecW.MeanLatency), ms(repW.MeanLatency)), "1.5", "7.6"},
-			{"CPU utilization", ratio(ecR.Metrics.UserCPU+ecR.Metrics.KernelCPU, repR.Metrics.UserCPU+repR.Metrics.KernelCPU),
-				ratio(ecW.Metrics.UserCPU+ecW.Metrics.KernelCPU, repW.Metrics.UserCPU+repW.Metrics.KernelCPU), "10.7", "1.9"},
-			{"context switches/MB", ratio(ecR.CtxPerMB(), repR.CtxPerMB()), ratio(ecW.CtxPerMB(), repW.CtxPerMB()), "12.6", "4.7-7.1"},
-			{"private network/req", ratio(ecR.NetPerReq(), repR.NetPerReq()), ratio(ecW.NetPerReq(), repW.NetPerReq()), ">>1 (rep ~0)", "37.8-74.7"},
-			{"I/O amplification", ratio(ecR.DevReadPerReq(), repR.DevReadPerReq()), ratio(ecW.DevWritePerReq(), repW.DevWritePerReq()), "10.4", "57.7"},
+			{"latency", ratio(ecR.MeanLatencyUS, repR.MeanLatencyUS), ratio(ecW.MeanLatencyUS, repW.MeanLatencyUS), "1.5", "7.6"},
+			{"CPU utilization", ratio(ecR.UserCPU+ecR.KernelCPU, repR.UserCPU+repR.KernelCPU),
+				ratio(ecW.UserCPU+ecW.KernelCPU, repW.UserCPU+repW.KernelCPU), "10.7", "1.9"},
+			{"context switches/MB", ratio(ecR.CtxPerMB, repR.CtxPerMB), ratio(ecW.CtxPerMB, repW.CtxPerMB), "12.6", "4.7-7.1"},
+			{"private network/req", ratio(ecR.NetPerReq, repR.NetPerReq), ratio(ecW.NetPerReq, repW.NetPerReq), ">>1 (rep ~0)", "37.8-74.7"},
+			{"I/O amplification", ratio(ecR.DevReadPerReq, repR.DevReadPerReq), ratio(ecW.DevWritePerReq, repW.DevWritePerReq), "10.4", "57.7"},
 		},
 		Notes: []string{"paper columns quote Fig 1 / §IV-§VI headline values"},
 	}
@@ -305,47 +319,57 @@ func (s *Suite) fig18() ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r := func(a, b Cell) string {
-				if b.MBps == 0 {
-					return "inf"
-				}
-				return f2(a.MBps / b.MBps)
-			}
 			t.Rows = append(t.Rows, []string{bsLabel(bs),
-				r(ssdRnd, ssdSeq),
-				r(rnd["3-Rep"][i], seq["3-Rep"][i]),
-				r(rnd["RS(6,3)"][i], seq["RS(6,3)"][i]),
-				r(rnd["RS(10,4)"][i], seq["RS(10,4)"][i])})
+				ratio(ssdRnd.MBps, ssdSeq.MBps),
+				ratio(rnd["3-Rep"][i].MBps, seq["3-Rep"][i].MBps),
+				ratio(rnd["RS(6,3)"][i].MBps, seq["RS(6,3)"][i].MBps),
+				ratio(rnd["RS(10,4)"][i].MBps, seq["RS(10,4)"][i].MBps)})
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
 
-// fig19 reproduces the 16 KB sequential-write time series showing EC's
-// periodic object-initialization stalls (paper §VII-B).
-func (s *Suite) fig19() ([]Table, error) {
-	const bs = 16 << 10
-	interval := time.Second
-	if s.Opt.Duration < 10*time.Second {
-		interval = s.Opt.Duration / 10
-	}
-	series := map[string][]workload.Sample{}
-	for _, sc := range []Scheme{Schemes()[0], Schemes()[1]} { // 3-Rep vs RS(6,3)
+// seriesRun runs (or returns the cached) sampled write job behind a
+// time-series figure: one scheme on a fresh cluster seeded with the suite
+// seed plus salt, sampled every tenth of the window (every second once the
+// window reaches 10 s). A prefilled image makes every write an overwrite.
+func (s *Suite) seriesRun(name string, sc Scheme, salt int64, prefill bool, pattern workload.Pattern, bs int64) (workload.Result, error) {
+	return s.memo(name, func() (workload.Result, error) {
+		interval := time.Second
+		if s.Opt.Duration < 10*time.Second {
+			interval = s.Opt.Duration / 10
+		}
 		started := time.Now()
-		c, img, err := s.clusterFor(sc, 19)
+		c, img, err := s.clusterFor(sc, salt)
 		if err != nil {
-			return nil, err
+			return workload.Result{}, err
+		}
+		if prefill {
+			img.Prefill()
 		}
 		res, err := workload.Run(c, img, workload.Job{
-			Name: "fig19-" + sc.Name, Op: workload.Write, Pattern: workload.Sequential,
+			Name: name, Op: workload.Write, Pattern: pattern,
 			BlockSize: bs, QueueDepth: s.Opt.QueueDepth, Duration: s.Opt.Duration,
 			Seed: s.Opt.Seed, SampleInterval: interval,
 		})
 		if err != nil {
-			return nil, err
+			return workload.Result{}, err
 		}
 		s.drainAndNote(c.Engine(), started)
+		return res, nil
+	})
+}
+
+// fig19 reproduces the 16 KB sequential-write time series showing EC's
+// periodic object-initialization stalls (paper §VII-B).
+func (s *Suite) fig19() ([]Table, error) {
+	series := map[string][]workload.Sample{}
+	for _, sc := range []Scheme{Schemes()[0], Schemes()[1]} { // 3-Rep vs RS(6,3)
+		res, err := s.seriesRun("fig19-"+sc.Name, sc, 19, false, workload.Sequential, 16<<10)
+		if err != nil {
+			return nil, err
+		}
 		series[sc.Name] = res.Samples
 	}
 	t := Table{
@@ -353,10 +377,7 @@ func (s *Suite) fig19() ([]Table, error) {
 		Title:   "Sequential 16KB write time series — object management stalls (paper Fig 19)",
 		Columns: []string{"t(s)", "3-Rep MB/s", "RS(6,3) MB/s"},
 	}
-	n := len(series["3-Rep"])
-	if len(series["RS(6,3)"]) < n {
-		n = len(series["RS(6,3)"])
-	}
+	n := min(len(series["3-Rep"]), len(series["RS(6,3)"]))
 	for i := 0; i < n; i++ {
 		t.Rows = append(t.Rows, []string{
 			f1(series["3-Rep"][i].Second),
@@ -372,37 +393,12 @@ func (s *Suite) fig19() ([]Table, error) {
 // (paper §VII-B): object initialization makes the pristine phase slower,
 // with lower CPU/context switches but far higher private network traffic.
 func (s *Suite) fig20() ([]Table, error) {
-	const bs = 4 << 10
 	sc := Schemes()[1] // RS(6,3)
-	interval := time.Second
-	if s.Opt.Duration < 10*time.Second {
-		interval = s.Opt.Duration / 10
-	}
-	run := func(prefill bool, salt int64) ([]workload.Sample, error) {
-		started := time.Now()
-		c, img, err := s.clusterFor(sc, 20+salt)
-		if err != nil {
-			return nil, err
-		}
-		if prefill {
-			img.Prefill() // "overwrites": objects already initialized
-		}
-		res, err := workload.Run(c, img, workload.Job{
-			Name: "fig20", Op: workload.Write, Pattern: workload.Random,
-			BlockSize: bs, QueueDepth: s.Opt.QueueDepth, Duration: s.Opt.Duration,
-			Seed: s.Opt.Seed, SampleInterval: interval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.drainAndNote(c.Engine(), started)
-		return res.Samples, nil
-	}
-	pristine, err := run(false, 0)
+	pristine, err := s.seriesRun("fig20-pristine", sc, 20, false, workload.Random, 4<<10)
 	if err != nil {
 		return nil, err
 	}
-	over, err := run(true, 1)
+	over, err := s.seriesRun("fig20-overwrite", sc, 21, true, workload.Random, 4<<10)
 	if err != nil {
 		return nil, err
 	}
@@ -422,9 +418,17 @@ func (s *Suite) fig20() ([]Table, error) {
 		return t
 	}
 	return []Table{
-		mk("fig20a", "Random 4KB writes on pristine image (paper Fig 20 left)", pristine),
-		mk("fig20b", "Random 4KB overwrites (paper Fig 20 right)", over),
+		mk("fig20a", "Random 4KB writes on pristine image (paper Fig 20 left)", pristine.Samples),
+		mk("fig20b", "Random 4KB overwrites (paper Fig 20 right)", over.Samples),
 	}, nil
 }
 
 func ms(d time.Duration) float64 { return float64(d) / 1e6 }
+
+// ratio formats a/b for a figure cell, "inf" when b is zero.
+func ratio(a, b float64) string {
+	if b == 0 {
+		return "inf"
+	}
+	return f2(a / b)
+}

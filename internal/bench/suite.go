@@ -1,18 +1,19 @@
 // Package bench reproduces the paper's evaluation: it runs the workload
 // sweeps behind every figure (Figs 1, 5-20), collects the same metrics the
-// authors report, and renders them as tables. The suite caches one run per
-// (scheme, pattern, op, block size) cell; all figure builders read from the
-// shared cells, mirroring how the paper derives its many views from the
-// same FIO campaigns.
+// authors report, and renders them as tables.
 //
-// Beyond single figures, the sweep subsystem (sweep.go) runs full
-// cross-product campaigns — up to the paper-scale 52-OSD grid over
-// schemes, patterns, ops, the 1 KB..128 KB block sweep, stripe units and
-// fault states — with independently-seeded, shardable cells, and
-// serializes each run as a versioned machine-readable BenchReport
-// (report.go, BENCH_*.json). CompareReports (compare.go) diffs two
-// reports under noise-aware thresholds: the regression gate CI applies
-// across commits (see README "Bench trajectory").
+// There is one cell runner (sweep.go). A cell is a CellKey — scheme,
+// pattern, op, block size, stripe unit, fault state — seeded from its own
+// ID by cellSeed, run on a fresh cluster, and measured into a CellReport.
+// The suite caches every cell it runs by ID. RunSweep runs a grid's cells
+// and serializes them as a versioned BenchReport (report.go, BENCH_*.json),
+// up to the paper-scale 52-OSD campaign, sharded across machines if need
+// be. Figures 1 and 5-18 are projections of the same cells at the suite's
+// block sizes and stripe unit, healthy cluster: a figure table and the
+// sweep cell with the same key print the same number. CompareReports
+// (compare.go) diffs two reports under noise-aware thresholds: the
+// regression gate CI applies across commits (see README "Bench
+// trajectory").
 package bench
 
 import (
@@ -73,8 +74,8 @@ type Options struct {
 	CalibrateEncode bool
 
 	// StorageNodes and OSDsPerNode override the cluster shape (0 = the
-	// core.DefaultConfig testbed: 4 nodes × 6 OSDs). The paper-scale sweep
-	// preset sets them to the full 52-SSD array (4 × 13).
+	// core.DefaultConfig testbed: 4 nodes × 6 OSDs). Paper() sets them to
+	// the full 52-SSD array (4 × 13).
 	StorageNodes int
 	OSDsPerNode  int
 	// StripeUnit overrides the EC chunk size in bytes (0 = the paper's
@@ -127,20 +128,23 @@ func Tiny() Options {
 	}
 }
 
-// Paper returns options for full-fidelity runs (cmd/ecbench): longer
-// windows, larger image, the paper's full block-size sweep. The 24 GiB
-// image (6144 objects) against a 10 s window keeps the same
-// initialization-vs-steady-state balance as the paper's 100 GB / ~60 s
-// campaign.
+// Paper returns options for full-fidelity runs (cmd/ecbench): the paper's
+// 52-SSD array (core.PaperScaleConfig), longer windows, larger image, the
+// paper's full block-size sweep. The 24 GiB image (6144 objects) against a
+// 10 s window keeps the same initialization-vs-steady-state balance as the
+// paper's 100 GB / ~60 s campaign.
 func Paper() Options {
+	shape := core.PaperScaleConfig()
 	return Options{
-		BlockSizes: PaperBlockSizes(),
-		QueueDepth: 256,
-		ImageSize:  24 << 30,
-		PGs:        1024,
-		Duration:   10 * time.Second,
-		Ramp:       time.Second,
-		Seed:       1,
+		BlockSizes:   PaperBlockSizes(),
+		QueueDepth:   256,
+		ImageSize:    24 << 30,
+		PGs:          1024,
+		Duration:     10 * time.Second,
+		Ramp:         time.Second,
+		Seed:         1,
+		StorageNodes: shape.StorageNodes,
+		OSDsPerNode:  shape.OSDsPerNode,
 	}
 }
 
@@ -167,63 +171,6 @@ func (o *Options) deviceCapacity() int64 {
 	return per
 }
 
-// Key identifies one suite cell.
-type Key struct {
-	Scheme  string
-	Pattern workload.Pattern
-	Op      workload.Op
-	BS      int64
-}
-
-// Cell is one run's outcome.
-type Cell struct {
-	workload.Result
-}
-
-// DevReadPerReq returns device reads normalized to requested bytes
-// (Figs 13a/14a/15).
-func (c Cell) DevReadPerReq() float64 {
-	if c.Bytes == 0 {
-		return 0
-	}
-	return float64(c.Metrics.DeviceReadBytes) / float64(c.Bytes)
-}
-
-// DevWritePerReq returns device writes normalized to requested bytes
-// (Figs 13b/14b).
-func (c Cell) DevWritePerReq() float64 {
-	if c.Bytes == 0 {
-		return 0
-	}
-	return float64(c.Metrics.DeviceWriteBytes) / float64(c.Bytes)
-}
-
-// NetPerReq returns private-network bytes normalized to requested bytes
-// (Figs 16-17).
-func (c Cell) NetPerReq() float64 {
-	if c.Bytes == 0 {
-		return 0
-	}
-	return float64(c.Metrics.PrivateBytes) / float64(c.Bytes)
-}
-
-// CtxPerMB returns context switches per MiB of data processed (Figs 11-12).
-func (c Cell) CtxPerMB() float64 {
-	if c.Bytes == 0 {
-		return 0
-	}
-	return float64(c.Metrics.ContextSwitches) / (float64(c.Bytes) / (1 << 20))
-}
-
-// FlashWritePerReq returns flash-level writes normalized to requested bytes
-// (§I SSD-lifetime discussion).
-func (c Cell) FlashWritePerReq() float64 {
-	if c.Bytes == 0 {
-		return 0
-	}
-	return float64(c.Metrics.FlashWriteBytes) / float64(c.Bytes)
-}
-
 // calibration records one measured codec throughput and the worker count
 // that produced it; notes and reports add the kernel tier the CPU picked,
 // so figure notes and CSVs can attribute paper-band comparisons to a
@@ -240,8 +187,8 @@ type calKey struct{ k, m int }
 // Suite runs and caches cells.
 type Suite struct {
 	Opt   Options
-	cells map[Key]Cell
-	ssd   map[Key]Cell // bare-SSD baseline cells (scheme "SSD")
+	cache map[string]cellOutcome     // every cell run so far, by CellKey.ID()
+	runs  map[string]workload.Result // runs that are not cells: bare SSD, time series
 	mbps  map[calKey]calibration
 	eng   engineStats
 }
@@ -269,7 +216,7 @@ func NewSuite(opt Options) (*Suite, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	return &Suite{Opt: opt, cells: map[Key]Cell{}, ssd: map[Key]Cell{}, mbps: map[calKey]calibration{}}, nil
+	return &Suite{Opt: opt, cache: map[string]cellOutcome{}, runs: map[string]workload.Result{}, mbps: map[calKey]calibration{}}, nil
 }
 
 // encodeMBps measures (and caches) the real codec's per-parity-row encode
@@ -386,20 +333,6 @@ func (s *Suite) EngineReport() string {
 		s.eng.virtual.Seconds(), s.eng.virtual.Seconds()/wall)
 }
 
-// Cell runs (or returns the cached) cell for the key.
-func (s *Suite) Cell(scheme Scheme, pattern workload.Pattern, op workload.Op, bs int64) (Cell, error) {
-	k := Key{scheme.Name, pattern, op, bs}
-	if c, ok := s.cells[k]; ok {
-		return c, nil
-	}
-	c, err := s.runCell(scheme, pattern, op, bs)
-	if err != nil {
-		return Cell{}, err
-	}
-	s.cells[k] = c
-	return c, nil
-}
-
 // baseConfig builds the cluster config every suite run starts from: the
 // option overrides (device capacity, PG count, cluster shape, stripe unit,
 // cost model) applied over core.DefaultConfig, with the given seed.
@@ -424,9 +357,10 @@ func (s *Suite) baseConfig(seed int64) core.Config {
 	return cfg
 }
 
-// clusterWith builds a fresh cluster+image from an explicit config (the
-// codec knobs already applied by the caller via applyCodecConfig).
-func (s *Suite) clusterWith(cfg core.Config, profile core.Profile) (*core.Cluster, *core.Image, error) {
+// clusterWith builds a fresh cluster and one pool image named image from
+// an explicit config (the codec knobs already applied by the caller via
+// applyCodecConfig).
+func (s *Suite) clusterWith(cfg core.Config, profile core.Profile, image string) (*core.Cluster, *core.Image, error) {
 	e := sim.NewEngine()
 	c, err := core.New(e, cfg)
 	if err != nil {
@@ -435,70 +369,51 @@ func (s *Suite) clusterWith(cfg core.Config, profile core.Profile) (*core.Cluste
 	if _, err := c.CreatePool("data", profile); err != nil {
 		return nil, nil, err
 	}
-	img, err := c.CreateImage("data", "bench", s.Opt.ImageSize)
+	img, err := c.CreateImage("data", image, s.Opt.ImageSize)
 	if err != nil {
 		return nil, nil, err
 	}
 	return c, img, nil
 }
 
-// clusterFor builds a fresh cluster+image for one cell run.
+// clusterFor builds a fresh cluster+image for one scenario or time-series
+// run, seeded with the suite seed plus the run's own salt.
 func (s *Suite) clusterFor(scheme Scheme, seedSalt int64) (*core.Cluster, *core.Image, error) {
 	cfg := s.baseConfig(s.Opt.Seed + seedSalt)
 	s.applyCodecConfig(&cfg, scheme.Profile)
-	return s.clusterWith(cfg, scheme.Profile)
+	return s.clusterWith(cfg, scheme.Profile, "bench")
 }
 
-func (s *Suite) runCell(scheme Scheme, pattern workload.Pattern, op workload.Op, bs int64) (Cell, error) {
-	started := time.Now()
-	c, img, err := s.clusterFor(scheme, bs)
+// memo returns the cached result of the named run, running it the first
+// time. It holds the runs that are not grid cells: the bare-SSD baselines
+// and the figure time series.
+func (s *Suite) memo(name string, run func() (workload.Result, error)) (workload.Result, error) {
+	if res, ok := s.runs[name]; ok {
+		return res, nil
+	}
+	res, err := run()
 	if err != nil {
-		return Cell{}, err
+		return workload.Result{}, err
 	}
-	job := workload.Job{
-		Name:       fmt.Sprintf("%s-%s-%s-%d", scheme.Name, pattern, op, bs),
-		Op:         op,
-		Pattern:    pattern,
-		BlockSize:  bs,
-		QueueDepth: s.Opt.QueueDepth,
-		Duration:   s.Opt.Duration,
-		Seed:       s.Opt.Seed,
-	}
-	if op == workload.Read {
-		// The paper pre-writes images before read measurements (§III).
-		img.Prefill()
-		job.Ramp = s.Opt.Ramp
-	}
-	res, err := workload.Run(c, img, job)
-	if err != nil {
-		return Cell{}, err
-	}
-	s.drainAndNote(c.Engine(), started)
-	return Cell{Result: res}, nil
+	s.runs[name] = res
+	return res, nil
 }
 
 // BareSSD runs (or returns cached) the Fig 18 baseline: the same pattern
 // directly against one simulated OSD device, no cluster software.
-func (s *Suite) BareSSD(pattern workload.Pattern, op workload.Op, bs int64) (Cell, error) {
-	k := Key{"SSD", pattern, op, bs}
-	if c, ok := s.ssd[k]; ok {
-		return c, nil
-	}
-	c, err := s.runBareSSD(pattern, op, bs)
-	if err != nil {
-		return Cell{}, err
-	}
-	s.ssd[k] = c
-	return c, nil
+func (s *Suite) BareSSD(pattern workload.Pattern, op workload.Op, bs int64) (workload.Result, error) {
+	return s.memo(fmt.Sprintf("SSD/%s/%s/bs%d", pattern, op, bs), func() (workload.Result, error) {
+		return s.runBareSSD(pattern, op, bs)
+	})
 }
 
-func (s *Suite) runBareSSD(pattern workload.Pattern, op workload.Op, bs int64) (Cell, error) {
+func (s *Suite) runBareSSD(pattern workload.Pattern, op workload.Op, bs int64) (workload.Result, error) {
 	started := time.Now()
 	e := sim.NewEngine()
 	capacity := int64(4 << 30)
 	dev, err := ssd.New(e, "bare", ssd.DefaultConfig(capacity))
 	if err != nil {
-		return Cell{}, err
+		return workload.Result{}, err
 	}
 	span := capacity / 2
 	blocks := span / bs
@@ -537,5 +452,5 @@ func (s *Suite) runBareSSD(pattern workload.Pattern, op workload.Op, bs int64) (
 	secs := s.Opt.Duration.Seconds()
 	res.MBps = float64(bytes) / secs / (1 << 20)
 	res.IOPS = float64(ops) / secs
-	return Cell{Result: res}, nil
+	return res, nil
 }

@@ -174,7 +174,8 @@ func schemeByName(name string) *Scheme {
 	return nil
 }
 
-// SweepPreset resolves a -scale preset name into run options and a grid:
+// SweepPreset resolves a -scale preset name into run options and a grid.
+// The options serve every ecbench mode; the grid only the sweep:
 //
 //   - "smoke": the CI gate — 2 schemes × random × read/write × {4,16} KB on
 //     the small testbed, healthy and degraded (one OSD failed) cluster
@@ -209,11 +210,7 @@ func SweepPreset(name string) (Options, Grid, error) {
 			Faults:      []string{"none"},
 		}, nil
 	case "paper":
-		o := Paper()
-		paperCfg := core.PaperScaleConfig()
-		o.StorageNodes = paperCfg.StorageNodes
-		o.OSDsPerNode = paperCfg.OSDsPerNode
-		return o, Grid{
+		return Paper(), Grid{
 			Schemes:     []string{"3-Rep", "RS(6,3)", "RS(10,4)"},
 			Patterns:    []string{workload.Sequential.String(), workload.Random.String()},
 			Ops:         []string{workload.Read.String(), workload.Write.String()},
@@ -247,14 +244,10 @@ func SweepWorkers(cells int) int {
 
 // RunSweep executes this shard's slice of the grid (cells whose
 // enumeration index ≡ shardIdx mod shardCount; pass 0, 1 for the whole
-// grid) and returns the machine-readable report. progress, when non-nil,
-// is called after each cell with the shard-local done count and total.
-//
-// Cells are independent (own engine, own seed), so they run on
-// SweepWorkers goroutines; every deterministic field of the report is the
-// same at any GOMAXPROCS. progress is called from the calling goroutine,
-// in completion order. If cells fail, no further cells are started and the
-// error of the failing cell that comes first in the grid is returned.
+// grid) and returns the machine-readable report. Cells come from the
+// suite's one cell path (see cells), so a cell some figure already ran is
+// not run again. progress, when non-nil, is called after each cell run,
+// with the done count and the number of cells to run.
 func (s *Suite) RunSweep(preset string, g Grid, shardIdx, shardCount int,
 	progress func(done, total int, id string)) (*BenchReport, error) {
 	if err := g.validate(); err != nil {
@@ -288,22 +281,15 @@ func (s *Suite) RunSweep(preset string, g Grid, shardIdx, shardCount int,
 		ShardCount: shardCount,
 	}
 
+	outcomes, err := s.cells(mine, progress)
+	if err != nil {
+		return nil, err
+	}
 	var eng engineStats
-	done := 0
-	outcomes := s.runCells(mine, func(k CellKey) {
-		done++
-		if progress != nil {
-			progress(done, len(mine), k.ID())
-		}
-	})
-	for i, o := range outcomes {
-		if o.err != nil {
-			return nil, fmt.Errorf("bench: cell %s: %w", mine[i].ID(), o.err)
-		}
+	for _, o := range outcomes {
 		r.Cells = append(r.Cells, o.report)
 		eng.add(o.eng)
 	}
-	s.eng.add(eng)
 	r.Engine = EngineInfo{
 		Events:         eng.events,
 		VirtualSeconds: eng.virtual.Seconds(),
@@ -318,13 +304,51 @@ func (s *Suite) RunSweep(preset string, g Grid, shardIdx, shardCount int,
 	return r, nil
 }
 
-// cellOutcome is what one sweep cell hands back to RunSweep: cells run
+// cellOutcome is what one cell hands back to its caller: cells run
 // concurrently, so they share nothing and the caller does the summing.
 // A cell that was never started (an earlier one failed) stays zero.
 type cellOutcome struct {
 	report CellReport
 	eng    engineStats
 	err    error
+}
+
+// cells is the suite's one cell path: RunSweep and every figure call it.
+// It returns the outcome of each key, in order. Cells the suite has run
+// before come from its cache; the rest run on runCells' pool, are cached by
+// ID, and count toward the suite's engine totals. progress, when non-nil,
+// is called on the calling goroutine after each cell that ran, in
+// completion order, with the done count and the number of cells to run. If
+// cells fail, no further cells are started and the error of the failing
+// cell that comes first in keys is returned.
+func (s *Suite) cells(keys []CellKey, progress func(done, total int, id string)) ([]cellOutcome, error) {
+	var todo []CellKey
+	for _, k := range keys {
+		if _, ok := s.cache[k.ID()]; !ok {
+			todo = append(todo, k)
+		}
+	}
+	done := 0
+	ran := s.runCells(todo, func(k CellKey) {
+		done++
+		if progress != nil {
+			progress(done, len(todo), k.ID())
+		}
+	})
+	// Workers start cells in order, so every cell before the first failure
+	// ran and every cell that never started comes after it.
+	for i, o := range ran {
+		if o.err != nil {
+			return nil, fmt.Errorf("bench: cell %s: %w", todo[i].ID(), o.err)
+		}
+		s.cache[todo[i].ID()] = o
+		s.eng.add(o.eng)
+	}
+	out := make([]cellOutcome, len(keys))
+	for i, k := range keys {
+		out[i] = s.cache[k.ID()]
+	}
+	return out, nil
 }
 
 // runCells runs cells on SweepWorkers goroutines and returns their
@@ -417,7 +441,7 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 	cfg := s.baseConfig(seed)
 	cfg.StripeUnit = k.StripeUnit
 	s.applyCodecConfig(&cfg, scheme.Profile)
-	c, img, err := s.clusterWith(cfg, scheme.Profile)
+	c, img, err := s.clusterWith(cfg, scheme.Profile, "bench")
 	if err != nil {
 		return CellReport{}, engineStats{}, err
 	}
@@ -440,6 +464,7 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 		Seed:       seed,
 	}
 	if op == workload.Read {
+		// The paper pre-writes images before read measurements (§III).
 		img.Prefill()
 		job.Ramp = s.Opt.Ramp
 	}
@@ -449,53 +474,51 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 	}
 	eng := finishRun(c.Engine(), started)
 
-	cell := Cell{Result: res}
+	cr := newCellReport(res)
+	cr.ID, cr.Scheme, cr.Pattern, cr.Op = id, k.Scheme, k.Pattern, k.Op
+	cr.BlockSize, cr.StripeUnit, cr.Kernel, cr.Fault = k.BlockSize, k.StripeUnit, k.Kernel, k.fault()
+	cr.Seed = seed
+	cr.EngineEvents, cr.SimSeconds = eng.events, eng.virtual.Seconds()
 	gray := c.GrayMetrics()
-	cr := CellReport{
-		ID:         id,
-		Scheme:     k.Scheme,
-		Pattern:    k.Pattern,
-		Op:         k.Op,
-		BlockSize:  k.BlockSize,
-		StripeUnit: k.StripeUnit,
-		Kernel:     k.Kernel,
-		Fault:      k.fault(),
-		Seed:       seed,
-
-		Ops:              res.Ops,
-		Bytes:            res.Bytes,
-		MBps:             res.MBps,
-		IOPS:             res.IOPS,
-		MeanLatencyUS:    float64(res.MeanLatency) / 1e3,
-		P50LatencyUS:     float64(res.P50Latency) / 1e3,
-		P99LatencyUS:     float64(res.P99Latency) / 1e3,
-		MaxLatencyUS:     float64(res.MaxLatency) / 1e3,
-		UserCPU:          res.Metrics.UserCPU,
-		KernelCPU:        res.Metrics.KernelCPU,
-		CtxPerMB:         cell.CtxPerMB(),
-		DevReadPerReq:    cell.DevReadPerReq(),
-		DevWritePerReq:   cell.DevWritePerReq(),
-		NetPerReq:        cell.NetPerReq(),
-		FlashWritePerReq: cell.FlashWritePerReq(),
-		Errors:           res.Errors,
-		EngineEvents:     eng.events,
-		SimSeconds:       eng.virtual.Seconds(),
-
-		GrayShardTimeouts: gray.ShardTimeouts,
-		GrayShardFaults:   gray.ShardFaults,
-		GrayShardRetries:  gray.ShardRetries,
-		GrayHedgesIssued:  gray.HedgesIssued,
-		GrayHedgesWon:     gray.HedgesWon,
-		GrayEjects:        gray.Ejects,
-		GrayReadmits:      gray.Readmits,
-
-		Checks: cellChecks(k, cell),
-	}
+	cr.GrayShardTimeouts, cr.GrayShardFaults, cr.GrayShardRetries = gray.ShardTimeouts, gray.ShardFaults, gray.ShardRetries
+	cr.GrayHedgesIssued, cr.GrayHedgesWon = gray.HedgesIssued, gray.HedgesWon
+	cr.GrayEjects, cr.GrayReadmits = gray.Ejects, gray.Readmits
+	cr.Checks = cellChecks(k, cr)
 	cr.WallMS = float64(eng.wall.Microseconds()) / 1e3
 	if secs := eng.wall.Seconds(); secs > 0 {
 		cr.EventsPerSec = float64(cr.EngineEvents) / secs
 	}
 	return cr, eng, nil
+}
+
+// newCellReport turns one run's result into the measured fields of a
+// CellReport. It is the one place the per-request ratios the figures plot
+// are computed: context switches per MiB (Figs 11-12), device reads and
+// writes per requested byte (Figs 13-15), private-network bytes per
+// requested byte (Figs 16-17), and flash writes per requested byte (§I).
+func newCellReport(res workload.Result) CellReport {
+	cr := CellReport{
+		Ops:           res.Ops,
+		Bytes:         res.Bytes,
+		MBps:          res.MBps,
+		IOPS:          res.IOPS,
+		MeanLatencyUS: float64(res.MeanLatency) / 1e3,
+		P50LatencyUS:  float64(res.P50Latency) / 1e3,
+		P99LatencyUS:  float64(res.P99Latency) / 1e3,
+		MaxLatencyUS:  float64(res.MaxLatency) / 1e3,
+		UserCPU:       res.Metrics.UserCPU,
+		KernelCPU:     res.Metrics.KernelCPU,
+		Errors:        res.Errors,
+	}
+	if res.Bytes > 0 {
+		b := float64(res.Bytes)
+		cr.CtxPerMB = float64(res.Metrics.ContextSwitches) / (b / (1 << 20))
+		cr.DevReadPerReq = float64(res.Metrics.DeviceReadBytes) / b
+		cr.DevWritePerReq = float64(res.Metrics.DeviceWriteBytes) / b
+		cr.NetPerReq = float64(res.Metrics.PrivateBytes) / b
+		cr.FlashWritePerReq = float64(res.Metrics.FlashWriteBytes) / b
+	}
+	return cr
 }
 
 // runCellJob executes one cell's job under its fault state. The healthy
@@ -529,7 +552,7 @@ func (s *Suite) runCellJob(c *core.Cluster, img *core.Image, job workload.Job, f
 // cellChecks returns the paper-band verdicts that apply to one cell in
 // isolation. Bands match the tier-1 calibration-invariant tests: wide,
 // guarding mechanisms and directions rather than exact testbed numbers.
-func cellChecks(k CellKey, c Cell) []paperref.CheckResult {
+func cellChecks(k CellKey, c CellReport) []paperref.CheckResult {
 	if k.fault() != "none" {
 		// The paper-band numbers describe the healthy cluster; fault cells
 		// are checked cross-cell (healthy vs degraded) at report level.
@@ -541,20 +564,20 @@ func cellChecks(k CellKey, c Cell) []paperref.CheckResult {
 	if k.Scheme == "RS(6,3)" && k.Pattern == rand && k.Op == read && k.BlockSize == 4<<10 {
 		if p, ok := paperref.Lookup("fig15", "rs63_rand_4k"); ok {
 			// EC rand-read amplification ≈ stripe/bs chunk pulls (paper 6.9×).
-			out = append(out, p.CheckWithin(c.DevReadPerReq(), 3, 9))
+			out = append(out, p.CheckWithin(c.DevReadPerReq, 3, 9))
 		}
 	}
 	if (k.Scheme == "RS(6,3)" || k.Scheme == "RS(10,4)") && k.Pattern == rand && k.Op == write {
 		if p, ok := paperref.Lookup("fig9", "user_share"); ok {
-			if total := c.Metrics.UserCPU + c.Metrics.KernelCPU; total > 0 {
-				out = append(out, p.CheckWithin(c.Metrics.UserCPU/total, 0.55, 0.9))
+			if total := c.UserCPU + c.KernelCPU; total > 0 {
+				out = append(out, p.CheckWithin(c.UserCPU/total, 0.55, 0.9))
 			}
 		}
 	}
 	if k.Scheme == "3-Rep" && k.Pattern == seq && k.Op == write && k.BlockSize == 1<<10 {
 		if p, ok := paperref.Lookup("fig13", "rep_1k_read_amp"); ok {
 			// Sub-minimum-I/O writes read-amplify ~9× (4 KB min I/O).
-			out = append(out, p.CheckWithin(c.DevReadPerReq(), 2, 20))
+			out = append(out, p.CheckWithin(c.DevReadPerReq, 2, 20))
 		}
 	}
 	return out

@@ -11,8 +11,8 @@ import "time"
 // the node's core pool and counts context switches.
 //
 // Defaults are calibrated so the headline ratios land in the paper's bands
-// (see EXPERIMENTS.md); they are exposed so ablation benchmarks can vary
-// them.
+// (internal/paperref holds them; ROADMAP item 9 is the scorecard that
+// checks every one); they are exposed so ablation benchmarks can vary them.
 type CostModel struct {
 	// Messenger costs. Recv/Send model the kernel network stack plus the
 	// user-level messenger thread work per message; PerByte models copies.

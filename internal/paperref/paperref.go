@@ -1,8 +1,8 @@
 // Package paperref embeds the reference values the paper reports, figure by
 // figure, so the reproduction can print and check measured-vs-paper
-// comparisons (EXPERIMENTS.md). Values are quoted from the paper's text and
-// figure annotations; where only a plot is available the entry records the
-// approximate value with Approx set.
+// comparisons (ROADMAP item 9, the reproduction scorecard). Values are
+// quoted from the paper's text and figure annotations; where only a plot is
+// available the entry records the approximate value with Approx set.
 package paperref
 
 import "fmt"
