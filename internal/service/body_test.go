@@ -291,11 +291,11 @@ func TestOSDPutReturnsAfterItsBody(t *testing.T) {
 // a 4 MiB object, and of one a byte over 5 MiB whose shards fit no pool
 // class exactly, allocate at most 3× the object between client, gateway
 // and daemons together. Every shard buffer has one owner that gives it
-// back to the shard pool, so in steady state the gateway and the daemons'
-// request buffers allocate nothing sized by the object. What is left is
-// 2.5×: the daemons' kept copies of the shards 1.5 (MemStore.Put), the
-// client's own read 1, in an exact-length buffer because the client keeps
-// it; per-request odds and ends and the odd pool miss make it 2.6–2.7×.
+// back to the shard pool, so in steady state the gateway allocates nothing
+// sized by the object. What is left is 2.5×: the buffers the daemons read
+// the shards into and keep 1.5 (MemStore.keep), the client's own read 1,
+// in an exact-length buffer because the client keeps it; per-request odds
+// and ends and the odd pool miss make it 2.6–2.7×.
 // (Growing every hop's buffer by copying, as io.ReadAll does, made it 28×;
 // a buffer per hop and a copy between them, 10×; shard buffers handed
 // across ShardStore by reference but allocated per request, 5.7×; the

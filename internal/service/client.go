@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -35,19 +36,22 @@ func (e *StatusError) Error() string {
 }
 
 // send builds and issues one request: the optional body, the context's
-// request ID, and the tenant header when there is one. net/http may go on
-// reading a request body after Do returns (an early 413 or 503, a
-// cancelled request) and closes it when done; with lent non-nil, every
-// copy of the body handed to it (the first, and any GetBody re-send)
-// counts in lent until it is closed, so a caller that waits on lent knows
-// body is its own again. A body under minPooledShard is copied instead of
-// lent: the copy costs less than the write of their own that a lent body's
-// headers take (see lentBody).
+// request ID, and the tenant header when there is one. A body of at least
+// minPooledShard is lent, not copied: net/http reads it in place as a
+// lentBody, and a bodyConn sends it in one write. net/http may go on
+// reading a lent body after Do returns (an early 413 or 503, a cancelled
+// request) and closes it when done; with lent non-nil, every lentBody
+// handed to it (the first, and any GetBody re-send) counts in lent until it
+// is closed, so a caller that waits on lent knows body is its own again. A
+// smaller body goes out as a *bytes.Reader, which net/http writes together
+// with the headers (a lentBody's headers take a write of their own, which
+// costs more than copying a small body); for a caller that waits on lent
+// it is a copy, so there is nothing to wait for.
 func send(ctx context.Context, hc *http.Client, method, u string, body []byte, lent *sync.WaitGroup, tenant string) (*http.Response, error) {
 	var rd io.Reader
-	if body != nil {
-		if lent != nil && len(body) < minPooledShard {
-			body, lent = bytes.Clone(body), nil
+	if body != nil && len(body) < minPooledShard {
+		if lent != nil {
+			body = bytes.Clone(body)
 		}
 		rd = bytes.NewReader(body)
 	}
@@ -55,20 +59,15 @@ func send(ctx context.Context, hc *http.Client, method, u string, body []byte, l
 	if err != nil {
 		return nil, err
 	}
-	if lent != nil && body != nil {
-		lend := func(rc io.ReadCloser) io.ReadCloser {
-			lent.Add(1)
-			return &lentBody{ReadCloser: rc, done: lent.Done}
-		}
-		req.Body = lend(req.Body)
-		getBody := req.GetBody
-		req.GetBody = func() (io.ReadCloser, error) {
-			rc, err := getBody()
-			if err != nil {
-				return nil, err
+	if body != nil && rd == nil {
+		lend := func() (io.ReadCloser, error) {
+			if lent != nil {
+				lent.Add(1)
 			}
-			return lend(rc), nil
+			return &lentBody{rest: body, lent: lent}, nil
 		}
+		req.Body, _ = lend()
+		req.GetBody, req.ContentLength = lend, int64(len(body))
 	}
 	setRequestIDHeader(ctx, req)
 	if tenant != "" {
@@ -77,19 +76,60 @@ func send(ctx context.Context, hc *http.Client, method, u string, body []byte, l
 	return hc.Do(req)
 }
 
-// lentBody is a request body over a buffer net/http only borrows: its
-// first Close reports that net/http is done reading it. (Not being one of
-// the in-memory readers net/http recognises, it makes the request headers
-// go out in a write of their own.)
+// lentBody is a request body over a buffer net/http only borrows. It reads
+// the buffer in place, and its first Close reports to lent, when there is
+// one, that net/http is done with it. (Not being one of the in-memory
+// readers net/http recognises, it makes the request headers go out in a
+// write of their own.)
 type lentBody struct {
-	io.ReadCloser
+	rest []byte // what is left to send
+	lent *sync.WaitGroup
 	once sync.Once
-	done func()
+}
+
+func (b *lentBody) Read(p []byte) (int, error) {
+	if len(b.rest) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, b.rest)
+	b.rest = b.rest[n:]
+	return n, nil
+}
+
+// WriteTo writes what is left in one Write.
+func (b *lentBody) WriteTo(w io.Writer) (int64, error) {
+	if len(b.rest) == 0 {
+		return 0, nil
+	}
+	n, err := w.Write(b.rest)
+	b.rest = b.rest[n:]
+	return int64(n), err
 }
 
 func (b *lentBody) Close() error {
-	b.once.Do(b.done)
-	return b.ReadCloser.Close()
+	if b.lent != nil {
+		b.once.Do(b.lent.Done)
+	}
+	return nil
+}
+
+// bodyConn is a client connection that sends a lent body in one write.
+// net/http hands a request body with a declared length to the connection's
+// ReadFrom as an *io.LimitedReader over the body, and a *net.TCPConn copies
+// that through a 32 KiB buffer, a write per 32 KiB. When the body is a
+// lentBody with exactly the limit left, bodyConn writes it in one Write
+// instead; any other reader is copied as the connection would copy it.
+type bodyConn struct{ net.Conn }
+
+func (c bodyConn) ReadFrom(r io.Reader) (int64, error) {
+	if lr, ok := r.(*io.LimitedReader); ok {
+		if b, ok := lr.R.(*lentBody); ok && lr.N == int64(len(b.rest)) {
+			n, err := b.WriteTo(c.Conn)
+			lr.N -= n
+			return n, err
+		}
+	}
+	return io.Copy(c.Conn, r)
 }
 
 // pooledBody is a finish target like *[]byte for a caller that gives the
@@ -137,8 +177,21 @@ func decodeError(resp *http.Response) error {
 }
 
 func defaultHTTPClient() *http.Client {
+	return newHTTPClient(http.DefaultTransport.(*http.Transport).DialContext)
+}
+
+// newHTTPClient is the clients' HTTP client over connections from dial,
+// each wrapped in a bodyConn.
+func newHTTPClient(dial func(ctx context.Context, network, addr string) (net.Conn, error)) *http.Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = 64
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := dial(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return bodyConn{c}, nil
+	}
 	return &http.Client{Transport: tr}
 }
 
@@ -157,7 +210,7 @@ func NewOSDClient(id int, baseURL string) *OSDClient {
 }
 
 func (c *OSDClient) shardURL(key string, shard int) string {
-	return fmt.Sprintf("%s/v1/shards/%s/%d", c.base, url.PathEscape(key), shard)
+	return fmt.Sprintf("%s/v1/shards/%s/%d", c.base, pathSegment(key), shard)
 }
 
 // call is one daemon request finished into out. The two ways a daemon is
@@ -247,7 +300,18 @@ func (c *GateClient) SetRetries(n int) {
 func (c *GateClient) SetTenant(tenant string) { c.tenant = tenant }
 
 func (c *GateClient) objectURL(key string) string {
-	return c.base + "/v1/objects/" + url.PathEscape(key)
+	return c.base + "/v1/objects/" + pathSegment(key)
+}
+
+// pathSegment escapes key as one URL path segment. url.PathEscape leaves
+// "." and ".." as they are, and a ServeMux cleans such a segment out of
+// the path with a redirect (which turns a PUT into a GET); written as %2E,
+// the dots reach the handler as the key.
+func pathSegment(key string) string {
+	if key == "." || key == ".." {
+		return strings.Repeat("%2E", len(key))
+	}
+	return url.PathEscape(key)
 }
 
 // call is one admin request, sent once and finished into out.

@@ -62,20 +62,25 @@
 //
 // Every shard buffer has one owner (the rule is on ShardStore): Put
 // borrows the caller's buffer until it returns, and Get's result is the
-// caller's. So the gateway, readBody and ecstored draw their whole-shard
-// buffers from one size-classed pool (shardbuf.go; its classes are an
-// eighth of a power of two apart, so a buffer holds at most an eighth more
-// than its shard) and give them back when done: the gateway's PUT shards
-// once every shard Put has returned, its fetched and rebuilt GET shards
-// once the response is written, ecstored's PUT body once the store has it
-// and its GET buffer once it is sent. A body the reader keeps (GateClient's
-// GET) is read into an exact-length buffer instead. In steady state the
-// gateway allocates nothing sized by the object. The price is in the
-// store: MemStore keeps an exact-length copy of each shard it is given and
-// serves a copy of what it keeps. A shard still crosses the seam as one
-// []byte, so every process holds whole shards; streaming them (ROADMAP
-// item 1) waits for the benchmark harness, whose tracedStore and stage
-// replay speak that []byte interface.
+// caller's. So the gateway and readBody draw their whole-shard buffers
+// from one size-classed pool (shardbuf.go; its classes are an eighth of a
+// power of two apart, so a buffer holds at most an eighth more than its
+// shard) and give them back when done: the gateway's PUT shards once every
+// shard Put has returned, and its fetched and rebuilt GET shards once the
+// response is written. A body its reader keeps is read into an
+// exact-length buffer instead: GateClient's GET, and ecstored's PUT body
+// over a MemStore, which stores the very buffer the body was read into and
+// answers a GET by writing that buffer, never modified, to the socket. On
+// the way out, a request body of minPooledShard or more is lent to
+// net/http in place (lentBody), and the connection under it (bodyConn)
+// sends it in one write where net/http would copy it through a 32 KiB
+// buffer. So no payload byte is copied in user space on the hop between
+// gateway and ecstored or on the client's upload, and in steady state the
+// gateway allocates nothing sized by the object and ecstored only the
+// shards it stores. A shard still crosses the seam as one []byte, so every
+// process holds whole shards; streaming them (ROADMAP item 1) waits for
+// the benchmark harness, whose tracedStore and stage replay speak that
+// []byte interface.
 //
 // # Production concerns
 //

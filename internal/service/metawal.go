@@ -375,7 +375,7 @@ func (w *metaWAL) Close() error {
 	return w.f.Close()
 }
 
-// WALSize reports the current WAL byte size (test/ops visibility).
+// size reports the current WAL byte size (test/ops visibility).
 func (w *metaWAL) size() int64 {
 	st, err := w.f.Stat()
 	if err != nil {

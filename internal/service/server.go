@@ -23,6 +23,10 @@ type OSDServer struct {
 	log      *slog.Logger
 	reg      *Registry
 	maxShard int64 // PUT body limit: MaxShardBytes, smaller only in tests
+	// mem is store when that is a *MemStore: the daemon then hands it the
+	// PUT body buffer it read (keep) and serves GETs from the buffer it
+	// stores (kept), so a shard is not copied on either side.
+	mem *MemStore
 
 	// Resolved once, so a shard request neither formats a series name nor
 	// takes the registry mutex unless it failed.
@@ -47,6 +51,7 @@ func NewOSDServer(id int, store ShardStore, logger *slog.Logger) *OSDServer {
 		bytesIn:  reg.Counter("ecstored_bytes_in_total"),
 		bytesOut: reg.Counter("ecstored_bytes_out_total"),
 	}
+	s.mem, _ = store.(*MemStore)
 	for _, op := range shardOps {
 		s.ops[op] = osdOpSeries{
 			ok:      reg.Counter(requestsSeries("ecstored_ops_total", op, okCode[op])),
@@ -127,7 +132,10 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 		status = http.StatusBadRequest
 		writeJSON(w, status, errorBody{Error: "bad shard path: want /v1/shards/{key}/{idx}"})
 	case op == "put":
-		body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxShard), r.ContentLength, s.maxShard, true)
+		// MemStore takes the body buffer over, so a declared body is read
+		// into an exact-length one; any other store only borrows it
+		// (ShardStore.Put), and it is a pool buffer.
+		body, err := readBody(http.MaxBytesReader(w, r.Body, s.maxShard), r.ContentLength, s.maxShard, s.mem == nil)
 		if err != nil {
 			// Only an oversized body is 413; a sender that went away
 			// mid-body (a cancelled hedge or timed-out send) is a 400.
@@ -139,10 +147,12 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 			writeJSON(w, status, errorBody{Error: "reading body: " + err.Error()})
 			break
 		}
-		// The store only borrows body (ShardStore.Put): once Put returns
-		// it goes back to the pool.
-		opErr = s.store.Put(r.Context(), key, idx, body)
-		putShardBuf(body)
+		if s.mem != nil {
+			opErr = s.mem.keep(r.Context(), key, idx, body)
+		} else {
+			opErr = s.store.Put(r.Context(), key, idx, body)
+			putShardBuf(body) // Put has returned: body is ours again
+		}
 		status = shardStatus(opErr)
 		if opErr != nil {
 			writeJSON(w, status, errorBody{Error: opErr.Error()})
@@ -152,8 +162,14 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 		s.bytesIn.Add(n)
 		w.WriteHeader(http.StatusOK)
 	case op == "get":
+		// MemStore's stored buffer is served as it is and stays the
+		// store's; any other store's Get result is ours (ShardStore.Get).
 		var data []byte
-		data, opErr = s.store.Get(r.Context(), key, idx)
+		if s.mem != nil {
+			data, opErr = s.mem.kept(r.Context(), key, idx)
+		} else {
+			data, opErr = s.store.Get(r.Context(), key, idx)
+		}
 		status = shardStatus(opErr)
 		if opErr != nil {
 			writeJSON(w, status, errorBody{Error: opErr.Error()})
@@ -169,7 +185,9 @@ func (s *OSDServer) serveShard(w http.ResponseWriter, r *http.Request, op string
 		var sent int
 		sent, opErr = w.Write(data)
 		n = int64(sent)
-		putShardBuf(data) // Get's result is ours (ShardStore.Get)
+		if s.mem == nil {
+			putShardBuf(data)
+		}
 	case op == "delete":
 		opErr = s.store.Delete(r.Context(), key, idx)
 		status = shardStatus(opErr)

@@ -66,10 +66,13 @@ func shardName(key string, shard int) string {
 }
 
 // MemStore is a mutex-guarded in-memory ShardStore: the default ecstored
-// backend and the cheapest test double. Put keeps an exact-length copy of
-// what it is given, and Get returns a copy in a shard-pool buffer. A kept
-// copy is replaced or dropped as a whole, never edited, so Get copies it
-// outside the lock.
+// backend and the cheapest test double. It holds each shard in one
+// exact-length buffer of its own (keep), which an overwrite or a delete
+// replaces or drops as a whole and nothing ever modifies, so a stored
+// buffer is read outside the lock and may be shared (kept). Put keeps a
+// copy of what it is given, and Get returns a copy in a shard-pool buffer;
+// OSDServer instead hands keep the body buffer it read and serves what
+// kept returns, with no copy either way.
 type MemStore struct {
 	id   int
 	host string
@@ -87,35 +90,52 @@ func NewMemStore(id int) *MemStore {
 // SetHost labels the store with a host name (placement display only).
 func (s *MemStore) SetHost(h string) { s.host = h }
 
-// Put implements ShardStore.
-func (s *MemStore) Put(ctx context.Context, key string, shard int, data []byte) error {
-	// Exact length, not a pool buffer: a pooled class would round a
-	// stored shard up to the class's capacity.
-	kept := bytes.Clone(data)
+// keep stores buf as the shard's bytes and takes it over: nobody may
+// modify it again. Its whole capacity stays held while the shard is
+// stored, so it should be exact-length (a pool buffer would hold its
+// class's capacity).
+func (s *MemStore) keep(ctx context.Context, key string, shard int, buf []byte) error {
+	name := shardName(key, shard)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	name := shardName(key, shard)
 	if old, ok := s.shards[name]; ok {
 		s.bytes -= int64(len(old))
 	}
-	s.shards[name] = kept
-	s.bytes += int64(len(kept))
+	s.shards[name] = buf
+	s.bytes += int64(len(buf))
 	return nil
 }
 
-// Get implements ShardStore.
-func (s *MemStore) Get(ctx context.Context, key string, shard int) ([]byte, error) {
+// kept returns the buffer the shard is stored in, ErrNotFound if absent.
+// It stays the store's: the caller reads it and neither modifies nor
+// recycles it.
+func (s *MemStore) kept(ctx context.Context, key string, shard int) ([]byte, error) {
+	name := shardName(key, shard)
 	s.mu.RLock()
-	data, ok := s.shards[shardName(key, shard)]
+	data, ok := s.shards[name]
 	s.mu.RUnlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if !ok {
 		return nil, ErrNotFound
+	}
+	return data, nil
+}
+
+// Put implements ShardStore.
+func (s *MemStore) Put(ctx context.Context, key string, shard int, data []byte) error {
+	return s.keep(ctx, key, shard, bytes.Clone(data))
+}
+
+// Get implements ShardStore.
+func (s *MemStore) Get(ctx context.Context, key string, shard int) ([]byte, error) {
+	data, err := s.kept(ctx, key, shard)
+	if err != nil {
+		return nil, err
 	}
 	out := getShardBuf(len(data))
 	copy(out, data)
