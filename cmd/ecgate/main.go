@@ -1,7 +1,10 @@
 // Command ecgate is the access gateway: the object-facing front door of
-// the service split. It encodes PUT bodies into RS(k,m) shards through
-// the zero-copy stream codec, places them with CRUSH, and serves GETs
-// with transparent degraded-read fallback when OSDs are down or slow.
+// the service split. It reads PUT bodies straight into RS(k,m) shard
+// buffers and encodes each stripe's parity in place, places the shards
+// with CRUSH, and serves GETs with transparent degraded-read fallback
+// when OSDs are down or slow. On SIGINT or SIGTERM it stops accepting,
+// finishes the requests in flight and the shard cleanup they left
+// running, and closes the metadata WAL.
 //
 //	ecgate -listen :7310 -backend sim                 # in-process virtual cluster
 //	ecgate -listen :7310 -backend mem -hosts 3 -osds-per-host 2
@@ -19,15 +22,19 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"math"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"ecarray/internal/crush"
 	"ecarray/internal/qos"
@@ -43,12 +50,38 @@ func main() {
 		logger.Error("ecgate", "error", err.Error())
 		os.Exit(1)
 	}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		logger.Error("listen", "error", err.Error())
+		os.Exit(1)
+	}
 	st := gw.Status()
 	logger.Info("ecgate listening", "addr", *listen, "backend", st.Backend, "scheme", st.Scheme, "osds", st.OSDs)
-	if err := http.ListenAndServe(*listen, gw.Handler()); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, ln, gw); err != nil {
 		logger.Error("serve", "error", err.Error())
 		os.Exit(1)
 	}
+	logger.Info("ecgate stopped")
+}
+
+// serve answers gw's HTTP surface on ln until ctx ends, then stops
+// cleanly: Shutdown stops accepting and waits for the requests in flight,
+// and gw.Close waits for the shard cleanup those requests left running
+// after their responses, then closes the metadata WAL.
+func serve(ctx context.Context, ln net.Listener, gw *service.Gateway) error {
+	srv := &http.Server{Handler: gw.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return errors.Join(err, gw.Close())
+	case <-ctx.Done():
+	}
+	err := srv.Shutdown(context.Background())
+	<-served // http.ErrServerClosed once Shutdown has begun
+	return errors.Join(err, gw.Close())
 }
 
 // newGateway is everything between the command line and a servable

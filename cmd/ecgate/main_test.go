@@ -10,10 +10,13 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
+	"net"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"ecarray/internal/qos"
 	"ecarray/internal/service"
@@ -130,6 +133,102 @@ func TestGatewayWiringPerBackend(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// parkDeletes is an ecstored store whose shard Deletes park until release
+// is closed; each Delete that reaches it is announced on arrived first.
+type parkDeletes struct {
+	*service.MemStore
+	arrived chan<- struct{}
+	release <-chan struct{}
+}
+
+func (s parkDeletes) Delete(ctx context.Context, key string, shard int) error {
+	s.arrived <- struct{}{}
+	select {
+	case <-s.release:
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return s.MemStore.Delete(ctx, key, shard)
+}
+
+// TestServeDrainsOnStop: cancelling serve's context, which is what SIGINT
+// and SIGTERM do, while an acknowledged overwrite's shard deletes are
+// parked in the daemons, does not return until those deletes finish. So a
+// clean stop leaves only the live generation behind.
+func TestServeDrainsOnStop(t *testing.T) {
+	// arrived has room for more deletes than the test makes, so announcing
+	// one never blocks a daemon.
+	arrived, release := make(chan struct{}, 16), make(chan struct{})
+	var once sync.Once
+	let := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(let)
+	mems := make([]*service.MemStore, 6)
+	var urls []string
+	for i := range mems {
+		mems[i] = service.NewMemStore(i)
+		srv := httptest.NewServer(service.NewOSDServer(i, parkDeletes{mems[i], arrived, release}, nil).Handler())
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	gw, err := boot("-backend", "osd", "-osd-urls", strings.Join(urls, ","), "-meta-dir", t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, ln, gw) }()
+
+	gc := service.NewGateClient("http://" + ln.Addr().String())
+	gc.SetRetries(0)
+	pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	for gen := 1; gen <= 2; gen++ {
+		if _, err := gc.PutObject(pctx, "k", make([]byte, 8<<10)); err != nil {
+			t.Fatalf("put of generation %d: %v", gen, err)
+		}
+	}
+	for i := 0; i < 6; i++ { // the superseded generation's deletes park
+		select {
+		case <-arrived:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of 6 shard deletes reached the daemons", i)
+		}
+	}
+
+	stop()
+	select {
+	case err := <-served:
+		t.Fatalf("serve returned (%v) while an acknowledged overwrite's deletes were parked", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	let()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve did not return once the deletes were let go")
+	}
+	var names []string
+	for _, ms := range mems {
+		names = append(names, ms.Keys()...)
+	}
+	for _, name := range names {
+		if !strings.HasPrefix(name, "k@2#") {
+			t.Fatalf("after a clean stop a daemon holds %q, not of the live generation k@2", name)
+		}
+	}
+	if len(names) != 6 {
+		t.Fatalf("after a clean stop the daemons hold %d shards, want the live generation's 6", len(names))
 	}
 }
 

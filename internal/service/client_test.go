@@ -74,6 +74,7 @@ func TestLentBodyOneWrite(t *testing.T) {
 // GateClient to the gateway and an OSDClient to daemon 0, for following a
 // user key down to the shard names it is stored under.
 type keyRig struct {
+	gw   *Gateway
 	gc   *GateClient
 	oc   *OSDClient
 	mems []*MemStore
@@ -90,7 +91,8 @@ func newKeyRig(tb testing.TB) *keyRig {
 		stores[i] = NewOSDClient(i, daemon.URL)
 	}
 	r.oc = stores[0].(*OSDClient)
-	gate := httptest.NewServer(buildGateway(tb, stores, nil).Handler())
+	r.gw = buildGateway(tb, stores, nil)
+	gate := httptest.NewServer(r.gw.Handler())
 	tb.Cleanup(gate.Close)
 	r.gc = NewGateClient(gate.URL)
 	r.gc.SetRetries(0)
@@ -143,6 +145,7 @@ func (r *keyRig) roundTrip(t *testing.T, key string, gen uint64, idx int) {
 	if err := r.gc.DeleteObject(ctx, key); err != nil {
 		t.Fatalf("object %q: delete: %v", key, err)
 	}
+	drain(r.gw)
 	for _, osd := range oi.OSDs {
 		if names := r.mems[osd].Keys(); len(names) != 0 {
 			t.Fatalf("object %q: OSD %d still holds %q after the delete", key, osd, names)

@@ -357,6 +357,37 @@ func TestPutFromAllocationTrailsBytes(t *testing.T) {
 	}
 }
 
+// TestWarmPutDoesNotRegrow: once a 4 MiB PUT has given its shard buffers
+// back to the pool, the next one reads its body straight into whole-shard
+// buffers. Its first read already lands in a buffer that holds the whole
+// 1 MiB shard, where a 256 KiB first grant would be regrown and copied out
+// of at the first stripe past it.
+func TestWarmPutDoesNotRegrow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race, so the pool may not be warm")
+	}
+	gw := buildGateway(t, memStores(6), nil)
+	ctx := context.Background()
+	data := payload(4<<20, 9)
+	if _, err := gw.PutObject(ctx, "warm", data); err != nil {
+		t.Fatal(err)
+	}
+	src, first := bytes.NewReader(data), -1
+	body := readFunc(func(p []byte) (int, error) {
+		if first < 0 {
+			first = cap(p)
+		}
+		return src.Read(p)
+	})
+	if _, err := gw.PutObjectFrom(ctx, "warm", body, int64(len(data))); err != nil {
+		t.Fatal(err)
+	}
+	if shard := gw.shardLen(int64(len(data)), gw.chunkFor(int64(len(data)))); first < int(shard) {
+		t.Fatalf("a warm 4 MiB PUT read into a buffer of %d bytes first, want one that holds the whole %d-byte shard", first, shard)
+	}
+	drain(gw)
+}
+
 // TestShardStoreBufferOwnership pins the ownership rule written on
 // ShardStore for every implementation: Put only borrows the caller's
 // buffer, so overwriting it afterwards leaves the stored shard as it was,

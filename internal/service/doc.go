@@ -42,23 +42,39 @@
 // and encodes that stripe's parity in place beside them — byte for byte
 // the shards rs.StreamEncode writes, with no stripe buffer and no
 // per-shard sink in between. The buffers are granted the way readBody
-// grants a declared length: bodyHead between the data shards first, then
-// at most eight times what has arrived. ChunkSize (-chunk) is the largest
-// stripe unit; objects smaller than a stripe use a smaller one, recorded
-// per object (Gateway.chunkFor, objectMeta.chunk, the WAL record's
-// optional "chunk"), so what is stored is (k+m)/k × the object plus at
-// most 512 bytes per chunk at every size. The shards are fanned out to the
-// placed OSDs with a per-shard deadline; at least k writes must land or
-// the put fails with ErrInsufficientShards (HTTP 503) and the partial
-// shards are deleted. GET fetches the k data shards first; any shard that
+// grants a declared length: k+m idle pool buffers of the whole shard
+// length when the pool has them, else bodyHead between the data shards
+// first, then at most eight times what has arrived. ChunkSize (-chunk) is
+// the largest stripe unit; objects smaller than a stripe use a smaller
+// one, recorded per object (Gateway.chunkFor, objectMeta.chunk, the WAL
+// record's optional "chunk"), so what is stored is (k+m)/k × the object
+// plus at most 512 bytes per chunk at every size. The shards are fanned
+// out to the placed OSDs with a per-shard deadline; at least k writes
+// must land or the put fails with ErrInsufficientShards (HTTP 503) and the
+// partial shards are deleted. A PUT that landed k or more commits the new
+// generation to the index (and fsyncs it to the WAL first, when there is
+// one) and answers; only then are the superseded generation's shards
+// deleted. GET fetches the k data shards first; any shard that
 // is down, slow past its deadline, or corrupt-length is replaced by parity
 // fetches and the missing data shards are rebuilt whole
 // (rs.ReconstructData) — a degraded read, counted on /metrics and proven
 // byte-identical to the healthy read by tests. GetObjectTo then gives its
 // admission slot back, sends the headers and writes the payload chunk by
 // chunk from the shard buffers to the client; there is no whole-object
-// buffer on either path. DELETE fans out shard deletes and forgets the
-// object; a subsequent GET is 404.
+// buffer on either path. DELETE forgets the object (durably, with a WAL)
+// and answers; a subsequent GET is 404, and its shards are deleted after
+// that.
+//
+// No response waits for a shard delete. Gateway.deleteShards, the one
+// cleanup path (a rolled-back PUT's own generation, an overwrite's
+// superseded one, a DELETEd object), runs in the background once the
+// outcome is decided and durable; a GET that starts after the answer sees
+// it, because the index moved first. The cleanup keeps the request's
+// admission slot until its deletes return: a slot covers a request's
+// work, not its response (a GET, too, gives its slot back before the
+// payload goes out), so MaxInflight, the tenant shares and
+// ecgate_inflight count pending cleanups. Gateway.Close waits for them. A
+// kill -9 before a cleanup ends leaves orphan shards, as it always could.
 //
 // Every shard buffer has one owner (the rule is on ShardStore): Put
 // borrows the caller's buffer until it returns, and Get's result is the

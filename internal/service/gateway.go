@@ -189,6 +189,8 @@ type Gateway struct {
 
 	gen atomic.Uint64 // generation stamp for backend shard keys
 
+	cleanups sync.WaitGroup // deleteShards runs still going; Close waits for them
+
 	// Embedded so index state has one owner: gateway code calls lookup,
 	// commit and remove and touches no field of it.
 	*metaIndex
@@ -267,8 +269,13 @@ func NewGateway(cfg GatewayConfig, stores []ShardStore, placer *Placer) (*Gatewa
 	return g, nil
 }
 
-// Close releases the metadata WAL (no-op for in-memory gateways).
-func (g *Gateway) Close() error { return g.wal.Close() }
+// Close waits for every shard cleanup already started (deleteShards), then
+// releases the metadata WAL (a no-op for in-memory gateways). Call it once
+// no request is running, as after http.Server.Shutdown.
+func (g *Gateway) Close() error {
+	g.cleanups.Wait()
+	return g.wal.Close()
+}
 
 // Metrics returns the gateway's registry (the /metrics source).
 func (g *Gateway) Metrics() *Registry { return g.reg }
@@ -307,13 +314,16 @@ func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (Objec
 // the object's shard mask. Nothing is read from body, and nothing sized by
 // it allocated, until the request is admitted, within the size limit and
 // placed; a body that ends short of size is ErrBadRequest and reaches no
-// store.
+// store. It returns once the new generation is committed (durably, with a
+// WAL) or the PUT has failed; deleteShards removes the generation it
+// leaves behind, the superseded one or its own, after that.
 func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader, size int64) (ObjectInfo, error) {
 	release, err := g.admit(ctx)
 	if err != nil {
 		return ObjectInfo{}, err
 	}
-	defer release()
+	var gone *objectMeta // the generation this PUT leaves behind, if any
+	defer func() { g.deleteShards(ctx, gone, "put", release) }()
 	if key == "" {
 		return ObjectInfo{}, fmt.Errorf("%w: empty key", ErrBadRequest)
 	}
@@ -370,7 +380,7 @@ func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader,
 	if written < g.cfg.K {
 		// Not durable: roll back this generation's shards. The previous
 		// object generation (if any) is untouched and stays readable.
-		g.deleteShards(ctx, meta, "put")
+		gone = meta
 		return ObjectInfo{}, fmt.Errorf("%w: %d of %d shard writes landed, need %d",
 			ErrInsufficientShards, written, width, g.cfg.K)
 	}
@@ -378,14 +388,9 @@ func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader,
 		g.series.degradedWrites.Inc()
 	}
 
-	old, err := g.commit(key, meta)
-	if err != nil {
-		g.deleteShards(ctx, meta, "put")
+	if gone, err = g.commit(key, meta); err != nil {
+		gone = meta
 		return ObjectInfo{}, err
-	}
-	if old != nil {
-		// Best-effort cleanup of the superseded generation's shards.
-		g.deleteShards(ctx, old, "put")
 	}
 	g.series.bytesIn.Add(size)
 	return ObjectInfo{Key: key, Size: size, Shards: width, Written: written, OSDs: osds}, nil
@@ -396,20 +401,30 @@ func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader,
 // shards and the stripe's parity is encoded in place beside them, so no
 // payload byte is written twice. RS works byte position by byte position,
 // so the shards equal what rs.StreamEncode writes at the same chunk. The
-// buffers follow readBody's rule for a declared length: bodyHead between
-// the data shards up front, then at most eight times what has arrived
-// (one copy of the head for an object over bodyHead), so a sender that
-// declares much and sends little pins little. The buffers come from the
-// shard pool and hold stale bytes, so the zero padding after the payload's
-// last byte is written here; the caller gives them back with putShardBufs
-// (on an error they are already back).
+// buffers follow readBody's rule for a declared length: when the pool
+// holds k+m idle buffers of the whole shard length the body is read
+// straight into them (a recycled buffer allocates nothing), and otherwise
+// the grant is bodyHead between the data shards up front, then at most
+// eight times what has arrived (one copy of the head for an object over
+// bodyHead), so a sender that declares much and sends little pins little
+// memory that was not already idle. The buffers come from the shard pool
+// and hold stale bytes, so the zero padding after the payload's last byte
+// is written here; the caller gives them back with putShardBufs (on an
+// error they are already back).
 func (g *Gateway) readShards(ctx context.Context, body io.Reader, size int64, chunk int) (_ [][]byte, err error) {
 	k, c := g.cfg.K, int64(chunk)
 	shardLen := g.shardLen(size, chunk)
-	have := min(shardLen, max(c, bodyHead/int64(k)/c*c)) // granted per shard, in whole stripes
+	have := shardLen // granted per shard, in whole stripes
 	shards := make([][]byte, k+g.cfg.M)
 	for i := range shards {
-		shards[i] = getShardBuf(int(have))
+		if shards[i] = idleShardBuf(int(have)); shards[i] == nil {
+			putShardBufs(shards[:i])
+			have = min(shardLen, max(c, bodyHead/int64(k)/c*c))
+			for j := range shards {
+				shards[j] = getShardBuf(int(have))
+			}
+			break
+		}
 	}
 	defer func() {
 		if err != nil {
@@ -447,33 +462,46 @@ func (g *Gateway) readShards(ctx context.Context, body io.Reader, size int64, ch
 	return shards, nil
 }
 
-// deleteShards removes every landed shard of one object generation, best
-// effort (down OSDs and already-gone shards are not errors). It runs
-// detached from ctx's cancellation and deadline: its callers have already
-// decided this generation must go (failed or superseded PUT, logged
-// DELETE), and a request that failed because its deadline expired or its
-// client left would otherwise cancel every delete before it is sent and
-// leak the shards for good. Each attempt is still bounded by ShardTimeout.
-func (g *Gateway) deleteShards(ctx context.Context, meta *objectMeta, op string) {
-	ctx = context.WithoutCancel(ctx)
-	var wg sync.WaitGroup
-	for i := range meta.ok {
-		if !meta.ok[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p := &g.osds[meta.osds[i]]
-			_, err := p.do(ctx, "delete", 0, func(c context.Context) ([]byte, error) {
-				return nil, p.store.Delete(c, meta.skey, i)
-			})
-			if err != nil && !errors.Is(err, ErrNotFound) {
-				g.series.op[op].errors.Inc()
-			}
-		}(i)
+// deleteShards is the gateway's one cleanup path: in the background, it
+// removes every landed shard of one object generation (a rolled-back or
+// superseded PUT's, a DELETEd object's), best effort (down OSDs and
+// already-gone shards are not errors), and then calls release, so the
+// request's admission slot covers its cleanup; Close waits for it. A nil
+// meta is released at once. The deletes are detached from ctx's
+// cancellation and deadline: the caller has already decided this
+// generation must go, and a request that failed because its deadline
+// expired or its client left would otherwise cancel every delete before
+// it is sent and leak the shards for good. Each attempt is still bounded
+// by ShardTimeout.
+func (g *Gateway) deleteShards(ctx context.Context, meta *objectMeta, op string, release func()) {
+	if meta == nil {
+		release()
+		return
 	}
-	wg.Wait()
+	ctx = context.WithoutCancel(ctx)
+	g.cleanups.Add(1)
+	go func() {
+		defer g.cleanups.Done()
+		defer release()
+		var wg sync.WaitGroup
+		for i := range meta.ok {
+			if !meta.ok[i] {
+				continue
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				p := &g.osds[meta.osds[i]]
+				_, err := p.do(ctx, "delete", 0, func(c context.Context) ([]byte, error) {
+					return nil, p.store.Delete(c, meta.skey, i)
+				})
+				if err != nil && !errors.Is(err, ErrNotFound) {
+					g.series.op[op].errors.Inc()
+				}
+			}(i)
+		}
+		wg.Wait()
+	}()
 }
 
 // fetchWave fetches the given shard indices concurrently into have and
@@ -622,20 +650,17 @@ func (g *Gateway) fetchObject(ctx context.Context, key string) (*objectMeta, [][
 	return meta, have, info, nil
 }
 
-// DeleteObject forgets the object, then removes its shards (best effort
-// on down OSDs); a subsequent GET is ErrNotFound.
+// DeleteObject forgets the object (durably, with a WAL) and returns; a
+// subsequent GET is ErrNotFound. deleteShards removes its shards after
+// that.
 func (g *Gateway) DeleteObject(ctx context.Context, key string) error {
 	release, err := g.admit(ctx)
 	if err != nil {
 		return err
 	}
-	defer release()
 	meta, err := g.remove(key)
-	if err != nil {
-		return err
-	}
-	g.deleteShards(ctx, meta, "delete")
-	return nil
+	g.deleteShards(ctx, meta, "delete", release)
+	return err
 }
 
 // StatusInfo is the /v1/status document.

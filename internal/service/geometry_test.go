@@ -214,6 +214,7 @@ func TestOverwriteAcrossGeometries(t *testing.T) {
 		if _, err := gw.PutObject(ctx, "resize", data); err != nil {
 			t.Fatalf("put %d bytes: %v", size, err)
 		}
+		drain(gw)
 		meta, _ := gw.lookup("resize")
 		for _, s := range stores {
 			for _, name := range s.(*MemStore).Keys() {

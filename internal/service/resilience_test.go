@@ -41,6 +41,11 @@ func buildGateway(t testing.TB, stores []ShardStore, mutate func(*GatewayConfig)
 	return gw
 }
 
+// drain waits for every shard cleanup gw has started (deleteShards runs
+// after the response): from then on the stores hold no generation the
+// requests so far have left behind.
+func drain(gw *Gateway) { gw.cleanups.Wait() }
+
 func memStores(n int) []ShardStore {
 	stores := make([]ShardStore, n)
 	for i := range stores {
@@ -298,6 +303,7 @@ func TestRetryThenSucceed(t *testing.T) {
 			if err := gw.DeleteObject(ctx, "flaky/obj"); err != nil {
 				t.Fatalf("delete with transient blips: %v", err)
 			}
+			drain(gw)
 			for i, s := range f.flaky {
 				if keys := s.Keys(); len(keys) != 0 {
 					t.Fatalf("store %d still holds %v after the retried delete", i, keys)
@@ -356,6 +362,7 @@ func TestRetryExhausted(t *testing.T) {
 			if err := gw.DeleteObject(ctx, "doomed"); err != nil {
 				t.Fatalf("best-effort delete: %v", err)
 			}
+			drain(gw)
 		}
 		// Every shard op burned its full budget: (k data + m parity) × Retries.
 		shards := gw.cfg.K + gw.cfg.M
@@ -1358,6 +1365,7 @@ func TestRollbackAfterDeadline(t *testing.T) {
 	if !errors.Is(err, ErrInsufficientShards) {
 		t.Fatalf("put past its deadline: got %v, want ErrInsufficientShards", err)
 	}
+	drain(gw)
 	for i, ms := range healthy {
 		if keys := ms.Keys(); len(keys) != 0 {
 			t.Fatalf("osd %d still holds %v after the rollback", i, keys)
