@@ -7,14 +7,15 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strconv"
-	"sync/atomic"
 	"testing"
 	"testing/iotest"
+	"time"
 
 	"ecarray/internal/crush"
 )
@@ -194,72 +195,54 @@ func FuzzReadBody(f *testing.F) {
 	})
 }
 
-// cancelAfterHeaders cancels a request once its response headers are in,
-// so the cancellation lands while the body is being read.
-type cancelAfterHeaders struct {
-	http.RoundTripper
-	cancel context.CancelFunc
-}
-
-func (c cancelAfterHeaders) RoundTrip(r *http.Request) (*http.Response, error) {
-	resp, err := c.RoundTripper.RoundTrip(r)
-	c.cancel()
-	return resp, err
-}
-
 // TestShardGetCancelledMidBody: a shard GET whose request is cancelled
 // while the body is still arriving — a hedge loser, a request deadline —
-// returns the context's error, not a short read and not ErrOSDDown.
+// returns the context's error, not a short read and not ErrOSDDown. The
+// daemon cancels once it has sent half the body: the socket buffers at
+// both ends are kept small and hold far less than that, so by then the
+// client has read the head and is in the body.
 func TestShardGetCancelledMidBody(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", "2097152")
 		_, _ = w.Write(make([]byte, 1<<20))
 		w.(http.Flusher).Flush()
+		cancel()
 		<-release
 	}))
+	srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			_ = c.(*net.TCPConn).SetWriteBuffer(64 << 10)
+		}
+	}
+	srv.Start()
 	defer srv.Close()
 	defer close(release)
-	ctx, cancel := context.WithCancel(context.Background())
 	oc := NewOSDClient(0, srv.URL)
-	oc.hc.Transport = cancelAfterHeaders{oc.hc.Transport, cancel}
+	oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err == nil {
+			err = c.(*net.TCPConn).SetReadBuffer(64 << 10)
+		}
+		return c, err
+	}
 	data, err := oc.Get(ctx, "k", 0)
 	if data != nil || !errors.Is(err, context.Canceled) || errors.Is(err, ErrOSDDown) {
 		t.Fatalf("got %d bytes, err %v, want context.Canceled", len(data), err)
 	}
-}
-
-// closeWatch is a transport that records when net/http closes a request
-// body.
-type closeWatch struct {
-	http.RoundTripper
-	closed atomic.Bool
-}
-
-func (c *closeWatch) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.Body != nil {
-		r = r.Clone(r.Context())
-		r.Body = watchedBody{r.Body, &c.closed}
+	if len(oc.idle) != 0 {
+		t.Fatal("the cancelled connection went back to the pool")
 	}
-	return c.RoundTripper.RoundTrip(r)
-}
-
-type watchedBody struct {
-	io.ReadCloser
-	closed *atomic.Bool
-}
-
-func (b watchedBody) Close() error {
-	b.closed.Store(true)
-	return b.ReadCloser.Close()
 }
 
 // TestOSDPutReturnsAfterItsBody: a daemon that answers 503 before reading
-// an 8 MiB shard body leaves net/http still sending it once the answer is
-// in. Put borrows its buffer only until it returns (ShardStore.Put), so it
-// must not return before net/http has closed the body; the caller then
-// overwrites the buffer, which the race detector would flag if the body
-// were still being sent.
+// an 8 MiB shard body, and then neither reads it nor closes the
+// connection, leaves the body unsent when the answer is in. Put borrows
+// its buffer only until it returns (ShardStore.Put), so it must not return
+// while anything may still send from it; the caller then overwrites the
+// buffer, which the race detector would flag if the body were still being
+// sent. Here Put returns when its deadline cuts the write.
 func TestOSDPutReturnsAfterItsBody(t *testing.T) {
 	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -273,14 +256,11 @@ func TestOSDPutReturnsAfterItsBody(t *testing.T) {
 	defer srv.Close()
 	defer close(release)
 	oc := NewOSDClient(0, srv.URL)
-	watch := &closeWatch{RoundTripper: oc.hc.Transport}
-	oc.hc.Transport = watch
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
 	data := payload(8<<20, 9)
-	if err := oc.Put(context.Background(), "k", 0, data); !errors.Is(err, ErrOSDDown) {
+	if err := oc.Put(ctx, "k", 0, data); !errors.Is(err, ErrOSDDown) {
 		t.Fatalf("put to a daemon answering 503: %v, want ErrOSDDown", err)
-	}
-	if !watch.closed.Load() {
-		t.Fatal("Put returned while net/http still held the request body")
 	}
 	clear(data)
 }

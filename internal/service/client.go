@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -35,24 +37,18 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("service: http %d", e.Code)
 }
 
-// send builds and issues one request: the optional body, the context's
-// request ID, and the tenant header when there is one. A body of at least
-// minPooledShard is lent, not copied: net/http reads it in place as a
-// lentBody, and a bodyConn sends it in one write. net/http may go on
-// reading a lent body after Do returns (an early 413 or 503, a cancelled
-// request) and closes it when done; with lent non-nil, every lentBody
-// handed to it (the first, and any GetBody re-send) counts in lent until it
-// is closed, so a caller that waits on lent knows body is its own again. A
-// smaller body goes out as a *bytes.Reader, which net/http writes together
-// with the headers (a lentBody's headers take a write of their own, which
-// costs more than copying a small body); for a caller that waits on lent
-// it is a copy, so there is nothing to wait for.
-func send(ctx context.Context, hc *http.Client, method, u string, body []byte, lent *sync.WaitGroup, tenant string) (*http.Response, error) {
+// send builds and issues one GateClient request: the optional body, the
+// context's request ID, and the tenant header when there is one. A body of
+// at least minPooledShard is lent, not copied: net/http reads it in place
+// as a lentBody, and a bodyConn sends it in one write. net/http may go on
+// reading a lent body after Do returns (an early 413 or 503), and nothing
+// waits for it to finish. A smaller body goes out as a
+// *bytes.Reader, which net/http writes together with the headers (a
+// lentBody's headers take a write of their own, which costs more than
+// copying a small body).
+func send(ctx context.Context, hc *http.Client, method, u string, body []byte, tenant string) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil && len(body) < minPooledShard {
-		if lent != nil {
-			body = bytes.Clone(body)
-		}
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
@@ -60,12 +56,7 @@ func send(ctx context.Context, hc *http.Client, method, u string, body []byte, l
 		return nil, err
 	}
 	if body != nil && rd == nil {
-		lend := func() (io.ReadCloser, error) {
-			if lent != nil {
-				lent.Add(1)
-			}
-			return &lentBody{rest: body, lent: lent}, nil
-		}
+		lend := func() (io.ReadCloser, error) { return &lentBody{rest: body}, nil }
 		req.Body, _ = lend()
 		req.GetBody, req.ContentLength = lend, int64(len(body))
 	}
@@ -76,15 +67,11 @@ func send(ctx context.Context, hc *http.Client, method, u string, body []byte, l
 	return hc.Do(req)
 }
 
-// lentBody is a request body over a buffer net/http only borrows. It reads
-// the buffer in place, and its first Close reports to lent, when there is
-// one, that net/http is done with it. (Not being one of the in-memory
-// readers net/http recognises, it makes the request headers go out in a
-// write of their own.)
+// lentBody is a request body over a buffer net/http only borrows, read in
+// place. (Not being one of the in-memory readers net/http recognises, it
+// makes the request headers go out in a write of their own.)
 type lentBody struct {
 	rest []byte // what is left to send
-	lent *sync.WaitGroup
-	once sync.Once
 }
 
 func (b *lentBody) Read(p []byte) (int, error) {
@@ -106,12 +93,7 @@ func (b *lentBody) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-func (b *lentBody) Close() error {
-	if b.lent != nil {
-		b.once.Do(b.lent.Done)
-	}
-	return nil
-}
+func (b *lentBody) Close() error { return nil }
 
 // bodyConn is a client connection that sends a lent body in one write.
 // net/http hands a request body with a declared length to the connection's
@@ -180,7 +162,7 @@ func defaultHTTPClient() *http.Client {
 	return newHTTPClient(http.DefaultTransport.(*http.Transport).DialContext)
 }
 
-// newHTTPClient is the clients' HTTP client over connections from dial,
+// newHTTPClient is GateClient's HTTP client over connections from dial,
 // each wrapped in a bodyConn.
 func newHTTPClient(dial func(ctx context.Context, network, addr string) (net.Conn, error)) *http.Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -195,72 +177,228 @@ func newHTTPClient(dial func(ctx context.Context, network, addr string) (net.Con
 	return &http.Client{Transport: tr}
 }
 
-// OSDClient is the gateway-side ShardStore speaking HTTP to one ecstored
-// daemon.
+// maxIdleOSDConns caps the keep-alive connections an OSDClient keeps idle.
+const maxIdleOSDConns = 64
+
+// OSDClient is the gateway-side ShardStore speaking HTTP/1.1 to one
+// ecstored daemon over keep-alive connections of its own. A request runs
+// on the caller's goroutine: its head and body leave in one writev, and
+// the answer is read off the connection's bufio.Reader.
 type OSDClient struct {
-	id   int
-	base string
-	hc   *http.Client
+	id     int
+	addr   string // the daemon's host:port, also the Host header
+	prefix string // baseURL's escaped path, before /v1/... and /healthz
+	err    error  // why baseURL names no daemon, if it does not
+	dial   func(ctx context.Context, network, addr string) (net.Conn, error)
+
+	mu   sync.Mutex
+	idle []*osdConn // LIFO: the last one idled is the likeliest still open
+}
+
+// osdConn is one keep-alive connection to the daemon.
+type osdConn struct {
+	net.Conn
+	br   *bufio.Reader
+	head []byte // the last request head, its buffer reused
 }
 
 // NewOSDClient targets an ecstored daemon at baseURL (e.g.
 // "http://127.0.0.1:7411") as OSD id.
 func NewOSDClient(id int, baseURL string) *OSDClient {
-	return &OSDClient{id: id, base: strings.TrimRight(baseURL, "/"), hc: defaultHTTPClient()}
+	c := &OSDClient{id: id, dial: (&net.Dialer{}).DialContext}
+	u, err := url.Parse(baseURL)
+	switch {
+	case err != nil:
+		c.err = err
+	case u.Scheme != "http" || u.Port() == "":
+		c.err = fmt.Errorf("service: OSD address %q is not http://host:port", baseURL)
+	default:
+		c.addr, c.prefix = u.Host, strings.TrimRight(u.EscapedPath(), "/")
+	}
+	return c
 }
 
-func (c *OSDClient) shardURL(key string, shard int) string {
-	return fmt.Sprintf("%s/v1/shards/%s/%d", c.base, pathSegment(key), shard)
+func shardPath(key string, shard int) string {
+	return "/v1/shards/" + pathSegment(key) + "/" + strconv.Itoa(shard)
 }
 
-// call is one daemon request finished into out. The two ways a daemon is
-// down from the gateway's view both come back as ErrOSDDown: it cannot be
-// reached (connection refused / reset / deadline), or it answers 503. It
-// returns only once net/http is done reading body (ShardStore.Put borrows
-// it).
-func (c *OSDClient) call(ctx context.Context, method, u string, body []byte, out any) error {
-	var lent sync.WaitGroup
-	defer lent.Wait()
-	resp, err := send(ctx, c.hc, method, u, body, &lent, "")
+// call is one daemon request finished into out, written and read on the
+// caller's goroutine (so body is the caller's again when it returns). The
+// two ways a daemon is down from the gateway's view both come back as
+// ErrOSDDown: it cannot be reached (dial, transport or deadline failure
+// before an answer), or it answers 503; a cancellation while the body is
+// arriving returns ctx's error. ctx's deadline is the connection's, and
+// its cancellation cuts the connection, which is never reused then. Every
+// shard op is idempotent, so a reused connection that fails before a byte
+// of the answer arrives (the daemon closed it while idle, or restarted) is
+// redialled once.
+func (c *OSDClient) call(ctx context.Context, method, path string, body []byte, out any) error {
+	if c.err != nil {
+		return fmt.Errorf("%w: %v", ErrOSDDown, c.err)
+	}
+	for fresh := false; ; fresh = true {
+		cn, reused, err := c.conn(ctx, fresh)
+		if err != nil {
+			return downErr(ctx, err)
+		}
+		deadline, _ := ctx.Deadline()
+		_ = cn.SetDeadline(deadline)
+		stop := context.AfterFunc(ctx, func() { cn.Close() })
+		werr := cn.write(ctx, method, c.addr, c.prefix+path, body)
+		// A daemon that answers without reading the body (a 503, a 429)
+		// fails the write; its answer is read all the same.
+		_, err = cn.br.Peek(1)
+		answered := err == nil
+		var resp *http.Response
+		if answered {
+			resp, err = http.ReadResponse(cn.br, nil)
+		}
+		if err != nil {
+			stop()
+			cn.Close()
+			if !answered && reused && ctx.Err() == nil {
+				continue
+			}
+			return downErr(ctx, cmp.Or(werr, err))
+		}
+		rb := &eofBody{ReadCloser: resp.Body}
+		resp.Body = rb
+		err = finish(resp, out)
+		if stop() && werr == nil && rb.eof && !resp.Close && resp.StatusCode >= 200 && cn.br.Buffered() == 0 {
+			c.idled(cn)
+		} else {
+			cn.Close()
+		}
+		var se *StatusError
+		switch {
+		case rb.err != nil && ctx.Err() != nil:
+			return ctx.Err()
+		case errors.As(err, &se) && se.Code == http.StatusServiceUnavailable:
+			return fmt.Errorf("%w: %s", ErrOSDDown, se.Message)
+		}
+		return err
+	}
+}
+
+// downErr is a failure before an answer. A cancellation reads as ctx's
+// error, not as the cut connection it caused.
+func downErr(ctx context.Context, err error) error {
+	return fmt.Errorf("%w: %v", ErrOSDDown, cmp.Or(ctx.Err(), err))
+}
+
+// conn returns the connection idled last or, when fresh is set or none is
+// idle, a new one; reused says which.
+func (c *OSDClient) conn(ctx context.Context, fresh bool) (cn *osdConn, reused bool, err error) {
+	if !fresh {
+		c.mu.Lock()
+		if n := len(c.idle); n > 0 {
+			cn, c.idle[n-1], c.idle = c.idle[n-1], nil, c.idle[:n-1]
+		}
+		c.mu.Unlock()
+		if cn != nil {
+			return cn, true, nil
+		}
+	}
+	nc, err := c.dial(ctx, "tcp", c.addr)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrOSDDown, err)
+		return nil, false, err
 	}
-	err = finish(resp, out)
-	var se *StatusError
-	if errors.As(err, &se) && se.Code == http.StatusServiceUnavailable {
-		return fmt.Errorf("%w: %s", ErrOSDDown, se.Message)
+	return &osdConn{Conn: nc, br: bufio.NewReader(nc)}, false, nil
+}
+
+// idled keeps cn for the next request, or closes it when
+// maxIdleOSDConns are idle already.
+func (c *OSDClient) idled(cn *osdConn) {
+	c.mu.Lock()
+	if len(c.idle) < maxIdleOSDConns {
+		c.idle, cn = append(c.idle, cn), nil
 	}
+	c.mu.Unlock()
+	if cn != nil {
+		cn.Close()
+	}
+}
+
+// write sends the request head and body in one writev (a write each on a
+// connection that is not a *net.TCPConn). The request ID is forwarded
+// unless it would break the head.
+func (cn *osdConn) write(ctx context.Context, method, host, path string, body []byte) error {
+	h := append(cn.head[:0], method...)
+	h = append(append(append(h, ' '), path...), " HTTP/1.1\r\nHost: "...)
+	h = append(h, host...)
+	if body != nil {
+		h = strconv.AppendInt(append(h, "\r\nContent-Length: "...), int64(len(body)), 10)
+	}
+	if id := RequestIDFrom(ctx); id != "" && !strings.ContainsAny(id, "\r\n") {
+		h = append(append(h, "\r\n"+RequestIDHeader+": "...), id...)
+	}
+	cn.head = append(h, "\r\n\r\n"...)
+	bufs := net.Buffers{cn.head, body}
+	if len(body) == 0 {
+		bufs = bufs[:1]
+	}
+	_, err := bufs.WriteTo(cn.Conn)
 	return err
 }
 
-// Put implements ShardStore: it returns only once net/http is done with
-// data.
+// eofBody is a response body that records whether it was read to its end
+// and the error, other than io.EOF, that reading it ended on: its
+// connection carries another request only after an answer read to its
+// end.
+type eofBody struct {
+	io.ReadCloser
+	eof bool
+	err error
+}
+
+func (b *eofBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	switch {
+	case err == io.EOF:
+		b.eof = true
+	case err != nil:
+		b.err = err
+	}
+	return n, err
+}
+
+// Close looks one byte past what was read rather than draining the rest:
+// a body not at its end costs its connection, not the time to read it.
+func (b *eofBody) Close() error {
+	if !b.eof && b.err == nil {
+		var one [1]byte
+		_, _ = b.Read(one[:])
+	}
+	return nil
+}
+
+// Put implements ShardStore: data is the caller's again once it returns.
 func (c *OSDClient) Put(ctx context.Context, key string, shard int, data []byte) error {
-	return c.call(ctx, http.MethodPut, c.shardURL(key, shard), data, nil)
+	return c.call(ctx, http.MethodPut, shardPath(key, shard), data, nil)
 }
 
 // Get implements ShardStore. The shard arrives in a shard-pool buffer.
 func (c *OSDClient) Get(ctx context.Context, key string, shard int) ([]byte, error) {
 	var data pooledBody
-	err := c.call(ctx, http.MethodGet, c.shardURL(key, shard), nil, &data)
+	err := c.call(ctx, http.MethodGet, shardPath(key, shard), nil, &data)
 	return data, err
 }
 
 // Delete implements ShardStore.
 func (c *OSDClient) Delete(ctx context.Context, key string, shard int) error {
-	return c.call(ctx, http.MethodDelete, c.shardURL(key, shard), nil, nil)
+	return c.call(ctx, http.MethodDelete, shardPath(key, shard), nil, nil)
 }
 
 // Stat implements ShardStore.
 func (c *OSDClient) Stat(ctx context.Context) (st OSDStat, err error) {
-	err = c.call(ctx, http.MethodGet, c.base+"/v1/stat", nil, &st)
+	err = c.call(ctx, http.MethodGet, "/v1/stat", nil, &st)
 	st.ID = c.id
 	return st, err
 }
 
 // Healthz probes the daemon's liveness endpoint.
 func (c *OSDClient) Healthz(ctx context.Context) error {
-	return c.call(ctx, http.MethodGet, c.base+"/healthz", nil, nil)
+	return c.call(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
 // GateClient is the object-level HTTP client for an ecgate gateway — what
@@ -316,7 +454,7 @@ func pathSegment(key string) string {
 
 // call is one admin request, sent once and finished into out.
 func (c *GateClient) call(ctx context.Context, method, path string, body []byte, out any) error {
-	resp, err := send(ctx, c.hc, method, c.base+path, body, nil, c.tenant)
+	resp, err := send(ctx, c.hc, method, c.base+path, body, c.tenant)
 	if err != nil {
 		return err
 	}
@@ -329,7 +467,7 @@ func (c *GateClient) call(ctx context.Context, method, path string, body []byte,
 // headers are returned for callers that read them.
 func (c *GateClient) doRetry(ctx context.Context, method, key string, body []byte, out any) (http.Header, error) {
 	for attempt := 0; ; attempt++ {
-		resp, err := send(ctx, c.hc, method, c.objectURL(key), body, nil, c.tenant)
+		resp, err := send(ctx, c.hc, method, c.objectURL(key), body, c.tenant)
 		if err != nil {
 			return nil, err
 		}

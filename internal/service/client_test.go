@@ -1,16 +1,23 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"ecarray/internal/qos"
 )
 
 // writeCounter counts the writes made to a connection. It has no ReadFrom
@@ -26,10 +33,12 @@ func (c writeCounter) Write(p []byte) (int, error) {
 }
 
 // TestLentBodyOneWrite: a 1 MiB shard PUT and a 1 MiB object upload each
-// reach the connection in at most two writes, the headers and the body.
-// net/http on its own copies a body through a 32 KiB buffer, 33 writes in
-// all, so this fails if bodyConn is gone or if net/http stops handing it
-// the lentBody.
+// reach the connection in at most two writes, the head and the body.
+// OSDClient hands both to one net.Buffers write, which is one writev on a
+// *net.TCPConn and a write per buffer on this wrapped connection; GateClient
+// goes through net/http, which on its own copies a body through a 32 KiB
+// buffer, 33 writes in all, so this fails if bodyConn is gone or if
+// net/http stops handing it the lentBody.
 func TestLentBodyOneWrite(t *testing.T) {
 	bodies := make(chan []byte, 1)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -39,15 +48,15 @@ func TestLentBodyOneWrite(t *testing.T) {
 	}))
 	defer srv.Close()
 	var writes atomic.Int64
-	hc := newHTTPClient(func(ctx context.Context, network, addr string) (net.Conn, error) {
+	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
 		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
 		if err != nil {
 			return nil, err
 		}
 		return writeCounter{c, &writes}, nil
-	})
+	}
 	oc, gc := NewOSDClient(0, srv.URL), NewGateClient(srv.URL)
-	oc.hc, gc.hc = hc, hc
+	oc.dial, gc.hc = dial, newHTTPClient(dial)
 	ctx := context.Background()
 	data := payload(1<<20, 5)
 	for _, c := range []struct {
@@ -65,9 +74,313 @@ func TestLentBodyOneWrite(t *testing.T) {
 			t.Fatalf("%s: the server read %d bytes, want the %d sent", c.name, len(got), len(data))
 		}
 		if n := writes.Load(); n > 2 {
-			t.Fatalf("%s: a 1 MiB body took %d writes to the connection, want at most 2 (headers, body)", c.name, n)
+			t.Fatalf("%s: a 1 MiB body took %d writes to the connection, want at most 2 (head, body)", c.name, n)
 		}
 	}
+}
+
+// TestShardConnReuse: 100 sequential shard ops — PUTs and GETs of small and
+// large shards, DELETEs, and GETs answered 404 — all go over the one
+// connection the first of them opened.
+func TestShardConnReuse(t *testing.T) {
+	srv := httptest.NewUnstartedServer(NewOSDServer(0, NewMemStore(0), nil).Handler())
+	var opened atomic.Int64
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	oc := NewOSDClient(0, srv.URL)
+	ctx := context.Background()
+	for i := 0; i < 25; i++ {
+		data := payload(2<<10+i%2*(1<<20), int64(i))
+		if err := oc.Put(ctx, "k", i, data); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		if got, err := oc.Get(ctx, "k", i); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("get %d: err=%v match=%v", i, err, bytes.Equal(got, data))
+		}
+		if err := oc.Delete(ctx, "k", i); err != nil {
+			t.Fatalf("delete %d: %v", i, err)
+		}
+		if _, err := oc.Get(ctx, "k", i); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("get %d after delete: %v, want ErrNotFound", i, err)
+		}
+	}
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("100 sequential shard ops opened %d connections, want 1", n)
+	}
+}
+
+// TestShardConnConcurrentCancel: eight goroutines share one OSDClient, as
+// a hedge and the send it duplicates do, and many of their ops are cut
+// short by deadlines of a millisecond or two. Every op that succeeds reads
+// its own shard back, never an answer meant for another request, and no
+// connection a cancellation closed is kept for reuse.
+func TestShardConnConcurrentCancel(t *testing.T) {
+	srv := httptest.NewServer(NewOSDServer(0, NewMemStore(0), nil).Handler())
+	defer srv.Close()
+	oc := NewOSDClient(0, srv.URL)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				data := payload(1<<10+(g*40+i)%5*(64<<10), int64(g*40+i))
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%3)*time.Millisecond)
+				if i%3 == 0 {
+					ctx, cancel = context.WithCancel(context.Background())
+				}
+				if err := oc.Put(ctx, fmt.Sprint(g), i, data); err == nil {
+					if got, err := oc.Get(ctx, fmt.Sprint(g), i); err == nil && !bytes.Equal(got, data) {
+						t.Errorf("goroutine %d op %d: got %d bytes that are not its shard", g, i, len(got))
+					}
+				} else if i%3 == 0 {
+					t.Errorf("goroutine %d op %d: put without a deadline: %v", g, i, err)
+				}
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, cn := range oc.idle {
+		if err := cn.SetDeadline(time.Time{}); err != nil {
+			t.Fatalf("a closed connection was kept for reuse: %v", err)
+		}
+	}
+}
+
+// TestShardConnCancelAfterAnswer: the daemon cancels each GET's context as
+// soon as it has sent the whole answer, so the cancellation lands before,
+// while or after the client reads it. A connection the cancellation closed
+// is never kept for reuse.
+func TestShardConnCancelAfterAnswer(t *testing.T) {
+	var cancelOp atomic.Pointer[context.CancelFunc]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "2")
+		_, _ = io.WriteString(w, "ok")
+		w.(http.Flusher).Flush()
+		(*cancelOp.Load())()
+	}))
+	defer srv.Close()
+	oc := NewOSDClient(0, srv.URL)
+	for i := 0; i < 300; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancelOp.Store(&cancel)
+		if data, err := oc.Get(ctx, "k", 0); err == nil && string(data) != "ok" {
+			t.Fatalf("get %d: %q, want \"ok\"", i, data)
+		}
+		for _, cn := range oc.idle {
+			if err := cn.SetDeadline(time.Time{}); err != nil {
+				t.Fatalf("get %d: a connection its cancellation closed was kept for reuse: %v", i, err)
+			}
+		}
+	}
+}
+
+// TestShardConnRedialAfterRestart: the daemon restarts on the same address
+// before each of a PUT, a GET and a DELETE, so each finds its idle
+// connection closed. Each succeeds through one new connection, and no
+// error surfaces.
+func TestShardConnRedialAfterRestart(t *testing.T) {
+	h := NewOSDServer(0, NewMemStore(0), nil).Handler()
+	srv := httptest.NewServer(h)
+	addr := srv.Listener.Addr().String()
+	restart := func() {
+		srv.Close()
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv = httptest.NewUnstartedServer(h)
+		srv.Listener = ln
+		srv.Start()
+	}
+	defer func() { srv.Close() }()
+	oc := NewOSDClient(0, srv.URL)
+	var dials atomic.Int64
+	oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, network, addr)
+	}
+	ctx := context.Background()
+	data := payload(64<<10, 3)
+	if err := oc.Healthz(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		op   func() error
+	}{
+		{"put", func() error { return oc.Put(ctx, "k", 0, data) }},
+		{"get", func() error {
+			got, err := oc.Get(ctx, "k", 0)
+			if err == nil && !bytes.Equal(got, data) {
+				err = fmt.Errorf("read back %d bytes that differ", len(got))
+			}
+			return err
+		}},
+		{"delete", func() error { return oc.Delete(ctx, "k", 0) }},
+	} {
+		restart()
+		dials.Store(0)
+		if err := c.op(); err != nil {
+			t.Fatalf("%s after a restart: %v", c.name, err)
+		}
+		if n := dials.Load(); n != 1 {
+			t.Fatalf("%s after a restart dialled %d times, want 1", c.name, n)
+		}
+	}
+}
+
+// rejectAll refuses every request, as an ecstored at -max-inflight does.
+type rejectAll struct{}
+
+func (rejectAll) Name() string { return "reject-all" }
+func (rejectAll) Admit(qos.Request) qos.Decision {
+	return qos.Decision{RetryAfter: time.Second}
+}
+func (rejectAll) Release(qos.Request) {}
+
+// TestShardConnEarlyAnswer: a daemon that answers 503, and one that answers
+// 429 through AdmissionMiddleware, without reading an 8 MiB shard body.
+// net/http's server then closes the connection, and the rest of the body
+// fails to send; Put still reads the answer the daemon sent before it
+// closed, as net/http's client does, and returns that status's mapping
+// well inside its 2 s deadline.
+func TestShardConnEarlyAnswer(t *testing.T) {
+	data := payload(8<<20, 4)
+	for _, c := range []struct {
+		name  string
+		h     http.Handler
+		check func(error) bool
+	}{
+		{"503", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "busy"})
+		}), func(err error) bool { return errors.Is(err, ErrOSDDown) && strings.HasSuffix(err.Error(), ": busy") }},
+		{"429", AdmissionMiddleware(rejectAll{}, http.NotFoundHandler()), func(err error) bool {
+			var se *StatusError
+			return errors.As(err, &se) && se.Code == http.StatusTooManyRequests && se.RetryAfter == "1"
+		}},
+	} {
+		srv := httptest.NewServer(c.h)
+		oc := NewOSDClient(0, srv.URL)
+		var failed atomic.Bool
+		oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			nc, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			return writeWatch{nc, &failed}, err
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		start := time.Now()
+		err := oc.Put(ctx, "k", 0, data)
+		took := time.Since(start)
+		cancel()
+		srv.Close()
+		if !c.check(err) {
+			t.Fatalf("%s: put got %v", c.name, err)
+		}
+		if !failed.Load() {
+			t.Fatalf("%s: the whole body was sent, want a write cut short by the daemon", c.name)
+		}
+		if took > 1500*time.Millisecond {
+			t.Fatalf("%s: put took %v, want well inside its 2 s deadline", c.name, took)
+		}
+	}
+}
+
+// writeWatch records whether a write to a connection failed.
+type writeWatch struct {
+	net.Conn
+	failed *atomic.Bool
+}
+
+func (c writeWatch) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if err != nil {
+		c.failed.Store(true)
+	}
+	return n, err
+}
+
+// FuzzShardResponse serves arbitrary bytes as the daemon's reply to a
+// shard PUT, GET and DELETE over net.Pipe, under a deadline. Each op
+// returns an error or succeeds; a GET that succeeds returns exactly the
+// body the reply declares. Nothing panics or hangs, and a connection
+// whose reply is not one complete answer is never kept for reuse.
+func FuzzShardResponse(f *testing.F) {
+	for _, r := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
+		"HTTP/1.1 204 No Content\r\n\r\n",
+		"HTTP/1.1 404 Not Found\r\nContent-Length: 21\r\n\r\n{\"error\":\"not found\"}",
+		"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 16\r\n\r\n{\"error\":\"busy\"}",
+		"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokHTTP/1.1 200 OK\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.0 200 OK\r\n\r\nuntil close",
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab",
+		"HTTP/1.1 2000 OK\r\n\r\n",
+		"garbage\r\n\r\n",
+		"",
+	} {
+		f.Add([]byte(r))
+	}
+	put := payload(5000, 1)
+	ops := map[string]func(context.Context, *OSDClient) ([]byte, error){
+		"put":    func(ctx context.Context, oc *OSDClient) ([]byte, error) { return nil, oc.Put(ctx, "k", 0, put) },
+		"get":    func(ctx context.Context, oc *OSDClient) ([]byte, error) { return oc.Get(ctx, "k", 0) },
+		"delete": func(ctx context.Context, oc *OSDClient) ([]byte, error) { return nil, oc.Delete(ctx, "k", 0) },
+	}
+	f.Fuzz(func(t *testing.T, reply []byte) {
+		// What the reply holds, read the way a client should: its answer's
+		// status and body, and whether it is one complete answer that a
+		// connection can carry another request after.
+		var (
+			status   int
+			body     []byte
+			complete bool
+		)
+		if resp, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(reply)), nil); err == nil {
+			status = resp.StatusCode
+			var rerr error
+			body, rerr = io.ReadAll(resp.Body)
+			complete = rerr == nil && status >= 200 && !resp.Close
+		}
+		for name, op := range ops {
+			cli, srv := net.Pipe()
+			go func() { _, _ = io.Copy(io.Discard, srv) }() // the request
+			go func() {
+				_, _ = srv.Write(reply)
+				srv.Close()
+			}()
+			oc := NewOSDClient(0, "http://osd.test")
+			dialled := false
+			oc.dial = func(context.Context, string, string) (net.Conn, error) {
+				if dialled {
+					return nil, errors.New("one connection per op")
+				}
+				dialled = true
+				return cli, nil
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			data, err := op(ctx, oc)
+			cancel()
+			cli.Close()
+			if err == nil && name == "get" && (status/100 != 2 || !bytes.Equal(data, body)) {
+				t.Fatalf("get: %d bytes from a %d answer with a %d-byte body", len(data), status, len(body))
+			}
+			if len(oc.idle) != 0 && !complete {
+				t.Fatalf("%s: kept a connection whose reply was not one complete answer (%q)", name, reply)
+			}
+		}
+	})
 }
 
 // keyRig is a gateway over six ecstored daemons on loopback, with a
@@ -108,7 +421,7 @@ func newKeyRig(tb testing.TB) *keyRig {
 func (r *keyRig) roundTrip(t *testing.T, key string, gen uint64, idx int) {
 	t.Helper()
 	ctx := context.Background()
-	data := payload(5000, int64(gen)) // over minPooledShard: a lent body
+	data := payload(5000, int64(gen)) // over minPooledShard: a lent GateClient upload
 	skey := fmt.Sprintf("%s@%d", key, gen)
 	if err := r.oc.Put(ctx, skey, idx, data); err != nil {
 		t.Fatalf("shard %q: put: %v", skey, err)

@@ -87,11 +87,14 @@
 // exact-length buffer instead: GateClient's GET, and ecstored's PUT body
 // over a MemStore, which stores the very buffer the body was read into and
 // answers a GET by writing that buffer, never modified, to the socket. On
-// the way out, a request body of minPooledShard or more is lent to
-// net/http in place (lentBody), and the connection under it (bodyConn)
-// sends it in one write where net/http would copy it through a 32 KiB
-// buffer. So no payload byte is copied in user space on the hop between
-// gateway and ecstored or on the client's upload, and in steady state the
+// the hop to ecstored, OSDClient speaks HTTP/1.1 itself over keep-alive
+// connections the gateway owns: a shard op runs on the caller's goroutine,
+// and its request head and shard leave in one writev from the caller's
+// buffer. GateClient uploads go through net/http, which is handed the body
+// in place (lentBody) over a connection (bodyConn) that sends it in one
+// write where net/http would copy it through a 32 KiB buffer. So no
+// payload byte is copied in user space on the hop between gateway and
+// ecstored or on the client's upload, and in steady state the
 // gateway allocates nothing sized by the object and ecstored only the
 // shards it stores. A shard still crosses the seam as one []byte, so every
 // process holds whole shards; streaming them (ROADMAP item 1) waits for
@@ -120,8 +123,9 @@
 //	index.go, metawal.go object index (lookup/commit/remove) and its WAL
 //	faultstore.go        how an OSD fails: the one fault injector, wrapped
 //	                     around every backend's store by NewGateway
-//	client.go            GateClient and OSDClient over one request path
-//	                     (send, finish)
+//	client.go            OSDClient, HTTP/1.1 on the caller's goroutine over
+//	                     its own connections; GateClient over net/http
+//	                     (send); both finish answers through finish
 //	shardbuf.go          the shard-buffer pool the data path recycles
 //	                     through
 //

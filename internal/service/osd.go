@@ -95,66 +95,59 @@ func (p *osdPath) do(ctx context.Context, op string, hedge time.Duration, fn sha
 
 // attempt sends fn to the OSD under the per-shard deadline, and a second
 // time if hedge > 0 and the first send has not answered within it. The
-// first success wins and the other send is cancelled; a failure is
-// returned only once no send is left that could still win. Truthful
-// scoring: only sends that ran to their own completion are recorded in
-// the latency histogram and against the breaker — a cancelled hedge loser
-// is not, and neither is a failure caused by ctx, the parent request
-// (client disconnect, request deadline), which says nothing about the
-// OSD's health: a burst of disconnects would otherwise trip breakers on
-// perfectly healthy OSDs.
+// first send runs on the caller's goroutine; the hedge starts a goroutine
+// of its own only when its delay passes. The first success wins and
+// cancels the other send; a failure is returned only once no send is left
+// that could still win. Truthful scoring: only sends that ran to their own
+// completion are recorded in the latency histogram and against the breaker
+// — a cancelled hedge loser is not, and neither is a failure caused by
+// ctx, the parent request (client disconnect, request deadline), which
+// says nothing about the OSD's health: a burst of disconnects would
+// otherwise trip breakers on perfectly healthy OSDs.
 func (p *osdPath) attempt(ctx context.Context, seconds *Histogram, hedge time.Duration, fn shardFn) ([]byte, error) {
-	type result struct {
-		data   []byte
-		err    error
-		hedged bool // from the duplicate send
-	}
-	actx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan result, 2) // one slot per possible send, so none blocks after we return
-	send := func(hedged bool) {
+	send := func(parent context.Context) ([]byte, error) {
 		start := time.Now()
-		sctx, scancel := context.WithTimeout(actx, p.gw.cfg.ShardTimeout)
+		sctx, cancel := context.WithTimeout(parent, p.gw.cfg.ShardTimeout)
 		data, err := fn(sctx)
-		scancel()
-		if actx.Err() == nil {
+		cancel()
+		if parent.Err() == nil {
 			seconds.Observe(time.Since(start))
 			if !errors.Is(err, context.Canceled) {
 				p.breaker.record(err == nil || errors.Is(err, ErrNotFound), err, time.Now())
 				p.state.Set(int64(p.breaker.State()))
 			}
 		}
-		results <- result{data, err, hedged}
+		return data, err
 	}
-	go send(false)
-	var hedgeAt <-chan time.Time
 	// No hedging while the breaker is half-open: it admitted exactly one
 	// probe, and a hedge would double it behind its back.
-	if hedge > 0 && p.breaker.State() != BreakerHalfOpen {
-		t := time.NewTimer(hedge)
-		defer t.Stop()
-		hedgeAt = t.C
+	if hedge <= 0 || p.breaker.State() == BreakerHalfOpen {
+		return send(ctx)
 	}
-	for sent, received := 1, 0; ; {
-		select {
-		case <-hedgeAt:
-			hedgeAt = nil
-			sent++
-			p.gw.series.hedgedReads.Inc()
-			go send(true)
-		case r := <-results:
-			received++
-			if r.err == nil {
-				if r.hedged {
-					p.gw.series.hedgeWins.Inc()
-				}
-				return r.data, nil
-			}
-			if received == sent {
-				return nil, r.err
-			}
+	type result struct {
+		data []byte
+		err  error
+	}
+	actx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	hedged := make(chan result, 1) // the hedge never blocks after we return
+	t := time.AfterFunc(hedge, func() {
+		p.gw.series.hedgedReads.Inc()
+		data, err := send(actx)
+		if err == nil {
+			cancel() // the hedge won: cut the first send
 		}
+		hedged <- result{data, err}
+	})
+	data, err := send(actx)
+	if t.Stop() || err == nil {
+		return data, err // no hedge, or the first send won and cancel cuts it
 	}
+	r := <-hedged
+	if r.err == nil {
+		p.gw.series.hedgeWins.Inc()
+	}
+	return r.data, r.err
 }
 
 // fetchShard reads one shard through the OSD's resilient path, hedged,
