@@ -101,7 +101,7 @@ func newGateway(fs *flag.FlagSet, args []string, logger *slog.Logger) (*service.
 		chunk       = fs.Int("chunk", 64<<10, "largest stripe unit (per-shard chunk) in bytes; objects smaller than a stripe use a smaller one, recorded per object")
 		maxInflight = fs.Int("max-inflight", 256, "admission bound; excess requests get 429")
 		tenants     = fs.String("tenants", "", "weighted-fair admission: comma-separated name:weight pairs (empty = flat max-inflight)")
-		osdURLs     = fs.String("osd-urls", "", "osd backend: comma-separated ecstored base URLs")
+		osdURLs     = fs.String("osd-urls", "", "osd backend: comma-separated ecstored URLs, each http://host:port")
 		metaDir     = fs.String("meta-dir", "", "metadata WAL directory (empty = volatile in-memory index)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -154,6 +154,9 @@ func newGateway(fs *flag.FlagSet, args []string, logger *slog.Logger) (*service.
 		// One ecstored daemon per failure domain.
 		cmap = crush.Uniform(len(urls), 1)
 		for i, u := range urls {
+			if _, err := service.OSDAddr(u); err != nil {
+				return nil, fmt.Errorf("osd backend: %w", err)
+			}
 			stores = append(stores, service.NewOSDClient(i, u))
 		}
 	default:

@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -240,13 +241,27 @@ func TestBadFlags(t *testing.T) {
 		"bad tenants":            {"-tenants", "gold"},
 		"bad geometry":           {"-backend", "mem", "-k", "0"},
 		"unknown flag":           {"-smoke"},
+		"osd url without port":   {"-backend", "osd", "-osd-urls", goodOSD + "http://h"},
+		"osd url over https":     {"-backend", "osd", "-osd-urls", goodOSD + "https://h:1"},
+		"osd url without scheme": {"-backend", "osd", "-osd-urls", goodOSD + "h:1"},
+		"osd url with a path":    {"-backend", "osd", "-osd-urls", goodOSD + "http://h:1/base"},
 	} {
-		if gw, err := boot(args...); err == nil {
+		gw, err := boot(args...)
+		if err == nil {
 			gw.Close()
 			t.Errorf("%s: %v accepted", name, args)
+			continue
+		}
+		// A bad -osd-urls entry fails the boot, and the error names it.
+		if bad, ok := strings.CutPrefix(args[len(args)-1], goodOSD); ok && !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Errorf("%s: %q does not name %q", name, err, bad)
 		}
 	}
 }
+
+// goodOSD is five -osd-urls entries that OSDAddr accepts, put before a bad
+// one so that the six would place RS(4,2).
+var goodOSD = strings.Repeat("http://127.0.0.1:1,", 5)
 
 func TestParseTenants(t *testing.T) {
 	w := func(f float64) qos.TenantConfig { return qos.TenantConfig{Weight: f} }

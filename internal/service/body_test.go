@@ -12,7 +12,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
-	"strconv"
+	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -195,72 +195,90 @@ func FuzzReadBody(f *testing.F) {
 	})
 }
 
-// TestShardGetCancelledMidBody: a shard GET whose request is cancelled
-// while the body is still arriving — a hedge loser, a request deadline —
-// returns the context's error, not a short read and not ErrOSDDown. The
-// daemon cancels once it has sent half the body: the socket buffers at
-// both ends are kept small and hold far less than that, so by then the
-// client has read the head and is in the body.
+// TestShardGetCancelledMidBody: a shard GET whose request is cancelled, or
+// runs out of time, while the body is still arriving — a hedge loser, a
+// request deadline — returns the context's error, not a short read, not
+// ErrOSDDown and not the connection's own i/o timeout (its deadline is
+// ctx's, and it may fire before ctx's timer does). The daemon cancels, or
+// stops sending until the deadline has passed, once it has sent half the
+// body: the socket buffers at both ends are kept small and hold far less
+// than that, so by then the client has read the head and is in the body.
 func TestShardGetCancelledMidBody(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	release := make(chan struct{})
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Length", "2097152")
-		_, _ = w.Write(make([]byte, 1<<20))
-		w.(http.Flusher).Flush()
+	for _, want := range []error{context.Canceled, context.DeadlineExceeded} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		if want == context.DeadlineExceeded {
+			ctx = lateTimer{ctx, time.Now().Add(300 * time.Millisecond)}
+		}
+		release := make(chan struct{})
+		srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", "2097152")
+			_, _ = w.Write(make([]byte, 1<<20))
+			w.(http.Flusher).Flush()
+			if want == context.Canceled {
+				cancel()
+			}
+			<-release
+		}))
+		srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				_ = c.(*net.TCPConn).SetWriteBuffer(64 << 10)
+			}
+		}
+		srv.Start()
+		oc := NewOSDClient(0, srv.URL)
+		oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if err == nil {
+				err = c.(*net.TCPConn).SetReadBuffer(64 << 10)
+			}
+			return c, err
+		}
+		data, err := oc.Get(ctx, "k", 0)
 		cancel()
-		<-release
-	}))
-	srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			_ = c.(*net.TCPConn).SetWriteBuffer(64 << 10)
+		close(release)
+		srv.Close()
+		if data != nil || !errors.Is(err, want) || errors.Is(err, ErrOSDDown) {
+			t.Fatalf("got %d bytes, err %v, want %v", len(data), err, want)
 		}
-	}
-	srv.Start()
-	defer srv.Close()
-	defer close(release)
-	oc := NewOSDClient(0, srv.URL)
-	oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
-		if err == nil {
-			err = c.(*net.TCPConn).SetReadBuffer(64 << 10)
+		if len(oc.idle) != 0 {
+			t.Fatalf("%v: the connection went back to the pool", want)
 		}
-		return c, err
-	}
-	data, err := oc.Get(ctx, "k", 0)
-	if data != nil || !errors.Is(err, context.Canceled) || errors.Is(err, ErrOSDDown) {
-		t.Fatalf("got %d bytes, err %v, want context.Canceled", len(data), err)
-	}
-	if len(oc.idle) != 0 {
-		t.Fatal("the cancelled connection went back to the pool")
 	}
 }
 
-// TestOSDPutReturnsAfterItsBody: a daemon that answers 503 before reading
-// an 8 MiB shard body, and then neither reads it nor closes the
-// connection, leaves the body unsent when the answer is in. Put borrows
-// its buffer only until it returns (ShardStore.Put), so it must not return
-// while anything may still send from it; the caller then overwrites the
-// buffer, which the race detector would flag if the body were still being
-// sent. Here Put returns when its deadline cuts the write.
+// lateTimer is a context whose deadline passes long before its own timer
+// fires: the order in which a connection's deadline can beat ctx's timer.
+type lateTimer struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c lateTimer) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestOSDPutReturnsAfterItsBody: a daemon answers 503 before reading an
+// 8 MiB shard body, and then neither reads it nor closes the connection.
+// Put, with no deadline, hears that answer while its write is stuck, cuts
+// the write and returns the 503's mapping with the daemon's message, well
+// inside a second. Put borrows its buffer only until it returns
+// (ShardStore.Put), so nothing may send from it after that; the test then
+// overwrites the buffer, which the race detector would flag if the body
+// were still being sent.
 func TestOSDPutReturnsAfterItsBody(t *testing.T) {
 	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		const answer = `{"error":"busy"}`
-		w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_, _ = io.WriteString(w, answer)
-		w.(http.Flusher).Flush()
-		<-release // neither read the body nor close the connection
-	}))
+	srv := httptest.NewServer(stalledBusy(release))
 	defer srv.Close()
 	defer close(release)
 	oc := NewOSDClient(0, srv.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
 	data := payload(8<<20, 9)
-	if err := oc.Put(ctx, "k", 0, data); !errors.Is(err, ErrOSDDown) {
-		t.Fatalf("put to a daemon answering 503: %v, want ErrOSDDown", err)
+	put := make(chan error, 1)
+	go func() { put <- oc.Put(context.Background(), "k", 0, data) }()
+	select {
+	case err := <-put:
+		if !errors.Is(err, ErrOSDDown) || !strings.HasSuffix(err.Error(), ": busy") {
+			t.Fatalf("put to a daemon answering 503: %v, want ErrOSDDown ending in \": busy\"", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("put to a daemon that answered 503 and stalled has not returned after 1 s")
 	}
 	clear(data)
 }

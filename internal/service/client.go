@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -158,10 +159,6 @@ func decodeError(resp *http.Response) error {
 	return &StatusError{Code: resp.StatusCode, Message: body.Error, RetryAfter: resp.Header.Get("Retry-After")}
 }
 
-func defaultHTTPClient() *http.Client {
-	return newHTTPClient(http.DefaultTransport.(*http.Transport).DialContext)
-}
-
 // newHTTPClient is GateClient's HTTP client over connections from dial,
 // each wrapped in a bodyConn.
 func newHTTPClient(dial func(ctx context.Context, network, addr string) (net.Conn, error)) *http.Client {
@@ -180,16 +177,19 @@ func newHTTPClient(dial func(ctx context.Context, network, addr string) (net.Con
 // maxIdleOSDConns caps the keep-alive connections an OSDClient keeps idle.
 const maxIdleOSDConns = 64
 
+const (
+	earlyAnswerBody  = 64 << 10              // a body that may not fit the socket buffers
+	earlyAnswerDelay = 10 * time.Millisecond // runs this long before write hears an early answer
+)
+
 // OSDClient is the gateway-side ShardStore speaking HTTP/1.1 to one
 // ecstored daemon over keep-alive connections of its own. A request runs
 // on the caller's goroutine: its head and body leave in one writev, and
 // the answer is read off the connection's bufio.Reader.
 type OSDClient struct {
-	id     int
-	addr   string // the daemon's host:port, also the Host header
-	prefix string // baseURL's escaped path, before /v1/... and /healthz
-	err    error  // why baseURL names no daemon, if it does not
-	dial   func(ctx context.Context, network, addr string) (net.Conn, error)
+	id   int
+	addr string // the daemon's host:port, also the Host header
+	dial func(ctx context.Context, network, addr string) (net.Conn, error)
 
 	mu   sync.Mutex
 	idle []*osdConn // LIFO: the last one idled is the likeliest still open
@@ -198,24 +198,24 @@ type OSDClient struct {
 // osdConn is one keep-alive connection to the daemon.
 type osdConn struct {
 	net.Conn
-	br   *bufio.Reader
-	head []byte // the last request head, its buffer reused
+	br *bufio.Reader
+}
+
+// OSDAddr returns the host:port of an ecstored URL, http://host:port.
+func OSDAddr(baseURL string) (string, error) {
+	u, err := url.Parse(baseURL)
+	if err != nil || u.Port() == "" || baseURL != "http://"+u.Host {
+		return "", fmt.Errorf("service: OSD address %q is not http://host:port", baseURL)
+	}
+	return u.Host, nil
 }
 
 // NewOSDClient targets an ecstored daemon at baseURL (e.g.
-// "http://127.0.0.1:7411") as OSD id.
+// "http://127.0.0.1:7411") as OSD id; over one OSDAddr rejects, every op
+// is ErrOSDDown (the address is empty, and no dial reaches it).
 func NewOSDClient(id int, baseURL string) *OSDClient {
-	c := &OSDClient{id: id, dial: (&net.Dialer{}).DialContext}
-	u, err := url.Parse(baseURL)
-	switch {
-	case err != nil:
-		c.err = err
-	case u.Scheme != "http" || u.Port() == "":
-		c.err = fmt.Errorf("service: OSD address %q is not http://host:port", baseURL)
-	default:
-		c.addr, c.prefix = u.Host, strings.TrimRight(u.EscapedPath(), "/")
-	}
-	return c
+	addr, _ := OSDAddr(baseURL)
+	return &OSDClient{id: id, addr: addr, dial: (&net.Dialer{}).DialContext}
 }
 
 func shardPath(key string, shard int) string {
@@ -227,15 +227,13 @@ func shardPath(key string, shard int) string {
 // two ways a daemon is down from the gateway's view both come back as
 // ErrOSDDown: it cannot be reached (dial, transport or deadline failure
 // before an answer), or it answers 503; a cancellation while the body is
-// arriving returns ctx's error. ctx's deadline is the connection's, and
-// its cancellation cuts the connection, which is never reused then. Every
-// shard op is idempotent, so a reused connection that fails before a byte
-// of the answer arrives (the daemon closed it while idle, or restarted) is
+// arriving returns ctx's error, also when the connection's deadline beats
+// ctx's timer. ctx's deadline is the connection's, and its cancellation
+// cuts the connection, which is never reused then. Every shard op is
+// idempotent, so a reused connection that fails before a byte of the
+// answer arrives (the daemon closed it while idle, or restarted) is
 // redialled once.
 func (c *OSDClient) call(ctx context.Context, method, path string, body []byte, out any) error {
-	if c.err != nil {
-		return fmt.Errorf("%w: %v", ErrOSDDown, c.err)
-	}
 	for fresh := false; ; fresh = true {
 		cn, reused, err := c.conn(ctx, fresh)
 		if err != nil {
@@ -244,9 +242,9 @@ func (c *OSDClient) call(ctx context.Context, method, path string, body []byte, 
 		deadline, _ := ctx.Deadline()
 		_ = cn.SetDeadline(deadline)
 		stop := context.AfterFunc(ctx, func() { cn.Close() })
-		werr := cn.write(ctx, method, c.addr, c.prefix+path, body)
+		werr := cn.write(ctx, method, c.addr, path, body)
 		// A daemon that answers without reading the body (a 503, a 429)
-		// fails the write; its answer is read all the same.
+		// fails or cuts the write; its answer is read all the same.
 		_, err = cn.br.Peek(1)
 		answered := err == nil
 		var resp *http.Response
@@ -271,8 +269,8 @@ func (c *OSDClient) call(ctx context.Context, method, path string, body []byte, 
 		}
 		var se *StatusError
 		switch {
-		case rb.err != nil && ctx.Err() != nil:
-			return ctx.Err()
+		case rb.err != nil && (ctx.Err() != nil || errors.Is(rb.err, os.ErrDeadlineExceeded)):
+			return cmp.Or(ctx.Err(), context.DeadlineExceeded)
 		case errors.As(err, &se) && se.Code == http.StatusServiceUnavailable:
 			return fmt.Errorf("%w: %s", ErrOSDDown, se.Message)
 		}
@@ -321,9 +319,12 @@ func (c *OSDClient) idled(cn *osdConn) {
 
 // write sends the request head and body in one writev (a write each on a
 // connection that is not a *net.TCPConn). The request ID is forwarded
-// unless it would break the head.
+// unless it would break the head. A daemon may answer a large body (a 503,
+// a 429) unread and stall with the connection open, so a goroutine started
+// after earlyAnswerDelay waits for that answer and cuts the write; write
+// returns only after it, so the body and cn.br are the caller's again.
 func (cn *osdConn) write(ctx context.Context, method, host, path string, body []byte) error {
-	h := append(cn.head[:0], method...)
+	h := append(make([]byte, 0, 256), method...)
 	h = append(append(append(h, ' '), path...), " HTTP/1.1\r\nHost: "...)
 	h = append(h, host...)
 	if body != nil {
@@ -332,10 +333,19 @@ func (cn *osdConn) write(ctx context.Context, method, host, path string, body []
 	if id := RequestIDFrom(ctx); id != "" && !strings.ContainsAny(id, "\r\n") {
 		h = append(append(h, "\r\n"+RequestIDHeader+": "...), id...)
 	}
-	cn.head = append(h, "\r\n\r\n"...)
-	bufs := net.Buffers{cn.head, body}
-	if len(body) == 0 {
-		bufs = bufs[:1]
+	bufs := net.Buffers{append(h, "\r\n\r\n"...), body} // writev skips an empty body
+	if len(body) >= earlyAnswerBody {
+		heard := make(chan struct{})
+		t := time.AfterFunc(earlyAnswerDelay, func() {
+			_, _ = cn.br.Peek(1)
+			_ = cn.SetWriteDeadline(time.Now())
+			close(heard)
+		})
+		defer func() {
+			if !t.Stop() {
+				<-heard
+			}
+		}()
 	}
 	_, err := bufs.WriteTo(cn.Conn)
 	return err
@@ -417,7 +427,7 @@ type GateClient struct {
 func NewGateClient(baseURL string) *GateClient {
 	return &GateClient{
 		base: strings.TrimRight(baseURL, "/"),
-		hc:   defaultHTTPClient(),
+		hc:   newHTTPClient(http.DefaultTransport.(*http.Transport).DialContext),
 		// Up to 2 re-sends, 50ms exponential base, both the backoff and
 		// any server Retry-After hint capped at 500ms so drivers and
 		// tests stay fast.
@@ -523,18 +533,6 @@ func (c *GateClient) DeleteObject(ctx context.Context, key string) error {
 func (c *GateClient) Status(ctx context.Context) (st StatusInfo, err error) {
 	err = c.call(ctx, http.MethodGet, "/v1/status", nil, &st)
 	return st, err
-}
-
-// OSDs fetches /v1/osds.
-func (c *GateClient) OSDs(ctx context.Context) (out []OSDStatus, err error) {
-	err = c.call(ctx, http.MethodGet, "/v1/osds", nil, &out)
-	return out, err
-}
-
-// Faults fetches every OSD's injection spec and stats.
-func (c *GateClient) Faults(ctx context.Context) (out []FaultStatus, err error) {
-	err = c.call(ctx, http.MethodGet, "/v1/faults", nil, &out)
-	return out, err
 }
 
 // SetFault replaces one OSD's fault spec through the gateway's admin

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -182,9 +183,9 @@ func TestShardConnCancelAfterAnswer(t *testing.T) {
 }
 
 // TestShardConnRedialAfterRestart: the daemon restarts on the same address
-// before each of a PUT, a GET and a DELETE, so each finds its idle
-// connection closed. Each succeeds through one new connection, and no
-// error surfaces.
+// before each of a PUT of 64 KiB and one of 1 MiB, a GET and a DELETE, so
+// each finds its idle connection closed. Each succeeds through one new
+// connection, and no error surfaces.
 func TestShardConnRedialAfterRestart(t *testing.T) {
 	h := NewOSDServer(0, NewMemStore(0), nil).Handler()
 	srv := httptest.NewServer(h)
@@ -216,6 +217,7 @@ func TestShardConnRedialAfterRestart(t *testing.T) {
 		op   func() error
 	}{
 		{"put", func() error { return oc.Put(ctx, "k", 0, data) }},
+		{"put over earlyAnswerBody", func() error { return oc.Put(ctx, "k", 1, payload(1<<20, 4)) }},
 		{"get", func() error {
 			got, err := oc.Get(ctx, "k", 0)
 			if err == nil && !bytes.Equal(got, data) {
@@ -250,23 +252,39 @@ func (rejectAll) Release(qos.Request) {}
 // net/http's server then closes the connection, and the rest of the body
 // fails to send; Put still reads the answer the daemon sent before it
 // closed, as net/http's client does, and returns that status's mapping
-// well inside its 2 s deadline.
+// well inside its 2 s deadline. A daemon that answers 503 and then stalls
+// with the connection open gets the same: a body of earlyAnswerBody or
+// more is cut once the answer is in, and a 2 KiB one fits the socket
+// buffers, so it is sent whole and the answer is read after it.
 func TestShardConnEarlyAnswer(t *testing.T) {
-	data := payload(8<<20, 4)
+	release := make(chan struct{})
+	var srvs []*httptest.Server
+	defer func() {
+		close(release)
+		for _, srv := range srvs {
+			srv.Close()
+		}
+	}()
+	busy := func(err error) bool { return errors.Is(err, ErrOSDDown) && strings.HasSuffix(err.Error(), ": busy") }
+	stalled := stalledBusy(release)
 	for _, c := range []struct {
 		name  string
+		size  int
 		h     http.Handler
 		check func(error) bool
 	}{
-		{"503", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		{"503", 8 << 20, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "busy"})
-		}), func(err error) bool { return errors.Is(err, ErrOSDDown) && strings.HasSuffix(err.Error(), ": busy") }},
-		{"429", AdmissionMiddleware(rejectAll{}, http.NotFoundHandler()), func(err error) bool {
+		}), busy},
+		{"429", 8 << 20, AdmissionMiddleware(rejectAll{}, http.NotFoundHandler()), func(err error) bool {
 			var se *StatusError
 			return errors.As(err, &se) && se.Code == http.StatusTooManyRequests && se.RetryAfter == "1"
 		}},
+		{"stalled 503", 8 << 20, stalled, busy},
+		{"stalled 503, 2 KiB", 2 << 10, stalled, busy},
 	} {
 		srv := httptest.NewServer(c.h)
+		srvs = append(srvs, srv)
 		oc := NewOSDClient(0, srv.URL)
 		var failed atomic.Bool
 		oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
@@ -275,18 +293,104 @@ func TestShardConnEarlyAnswer(t *testing.T) {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		start := time.Now()
-		err := oc.Put(ctx, "k", 0, data)
+		err := oc.Put(ctx, "k", 0, payload(c.size, 4))
 		took := time.Since(start)
 		cancel()
-		srv.Close()
 		if !c.check(err) {
 			t.Fatalf("%s: put got %v", c.name, err)
 		}
-		if !failed.Load() {
-			t.Fatalf("%s: the whole body was sent, want a write cut short by the daemon", c.name)
+		if cut := c.size >= earlyAnswerBody; failed.Load() != cut {
+			t.Fatalf("%s: the write failed: %v, want %v", c.name, failed.Load(), cut)
 		}
 		if took > 1500*time.Millisecond {
 			t.Fatalf("%s: put took %v, want well inside its 2 s deadline", c.name, took)
+		}
+	}
+}
+
+// stalledBusy answers 503 "busy" at once, and then, until release is
+// closed, neither reads the request body nor closes the connection.
+func stalledBusy(release <-chan struct{}) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		const answer = `{"error":"busy"}`
+		w.Header().Set("Content-Length", strconv.Itoa(len(answer)))
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, answer)
+		w.(http.Flusher).Flush()
+		<-release
+	})
+}
+
+// TestShardConnListenerLeavesNoDeadline: a daemon that waits longer than
+// earlyAnswerDelay before reading a 1 MiB body, over socket buffers far
+// smaller than that, keeps the write running until the listener starts.
+// The daemon then reads it all and answers 200: the Put succeeds, and the
+// GET after it reuses the connection (one dial in all), so the write
+// deadline with which a listener cuts a write is not left on a pooled
+// connection.
+func TestShardConnListenerLeavesNoDeadline(t *testing.T) {
+	h := NewOSDServer(0, NewMemStore(0), nil).Handler()
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(5 * earlyAnswerDelay)
+		h.ServeHTTP(w, r)
+	}))
+	srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			_ = c.(*net.TCPConn).SetReadBuffer(64 << 10)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	oc := NewOSDClient(0, srv.URL)
+	var dials atomic.Int64
+	oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+		if err == nil {
+			err = c.(*net.TCPConn).SetWriteBuffer(64 << 10)
+		}
+		return c, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	data := payload(1<<20, 6)
+	if err := oc.Put(ctx, "k", 0, data); err != nil {
+		t.Fatalf("put to a daemon that reads late: %v", err)
+	}
+	if got, err := oc.Get(ctx, "k", 0); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get after it: err=%v match=%v", err, bytes.Equal(got, data))
+	}
+	if n := dials.Load(); n != 1 {
+		t.Fatalf("a put whose write the listener waited on, and a get after it, dialled %d times, want 1", n)
+	}
+}
+
+// TestOSDAddr: an ecstored URL is http://host:port and nothing else.
+// NewOSDClient over any other URL fails every op with ErrOSDDown.
+func TestOSDAddr(t *testing.T) {
+	for in, want := range map[string]string{
+		"http://127.0.0.1:7411": "127.0.0.1:7411",
+		"http://h:1/":           "",
+		"http://[::1]:7411":     "[::1]:7411",
+		"http://h":              "",
+		"https://h:1":           "",
+		"h:1":                   "",
+		"http://h:1/base":       "",
+		"http://h:1?q":          "",
+		"http://user@h:1":       "",
+		"http://h:x":            "",
+		"":                      "",
+	} {
+		got, err := OSDAddr(in)
+		if got != want || (err == nil) != (want != "") {
+			t.Errorf("OSDAddr(%q) = %q, %v; want %q", in, got, err, want)
+		}
+		if want != "" {
+			continue
+		}
+		oc := NewOSDClient(0, in)
+		if err := oc.Put(context.Background(), "k", 0, []byte("x")); !errors.Is(err, ErrOSDDown) {
+			t.Errorf("put through NewOSDClient(%q): %v, want ErrOSDDown", in, err)
 		}
 	}
 }
@@ -360,7 +464,7 @@ func FuzzShardResponse(f *testing.F) {
 				_, _ = srv.Write(reply)
 				srv.Close()
 			}()
-			oc := NewOSDClient(0, "http://osd.test")
+			oc := NewOSDClient(0, "http://osd.test:80")
 			dialled := false
 			oc.dial = func(context.Context, string, string) (net.Conn, error) {
 				if dialled {

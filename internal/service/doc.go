@@ -90,16 +90,17 @@
 // the hop to ecstored, OSDClient speaks HTTP/1.1 itself over keep-alive
 // connections the gateway owns: a shard op runs on the caller's goroutine,
 // and its request head and shard leave in one writev from the caller's
-// buffer. GateClient uploads go through net/http, which is handed the body
-// in place (lentBody) over a connection (bodyConn) that sends it in one
-// write where net/http would copy it through a 32 KiB buffer. So no
-// payload byte is copied in user space on the hop between gateway and
-// ecstored or on the client's upload, and in steady state the
-// gateway allocates nothing sized by the object and ecstored only the
-// shards it stores. A shard still crosses the seam as one []byte, so every
-// process holds whole shards; streaming them (ROADMAP item 1) waits for
-// the benchmark harness, whose tracedStore and stage replay speak that
-// []byte interface.
+// buffer. A daemon may answer (a 503, a 429) before it reads a shard and
+// then stall; a write of 64 KiB or more still running after 10 ms gets a
+// goroutine that waits for that answer and cuts the write once it is in.
+// GateClient uploads go through net/http, handed the body in place
+// (lentBody) over a connection that sends it in one write (bodyConn). So no
+// payload byte is copied in user space between client, gateway and
+// ecstored; in steady state the gateway allocates nothing sized by the
+// object and ecstored only the shards it stores. A shard still crosses the
+// seam as one []byte, so every process holds whole shards; streaming them
+// (ROADMAP item 1) waits for the benchmark harness, whose tracedStore and
+// stage replay speak that []byte interface.
 //
 // # Production concerns
 //
@@ -124,7 +125,8 @@
 //	faultstore.go        how an OSD fails: the one fault injector, wrapped
 //	                     around every backend's store by NewGateway
 //	client.go            OSDClient, HTTP/1.1 on the caller's goroutine over
-//	                     its own connections; GateClient over net/http
+//	                     its own connections, plus a listener for an early
+//	                     answer to a large body; GateClient over net/http
 //	                     (send); both finish answers through finish
 //	shardbuf.go          the shard-buffer pool the data path recycles
 //	                     through

@@ -994,8 +994,8 @@ func TestFaultAdminEndpoints(t *testing.T) {
 	if got := gw.FaultStore(2).Fault(); got != spec {
 		t.Fatalf("gateway spec %+v, want %+v", got, spec)
 	}
-	list, err := gc.Faults(ctx)
-	if err != nil {
+	var list []FaultStatus
+	if err := gc.call(ctx, http.MethodGet, "/v1/faults", nil, &list); err != nil {
 		t.Fatalf("list faults: %v", err)
 	}
 	if len(list) != 6 || list[2].Spec != spec || list[0].Spec.Active() {
