@@ -144,12 +144,6 @@ func (c *Cluster) OSDs() []*OSD { return c.osds }
 // Nodes returns the storage nodes.
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// Client returns the client node.
-func (c *Cluster) Client() *Node { return c.client }
-
-// PublicNetwork returns the client-facing network.
-func (c *Cluster) PublicNetwork() *netsim.Network { return c.public }
-
 // PrivateNetwork returns the storage-side network.
 func (c *Cluster) PrivateNetwork() *netsim.Network { return c.private }
 
@@ -274,24 +268,21 @@ func perKB(n int64, d time.Duration) time.Duration {
 	return time.Duration(n) * d / 1024
 }
 
-// execRecv charges message-reception cost on a node for a payload size.
-func (c *Cluster) execRecv(p *sim.Proc, n *Node, payload int64) {
+// message appends one message's hold chain: the send cost on the sender's
+// CPU, the transfer over net, the receive cost on the receiver's CPU.
+func (c *Cluster) message(ss []sim.Stage, net *netsim.Network, from, to *Node, payload int64) []sim.Stage {
 	cm := &c.cfg.Cost
-	n.CPU.Exec(p, cm.MsgRecvUser+perKB(payload, cm.MsgCopyPerKB), cm.MsgRecvKernel)
+	copying := perKB(payload, cm.MsgCopyPerKB)
+	ss = from.CPU.burst(ss, cm.MsgSendUser+copying, cm.MsgSendKernel)
+	ss = net.Message(ss, from.Name, to.Name, payload)
+	return to.CPU.burst(ss, cm.MsgRecvUser+copying, cm.MsgRecvKernel)
 }
 
-// execSend charges message-transmission cost on a node for a payload size.
-func (c *Cluster) execSend(p *sim.Proc, n *Node, payload int64) {
-	cm := &c.cfg.Cost
-	n.CPU.Exec(p, cm.MsgSendUser+perKB(payload, cm.MsgCopyPerKB), cm.MsgSendKernel)
-}
-
-// sendPrivate moves payload bytes between storage nodes, charging CPU at
-// both ends.
-func (c *Cluster) sendPrivate(p *sim.Proc, from, to *Node, payload int64) {
-	c.execSend(p, from, payload)
-	c.private.Send(p, from.Name, to.Name, payload)
-	c.execRecv(p, to, payload)
+// send moves payload bytes between two nodes over net as one hold: the send
+// cost on the sender's CPU, the transfer, the receive cost on the receiver's.
+func (c *Cluster) send(p *sim.Proc, net *netsim.Network, from, to *Node, payload int64) {
+	var b [5]sim.Stage
+	p.Hold(c.message(b[:0], net, from, to, payload)...)
 }
 
 // pushShard writes [off, off+n) of obj on the OSD `to` on behalf of `from` —
@@ -307,10 +298,11 @@ func (c *Cluster) pushShard(sp *sim.Proc, from, to *OSD, obj string, off int64, 
 		from.Store.Write(sp, obj, off, payload, n)
 		return
 	}
-	c.sendPrivate(sp, from.Node, to.Node, n)
-	to.Node.CPU.Exec(sp, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)
+	var b [6]sim.Stage
+	ss := c.message(b[:0], c.private, from.Node, to.Node, n)
+	sp.Hold(to.Node.CPU.burst(ss, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)...)
 	to.Store.Write(sp, obj, off, payload, n)
-	c.sendPrivate(sp, to.Node, from.Node, 0)
+	c.send(sp, c.private, to.Node, from.Node, 0)
 }
 
 // pullShard reads [off, off+n) of obj from the OSD `from` into the OSD `to`:
@@ -324,35 +316,18 @@ func (c *Cluster) pullShard(sp *sim.Proc, to, from *OSD, obj string, off, n int6
 		to.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
 		return to.Store.Read(sp, obj, off, n)
 	}
-	c.sendPrivate(sp, to.Node, from.Node, 0)
-	from.Node.CPU.Exec(sp, cm.DispatchUser, cm.StoreSubmitKern)
+	var b [6]sim.Stage
+	ss := c.message(b[:0], c.private, to.Node, from.Node, 0)
+	sp.Hold(from.Node.CPU.burst(ss, cm.DispatchUser, cm.StoreSubmitKern)...)
 	data := from.Store.Read(sp, obj, off, n)
-	c.sendPrivate(sp, from.Node, to.Node, n)
+	c.send(sp, c.private, from.Node, to.Node, n)
 	return data
-}
-
-// sendPublicToPrimary moves payload from the client to a storage node.
-func (c *Cluster) sendPublicToPrimary(p *sim.Proc, to *Node, payload int64) {
-	cm := &c.cfg.Cost
-	c.client.CPU.Exec(p, cm.MsgSendUser+perKB(payload, cm.MsgCopyPerKB), cm.MsgSendKernel)
-	c.public.Send(p, ClientNode, to.Name, payload)
-	c.execRecv(p, to, payload)
-}
-
-// sendPublicToClient moves payload from a storage node to the client.
-func (c *Cluster) sendPublicToClient(p *sim.Proc, from *Node, payload int64) {
-	cm := &c.cfg.Cost
-	c.execSend(p, from, payload)
-	c.public.Send(p, from.Name, ClientNode, payload)
-	c.client.CPU.Exec(p, cm.MsgRecvUser+perKB(payload, cm.MsgCopyPerKB), cm.MsgRecvKernel)
 }
 
 // clientDispatch charges the serialized librbd image-queue section plus
 // client library CPU for one block-layer op.
 func (c *Cluster) clientDispatch(p *sim.Proc) {
 	cm := &c.cfg.Cost
-	c.imageQueue.Acquire(p, 1)
-	p.Sleep(cm.ClientDispatchSerial)
-	c.imageQueue.Release(1)
-	c.client.CPU.Exec(p, cm.ClientOpUser, 0)
+	b := [2]sim.Stage{{Res: c.imageQueue, N: 1, D: cm.ClientDispatchSerial}}
+	p.Hold(c.client.CPU.burst(b[:1], cm.ClientOpUser, 0)...)
 }

@@ -20,28 +20,39 @@ type CPU struct {
 	ctxSwitch  int64
 	windowFrom sim.Time
 	e          *sim.Engine
+	done       func([]sim.Stage) // account, bound once
 }
 
 func newCPU(e *sim.Engine, name string, cores int, cm *CostModel) *CPU {
-	return &CPU{cores: sim.NewResource(e, name+"/cpu", cores), cm: cm, e: e}
+	c := &CPU{cores: sim.NewResource(e, name+"/cpu", cores), cm: cm, e: e}
+	c.done = c.account
+	return c
 }
 
 // Exec runs a CPU burst: it occupies one core for user+kernel time, charges
 // the per-mode accounting, and counts the context switches of dispatching
 // the burst. Zero-duration bursts are free.
 func (c *CPU) Exec(p *sim.Proc, user, kernel time.Duration) {
+	var b [1]sim.Stage
+	p.Hold(c.burst(b[:0], user, kernel)...)
+}
+
+// burst appends Exec's burst to a hold chain: no stage when it is free.
+func (c *CPU) burst(ss []sim.Stage, user, kernel time.Duration) []sim.Stage {
 	if user < 0 || kernel < 0 {
 		panic("core: negative CPU burst")
 	}
-	total := user + kernel
-	if total == 0 {
-		return
+	if user+kernel == 0 {
+		return ss
 	}
-	c.cores.Acquire(p, 1)
-	p.Sleep(total)
-	c.cores.Release(1)
-	c.userBusy += int64(user)
-	c.kernelBusy += int64(kernel)
+	return append(ss, sim.Stage{Res: c.cores, N: 1, D: user + kernel, Done: c.done, Arg: int64(user)})
+}
+
+// account charges a finished burst (Arg is its user time).
+func (c *CPU) account(rest []sim.Stage) {
+	s := &rest[0]
+	c.userBusy += s.Arg
+	c.kernelBusy += int64(s.D) - s.Arg
 	c.ctxSwitch += c.cm.ContextSwitchesPerExec
 }
 

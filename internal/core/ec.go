@@ -89,7 +89,7 @@ func (pl *Pool) readEC(p *sim.Proc, obj string, off, length int64) ([]byte, erro
 	}
 	prim := pl.c.osds[primID]
 
-	pl.c.sendPublicToPrimary(p, prim.Node, 0)
+	pl.c.send(p, pl.c.public, pl.c.client, prim.Node, 0)
 
 	prim.Workers.Acquire(p, 1)
 	pg.lock.Acquire(p, 1)
@@ -141,7 +141,7 @@ func (pl *Pool) readEC(p *sim.Proc, obj string, off, length int64) ([]byte, erro
 		data = assembleRead(g, stripes, off, length)
 	}
 
-	pl.c.sendPublicToClient(p, prim.Node, length)
+	pl.c.send(p, pl.c.public, prim.Node, pl.c.client, length)
 	return data, nil
 }
 
@@ -208,7 +208,7 @@ func (pl *Pool) writeEC(p *sim.Proc, obj string, off int64, data []byte, length 
 	}
 	prim := pl.c.osds[primID]
 
-	pl.c.sendPublicToPrimary(p, prim.Node, length)
+	pl.c.send(p, pl.c.public, pl.c.client, prim.Node, length)
 
 	prim.Workers.Acquire(p, 1)
 	pg.lock.Acquire(p, 1)
@@ -279,7 +279,7 @@ func (pl *Pool) writeEC(p *sim.Proc, obj string, off int64, data []byte, length 
 	prim.Workers.Release(1)
 	commits.Wait(p)
 
-	pl.c.sendPublicToClient(p, prim.Node, 0)
+	pl.c.send(p, pl.c.public, prim.Node, pl.c.client, 0)
 	return nil
 }
 

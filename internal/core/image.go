@@ -10,9 +10,10 @@ import (
 // libRBD maps a block offset to the object covering it and forwards the
 // request through libRADOS to that object's PG.
 type Image struct {
-	pool *Pool
-	name string
-	size int64
+	pool  *Pool
+	name  string
+	size  int64
+	names []string // ObjectName by index, built on first use
 }
 
 // CreateImage creates a block image of the given size on the pool.
@@ -24,7 +25,9 @@ func (c *Cluster) CreateImage(pool, name string, size int64) (*Image, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("core: image size must be positive")
 	}
-	return &Image{pool: pl, name: name, size: size}, nil
+	img := &Image{pool: pl, name: name, size: size}
+	img.names = make([]string, img.Objects())
+	return img, nil
 }
 
 // Name returns the image name.
@@ -45,7 +48,13 @@ func (img *Image) Objects() int64 {
 // ObjectName returns the RADOS object name for object index idx, following
 // the rbd_data naming convention.
 func (img *Image) ObjectName(idx int64) string {
-	return fmt.Sprintf("rbd_data.%s.%016x", img.name, idx)
+	if idx < 0 || idx >= int64(len(img.names)) {
+		return fmt.Sprintf("rbd_data.%s.%016x", img.name, idx)
+	}
+	if img.names[idx] == "" {
+		img.names[idx] = fmt.Sprintf("rbd_data.%s.%016x", img.name, idx)
+	}
+	return img.names[idx]
 }
 
 func (img *Image) checkRange(off, length int64) error {

@@ -35,9 +35,6 @@ func (pl *Pool) SetRecoveryRate(bytesPerSec int64) {
 	pl.c.emitEvent("recovery-rate", fmt.Sprintf("pool %s: %d B/s (0 = unthrottled)", pl.name, bytesPerSec))
 }
 
-// RecoveryRate returns the current repair bandwidth cap (0 = unthrottled).
-func (pl *Pool) RecoveryRate() int64 { return pl.recoveryRate }
-
 // paceState meters one Recover/Backfill pass against the pool's recovery
 // rate. The reference point rebases whenever the rate changes mid-pass, so a
 // new cap applies from the change onward instead of retroactively charging

@@ -21,7 +21,7 @@ func (pl *Pool) writeReplicated(p *sim.Proc, obj string, off int64, data []byte,
 	}
 	prim := pl.c.osds[primID]
 
-	pl.c.sendPublicToPrimary(p, prim.Node, length)
+	pl.c.send(p, pl.c.public, pl.c.client, prim.Node, length)
 
 	prim.Workers.Acquire(p, 1)
 	pg.lock.Acquire(p, 1)
@@ -48,7 +48,7 @@ func (pl *Pool) writeReplicated(p *sim.Proc, obj string, off int64, data []byte,
 	prim.Workers.Release(1)
 	commits.Wait(p)
 
-	pl.c.sendPublicToClient(p, prim.Node, 0)
+	pl.c.send(p, pl.c.public, prim.Node, pl.c.client, 0)
 	return nil
 }
 
@@ -66,7 +66,7 @@ func (pl *Pool) readReplicated(p *sim.Proc, obj string, off, length int64) ([]by
 	}
 	prim := pl.c.osds[primID]
 
-	pl.c.sendPublicToPrimary(p, prim.Node, 0)
+	pl.c.send(p, pl.c.public, pl.c.client, prim.Node, 0)
 
 	prim.Workers.Acquire(p, 1)
 	pg.lock.Acquire(p, 1)
@@ -79,6 +79,6 @@ func (pl *Pool) readReplicated(p *sim.Proc, obj string, off, length int64) ([]by
 		return nil, err
 	}
 
-	pl.c.sendPublicToClient(p, prim.Node, length)
+	pl.c.send(p, pl.c.public, prim.Node, pl.c.client, length)
 	return results[0], nil
 }

@@ -61,12 +61,16 @@ type nic struct {
 type Network struct {
 	cfg   Config
 	e     *sim.Engine
-	nodes map[string]*nic
+	nodes map[string]int // index into nics
+	nics  []nic
 
 	bytes     stats.Counter // payload+overhead bytes crossing the wire
 	msgs      stats.Counter
 	loopBytes stats.Counter // same-node bytes (not network traffic)
 	series    *stats.Series // optional per-interval delivered-bytes series
+
+	// Hold-chain hooks, bound once: propagate, delivered, looped.
+	propagateFn, deliveredFn, loopedFn func([]sim.Stage)
 }
 
 // New creates a network with no nodes.
@@ -77,7 +81,9 @@ func New(e *sim.Engine, cfg Config) *Network {
 	if cfg.Latency < 0 || cfg.MsgOverhead < 0 {
 		panic("netsim: negative latency or overhead")
 	}
-	return &Network{cfg: cfg, e: e, nodes: map[string]*nic{}}
+	n := &Network{cfg: cfg, e: e, nodes: map[string]int{}}
+	n.propagateFn, n.deliveredFn, n.loopedFn = n.propagate, n.delivered, n.looped
+	return n
 }
 
 // Name returns the network name ("public", "private").
@@ -88,10 +94,11 @@ func (n *Network) AddNode(name string) {
 	if _, dup := n.nodes[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
-	n.nodes[name] = &nic{
+	n.nodes[name] = len(n.nics)
+	n.nics = append(n.nics, nic{
 		tx: sim.NewResource(n.e, n.cfg.Name+"/"+name+"/tx", 1),
 		rx: sim.NewResource(n.e, n.cfg.Name+"/"+name+"/rx", 1),
-	}
+	})
 }
 
 // HasNode reports whether the node is attached.
@@ -104,43 +111,53 @@ func (n *Network) HasNode(name string) bool {
 // calling process until the message is fully delivered. Same-node transfers
 // use the loopback path.
 func (n *Network) Send(p *sim.Proc, from, to string, payload int64) {
+	var b [3]sim.Stage
+	p.Hold(n.Message(b[:0], from, to, payload)...)
+}
+
+// Message appends Send's stages to a hold chain, so a caller can run a send
+// and the CPU work around it as one Proc.Hold: serialization on the
+// sender's TX queue, propagation, serialization on the receiver's RX queue,
+// then the traffic accounting — or, between co-located endpoints, the
+// loopback count and delay.
+func (n *Network) Message(ss []sim.Stage, from, to string, payload int64) []sim.Stage {
 	if payload < 0 {
 		panic("netsim: negative payload")
 	}
-	src, ok := n.nodes[from]
-	if !ok {
-		panic(fmt.Sprintf("netsim %s: unknown sender %q", n.cfg.Name, from))
-	}
-	dst, ok := n.nodes[to]
-	if !ok {
-		panic(fmt.Sprintf("netsim %s: unknown receiver %q", n.cfg.Name, to))
-	}
-	if from == to {
-		n.loopBytes.Add(payload)
-		p.Sleep(n.cfg.LoopbackLatency)
-		return
+	si, di := n.index(from, "sender"), n.index(to, "receiver")
+	if si == di {
+		return append(ss, sim.Stage{Done: n.loopedFn, Arg: payload}, sim.Stage{D: n.cfg.LoopbackLatency})
 	}
 	wire := payload + n.cfg.MsgOverhead
 	ser := time.Duration(wire * int64(time.Second) / n.cfg.Bandwidth)
+	return append(ss,
+		sim.Stage{Res: n.nics[si].tx, N: 1, D: ser, Done: n.propagateFn, Arg: int64(si)<<32 | int64(di)},
+		sim.Stage{D: n.cfg.Latency},
+		sim.Stage{Res: n.nics[di].rx, N: 1, D: ser, Done: n.deliveredFn, Arg: wire})
+}
 
-	src.tx.Acquire(p, 1)
-	p.Sleep(ser)
-	src.tx.Release(1)
-
-	lat := n.cfg.Latency
-	m := src.latMul
-	if dst.latMul > m {
-		m = dst.latMul
+// index returns the node's position in nics; role names it in the panic.
+func (n *Network) index(name, role string) int {
+	i, ok := n.nodes[name]
+	if !ok {
+		panic(fmt.Sprintf("netsim %s: unknown %s %q", n.cfg.Name, role, name))
 	}
+	return i
+}
+
+// propagate stretches the propagation stage after the TX stage (Arg holds
+// the sender's and receiver's nics index) by the larger of the two nodes'
+// multipliers in force as the message leaves the sender.
+func (n *Network) propagate(rest []sim.Stage) {
+	m := max(n.nics[rest[0].Arg>>32].latMul, n.nics[rest[0].Arg&(1<<32-1)].latMul)
 	if m > 0 && m != 1 {
-		lat = time.Duration(float64(lat) * m)
+		rest[1].D = time.Duration(float64(n.cfg.Latency) * m)
 	}
-	p.Sleep(lat)
+}
 
-	dst.rx.Acquire(p, 1)
-	p.Sleep(ser)
-	dst.rx.Release(1)
-
+// delivered counts a message of Arg wire bytes off the receiver's RX queue.
+func (n *Network) delivered(rest []sim.Stage) {
+	wire := rest[0].Arg
 	n.bytes.Add(wire)
 	n.msgs.Inc()
 	if n.series != nil {
@@ -148,30 +165,20 @@ func (n *Network) Send(p *sim.Proc, from, to string, payload int64) {
 	}
 }
 
+// looped counts Arg same-node bytes.
+func (n *Network) looped(rest []sim.Stage) { n.loopBytes.Add(rest[0].Arg) }
+
 // SetNodeLatencyMultiplier stretches (or, with 0 or 1, restores) the
 // propagation latency of every wire message to or from the node — the
 // network face of a gray-failed host. A message between two degraded nodes
 // pays the larger multiplier once. Serialization time is unchanged: the
 // link still moves bytes at full rate, it just answers late.
 func (n *Network) SetNodeLatencyMultiplier(name string, m float64) {
-	nd, ok := n.nodes[name]
-	if !ok {
-		panic(fmt.Sprintf("netsim %s: unknown node %q", n.cfg.Name, name))
-	}
+	i := n.index(name, "node")
 	if m < 0 {
 		panic(fmt.Sprintf("netsim %s: negative latency multiplier %g", n.cfg.Name, m))
 	}
-	nd.latMul = m
-}
-
-// NodeLatencyMultiplier returns the node's installed multiplier (0 or 1
-// when healthy).
-func (n *Network) NodeLatencyMultiplier(name string) float64 {
-	nd, ok := n.nodes[name]
-	if !ok {
-		panic(fmt.Sprintf("netsim %s: unknown node %q", n.cfg.Name, name))
-	}
-	return nd.latMul
+	n.nics[i].latMul = m
 }
 
 // Bytes returns total bytes delivered over the wire (payload + overhead),

@@ -8,9 +8,9 @@ import (
 
 // TestEngineSteadyStateAllocs is the engine-side allocation regression
 // (mirroring the rs package's steady-state allocs tests): once the event
-// heap, the live set and the worker pool have reached their high-water
-// capacity, a steady mix of fn events, sleeps, pooled spawns and contended
-// resource handoffs must allocate nothing — 0 allocs/event and 0
+// queue, the live set and the worker pool have reached their high-water
+// capacity, a steady mix of fn events, sleeps, pooled spawns, contended
+// resource handoffs and hold chains must allocate nothing — 0 allocs/event and 0
 // allocs/switch.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	e := newEngine(t)
@@ -28,6 +28,15 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	e.Go("sleeper", func(p *Proc) {
 		for {
 			p.Sleep(3 * time.Microsecond)
+		}
+	})
+	// ...a process running contended hold chains with a hook (steps in
+	// dispatch, the chain copied into the pooled Proc)...
+	held := int64(0)
+	done := func(rest []Stage) { held += rest[0].Arg }
+	e.Go("holder", func(p *Proc) {
+		for {
+			p.Hold(Stage{Res: r, N: 1, D: time.Microsecond, Done: done, Arg: 1}, Stage{D: 2 * time.Microsecond})
 		}
 	})
 	// ...and a driver that keeps spawning contending children (pooled
@@ -54,6 +63,9 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("steady state allocates: %.2f allocs/run over %d events (want 0)", allocs, events)
+	}
+	if held == 0 {
+		t.Fatal("no hold chain completed")
 	}
 	e.Drain()
 }

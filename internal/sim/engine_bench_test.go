@@ -8,8 +8,8 @@ import (
 // The BenchmarkEngine* suite measures the engine's steady-state hot paths:
 // events/second (Schedule), a process resuming itself (Sleep),
 // cross-process switches (PingPong), pooled spawn/complete cycles
-// (GoSwitch), and queued resource handoffs (ResourceContention). All report
-// allocations; TestEngineSteadyStateAllocs asserts they are zero in steady
+// (GoSwitch), queued resource handoffs (ResourceContention) and contended
+// hold chains (Hold). All report allocations; TestEngineSteadyStateAllocs asserts they are zero in steady
 // state.
 
 // BenchmarkEngineSchedule dispatches self-rescheduling fn events: the
@@ -92,6 +92,29 @@ func BenchmarkEngineResourceContention(b *testing.B) {
 				r.Acquire(p, 1)
 				p.Sleep(time.Nanosecond)
 				r.Release(1)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkEngineHold measures a contended 3-stage hold chain — a
+// capacity-1 resource held 1 ns, a 1 ns sleep, a second capacity-1 resource
+// held 1 ns, the CPU → wire → CPU shape of a simulated message — run by 4
+// processes, the steps between waits running in dispatch. One op is one
+// chain: compare with three ResourceContention ops.
+func BenchmarkEngineHold(b *testing.B) {
+	e := newEngine(b)
+	r1, r2 := NewResource(e, "tx", 1), NewResource(e, "rx", 1)
+	const workers = 4
+	per := b.N/workers + 1
+	for w := 0; w < workers; w++ {
+		e.Go("worker", func(p *Proc) {
+			for i := 0; i < per; i++ {
+				p.Hold(Stage{Res: r1, N: 1, D: time.Nanosecond}, Stage{D: time.Nanosecond},
+					Stage{Res: r2, N: 1, D: time.Nanosecond})
 			}
 		})
 	}

@@ -33,6 +33,11 @@ type Proc struct {
 	waitNext    *Proc
 	waitN       int  // units requested from a Resource
 	waitGranted bool // Resource grant already applied when killed mid-wait
+
+	// The running Hold chain (empty when none), its stage and phase.
+	chain []Stage
+	stage int
+	phase int8
 }
 
 type procKilled struct{}
@@ -117,10 +122,86 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d == 0 {
 		return
 	}
-	e := p.e
-	e.seq++
-	e.events.push(event{t: e.now + Time(d), seq: e.seq, proc: p, gen: p.parkGen})
+	p.e.after(d, p)
 	p.park()
+}
+
+// Stage is one step of a hold chain (Proc.Hold): hold N units of Res for D
+// (with Res nil, sleep D), then call Done with it and the stages after it —
+// Done may set a later stage's D from state at that instant — in engine
+// context, so Done must not block.
+type Stage struct {
+	Res  *Resource
+	N    int
+	D    time.Duration
+	Done func(rest []Stage)
+	Arg  int64 // free for Done
+}
+
+// A chain stage's phase: what it does next (acquire, start D, release).
+const (
+	holdTake = iota
+	holdTimed
+	holdDone
+)
+
+// Hold runs stages as one blocking call, with the events, Resource bookkeeping
+// and Done calls of Res.Acquire(p, N); p.Sleep(D); Res.Release(N); Done per
+// stage: dispatch runs each step while the process stays parked, and only the
+// chain's end resumes it. Killed by Drain, the process leaves a queue it
+// waits in or gives back units just granted, as Acquire does; killed while
+// holding, it releases nothing, as Sleep does.
+func (p *Proc) Hold(stages ...Stage) {
+	p.chain = append(p.chain[:0], stages...)
+	p.stage, p.phase = 0, holdTake
+	if p.advance() {
+		return
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			if s := &p.chain[p.stage]; p.phase == holdTimed {
+				s.Res.cancel(p, s.N) // killed while queued
+			}
+			p.chain = p.chain[:0]
+			panic(rec)
+		}
+	}()
+	p.park()
+}
+
+// advance runs the chain until a step waits on an event (a grant or a stage's
+// time) and reports whether it ended: in the process from Hold, then in
+// engine context.
+func (p *Proc) advance() bool {
+	for p.stage < len(p.chain) {
+		s := &p.chain[p.stage]
+		switch p.phase {
+		case holdTake:
+			p.phase = holdTimed
+			if s.Res != nil && !s.Res.acquire(p, s.N) {
+				return false // queued: the grant's wakeup comes back here
+			}
+			fallthrough
+		case holdTimed:
+			p.phase = holdDone
+			if s.D > 0 {
+				p.e.after(s.D, p)
+				return false
+			}
+			fallthrough
+		case holdDone:
+			if s.Res != nil {
+				s.Res.Release(s.N)
+			}
+			if s.Done != nil {
+				s.Done(p.chain[p.stage:])
+			}
+			p.stage++
+			p.phase = holdTake
+		}
+	}
+	p.chain = p.chain[:0]
+	return true
 }
 
 // SleepUntil suspends the process until virtual time t (no-op if t has

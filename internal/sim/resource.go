@@ -57,6 +57,21 @@ func (r *Resource) stamp() {
 // available. It panics if n exceeds the capacity (the request could never be
 // satisfied).
 func (r *Resource) Acquire(p *Proc, n int) {
+	if r.acquire(p, n) {
+		return
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.cancel(p, n)
+			panic(rec)
+		}
+	}()
+	p.park()
+}
+
+// acquire takes n units if the queue is empty and they are free, or queues
+// p for them and reports false; Release grants them with a wakeup.
+func (r *Resource) acquire(p *Proc, n int) bool {
 	if n <= 0 || n > r.capacity {
 		panic("sim: invalid acquire count")
 	}
@@ -64,26 +79,24 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if r.waiters.empty() && r.inUse+n <= r.capacity {
 		r.stamp()
 		r.inUse += n
-		return
+		return true
 	}
 	r.totalWaits++
 	p.waitN = n
 	p.waitGranted = false
 	r.waiters.push(p)
 	r.queued++
-	// If the process is killed while queued or just after being granted
-	// (Engine.Drain), undo its claim so the resource stays balanced.
-	defer func() {
-		if rec := recover(); rec != nil {
-			if p.waitGranted {
-				r.Release(n)
-			} else if r.waiters.remove(p) {
-				r.queued--
-			}
-			panic(rec)
-		}
-	}()
-	p.park()
+	return false
+}
+
+// cancel undoes the claim of a process killed (Engine.Drain) while queued
+// for n units or granted them but not yet resumed.
+func (r *Resource) cancel(p *Proc, n int) {
+	if p.waitGranted {
+		r.Release(n)
+	} else if r.waiters.remove(p) {
+		r.queued--
+	}
 }
 
 // TryAcquire takes n units if immediately available, reporting success.
@@ -277,9 +290,7 @@ func (w *Waker) WaitTimeout(p *Proc, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	e := w.e
-	e.seq++
-	e.events.push(event{t: e.now + Time(d), seq: e.seq, proc: p, gen: p.parkGen})
+	w.e.after(d, p)
 	w.p = p
 	defer func() {
 		if rec := recover(); rec != nil {

@@ -306,9 +306,6 @@ func (d *Device) ClearDegradation() {
 	d.deg, d.rng, d.faultPend = Degradation{}, nil, 0
 }
 
-// Degradation returns the installed knobs (zero value when healthy).
-func (d *Device) Degradation() Degradation { return d.deg }
-
 // TakeFault reports whether any injected intermittent error completed on
 // this device since the last call, and clears the record. Callers treat it
 // as "this request faulted"; when requests to the same device overlap in
@@ -633,7 +630,7 @@ func xferTime(n, bw int64) time.Duration {
 // applying any installed degradation: the latency multiplier and stuck-I/O
 // hang stretch the service time, the error draw records an injected fault
 // for TakeFault. Draws happen at request entry so they follow simulated
-// event order deterministically.
+// event order deterministically; so does the busy-time charge.
 func (d *Device) serve(p *sim.Proc, svc time.Duration) {
 	if d.deg.Active() {
 		if m := d.deg.LatencyMultiplier; m > 0 && m != 1 {
@@ -648,10 +645,8 @@ func (d *Device) serve(p *sim.Proc, svc time.Duration) {
 			d.st.InjectedFaults++
 		}
 	}
-	d.queue.Acquire(p, 1)
 	d.busy.Add(int64(svc))
-	p.Sleep(svc)
-	d.queue.Release(1)
+	p.Hold(sim.Stage{Res: d.queue, N: 1, D: svc})
 }
 
 // BusySeconds returns the cumulative device service time in seconds (sum

@@ -107,7 +107,8 @@ type Store struct {
 	metaPend int64
 
 	cache     map[int64][]byte // device block index -> data (nil when size-only)
-	cacheLRU  []int64
+	cacheLRU  []int64          // cached keys in insertion order: a ring once CacheBlocks long
+	cacheOld  int              // ring position of the oldest key
 	st        Stats
 	carryData bool
 }
@@ -217,11 +218,12 @@ func (s *Store) cacheInsert(key int64, data []byte) {
 		return
 	}
 	if _, ok := s.cache[key]; !ok {
-		s.cacheLRU = append(s.cacheLRU, key)
-		for len(s.cacheLRU) > s.cfg.CacheBlocks {
-			evict := s.cacheLRU[0]
-			s.cacheLRU = s.cacheLRU[1:]
-			delete(s.cache, evict)
+		if len(s.cacheLRU) < s.cfg.CacheBlocks {
+			s.cacheLRU = append(s.cacheLRU, key)
+		} else {
+			delete(s.cache, s.cacheLRU[s.cacheOld])
+			s.cacheLRU[s.cacheOld] = key
+			s.cacheOld = (s.cacheOld + 1) % len(s.cacheLRU)
 		}
 	}
 	s.cache[key] = data
