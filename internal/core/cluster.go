@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ecarray/internal/crush"
@@ -35,8 +36,9 @@ const ClientNode = "client"
 
 // Node is one server: a name on the networks plus a core pool.
 type Node struct {
-	Name string
-	CPU  *CPU
+	Name      string
+	CPU       *CPU
+	pub, priv int // NIC indexes on the networks; the client has no private one
 }
 
 // OSD is one object storage daemon bound to one device.
@@ -65,6 +67,8 @@ type Cluster struct {
 	poolList []*Pool // creation order, for deterministic iteration
 	poolSeq  int
 	stopped  bool
+	races    []*shardRace // pooled per-op fan-out state
+	pushes   []*shardPush
 
 	imageQueue  *sim.Resource // client librbd dispatch serialization
 	metricsFrom sim.Time
@@ -94,15 +98,15 @@ func New(e *sim.Engine, cfg Config) (*Cluster, error) {
 	c.public = netsim.New(e, cfg.Public)
 	c.private = netsim.New(e, cfg.Private)
 
-	c.client = &Node{Name: ClientNode, CPU: newCPU(e, ClientNode, cfg.ClientCores, &c.cfg.Cost)}
-	c.public.AddNode(ClientNode)
+	c.client = &Node{Name: ClientNode, CPU: newCPU(e, ClientNode, cfg.ClientCores, &c.cfg.Cost), priv: -1}
+	c.client.pub = c.public.AddNode(ClientNode)
 
 	for n := 0; n < cfg.StorageNodes; n++ {
 		name := fmt.Sprintf("node%d", n)
 		node := &Node{Name: name, CPU: newCPU(e, name, cfg.CoresPerStorageNode, &c.cfg.Cost)}
 		c.nodes = append(c.nodes, node)
-		c.public.AddNode(name)
-		c.private.AddNode(name)
+		node.pub = c.public.AddNode(name)
+		node.priv = c.private.AddNode(name)
 	}
 	c.cmap = crush.Uniform(cfg.StorageNodes, cfg.OSDsPerNode)
 
@@ -178,7 +182,8 @@ func (c *Cluster) scheduleHeartbeat() {
 					if peer == osd || !peer.up || peer.Node == osd.Node {
 						continue
 					}
-					c.private.Send(p, osd.Node.Name, peer.Node.Name, cm.HeartbeatBytes)
+					var b [3]sim.Stage
+					p.Hold(c.private.Message(b[:0], osd.Node.priv, peer.Node.priv, cm.HeartbeatBytes)...)
 				}
 			}
 		})
@@ -274,7 +279,11 @@ func (c *Cluster) message(ss []sim.Stage, net *netsim.Network, from, to *Node, p
 	cm := &c.cfg.Cost
 	copying := perKB(payload, cm.MsgCopyPerKB)
 	ss = from.CPU.burst(ss, cm.MsgSendUser+copying, cm.MsgSendKernel)
-	ss = net.Message(ss, from.Name, to.Name, payload)
+	if net == c.private {
+		ss = net.Message(ss, from.priv, to.priv, payload)
+	} else {
+		ss = net.Message(ss, from.pub, to.pub, payload)
+	}
 	return to.CPU.burst(ss, cm.MsgRecvUser+copying, cm.MsgRecvKernel)
 }
 
@@ -303,6 +312,86 @@ func (c *Cluster) pushShard(sp *sim.Proc, from, to *OSD, obj string, off int64, 
 	sp.Hold(to.Node.CPU.burst(ss, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)...)
 	to.Store.Write(sp, obj, off, payload, n)
 	c.send(sp, c.private, to.Node, from.Node, 0)
+}
+
+// shardPush is one pooled write fan-out: a process per live shard position
+// pushes its payload (pushShard), charges the commit at the primary (under
+// the PG lock when relock is set) and counts down commits.
+type shardPush struct {
+	c       *Cluster
+	pg      *PG
+	prim    *OSD
+	obj     string
+	off, n  int64
+	relock  bool
+	payload [][]byte          // by shard position; nil in size-only mode
+	osds    []*OSD            // by shard position
+	bodies  []func(*sim.Proc) // bodies[pos] pushes position pos, bound once
+	commits sim.Latch
+}
+
+// getPush takes a fan-out of [off, off+n) of obj, every payload nil.
+func (c *Cluster) getPush(pg *PG, prim *OSD, obj string, off, n int64, relock bool) *shardPush {
+	f := pop(&c.pushes)
+	if f == nil {
+		f = &shardPush{c: c}
+	}
+	w := len(pg.shards)
+	f.payload, f.osds = slices.Grow(f.payload[:0], w)[:w], slices.Grow(f.osds[:0], w)[:w]
+	f.pg, f.prim, f.obj, f.off, f.n, f.relock = pg, prim, obj, off, n, relock
+	return f
+}
+
+// start spawns a process per live position, in position order, named
+// tag/obj.pos (tag/obj when byPos is false).
+func (f *shardPush) start(tag string, byPos bool) {
+	f.commits = *sim.NewLatch(f.c.e, f.pg.liveShards())
+	for pos, id := range f.pg.shards {
+		for len(f.bodies) <= pos {
+			j := len(f.bodies)
+			f.bodies = append(f.bodies, func(sp *sim.Proc) { f.push(sp, j) })
+		}
+		if !f.pg.live(pos) {
+			continue
+		}
+		f.osds[pos] = f.c.osds[id]
+		nameID := -1
+		if byPos {
+			nameID = pos
+		}
+		f.c.e.GoNamed(tag, f.obj, nameID, f.bodies[pos])
+	}
+}
+
+func (f *shardPush) push(sp *sim.Proc, pos int) {
+	f.c.pushShard(sp, f.prim, f.osds[pos], f.obj, f.off, f.payload[pos], f.n)
+	if f.relock {
+		f.pg.lock.Acquire(sp, 1)
+	}
+	f.prim.Node.CPU.Exec(sp, f.c.cfg.Cost.CommitUser, 0)
+	if f.relock {
+		f.pg.lock.Release(1)
+	}
+	f.commits.Done()
+}
+
+// wait blocks until every position has committed, then repools f: Done is
+// each process's last touch of it.
+func (f *shardPush) wait(p *sim.Proc) {
+	f.commits.Wait(p)
+	clear(f.payload)
+	f.c.pushes = append(f.c.pushes, f)
+}
+
+// pop takes the last of a free list's items, or nil.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	t := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return t
 }
 
 // pullShard reads [off, off+n) of obj from the OSD `from` into the OSD `to`:

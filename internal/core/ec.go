@@ -19,41 +19,37 @@ func (pl *Pool) encodeCost(dataBytes int64) time.Duration {
 // fetchK pulls [shardOff, shardOff+perShard) of k shards of obj to the
 // primary, for a read or the read phase of a sub-stripe write: the PG's
 // first k live positions are asked first and the live parity positions are
-// the spares (tailfetch.go). results is aligned with srcs.
-func (pl *Pool) fetchK(p *sim.Proc, pg *PG, prim *OSD, obj string, shardOff, perShard int64) (srcs []int, results [][]byte, err error) {
-	g := pl.geom()
-	return pl.tailFetch(p, pg, prim, obj, pg.sources(nil, g.k+g.m), g.k, shardOff, perShard)
+// the spares (tailfetch.go). The caller releases the race.
+func (pl *Pool) fetchK(p *sim.Proc, pg *PG, prim *OSD, obj string, shardOff, perShard int64) (*shardRace, error) {
+	return pl.tailFetch(p, pg, prim, obj, pl.profile.K, shardOff, perShard)
 }
 
 // materializeStripes turns fetched shard ranges into per-stripe data chunks,
 // reconstructing the data shards absent from srcs (degraded read, via the
-// recover matrix of §II-C). In size-only mode it returns presence-only
-// entries.
+// recover matrix of §II-C). In size-only mode it only charges the
+// reconstruction and returns no map.
 func (pl *Pool) materializeStripes(p *sim.Proc, prim *OSD, srcs []int,
 	results [][]byte, s0, s1 int64) (map[int64][][]byte, error) {
 	g := pl.geom()
 	cm := &pl.c.cfg.Cost
 	perShard := (s1 - s0) * g.unit
-	var missingData []int
+	missingData := 0
 	for j := 0; j < g.k; j++ {
 		if !slices.Contains(srcs, j) {
-			missingData = append(missingData, j)
+			missingData++
 		}
 	}
 
 	// Reconstruction cost: one recover-matrix row (k coefficients) per
 	// missing data shard, over the whole range.
-	if len(missingData) > 0 {
-		prim.Node.CPU.Exec(p, perKB(int64(len(missingData))*perShard*int64(g.k), cm.EncodeCostPerKB()), 0)
+	if missingData > 0 {
+		prim.Node.CPU.Exec(p, perKB(int64(missingData)*perShard*int64(g.k), cm.EncodeCostPerKB()), 0)
+	}
+	if !pl.c.cfg.CarryData {
+		return nil, nil
 	}
 
 	out := make(map[int64][][]byte, s1-s0)
-	if !pl.c.cfg.CarryData {
-		for s := s0; s < s1; s++ {
-			out[s] = nil
-		}
-		return out, nil
-	}
 	for s := s0; s < s1; s++ {
 		shards := make([][]byte, g.k+g.m)
 		base := (s - s0) * g.unit
@@ -63,7 +59,7 @@ func (pl *Pool) materializeStripes(p *sim.Proc, prim *OSD, srcs []int,
 			}
 			shards[pos] = results[i][base : base+g.unit]
 		}
-		if len(missingData) > 0 {
+		if missingData > 0 {
 			if err := pl.code.ReconstructData(shards); err != nil {
 				return nil, fmt.Errorf("core: reconstruct stripe %d: %w", s, err)
 			}
@@ -96,20 +92,22 @@ func (pl *Pool) readEC(p *sim.Proc, obj string, off, length int64) ([]byte, erro
 	prim.Node.CPU.Exec(p, cm.DispatchUser+cm.PGLockBaseline, 0)
 
 	s0, s1 := g.stripeSpan(off, length)
-	var missing []int64
-	stripes := make(map[int64][][]byte, s1-s0)
+	var stripes map[int64][][]byte // carry mode only: the reply's chunks
+	if pl.c.cfg.CarryData {
+		stripes = make(map[int64][][]byte, s1-s0)
+	}
+	ms0, ms1 := s1, s0 // first and one past the last stripe the cache misses
 	for s := s0; s < s1; s++ {
-		if chunks, ok := pg.scache.get(stripeKey{obj, s}); ok {
+		if chunks, ok := pg.scache.get(stripeKey{obj, s}); !ok {
+			ms0, ms1 = min(ms0, s), s+1
+		} else if stripes != nil {
 			stripes[s] = chunks
-		} else {
-			missing = append(missing, s)
 		}
 	}
 
-	if len(missing) > 0 {
-		ms0, ms1 := missing[0], missing[len(missing)-1]+1
+	if ms0 < ms1 {
 		perShard := (ms1 - ms0) * g.unit
-		srcs, results, err := pl.fetchK(p, pg, prim, obj, ms0*g.unit, perShard)
+		race, err := pl.fetchK(p, pg, prim, obj, ms0*g.unit, perShard)
 		if err != nil {
 			pg.lock.Release(1)
 			prim.Workers.Release(1)
@@ -117,7 +115,8 @@ func (pl *Pool) readEC(p *sim.Proc, obj string, off, length int64) ([]byte, erro
 		}
 		// RS-concatenation: compose chunks into stripes.
 		prim.Node.CPU.Exec(p, perKB(int64(g.k)*perShard, cm.ConcatPerKB), 0)
-		fetched, err := pl.materializeStripes(p, prim, srcs, results, ms0, ms1)
+		fetched, err := pl.materializeStripes(p, prim, race.winners, race.results, ms0, ms1)
+		race.release()
 		if err != nil {
 			pg.lock.Release(1)
 			prim.Workers.Release(1)
@@ -129,7 +128,9 @@ func (pl *Pool) readEC(p *sim.Proc, obj string, off, length int64) ([]byte, erro
 		for s := ms0; s < ms1; s++ {
 			chunks := fetched[s]
 			pg.scache.put(stripeKey{obj, s}, chunks)
-			stripes[s] = chunks
+			if stripes != nil {
+				stripes[s] = chunks
+			}
 		}
 	}
 
@@ -177,16 +178,14 @@ func assembleRead(g ecGeom, stripes map[int64][][]byte, off, length int64) []byt
 // holds the PG lock, so a sequential stream stalls while this runs — the
 // paper's Fig 19 periodic near-zero throughput.
 func (pl *Pool) initObject(p *sim.Proc, pg *PG, prim *OSD, obj string) {
-	cm := &pl.c.cfg.Cost
 	g := pl.geom()
 
 	// Encode the whole object's parity.
 	prim.Node.CPU.Exec(p, pl.encodeCost(g.stripes*g.stripeWidth), 0)
 
-	pl.fanOut(p, pg, "ecinit", obj, pg.sources(nil, g.k+g.m), func(sp *sim.Proc, _ int, osd *OSD) {
-		pl.c.pushShard(sp, prim, osd, obj, 0, nil, g.shardSize)
-		prim.Node.CPU.Exec(sp, cm.CommitUser, 0)
-	})
+	push := pl.c.getPush(pg, prim, obj, 0, g.shardSize, false)
+	push.start("ecinit", true)
+	push.wait(p)
 	pg.inited[obj] = true
 	pg.noteObject(obj, g.stripes*g.stripeWidth)
 }
@@ -230,13 +229,14 @@ func (pl *Pool) writeEC(p *sim.Proc, obj string, off int64, data []byte, length 
 	// reuse across writes, so this bypasses the read-side stripe cache.)
 	var oldStripes map[int64][][]byte
 	if !fullStripes {
-		srcs, results, err := pl.fetchK(p, pg, prim, obj, s0*g.unit, perShard)
+		race, err := pl.fetchK(p, pg, prim, obj, s0*g.unit, perShard)
 		if err != nil {
 			pg.lock.Release(1)
 			prim.Workers.Release(1)
 			return err
 		}
-		oldStripes, err = pl.materializeStripes(p, prim, srcs, results, s0, s1)
+		oldStripes, err = pl.materializeStripes(p, prim, race.winners, race.results, s0, s1)
+		race.release()
 		if err != nil {
 			pg.lock.Release(1)
 			prim.Workers.Release(1)
@@ -246,9 +246,10 @@ func (pl *Pool) writeEC(p *sim.Proc, obj string, off int64, data []byte, length 
 
 	// Merge + encode: regenerate the coding chunks for every touched stripe.
 	prim.Node.CPU.Exec(p, pl.encodeCost((s1-s0)*g.stripeWidth), 0)
-	shardData := make([][]byte, g.k+g.m) // per shard: bytes for [s0*unit, s1*unit)
+	// Per shard: bytes for [s0*unit, s1*unit). An error leaves it to the GC.
+	push := pl.c.getPush(pg, prim, obj, s0*g.unit, perShard, true)
 	if pl.c.cfg.CarryData {
-		if err := pl.buildShardWrites(obj, off, data, length, oldStripes, s0, s1, shardData); err != nil {
+		if err := pl.buildShardWrites(obj, off, data, length, oldStripes, s0, s1, push.payload); err != nil {
 			pg.lock.Release(1)
 			prim.Workers.Release(1)
 			return err
@@ -261,23 +262,10 @@ func (pl *Pool) writeEC(p *sim.Proc, obj string, off int64, data []byte, length 
 	}
 
 	// Write phase: push all live (non-backfilling) shard ranges.
-	commits := sim.NewLatch(pl.c.e, pg.liveShards())
-	for pos, osdID := range pg.shards {
-		if !pg.live(pos) {
-			continue
-		}
-		osd := pl.c.osds[osdID]
-		pl.c.e.GoNamed("ecwrite", obj, pos, func(sp *sim.Proc) {
-			pl.c.pushShard(sp, prim, osd, obj, s0*g.unit, shardData[pos], perShard)
-			pg.lock.Acquire(sp, 1)
-			prim.Node.CPU.Exec(sp, cm.CommitUser, 0)
-			pg.lock.Release(1)
-			commits.Done()
-		})
-	}
+	push.start("ecwrite", true)
 	pg.lock.Release(1)
 	prim.Workers.Release(1)
-	commits.Wait(p)
+	push.wait(p)
 
 	pl.c.send(p, pl.c.public, prim.Node, pl.c.client, 0)
 	return nil

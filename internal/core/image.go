@@ -72,15 +72,15 @@ type extent struct {
 	dataOff int64 // offset of this piece within the request buffer
 }
 
-func (img *Image) extents(off, length int64) []extent {
+// extents appends to out the object-aligned pieces of [off, off+length).
+func (img *Image) extents(out []extent, off, length int64) []extent {
 	objSize := img.pool.c.cfg.ObjectSize
-	var out []extent
 	done := int64(0)
 	for done < length {
 		abs := off + done
 		idx := abs / objSize
 		objOff := abs % objSize
-		n := min64(objSize-objOff, length-done)
+		n := min(objSize-objOff, length-done)
 		out = append(out, extent{
 			obj:     img.ObjectName(idx),
 			objOff:  objOff,
@@ -119,7 +119,8 @@ func (img *Image) WriteFor(p *sim.Proc, tenant string, off int64, data []byte, l
 		defer release()
 	}
 	img.pool.c.clientDispatch(p)
-	for _, ext := range img.extents(off, length) {
+	var buf [2]extent
+	for _, ext := range img.extents(buf[:0], off, length) {
 		var chunk []byte
 		if data != nil {
 			chunk = data[ext.dataOff : ext.dataOff+ext.length]
@@ -154,7 +155,8 @@ func (img *Image) ReadFor(p *sim.Proc, tenant string, off, length int64) ([]byte
 	if img.pool.c.cfg.CarryData {
 		out = make([]byte, length)
 	}
-	for _, ext := range img.extents(off, length) {
+	var buf [2]extent
+	for _, ext := range img.extents(buf[:0], off, length) {
 		data, err := img.pool.ReadObject(p, ext.obj, ext.objOff, ext.length)
 		if err != nil {
 			return nil, err
@@ -172,14 +174,7 @@ func (img *Image) ReadFor(p *sim.Proc, tenant string, off, length int64) ([]byte
 func (img *Image) Prefill() {
 	objSize := img.pool.c.cfg.ObjectSize
 	for idx := int64(0); idx < img.Objects(); idx++ {
-		sz := min64(objSize, img.size-idx*objSize)
+		sz := min(objSize, img.size-idx*objSize)
 		img.pool.PrefillObject(img.ObjectName(idx), sz)
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -313,19 +313,19 @@ func (pg *PG) primary() (shardPos int, osd int) {
 	return -1, -1
 }
 
-// sources returns the first max live shard positions outside exclude, in
-// ascending order. Data positions precede parity, so asking an EC PG for k of
-// them yields every live data shard plus just enough parity to substitute
-// for the missing ones (§II-C) — the choice reads, read-modify-writes and
-// every repair pass make.
-func (pg *PG) sources(exclude []int, max int) []int {
-	out := make([]int, 0, max)
-	for pos := 0; pos < len(pg.shards) && len(out) < max; pos++ {
+// sources appends to dst the first max live shard positions outside
+// exclude, in ascending order. Data positions precede parity, so asking an
+// EC PG for k of them yields every live data shard plus just enough parity
+// to substitute for the missing ones (§II-C) — the choice reads,
+// read-modify-writes and every repair pass make.
+func (pg *PG) sources(dst, exclude []int, max int) []int {
+	n := len(dst)
+	for pos := 0; pos < len(pg.shards) && len(dst)-n < max; pos++ {
 		if pg.live(pos) && !slices.Contains(exclude, pos) {
-			out = append(out, pos)
+			dst = append(dst, pos)
 		}
 	}
-	return out
+	return dst
 }
 
 // liveShards counts live (serving, non-backfilling) shard positions.
@@ -348,11 +348,13 @@ type stripeKey struct {
 
 // stripeCache is a FIFO-evicting cache of decoded stripes held by the
 // primary. Entries optionally carry the stripe's data-chunk bytes (carry
-// mode).
+// mode). order is a ring of cap keys made by the first put: re-putting a
+// cached stripe keeps its place; a dropped one leaves the ring.
 type stripeCache struct {
 	cap     int
 	entries map[stripeKey][][]byte
-	order   []stripeKey
+	order   []stripeKey // order[(head+i)%cap] for i < len(entries)
+	head    int
 	hits    int64
 	misses  int64
 }
@@ -376,26 +378,36 @@ func (sc *stripeCache) put(k stripeKey, chunks [][]byte) {
 		return
 	}
 	if _, ok := sc.entries[k]; !ok {
-		sc.order = append(sc.order, k)
-		for len(sc.order) > sc.cap {
-			evict := sc.order[0]
-			sc.order = sc.order[1:]
-			delete(sc.entries, evict)
+		if sc.order == nil {
+			sc.order = make([]stripeKey, sc.cap)
 		}
+		if len(sc.entries) == sc.cap { // full: evict the oldest
+			delete(sc.entries, sc.order[sc.head])
+			sc.head = (sc.head + 1) % sc.cap
+		}
+		sc.order[(sc.head+len(sc.entries))%sc.cap] = k
 	}
 	sc.entries[k] = chunks
 }
 
+// drop removes k and closes its gap in the ring (only writes after reads pay).
 func (sc *stripeCache) drop(k stripeKey) {
-	if _, ok := sc.entries[k]; ok {
-		delete(sc.entries, k)
-		sc.order = slices.DeleteFunc(sc.order, func(o stripeKey) bool { return o == k })
+	if _, ok := sc.entries[k]; !ok {
+		return
 	}
+	i := 0
+	for sc.order[(sc.head+i)%sc.cap] != k {
+		i++
+	}
+	for ; i < len(sc.entries)-1; i++ {
+		sc.order[(sc.head+i)%sc.cap] = sc.order[(sc.head+i+1)%sc.cap]
+	}
+	delete(sc.entries, k)
 }
 
 func (sc *stripeCache) clear() {
-	sc.entries = map[stripeKey][][]byte{}
-	sc.order = nil
+	clear(sc.entries)
+	sc.head = 0
 }
 
 // --- EC geometry ---

@@ -97,7 +97,7 @@ func (pl *Pool) rebuildShardBytes(obj string, srcs, rebuilt []int, results [][]b
 // It returns the bytes pulled and pushed.
 func (pl *Pool) repairEC(p *sim.Proc, pg *PG, tag, obj string, targets []int) (pulled, pushed int64, err error) {
 	g := pl.geom()
-	srcs := pg.sources(targets, g.k)
+	srcs := pg.sources(nil, targets, g.k)
 	if len(srcs) < g.k {
 		return 0, 0, fmt.Errorf("core: pg %d.%d: object %s beyond repair (%d source shards)", pl.id, pg.id, obj, len(srcs))
 	}
@@ -116,7 +116,7 @@ func (pl *Pool) repairEC(p *sim.Proc, pg *PG, tag, obj string, targets []int) (p
 // from its own store and pushes it to each target. It returns the bytes
 // pulled and pushed.
 func (pl *Pool) copyReplica(p *sim.Proc, pg *PG, tag, obj string, targets []int) (pulled, pushed int64, err error) {
-	srcs := pg.sources(targets, 1)
+	srcs := pg.sources(nil, targets, 1)
 	if len(srcs) == 0 {
 		return 0, 0, fmt.Errorf("core: pg %d.%d: object %s has no live replica to copy from", pl.id, pg.id, obj)
 	}

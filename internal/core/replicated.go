@@ -27,26 +27,17 @@ func (pl *Pool) writeReplicated(p *sim.Proc, obj string, off int64, data []byte,
 	pg.lock.Acquire(p, 1)
 	prim.Node.CPU.Exec(p, cm.DispatchUser+cm.PGLogUser+cm.PGLockBaseline+cm.TxnPrepUser, 0)
 
-	commits := sim.NewLatch(pl.c.e, pg.liveShards())
-	for pos, osdID := range pg.shards {
-		if !pg.live(pos) {
-			continue
-		}
-		osd := pl.c.osds[osdID]
-		pl.c.e.GoNamed("rep", obj, -1, func(sp *sim.Proc) {
-			pl.c.pushShard(sp, prim, osd, obj, off, data, length)
-			// Commit handling at the primary re-takes the PG lock briefly.
-			pg.lock.Acquire(sp, 1)
-			prim.Node.CPU.Exec(sp, cm.CommitUser, 0)
-			pg.lock.Release(1)
-			commits.Done()
-		})
+	// Commit handling at the primary re-takes the PG lock briefly.
+	push := pl.c.getPush(pg, prim, obj, off, length, true)
+	for pos := range push.payload {
+		push.payload[pos] = data
 	}
+	push.start("rep", false)
 	pg.noteObject(obj, off+length)
 	pg.noteWrite(obj)
 	pg.lock.Release(1)
 	prim.Workers.Release(1)
-	commits.Wait(p)
+	push.wait(p)
 
 	pl.c.send(p, pl.c.public, prim.Node, pl.c.client, 0)
 	return nil
@@ -73,12 +64,14 @@ func (pl *Pool) readReplicated(p *sim.Proc, obj string, off, length int64) ([]by
 	prim.Node.CPU.Exec(p, cm.DispatchUser+cm.PGLockBaseline, 0)
 	pg.lock.Release(1)
 
-	_, results, err := pl.tailFetch(p, pg, prim, obj, pg.sources(nil, len(pg.shards)), 1, off, length)
+	race, err := pl.tailFetch(p, pg, prim, obj, 1, off, length)
 	prim.Workers.Release(1)
 	if err != nil {
 		return nil, err
 	}
+	data := race.results[0]
+	race.release()
 
 	pl.c.send(p, pl.c.public, prim.Node, pl.c.client, length)
-	return results[0], nil
+	return data, nil
 }

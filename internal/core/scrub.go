@@ -120,7 +120,7 @@ func latentLivePositions(pg *PG, obj string) []int {
 // ones. The caller holds the PG lock.
 func (pl *Pool) scrubObject(p *sim.Proc, pg *PG, obj string, st *ScrubStats) error {
 	cm := &pl.c.cfg.Cost
-	live := pg.sources(nil, len(pg.shards))
+	live := pg.sources(nil, nil, len(pg.shards))
 	size := pg.objects[obj] // bytes per copy
 	var prim *OSD
 	var results [][]byte
@@ -155,7 +155,7 @@ func (pl *Pool) scrubObject(p *sim.Proc, pg *PG, obj string, st *ScrubStats) err
 	if pl.profile.IsEC() {
 		// Repair by reconstruction from the first k good shards, which the
 		// verify sweep already fetched.
-		srcs := pg.sources(bad, pl.profile.K)
+		srcs := pg.sources(nil, bad, pl.profile.K)
 		if len(srcs) < pl.profile.K {
 			return fmt.Errorf("core: pg %d.%d: object %s beyond repair (%d good shards)", pl.id, pg.id, obj, len(srcs))
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ecarray/internal/retry"
@@ -22,6 +23,7 @@ import (
 // shardReq is one in-flight shard request.
 type shardReq struct {
 	pos      int      // shard position within the PG
+	osd      *OSD     // the position's OSD when issued
 	issued   sim.Time // last (re)issue time, for deadline/hedge clocks
 	attempts int      // retries consumed
 	hedge    bool     // speculative extra request
@@ -34,25 +36,56 @@ type shardReq struct {
 }
 
 // shardRace is the state one tailFetch call shares between the waiting
-// caller and its request processes, in one allocation: each process
-// captures only the race, its request and its OSD.
+// caller and its request processes, pooled per Cluster. refs counts the
+// caller and each request process still running (first-k losers outlive
+// tailFetch); a process Drain kills never drops its ref, nor repools it.
 type shardRace struct {
-	c      *Cluster
-	prim   *OSD
-	obj    string
-	off, n int64 // shard byte range
-	need   int
-	rp     retry.Policy
-	waker  *sim.Waker
-	reqs   []shardReq  // issue order; reqs[i] asks candidates[i]
-	done   []*shardReq // completion order, for first-k-wins
-	won    int         // successful completions not abandoned
+	c       *Cluster
+	prim    *OSD
+	obj     string
+	off, n  int64 // shard byte range
+	need    int
+	rp      retry.Policy
+	waker   sim.Waker
+	cands   []int             // candidate positions, in preference order
+	reqs    []shardReq        // issue order; reqs[i] asks cands[i]
+	done    []*shardReq       // completion order, for first-k-wins
+	won     int               // successful completions not abandoned
+	winners []int             // winning positions in completion order
+	results [][]byte          // aligned with winners
+	bodies  []func(*sim.Proc) // bodies[i] serves reqs[i], bound once
+	refs    int
 }
 
-// serve runs request r against osd until it succeeds, fails for good or is
-// abandoned, scoring its first attempt with the health tracker.
-func (s *shardRace) serve(sp *sim.Proc, r *shardReq, osd *OSD) {
-	c := s.c
+// release drops a reference — the caller's, done with winners and results,
+// or a returning request process's — and repools the race at the last one.
+func (s *shardRace) release() {
+	if s.refs--; s.refs > 0 {
+		return
+	}
+	clear(s.reqs)
+	clear(s.done)
+	clear(s.results)
+	s.c.races = append(s.c.races, s)
+}
+
+// issue starts the request for the next candidate.
+func (s *shardRace) issue(pg *PG, hedge bool) {
+	i := len(s.reqs)
+	pos := s.cands[i]
+	s.reqs = append(s.reqs, shardReq{pos: pos, osd: s.c.osds[pg.shards[pos]], issued: s.c.e.Now(), hedge: hedge})
+	for len(s.bodies) <= i {
+		j := len(s.bodies)
+		s.bodies = append(s.bodies, func(sp *sim.Proc) { s.serve(sp, &s.reqs[j]); s.release() })
+	}
+	s.refs++
+	s.c.e.GoNamed("tailfetch", s.obj, pos, s.bodies[i])
+}
+
+// serve runs request r until it succeeds, fails for good or is abandoned,
+// scoring its first attempt with the health tracker.
+func (s *shardRace) serve(sp *sim.Proc, r *shardReq) {
+	c, osd := s.c, r.osd
 	dev := osd.Store.Device()
 	for {
 		r.issued = sp.Now()
@@ -91,8 +124,9 @@ func (s *shardRace) serve(sp *sim.Proc, r *shardReq, osd *OSD) {
 }
 
 // tailFetch pulls [shardOff, shardOff+perShard) of `need` shards out of
-// candidates (in preference order: for EC the live data shards, which need
-// no reconstruction, then live parity as spares), tolerating gray failures:
+// the PG's live positions (in preference order: for EC the live data
+// shards, which need no reconstruction, then live parity as spares),
+// tolerating gray failures:
 // a request past GrayConfig.ShardTimeout is abandoned and the next candidate
 // issued instead; an injected error retries with exponential backoff up to
 // ShardRetries before failing over; once the oldest outstanding request has
@@ -100,47 +134,41 @@ func (s *shardRace) serve(sp *sim.Proc, r *shardReq, osd *OSD) {
 // first `need` completions win — losers are abandoned and their bytes
 // never reach the caller. Every outcome feeds the per-OSD health tracker.
 //
-// winners holds the winning positions in completion order; results is
-// aligned with it. The call fails only when fewer than `need` candidates
-// are live, or a request exhausts its retries with no spare left.
+// The race's winners hold the winning positions in completion order; its
+// results are aligned with them. The caller releases the race when done
+// with both. The call fails only when fewer than `need` candidates are
+// live, or a request exhausts its retries with no spare left.
 func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
-	candidates []int, need int, shardOff, perShard int64) (winners []int, results [][]byte, err error) {
+	need int, shardOff, perShard int64) (*shardRace, error) {
 	c := pl.c
 	g := &c.cfg.Gray
-	e := c.e
-	if len(candidates) < need {
-		return nil, nil, fmt.Errorf("core: pg %d.%d: only %d of %d shards live",
-			pl.id, pg.id, len(candidates), need)
+	if live := pg.liveShards(); live < need {
+		return nil, fmt.Errorf("core: pg %d.%d: only %d of %d shards live", pl.id, pg.id, live, need)
 	}
 
-	// Each candidate is issued at most once, so both slices are sized up
-	// front and pointers into reqs stay valid.
-	race := &shardRace{
-		c: c, prim: prim, obj: obj, off: shardOff, n: perShard, need: need,
-		// Uncapped, jitterless schedule: the simulated path wants exact
-		// RetryBackoff << attempt waits (golden digests pin the sequence).
-		rp:    retry.Policy{Max: g.ShardRetries, Base: g.RetryBackoff},
-		waker: sim.NewWaker(e),
-		reqs:  make([]shardReq, 0, len(candidates)),
-		done:  make([]*shardReq, 0, len(candidates)),
+	race := pop(&c.races)
+	if race == nil {
+		race = &shardRace{c: c}
 	}
-	spare := func() bool { return len(race.reqs) < len(candidates) }
-
-	issue := func(hedge bool) {
-		pos := candidates[len(race.reqs)]
-		race.reqs = append(race.reqs, shardReq{pos: pos, issued: e.Now(), hedge: hedge})
-		r := &race.reqs[len(race.reqs)-1]
-		osd := c.osds[pg.shards[pos]]
-		e.GoNamed("tailfetch", obj, pos, func(sp *sim.Proc) { race.serve(sp, r, osd) })
-	}
+	race.cands = pg.sources(race.cands[:0], nil, len(pg.shards))
+	race.prim, race.obj, race.off, race.n, race.need, race.won, race.refs = prim, obj, shardOff, perShard, need, 0, 1
+	// Uncapped, jitterless schedule: the simulated path wants exact
+	// RetryBackoff << attempt waits (golden digests pin the sequence).
+	race.rp = retry.Policy{Max: g.ShardRetries, Base: g.RetryBackoff}
+	race.waker = *sim.NewWaker(c.e)
+	// Each candidate is issued at most once, so reqs never grows within a
+	// race and pointers into it stay valid.
+	race.reqs = slices.Grow(race.reqs[:0], len(race.cands))
+	race.done, race.winners, race.results = race.done[:0], race.winners[:0], race.results[:0]
+	spare := func() bool { return len(race.reqs) < len(race.cands) }
 
 	for i := 0; i < need; i++ {
-		issue(false)
+		race.issue(pg, false)
 	}
 
 	hedged := false
 	for race.won < need {
-		now := e.Now()
+		now := c.e.Now()
 		oldest := sim.Time(-1)
 		for i := range race.reqs {
 			r := &race.reqs[i]
@@ -151,11 +179,13 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 				if r.failed {
 					// Retries exhausted: fail over to a spare shard.
 					if !spare() {
-						return nil, nil, fmt.Errorf("core: pg %d.%d: shard %d failed after %d retries with no spare",
+						err := fmt.Errorf("core: pg %d.%d: shard %d failed after %d retries with no spare",
 							pl.id, pg.id, r.pos, r.attempts)
+						race.release()
+						return nil, err
 					}
 					r.abandoned = true
-					issue(false)
+					race.issue(pg, false)
 				}
 				continue
 			}
@@ -167,7 +197,7 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 				r.scored = true
 				c.grayM.ShardTimeouts++
 				c.noteShardSample(c.osds[pg.shards[r.pos]].ID, g.ShardTimeout, true)
-				issue(false)
+				race.issue(pg, false)
 				continue
 			}
 			if oldest < 0 || r.issued < oldest {
@@ -178,7 +208,7 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 			now-oldest >= sim.Time(g.HedgeDelay) {
 			hedged = true
 			c.grayM.HedgesIssued++
-			issue(true)
+			race.issue(pg, true)
 		}
 
 		// Sleep until the next completion, deadline, or hedge point.
@@ -214,7 +244,6 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 	// First-`need`-wins: later completions and still-outstanding requests
 	// lose the race. Their bytes are discarded; a loser that eventually
 	// completes still feeds the health tracker with its true latency.
-	winners, results = make([]int, 0, need), make([][]byte, 0, need)
 	taken := 0
 	for _, r := range race.done {
 		if r.failed || r.abandoned {
@@ -225,8 +254,8 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 			continue
 		}
 		taken++
-		winners = append(winners, r.pos)
-		results = append(results, r.data)
+		race.winners = append(race.winners, r.pos)
+		race.results = append(race.results, r.data)
 		if r.hedge {
 			c.grayM.HedgesWon++
 		}
@@ -236,5 +265,5 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 			r.abandoned = true
 		}
 	}
-	return winners, results, nil
+	return race, nil
 }

@@ -12,6 +12,9 @@
 // Messages between co-located endpoints take a loopback fast path and are
 // not counted as network traffic, matching the paper's observation that
 // intra-node chunk transfers never reach the wire.
+//
+// Nodes are addressed by the index AddNode returns: a Message costs no name
+// lookup. Names serve setup, HasNode, SetNodeLatencyMultiplier and Send.
 package netsim
 
 import (
@@ -89,16 +92,19 @@ func New(e *sim.Engine, cfg Config) *Network {
 // Name returns the network name ("public", "private").
 func (n *Network) Name() string { return n.cfg.Name }
 
-// AddNode attaches a node NIC. Adding the same name twice panics.
-func (n *Network) AddNode(name string) {
+// AddNode attaches a node NIC and returns its index (0, 1, ... in order of
+// addition), the address Message takes. Adding a name twice panics.
+func (n *Network) AddNode(name string) int {
 	if _, dup := n.nodes[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node %q", name))
 	}
-	n.nodes[name] = len(n.nics)
+	i := len(n.nics)
+	n.nodes[name] = i
 	n.nics = append(n.nics, nic{
 		tx: sim.NewResource(n.e, n.cfg.Name+"/"+name+"/tx", 1),
 		rx: sim.NewResource(n.e, n.cfg.Name+"/"+name+"/rx", 1),
 	})
+	return i
 }
 
 // HasNode reports whether the node is attached.
@@ -107,33 +113,33 @@ func (n *Network) HasNode(name string) bool {
 	return ok
 }
 
-// Send transfers payload bytes from one node to another, blocking the
-// calling process until the message is fully delivered. Same-node transfers
-// use the loopback path.
+// Send runs Message between two named nodes as one hold, blocking the
+// calling process until the message is fully delivered.
 func (n *Network) Send(p *sim.Proc, from, to string, payload int64) {
 	var b [3]sim.Stage
-	p.Hold(n.Message(b[:0], from, to, payload)...)
+	p.Hold(n.Message(b[:0], n.index(from, "sender"), n.index(to, "receiver"), payload)...)
 }
 
-// Message appends Send's stages to a hold chain, so a caller can run a send
-// and the CPU work around it as one Proc.Hold: serialization on the
-// sender's TX queue, propagation, serialization on the receiver's RX queue,
-// then the traffic accounting — or, between co-located endpoints, the
-// loopback count and delay.
-func (n *Network) Message(ss []sim.Stage, from, to string, payload int64) []sim.Stage {
+// Message appends the stages of a transfer from node index si to node
+// index di to a hold chain, so a caller can run a send and the CPU work
+// around it as one Proc.Hold: serialization on the sender's TX queue,
+// propagation, serialization on the receiver's RX queue, then the traffic
+// accounting — or, between co-located endpoints, the loopback count and
+// delay. An index out of range panics.
+func (n *Network) Message(ss []sim.Stage, si, di int, payload int64) []sim.Stage {
 	if payload < 0 {
 		panic("netsim: negative payload")
 	}
-	si, di := n.index(from, "sender"), n.index(to, "receiver")
+	tx, rx := n.nics[si].tx, n.nics[di].rx // an index out of range panics, loopback too
 	if si == di {
 		return append(ss, sim.Stage{Done: n.loopedFn, Arg: payload}, sim.Stage{D: n.cfg.LoopbackLatency})
 	}
 	wire := payload + n.cfg.MsgOverhead
 	ser := time.Duration(wire * int64(time.Second) / n.cfg.Bandwidth)
 	return append(ss,
-		sim.Stage{Res: n.nics[si].tx, N: 1, D: ser, Done: n.propagateFn, Arg: int64(si)<<32 | int64(di)},
+		sim.Stage{Res: tx, N: 1, D: ser, Done: n.propagateFn, Arg: int64(si)<<32 | int64(di)},
 		sim.Stage{D: n.cfg.Latency},
-		sim.Stage{Res: n.nics[di].rx, N: 1, D: ser, Done: n.deliveredFn, Arg: wire})
+		sim.Stage{Res: rx, N: 1, D: ser, Done: n.deliveredFn, Arg: wire})
 }
 
 // index returns the node's position in nics; role names it in the panic.

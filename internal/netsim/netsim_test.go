@@ -16,6 +16,9 @@ func newEngine(tb testing.TB) *sim.Engine {
 	return e
 }
 
+// Node indexes of testNet's "a", "b", "c" (and "d", when a test adds it).
+const na, nb, nc, nd = 0, 1, 2, 3
+
 func testNet(e *sim.Engine) *Network {
 	n := New(e, Config{
 		Name:            "test",
@@ -24,10 +27,18 @@ func testNet(e *sim.Engine) *Network {
 		MsgOverhead:     0,
 		LoopbackLatency: time.Microsecond,
 	})
-	n.AddNode("a")
-	n.AddNode("b")
-	n.AddNode("c")
+	for i, name := range []string{"a", "b", "c"} {
+		if got := n.AddNode(name); got != i {
+			panic("AddNode must return indexes in order of addition")
+		}
+	}
 	return n
+}
+
+// send runs one message from node index from to node index to.
+func send(p *sim.Proc, n *Network, from, to int, payload int64) {
+	var b [3]sim.Stage
+	p.Hold(n.Message(b[:0], from, to, payload)...)
 }
 
 func TestTransferTiming(t *testing.T) {
@@ -35,7 +46,7 @@ func TestTransferTiming(t *testing.T) {
 	n := testNet(e)
 	var done sim.Time
 	e.Go("send", func(p *sim.Proc) {
-		n.Send(p, "a", "b", 1<<20) // 1 MiB at 1 GiB/s ≈ 0.976ms per hop
+		send(p, n, na, nb, 1<<20) // 1 MiB at 1 GiB/s ≈ 0.976ms per hop
 		done = p.Now()
 	})
 	e.Run()
@@ -50,8 +61,8 @@ func TestByteAccounting(t *testing.T) {
 	e := newEngine(t)
 	n := testNet(e)
 	e.Go("send", func(p *sim.Proc) {
-		n.Send(p, "a", "b", 1000)
-		n.Send(p, "b", "c", 500)
+		send(p, n, na, nb, 1000)
+		send(p, n, nb, nc, 500)
 	})
 	e.Run()
 	if n.Bytes() != 1500 || n.Messages() != 2 {
@@ -68,7 +79,7 @@ func TestMsgOverheadCounted(t *testing.T) {
 	n := New(e, Config{Name: "x", Bandwidth: 1 << 30, MsgOverhead: 100})
 	n.AddNode("a")
 	n.AddNode("b")
-	e.Go("send", func(p *sim.Proc) { n.Send(p, "a", "b", 1000) })
+	e.Go("send", func(p *sim.Proc) { send(p, n, na, nb, 1000) })
 	e.Run()
 	if n.Bytes() != 1100 {
 		t.Fatalf("bytes=%d, want 1100 (payload+overhead)", n.Bytes())
@@ -80,7 +91,7 @@ func TestLoopbackNotCounted(t *testing.T) {
 	n := testNet(e)
 	var done sim.Time
 	e.Go("send", func(p *sim.Proc) {
-		n.Send(p, "a", "a", 1<<20)
+		send(p, n, na, na, 1<<20)
 		done = p.Now()
 	})
 	e.Run()
@@ -100,8 +111,8 @@ func TestSenderSerialization(t *testing.T) {
 	e := newEngine(t)
 	n := testNet(e)
 	var t1, t2 sim.Time
-	e.Go("s1", func(p *sim.Proc) { n.Send(p, "a", "b", 1<<20); t1 = p.Now() })
-	e.Go("s2", func(p *sim.Proc) { n.Send(p, "a", "c", 1<<20); t2 = p.Now() })
+	e.Go("s1", func(p *sim.Proc) { send(p, n, na, nb, 1<<20); t1 = p.Now() })
+	e.Go("s2", func(p *sim.Proc) { send(p, n, na, nc, 1<<20); t2 = p.Now() })
 	e.Run()
 	ser := sim.Time((1 << 20) * int64(time.Second) / (1 << 30))
 	if t2 < 3*ser {
@@ -118,10 +129,9 @@ func TestReceiverIncastContention(t *testing.T) {
 	e := newEngine(t)
 	n := testNet(e)
 	var done []sim.Time
-	for _, from := range []string{"a", "b"} {
-		from := from
-		e.Go(from, func(p *sim.Proc) {
-			n.Send(p, from, "c", 1<<20)
+	for _, from := range []int{na, nb} {
+		e.Go("send", func(p *sim.Proc) {
+			send(p, n, from, nc, 1<<20)
 			done = append(done, p.Now())
 		})
 	}
@@ -138,9 +148,8 @@ func TestParallelDisjointPairsOverlap(t *testing.T) {
 	e := newEngine(t)
 	n := testNet(e)
 	n.AddNode("d")
-	for _, pair := range [][2]string{{"a", "b"}, {"c", "d"}} {
-		pair := pair
-		e.Go("s", func(p *sim.Proc) { n.Send(p, pair[0], pair[1], 1<<20) })
+	for _, pair := range [][2]int{{na, nb}, {nc, nd}} {
+		e.Go("s", func(p *sim.Proc) { send(p, n, pair[0], pair[1], 1<<20) })
 	}
 	e.Run()
 	ser := sim.Time((1 << 20) * int64(time.Second) / (1 << 30))
@@ -155,7 +164,7 @@ func TestAttachSeries(t *testing.T) {
 	n := testNet(e)
 	s := stats.NewSeries(time.Second)
 	n.AttachSeries(s)
-	e.Go("send", func(p *sim.Proc) { n.Send(p, "a", "b", 4096) })
+	e.Go("send", func(p *sim.Proc) { send(p, n, na, nb, 4096) })
 	e.Run()
 	if s.At(0) != 4096 {
 		t.Fatalf("series bucket = %v, want 4096", s.At(0))
@@ -172,6 +181,44 @@ func TestUnknownNodePanics(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestNodeIndexOutOfRangePanics: a message to or from an index AddNode
+// never returned panics, loopback included.
+func TestNodeIndexOutOfRangePanics(t *testing.T) {
+	for _, pair := range [][2]int{{na, 3}, {-1, nb}, {3, 3}} {
+		func() {
+			e := newEngine(t)
+			n := testNet(e)
+			e.Go("send", func(p *sim.Proc) { send(p, n, pair[0], pair[1], 10) })
+			defer func() {
+				if recover() == nil {
+					t.Errorf("message %d -> %d must panic", pair[0], pair[1])
+				}
+			}()
+			e.Run()
+		}()
+	}
+}
+
+// TestSendByName: the name-keyed Send is Message between the named nodes'
+// indexes.
+func TestSendByName(t *testing.T) {
+	e := newEngine(t)
+	n := testNet(e)
+	var byName, byIndex sim.Time
+	e.Go("send", func(p *sim.Proc) {
+		t0 := p.Now()
+		n.Send(p, "a", "c", 1<<20)
+		byName = p.Now() - t0
+		t0 = p.Now()
+		send(p, n, na, nc, 1<<20)
+		byIndex = p.Now() - t0
+	})
+	e.Run()
+	if byName != byIndex || n.Messages() != 2 || n.Bytes() != 2<<20 {
+		t.Fatalf("by name %v, by index %v, %d msgs, %d bytes", byName, byIndex, n.Messages(), n.Bytes())
+	}
 }
 
 func TestDuplicateNodePanics(t *testing.T) {
@@ -207,7 +254,7 @@ func TestThroughputCeiling(t *testing.T) {
 	const msgs = 64
 	const size = 1 << 20
 	for i := 0; i < msgs; i++ {
-		e.Go("s", func(p *sim.Proc) { n.Send(p, "a", "b", size) })
+		e.Go("s", func(p *sim.Proc) { send(p, n, na, nb, size) })
 	}
 	e.Run()
 	elapsed := e.Now().Seconds()
@@ -226,37 +273,37 @@ func TestNodeLatencyMultiplier(t *testing.T) {
 	n := testNet(e)
 	ser := time.Duration((1 << 20) * int64(time.Second) / (1 << 30))
 	healthy := sim.Time(2*ser + 10*time.Microsecond)
-	elapsed := func(from, to string) sim.Time {
+	elapsed := func(from, to int) sim.Time {
 		var d sim.Time
 		e.Go("send", func(p *sim.Proc) {
 			t0 := p.Now()
-			n.Send(p, from, to, 1<<20)
+			send(p, n, from, to, 1<<20)
 			d = p.Now() - t0
 		})
 		e.Run()
 		return d
 	}
-	if got := elapsed("a", "b"); got != healthy {
+	if got := elapsed(na, nb); got != healthy {
 		t.Fatalf("healthy delivery %v, want %v", got, healthy)
 	}
 	n.SetNodeLatencyMultiplier("b", 5)
 	want := sim.Time(2*ser + 50*time.Microsecond)
-	if got := elapsed("a", "b"); got != want {
+	if got := elapsed(na, nb); got != want {
 		t.Fatalf("to degraded node: %v, want %v", got, want)
 	}
-	if got := elapsed("b", "c"); got != want {
+	if got := elapsed(nb, nc); got != want {
 		t.Fatalf("from degraded node: %v, want %v", got, want)
 	}
-	if got := elapsed("a", "c"); got != healthy {
+	if got := elapsed(na, nc); got != healthy {
 		t.Fatalf("unrelated path slowed: %v, want %v", got, healthy)
 	}
 	n.SetNodeLatencyMultiplier("a", 3) // both degraded: larger wins, paid once
-	if got := elapsed("a", "b"); got != want {
+	if got := elapsed(na, nb); got != want {
 		t.Fatalf("both degraded: %v, want %v", got, want)
 	}
 	n.SetNodeLatencyMultiplier("a", 0)
 	n.SetNodeLatencyMultiplier("b", 1)
-	if got := elapsed("a", "b"); got != healthy {
+	if got := elapsed(na, nb); got != healthy {
 		t.Fatalf("restored delivery %v, want %v", got, healthy)
 	}
 }

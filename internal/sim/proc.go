@@ -34,10 +34,14 @@ type Proc struct {
 	waitN       int  // units requested from a Resource
 	waitGranted bool // Resource grant already applied when killed mid-wait
 
-	// The running Hold chain (empty when none), its stage and phase.
-	chain []Stage
-	stage int
-	phase int8
+	// The running Hold chain (empty when none), its stage and phase. chain
+	// starts on chainBuf, which holds any chain the model builds (a shard
+	// transfer's is 6 stages), so a fresh worker's first Hold allocates
+	// nothing.
+	chain    []Stage
+	chainBuf [8]Stage
+	stage    int
+	phase    int8
 }
 
 type procKilled struct{}

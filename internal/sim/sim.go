@@ -24,7 +24,13 @@
 //     write spawns k+m shard writers per op) churns no goroutines in steady
 //     state. Process names are stored as unformatted {prefix, arg, id}
 //     parts and only rendered by Name() — on panic, in practice — so
-//     spawning never pays fmt.Sprintf either (GoNamed).
+//     spawning never pays fmt.Sprintf either (GoNamed). A worker's hold
+//     chain starts on an array inside its Proc. The model pools its per-op
+//     state the same way: core keeps each cluster's shard races and write
+//     fan-outs (buffers, latch, Waker and process bodies bound once per
+//     slot) on free lists, netsim addresses NICs by index and the store's
+//     block cache is a flat set, so a warm simulated 4 KiB read or
+//     overwrite allocates nothing (core.TestModelSteadyStateAllocs).
 //   - Switches bypass the scheduler. A process that blocks runs the
 //     dispatch loop itself and keeps going when its own wakeup is next (no
 //     switch at all); otherwise it yields to the driver, which resumes the
@@ -406,7 +412,9 @@ func (e *Engine) getProc() *Proc {
 		p.killed = false
 		return p
 	}
-	return &Proc{e: e, nameID: -1}
+	p := &Proc{e: e, nameID: -1}
+	p.chain = p.chainBuf[:0]
+	return p
 }
 
 // recycle removes a finished process from the live set and parks its worker

@@ -488,20 +488,28 @@ func (d *Device) Read(p *sim.Proc, off, length int64) []byte {
 		return nil
 	}
 	out := make([]byte, length)
-	for pg := firstPage; pg <= lastPage; pg++ {
-		pdata, ok := d.data[pg]
-		if !ok {
-			continue
-		}
-		pStart := pg * int64(d.cfg.PageSize)
-		for i := 0; i < d.cfg.PageSize; i++ {
-			abs := pStart + int64(i)
-			if abs >= off && abs < off+length {
-				out[abs-off] = pdata[i]
-			}
-		}
-	}
+	d.Peek(out, off)
 	return out
+}
+
+// Peek copies into dst what Read would return for [off, off+len(dst)), but
+// charges no time and counts nothing. A size-only device leaves dst as is.
+func (d *Device) Peek(dst []byte, off int64) {
+	d.checkRange(off, int64(len(dst)))
+	if !d.cfg.CarryData {
+		return
+	}
+	ps := int64(d.cfg.PageSize)
+	for i := int64(0); i < int64(len(dst)); {
+		pg, in := (off+i)/ps, (off+i)%ps
+		seg := dst[i:min(int64(len(dst)), i+ps-in)]
+		if pdata, ok := d.data[pg]; ok {
+			copy(seg, pdata[in:])
+		} else {
+			clear(seg)
+		}
+		i += int64(len(seg))
+	}
 }
 
 // Write performs a host write of [off, off+length). In CarryData mode data
@@ -550,24 +558,17 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte, length int64) {
 	}
 	d.serve(p, svc)
 
-	if d.cfg.CarryData {
-		for pg := firstPage; pg <= lastPage; pg++ {
-			pdata, ok := d.data[pg]
-			if !ok {
-				pdata = make([]byte, d.cfg.PageSize)
-				d.data[pg] = pdata
-			}
-			pStart := pg * ps
-			for i := 0; i < d.cfg.PageSize; i++ {
-				abs := pStart + int64(i)
-				if abs >= off && abs < off+length {
-					if data == nil {
-						pdata[i] = 0 // nil data writes zeroes
-					} else {
-						pdata[i] = data[abs-off]
-					}
-				}
-			}
+	for pg := firstPage; d.cfg.CarryData && pg <= lastPage; pg++ {
+		pdata, ok := d.data[pg]
+		if !ok {
+			pdata = make([]byte, ps)
+			d.data[pg] = pdata
+		}
+		lo, hi := max(off, pg*ps), min(off+length, (pg+1)*ps)
+		if dst := pdata[lo-pg*ps : hi-pg*ps]; data == nil {
+			clear(dst) // nil data writes zeroes
+		} else {
+			copy(dst, data[lo-off:])
 		}
 	}
 }

@@ -16,6 +16,10 @@
 //     why consecutive sub-block sequential reads show no amplification
 //     (Fig 15a) while random ones do (Fig 15b).
 //
+// The cache is a FIFO-evicted membership set of device blocks: a hit costs
+// no I/O and, in carry mode, reads the device's bytes free (ssd.Device.Peek),
+// which Write, Corrupt and Delete keep current by dropping what they change.
+//
 // Objects are allocated in min-alloc units from a simple bump+free-list
 // allocator; deleting an object trims its extents so the SSD's garbage
 // collector can reclaim them.
@@ -23,6 +27,8 @@ package store
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"ecarray/internal/sim"
 	"ecarray/internal/ssd"
@@ -106,9 +112,9 @@ type Store struct {
 	metaOff  int64   // metadata region cursor (rotates within WAL region tail)
 	metaPend int64
 
-	cache     map[int64][]byte // device block index -> data (nil when size-only)
-	cacheLRU  []int64          // cached keys in insertion order: a ring once CacheBlocks long
-	cacheOld  int              // ring position of the oldest key
+	cache     blockSet // cached device block indexes
+	cacheLRU  []int64  // cached keys in insertion order: a ring once CacheBlocks long
+	cacheOld  int      // ring position of the oldest key
 	st        Stats
 	carryData bool
 }
@@ -129,7 +135,7 @@ func New(e *sim.Engine, dev *ssd.Device, cfg Config, carryData bool) (*Store, er
 		next:      cfg.WALRegion * 2, // [WAL ring][meta region][data...]
 		walOff:    0,
 		metaOff:   cfg.WALRegion,
-		cache:     map[int64][]byte{},
+		cache:     newBlockSet(0), // sized by the first insert
 		carryData: carryData,
 	}, nil
 }
@@ -189,8 +195,8 @@ func (s *Store) ensureObject(name string) *object {
 // holes in [off, end).
 func (s *Store) ensureUnits(o *object, off, end int64) {
 	needUnits := (end + s.cfg.MinAlloc - 1) / s.cfg.MinAlloc
-	for int64(len(o.units)) < needUnits {
-		o.units = append(o.units, -1)
+	for int64(len(o.units)) < needUnits { // grown once, then filled
+		o.units = append(slices.Grow(o.units, int(needUnits)-len(o.units)), -1)
 	}
 	for u := off / s.cfg.MinAlloc; u < needUnits; u++ {
 		if o.units[u] < 0 {
@@ -213,23 +219,75 @@ func (s *Store) devOffset(o *object, off int64) int64 {
 // cacheKey is the device block index.
 func (s *Store) cacheKey(devOff int64) int64 { return devOff / s.cfg.BlockSize }
 
-func (s *Store) cacheInsert(key int64, data []byte) {
+// cacheInsert caches an absent block. A full ring evicts the key in its
+// oldest position, whatever that key's state now (dropped, or cached anew).
+func (s *Store) cacheInsert(key int64) {
 	if s.cfg.CacheBlocks == 0 {
 		return
 	}
-	if _, ok := s.cache[key]; !ok {
-		if len(s.cacheLRU) < s.cfg.CacheBlocks {
-			s.cacheLRU = append(s.cacheLRU, key)
-		} else {
-			delete(s.cache, s.cacheLRU[s.cacheOld])
-			s.cacheLRU[s.cacheOld] = key
-			s.cacheOld = (s.cacheOld + 1) % len(s.cacheLRU)
-		}
+	if len(s.cacheLRU) == 0 {
+		s.cache = newBlockSet(s.cfg.CacheBlocks) // empty until now
 	}
-	s.cache[key] = data
+	if len(s.cacheLRU) < s.cfg.CacheBlocks {
+		s.cacheLRU = append(s.cacheLRU, key)
+	} else {
+		s.cache.drop(s.cacheLRU[s.cacheOld])
+		s.cacheLRU[s.cacheOld] = key
+		s.cacheOld = (s.cacheOld + 1) % len(s.cacheLRU)
+	}
+	s.cache.add(key)
 }
 
-func (s *Store) cacheDrop(key int64) { delete(s.cache, key) }
+// blockSet is an open-addressed set of device block indexes with linear
+// probing and backward-shift deletion: no tombstones, never a rehash. At
+// least twice its capacity in slots, it always has an empty one.
+type blockSet struct {
+	slots []int64 // block index + 1; 0 is an empty slot
+	shift uint8   // 64 - log2(len(slots)/8)
+}
+
+func newBlockSet(capacity int) blockSet {
+	lg := max(3, bits.Len(uint(max(2*capacity-1, 1))))
+	return blockSet{slots: make([]int64, 1<<lg), shift: uint8(64 - lg + 3)}
+}
+
+// home is key's first probe slot: each run of 8 blocks, one cache line of
+// slots, hashes to a line (Fibonacci hashing) and keeps its order in it, so
+// a multi-block I/O touches one line and long runs still scatter.
+func (b *blockSet) home(key int64) int {
+	return int(uint64(key>>3)*0x9E3779B97F4A7C15>>b.shift)<<3 | int(key&7)
+}
+
+// find returns key's slot, or the empty slot ending its probe run.
+func (b *blockSet) find(key int64) int {
+	mask := len(b.slots) - 1
+	i := b.home(key)
+	for b.slots[i] != 0 && b.slots[i] != key+1 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (b *blockSet) has(key int64) bool { return b.slots[b.find(key)] != 0 }
+
+func (b *blockSet) add(key int64) { b.slots[b.find(key)] = key + 1 }
+
+// drop removes key, then moves back into the hole each later member of its
+// probe run whose home slot does not lie cyclically in (hole, member].
+func (b *blockSet) drop(key int64) {
+	i := b.find(key)
+	if b.slots[i] == 0 {
+		return
+	}
+	mask := len(b.slots) - 1
+	for j := (i + 1) & mask; b.slots[j] != 0; j = (j + 1) & mask {
+		if home := b.home(b.slots[j] - 1); (j-home)&mask >= (j-i)&mask {
+			b.slots[i] = b.slots[j]
+			i = j
+		}
+	}
+	b.slots[i] = 0
+}
 
 // Write stores length bytes at off within the object, creating it if
 // needed. data may be nil (zero-fill semantics in data-carrying mode).
@@ -251,7 +309,7 @@ func (s *Store) Write(p *sim.Proc, name string, off int64, data []byte, length i
 	// Partial head/tail blocks need the old content merged in — but only if
 	// the block holds previously written data (holes read as zeroes free of
 	// charge). Decide against pre-write allocation state.
-	var rmwBlocks []int64
+	rmwBlocks := make([]int64, 0, 2)
 	addEdge := func(blk int64) {
 		if len(rmwBlocks) > 0 && rmwBlocks[len(rmwBlocks)-1] == blk {
 			return
@@ -289,8 +347,7 @@ func (s *Store) Write(p *sim.Proc, name string, off int64, data []byte, length i
 
 	for _, blk := range rmwBlocks {
 		dOff := s.devOffset(o, blk)
-		key := s.cacheKey(dOff)
-		if _, hit := s.cache[key]; hit {
+		if s.cache.has(s.cacheKey(dOff)) {
 			s.st.CacheHits++
 		} else {
 			s.st.CacheMisses++
@@ -308,7 +365,7 @@ func (s *Store) Write(p *sim.Proc, name string, off int64, data []byte, length i
 		}
 		s.dev.Write(p, dOff, chunk, rLen)
 		for b := dOff / bs; b <= (dOff+rLen-1)/bs; b++ {
-			s.cacheDrop(b)
+			s.cache.drop(b)
 		}
 	})
 
@@ -348,13 +405,13 @@ func (s *Store) forEachRun(o *object, off, length int64, fn func(dOff, rOff, rLe
 		cur := off + covered
 		dOff := s.devOffset(o, cur)
 		// Extend the run while units are device-adjacent.
-		runLen := min64(s.cfg.MinAlloc-cur%s.cfg.MinAlloc, length-covered)
+		runLen := min(s.cfg.MinAlloc-cur%s.cfg.MinAlloc, length-covered)
 		for covered+runLen < length {
 			nxt := cur + runLen
 			if s.devOffset(o, nxt) != dOff+runLen {
 				break
 			}
-			runLen += min64(s.cfg.MinAlloc, length-covered-runLen)
+			runLen += min(s.cfg.MinAlloc, length-covered-runLen)
 		}
 		fn(dOff, covered, runLen)
 		covered += runLen
@@ -387,22 +444,16 @@ func (s *Store) Read(p *sim.Proc, name string, off, length int64) []byte {
 		}
 		dOff := s.devOffset(o, blk)
 		key := s.cacheKey(dOff)
-		var bdata []byte
-		if cached, hit := s.cache[key]; hit {
+		if s.cache.has(key) {
 			s.st.CacheHits++
-			bdata = cached
 		} else {
 			s.st.CacheMisses++
-			bdata = s.dev.Read(p, dOff, bs)
-			s.cacheInsert(key, bdata)
+			s.dev.Read(p, dOff, bs)
+			s.cacheInsert(key)
 		}
-		if s.carryData && bdata != nil {
-			for i := int64(0); i < bs; i++ {
-				abs := blk + i
-				if abs >= off && abs < off+length {
-					out[abs-off] = bdata[i]
-				}
-			}
+		if s.carryData { // the bytes, with no further I/O
+			lo, hi := max(off, blk), min(off+length, blk+bs)
+			s.dev.Peek(out[lo-off:hi-off], dOff+lo-blk)
 		}
 	}
 	return out
@@ -428,10 +479,10 @@ func (s *Store) Corrupt(name string, off, length int64) {
 			continue // hole
 		}
 		dOff := s.devOffset(o, blk)
-		lo := max64(off, blk)
-		hi := min64(off+length, blk+bs)
+		lo := max(off, blk)
+		hi := min(off+length, blk+bs)
 		s.dev.Corrupt(dOff+(lo-blk), hi-lo)
-		s.cacheDrop(s.cacheKey(dOff))
+		s.cache.drop(s.cacheKey(dOff))
 	}
 }
 
@@ -463,7 +514,7 @@ func (s *Store) Delete(p *sim.Proc, name string) {
 		}
 		s.dev.Trim(u, s.cfg.MinAlloc)
 		for b := u / s.cfg.BlockSize; b < (u+s.cfg.MinAlloc)/s.cfg.BlockSize; b++ {
-			s.cacheDrop(b)
+			s.cache.drop(b)
 		}
 		s.freeLst = append(s.freeLst, u)
 	}
@@ -474,17 +525,3 @@ func (s *Store) Delete(p *sim.Proc, name string) {
 }
 
 func alignUp(v, a int64) int64 { return (v + a - 1) / a * a }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
