@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestEngineSteadyStateAllocs is the engine-side allocation regression
@@ -13,6 +14,11 @@ import (
 // resource handoffs and hold chains must allocate nothing — 0 allocs/event and 0
 // allocs/switch.
 func TestEngineSteadyStateAllocs(t *testing.T) {
+	// Bytes per event are what the benchmark sweep pays, 22.6 M times a run:
+	// a new field must fail here, not cost 10 % unnoticed.
+	if sz, nd := unsafe.Sizeof(event{}), unsafe.Sizeof(calNode{}); sz != 32 || nd != 40 {
+		t.Fatalf("event is %d bytes, calNode %d; want 32 and 40", sz, nd)
+	}
 	e := newEngine(t)
 	r := NewResource(e, "mutex", 1)
 	child := func(p *Proc) {

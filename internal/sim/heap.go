@@ -3,9 +3,10 @@ package sim
 import "math/bits"
 
 // An event is one of three kinds, encoded without a discriminant byte to
-// keep the record at five machine words (40 bytes):
+// keep the record at four machine words (32 bytes):
 //
-//   - fn event (Schedule): proc == nil, fn runs in engine context;
+//   - fn event (Schedule): proc == nil, gen is the callback's slot in the
+//     engine's fns table; the callback runs in engine context;
 //   - wakeup: proc != nil, gen is the park-generation guard — stale wakeups
 //     (process resumed by someone else, or killed) drop harmlessly. Every
 //     Sleep, Resource grant, hold-chain step, Latch open and Signal fire is
@@ -15,9 +16,8 @@ import "math/bits"
 type event struct {
 	t    Time
 	seq  uint64
-	gen  uint64 // park generation guard, or genStart
+	gen  uint64 // park generation guard, genStart, or fns slot (fn events)
 	proc *Proc  // nil for fn events
-	fn   func() // callback (fn events only)
 }
 
 // genStart marks a start event. A real park generation never gets there: it
@@ -50,9 +50,10 @@ type calNode struct {
 // any ring entry (so it holds a smaller seq) and heads slot base, since the
 // clock got there by popping from it. Far events lie beyond all calendar
 // events: base moves only on a pop, which migrates what the window newly
-// covers. base never passes the last popped slot — a peek (headTime, for
-// RunUntil's bound) leaves it — so RunUntil's clock never falls below it and
-// no push lands behind the window.
+// covers. base never passes the last popped slot — popBefore finds the head
+// first and leaves the window where it is when the head lies past its
+// bound — so RunUntil's clock never falls below it and no push lands behind
+// the window.
 type eventQueue struct {
 	now  *Time // the engine clock (shared)
 	ring []event
@@ -76,17 +77,6 @@ func (q *eventQueue) dueNow() bool {
 	return int64(*q.now)>>slotBits == q.base && h != 0 && q.slab[h].ev.t == *q.now
 }
 
-// headTime returns the timestamp of the next event (call only when len>0).
-func (q *eventQueue) headTime() Time {
-	switch {
-	case q.head < len(q.ring) && !q.dueNow():
-		return *q.now // ring entries are always at the current time
-	case q.queued > 0:
-		return q.slab[q.first[q.scan()]].ev.t
-	}
-	return q.far[0].t
-}
-
 func (q *eventQueue) push(ev event) {
 	if ev.t == *q.now {
 		q.ring = append(q.ring, ev)
@@ -99,35 +89,46 @@ func (q *eventQueue) push(ev event) {
 	q.far.push(ev)
 }
 
-func (q *eventQueue) pop() event {
+// popBefore removes and returns the next event if it is due by limit, and
+// reports whether it did.
+func (q *eventQueue) popBefore(limit Time) (event, bool) {
 	if q.head < len(q.ring) && !q.dueNow() {
+		if *q.now > limit { // ring entries are always at the current time
+			return event{}, false
+		}
 		ev := q.ring[q.head]
-		q.ring[q.head] = event{} // release proc/closure references
+		q.ring[q.head] = event{} // release the proc reference
 		q.head++
 		if q.head == len(q.ring) {
 			q.ring = q.ring[:0]
 			q.head = 0
 		}
-		return ev
+		return ev, true
 	}
 	if q.queued == 0 {
+		if len(q.far) == 0 || q.far[0].t > limit {
+			return event{}, false
+		}
 		q.advance(int64(q.far[0].t) >> slotBits)
 	}
 	k := q.scan()
 	i := q.first[k]
 	nd := &q.slab[i]
+	if nd.ev.t > limit {
+		return event{}, false
+	}
 	ev := nd.ev
 	q.first[k] = nd.next
 	if nd.next == 0 {
 		q.occ[k>>6] &^= 1 << (k & 63)
 	}
-	*nd = calNode{next: q.free} // release proc/closure references
+	*nd = calNode{next: q.free} // release the proc reference
 	q.free = i
 	q.queued--
 	if s := int64(ev.t) >> slotBits; s != q.base {
 		q.advance(s)
 	}
-	return ev
+	return ev, true
 }
 
 // insert links ev into window slot k in (t, seq) order.
@@ -220,7 +221,7 @@ func (h *eventHeap) pop() event {
 	top := s[0]
 	n := len(s) - 1
 	last := s[n]
-	s[n] = event{} // clear the vacated slot so it retains no proc/closure
+	s[n] = event{} // clear the vacated slot so it retains no proc
 	s = s[:n]
 	*h = s
 	// Sift the displaced last element down from the root.

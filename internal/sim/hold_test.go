@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -119,10 +120,14 @@ func TestHoldMatchesTriplet(t *testing.T) {
 
 // TestEventQueueOrder drives the calendar queue through the engine with
 // random delays — same time (the ring), within a slot, within the window,
-// beyond it (the far heap) — scheduled both from the driver and from
-// engine context, and RunUntil bounds that stop short of the next event
-// (a peek that must not move the window) or jump several windows ahead.
-// Every event must run in (t, seq) order.
+// beyond it (the far heap) — for Schedule callbacks scheduled both from the
+// driver and from engine context, and for processes that wake at the same
+// candidate instants as the callbacks, then Hold a contended Resource and
+// Sleep. RunUntil bounds stop short of the next event (a refused pop that
+// must not move the window), land exactly on a queued time or 1 ns before
+// one, or jump several windows ahead. Every dispatched event, of every kind,
+// must run in (t, seq) order, every callback exactly once, and a bound must
+// leave nothing due at or before it.
 func TestEventQueueOrder(t *testing.T) {
 	delay := func(rng *rand.Rand) time.Duration {
 		switch rng.Intn(6) {
@@ -144,15 +149,31 @@ func TestEventQueueOrder(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := newEngine(t)
+		var last event // seqs start at 1
+		bound := Time(0)
+		e.traced = func(ev event) {
+			if ev.t < last.t || ev.t == last.t && ev.seq <= last.seq {
+				t.Fatalf("seed %d: dispatched (%d, #%d) after (%d, #%d)", seed, ev.t, ev.seq, last.t, last.seq)
+			}
+			if ev.t > bound {
+				t.Fatalf("seed %d: dispatched (%d, #%d) past RunUntil(%d)", seed, ev.t, ev.seq, bound)
+			}
+			last = ev
+		}
+		res := NewResource(e, "r", 2)
 		pending := map[key]bool{}
-		n := 0
-		var schedule func()
-		schedule = func() {
+		asleep := map[int]Time{} // process id -> the instant its first Sleep ends
+		n, spawned, finished := 0, 0, 0
+		var schedule func() time.Duration
+		schedule = func() time.Duration {
 			d := delay(rng)
 			n++
 			k := key{e.now + Time(d), n}
 			pending[k] = true
 			e.Schedule(d, func() {
+				if !pending[k] {
+					t.Fatalf("seed %d: %+v ran twice", seed, k)
+				}
 				for p := range pending {
 					if p.t < k.t || p.t == k.t && p.n < k.n {
 						t.Fatalf("seed %d: ran %+v before %+v", seed, k, p)
@@ -163,16 +184,65 @@ func TestEventQueueOrder(t *testing.T) {
 					schedule()
 				}
 			})
+			return d
+		}
+		spawn := func(d time.Duration) {
+			id, at := spawned, e.now+Time(d)
+			spawned++
+			asleep[id] = at
+			e.GoNamed("q", "", id, func(p *Proc) {
+				p.Sleep(d)
+				if p.Now() != at {
+					t.Fatalf("seed %d: process %d woke at %d, want %d", seed, id, p.Now(), at)
+				}
+				delete(asleep, id)
+				p.Hold(Stage{Res: res, N: 1 + rng.Intn(2), D: delay(rng) / 64}, Stage{D: delay(rng) / 64})
+				p.Sleep(delay(rng))
+				finished++
+			})
 		}
 		for round := 0; round < 300; round++ {
 			for i := rng.Intn(8); i > 0; i-- {
-				schedule()
+				if d := schedule(); rng.Intn(2) == 0 {
+					spawn(d) // wakes at the callback's instant
+				}
 			}
-			e.RunUntil(e.now + Time(delay(rng)))
+			bound = e.now + Time(delay(rng))
+			if c := rng.Intn(3); c > 0 {
+				var queued []Time
+				for k := range pending {
+					queued = append(queued, k.t)
+				}
+				for _, at := range asleep {
+					queued = append(queued, at)
+				}
+				if len(queued) > 0 {
+					slices.Sort(queued)
+					bound = queued[rng.Intn(len(queued))]
+					if c == 2 {
+						bound-- // may fall below the clock: a refused ring pop
+					}
+				}
+			}
+			e.RunUntil(bound)
+			for k := range pending {
+				if k.t <= bound {
+					t.Fatalf("seed %d: RunUntil(%d) left %+v queued", seed, bound, k)
+				}
+			}
+			for id, at := range asleep {
+				if at <= bound {
+					t.Fatalf("seed %d: RunUntil(%d) left process %d asleep past %d", seed, bound, id, at)
+				}
+			}
 		}
+		bound = forever
 		e.Run()
 		if len(pending) != 0 {
 			t.Fatalf("seed %d: %d events never ran", seed, len(pending))
+		}
+		if finished != spawned || e.Live() != 0 {
+			t.Fatalf("seed %d: %d of %d processes finished, %d live", seed, finished, spawned, e.Live())
 		}
 	}
 }

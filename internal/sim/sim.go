@@ -13,12 +13,16 @@
 // Four design choices keep the hot path off the allocator and the
 // scheduler:
 //
-//   - Events are concrete records, not boxed closures. A process wakeup —
-//     the dominant event kind (every Sleep, Resource grant, Latch open and
-//     Signal fire produces one) — is a {proc, generation} pair stored
-//     directly in the queue; the generation guard makes stale wakeups
-//     (a process resumed by someone else first, or killed by Drain) drop
-//     harmlessly. Only Engine.Schedule carries a func() payload.
+//   - Events are four-word records, not boxed closures: {time, seq,
+//     generation, proc}. A process wakeup — the dominant event kind (every
+//     Sleep, Resource grant, Latch open and Signal fire produces one) — is
+//     a {proc, generation} pair stored directly in the queue; the
+//     generation guard makes stale wakeups (a process resumed by someone
+//     else first, or killed by Drain) drop harmlessly. Engine.Schedule's
+//     callbacks (heartbeats and phase marks: about 100 of the benchmark
+//     sweep's 22.6 M events) wait in a side table and their event holds
+//     the slot, so no record carries a func() word; every byte of a record
+//     is paid on each push and pop.
 //   - Processes are pooled. Engine.Go reuses a parked worker coroutine
 //     instead of creating a fresh one; fan-out-heavy model code (an EC
 //     write spawns k+m shard writers per op) churns no goroutines in steady
@@ -107,6 +111,8 @@ type Engine struct {
 	limit    Time // dispatch bound of the current drive
 	driving  bool // a drive is active (guards against re-entry)
 	events   eventQueue
+	fns      []func()    // Schedule callbacks by slot (nil when free)
+	fnFree   []uint64    // free slots of fns
 	handoff  *Proc       // process a yielding process asks the driver to resume
 	stopWhen func() bool // optional extra dispatch brake (RunProc, Drain)
 	live     []*Proc     // live processes, unordered (swap-removed); see spawnSeq
@@ -136,8 +142,17 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) {
 	if delay < 0 {
 		panic("sim: negative delay")
 	}
+	var i uint64
+	if n := len(e.fnFree); n > 0 {
+		i = e.fnFree[n-1]
+		e.fnFree = e.fnFree[:n-1]
+		e.fns[i] = fn
+	} else {
+		i = uint64(len(e.fns))
+		e.fns = append(e.fns, fn)
+	}
 	e.seq++
-	e.events.push(event{t: e.now + Time(delay), seq: e.seq, fn: fn})
+	e.events.push(event{t: e.now + Time(delay), seq: e.seq, gen: i})
 }
 
 // after schedules a resume of p d from now, for its current park.
@@ -236,21 +251,17 @@ func (e *Engine) runFn(fn func()) {
 	fn()
 }
 
-// ready reports whether the dispatch loop should pop another event.
-func (e *Engine) ready() bool {
-	return e.fatal == nil &&
-		e.events.len() > 0 && e.events.headTime() <= e.limit &&
-		(e.stopWhen == nil || !e.stopWhen())
-}
-
 // dispatch executes ready events on the calling goroutine — the driver or
 // the process that just blocked or finished — until one resumes a process,
 // and returns that process (marked running), or nil once no event is ready.
 // The caller runs it: directly when it is the caller itself, otherwise by
 // resuming its coroutine from the driver.
 func (e *Engine) dispatch() *Proc {
-	for e.ready() {
-		ev := e.events.pop()
+	for e.fatal == nil && (e.stopWhen == nil || !e.stopWhen()) {
+		ev, ok := e.events.popBefore(e.limit)
+		if !ok {
+			break
+		}
 		if ev.t < e.now {
 			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, ev.t))
 		}
@@ -261,8 +272,11 @@ func (e *Engine) dispatch() *Proc {
 		}
 		q := ev.proc
 		switch {
-		case q == nil: // fn event
-			e.runFn(ev.fn)
+		case q == nil: // fn event: free its slot first, so fn may reuse it
+			fn := e.fns[ev.gen]
+			e.fns[ev.gen] = nil
+			e.fnFree = append(e.fnFree, ev.gen)
+			e.runFn(fn)
 			continue
 		case ev.gen == genStart:
 			if q.next == nil {

@@ -583,32 +583,6 @@ func TestNewRandDeterministic(t *testing.T) {
 	}
 }
 
-func BenchmarkParkResume(b *testing.B) {
-	e := newEngine(b)
-	e.Go("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Nanosecond)
-		}
-	})
-	b.ResetTimer()
-	e.Run()
-}
-
-func BenchmarkEventDispatch(b *testing.B) {
-	e := newEngine(b)
-	var fn func()
-	n := 0
-	fn = func() {
-		n++
-		if n < b.N {
-			e.Schedule(time.Nanosecond, fn)
-		}
-	}
-	e.Schedule(time.Nanosecond, fn)
-	b.ResetTimer()
-	e.Run()
-}
-
 // TestWakerWaitTimeout covers both outcomes of the timed wait: a Wake
 // before the deadline returns true at the wake time, a deadline with no
 // Wake returns false at the deadline, and after a timeout a late Wake is
