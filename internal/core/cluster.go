@@ -13,9 +13,10 @@
 // What a primary pays to move a shard to or from another OSD — the model
 // behind the I/O-amplification and private-network figures, and behind the
 // §II-C repair cost — is priced in exactly one place: pushShard and
-// pullShard in cluster.go. The foreground paths (ec.go, replicated.go,
-// tailfetch.go) and the repair passes (recovery.go, backfill.go, scrub.go)
-// only decide which shards move.
+// pullShard in cluster.go, each one hold chain. The foreground paths
+// (ec.go, replicated.go, tailfetch.go) run it in a chain-only process per
+// shard; the repair passes (recovery.go, backfill.go, scrub.go) drive it
+// through Proc.Hold (push, pull). Both only decide which shards move.
 package core
 
 import (
@@ -69,6 +70,7 @@ type Cluster struct {
 	stopped  bool
 	races    []*shardRace // pooled per-op fan-out state
 	pushes   []*shardPush
+	xfers    []*transfer
 
 	imageQueue  *sim.Resource // client librbd dispatch serialization
 	metricsFrom sim.Time
@@ -295,28 +297,97 @@ func (c *Cluster) send(p *sim.Proc, net *netsim.Network, from, to *Node, payload
 }
 
 // pushShard writes [off, off+n) of obj on the OSD `to` on behalf of `from` —
-// the primary, or the copy source of a replica repair — and returns once the
-// write is durable and acknowledged: straight into the local store when the
-// two are the same OSD, otherwise payload out over the private network,
-// dispatch and transaction prep at the receiver, its store write, and a
-// zero-byte commit ack back. payload may be nil (size-only mode).
-func (c *Cluster) pushShard(sp *sim.Proc, from, to *OSD, obj string, off int64, payload []byte, n int64) {
+// the primary, or the copy source of a replica repair — as a hold chain that
+// ends once the write is durable and acknowledged: straight into the local
+// store when the two are the same OSD, otherwise payload out over the
+// private network, dispatch and transaction prep at the receiver, its store
+// write, and a zero-byte commit ack back, then the stages then. payload may
+// be nil (size-only mode). It appends the first stages to ss for p to run
+// (Then, or Hold in push); t runs the rest.
+func (c *Cluster) pushShard(ss []sim.Stage, t *transfer, p *sim.Proc, from, to *OSD, obj string, off int64, payload []byte, n int64, then ...sim.Stage) []sim.Stage {
+	to.Store.WriteOp(&t.op, obj, off, payload, n)
 	cm := &c.cfg.Cost
-	if to == from {
-		from.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
-		from.Store.Write(sp, obj, off, payload, n)
-		return
-	}
-	var b [6]sim.Stage
-	ss := c.message(b[:0], c.private, from.Node, to.Node, n)
-	sp.Hold(to.Node.CPU.burst(ss, cm.DispatchUser+cm.TxnPrepUser, cm.StoreSubmitKern)...)
-	to.Store.Write(sp, obj, off, payload, n)
-	c.send(sp, c.private, to.Node, from.Node, 0)
+	return t.begin(ss, p, from, to, n, 0, cm.DispatchUser+cm.TxnPrepUser, then)
 }
 
-// shardPush is one pooled write fan-out: a process per live shard position
-// pushes its payload (pushShard), charges the commit at the primary (under
-// the PG lock when relock is set) and counts down commits.
+// pullShard reads [off, off+n) of obj from the OSD `from` into the OSD `to`
+// as pushShard writes: a local store read when the two are the same OSD,
+// otherwise a zero-byte request out, dispatch and the store read at the
+// holder, and the bytes back over the private network; t's store op has
+// them. Together with pushShard this is the only place a shard transfer is
+// priced; every op and repair path moves data through them.
+func (c *Cluster) pullShard(ss []sim.Stage, t *transfer, p *sim.Proc, to, from *OSD, obj string, off, n int64, then ...sim.Stage) []sim.Stage {
+	from.Store.ReadOp(&t.op, obj, off, n)
+	return t.begin(ss, p, to, from, 0, n, c.cfg.Cost.DispatchUser, then)
+}
+
+// push runs pushShard as one blocking call.
+func (c *Cluster) push(sp *sim.Proc, from, to *OSD, obj string, off int64, payload []byte, n int64) {
+	t, b := c.transfer(), [8]sim.Stage{}
+	sp.Hold(c.pushShard(b[:0], t, sp, from, to, obj, off, payload, n)...)
+	c.xfers = append(c.xfers, t)
+}
+
+// pull runs pullShard as one blocking call and returns the bytes.
+func (c *Cluster) pull(sp *sim.Proc, to, from *OSD, obj string, off, n int64) []byte {
+	t, b := c.transfer(), [8]sim.Stage{}
+	sp.Hold(c.pullShard(b[:0], t, sp, to, from, obj, off, n)...)
+	c.xfers = append(c.xfers, t)
+	return t.op.Data()
+}
+
+// A transfer is the state of one pushShard or pullShard chain, pooled per
+// Cluster or owned per slot by shardRace and shardPush.
+type transfer struct {
+	c       *Cluster
+	p       *sim.Proc
+	op      store.Op
+	tail    []sim.Stage // the leg back and the caller's stages, on tailBuf
+	tailBuf [8]sim.Stage
+	stepFn  func([]sim.Stage) // step, bound once
+}
+
+// transfer takes a pooled transfer, or makes one.
+func (c *Cluster) transfer() *transfer {
+	if t := pop(&c.xfers); t != nil {
+		return t
+	}
+	t := &transfer{c: c}
+	t.stepFn = t.step
+	return t
+}
+
+// begin appends the leg from home to the holder (a message of out bytes,
+// then dispatch there; at home, the store submit alone) and the start of
+// the store op, and keeps the leg back (reply bytes) and then for its end.
+func (t *transfer) begin(ss []sim.Stage, p *sim.Proc, home, holder *OSD, out, reply int64, user time.Duration, then []sim.Stage) []sim.Stage {
+	cm := &t.c.cfg.Cost
+	t.p, t.tail = p, t.tailBuf[:0]
+	if home == holder {
+		ss = home.Node.CPU.burst(ss, 0, cm.StoreSubmitKern)
+	} else {
+		ss = t.c.message(ss, t.c.private, home.Node, holder.Node, out)
+		ss = holder.Node.CPU.burst(ss, user, cm.StoreSubmitKern)
+		t.tail = t.c.message(t.tail, t.c.private, holder.Node, home.Node, reply)
+	}
+	t.tail = append(t.tail, then...)
+	return append(ss, sim.Stage{Done: t.stepFn})
+}
+
+// step starts the store op's next device step at the instant the last one
+// (or the leg to the holder) ended, or, once the op is done, the tail.
+func (t *transfer) step([]sim.Stage) {
+	if st, ok := t.op.Next(); ok {
+		st.Done = t.stepFn
+		t.p.Then(st)
+	} else {
+		t.p.Then(t.tail...)
+	}
+}
+
+// shardPush is one pooled write fan-out: a chain-only process per live
+// shard position pushes its payload (pushShard), charges the commit at the
+// primary (under the PG lock when relock is set) and counts down commits.
 type shardPush struct {
 	c       *Cluster
 	pg      *PG
@@ -326,8 +397,10 @@ type shardPush struct {
 	relock  bool
 	payload [][]byte          // by shard position; nil in size-only mode
 	osds    []*OSD            // by shard position
-	bodies  []func(*sim.Proc) // bodies[pos] pushes position pos, bound once
+	bodies  []func(*sim.Proc) // bodies[pos] starts position pos's chain, bound once
+	xfers   []*transfer       // xfers[pos] carries it
 	commits sim.Latch
+	doneFn  func([]sim.Stage) // committed, bound once
 }
 
 // getPush takes a fan-out of [off, off+n) of obj, every payload nil.
@@ -335,6 +408,7 @@ func (c *Cluster) getPush(pg *PG, prim *OSD, obj string, off, n int64, relock bo
 	f := pop(&c.pushes)
 	if f == nil {
 		f = &shardPush{c: c}
+		f.doneFn = f.committed
 	}
 	w := len(pg.shards)
 	f.payload, f.osds = slices.Grow(f.payload[:0], w)[:w], slices.Grow(f.osds[:0], w)[:w]
@@ -349,7 +423,16 @@ func (f *shardPush) start(tag string, byPos bool) {
 	for pos, id := range f.pg.shards {
 		for len(f.bodies) <= pos {
 			j := len(f.bodies)
-			f.bodies = append(f.bodies, func(sp *sim.Proc) { f.push(sp, j) })
+			f.xfers = append(f.xfers, f.c.transfer())
+			f.bodies = append(f.bodies, func(sp *sim.Proc) {
+				var b, cb [8]sim.Stage
+				commit := cb[:0]
+				if f.relock {
+					commit = append(commit, sim.Stage{Res: f.pg.lock, N: 1, D: sim.Keep})
+				}
+				commit = append(f.prim.Node.CPU.burst(commit, f.c.cfg.Cost.CommitUser, 0), sim.Stage{Done: f.doneFn})
+				sp.Then(f.c.pushShard(b[:0], f.xfers[j], sp, f.prim, f.osds[j], f.obj, f.off, f.payload[j], f.n, commit...)...)
+			})
 		}
 		if !f.pg.live(pos) {
 			continue
@@ -359,16 +442,12 @@ func (f *shardPush) start(tag string, byPos bool) {
 		if byPos {
 			nameID = pos
 		}
-		f.c.e.GoNamed(tag, f.obj, nameID, f.bodies[pos])
+		f.c.e.GoChain(tag, f.obj, nameID, f.bodies[pos])
 	}
 }
 
-func (f *shardPush) push(sp *sim.Proc, pos int) {
-	f.c.pushShard(sp, f.prim, f.osds[pos], f.obj, f.off, f.payload[pos], f.n)
-	if f.relock {
-		f.pg.lock.Acquire(sp, 1)
-	}
-	f.prim.Node.CPU.Exec(sp, f.c.cfg.Cost.CommitUser, 0)
+// committed ends a position's chain: the PG lock back, one commit counted.
+func (f *shardPush) committed([]sim.Stage) {
 	if f.relock {
 		f.pg.lock.Release(1)
 	}
@@ -392,25 +471,6 @@ func pop[T any](free *[]*T) *T {
 	t := (*free)[n-1]
 	*free = (*free)[:n-1]
 	return t
-}
-
-// pullShard reads [off, off+n) of obj from the OSD `from` into the OSD `to`:
-// a local store read when the two are the same OSD, otherwise a zero-byte
-// request out, dispatch and the store read at the holder, and the bytes back
-// over the private network. Together with pushShard this is the only place a
-// shard transfer is priced; every op and repair path moves data through them.
-func (c *Cluster) pullShard(sp *sim.Proc, to, from *OSD, obj string, off, n int64) []byte {
-	cm := &c.cfg.Cost
-	if from == to {
-		to.Node.CPU.Exec(sp, 0, cm.StoreSubmitKern)
-		return to.Store.Read(sp, obj, off, n)
-	}
-	var b [6]sim.Stage
-	ss := c.message(b[:0], c.private, to.Node, from.Node, 0)
-	sp.Hold(from.Node.CPU.burst(ss, cm.DispatchUser, cm.StoreSubmitKern)...)
-	data := from.Store.Read(sp, obj, off, n)
-	c.send(sp, c.private, from.Node, to.Node, n)
-	return data
 }
 
 // clientDispatch charges the serialized librbd image-queue section plus

@@ -37,7 +37,7 @@ func (pl *Pool) fanOut(p *sim.Proc, pg *PG, tag, obj string, positions []int, fn
 // its record.
 func (pl *Pool) rewrite(p *sim.Proc, pg *PG, from *OSD, tag, obj string, targets []int, n int64, payload func(pos int) []byte) {
 	pl.fanOut(p, pg, tag, obj, targets, func(sp *sim.Proc, pos int, osd *OSD) {
-		pl.c.pushShard(sp, from, osd, obj, 0, payload(pos), n)
+		pl.c.push(sp, from, osd, obj, 0, payload(pos), n)
 	})
 	for _, pos := range targets {
 		delete(pg.latent[obj], pos)
@@ -105,7 +105,7 @@ func (pl *Pool) repairEC(p *sim.Proc, pg *PG, tag, obj string, targets []int) (p
 	prim := pl.c.osds[primID]
 	results := make([][]byte, len(srcs))
 	pl.fanOut(p, pg, "ecfetch", obj, srcs, func(sp *sim.Proc, pos int, osd *OSD) {
-		results[slices.Index(srcs, pos)] = pl.c.pullShard(sp, prim, osd, obj, 0, g.shardSize)
+		results[slices.Index(srcs, pos)] = pl.c.pull(sp, prim, osd, obj, 0, g.shardSize)
 	})
 	err = pl.rebuildEC(p, pg, prim, tag, obj, srcs, results, targets)
 	return int64(g.k) * g.shardSize, int64(len(targets)) * g.shardSize, err
@@ -122,7 +122,7 @@ func (pl *Pool) copyReplica(p *sim.Proc, pg *PG, tag, obj string, targets []int)
 	}
 	src := pl.c.osds[pg.shards[srcs[0]]]
 	size := pg.objects[obj]
-	data := pl.c.pullShard(p, src, src, obj, 0, size)
+	data := pl.c.pull(p, src, src, obj, 0, size)
 	pl.rewrite(p, pg, src, tag, obj, targets, size, func(int) []byte { return data })
 	return size, int64(len(targets)) * size, nil
 }

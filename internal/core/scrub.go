@@ -134,7 +134,7 @@ func (pl *Pool) scrubObject(p *sim.Proc, pg *PG, obj string, st *ScrubStats) err
 		prim = pl.c.osds[pg.shards[live[0]]]
 		results = make([][]byte, len(live))
 		pl.fanOut(p, pg, "ecfetch", obj, live, func(sp *sim.Proc, pos int, osd *OSD) {
-			results[slices.Index(live, pos)] = pl.c.pullShard(sp, prim, osd, obj, 0, size)
+			results[slices.Index(live, pos)] = pl.c.pull(sp, prim, osd, obj, 0, size)
 		})
 		prim.Node.CPU.Exec(p, perKB(int64(len(live))*size, cm.ConcatPerKB), 0)
 	} else {

@@ -36,9 +36,10 @@ type shardReq struct {
 }
 
 // shardRace is the state one tailFetch call shares between the waiting
-// caller and its request processes, pooled per Cluster. refs counts the
-// caller and each request process still running (first-k losers outlive
-// tailFetch); a process Drain kills never drops its ref, nor repools it.
+// caller and its chain-only request processes (pulls and retry backoffs),
+// pooled per Cluster. refs counts the caller and each request still running
+// (first-k losers outlive tailFetch); a request Drain kills never drops its
+// ref, nor repools the race.
 type shardRace struct {
 	c       *Cluster
 	prim    *OSD
@@ -53,8 +54,11 @@ type shardRace struct {
 	won     int               // successful completions not abandoned
 	winners []int             // winning positions in completion order
 	results [][]byte          // aligned with winners
-	bodies  []func(*sim.Proc) // bodies[i] serves reqs[i], bound once
+	bodies  []func(*sim.Proc) // bodies[i] starts reqs[i], bound once
+	xfers   []*transfer       // xfers[i] carries reqs[i]'s pulls
 	refs    int
+	pullFn  func([]sim.Stage) // pulled, bound once
+	retryFn func([]sim.Stage) // retry, bound once
 }
 
 // release drops a reference — the caller's, done with winners and results,
@@ -76,51 +80,63 @@ func (s *shardRace) issue(pg *PG, hedge bool) {
 	s.reqs = append(s.reqs, shardReq{pos: pos, osd: s.c.osds[pg.shards[pos]], issued: s.c.e.Now(), hedge: hedge})
 	for len(s.bodies) <= i {
 		j := len(s.bodies)
-		s.bodies = append(s.bodies, func(sp *sim.Proc) { s.serve(sp, &s.reqs[j]); s.release() })
+		s.xfers = append(s.xfers, s.c.transfer())
+		s.bodies = append(s.bodies, func(sp *sim.Proc) { s.attempt(sp, j) })
 	}
 	s.refs++
-	s.c.e.GoNamed("tailfetch", s.obj, pos, s.bodies[i])
+	s.c.e.GoChain("tailfetch", s.obj, pos, s.bodies[i])
 }
 
-// serve runs request r until it succeeds, fails for good or is abandoned,
-// scoring its first attempt with the health tracker.
-func (s *shardRace) serve(sp *sim.Proc, r *shardReq) {
-	c, osd := s.c, r.osd
-	dev := osd.Store.Device()
-	for {
-		r.issued = sp.Now()
-		dev.TakeFault() // drop faults belonging to other I/O paths
-		data := c.pullShard(sp, s.prim, osd, s.obj, s.off, s.n)
-		faulted := dev.TakeFault()
-		if !r.scored {
-			r.scored = true
-			c.noteShardSample(osd.ID, time.Duration(sp.Now()-r.issued), faulted)
-		}
-		if r.abandoned {
-			return // too late — the caller moved on; discard the bytes
-		}
-		if !faulted {
-			r.data, r.done = data, true
-			s.done = append(s.done, r)
-			// Only the need-th success changes a decision of the waiter's;
-			// waking it for each would cost a switch apiece.
-			s.won++
-			if s.won == s.need {
-				s.waker.Wake()
-			}
-			return
-		}
-		c.grayM.ShardFaults++
-		if s.rp.Exhausted(r.attempts) {
-			r.failed, r.done = true, true
-			s.done = append(s.done, r)
-			s.waker.Wake()
-			return
-		}
-		sp.Sleep(s.rp.Backoff(r.attempts))
-		r.attempts++
-		c.grayM.ShardRetries++
+// attempt starts request i's next pull.
+func (s *shardRace) attempt(sp *sim.Proc, i int) {
+	r := &s.reqs[i]
+	r.issued = sp.Now()
+	r.osd.Store.Device().TakeFault() // drop faults belonging to other I/O paths
+	var b [8]sim.Stage
+	sp.Then(s.c.pullShard(b[:0], s.xfers[i], sp, s.prim, r.osd, s.obj, s.off, s.n, sim.Stage{Done: s.pullFn, Arg: int64(i)})...)
+}
+
+// pulled scores request Arg's first attempt with the health tracker, then
+// records a success or, once retries are exhausted, a failure, or backs off
+// to retry; an abandoned request's bytes are discarded.
+func (s *shardRace) pulled(rest []sim.Stage) {
+	i := int(rest[0].Arg)
+	c, r := s.c, &s.reqs[i]
+	faulted := r.osd.Store.Device().TakeFault()
+	if !r.scored {
+		r.scored = true
+		c.noteShardSample(r.osd.ID, time.Duration(c.e.Now()-r.issued), faulted)
 	}
+	switch {
+	case r.abandoned: // too late — the caller moved on
+	case !faulted:
+		r.data, r.done = s.xfers[i].op.Data(), true
+		s.done = append(s.done, r)
+		// Only the need-th success changes a decision of the waiter's;
+		// waking it for each would cost a switch apiece.
+		s.won++
+		if s.won == s.need {
+			s.waker.Wake()
+		}
+	default:
+		c.grayM.ShardFaults++
+		if !s.rp.Exhausted(r.attempts) {
+			s.xfers[i].p.Then(sim.Stage{D: s.rp.Backoff(r.attempts), Done: s.retryFn, Arg: int64(i)})
+			return
+		}
+		r.failed, r.done = true, true
+		s.done = append(s.done, r)
+		s.waker.Wake()
+	}
+	s.release()
+}
+
+// retry counts request Arg's retry once its backoff has passed, and pulls.
+func (s *shardRace) retry(rest []sim.Stage) {
+	i := int(rest[0].Arg)
+	s.reqs[i].attempts++
+	s.c.grayM.ShardRetries++
+	s.attempt(s.xfers[i].p, i)
 }
 
 // tailFetch pulls [shardOff, shardOff+perShard) of `need` shards out of
@@ -149,6 +165,7 @@ func (pl *Pool) tailFetch(p *sim.Proc, pg *PG, prim *OSD, obj string,
 	race := pop(&c.races)
 	if race == nil {
 		race = &shardRace{c: c}
+		race.pullFn, race.retryFn = race.pulled, race.retry
 	}
 	race.cands = pg.sources(race.cands[:0], nil, len(pg.shards))
 	race.prim, race.obj, race.off, race.n, race.need, race.won, race.refs = prim, obj, shardOff, perShard, need, 0, 1

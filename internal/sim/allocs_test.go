@@ -11,8 +11,8 @@ import (
 // (mirroring the rs package's steady-state allocs tests): once the event
 // queue, the live set and the worker pool have reached their high-water
 // capacity, a steady mix of fn events, sleeps, pooled spawns, contended
-// resource handoffs and hold chains must allocate nothing — 0 allocs/event and 0
-// allocs/switch.
+// resource handoffs, hold chains and chain-only processes must allocate
+// nothing — 0 allocs/event and 0 allocs/switch.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	// Bytes per event are what the benchmark sweep pays, 22.6 M times a run:
 	// a new field must fail here, not cost 10 % unnoticed.
@@ -45,6 +45,21 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			p.Hold(Stage{Res: r, N: 1, D: time.Microsecond, Done: done, Arg: 1}, Stage{D: 2 * time.Microsecond})
 		}
 	})
+	// ...chain-only children running BenchmarkEngineChain's chain, grown
+	// by Then from a Done past a keep stage that a later step releases...
+	var inFlight [16]*Proc // by spawn count, mod 16: a chain's Done finds its Proc
+	chained := 0
+	release := func([]Stage) { r.Release(1); chained++ }
+	grow := func(rest []Stage) {
+		inFlight[rest[0].Arg].Then(Stage{D: time.Microsecond}, Stage{Done: release})
+	}
+	spawns := 0
+	chainStart := func(p *Proc) {
+		i := spawns % len(inFlight)
+		inFlight[i] = p
+		spawns++
+		p.Then(Stage{Res: r, N: 1, D: Keep}, Stage{D: time.Microsecond, Done: grow, Arg: int64(i)})
+	}
 	// ...and a driver that keeps spawning contending children (pooled
 	// evStart + recycle, intrusive resource queue).
 	e.Go("driver", func(p *Proc) {
@@ -52,6 +67,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				e.Go("child", child)
 			}
+			e.GoChain("chain", "", -1, chainStart)
 			p.Sleep(10 * time.Microsecond)
 		}
 	})
@@ -70,8 +86,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady state allocates: %.2f allocs/run over %d events (want 0)", allocs, events)
 	}
-	if held == 0 {
-		t.Fatal("no hold chain completed")
+	if held == 0 || chained == 0 {
+		t.Fatalf("%d hold chains and %d chain-only processes completed, want some of each", held, chained)
 	}
 	e.Drain()
 }

@@ -8,9 +8,10 @@ import (
 // The BenchmarkEngine* suite measures the engine's steady-state hot paths:
 // events/second (Schedule), a process resuming itself (Sleep),
 // cross-process switches (PingPong), pooled spawn/complete cycles
-// (GoSwitch), queued resource handoffs (ResourceContention) and contended
-// hold chains (Hold). All report allocations; TestEngineSteadyStateAllocs asserts they are zero in steady
-// state.
+// (GoSwitch), queued resource handoffs (ResourceContention), contended
+// hold chains (Hold) and chain-only processes running them (Chain). All
+// report allocations; TestEngineSteadyStateAllocs asserts they are zero in
+// steady state.
 
 // BenchmarkEngineSchedule dispatches self-rescheduling fn events: the
 // engine-context event path (heap push/pop + dispatch), one event per op.
@@ -117,6 +118,33 @@ func BenchmarkEngineHold(b *testing.B) {
 					Stage{Res: r2, N: 1, D: time.Nanosecond})
 			}
 		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkEngineChain runs BenchmarkEngineHold's contended 3-stage chain
+// as one chain-only process per op, 4 in flight: a pooled GoChain, its
+// start event, the steps in dispatch and the recycle, with no coroutine —
+// the life of a simulated shard request. Compare with GoSwitch + Hold.
+func BenchmarkEngineChain(b *testing.B) {
+	e := newEngine(b)
+	r1, r2 := NewResource(e, "tx", 1), NewResource(e, "rx", 1)
+	spawned := 0
+	var start func(p *Proc)
+	next := func([]Stage) {
+		if spawned < b.N {
+			spawned++
+			e.GoChain("chain", "", -1, start)
+		}
+	}
+	start = func(p *Proc) {
+		p.Then(Stage{Res: r1, N: 1, D: time.Nanosecond}, Stage{D: time.Nanosecond},
+			Stage{Res: r2, N: 1, D: time.Nanosecond, Done: next})
+	}
+	for w := 0; w < 4; w++ {
+		next(nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

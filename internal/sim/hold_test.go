@@ -246,3 +246,166 @@ func TestEventQueueOrder(t *testing.T) {
 		}
 	}
 }
+
+// chainScript runs a seeded random workload of growing hold chains over
+// contended resources. Each process's chain is a list of legs: the start
+// appends the first, and each leg's last Done appends the next with Then,
+// so a chain runs well past chainBuf in all. A leg may open with a keep
+// stage on a lock that a later leg's end releases; stages may be zero
+// length. The processes are spawned either chain-only (GoChain) or as
+// coroutine processes whose body is one Hold of the first leg. Three more
+// are cut by Drain in known states: one queued on a resource, one holding
+// a keep stage, and one spawned after the cut, not yet started. It returns
+// the dispatch trace, every Done call and the resources' statistics at the
+// cut and after the Drain.
+func chainScript(t *testing.T, seed int64, chainOnly bool) []string {
+	e := newEngine(t)
+	rng := rand.New(rand.NewSource(seed))
+	var log []string
+	e.traced = func(ev event) {
+		who := "fn"
+		if ev.proc != nil {
+			who = ev.proc.Name()
+		}
+		log = append(log, fmt.Sprintf("ev %d #%d %s", ev.t, ev.seq, who))
+	}
+	res := []*Resource{NewResource(e, "a", 1), NewResource(e, "b", 2), NewResource(e, "c", 3)}
+	lock, hog, kept := NewResource(e, "lock", 1), NewResource(e, "hog", 1), NewResource(e, "kept", 1)
+	all := append(res, lock, hog, kept)
+
+	type script struct {
+		p       *Proc
+		legs    [][]Stage
+		release []bool // release[j]: the end of leg j gives the lock back
+		next    int    // the leg to append next
+	}
+	var scripts []*script
+	hook := func(rest []Stage) {
+		log = append(log, fmt.Sprintf("hook %d arg %d", e.now, rest[0].Arg))
+		if len(rest) > 1 && rest[1].D > 0 && e.now%3 == 0 {
+			rest[1].D += time.Microsecond // a later delay set at this instant
+		}
+	}
+	legEnd := func(rest []Stage) {
+		sc := scripts[rest[0].Arg]
+		if sc.release[sc.next-1] {
+			lock.Release(1)
+		}
+		log = append(log, fmt.Sprintf("leg %d of %d at %d, lock %d", sc.next-1, rest[0].Arg, e.now, lock.InUse()))
+		if sc.next < len(sc.legs) {
+			sc.next++
+			sc.p.Then(sc.legs[sc.next-1]...)
+		}
+	}
+	spawn := func(i int) {
+		sc := scripts[i]
+		start := func(p *Proc) {
+			sc.p, sc.next = p, 1
+			if chainOnly {
+				p.Then(sc.legs[0]...)
+			} else {
+				p.Hold(sc.legs[0]...)
+			}
+		}
+		if chainOnly {
+			e.GoChain("p", "", i, start)
+		} else {
+			e.GoNamed("p", "", i, start)
+		}
+	}
+
+	for i := 0; i < 3+rng.Intn(6); i++ {
+		sc := &script{}
+		holding := false
+		for j := 0; j < 3+rng.Intn(6); j++ {
+			var leg []Stage
+			if j == 0 {
+				leg = append(leg, Stage{D: time.Duration(rng.Intn(3)) * time.Microsecond})
+			}
+			if !holding && rng.Intn(3) == 0 {
+				leg, holding = append(leg, Stage{Res: lock, N: 1, D: Keep}), true
+			}
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				s := Stage{D: time.Duration(rng.Intn(4)) * time.Microsecond} // 0: a zero-length step
+				if rng.Intn(3) > 0 {
+					s.Res = res[rng.Intn(len(res))]
+					s.N = 1 + rng.Intn(s.Res.Capacity())
+				}
+				if rng.Intn(2) == 0 {
+					s.Done, s.Arg = hook, int64(100*i+j)
+				}
+				leg = append(leg, s)
+			}
+			leg = append(leg, Stage{Done: legEnd, Arg: int64(i)})
+			release := holding && rng.Intn(2) == 0
+			holding = holding && !release
+			sc.legs, sc.release = append(sc.legs, leg), append(sc.release, release)
+		}
+		sc.release[len(sc.release)-1] = sc.release[len(sc.release)-1] || holding
+		scripts = append(scripts, sc)
+		spawn(i)
+	}
+	// Cut in known states: queued behind a long hold, holding a keep stage.
+	n := len(scripts)
+	scripts = append(scripts,
+		&script{legs: [][]Stage{{{Res: hog, N: 1, D: time.Second}, {Done: legEnd, Arg: int64(n)}}}, release: []bool{false}},
+		&script{legs: [][]Stage{{{Res: hog, N: 1, D: time.Microsecond}, {Done: legEnd, Arg: int64(n + 1)}}}, release: []bool{false}},
+		&script{legs: [][]Stage{{{Res: kept, N: 1, D: Keep}, {D: time.Second}, {Done: legEnd, Arg: int64(n + 2)}}}, release: []bool{false}})
+	for i := n; i < len(scripts); i++ {
+		spawn(i)
+	}
+
+	stats := func(when string) {
+		for _, r := range all {
+			log = append(log, fmt.Sprintf("%s %s: inUse %d queued %d acquires %d waits %d busy %.0f",
+				when, r.name, r.InUse(), r.QueueLen(), r.Acquires(), r.Waits(), r.Utilization(0)*1e9))
+		}
+	}
+	e.RunUntil(Time(5+rng.Intn(25)) * Time(time.Microsecond))
+	started := false
+	unstarted := func(p *Proc) { started = true }
+	if chainOnly {
+		e.GoChain("late", "", -1, unstarted)
+	} else {
+		e.Go("late", unstarted)
+	}
+	stats("cut")
+	if hog.QueueLen() != 1 || kept.InUse() != 1 {
+		t.Fatalf("seed %d: at the cut, %d queued for hog (want 1), %d kept (want 1)", seed, hog.QueueLen(), kept.InUse())
+	}
+	e.Drain()
+	stats("drained")
+	if started || e.Live() != 0 || hog.QueueLen() != 0 || kept.InUse() != 1 {
+		t.Fatalf("seed %d: after Drain: late started %v, %d live, %d queued for hog (want 0), %d kept (want 1)",
+			seed, started, e.Live(), hog.QueueLen(), kept.InUse())
+	}
+	e.Run()
+	e.Close() // chain-only processes in the pool: nothing to stop
+	return log
+}
+
+// TestChainMatchesHold: a chain-only process is indistinguishable from a
+// coroutine process running the same chain in one Hold — the same events
+// at the same (t, seq) for the same processes, Done calls at the same
+// instants, the same Resource bookkeeping — with chains grown by Then from
+// Done past chainBuf, keep stages, zero-length stages and contention, and
+// across a Drain that kills processes queued, holding a keep stage and not
+// yet started.
+func TestChainMatchesHold(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		want := chainScript(t, seed, false)
+		got := chainScript(t, seed, true)
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				g := "<end>"
+				if i < len(got) {
+					g = got[i]
+				}
+				t.Fatalf("seed %d: line %d: Hold %q, chain-only %q", seed, i, want[i], g)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: chain-only logged %d lines, Hold %d", seed, len(got), len(want))
+		}
+	}
+}

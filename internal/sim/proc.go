@@ -6,9 +6,9 @@ import (
 )
 
 // Proc is a simulation process: a pooled worker coroutine interleaved with
-// the engine. After its body returns the worker parks and Engine.Go hands it
-// out again, so steady-state fan-out spawns no goroutines and allocates
-// nothing in the engine.
+// the engine, or a bare hold chain (Engine.GoChain). After it ends it goes
+// back to its pool, so steady-state fan-out spawns no goroutines and
+// allocates nothing in the engine.
 type Proc struct {
 	e     *Engine
 	fn    func(p *Proc)
@@ -26,6 +26,8 @@ type Proc struct {
 	parkGen  uint64 // bumped on every resume; never reset, so stale wakeups drop
 	parked   bool
 	killed   bool
+	chained  bool     // chain-only (GoChain): fn is its start body, no coroutine
+	pool     *[]*Proc // where it goes when it ends: Engine.free or chains
 
 	// Intrusive wait-queue link (Resource/Latch/Signal/Waker). A parked
 	// process waits on at most one primitive, so one link suffices and
@@ -34,12 +36,12 @@ type Proc struct {
 	waitN       int  // units requested from a Resource
 	waitGranted bool // Resource grant already applied when killed mid-wait
 
-	// The running Hold chain (empty when none), its stage and phase. chain
-	// starts on chainBuf, which holds any chain the model builds (a shard
-	// transfer's is 6 stages), so a fresh worker's first Hold allocates
-	// nothing.
+	// The running chain (empty when none; then stage and phase are zero),
+	// its stage and phase. chain starts on chainBuf, which holds any chain
+	// the model builds (a shard transfer's legs are up to 8 stages; Then
+	// drops finished stages before growing it), so a Proc never allocates one.
 	chain    []Stage
-	chainBuf [8]Stage
+	chainBuf [10]Stage
 	stage    int
 	phase    int8
 }
@@ -130,10 +132,12 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park()
 }
 
-// Stage is one step of a hold chain (Proc.Hold): hold N units of Res for D
-// (with Res nil, sleep D), then call Done with it and the stages after it —
-// Done may set a later stage's D from state at that instant — in engine
-// context, so Done must not block.
+// Stage is one step of a hold chain (Proc.Hold, Engine.GoChain): hold N
+// units of Res for D (with Res nil, sleep D), then call Done with it and the
+// stages after it — Done may set a later stage's D from state at that
+// instant, or append stages with Proc.Then and then not touch rest — in
+// engine context, so Done must not block. With D == Keep the stage keeps
+// its units past its end, for a later step to release.
 type Stage struct {
 	Res  *Resource
 	N    int
@@ -141,6 +145,8 @@ type Stage struct {
 	Done func(rest []Stage)
 	Arg  int64 // free for Done
 }
+
+const Keep time.Duration = -1 // the D of a stage whose units a later step releases
 
 // A chain stage's phase: what it does next (acquire, start D, release).
 const (
@@ -163,14 +169,32 @@ func (p *Proc) Hold(stages ...Stage) {
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
-			if s := &p.chain[p.stage]; p.phase == holdTimed {
-				s.Res.cancel(p, s.N) // killed while queued
-			}
-			p.chain = p.chain[:0]
+			p.dropChain()
 			panic(rec)
 		}
 	}()
 	p.park()
+}
+
+// Then appends stages to the running chain, from a GoChain start body or a
+// stage's Done. To stay in its array the chain may first drop the stages
+// already done, so a Done must not touch its rest after Then.
+func (p *Proc) Then(stages ...Stage) {
+	if len(p.chain)+len(stages) > cap(p.chain) && p.stage > 0 {
+		n := copy(p.chain, p.chain[p.stage:])
+		p.chain, p.stage = p.chain[:n], 0
+	}
+	p.chain = append(p.chain, stages...)
+}
+
+// dropChain ends a killed process's chain: a claim queued or just granted is
+// cancelled; units held stay held.
+func (p *Proc) dropChain() {
+	if len(p.chain) > 0 && p.phase == holdTimed {
+		s := &p.chain[p.stage]
+		s.Res.cancel(p, s.N)
+	}
+	p.chain, p.stage, p.phase = p.chain[:0], 0, holdTake
 }
 
 // advance runs the chain until a step waits on an event (a grant or a stage's
@@ -194,17 +218,17 @@ func (p *Proc) advance() bool {
 			}
 			fallthrough
 		case holdDone:
-			if s.Res != nil {
+			if s.Res != nil && s.D != Keep {
 				s.Res.Release(s.N)
 			}
 			if s.Done != nil {
-				s.Done(p.chain[p.stage:])
+				s.Done(p.chain[p.stage:]) // may move the chain (Then)
 			}
 			p.stage++
 			p.phase = holdTake
 		}
 	}
-	p.chain = p.chain[:0]
+	p.chain, p.stage = p.chain[:0], 0
 	return true
 }
 

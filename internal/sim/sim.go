@@ -10,7 +10,7 @@
 // of them (the driver or a single process) ever runs, so runs are
 // bit-for-bit deterministic for a given seed and independent of GOMAXPROCS.
 //
-// Four design choices keep the hot path off the allocator and the
+// Five design choices keep the hot path off the allocator and the
 // scheduler:
 //
 //   - Events are four-word records, not boxed closures: {time, seq,
@@ -28,13 +28,10 @@
 //     write spawns k+m shard writers per op) churns no goroutines in steady
 //     state. Process names are stored as unformatted {prefix, arg, id}
 //     parts and only rendered by Name() — on panic, in practice — so
-//     spawning never pays fmt.Sprintf either (GoNamed). A worker's hold
-//     chain starts on an array inside its Proc. The model pools its per-op
-//     state the same way: core keeps each cluster's shard races and write
-//     fan-outs (buffers, latch, Waker and process bodies bound once per
-//     slot) on free lists, netsim addresses NICs by index and the store's
-//     block cache is a flat set, so a warm simulated 4 KiB read or
-//     overwrite allocates nothing (core.TestModelSteadyStateAllocs).
+//     spawning never pays fmt.Sprintf either (GoNamed). A hold chain starts
+//     on an array inside its Proc. The model pools its per-op state too, so
+//     a warm simulated 4 KiB read or overwrite allocates nothing
+//     (core.TestModelSteadyStateAllocs).
 //   - Switches bypass the scheduler. A process that blocks runs the
 //     dispatch loop itself and keeps going when its own wakeup is next (no
 //     switch at all); otherwise it yields to the driver, which resumes the
@@ -43,9 +40,6 @@
 //     scheduler lock. The channel baton this replaced took chansend → ready
 //     → wakep → sched.lock on 96 % of the 22.5 M events of the benchmark
 //     sweep, and two engines running side by side contended on that lock.
-//     At -cpu 1 / 2, a pooled spawn (BenchmarkEngineGoSwitch) went from
-//     533 / 496 to 160 / 191 ns and a cross-process switch
-//     (BenchmarkEnginePingPong) from 265 / 274 to 175 / 178 ns.
 //   - Model steps run in engine context. A CPU burst, a NIC serialization
 //     and a device slot are each Acquire, Sleep, Release, and resuming a
 //     process to run the one line between two waits costs two switches.
@@ -53,6 +47,12 @@
 //     runs each step, pushing exactly the events the triplets would, and
 //     only the chain's end resumes the process. On the smoke sweep
 //     processes resume 4.15 M times instead of 10.13 M (10.1 M events).
+//   - Shard transfers need no coroutine. A process that is only a hold
+//     chain (a shard request's pulls and backoffs, a shard write's push
+//     and commit) is spawned with Engine.GoChain: its Done callbacks run
+//     in engine context and append the next stages with Proc.Then, and it
+//     ends with its chain, never resumed. On the benchmark sweep the
+//     driver resumes processes 1.35 M times instead of 7.77 M.
 //
 // Processes block on virtual time (Sleep), on counted resources (Resource),
 // and on synchronization primitives (Latch, Signal, Waker). Waiting
@@ -97,8 +97,8 @@ func (t Time) String() string { return time.Duration(t).String() }
 //
 // Internally the engine has no goroutine of its own while running. The
 // dispatch loop executes on whichever goroutine is active — the driver (the
-// Run/RunUntil caller) or the process that just blocked. Each process is a
-// coroutine that only the driver resumes: a process whose own wakeup is the
+// Run/RunUntil caller) or the process that just blocked. Each coroutine
+// process is resumed by the driver alone: a process whose own wakeup is the
 // next event keeps running (no switch at all — the common case for a
 // process sleeping through consecutive model delays); otherwise it names
 // the next process in handoff and yields, and the driver resumes that one.
@@ -117,6 +117,7 @@ type Engine struct {
 	stopWhen func() bool // optional extra dispatch brake (RunProc, Drain)
 	live     []*Proc     // live processes, unordered (swap-removed); see spawnSeq
 	free     []*Proc     // parked worker coroutines ready for reuse
+	chains   []*Proc     // finished chain-only processes ready for reuse
 	executed uint64
 	fatal    any
 	closed   bool
@@ -168,9 +169,6 @@ func (e *Engine) wake(p *Proc) {
 	e.seq++
 	e.events.push(event{t: e.now, seq: e.seq, proc: p, gen: p.parkGen})
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return e.events.len() }
 
 // Live returns the number of live (spawned, unfinished) processes.
 func (e *Engine) Live() int { return len(e.live) }
@@ -251,6 +249,21 @@ func (e *Engine) runFn(fn func()) {
 	fn()
 }
 
+// step runs q's chain in engine context (after start, if set) until a stage
+// waits, and reports whether it ended. Like runFn, it turns a panic into the
+// engine fatal, named for q, not for the process running the dispatch loop.
+func (e *Engine) step(q *Proc, start func(*Proc)) (ended bool) {
+	defer func() {
+		if r := recover(); r != nil && e.fatal == nil {
+			e.fatal = fmt.Sprintf("sim: process %q panicked: %v", q.Name(), r)
+		}
+	}()
+	if start != nil {
+		start(q)
+	}
+	return q.advance()
+}
+
 // dispatch executes ready events on the calling goroutine — the driver or
 // the process that just blocked or finished — until one resumes a process,
 // and returns that process (marked running), or nil once no event is ready.
@@ -279,6 +292,14 @@ func (e *Engine) dispatch() *Proc {
 			e.runFn(fn)
 			continue
 		case ev.gen == genStart:
+			if q.chained {
+				q.parkGen++
+				q.parked = true // on its chain, from here to its end
+				if q.killed || e.step(q, q.fn) {
+					e.recycle(q)
+				}
+				continue
+			}
 			if q.next == nil {
 				// The worker coroutine is created on first dispatch, not at
 				// Go time, so engines built but never run own none.
@@ -289,8 +310,12 @@ func (e *Engine) dispatch() *Proc {
 				continue // stale wakeup: resumed by someone else, or killed
 			}
 			if len(q.chain) > 0 {
-				q.parkGen++ // a Hold step: resume only once the chain ends
-				if !q.advance() {
+				q.parkGen++ // a chain step: resume only once the chain ends
+				if !e.step(q, nil) {
+					continue
+				}
+				if q.chained {
+					e.recycle(q) // no coroutine to resume: the process ends
 					continue
 				}
 			}
@@ -383,10 +408,16 @@ func (e *Engine) liveProcs() []*Proc {
 // switchTo force-resumes a parked process from the driver (Drain kills),
 // out of event order; the guard bump drops its pending wakeup. Drain holds
 // dispatch still, so p yields straight back with no handoff once it has
-// unwound and parked its worker.
+// unwound and parked its worker. A chain-only process ends as Hold's
+// recover would end it.
 func (e *Engine) switchTo(p *Proc) {
 	p.parked = false
 	p.parkGen++
+	if p.chained {
+		p.dropChain()
+		e.recycle(p)
+		return
+	}
 	p.next()
 }
 
@@ -402,10 +433,24 @@ func (e *Engine) Go(name string, fn func(p *Proc)) {
 // are only rendered when read — on a process panic, in practice — so hot
 // spawn paths avoid a fmt.Sprintf per sub-operation.
 func (e *Engine) GoNamed(prefix, arg string, id int, fn func(p *Proc)) {
+	e.spawn(&e.free, prefix, arg, id, fn)
+}
+
+// GoChain spawns a process that is only a hold chain, named like GoNamed.
+// At its start event (Go's event and seq) start runs in engine context and
+// appends the first stages with Then; the process ends with its chain, and
+// neither start nor a Done may block. Drain kills it as Hold's recover would
+// (killed before its start event, it ends at that event).
+func (e *Engine) GoChain(prefix, arg string, id int, start func(p *Proc)) {
+	e.spawn(&e.chains, prefix, arg, id, start)
+}
+
+// spawn takes a Proc from pool and queues its start event.
+func (e *Engine) spawn(pool *[]*Proc, prefix, arg string, id int, fn func(p *Proc)) {
 	if e.closed {
 		panic("sim: Go on a closed engine")
 	}
-	p := e.getProc()
+	p := e.getProc(pool)
 	p.namePrefix, p.nameArg, p.nameID = prefix, arg, id
 	p.fn = fn
 	e.procSeq++
@@ -416,24 +461,34 @@ func (e *Engine) GoNamed(prefix, arg string, id int, fn func(p *Proc)) {
 	e.events.push(event{t: e.now, seq: e.seq, proc: p, gen: genStart})
 }
 
-// getProc pops a parked worker from the pool, or creates a Proc when the
-// pool is empty; its coroutine is created by its first start event.
-func (e *Engine) getProc() *Proc {
-	if n := len(e.free); n > 0 {
-		p := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		p.killed = false
-		return p
+// chainSlab is how many chain-only processes are allocated at once: a
+// fan-out-heavy model's pool reaches new highs long after it is warm.
+const chainSlab = 64
+
+// getProc pops a Proc from pool (e.free or e.chains), or creates one when
+// it is empty; a worker's coroutine is created by its first start event.
+func (e *Engine) getProc(pool *[]*Proc) *Proc {
+	if len(*pool) == 0 {
+		n := 1
+		if pool == &e.chains {
+			n = chainSlab
+		}
+		slab := make([]Proc, n)
+		for i := range slab {
+			slab[i] = Proc{e: e, nameID: -1, pool: pool, chained: pool == &e.chains}
+			slab[i].chain = slab[i].chainBuf[:0]
+			*pool = append(*pool, &slab[i])
+		}
 	}
-	p := &Proc{e: e, nameID: -1}
-	p.chain = p.chainBuf[:0]
+	p := (*pool)[len(*pool)-1]
+	*pool = (*pool)[:len(*pool)-1]
+	p.killed = false
 	return p
 }
 
-// recycle removes a finished process from the live set and parks its worker
-// in the pool. Runs on the worker coroutine, the only goroutine running, so
-// it needs no locking.
+// recycle removes a finished process from the live set and returns it to
+// its pool. Runs on the worker coroutine or, for a chain-only process, in
+// engine context: the only goroutine running, so it needs no locking.
 func (e *Engine) recycle(p *Proc) {
 	last := len(e.live) - 1
 	q := e.live[last]
@@ -443,7 +498,8 @@ func (e *Engine) recycle(p *Proc) {
 	e.live = e.live[:last]
 	p.fn = nil
 	p.namePrefix, p.nameArg, p.nameID = "", "", -1
-	e.free = append(e.free, p)
+	p.parked = false // a chain-only process ends parked on its chain
+	*p.pool = append(*p.pool, p)
 }
 
 // NewRand returns a deterministic random source for model components.

@@ -561,6 +561,62 @@ func TestScheduleFnPanicNotAttributedToProc(t *testing.T) {
 	e.Run()
 }
 
+// TestStepPanicNamesItsProcess pins the attribution of a panic in a hold
+// chain's step: a Done running in engine context while another process
+// runs the dispatch loop — for a coroutine process's Hold, a chain-only
+// process's chain, and a chain-only start body — must surface from Run as
+// the panic of the process the step belongs to, and must not unwind the
+// dispatching process (queued in a Hold of its own, whose recover would
+// cancel its claim).
+func TestStepPanicNamesItsProcess(t *testing.T) {
+	boom := func([]Stage) { panic("boom") }
+	for _, tc := range []struct {
+		name  string
+		early func(e *Engine) // at 0, before the dispatcher starts
+		late  func(e *Engine) // by the dispatcher, at 1 ms
+	}{
+		{name: "hold", early: func(e *Engine) {
+			e.Go("owner", func(p *Proc) { p.Hold(Stage{D: 2 * time.Millisecond, Done: boom}) })
+		}},
+		{name: "chain", early: func(e *Engine) {
+			e.GoChain("owner", "", -1, func(p *Proc) { p.Then(Stage{D: 2 * time.Millisecond, Done: boom}) })
+		}},
+		{name: "start", late: func(e *Engine) {
+			e.GoChain("owner", "", -1, func(*Proc) { panic("boom") })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEngine(t)
+			r := NewResource(e, "r", 1)
+			e.Go("holder", func(p *Proc) { p.Hold(Stage{Res: r, N: 1, D: time.Second}) })
+			if tc.early != nil {
+				tc.early(e)
+			}
+			unwound := false
+			e.Go("dispatcher", func(p *Proc) {
+				defer func() { unwound = true }()
+				p.Sleep(time.Millisecond)
+				if tc.late != nil {
+					tc.late(e)
+				}
+				p.Hold(Stage{Res: r, N: 1, D: time.Second})
+			})
+			defer func() {
+				if got := recover(); got != `sim: process "owner" panicked: boom` {
+					t.Fatalf("panic value = %v, want the owner's", got)
+				}
+				if unwound {
+					t.Fatal("the dispatching process was unwound by another process's step")
+				}
+				if r.QueueLen() != 1 {
+					t.Fatalf("%d processes queued for r, want the dispatcher", r.QueueLen())
+				}
+			}()
+			e.Run()
+		})
+	}
+}
+
 func TestTimeFormatting(t *testing.T) {
 	tm := Time(1500 * time.Millisecond)
 	if tm.Seconds() != 1.5 {

@@ -462,6 +462,18 @@ func (d *Device) maybeGC() (migrated int) {
 // returns the stored bytes (zeroes for never-written ranges); otherwise it
 // returns nil.
 func (d *Device) Read(p *sim.Proc, off, length int64) []byte {
+	p.Hold(d.ReadStep(off, length))
+	if !d.cfg.CarryData {
+		return nil
+	}
+	out := make([]byte, length)
+	d.Peek(out, off)
+	return out
+}
+
+// ReadStep does a host read's bookkeeping at this instant and returns the
+// stage that holds a queue slot for its service time (Read holds it).
+func (d *Device) ReadStep(off, length int64) sim.Stage {
 	d.checkRange(off, length)
 	d.st.HostReadOps++
 	d.st.HostReadBytes += length
@@ -481,15 +493,7 @@ func (d *Device) Read(p *sim.Proc, off, length int64) []byte {
 	if seq {
 		base = time.Duration(float64(base) * d.cfg.SeqReadFactor)
 	}
-	svc := base + xferTime(length, d.cfg.ReadBandwidth)
-	d.serve(p, svc)
-
-	if !d.cfg.CarryData {
-		return nil
-	}
-	out := make([]byte, length)
-	d.Peek(out, off)
-	return out
+	return d.slot(base + xferTime(length, d.cfg.ReadBandwidth))
 }
 
 // Peek copies into dst what Read would return for [off, off+len(dst)), but
@@ -515,6 +519,14 @@ func (d *Device) Peek(dst []byte, off int64) {
 // Write performs a host write of [off, off+length). In CarryData mode data
 // must hold length bytes; otherwise data may be nil.
 func (d *Device) Write(p *sim.Proc, off int64, data []byte, length int64) {
+	p.Hold(d.WriteStep(off, data, length))
+	d.FinishWrite(off, data, length)
+}
+
+// WriteStep does a host write's bookkeeping at this instant, the FTL remap
+// and any garbage collection included, and returns the stage that holds a
+// queue slot for its service time; FinishWrite follows its end.
+func (d *Device) WriteStep(off int64, data []byte, length int64) sim.Stage {
 	d.checkRange(off, length)
 	if data != nil && int64(len(data)) != length {
 		panic("ssd: data length does not match write length")
@@ -556,9 +568,17 @@ func (d *Device) Write(p *sim.Proc, off int64, data []byte, length int64) {
 	if migrated > 0 {
 		svc += time.Duration(migrated) * d.cfg.ProgramPage
 	}
-	d.serve(p, svc)
+	return d.slot(svc)
+}
 
-	for pg := firstPage; d.cfg.CarryData && pg <= lastPage; pg++ {
+// FinishWrite stores the bytes of a write whose step has ended (CarryData
+// mode; nil data writes zeroes). A size-only device has nothing to store.
+func (d *Device) FinishWrite(off int64, data []byte, length int64) {
+	if !d.cfg.CarryData {
+		return
+	}
+	ps := int64(d.cfg.PageSize)
+	for pg := d.pageOf(off); pg <= d.pageOf(off+length-1); pg++ {
 		pdata, ok := d.data[pg]
 		if !ok {
 			pdata = make([]byte, ps)
@@ -627,12 +647,13 @@ func xferTime(n, bw int64) time.Duration {
 	return time.Duration(n * int64(time.Second) / bw)
 }
 
-// serve queues the request and holds a device slot for the service time,
-// applying any installed degradation: the latency multiplier and stuck-I/O
-// hang stretch the service time, the error draw records an injected fault
-// for TakeFault. Draws happen at request entry so they follow simulated
-// event order deterministically; so does the busy-time charge.
-func (d *Device) serve(p *sim.Proc, svc time.Duration) {
+// slot returns the stage that holds a device queue slot for the service
+// time, applying any installed degradation: the latency multiplier and
+// stuck-I/O hang stretch the service time, the error draw records an
+// injected fault for TakeFault. Draws happen as the step starts, so they
+// follow simulated event order deterministically; so does the busy-time
+// charge.
+func (d *Device) slot(svc time.Duration) sim.Stage {
 	if d.deg.Active() {
 		if m := d.deg.LatencyMultiplier; m > 0 && m != 1 {
 			svc = time.Duration(float64(svc) * m)
@@ -647,7 +668,7 @@ func (d *Device) serve(p *sim.Proc, svc time.Duration) {
 		}
 	}
 	d.busy.Add(int64(svc))
-	p.Hold(sim.Stage{Res: d.queue, N: 1, D: svc})
+	return sim.Stage{Res: d.queue, N: 1, D: svc}
 }
 
 // BusySeconds returns the cumulative device service time in seconds (sum

@@ -292,94 +292,228 @@ func (b *blockSet) drop(key int64) {
 // Write stores length bytes at off within the object, creating it if
 // needed. data may be nil (zero-fill semantics in data-carrying mode).
 func (s *Store) Write(p *sim.Proc, name string, off int64, data []byte, length int64) {
-	if off < 0 || length <= 0 {
+	var op Op
+	s.WriteOp(&op, name, off, data, length)
+	for st, ok := op.Next(); ok; st, ok = op.Next() {
+		p.Hold(st)
+	}
+}
+
+// Read returns length bytes at off. Reads of holes and beyond-EOF ranges
+// yield zeroes without device I/O. In size-only mode it returns nil.
+func (s *Store) Read(p *sim.Proc, name string, off, length int64) []byte {
+	var op Op
+	s.ReadOp(&op, name, off, length)
+	for st, ok := op.Next(); ok; st, ok = op.Next() {
+		p.Hold(st)
+	}
+	return op.data
+}
+
+// Op is a Read or Write walked one device step at a time, so that a hold
+// chain can run it: each Next finishes the step that just ended and starts
+// the next at that instant, and returns its stage.
+type Op struct {
+	s           *Store
+	o           *object
+	name        string
+	off, length int64
+	data        []byte // the write's bytes, or the read's (carry mode)
+	phase       int8
+	at          int64    // read: the next block; write: the next run, from the aligned start
+	rmw         [2]int64 // write: head and tail blocks to merge
+	nrmw        int
+	dOff, n     int64  // the device step in flight
+	chunk       []byte // its bytes (carry mode)
+}
+
+// An Op's phase: what its next Next does (a ...Done phase first finishes
+// the device write that just ended).
+const (
+	opRead       = iota // begin a read
+	opReadMissed        // cache the block read at at, then scan on
+	opReadScan          // look up blocks from at until one misses the cache
+	opWrite             // begin a write: journal it if it is deferred
+	opWALDone
+	opRMW // read the next head or tail block to merge
+	opRunDone
+	opRun // write the next device-contiguous run
+	opMetaDone
+	opMeta // flush a metadata block if one is pending
+	opDone
+)
+
+// ReadOp sets op up as Read(name, off, length); its first Next begins it.
+func (s *Store) ReadOp(op *Op, name string, off, length int64) {
+	*op = Op{s: s, name: name, off: off, length: length, phase: opRead}
+}
+
+// WriteOp sets op up as Write(name, off, data, length), as ReadOp does.
+func (s *Store) WriteOp(op *Op, name string, off int64, data []byte, length int64) {
+	*op = Op{s: s, name: name, off: off, length: length, data: data, phase: opWrite}
+}
+
+// Data returns a finished read's bytes (nil in size-only mode).
+func (op *Op) Data() []byte { return op.data }
+
+// Next finishes the step that just ended, if any, and starts the next,
+// returning the device stage that holds it, or false once the op is done.
+func (op *Op) Next() (sim.Stage, bool) {
+	s, bs := op.s, op.s.cfg.BlockSize
+	switch op.phase {
+	case opWALDone, opRunDone, opMetaDone:
+		s.dev.FinishWrite(op.dOff, op.chunk, op.n)
+	}
+	for {
+		switch op.phase {
+		case opRead:
+			if op.off < 0 || op.length <= 0 {
+				panic("store: invalid read range")
+			}
+			s.st.ReadOps++
+			if s.carryData {
+				op.data = make([]byte, op.length)
+			}
+			op.o, op.at, op.phase = s.objs[op.name], op.off/bs*bs, opReadScan
+		case opReadMissed:
+			s.cacheInsert(s.cacheKey(op.dOff))
+			op.peek()
+			op.at, op.phase = op.at+bs, opReadScan
+		case opReadScan:
+			for o := op.o; o != nil && op.at < op.off+op.length && op.at < o.size; op.at += bs {
+				if u := op.at / s.cfg.MinAlloc; u >= int64(len(o.units)) || o.units[u] < 0 {
+					continue // hole
+				}
+				op.dOff = s.devOffset(o, op.at)
+				if !s.cache.has(s.cacheKey(op.dOff)) {
+					s.st.CacheMisses++
+					op.phase = opReadMissed
+					return s.dev.ReadStep(op.dOff, bs), true
+				}
+				s.st.CacheHits++
+				op.peek()
+			}
+			op.phase = opDone
+		case opWrite:
+			op.beginWrite()
+			op.phase = opRMW
+			if s.cfg.DeferredThreshold > 0 && op.length <= s.cfg.DeferredThreshold && s.cfg.WALRegion > 0 {
+				// Records are 512-byte aligned: the WAL batches entries
+				// rather than padding each to a full block, and the ring
+				// advances sequentially so the device's write buffer
+				// coalesces without read-modify-write.
+				return op.journal(&s.walOff, 0, s.cfg.WALRegion, alignUp(op.length+512, 512), opWALDone)
+			}
+		case opWALDone:
+			s.walOff += op.n
+			s.st.WALBytes += op.n
+			op.phase = opRMW
+		case opRMW:
+			if op.nrmw == 0 {
+				op.at, op.phase = 0, opRun
+				continue
+			}
+			dOff := s.devOffset(op.o, op.rmw[0])
+			op.rmw[0], op.nrmw = op.rmw[1], op.nrmw-1
+			if s.cache.has(s.cacheKey(dOff)) {
+				s.st.CacheHits++
+				continue
+			}
+			s.st.CacheMisses++
+			s.st.RMWReads++
+			return s.dev.ReadStep(dOff, bs), true
+		case opRunDone:
+			for b := op.dOff / bs; b <= (op.dOff+op.n-1)/bs; b++ {
+				s.cache.drop(b) // the next read refetches the merged data
+			}
+			op.at, op.chunk, op.phase = op.at+op.n, nil, opRun
+		case opRun:
+			if st, ok := op.nextRun(); ok {
+				return st, true
+			}
+			s.metaPend += s.cfg.MetaPerOp
+			op.phase = opMeta
+		case opMetaDone:
+			s.metaOff += bs
+			s.st.MetaBytes += bs
+			s.metaPend -= bs
+			op.phase = opMeta
+		case opMeta:
+			if s.metaPend >= bs {
+				return op.journal(&s.metaOff, s.cfg.WALRegion, 2*s.cfg.WALRegion, bs, opMetaDone)
+			}
+			op.phase = opDone
+		default: // opDone
+			return sim.Stage{}, false
+		}
+	}
+}
+
+// journal starts a write of n bytes at the ring cursor *at in [lo, hi).
+func (op *Op) journal(at *int64, lo, hi, n int64, done int8) (sim.Stage, bool) {
+	if *at+n > hi {
+		*at = lo
+	}
+	op.dOff, op.n, op.phase = *at, n, done
+	return op.s.dev.WriteStep(op.dOff, nil, n), true
+}
+
+// peek copies read block at, at device offset dOff, into the read's bytes
+// with no further I/O (carry mode).
+func (op *Op) peek() {
+	if op.s.carryData {
+		lo, hi := max(op.off, op.at), min(op.off+op.length, op.at+op.s.cfg.BlockSize)
+		op.s.dev.Peek(op.data[lo-op.off:hi-op.off], op.dOff+lo-op.at)
+	}
+}
+
+// beginWrite creates or extends the object and allocates its units. Partial
+// head/tail blocks need the old content merged in — but only if the block
+// holds previously written data (holes read as zeroes free of charge), so
+// they are chosen against the pre-write allocation state.
+func (op *Op) beginWrite() {
+	s := op.s
+	if op.off < 0 || op.length <= 0 {
 		panic("store: invalid write range")
 	}
-	if data != nil && int64(len(data)) != length {
+	if op.data != nil && int64(len(op.data)) != op.length {
 		panic("store: data length mismatch")
 	}
 	s.st.WriteOps++
-	o := s.ensureObject(name)
-	end := off + length
-	bs := s.cfg.BlockSize
-	alignedStart := off / bs * bs
-	alignedEnd := alignUp(end, bs)
-	oldSize := o.size
-
-	// Partial head/tail blocks need the old content merged in — but only if
-	// the block holds previously written data (holes read as zeroes free of
-	// charge). Decide against pre-write allocation state.
-	rmwBlocks := make([]int64, 0, 2)
-	addEdge := func(blk int64) {
-		if len(rmwBlocks) > 0 && rmwBlocks[len(rmwBlocks)-1] == blk {
-			return
-		}
+	o := s.ensureObject(op.name)
+	bs, end := s.cfg.BlockSize, op.off+op.length
+	for _, blk := range [2]int64{op.off / bs * bs, alignUp(end, bs) - bs} {
 		u := blk / s.cfg.MinAlloc
-		if blk < oldSize && u < int64(len(o.units)) && o.units[u] >= 0 {
-			rmwBlocks = append(rmwBlocks, blk)
+		if (blk < op.off || blk+bs > end) && (op.nrmw == 0 || op.rmw[0] != blk) &&
+			blk < o.size && u < int64(len(o.units)) && o.units[u] >= 0 {
+			op.rmw[op.nrmw] = blk
+			op.nrmw++
 		}
 	}
-	if alignedStart < off {
-		addEdge(alignedStart)
-	}
-	if alignedEnd > end {
-		addEdge(alignedEnd - bs)
-	}
+	s.ensureUnits(o, op.off, end)
+	op.o, o.size = o, max(o.size, end)
+}
 
-	s.ensureUnits(o, off, end)
-	if end > o.size {
-		o.size = end
+// nextRun starts the device write of the next maximal device-contiguous
+// run of the write's block-aligned span, if one is left.
+func (op *Op) nextRun() (sim.Stage, bool) {
+	s, bs := op.s, op.s.cfg.BlockSize
+	start := op.off / bs * bs
+	span := alignUp(op.off+op.length, bs) - start
+	if op.at >= span {
+		return sim.Stage{}, false
 	}
-
-	// Deferred-write journaling for small writes. Records are 512-byte
-	// aligned: the WAL batches entries rather than padding each to a full
-	// block, and the ring advances sequentially so the device's write
-	// buffer coalesces without read-modify-write.
-	if s.cfg.DeferredThreshold > 0 && length <= s.cfg.DeferredThreshold && s.cfg.WALRegion > 0 {
-		rec := alignUp(length+512, 512)
-		if s.walOff+rec > s.cfg.WALRegion {
-			s.walOff = 0
-		}
-		s.dev.Write(p, s.walOff, nil, rec)
-		s.walOff += rec
-		s.st.WALBytes += rec
+	cur := start + op.at
+	op.dOff = s.devOffset(op.o, cur)
+	op.n = min(s.cfg.MinAlloc-cur%s.cfg.MinAlloc, span-op.at)
+	for op.at+op.n < span && s.devOffset(op.o, cur+op.n) == op.dOff+op.n {
+		op.n += min(s.cfg.MinAlloc, span-op.at-op.n)
 	}
-
-	for _, blk := range rmwBlocks {
-		dOff := s.devOffset(o, blk)
-		if s.cache.has(s.cacheKey(dOff)) {
-			s.st.CacheHits++
-		} else {
-			s.st.CacheMisses++
-			s.st.RMWReads++
-			s.dev.Read(p, dOff, bs)
-		}
+	if s.carryData && op.data != nil {
+		op.chunk = sliceForRun(op.data, op.off, cur, op.n)
 	}
-
-	// Issue device writes per contiguous device run covering the aligned
-	// span; drop affected cache blocks (next read refetches merged data).
-	s.forEachRun(o, alignedStart, alignedEnd-alignedStart, func(dOff, rOff, rLen int64) {
-		var chunk []byte
-		if s.carryData && data != nil {
-			chunk = sliceForRun(data, off, alignedStart+rOff, rLen)
-		}
-		s.dev.Write(p, dOff, chunk, rLen)
-		for b := dOff / bs; b <= (dOff+rLen-1)/bs; b++ {
-			s.cache.drop(b)
-		}
-	})
-
-	// Metadata batching.
-	s.metaPend += s.cfg.MetaPerOp
-	for s.metaPend >= s.cfg.BlockSize {
-		if s.metaOff+s.cfg.BlockSize > 2*s.cfg.WALRegion {
-			s.metaOff = s.cfg.WALRegion
-		}
-		s.dev.Write(p, s.metaOff, nil, s.cfg.BlockSize)
-		s.metaOff += s.cfg.BlockSize
-		s.st.MetaBytes += s.cfg.BlockSize
-		s.metaPend -= s.cfg.BlockSize
-	}
+	op.phase = opRunDone
+	return s.dev.WriteStep(op.dOff, op.chunk, op.n), true
 }
 
 // sliceForRun extracts from data (whose first byte is logical offset
@@ -391,69 +525,6 @@ func sliceForRun(data []byte, dataStart, runStart, runLen int64) []byte {
 		abs := runStart + i
 		if idx := abs - dataStart; idx >= 0 && idx < int64(len(data)) {
 			out[i] = data[idx]
-		}
-	}
-	return out
-}
-
-// forEachRun walks [off, off+length) of the object and invokes fn once per
-// maximal device-contiguous run: fn(deviceOffset, runOffsetWithinSpan,
-// runLength).
-func (s *Store) forEachRun(o *object, off, length int64, fn func(dOff, rOff, rLen int64)) {
-	covered := int64(0)
-	for covered < length {
-		cur := off + covered
-		dOff := s.devOffset(o, cur)
-		// Extend the run while units are device-adjacent.
-		runLen := min(s.cfg.MinAlloc-cur%s.cfg.MinAlloc, length-covered)
-		for covered+runLen < length {
-			nxt := cur + runLen
-			if s.devOffset(o, nxt) != dOff+runLen {
-				break
-			}
-			runLen += min(s.cfg.MinAlloc, length-covered-runLen)
-		}
-		fn(dOff, covered, runLen)
-		covered += runLen
-	}
-}
-
-// Read returns length bytes at off. Reads of holes and beyond-EOF ranges
-// yield zeroes without device I/O. In size-only mode it returns nil.
-func (s *Store) Read(p *sim.Proc, name string, off, length int64) []byte {
-	if off < 0 || length <= 0 {
-		panic("store: invalid read range")
-	}
-	s.st.ReadOps++
-	var out []byte
-	if s.carryData {
-		out = make([]byte, length)
-	}
-	o, ok := s.objs[name]
-	if !ok {
-		return out
-	}
-	bs := s.cfg.BlockSize
-	for blk := off / bs * bs; blk < off+length; blk += bs {
-		if blk >= o.size {
-			break
-		}
-		u := blk / s.cfg.MinAlloc
-		if u >= int64(len(o.units)) || o.units[u] < 0 {
-			continue // hole
-		}
-		dOff := s.devOffset(o, blk)
-		key := s.cacheKey(dOff)
-		if s.cache.has(key) {
-			s.st.CacheHits++
-		} else {
-			s.st.CacheMisses++
-			s.dev.Read(p, dOff, bs)
-			s.cacheInsert(key)
-		}
-		if s.carryData { // the bytes, with no further I/O
-			lo, hi := max(off, blk), min(off+length, blk+bs)
-			s.dev.Peek(out[lo-off:hi-off], dOff+lo-blk)
 		}
 	}
 	return out
