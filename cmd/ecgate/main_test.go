@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -11,7 +12,9 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strconv"
 	"strings"
@@ -68,7 +71,12 @@ func TestGatewayWiringPerBackend(t *testing.T) {
 			gc := service.NewGateClient(srv.URL)
 			ctx := context.Background()
 
-			st, err := gc.Status(ctx)
+			var st service.StatusInfo
+			resp, err := http.Get(srv.URL + "/v1/status")
+			if err == nil {
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+			}
 			if err != nil || st.Backend != args[1] || st.Scheme != "RS(4,2)" || st.OSDs != 6 {
 				t.Fatalf("status %+v, err %v", st, err)
 			}
@@ -99,8 +107,14 @@ func TestGatewayWiringPerBackend(t *testing.T) {
 				t.Fatalf("heal osd %d: %v", victim, err)
 			}
 
-			if err := gc.DeleteObject(ctx, key); err != nil {
+			req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/objects/"+url.PathEscape(key), nil)
+			resp, err = http.DefaultClient.Do(req)
+			if err != nil {
 				t.Fatalf("delete: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete: status %d, want 204", resp.StatusCode)
 			}
 			if _, _, err := gc.GetObject(ctx, key); !errors.Is(err, service.ErrNotFound) {
 				t.Fatalf("get after delete: got %v, want ErrNotFound", err)

@@ -58,7 +58,7 @@ func newModelLoad(tb testing.TB, profile Profile, write, degraded bool) *modelLo
 	if degraded {
 		// The primary of the first object: out, it moves every op on that
 		// object's PG to the degraded path.
-		c.MarkOSDOut(img.Pool().ActingSet(img.ObjectName(0))[0])
+		c.MarkOSDOut(img.pool.ActingSet(img.ObjectName(0))[0])
 	}
 	c.Stop() // no heartbeats: Run returns once the clients are done
 	for i := 0; i < 512; i++ {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"ecarray/internal/netsim"
 	"ecarray/internal/ssd"
@@ -107,9 +106,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// TotalOSDs returns the cluster's OSD (and device) count.
-func (c *Config) TotalOSDs() int { return c.StorageNodes * c.OSDsPerNode }
-
 // PaperScaleConfig returns a cluster shaped like the paper's full 52-SSD
 // array (§III: the scalable testbed the headline sweeps run on): the four
 // storage nodes of DefaultConfig, but with 13 OSDs each for 52 devices
@@ -202,5 +198,3 @@ func (p Profile) String() string {
 	}
 	return fmt.Sprintf("%d-Rep", p.Replicas)
 }
-
-var _ = time.Second

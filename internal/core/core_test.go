@@ -429,7 +429,7 @@ func TestECReadEventCount(t *testing.T) {
 
 func TestHeartbeatTraffic(t *testing.T) {
 	e, c := newTestCluster(t, smallConfig(false))
-	e.RunFor(61 * time.Second)
+	e.RunUntil(e.Now() + sim.Time(61*time.Second))
 	priv := c.PrivateNetwork().Bytes()
 	if priv == 0 {
 		t.Fatal("no heartbeat traffic on private network")
@@ -525,7 +525,7 @@ func TestImageValidation(t *testing.T) {
 			t.Error("data length mismatch must fail")
 		}
 	})
-	if img.Objects() != 1 || img.Size() != 1<<20 || img.Pool() == nil {
+	if img.Objects() != 1 || img.Size() != 1<<20 {
 		t.Fatal("image accessors wrong")
 	}
 	if img.ObjectName(0) == img.ObjectName(1) {

@@ -18,13 +18,11 @@ type CPU struct {
 	userBusy   int64 // ns of user-mode core time
 	kernelBusy int64 // ns of kernel-mode core time
 	ctxSwitch  int64
-	windowFrom sim.Time
-	e          *sim.Engine
 	done       func([]sim.Stage) // account, bound once
 }
 
 func newCPU(e *sim.Engine, name string, cores int, cm *CostModel) *CPU {
-	c := &CPU{cores: sim.NewResource(e, name+"/cpu", cores), cm: cm, e: e}
+	c := &CPU{cores: sim.NewResource(e, name+"/cpu", cores), cm: cm}
 	c.done = c.account
 	return c
 }
@@ -62,16 +60,6 @@ func (c *CPU) Cores() int { return c.cores.Capacity() }
 // ContextSwitches returns switches since the last reset.
 func (c *CPU) ContextSwitches() int64 { return c.ctxSwitch }
 
-// Utilization returns (user, kernel) core-fractions since the last reset:
-// busy core-time divided by window × cores.
-func (c *CPU) Utilization() (user, kernel float64) {
-	window := float64(c.e.Now()-c.windowFrom) * float64(c.cores.Capacity())
-	if window <= 0 {
-		return 0, 0
-	}
-	return float64(c.userBusy) / window, float64(c.kernelBusy) / window
-}
-
 // BusySeconds returns cumulative (user, kernel) core-seconds since reset.
 func (c *CPU) BusySeconds() (user, kernel float64) {
 	return float64(c.userBusy) / 1e9, float64(c.kernelBusy) / 1e9
@@ -80,5 +68,4 @@ func (c *CPU) BusySeconds() (user, kernel float64) {
 // ResetStats starts a new measurement window.
 func (c *CPU) ResetStats() {
 	c.userBusy, c.kernelBusy, c.ctxSwitch = 0, 0, 0
-	c.windowFrom = c.e.Now()
 }

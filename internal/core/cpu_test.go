@@ -67,13 +67,13 @@ func TestCPUUtilizationWindow(t *testing.T) {
 	e, cpu := newTestCPU(2)
 	e.Go("w", func(p *sim.Proc) { cpu.Exec(p, 10*time.Millisecond, 0) })
 	e.Run()
-	// 10ms busy on one of two cores over a 10ms window: 50% user.
-	user, kern := cpu.Utilization()
-	if user < 0.49 || user > 0.51 || kern != 0 {
-		t.Fatalf("utilization = %v/%v, want 0.5/0", user, kern)
+	// 10ms busy on one of two cores: 10ms of user core-time.
+	user, kern := cpu.BusySeconds()
+	if user < 0.0099 || user > 0.0101 || kern != 0 {
+		t.Fatalf("busy = %v/%v s, want 0.01/0", user, kern)
 	}
 	cpu.ResetStats()
-	user, kern = cpu.Utilization()
+	user, kern = cpu.BusySeconds()
 	if user != 0 || kern != 0 {
 		t.Fatal("reset must zero the window")
 	}

@@ -46,7 +46,7 @@ func TestShardRacePoolReuse(t *testing.T) {
 	}
 
 	e.Go("read", read)
-	e.RunFor(time.Millisecond) // the reused race's requests are in flight
+	e.RunUntil(e.Now() + sim.Time(time.Millisecond)) // the reused race's requests are in flight
 	if len(c.races) != 0 {
 		t.Fatalf("%d pooled races mid-read, want 0", len(c.races))
 	}

@@ -147,9 +147,6 @@ func (m GrayMetrics) Sub(prev GrayMetrics) GrayMetrics {
 	}
 }
 
-// Zero reports whether every counter is zero.
-func (m GrayMetrics) Zero() bool { return m == GrayMetrics{} }
-
 // OSDHealth is one OSD's health-tracker snapshot.
 type OSDHealth struct {
 	// Score is 1 − EWMA failure rate: 1.0 is healthy, 0 is every request

@@ -30,14 +30,8 @@ func (c *Cluster) CreateImage(pool, name string, size int64) (*Image, error) {
 	return img, nil
 }
 
-// Name returns the image name.
-func (img *Image) Name() string { return img.name }
-
 // Size returns the image size in bytes.
 func (img *Image) Size() int64 { return img.size }
-
-// Pool returns the backing pool.
-func (img *Image) Pool() *Pool { return img.pool }
 
 // Objects returns how many RADOS objects the image spans.
 func (img *Image) Objects() int64 {

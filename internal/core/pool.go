@@ -176,14 +176,8 @@ func newPool(c *Cluster, id int, name string, profile Profile) (*Pool, error) {
 // Name returns the pool name.
 func (pl *Pool) Name() string { return pl.name }
 
-// Profile returns the pool's fault-tolerance profile.
-func (pl *Pool) Profile() Profile { return pl.profile }
-
 // PGs returns the number of placement groups.
 func (pl *Pool) PGs() int { return len(pl.pgs) }
-
-// Code returns the pool's RS codec (nil for replicated pools).
-func (pl *Pool) Code() *rs.Code { return pl.code }
 
 // pgOf hashes an object name to its placement group, as libRADOS does with
 // object IDs (§II-A data path).

@@ -58,18 +58,6 @@ func (pl *Pool) InjectLatentError(obj string, pos int) error {
 	return nil
 }
 
-// LatentErrors counts the recorded-but-unrepaired latent shard errors in the
-// pool.
-func (pl *Pool) LatentErrors() int {
-	n := 0
-	for _, pg := range pl.pgs {
-		for _, positions := range pg.latent {
-			n += len(positions)
-		}
-	}
-	return n
-}
-
 // Scrub runs a deep-scrub pass over the pool as simulation process p: every
 // live shard copy of every object is read in full (charging the same device
 // and network I/O a real verify sweep costs), latent errors are detected

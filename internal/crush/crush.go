@@ -30,7 +30,6 @@ type Device struct {
 // Map is an immutable cluster description plus mutable device in/out state.
 type Map struct {
 	devices []Device
-	hosts   []string
 	hostIdx map[string]int
 	out     []bool
 }
@@ -59,8 +58,7 @@ func NewMap(devices []Device) (*Map, error) {
 			anyWeight = true
 		}
 		if _, ok := m.hostIdx[d.Host]; !ok {
-			m.hostIdx[d.Host] = len(m.hosts)
-			m.hosts = append(m.hosts, d.Host)
+			m.hostIdx[d.Host] = len(m.hostIdx)
 		}
 	}
 	if !anyWeight {
@@ -96,9 +94,6 @@ func Uniform(hosts, perHost int) *Map {
 // Devices returns the number of devices (in or out).
 func (m *Map) Devices() int { return len(m.devices) }
 
-// Hosts returns the host names in first-seen order.
-func (m *Map) Hosts() []string { return append([]string(nil), m.hosts...) }
-
 // Host returns the host of a device.
 func (m *Map) Host(dev int) string { return m.devices[dev].Host }
 
@@ -107,9 +102,6 @@ func (m *Map) MarkOut(dev int) { m.out[dev] = true }
 
 // MarkIn restores a device to placement.
 func (m *Map) MarkIn(dev int) { m.out[dev] = false }
-
-// IsOut reports whether a device is out.
-func (m *Map) IsOut(dev int) bool { return m.out[dev] }
 
 // aliveHosts counts hosts with at least one in, positively weighted device.
 func (m *Map) aliveHosts() int {
@@ -189,14 +181,4 @@ func (m *Map) Select(pg uint64, n int) ([]int, error) {
 		chosen = append(chosen, best)
 	}
 	return chosen, nil
-}
-
-// Primary returns the primary device for a PG with replication/shard width
-// n (the first element of Select).
-func (m *Map) Primary(pg uint64, n int) (int, error) {
-	sel, err := m.Select(pg, n)
-	if err != nil {
-		return -1, err
-	}
-	return sel[0], nil
 }

@@ -10,8 +10,8 @@ func TestUniformShape(t *testing.T) {
 	if m.Devices() != 24 {
 		t.Fatalf("devices = %d", m.Devices())
 	}
-	if len(m.Hosts()) != 4 {
-		t.Fatalf("hosts = %v", m.Hosts())
+	if len(m.hostIdx) != 4 {
+		t.Fatalf("hosts = %v", m.hostIdx)
 	}
 	if m.Host(0) != "node0" || m.Host(23) != "node3" {
 		t.Fatal("host naming wrong")
@@ -154,8 +154,8 @@ func TestWeightBias(t *testing.T) {
 func TestMarkOutExcludesDevice(t *testing.T) {
 	m := Uniform(4, 6)
 	m.MarkOut(5)
-	if !m.IsOut(5) {
-		t.Fatal("IsOut wrong")
+	if !m.out[5] {
+		t.Fatal("MarkOut did not mark the device out")
 	}
 	for pg := uint64(0); pg < 500; pg++ {
 		sel, err := m.Select(pg, 9)
@@ -243,15 +243,6 @@ func TestSelectErrors(t *testing.T) {
 	m.MarkOut(2)
 	if _, err := m.Select(1, 2); err == nil {
 		t.Fatal("selection exceeding in-devices must error")
-	}
-}
-
-func TestPrimary(t *testing.T) {
-	m := Uniform(4, 6)
-	sel, _ := m.Select(33, 3)
-	p, err := m.Primary(33, 3)
-	if err != nil || p != sel[0] {
-		t.Fatalf("Primary = %d, %v; want %d", p, err, sel[0])
 	}
 }
 

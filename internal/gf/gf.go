@@ -19,7 +19,7 @@
 //     low/high-nibble tables through an AVX2 PSHUFB shuffle; single-row
 //     products ([MulSources]) run that kernel source by source over
 //     L1-resident blocks, so dst is re-read from cache, not memory, between
-//     sources; row batches ([MulMatrix], the encode path) run a 4-row assembly
+//     sources; row batches ([MulMatrixRange], the encode path) run a 4-row assembly
 //     kernel that loads and nibble-splits every source block once for all
 //     four rows, keeps the row accumulators in registers, and writes each
 //     output exactly once.
@@ -83,26 +83,8 @@ func mulSlow(a, b byte) byte {
 	return expTbl[int(logTbl[a])+int(logTbl[b])]
 }
 
-// Add returns a+b in GF(2^8). Addition is XOR; it is its own inverse, so Sub
-// is the same operation.
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a-b in GF(2^8) (identical to Add).
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte { return mulTbl[a][b] }
-
-// Div returns a/b in GF(2^8). It panics if b is zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTbl[int(logTbl[a])+Order-1-int(logTbl[b])]
-}
 
 // Inv returns the multiplicative inverse of a. It panics if a is zero.
 func Inv(a byte) byte {
@@ -110,23 +92,6 @@ func Inv(a byte) byte {
 		panic("gf: zero has no inverse")
 	}
 	return invTbl[a]
-}
-
-// Exp returns g^n for the field generator g (= 2). Negative n is allowed.
-func Exp(n int) byte {
-	n %= Order - 1
-	if n < 0 {
-		n += Order - 1
-	}
-	return expTbl[n]
-}
-
-// Log returns log_g(a). It panics if a is zero.
-func Log(a byte) int {
-	if a == 0 {
-		panic("gf: log of zero")
-	}
-	return int(logTbl[a])
 }
 
 // Pow returns a^n in GF(2^8). a^0 == 1 for any a, including 0 by convention.
@@ -197,12 +162,6 @@ func MulSources(coeffs []byte, srcs [][]byte, dst []byte) {
 	MulSourcesRange(coeffs, srcs, 0, dst, false)
 }
 
-// MulAddSources is MulSources accumulating into dst: dst[i] ^= Σ_s
-// coeffs[s] × srcs[s][i].
-func MulAddSources(coeffs []byte, srcs [][]byte, dst []byte) {
-	MulSourcesRange(coeffs, srcs, 0, dst, true)
-}
-
 // MulSourcesRange is the windowed form of MulSources the span-sharded
 // codec uses: dst[i] (^)= Σ_s coeffs[s] × srcs[s][off+i] for i in
 // [0, len(dst)). With accumulate set, products XOR into dst's prior
@@ -224,25 +183,15 @@ func MulSourcesRange(coeffs []byte, srcs [][]byte, off int, dst []byte, accumula
 	mulSourcesGFNI(coeffs, srcs, off, dst, accumulate)
 }
 
-// MulMatrix computes a batch of fused row products: for every row r,
-// dsts[r][i] = Σ_s coeffs[r][s] × srcs[s][i], where the coefficient rows
-// live in mt (see NewMatrixTables). Batching rows is the widest fusion
-// the encode path has: the fused tier loads and nibble-splits every
-// source byte once for four output rows at a time, so an RS(k,4) stripe
-// reads its data shards once instead of once per parity row. dsts must
-// not overlap srcs or each other.
-func MulMatrix(mt *MatrixTables, srcs, dsts [][]byte) {
-	n := 0
-	if len(dsts) > 0 {
-		n = len(dsts[0])
-	}
-	MulMatrixRange(mt, srcs, dsts, 0, n, false)
-}
-
-// MulMatrixRange is the windowed form of MulMatrix the span-sharded codec
-// uses: rows are computed over [off, off+n) of every source and
-// destination. With accumulate set, products XOR into the existing dst
-// window content.
+// MulMatrixRange computes a batch of fused row products over the window
+// [off, off+n) of every source and destination: for every row r,
+// dsts[r][off+i] (^)= Σ_s coeffs[r][s] × srcs[s][off+i], where the
+// coefficient rows live in mt (see NewMatrixTables). With accumulate set,
+// products XOR into the existing dst window content. Batching rows is the
+// widest fusion the encode path has: the fused tier loads and
+// nibble-splits every source byte once for four output rows at a time, so
+// an RS(k,4) stripe reads its data shards once instead of once per parity
+// row. dsts must not overlap srcs or each other.
 func MulMatrixRange(mt *MatrixTables, srcs, dsts [][]byte, off, n int, accumulate bool) {
 	if len(srcs) != mt.k {
 		panic("gf: MulMatrix source count mismatch")

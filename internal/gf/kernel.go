@@ -3,7 +3,7 @@ package gf
 import "encoding/binary"
 
 // Kernel names the implementation tier behind the bulk slice operations
-// (MulSlice, MulAddSlice, AddSlice, MulSources, MulMatrix). The CPU picks
+// (MulSlice, MulAddSlice, AddSlice, MulSources, MulMatrixRange). The CPU picks
 // it once, when the package initialises; see ActiveKernel.
 type Kernel uint32
 

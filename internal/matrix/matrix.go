@@ -35,22 +35,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be non-empty and of
-// equal length. The rows are copied.
-func FromRows(rows [][]byte) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("matrix: FromRows needs at least one non-empty row")
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic("matrix: FromRows ragged input")
-		}
-		copy(m.Row(i), r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -60,21 +44,10 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Vandermonde returns the rows×cols Vandermonde matrix with element (i,j) =
-// i^j: each row is a geometric sequence beginning with 1, as in the paper.
-func Vandermonde(rows, cols int) *Matrix {
-	m := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			m.Set(i, j, gf.Pow(byte(i), j))
-		}
-	}
-	return m
-}
-
 // ExtendedVandermonde returns the (rows×cols) extended Vandermonde matrix:
-// identical to Vandermonde except the first row is e_0 and the last row is
-// e_{cols-1}, matching the k×k identity's first and last rows (paper §II-C).
+// element (i,j) = i^j, so each row is a geometric sequence beginning with 1
+// as in the paper, except that the first row is e_0 and the last row is
+// e_{cols-1}, matching the k×k identity's first and last rows (§II-C).
 // Any cols×cols submatrix of it is invertible for rows ≤ 256.
 func ExtendedVandermonde(rows, cols int) *Matrix {
 	if rows <= cols {
@@ -91,12 +64,6 @@ func ExtendedVandermonde(rows, cols int) *Matrix {
 	return m
 }
 
-// Rows returns the number of rows.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns element (r,c).
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }
 
@@ -105,26 +72,6 @@ func (m *Matrix) Set(r, c int, v byte) { m.data[r*m.cols+c] = v }
 
 // Row returns row r as a slice aliasing the matrix storage.
 func (m *Matrix) Row(r int) []byte { return m.data[r*m.cols : (r+1)*m.cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// Equal reports whether the two matrices have identical shape and elements.
-func (m *Matrix) Equal(o *Matrix) bool {
-	if m.rows != o.rows || m.cols != o.cols {
-		return false
-	}
-	for i := range m.data {
-		if m.data[i] != o.data[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // Mul returns m×o. It panics if the shapes are incompatible.
 func (m *Matrix) Mul(o *Matrix) *Matrix {
@@ -148,21 +95,6 @@ func (m *Matrix) Mul(o *Matrix) *Matrix {
 		}
 	}
 	return p
-}
-
-// MulVec computes dst = m × v where v has one element per matrix column.
-func (m *Matrix) MulVec(v, dst []byte) {
-	if len(v) != m.cols || len(dst) != m.rows {
-		panic("matrix: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		var acc byte
-		for j, x := range v {
-			acc ^= gf.Mul(row[j], x)
-		}
-		dst[i] = acc
-	}
 }
 
 // SubMatrix returns the matrix formed by the given rows (in order).
@@ -236,25 +168,6 @@ func (m *Matrix) Invert() (*Matrix, error) {
 		copy(out.Row(i), w.Row(i)[n:])
 	}
 	return out, nil
-}
-
-// IsIdentity reports whether m is square and equal to the identity.
-func (m *Matrix) IsIdentity() bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			want := byte(0)
-			if i == j {
-				want = 1
-			}
-			if m.At(i, j) != want {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Generator returns the (k+m)×k systematic RS generator matrix built per the

@@ -14,7 +14,7 @@
 // intra-node chunk transfers never reach the wire.
 //
 // Nodes are addressed by the index AddNode returns: a Message costs no name
-// lookup. Names serve setup, HasNode, SetNodeLatencyMultiplier and Send.
+// lookup. Names serve setup, SetNodeLatencyMultiplier and Send.
 package netsim
 
 import (
@@ -70,7 +70,6 @@ type Network struct {
 	bytes     stats.Counter // payload+overhead bytes crossing the wire
 	msgs      stats.Counter
 	loopBytes stats.Counter // same-node bytes (not network traffic)
-	series    *stats.Series // optional per-interval delivered-bytes series
 
 	// Hold-chain hooks, bound once: propagate, delivered, looped.
 	propagateFn, deliveredFn, loopedFn func([]sim.Stage)
@@ -89,9 +88,6 @@ func New(e *sim.Engine, cfg Config) *Network {
 	return n
 }
 
-// Name returns the network name ("public", "private").
-func (n *Network) Name() string { return n.cfg.Name }
-
 // AddNode attaches a node NIC and returns its index (0, 1, ... in order of
 // addition), the address Message takes. Adding a name twice panics.
 func (n *Network) AddNode(name string) int {
@@ -105,12 +101,6 @@ func (n *Network) AddNode(name string) int {
 		rx: sim.NewResource(n.e, n.cfg.Name+"/"+name+"/rx", 1),
 	})
 	return i
-}
-
-// HasNode reports whether the node is attached.
-func (n *Network) HasNode(name string) bool {
-	_, ok := n.nodes[name]
-	return ok
 }
 
 // Send runs Message between two named nodes as one hold, blocking the
@@ -163,12 +153,8 @@ func (n *Network) propagate(rest []sim.Stage) {
 
 // delivered counts a message of Arg wire bytes off the receiver's RX queue.
 func (n *Network) delivered(rest []sim.Stage) {
-	wire := rest[0].Arg
-	n.bytes.Add(wire)
+	n.bytes.Add(rest[0].Arg)
 	n.msgs.Inc()
-	if n.series != nil {
-		n.series.Add(n.e.Now().Duration(), float64(wire))
-	}
 }
 
 // looped counts Arg same-node bytes.
@@ -197,11 +183,7 @@ func (n *Network) Messages() int64 { return n.msgs.Value() }
 // LoopbackBytes returns total same-node bytes (never on the wire).
 func (n *Network) LoopbackBytes() int64 { return n.loopBytes.Value() }
 
-// AttachSeries begins accumulating delivered wire bytes into s (used for the
-// paper's Fig 20 private-network time series). Pass nil to detach.
-func (n *Network) AttachSeries(s *stats.Series) { n.series = s }
-
-// ResetStats zeroes the byte/message counters (attached series are kept).
+// ResetStats zeroes the byte/message counters.
 func (n *Network) ResetStats() {
 	n.bytes.Reset()
 	n.msgs.Reset()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ecarray/internal/sim"
-	"ecarray/internal/stats"
 )
 
 // newEngine returns an engine that is closed when the test ends, so its
@@ -159,18 +158,6 @@ func TestParallelDisjointPairsOverlap(t *testing.T) {
 	}
 }
 
-func TestAttachSeries(t *testing.T) {
-	e := newEngine(t)
-	n := testNet(e)
-	s := stats.NewSeries(time.Second)
-	n.AttachSeries(s)
-	e.Go("send", func(p *sim.Proc) { send(p, n, na, nb, 4096) })
-	e.Run()
-	if s.At(0) != 4096 {
-		t.Fatalf("series bucket = %v, want 4096", s.At(0))
-	}
-}
-
 func TestUnknownNodePanics(t *testing.T) {
 	e := newEngine(t)
 	n := testNet(e)
@@ -230,14 +217,6 @@ func TestDuplicateNodePanics(t *testing.T) {
 		}
 	}()
 	n.AddNode("a")
-}
-
-func TestHasNode(t *testing.T) {
-	e := newEngine(t)
-	n := testNet(e)
-	if !n.HasNode("a") || n.HasNode("zzz") {
-		t.Fatal("HasNode wrong")
-	}
 }
 
 func TestTenGbEConfig(t *testing.T) {

@@ -112,17 +112,6 @@ func Points() []Point {
 	}
 }
 
-// ForFigure returns the reference points of one figure.
-func ForFigure(fig string) []Point {
-	var out []Point
-	for _, p := range Points() {
-		if p.Figure == fig {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Lookup finds one point by figure and metric.
 func Lookup(fig, metric string) (Point, bool) {
 	for _, p := range Points() {
@@ -131,12 +120,6 @@ func Lookup(fig, metric string) (Point, bool) {
 		}
 	}
 	return Point{}, false
-}
-
-// Compare renders a measured value against a reference point.
-func Compare(p Point, measured float64) string {
-	return fmt.Sprintf("%s/%s: paper %.3g, measured %.3g — %s",
-		p.Figure, p.Metric, p.Value, measured, p.Desc)
 }
 
 // CheckResult is one structured measured-vs-paper verdict: the reference
@@ -169,12 +152,6 @@ func (p Point) CheckWithin(measured, lo, hi float64) CheckResult {
 		Pass:     measured >= lo && measured <= hi,
 		Desc:     p.Desc,
 	}
-}
-
-// CheckBand checks a measured value against a multiplicative band around
-// the paper's value: [Value*loFactor, Value*hiFactor].
-func (p Point) CheckBand(measured, loFactor, hiFactor float64) CheckResult {
-	return p.CheckWithin(measured, p.Value*loFactor, p.Value*hiFactor)
 }
 
 // String renders the verdict on one line.

@@ -43,9 +43,14 @@ func TestPointsWellFormed(t *testing.T) {
 }
 
 func TestForFigureAndLookup(t *testing.T) {
-	pts := ForFigure("fig1")
-	if len(pts) != 7 {
-		t.Fatalf("fig1 points = %d, want 7", len(pts))
+	fig1 := 0
+	for _, p := range Points() {
+		if p.Figure == "fig1" {
+			fig1++
+		}
+	}
+	if fig1 != 7 {
+		t.Fatalf("fig1 points = %d, want 7", fig1)
 	}
 	p, ok := Lookup("fig14", "ec_vs_rep_write_amp")
 	if !ok || p.Value != 55 {
@@ -53,16 +58,6 @@ func TestForFigureAndLookup(t *testing.T) {
 	}
 	if _, ok := Lookup("fig99", "nope"); ok {
 		t.Fatal("bogus lookup succeeded")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	p, _ := Lookup("fig1", "cpu_ratio")
-	s := Compare(p, 9.9)
-	for _, want := range []string{"fig1", "10.7", "9.9", "CPU"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Compare missing %q: %s", want, s)
-		}
 	}
 }
 
@@ -81,16 +76,5 @@ func TestCheckWithin(t *testing.T) {
 	}
 	if s := in.String(); !strings.Contains(s, "PASS") {
 		t.Fatalf("String missing verdict: %s", s)
-	}
-}
-
-func TestCheckBand(t *testing.T) {
-	p, _ := Lookup("fig7", "rs63_worse") // paper 3.4
-	r := p.CheckBand(3.0, 0.5, 2)
-	if !r.Pass || r.Lo != 1.7 || r.Hi != 6.8 {
-		t.Fatalf("band bounds wrong: %+v", r)
-	}
-	if r := p.CheckBand(10.0, 0.5, 2); r.Pass {
-		t.Fatalf("out-of-band passed: %+v", r)
 	}
 }

@@ -28,7 +28,7 @@ func TestFusedEncodeDifferential(t *testing.T) {
 	sizes := fusedTailSizes()
 	for k := 2; k <= 10; k++ {
 		for m := 1; m <= 4; m++ {
-			c := MustNew(k, m)
+			c := mustNew(k, m)
 			// Each (k,m) cell samples a rotating subset of sizes so the grid
 			// stays fast; every size is still covered many times across cells.
 			for si := (k*7 + m) % 4; si < len(sizes); si += 4 {
@@ -57,7 +57,7 @@ func TestFusedEncodeDifferential(t *testing.T) {
 // shards must encode by the definition (sources are read-only in the fused
 // kernels).
 func TestFusedEncodeAliasedSources(t *testing.T) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	size := 4096 + 31
 	shared := make([]byte, size)
 	rand.New(rand.NewSource(17)).Read(shared)
@@ -85,7 +85,7 @@ func TestFusedEncodeAliasedSources(t *testing.T) {
 func TestFusedReconstructAndUpdateDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, km := range [][2]int{{6, 3}, {10, 4}} {
-		c := MustNew(km[0], km[1])
+		c := mustNew(km[0], km[1])
 		for _, size := range []int{1, 129, 257, 4096 + 17} {
 			full := randShards(t, c, size, int64(size)*13)
 			encodeByDefinition(c, full)
@@ -134,7 +134,7 @@ func TestFusedReconstructAndUpdateDifferential(t *testing.T) {
 func BenchmarkEncodeTiers(b *testing.B) {
 	for _, km := range [][2]int{{6, 3}, {10, 4}} {
 		b.Run(fmt.Sprintf("RS(%d,%d)/64KiB/%s", km[0], km[1], gf.ActiveKernel()), func(b *testing.B) {
-			c := MustNew(km[0], km[1])
+			c := mustNew(km[0], km[1])
 			shards := randShards(b, c, 64<<10, 42)
 			b.SetBytes(int64(km[0]) * 64 << 10)
 			b.ResetTimer()

@@ -45,7 +45,7 @@ func FuzzStreamRoundTrip(f *testing.F) {
 		if len(data) > 1<<15 {
 			data = data[:1<<15]
 		}
-		c := MustNew(k, m)
+		c := mustNew(k, m)
 
 		bufs := make([]*bytes.Buffer, k+m)
 		ws := make([]io.Writer, k+m)
@@ -163,8 +163,8 @@ func FuzzEncodeReconstruct(f *testing.F) {
 				t.Fatalf("RS(%d,%d) drop %v: shard %d not restored", k, m, order[:nDrop], i)
 			}
 		}
-		if ok, err := c.Verify(damaged); err != nil || !ok {
-			t.Fatalf("RS(%d,%d): reconstructed stripe fails Verify (ok=%v err=%v)", k, m, ok, err)
+		if !verify(c, damaged) {
+			t.Fatalf("RS(%d,%d): reconstructed stripe fails verify", k, m)
 		}
 
 		// The same shards missing as zero-length slices over stale bytes:

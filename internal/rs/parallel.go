@@ -59,13 +59,6 @@ func (j *mulJob) run(lo, hi int) {
 	gf.MulSourcesRange(j.coeffs, j.srcs, lo, j.out[lo:hi], j.accumulate)
 }
 
-// mulRow computes out = Σ coeffs[i] × src[i] serially (reference path and
-// single-span fallback).
-func mulRow(coeffs []byte, src [][]byte, out []byte) {
-	j := mulJob{coeffs: coeffs, srcs: src, out: out}
-	j.run(0, len(out))
-}
-
 // WithConcurrency returns a codec identical to c that shards Encode,
 // Reconstruct and UpdateParity across up to n goroutines. n <= 0 selects
 // GOMAXPROCS. n == 1 is the serial codec. The generator matrix is shared;

@@ -9,7 +9,7 @@ import (
 )
 
 func TestWithConcurrency(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	if c.Concurrency() != 1 {
 		t.Fatalf("default concurrency = %d, want 1 (serial)", c.Concurrency())
 	}
@@ -28,8 +28,8 @@ func TestWithConcurrency(t *testing.T) {
 	if err := p.Encode(shards); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := c.Verify(shards); err != nil || !ok {
-		t.Fatalf("serial Verify of parallel Encode: ok=%v err=%v", ok, err)
+	if !verify(c, shards) {
+		t.Fatal("parallel Encode's parity differs from the generator's")
 	}
 }
 
@@ -50,7 +50,7 @@ func unalignedSizes() []int {
 // encoded parity must be byte-identical to the generator's definition.
 func TestEncodeDifferential(t *testing.T) {
 	for _, km := range encodeConfigs() {
-		base := MustNew(km[0], km[1])
+		base := mustNew(km[0], km[1])
 		for _, size := range unalignedSizes() {
 			ref := randShards(t, base, size, int64(size)*31+int64(km[0]))
 			encodeByDefinition(base, ref)
@@ -79,7 +79,7 @@ func TestEncodeDifferential(t *testing.T) {
 func TestReconstructDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, km := range encodeConfigs() {
-		c := MustNew(km[0], km[1])
+		c := mustNew(km[0], km[1])
 		for _, size := range []int{1, 129, 4096 + 17, 64<<10 + 1} {
 			full := randShards(t, c, size, int64(size)+int64(km[1]))
 			encodeByDefinition(c, full)
@@ -111,7 +111,7 @@ func TestReconstructDifferential(t *testing.T) {
 func TestUpdateParityDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for _, km := range [][2]int{{4, 2}, {6, 3}, {10, 4}} {
-		c := MustNew(km[0], km[1])
+		c := mustNew(km[0], km[1])
 		for _, size := range []int{1, 33, 127, 4096 + 5} {
 			shards := randShards(t, c, size, int64(size)*7)
 			encodeByDefinition(c, shards)
@@ -133,10 +133,9 @@ func TestUpdateParityDifferential(t *testing.T) {
 			}
 			// And the updated parity must still verify against the new data.
 			got[idx] = newData
-			ok, err := c.Verify(got)
-			if err != nil || !ok {
-				t.Fatalf("RS(%d,%d) size=%d: updated stripe fails Verify (ok=%v err=%v)",
-					km[0], km[1], size, ok, err)
+			if !verify(c, got) {
+				t.Fatalf("RS(%d,%d) size=%d: updated stripe fails verify",
+					km[0], km[1], size)
 			}
 		}
 	}
@@ -145,7 +144,7 @@ func TestUpdateParityDifferential(t *testing.T) {
 // TestParallelEncodeAliasedSources covers encode input shards that alias
 // each other (the same buffer appearing as two data shards).
 func TestParallelEncodeAliasedSources(t *testing.T) {
-	c := MustNew(4, 2).WithConcurrency(4)
+	c := mustNew(4, 2).WithConcurrency(4)
 	size := 32<<10 + 7
 	shared := make([]byte, size)
 	rand.New(rand.NewSource(5)).Read(shared)
@@ -161,14 +160,14 @@ func TestParallelEncodeAliasedSources(t *testing.T) {
 	if err := c.Encode(shards); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := c.Verify(shards); err != nil || !ok {
-		t.Fatalf("aliased-source encode fails Verify (ok=%v err=%v)", ok, err)
+	if !verify(c, shards) {
+		t.Fatal("aliased-source encode fails verify")
 	}
 }
 
 // TestMeasureEncodeMBps sanity-checks the calibration helper.
 func TestMeasureEncodeMBps(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	mbps := MeasureEncodeMBps(c, 16<<10, 5e6) // 5ms window
 	if mbps <= 0 {
 		t.Fatalf("MeasureEncodeMBps = %v, want > 0", mbps)
@@ -184,7 +183,7 @@ func TestMeasureEncodeMBps(t *testing.T) {
 // data encoded.
 func BenchmarkEncode(b *testing.B) {
 	for _, km := range [][2]int{{4, 2}, {6, 3}, {10, 4}} {
-		c := MustNew(km[0], km[1])
+		c := mustNew(km[0], km[1])
 		for _, mode := range []struct {
 			name   string
 			encode func([][]byte) error

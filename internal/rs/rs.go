@@ -47,7 +47,6 @@ var (
 	ErrTooFewShards    = errors.New("rs: too few shards to reconstruct")
 	ErrShardSize       = errors.New("rs: shards must be non-empty and equally sized")
 	ErrShardCount      = errors.New("rs: wrong number of shards")
-	ErrVerifyFailed    = errors.New("rs: parity verification failed")
 	ErrInvalidRSParams = errors.New("rs: k and m must be positive and k+m <= 256")
 )
 
@@ -80,32 +79,6 @@ func New(k, m int) (*Code, error) {
 		pools: &codecPools{},
 	}, nil
 }
-
-// MustNew is New, panicking on error. For the well-known static
-// configurations such as RS(6,3) and RS(10,4).
-func MustNew(k, m int) *Code {
-	c, err := New(k, m)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// DataShards returns k.
-func (c *Code) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Code) ParityShards() int { return c.m }
-
-// TotalShards returns k+m.
-func (c *Code) TotalShards() int { return c.k + c.m }
-
-// StorageOverhead returns the space expansion factor (k+m)/k, e.g. 1.5 for
-// RS(6,3) versus 3.0 for triple replication.
-func (c *Code) StorageOverhead() float64 { return float64(c.k+c.m) / float64(c.k) }
-
-// Generator returns a copy of the systematic generator matrix.
-func (c *Code) Generator() *matrix.Matrix { return c.gen.Clone() }
 
 // String implements fmt.Stringer, e.g. "RS(6,3)".
 func (c *Code) String() string { return fmt.Sprintf("RS(%d,%d)", c.k, c.m) }
@@ -156,25 +129,6 @@ func (c *Code) Encode(shards [][]byte) error {
 	jobs := [1]mulJob{{mt: c.enc, srcs: shards[:c.k], outs: shards[c.k:]}}
 	c.runJobs(jobs[:], size)
 	return nil
-}
-
-// Verify reports whether the parity shards are consistent with the data
-// shards. It returns an error on malformed input.
-func (c *Code) Verify(shards [][]byte) (bool, error) {
-	size, err := c.checkShards(shards, false)
-	if err != nil {
-		return false, err
-	}
-	buf := make([]byte, size)
-	for p := 0; p < c.m; p++ {
-		mulRow(c.gen.Row(c.k+p), shards[:c.k], buf)
-		for i := range buf {
-			if buf[i] != shards[c.k+p][i] {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }
 
 // Reconstruct rebuilds every missing shard in place, data and parity
@@ -277,46 +231,6 @@ func rebuildInto(missing []byte, size int) []byte {
 		return missing[:size]
 	}
 	return make([]byte, size)
-}
-
-// Split partitions data into k equally sized data shards plus m zeroed
-// parity shards, padding the final data shard with zeros. The original
-// length must be remembered to recover the exact payload with Join.
-func (c *Code) Split(data []byte) ([][]byte, error) {
-	if len(data) == 0 {
-		return nil, ErrShardSize
-	}
-	per := (len(data) + c.k - 1) / c.k
-	shards := make([][]byte, c.k+c.m)
-	for i := range shards {
-		shards[i] = make([]byte, per)
-	}
-	for i := 0; i < c.k; i++ {
-		lo := i * per
-		if lo >= len(data) {
-			break
-		}
-		copy(shards[i], data[lo:min(lo+per, len(data))])
-	}
-	return shards, nil
-}
-
-// Join concatenates the k data shards and returns the first size bytes.
-func (c *Code) Join(shards [][]byte, size int) ([]byte, error) {
-	if len(shards) < c.k {
-		return nil, ErrShardCount
-	}
-	out := make([]byte, 0, size)
-	for i := 0; i < c.k && len(out) < size; i++ {
-		if shards[i] == nil {
-			return nil, ErrTooFewShards
-		}
-		out = append(out, shards[i]...)
-	}
-	if len(out) < size {
-		return nil, fmt.Errorf("rs: join: shards hold %d bytes, need %d", len(out), size)
-	}
-	return out[:size], nil
 }
 
 // UpdateParity incrementally updates the m parity shards after data shard

@@ -13,10 +13,10 @@ import (
 func randShards(t testing.TB, c *Code, size int, seed int64) [][]byte {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	shards := make([][]byte, c.TotalShards())
+	shards := make([][]byte, c.k+c.m)
 	for i := range shards {
 		shards[i] = make([]byte, size)
-		if i < c.DataShards() {
+		if i < c.k {
 			rng.Read(shards[i])
 		}
 	}
@@ -34,6 +34,27 @@ func cloneShards(shards [][]byte) [][]byte {
 		}
 	}
 	return out
+}
+
+func mustNew(k, m int) *Code {
+	c, err := New(k, m)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// verify reports whether a stripe's parity shards match its data shards
+// under encodeByDefinition.
+func verify(c *Code, shards [][]byte) bool {
+	want := cloneShards(shards)
+	encodeByDefinition(c, want)
+	for p := c.k; p < c.k+c.m; p++ {
+		if !bytes.Equal(want[p], shards[p]) {
+			return false
+		}
+	}
+	return true
 }
 
 // encodeByDefinition overwrites a stripe's parity shards straight from the
@@ -62,37 +83,23 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.DataShards() != 6 || c.ParityShards() != 3 || c.TotalShards() != 9 {
-		t.Fatal("shard count accessors wrong")
-	}
 	if c.String() != "RS(6,3)" {
 		t.Fatalf("String() = %q", c.String())
 	}
 }
 
-func TestStorageOverhead(t *testing.T) {
-	// Paper §I: RS(6,3) has 1.5x storage overhead vs 3x for 3-replication.
-	if got := MustNew(6, 3).StorageOverhead(); got != 1.5 {
-		t.Fatalf("RS(6,3) overhead = %v, want 1.5", got)
-	}
-	if got := MustNew(10, 4).StorageOverhead(); got != 1.4 {
-		t.Fatalf("RS(10,4) overhead = %v, want 1.4", got)
-	}
-}
-
+// TestEncodeVerify: Encode's parity matches the generator's definition on
+// every geometry, and verify notices one corrupted byte.
 func TestEncodeVerify(t *testing.T) {
 	for _, km := range [][2]int{{6, 3}, {10, 4}, {2, 1}, {4, 2}} {
-		c := MustNew(km[0], km[1])
+		c := mustNew(km[0], km[1])
 		shards := randShards(t, c, 4096, 42)
-		ok, err := c.Verify(shards)
-		if err != nil || !ok {
-			t.Fatalf("%v Verify = %v, %v; want true", c, ok, err)
+		if !verify(c, shards) {
+			t.Fatalf("%v: parity differs from the generator's definition", c)
 		}
-		// Corrupt one byte: verification must fail.
 		shards[0][17] ^= 0xff
-		ok, err = c.Verify(shards)
-		if err != nil || ok {
-			t.Fatalf("%v Verify after corruption = %v, %v; want false", c, ok, err)
+		if verify(c, shards) {
+			t.Fatalf("%v: verify missed a corrupted data byte", c)
 		}
 	}
 }
@@ -100,7 +107,7 @@ func TestEncodeVerify(t *testing.T) {
 func TestFirstParityIsXor(t *testing.T) {
 	// The generator's first coding row is all ones (paper Fig 3b), so parity
 	// shard 0 must equal the XOR of the data shards.
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	shards := randShards(t, c, 512, 7)
 	xor := make([]byte, 512)
 	for d := 0; d < 6; d++ {
@@ -116,9 +123,9 @@ func TestFirstParityIsXor(t *testing.T) {
 func TestReconstructAllErasurePatterns(t *testing.T) {
 	// Exhaustively erase every subset of size 1..m and reconstruct.
 	for _, km := range [][2]int{{6, 3}, {4, 2}} {
-		c := MustNew(km[0], km[1])
+		c := mustNew(km[0], km[1])
 		orig := randShards(t, c, 1024, 99)
-		n := c.TotalShards()
+		n := c.k + c.m
 		for mask := 1; mask < 1<<n; mask++ {
 			erased := 0
 			for b := 0; b < n; b++ {
@@ -126,7 +133,7 @@ func TestReconstructAllErasurePatterns(t *testing.T) {
 					erased++
 				}
 			}
-			if erased > c.ParityShards() {
+			if erased > c.m {
 				continue
 			}
 			work := cloneShards(orig)
@@ -148,7 +155,7 @@ func TestReconstructAllErasurePatterns(t *testing.T) {
 }
 
 func TestReconstructTooManyErasures(t *testing.T) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	shards := randShards(t, c, 256, 3)
 	for i := 0; i < 4; i++ {
 		shards[i] = nil
@@ -159,7 +166,7 @@ func TestReconstructTooManyErasures(t *testing.T) {
 }
 
 func TestReconstructDataOnly(t *testing.T) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	orig := randShards(t, c, 256, 5)
 	work := cloneShards(orig)
 	work[2] = nil
@@ -176,7 +183,7 @@ func TestReconstructDataOnly(t *testing.T) {
 }
 
 func TestReconstructNoopWhenComplete(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	orig := randShards(t, c, 128, 11)
 	work := cloneShards(orig)
 	if err := c.Reconstruct(work); err != nil {
@@ -190,7 +197,7 @@ func TestReconstructNoopWhenComplete(t *testing.T) {
 }
 
 func TestReconstructPreservesPresentShards(t *testing.T) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	orig := randShards(t, c, 256, 13)
 	work := cloneShards(orig)
 	work[0], work[8] = nil, nil
@@ -209,7 +216,7 @@ func TestReconstructPreservesPresentShards(t *testing.T) {
 // and ReconstructData alike; a nil one, or one whose capacity is too
 // small, gets a new buffer.
 func TestReconstructIntoCapacity(t *testing.T) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	orig := randShards(t, c, 1024, 17)
 	for _, dataOnly := range []bool{false, true} {
 		work := cloneShards(orig)
@@ -250,9 +257,9 @@ func TestQuickRandomErasures(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := 1 + rng.Intn(12)
 		m := 1 + rng.Intn(5)
-		c := MustNew(k, m)
+		c := mustNew(k, m)
 		size := 1 + rng.Intn(2048)
-		shards := make([][]byte, c.TotalShards())
+		shards := make([][]byte, c.k+c.m)
 		for i := range shards {
 			shards[i] = make([]byte, size)
 			if i < k {
@@ -275,64 +282,15 @@ func TestQuickRandomErasures(t *testing.T) {
 				return false
 			}
 		}
-		ok, err := c.Verify(shards)
-		return ok && err == nil
+		return verify(c, shards)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestSplitJoinRoundTrip(t *testing.T) {
-	c := MustNew(6, 3)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(10000)
-		data := make([]byte, n)
-		rng.Read(data)
-		shards, err := c.Split(data)
-		if err != nil {
-			return false
-		}
-		if err := c.Encode(shards); err != nil {
-			return false
-		}
-		out, err := c.Join(shards, n)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(out, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSplitEmpty(t *testing.T) {
-	c := MustNew(4, 2)
-	if _, err := c.Split(nil); !errors.Is(err, ErrShardSize) {
-		t.Fatalf("Split(nil) err = %v, want ErrShardSize", err)
-	}
-}
-
-func TestJoinErrors(t *testing.T) {
-	c := MustNew(4, 2)
-	if _, err := c.Join([][]byte{{1}}, 1); !errors.Is(err, ErrShardCount) {
-		t.Fatalf("short Join err = %v", err)
-	}
-	shards, _ := c.Split([]byte{1, 2, 3, 4})
-	shards[0] = nil
-	if _, err := c.Join(shards, 4); !errors.Is(err, ErrTooFewShards) {
-		t.Fatalf("Join with nil data shard err = %v", err)
-	}
-	shards, _ = c.Split([]byte{1, 2, 3, 4})
-	if _, err := c.Join(shards, 100); err == nil {
-		t.Fatal("Join with oversized request must fail")
-	}
-}
-
 func TestEncodeValidation(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	if err := c.Encode(make([][]byte, 3)); !errors.Is(err, ErrShardCount) {
 		t.Fatalf("wrong shard count err = %v", err)
 	}
@@ -347,7 +305,7 @@ func TestEncodeValidation(t *testing.T) {
 }
 
 func TestUpdateParityMatchesFullEncode(t *testing.T) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	shards := randShards(t, c, 512, 21)
 	rng := rand.New(rand.NewSource(22))
 	newData := make([]byte, 512)
@@ -360,14 +318,13 @@ func TestUpdateParityMatchesFullEncode(t *testing.T) {
 	}
 	shards[3] = newData
 
-	ok, err := c.Verify(shards)
-	if err != nil || !ok {
-		t.Fatalf("Verify after UpdateParity = %v, %v; want true", ok, err)
+	if !verify(c, shards) {
+		t.Fatal("parity after UpdateParity differs from a full encode")
 	}
 }
 
 func TestUpdateParityValidation(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	shards := randShards(t, c, 64, 1)
 	if err := c.UpdateParity(9, shards[0], shards[0], shards[4:]); err == nil {
 		t.Fatal("bad index must error")
@@ -380,32 +337,9 @@ func TestUpdateParityValidation(t *testing.T) {
 	}
 }
 
-func TestGeneratorCopyIsIsolated(t *testing.T) {
-	c := MustNew(4, 2)
-	g := c.Generator()
-	g.Set(0, 0, 99)
-	shards := randShards(t, c, 64, 2)
-	ok, err := c.Verify(shards)
-	if err != nil || !ok {
-		t.Fatal("mutating the returned generator must not affect the code")
-	}
-}
-
-func TestPaperConfigsChunkMath(t *testing.T) {
-	// Paper §V: with 4KB chunks the stripe width of RS(6,3) is 24KB and of
-	// RS(10,4) is 40KB.
-	const chunk = 4096
-	if got := MustNew(6, 3).DataShards() * chunk; got != 24*1024 {
-		t.Fatalf("RS(6,3) stripe width = %d, want 24KB", got)
-	}
-	if got := MustNew(10, 4).DataShards() * chunk; got != 40*1024 {
-		t.Fatalf("RS(10,4) stripe width = %d, want 40KB", got)
-	}
-}
-
 func benchEncode(b *testing.B, k, m, size int) {
-	c := MustNew(k, m)
-	shards := make([][]byte, c.TotalShards())
+	c := mustNew(k, m)
+	shards := make([][]byte, c.k+c.m)
 	rng := rand.New(rand.NewSource(1))
 	for i := range shards {
 		shards[i] = make([]byte, size)
@@ -423,8 +357,8 @@ func benchEncode(b *testing.B, k, m, size int) {
 }
 
 func benchReconstruct(b *testing.B, k, m, size, erasures int) {
-	c := MustNew(k, m)
-	orig := make([][]byte, c.TotalShards())
+	c := mustNew(k, m)
+	orig := make([][]byte, c.k+c.m)
 	rng := rand.New(rand.NewSource(1))
 	for i := range orig {
 		orig[i] = make([]byte, size)

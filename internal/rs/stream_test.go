@@ -12,8 +12,8 @@ import (
 
 func streamRoundTrip(t *testing.T, c *Code, payload []byte, chunk int, lost []int) []byte {
 	t.Helper()
-	writers := make([]io.Writer, c.TotalShards())
-	bufs := make([]*bytes.Buffer, c.TotalShards())
+	writers := make([]io.Writer, c.k+c.m)
+	bufs := make([]*bytes.Buffer, c.k+c.m)
 	for i := range writers {
 		bufs[i] = &bytes.Buffer{}
 		writers[i] = bufs[i]
@@ -25,7 +25,7 @@ func streamRoundTrip(t *testing.T, c *Code, payload []byte, chunk int, lost []in
 	if n != int64(len(payload)) {
 		t.Fatalf("encoded %d bytes, want %d", n, len(payload))
 	}
-	readers := make([]io.Reader, c.TotalShards())
+	readers := make([]io.Reader, c.k+c.m)
 	for i := range readers {
 		readers[i] = bytes.NewReader(bufs[i].Bytes())
 	}
@@ -39,8 +39,65 @@ func streamRoundTrip(t *testing.T, c *Code, payload []byte, chunk int, lost []in
 	return out.Bytes()
 }
 
+// streamShardBytes stream-encodes n bytes at the given chunk size and
+// returns how many bytes each shard received.
+func streamShardBytes(t *testing.T, c *Code, n, chunk int) []int {
+	t.Helper()
+	counts := make([]countWriter, c.k+c.m)
+	writers := make([]io.Writer, len(counts))
+	for i := range writers {
+		writers[i] = &counts[i]
+	}
+	if _, err := c.StreamEncode(bytes.NewReader(make([]byte, n)), writers, chunk); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]int, len(counts))
+	for i, w := range counts {
+		out[i] = int(w)
+	}
+	return out
+}
+
+type countWriter int
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	*w += countWriter(len(p))
+	return len(p), nil
+}
+
+// TestStorageOverhead: paper §I, RS(6,3) stores 1.5× the data it is given
+// (3-replication stores 3×), RS(10,4) 1.4×.
+func TestStorageOverhead(t *testing.T) {
+	for _, tc := range []struct {
+		k, m int
+		want float64
+	}{{6, 3, 1.5}, {10, 4, 1.4}} {
+		n := tc.k * 4096 * 4
+		stored := 0
+		for _, b := range streamShardBytes(t, mustNew(tc.k, tc.m), n, 4096) {
+			stored += b
+		}
+		if got := float64(stored) / float64(n); got != tc.want {
+			t.Errorf("RS(%d,%d) overhead = %v, want %v", tc.k, tc.m, got, tc.want)
+		}
+	}
+}
+
+// TestPaperConfigsChunkMath: paper §V, with 4 KB chunks the stripe width of
+// RS(6,3) is 24 KB and of RS(10,4) 40 KB, so that much data puts exactly
+// one chunk on every shard.
+func TestPaperConfigsChunkMath(t *testing.T) {
+	for _, tc := range []struct{ k, m, width int }{{6, 3, 24 << 10}, {10, 4, 40 << 10}} {
+		for i, b := range streamShardBytes(t, mustNew(tc.k, tc.m), tc.width, 4096) {
+			if b != 4096 {
+				t.Errorf("RS(%d,%d): shard %d got %d bytes of a %d-byte stripe, want 4096", tc.k, tc.m, i, b, tc.width)
+			}
+		}
+	}
+}
+
 func TestStreamRoundTripExactStripe(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	payload := make([]byte, 4*512*3) // 3 full stripes at chunk 512
 	rand.New(rand.NewSource(1)).Read(payload)
 	got := streamRoundTrip(t, c, payload, 512, nil)
@@ -50,7 +107,7 @@ func TestStreamRoundTripExactStripe(t *testing.T) {
 }
 
 func TestStreamRoundTripWithPadding(t *testing.T) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	payload := make([]byte, 10_000) // not a stripe multiple
 	rand.New(rand.NewSource(2)).Read(payload)
 	got := streamRoundTrip(t, c, payload, 1024, nil)
@@ -60,7 +117,7 @@ func TestStreamRoundTripWithPadding(t *testing.T) {
 }
 
 func TestStreamDecodeWithErasures(t *testing.T) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	payload := make([]byte, 50_000)
 	rand.New(rand.NewSource(3)).Read(payload)
 	got := streamRoundTrip(t, c, payload, 2048, []int{0, 3, 7}) // 2 data + 1 parity lost
@@ -70,7 +127,7 @@ func TestStreamDecodeWithErasures(t *testing.T) {
 }
 
 func TestStreamTooManyErasures(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	readers := make([]io.Reader, 6)
 	readers[0] = bytes.NewReader(nil)
 	readers[1] = bytes.NewReader(nil)
@@ -82,7 +139,7 @@ func TestStreamTooManyErasures(t *testing.T) {
 }
 
 func TestStreamShortShard(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	readers := make([]io.Reader, 6)
 	for i := range readers {
 		readers[i] = bytes.NewReader([]byte{1, 2, 3}) // shorter than a chunk
@@ -94,7 +151,7 @@ func TestStreamShortShard(t *testing.T) {
 }
 
 func TestStreamValidation(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	if _, err := c.StreamEncode(bytes.NewReader([]byte{1}), make([]io.Writer, 2), 512); !errors.Is(err, ErrShardCount) {
 		t.Fatalf("wrong writer count: %v", err)
 	}
@@ -114,7 +171,7 @@ func TestStreamValidation(t *testing.T) {
 }
 
 func TestStreamEmptyInput(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	ws := make([]io.Writer, 6)
 	bufs := make([]*bytes.Buffer, 6)
 	for i := range ws {
@@ -133,7 +190,7 @@ func TestStreamEmptyInput(t *testing.T) {
 }
 
 func TestStreamQuickProperty(t *testing.T) {
-	c := MustNew(5, 2)
+	c := mustNew(5, 2)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		payload := make([]byte, 1+rng.Intn(20_000))
@@ -155,7 +212,7 @@ func TestStreamQuickProperty(t *testing.T) {
 // stripe encoded through the (stale) pooled buffers must produce exactly
 // the same shard bytes as a fresh encode of the zero-padded payload.
 func TestStreamEncodePaddedTail(t *testing.T) {
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	const chunk = 512
 	// First stream a large payload to dirty the pooled buffers.
 	dirty := make([]byte, 4*chunk*3)
@@ -203,7 +260,7 @@ func TestStreamEncodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under -race; alloc counts are not stable")
 	}
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	const chunk = 4096
 	ws := make([]io.Writer, 9)
 	for i := range ws {
@@ -237,7 +294,7 @@ func TestConcurrentSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under -race; alloc counts are not stable")
 	}
-	c := MustNew(6, 3).WithConcurrency(4)
+	c := mustNew(6, 3).WithConcurrency(4)
 	const chunk = 32 << 10 // big enough that runJobs fans out across spans
 
 	t.Run("Encode", func(t *testing.T) {
@@ -289,7 +346,7 @@ func TestStreamDecodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under -race; alloc counts are not stable")
 	}
-	c := MustNew(4, 2)
+	c := mustNew(4, 2)
 	const chunk = 1024
 	encode := func(stripes int) ([][]byte, []byte) {
 		payload := make([]byte, 4*chunk*stripes)
@@ -342,7 +399,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 func BenchmarkStreamEncode(b *testing.B) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	payload := make([]byte, 1<<20)
 	rand.New(rand.NewSource(9)).Read(payload)
 	b.SetBytes(1 << 20)
@@ -361,7 +418,7 @@ func BenchmarkStreamEncode(b *testing.B) {
 // with -benchtime to surface allocs/op (and allocs/stripe as a metric):
 // steady-state streaming must report 0 allocs/stripe.
 func BenchmarkStreamEncodeSteadyState(b *testing.B) {
-	c := MustNew(6, 3)
+	c := mustNew(6, 3)
 	const chunk = 4096
 	const stripes = 64
 	payload := make([]byte, 6*chunk*stripes)

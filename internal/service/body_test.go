@@ -337,7 +337,7 @@ func TestPutGetBytesAllocated(t *testing.T) {
 	}
 	bytesIn := func() (n int64) {
 		for _, o := range osds {
-			n += o.Metrics().Counter("ecstored_bytes_in_total").Value()
+			n += o.reg.Counter("ecstored_bytes_in_total").Value()
 		}
 		return n
 	}

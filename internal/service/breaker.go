@@ -108,11 +108,9 @@ func (b *Breaker) Allow(now time.Time) bool {
 	return true
 }
 
-// Record feeds one real op outcome observed against the OSD at time now.
-// Cancelled hedge losers must NOT be recorded (truthful scoring).
-func (b *Breaker) Record(ok bool, now time.Time) { b.record(ok, nil, now) }
-
-// record is Record with the failure's cause kept for Health.
+// record feeds one real op outcome observed against the OSD at time now,
+// keeping the failure's cause for Health. Cancelled hedge losers must NOT
+// be recorded (truthful scoring).
 func (b *Breaker) record(ok bool, cause error, now time.Time) {
 	if b == nil || b.threshold <= 0 {
 		return

@@ -85,7 +85,7 @@ func (p *parkedCleanups) parked(t *testing.T, n int) {
 }
 
 func (p *parkedCleanups) inflight() int64 {
-	return p.gw.Metrics().Gauge("ecgate_inflight").Value()
+	return p.gw.reg.Gauge("ecgate_inflight").Value()
 }
 
 // onlyLive fails the test unless the stores hold exactly the shards of
@@ -141,13 +141,13 @@ func TestPutAnswersBeforeCleanup(t *testing.T) {
 		}, 6, nil, nil},
 		{"rollback", func(p *parkedCleanups, osds []int) error {
 			for _, osd := range osds[:3] {
-				if err := p.gw.FaultStore(osd).SetFault(FaultSpec{Partition: true}); err != nil {
+				if err := p.gw.osds[osd].store.SetFault(FaultSpec{Partition: true}); err != nil {
 					return err
 				}
 			}
 			_, err := p.gw.PutObject(ctx, "k", newer)
 			for _, osd := range osds[:3] {
-				if err := p.gw.FaultStore(osd).SetFault(FaultSpec{}); err != nil {
+				if err := p.gw.osds[osd].store.SetFault(FaultSpec{}); err != nil {
 					return err
 				}
 			}
@@ -165,7 +165,7 @@ func TestPutAnswersBeforeCleanup(t *testing.T) {
 				t.Fatalf("%s: %v, want %v", c.name, err, c.err)
 			}
 			p.parked(t, c.deletes)
-			got, _, err := p.gw.GetObject(ctx, "k")
+			got, _, err := p.gw.getObject(ctx, "k")
 			if c.read == nil && !errors.Is(err, ErrNotFound) || c.read != nil && (err != nil || !bytes.Equal(got, c.read)) {
 				t.Fatalf("get after the %s answered: err=%v, got the expected bytes: %v", c.name, err, c.read != nil && bytes.Equal(got, c.read))
 			}

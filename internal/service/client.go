@@ -443,10 +443,6 @@ func (c *GateClient) SetRetries(n int) {
 	}
 }
 
-// SetTenant attaches an X-Tenant header to every object request, so the
-// gateway's admission policy applies this client's per-tenant limits.
-func (c *GateClient) SetTenant(tenant string) { c.tenant = tenant }
-
 func (c *GateClient) objectURL(key string) string {
 	return c.base + "/v1/objects/" + pathSegment(key)
 }
@@ -523,18 +519,6 @@ func (c *GateClient) GetObject(ctx context.Context, key string) (data []byte, de
 	return data, h.Get("X-EC-Degraded") == "true", err
 }
 
-// DeleteObject removes key.
-func (c *GateClient) DeleteObject(ctx context.Context, key string) error {
-	_, err := c.doRetry(ctx, http.MethodDelete, key, nil, nil)
-	return err
-}
-
-// Status fetches /v1/status.
-func (c *GateClient) Status(ctx context.Context) (st StatusInfo, err error) {
-	err = c.call(ctx, http.MethodGet, "/v1/status", nil, &st)
-	return st, err
-}
-
 // SetFault replaces one OSD's fault spec through the gateway's admin
 // surface — the service's kill switch: FaultSpec{Partition: true} cuts the
 // OSD off, the zero spec heals it.
@@ -544,13 +528,6 @@ func (c *GateClient) SetFault(ctx context.Context, osd int, spec FaultSpec) erro
 		return err
 	}
 	return c.call(ctx, http.MethodPost, fmt.Sprintf("/v1/faults/%d", osd), body, nil)
-}
-
-// MetricsText fetches the raw /metrics exposition.
-func (c *GateClient) MetricsText(ctx context.Context) (string, error) {
-	var raw []byte
-	err := c.call(ctx, http.MethodGet, "/metrics", nil, &raw)
-	return string(raw), err
 }
 
 // WaitReady polls /healthz until the deadline (boot synchronization for

@@ -559,7 +559,7 @@ func (r *keyRig) roundTrip(t *testing.T, key string, gen uint64, idx int) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("object %q: get: err=%v match=%v", key, err, bytes.Equal(got, data))
 	}
-	if err := r.gc.DeleteObject(ctx, key); err != nil {
+	if err := r.gc.deleteObject(ctx, key); err != nil {
 		t.Fatalf("object %q: delete: %v", key, err)
 	}
 	drain(r.gw)

@@ -119,7 +119,7 @@ func TestPutStalledBody(t *testing.T) {
 		t.Fatalf("stalled upload: status %d after %v, want 400 once the %v deadline passed", resp.StatusCode, waited, timeout)
 	}
 
-	if n := gw.Metrics().Gauge("ecgate_inflight").Value(); n != 0 {
+	if n := gw.reg.Gauge("ecgate_inflight").Value(); n != 0 {
 		t.Fatalf("ecgate_inflight = %d after the stalled upload was refused, want 0", n)
 	}
 	if n := puts.Load() - putsBefore; n != 0 {
@@ -234,7 +234,7 @@ func TestResolvedSeriesExposition(t *testing.T) {
 	do(h, http.MethodDelete, "/v1/shards/k/0", "")
 	do(h, http.MethodDelete, "/v1/shards/k/0", "")
 	do(h, http.MethodPut, "/v1/shards/k/0", "over the limit")
-	got := exposition(osd.Metrics(), func(line string) bool {
+	got := exposition(osd.reg, func(line string) bool {
 		return !strings.Contains(line, "_bucket{") && !strings.Contains(line, "_sum{")
 	})
 	if want := `ecstored_bytes_in_total 5
@@ -259,7 +259,7 @@ ecstored_ops_total{op="put",code="413"} 1
 	do(h, http.MethodGet, "/v1/objects/missing", "")
 	do(h, http.MethodDelete, "/v1/objects/k", "")
 	do(h, http.MethodDelete, "/v1/objects/k", "")
-	got = exposition(gw.Metrics(), func(line string) bool { return strings.HasPrefix(line, "ecgate_requests_total") })
+	got = exposition(gw.reg, func(line string) bool { return strings.HasPrefix(line, "ecgate_requests_total") })
 	if want := `ecgate_requests_total{op="delete",code="204"} 1
 ecgate_requests_total{op="delete",code="404"} 1
 ecgate_requests_total{op="get",code="200"} 1
@@ -318,7 +318,7 @@ func FuzzPutObjectFrom(f *testing.F) {
 			if err != nil || body.n != int64(size) {
 				t.Fatalf("%d sent of %d declared: err %v after reading %d", sent, size, err, body.n)
 			}
-			if got, _, err := gw.GetObject(ctx, "fz"); err != nil || !bytes.Equal(got, src[:size]) {
+			if got, _, err := gw.getObject(ctx, "fz"); err != nil || !bytes.Equal(got, src[:size]) {
 				t.Fatalf("%d bytes at chunk %d: get err=%v match=%v", size, chunk, err, bytes.Equal(got, src[:size]))
 			}
 		}
@@ -395,7 +395,7 @@ func TestWarmPutDoesNotRegrow(t *testing.T) {
 // as it was.
 func TestShardStoreBufferOwnership(t *testing.T) {
 	ctx := context.Background()
-	vc, err := NewSimCluster(DefaultSimClusterConfig())
+	vc, err := NewSimCluster(SimClusterConfig{Hosts: 3, OSDsPerHost: 2, DeviceBytes: 256 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,9 +38,6 @@ type FaultSpec struct {
 	Partition bool `json:"partition,omitempty"`
 }
 
-// Active reports whether any fault is configured.
-func (s FaultSpec) Active() bool { return s != FaultSpec{} }
-
 func (s FaultSpec) validate() error {
 	if s.ErrorProb < 0 || s.ErrorProb > 1 || s.StuckProb < 0 || s.StuckProb > 1 {
 		return fmt.Errorf("service: fault probabilities must be in [0,1]")

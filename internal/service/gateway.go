@@ -277,9 +277,6 @@ func (g *Gateway) Close() error {
 	return g.wal.Close()
 }
 
-// Metrics returns the gateway's registry (the /metrics source).
-func (g *Gateway) Metrics() *Registry { return g.reg }
-
 // chunkFor returns the stripe unit an object of size bytes is striped at:
 // the object is spread evenly over the stripes it needs at ChunkSize, in
 // 512-byte steps. What is stored is then (k+m)/k × size plus at most 512 B
@@ -523,16 +520,6 @@ func (g *Gateway) fetchWave(ctx context.Context, meta *objectMeta, idxs []int, w
 		}
 	}
 	return got
-}
-
-// GetObject reads an object back into memory: GetObjectTo over a buffer.
-func (g *Gateway) GetObject(ctx context.Context, key string) ([]byte, GetInfo, error) {
-	var out bytes.Buffer
-	info, _, err := g.GetObjectTo(ctx, key, &out, func(info GetInfo) { out.Grow(int(info.Size)) })
-	if err != nil {
-		return nil, info, err
-	}
-	return out.Bytes(), info, nil
 }
 
 // GetObjectTo reads an object back and writes it to w. The k data shards

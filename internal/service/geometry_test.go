@@ -51,11 +51,11 @@ func checkReads(t *testing.T, gw *Gateway, key string, data []byte, osds []int) 
 	get := func(what string, wantReconstructed int, down ...int) {
 		t.Helper()
 		for _, shard := range down {
-			if err := gw.FaultStore(osds[shard]).SetFault(FaultSpec{Partition: true}); err != nil {
+			if err := gw.osds[osds[shard]].store.SetFault(FaultSpec{Partition: true}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		got, info, err := gw.GetObject(context.Background(), key)
+		got, info, err := gw.getObject(context.Background(), key)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("%s: %s: err=%v match=%v", key, what, err, bytes.Equal(got, data))
 		}
@@ -66,7 +66,7 @@ func checkReads(t *testing.T, gw *Gateway, key string, data []byte, osds []int) 
 			t.Fatalf("%s: %s: info %+v, want %d reconstructed", key, what, info, wantReconstructed)
 		}
 		for _, shard := range down {
-			if err := gw.FaultStore(osds[shard]).SetFault(FaultSpec{}); err != nil {
+			if err := gw.osds[osds[shard]].store.SetFault(FaultSpec{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -227,7 +227,7 @@ func TestOverwriteAcrossGeometries(t *testing.T) {
 		if stored := storedBytes(t, stores); stored != want {
 			t.Fatalf("after the %d-byte overwrite stores hold %d bytes, want %d", size, stored, want)
 		}
-		if got, _, err := gw.GetObject(ctx, "resize"); err != nil || !bytes.Equal(got, data) {
+		if got, _, err := gw.getObject(ctx, "resize"); err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("get after the %d-byte overwrite: err=%v match=%v", size, err, bytes.Equal(got, data))
 		}
 	}

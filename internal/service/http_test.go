@@ -87,7 +87,7 @@ func TestServiceE2E(t *testing.T) {
 			t.Fatal("degraded get: payload mismatch")
 		}
 
-		metrics, err := gc.MetricsText(ctx)
+		metrics, err := gc.metricsText(ctx)
 		if err != nil {
 			t.Fatalf("metrics: %v", err)
 		}
@@ -97,7 +97,7 @@ func TestServiceE2E(t *testing.T) {
 			t.Fatalf("counters: degraded=%d reconstructed=%d, want >= 1", degr, recon)
 		}
 
-		st, err := gc.Status(ctx)
+		st, err := gc.status(ctx)
 		if err != nil {
 			t.Fatalf("status: %v", err)
 		}
@@ -105,7 +105,7 @@ func TestServiceE2E(t *testing.T) {
 			t.Fatalf("status %+v inconsistent with metrics (degraded=%d)", st, degr)
 		}
 
-		if err := gc.DeleteObject(ctx, "e2e/obj"); err != nil {
+		if err := gc.deleteObject(ctx, "e2e/obj"); err != nil {
 			t.Fatalf("delete: %v", err)
 		}
 		if _, _, err := gc.GetObject(ctx, "e2e/obj"); !errors.Is(err, ErrNotFound) {
@@ -191,10 +191,10 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if _, err := gc.PutObject(ctx, "tmp", payload(4096, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := gc.DeleteObject(ctx, "tmp"); err != nil {
+	if err := gc.deleteObject(ctx, "tmp"); err != nil {
 		t.Fatal(err)
 	}
-	if err := gc.DeleteObject(ctx, "tmp"); !errors.Is(err, ErrNotFound) {
+	if err := gc.deleteObject(ctx, "tmp"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("double delete: got %v, want ErrNotFound", err)
 	}
 
@@ -218,7 +218,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := 0; id < len(gw.osds)-gw.cfg.K+1; id++ {
-		if err := gw.FaultStore(id).SetFault(FaultSpec{Partition: true}); err != nil {
+		if err := gw.osds[id].store.SetFault(FaultSpec{Partition: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("put with <k reachable: got %v, want 503", err)
 	}
 	for id := 0; id < len(gw.osds); id++ {
-		_ = gw.FaultStore(id).SetFault(FaultSpec{})
+		_ = gw.osds[id].store.SetFault(FaultSpec{})
 	}
 
 	// 400: empty key (PUT /v1/objects/ matches the {key...} wildcard with
@@ -338,7 +338,7 @@ func TestOSDServerPutBodyErrors(t *testing.T) {
 	}
 	checkBodyLimits(t, h, func(key string) string { return "/v1/shards/" + key + "/0" }, 1<<10)
 	for code, want := range map[string]int64{"413": 3, "400": 2, "200": 2} {
-		if n := osd.Metrics().Counter(`ecstored_ops_total{op="put",code="` + code + `"}`).Value(); n != want {
+		if n := osd.reg.Counter(`ecstored_ops_total{op="put",code="` + code + `"}`).Value(); n != want {
 			t.Fatalf("ecstored_ops_total{op=put,code=%s} = %d, want %d", code, n, want)
 		}
 	}
@@ -380,7 +380,7 @@ func TestGatewayOverOSDDaemons(t *testing.T) {
 	// Tear down the daemon behind data shard 0: connection refused, which
 	// the client maps to ErrOSDDown and the gateway reconstructs around.
 	servers[oi.OSDs[0]].Close()
-	got, info, err := gw.GetObject(ctx, "remote")
+	got, info, err := gw.getObject(ctx, "remote")
 	if err != nil {
 		t.Fatalf("degraded get: %v", err)
 	}
@@ -463,7 +463,7 @@ func tenantService(t *testing.T) (srv *httptest.Server, gw *Gateway, entered <-c
 func tenantClient(url, tenant string) *GateClient {
 	gc := NewGateClient(url)
 	gc.SetRetries(0) // observe the raw 429
-	gc.SetTenant(tenant)
+	gc.tenant = tenant
 	return gc
 }
 
@@ -496,7 +496,7 @@ func TestTenantAdmissionHTTP(t *testing.T) {
 		t.Fatalf("parked bronze put: %v", err)
 	}
 
-	text, err := gold.MetricsText(ctx)
+	text, err := gold.metricsText(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestTenantAdmissionHTTP(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	st, err := gold.Status(ctx)
+	st, err := gold.status(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestAdmissionCancelDuringThrottle(t *testing.T) {
 	reached := false
 	osd := AdmissionMiddleware(pol, http.HandlerFunc(func(http.ResponseWriter, *http.Request) { reached = true }))
 	doors := map[string]func(ctx context.Context){
-		"gateway": func(ctx context.Context) { _, _, _ = gw.GetObject(ctx, "x") },
+		"gateway": func(ctx context.Context) { _, _, _ = gw.getObject(ctx, "x") },
 		"ecstored middleware": func(ctx context.Context) {
 			osd.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/v1/stat", nil).WithContext(ctx))
 		},

@@ -374,12 +374,3 @@ func (w *metaWAL) Close() error {
 	}
 	return w.f.Close()
 }
-
-// size reports the current WAL byte size (test/ops visibility).
-func (w *metaWAL) size() int64 {
-	st, err := w.f.Stat()
-	if err != nil {
-		return -1
-	}
-	return st.Size()
-}

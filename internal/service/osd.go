@@ -40,13 +40,6 @@ type osdPath struct {
 	state   *Gauge // ecgate_breaker_state{osd="<id>"}
 }
 
-// FaultStore returns OSD osd's fault-injection wrapper (admin surface and
-// tests).
-func (g *Gateway) FaultStore(osd int) *FaultStore { return g.osds[osd].store }
-
-// Breaker returns OSD osd's circuit breaker.
-func (g *Gateway) Breaker(osd int) *Breaker { return g.osds[osd].breaker }
-
 // FaultStatuses lists every OSD's injection spec and stats (/v1/faults).
 func (g *Gateway) FaultStatuses() []FaultStatus {
 	out := make([]FaultStatus, len(g.osds))

@@ -71,12 +71,12 @@ func TestBreakerTransitions(t *testing.T) {
 	if !b.Allow(t0) || b.State() != BreakerClosed {
 		t.Fatal("fresh breaker must be closed and allowing")
 	}
-	b.Record(false, t0)
-	b.Record(false, t0)
+	b.record(false, nil, t0)
+	b.record(false, nil, t0)
 	if b.State() != BreakerClosed {
 		t.Fatalf("2 of 3 failures: state %v, want closed", b.State())
 	}
-	b.Record(false, t0)
+	b.record(false, nil, t0)
 	if b.State() != BreakerOpen {
 		t.Fatalf("3rd consecutive failure: state %v, want open", b.State())
 	}
@@ -97,7 +97,7 @@ func TestBreakerTransitions(t *testing.T) {
 	}
 
 	// Failed probe re-opens.
-	b.Record(false, probeAt)
+	b.record(false, nil, probeAt)
 	if b.State() != BreakerOpen {
 		t.Fatalf("failed probe: state %v, want open", b.State())
 	}
@@ -110,7 +110,7 @@ func TestBreakerTransitions(t *testing.T) {
 	if !b.Allow(probe2) {
 		t.Fatal("second cooldown elapsed: probe must be allowed")
 	}
-	b.Record(true, probe2)
+	b.record(true, nil, probe2)
 	if b.State() != BreakerClosed {
 		t.Fatalf("successful probe: state %v, want closed", b.State())
 	}
@@ -118,7 +118,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("close must reset the EWMA, got %v", b.FailureRate())
 	}
 	// A single new failure must not instantly re-trip.
-	b.Record(false, probe2)
+	b.record(false, nil, probe2)
 	if b.State() != BreakerClosed {
 		t.Fatal("one failure after close re-tripped the breaker")
 	}
@@ -133,12 +133,12 @@ func TestBreakerEWMATrip(t *testing.T) {
 	// F S F F F → EWMA 1, .70, .79, .853, .897; min-samples gate holds the
 	// trip until sample 5.
 	for i, ok := range []bool{false, true, false, false} {
-		b.Record(ok, t0)
+		b.record(ok, nil, t0)
 		if b.State() != BreakerClosed {
 			t.Fatalf("sample %d: tripped early (ewma %v)", i+1, b.FailureRate())
 		}
 	}
-	b.Record(false, t0)
+	b.record(false, nil, t0)
 	if b.State() != BreakerOpen {
 		t.Fatalf("sustained failure rate %v did not trip", b.FailureRate())
 	}
@@ -149,7 +149,7 @@ func TestBreakerDisabled(t *testing.T) {
 	b := NewBreaker(0, time.Second)
 	t0 := time.Unix(3000, 0)
 	for i := 0; i < 10; i++ {
-		b.Record(false, t0)
+		b.record(false, nil, t0)
 	}
 	if !b.Allow(t0) || b.State() != BreakerClosed {
 		t.Fatal("disabled breaker must stay closed")
@@ -262,7 +262,7 @@ func (f *retryFixture) attempts(op string, n int) int {
 }
 
 func (f *retryFixture) retries(op string) int64 {
-	return f.gw.Metrics().Counter(fmt.Sprintf("ecgate_shard_retries_total{op=%q}", op)).Value()
+	return f.gw.reg.Counter(fmt.Sprintf("ecgate_shard_retries_total{op=%q}", op)).Value()
 }
 
 // TestRetryThenSucceed: every store fails its first attempt of one op —
@@ -288,7 +288,7 @@ func TestRetryThenSucceed(t *testing.T) {
 		case "get":
 			shards = gw.cfg.K // a clean read touches the data shards only
 			f.arm("get", 1)
-			got, info, err := gw.GetObject(ctx, "flaky/obj")
+			got, info, err := gw.getObject(ctx, "flaky/obj")
 			if err != nil {
 				t.Fatalf("get with transient blips: %v", err)
 			}
@@ -354,7 +354,7 @@ func TestRetryExhausted(t *testing.T) {
 			}
 		case "get":
 			f.arm("get", 1<<20)
-			if _, _, err := gw.GetObject(ctx, "doomed"); !errors.Is(err, ErrInsufficientShards) {
+			if _, _, err := gw.getObject(ctx, "doomed"); !errors.Is(err, ErrInsufficientShards) {
 				t.Fatalf("exhausted retries: got %v, want ErrInsufficientShards", err)
 			}
 		case "delete":
@@ -420,7 +420,7 @@ func TestHedgedReadWin(t *testing.T) {
 	if _, err := gw.PutObject(ctx, "stuck/obj", data); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	got, info, err := gw.GetObject(ctx, "stuck/obj")
+	got, info, err := gw.getObject(ctx, "stuck/obj")
 	if err != nil {
 		t.Fatalf("get with stalled first attempts: %v", err)
 	}
@@ -430,17 +430,17 @@ func TestHedgedReadWin(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("payload mismatch")
 	}
-	hedged := gw.Metrics().Counter("ecgate_hedged_reads_total").Value()
-	wins := gw.Metrics().Counter("ecgate_hedge_wins_total").Value()
+	hedged := gw.reg.Counter("ecgate_hedged_reads_total").Value()
+	wins := gw.reg.Counter("ecgate_hedge_wins_total").Value()
 	if hedged != int64(gw.cfg.K) || wins != int64(gw.cfg.K) {
 		t.Fatalf("hedged=%d wins=%d, want %d each", hedged, wins, gw.cfg.K)
 	}
 	// The losers were cancelled, not failed: no breaker or health damage.
 	for osd := 0; osd < 6; osd++ {
-		if st := gw.Breaker(osd).State(); st != BreakerClosed {
+		if st := gw.osds[osd].breaker.State(); st != BreakerClosed {
 			t.Fatalf("osd %d breaker %v after hedge wins, want closed", osd, st)
 		}
-		if r := gw.Breaker(osd).FailureRate(); r != 0 {
+		if r := gw.osds[osd].breaker.FailureRate(); r != 0 {
 			t.Fatalf("osd %d failure rate %v after hedge wins, want 0", osd, r)
 		}
 	}
@@ -469,13 +469,13 @@ func TestBreakerRoutesAroundPartition(t *testing.T) {
 		}
 	}
 
-	if err := gw.FaultStore(0).SetFault(FaultSpec{Partition: true}); err != nil {
+	if err := gw.osds[0].store.SetFault(FaultSpec{Partition: true}); err != nil {
 		t.Fatal(err)
 	}
 	readAll := func(phase string) {
 		t.Helper()
 		for key, want := range payloads {
-			got, _, err := gw.GetObject(ctx, key)
+			got, _, err := gw.getObject(ctx, key)
 			if err != nil {
 				t.Fatalf("%s: get %s: %v", phase, key, err)
 			}
@@ -485,20 +485,20 @@ func TestBreakerRoutesAroundPartition(t *testing.T) {
 		}
 	}
 	readAll("partitioned")
-	if st := gw.Breaker(0).State(); st != BreakerOpen {
+	if st := gw.osds[0].breaker.State(); st != BreakerOpen {
 		t.Fatalf("breaker after partitioned reads: %v, want open", st)
 	}
-	if n := gw.Metrics().Counter("ecgate_breaker_trips_total").Value(); n < 1 {
+	if n := gw.reg.Counter("ecgate_breaker_trips_total").Value(); n < 1 {
 		t.Fatalf("breaker_trips_total = %d, want >= 1", n)
 	}
 
 	// Open breaker: the OSD is no longer contacted at all.
-	before := gw.FaultStore(0).FaultStats().Partitioned
+	before := gw.osds[0].store.FaultStats().Partitioned
 	readAll("breaker-open")
-	if after := gw.FaultStore(0).FaultStats().Partitioned; after != before {
+	if after := gw.osds[0].store.FaultStats().Partitioned; after != before {
 		t.Fatalf("open breaker still sent %d ops to the partitioned OSD", after-before)
 	}
-	if n := gw.Metrics().Counter("ecgate_breaker_skipped_total").Value(); n < 1 {
+	if n := gw.reg.Counter("ecgate_breaker_skipped_total").Value(); n < 1 {
 		t.Fatalf("breaker_skipped_total = %d, want >= 1", n)
 	}
 	if st := gw.Status(); st.BreakersOpen != 1 {
@@ -511,12 +511,12 @@ func TestBreakerRoutesAroundPartition(t *testing.T) {
 
 	// Heal: clear the fault, wait out the cooldown; the next read probes
 	// the OSD and closes the breaker.
-	if err := gw.FaultStore(0).SetFault(FaultSpec{}); err != nil {
+	if err := gw.osds[0].store.SetFault(FaultSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(60 * time.Millisecond)
 	readAll("healed")
-	if st := gw.Breaker(0).State(); st != BreakerClosed {
+	if st := gw.osds[0].breaker.State(); st != BreakerClosed {
 		t.Fatalf("breaker after heal: %v, want closed", st)
 	}
 }
@@ -567,7 +567,7 @@ func TestFaultSpecValidation(t *testing.T) {
 			t.Fatalf("spec %+v accepted, want error", bad)
 		}
 	}
-	if fs.Fault().Active() {
+	if fs.Fault() != (FaultSpec{}) {
 		t.Fatal("rejected specs must not replace the live spec")
 	}
 }
@@ -608,7 +608,7 @@ func TestWALReplayRestart(t *testing.T) {
 
 	gw2 := mk()
 	for key, want := range map[string][]byte{"wal/a": a, "wal/b": b2} {
-		got, info, err := gw2.GetObject(ctx, key)
+		got, info, err := gw2.getObject(ctx, key)
 		if err != nil {
 			t.Fatalf("restarted get %s: %v", key, err)
 		}
@@ -619,7 +619,7 @@ func TestWALReplayRestart(t *testing.T) {
 			t.Fatalf("restarted get %s: payload mismatch", key)
 		}
 	}
-	if _, _, err := gw2.GetObject(ctx, "wal/c"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := gw2.getObject(ctx, "wal/c"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted object resurrected: %v", err)
 	}
 	st := gw2.Status()
@@ -664,7 +664,7 @@ func TestWALCompaction(t *testing.T) {
 	if gw.wal.records >= 8 {
 		t.Fatalf("wal holds %d records after compaction, want < 8", gw.wal.records)
 	}
-	if n := gw.Metrics().Counter("ecgate_wal_compactions_total").Value(); n < 4 {
+	if n := gw.reg.Counter("ecgate_wal_compactions_total").Value(); n < 4 {
 		t.Fatalf("wal_compactions_total = %d, want >= 4", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapFileName)); err != nil {
@@ -672,12 +672,16 @@ func TestWALCompaction(t *testing.T) {
 	}
 	// The live WAL is bounded: at most threshold records of a few hundred
 	// bytes each, nowhere near 40 full records.
-	if sz := gw.wal.size(); sz < 0 || sz > 8*512 {
+	st, err := gw.wal.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sz := st.Size(); sz > 8*512 {
 		t.Fatalf("wal size %d bytes, want bounded under %d", sz, 8*512)
 	}
 
 	gw2 := mk()
-	got, _, err := gw2.GetObject(ctx, "cpt/obj-3")
+	got, _, err := gw2.getObject(ctx, "cpt/obj-3")
 	if err != nil {
 		t.Fatalf("get after compacted restart: %v", err)
 	}
@@ -734,7 +738,7 @@ func TestChaosAcceptance(t *testing.T) {
 	ctx := context.Background()
 	flaky := FaultSpec{ErrorProb: 0.1, LatencyMult: 5, StuckProb: 0.05, StuckMs: 50}
 	for _, osd := range []int{0, 1} {
-		if err := gw.FaultStore(osd).SetFault(flaky); err != nil {
+		if err := gw.osds[osd].store.SetFault(flaky); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -745,7 +749,7 @@ func TestChaosAcceptance(t *testing.T) {
 		if _, err := gw.PutObject(ctx, key, payloads[key]); err != nil {
 			t.Fatalf("cycle %d put: %v", i, err)
 		}
-		got, _, err := gw.GetObject(ctx, key)
+		got, _, err := gw.getObject(ctx, key)
 		if err != nil {
 			t.Fatalf("cycle %d get: %v", i, err)
 		}
@@ -755,26 +759,26 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 	var retries int64
 	for _, op := range []string{"get", "put", "delete"} {
-		retries += gw.Metrics().Counter(fmt.Sprintf("ecgate_shard_retries_total{op=%q}", op)).Value()
+		retries += gw.reg.Counter(fmt.Sprintf("ecgate_shard_retries_total{op=%q}", op)).Value()
 	}
 	if retries == 0 {
 		t.Fatal("10% injected errors over 200 cycles produced zero retries")
 	}
-	if gw.Metrics().Counter("ecgate_hedged_reads_total").Value() == 0 {
+	if gw.reg.Counter("ecgate_hedged_reads_total").Value() == 0 {
 		t.Fatal("injected stalls produced zero hedged reads")
 	}
-	stats := gw.FaultStore(0).FaultStats()
+	stats := gw.osds[0].store.FaultStats()
 	if stats.Errors == 0 || stats.Stalls == 0 {
 		t.Fatalf("fault stats %+v: injection did not actually run", stats)
 	}
 
 	// Partition phase: breaker metrics must move, reads must hold.
-	if err := gw.FaultStore(0).SetFault(FaultSpec{Partition: true}); err != nil {
+	if err := gw.osds[0].store.SetFault(FaultSpec{Partition: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("chaos/obj-%d", i)
-		got, _, err := gw.GetObject(ctx, key)
+		got, _, err := gw.getObject(ctx, key)
 		if err != nil {
 			t.Fatalf("partitioned get %s: %v", key, err)
 		}
@@ -782,7 +786,7 @@ func TestChaosAcceptance(t *testing.T) {
 			t.Fatalf("partitioned get %s: payload mismatch", key)
 		}
 	}
-	if gw.Metrics().Counter("ecgate_breaker_trips_total").Value() == 0 {
+	if gw.reg.Counter("ecgate_breaker_trips_total").Value() == 0 {
 		t.Fatal("partition did not trip a breaker")
 	}
 }
@@ -799,7 +803,7 @@ func TestChaosNoLeak(t *testing.T) {
 		if _, err := gw.PutObject(ctx, key, data); err != nil {
 			t.Fatalf("put: %v", err)
 		}
-		got, info, err := gw.GetObject(ctx, key)
+		got, info, err := gw.getObject(ctx, key)
 		if err != nil || info.Degraded || !bytes.Equal(got, data) {
 			t.Fatalf("get: err=%v info=%+v", err, info)
 		}
@@ -813,7 +817,7 @@ func TestChaosNoLeak(t *testing.T) {
 		"ecgate_breaker_trips_total",
 		"ecgate_breaker_skipped_total",
 	} {
-		if n := gw.Metrics().Counter(name).Value(); n != 0 {
+		if n := gw.reg.Counter(name).Value(); n != 0 {
 			t.Fatalf("%s = %d on the healthy path, want exactly 0", name, n)
 		}
 	}
@@ -991,14 +995,14 @@ func TestFaultAdminEndpoints(t *testing.T) {
 	if err := gc.SetFault(ctx, 2, spec); err != nil {
 		t.Fatalf("set fault: %v", err)
 	}
-	if got := gw.FaultStore(2).Fault(); got != spec {
+	if got := gw.osds[2].store.Fault(); got != spec {
 		t.Fatalf("gateway spec %+v, want %+v", got, spec)
 	}
 	var list []FaultStatus
 	if err := gc.call(ctx, http.MethodGet, "/v1/faults", nil, &list); err != nil {
 		t.Fatalf("list faults: %v", err)
 	}
-	if len(list) != 6 || list[2].Spec != spec || list[0].Spec.Active() {
+	if len(list) != 6 || list[2].Spec != spec || list[0].Spec != (FaultSpec{}) {
 		t.Fatalf("fault list %+v", list)
 	}
 	// Out-of-range OSD and invalid spec are 400s.
@@ -1021,7 +1025,7 @@ func TestFaultAdminEndpoints(t *testing.T) {
 		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 			t.Fatalf("body %s: got %v, want 400", body, err)
 		}
-		if got := gw.FaultStore(0).Fault(); got.Active() {
+		if got := gw.osds[0].store.Fault(); got != (FaultSpec{}) {
 			t.Fatalf("rejected body %s still injected %+v", body, got)
 		}
 	}
@@ -1053,7 +1057,7 @@ func FuzzFaultSpecBody(f *testing.F) {
 		default:
 			t.Fatalf("status %d for body %q", code, body)
 		}
-		spec := gw.FaultStore(0).Fault()
+		spec := gw.osds[0].store.Fault()
 		if err := spec.validate(); err != nil {
 			t.Fatalf("accepted body %q installed invalid spec %+v: %v", body, spec, err)
 		}
@@ -1061,8 +1065,8 @@ func FuzzFaultSpecBody(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal %+v: %v", spec, err)
 		}
-		if code := post(again); code != http.StatusOK || gw.FaultStore(0).Fault() != spec {
-			t.Fatalf("spec %+v did not round-trip through %s: status %d, now %+v", spec, again, code, gw.FaultStore(0).Fault())
+		if code := post(again); code != http.StatusOK || gw.osds[0].store.Fault() != spec {
+			t.Fatalf("spec %+v did not round-trip through %s: status %d, now %+v", spec, again, code, gw.osds[0].store.Fault())
 		}
 	})
 }
@@ -1193,7 +1197,7 @@ func TestWALInterruptedCompaction(t *testing.T) {
 func TestBreakerProbeTimeout(t *testing.T) {
 	t0 := time.Unix(4000, 0)
 	b := NewBreaker(1, time.Second)
-	b.Record(false, t0)
+	b.record(false, nil, t0)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v, want open", b.State())
 	}
@@ -1210,7 +1214,7 @@ func TestBreakerProbeTimeout(t *testing.T) {
 	if !b.Allow(p2) {
 		t.Fatal("breaker wedged half-open: lost probe never replaced")
 	}
-	b.Record(true, p2)
+	b.record(true, nil, p2)
 	if b.State() != BreakerClosed {
 		t.Fatalf("successful replacement probe: state %v, want closed", b.State())
 	}
@@ -1256,7 +1260,7 @@ func TestCancelledOpsNotScored(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 5; i++ {
-		if _, _, err := gw.GetObject(cctx, "cancel/obj"); err == nil {
+		if _, _, err := gw.getObject(cctx, "cancel/obj"); err == nil {
 			t.Fatal("get with cancelled context succeeded")
 		}
 		if _, err := gw.PutObject(cctx, "cancel/other", data); err == nil {
@@ -1264,10 +1268,10 @@ func TestCancelledOpsNotScored(t *testing.T) {
 		}
 	}
 	for osd := 0; osd < 6; osd++ {
-		if st := gw.Breaker(osd).State(); st != BreakerClosed {
+		if st := gw.osds[osd].breaker.State(); st != BreakerClosed {
 			t.Fatalf("osd %d breaker %v after cancellations, want closed", osd, st)
 		}
-		if r := gw.Breaker(osd).FailureRate(); r != 0 {
+		if r := gw.osds[osd].breaker.FailureRate(); r != 0 {
 			t.Fatalf("osd %d failure rate %v after cancellations, want 0", osd, r)
 		}
 	}
@@ -1275,7 +1279,7 @@ func TestCancelledOpsNotScored(t *testing.T) {
 		t.Fatalf("%d OSDs marked down by cancelled ops", st.OSDsDown)
 	}
 	// A healthy client still reads the object cleanly.
-	got, info, err := gw.GetObject(context.Background(), "cancel/obj")
+	got, info, err := gw.getObject(context.Background(), "cancel/obj")
 	if err != nil || info.Degraded || !bytes.Equal(got, data) {
 		t.Fatalf("healthy read after cancellation burst: err=%v info=%+v", err, info)
 	}
@@ -1313,10 +1317,10 @@ func TestHalfOpenSingleProbe(t *testing.T) {
 	})
 	now := time.Now()
 	for i := 0; i < gw.cfg.BreakerThreshold; i++ {
-		gw.Breaker(0).Record(false, now)
+		gw.osds[0].breaker.record(false, nil, now)
 	}
-	if gw.Breaker(0).State() != BreakerOpen {
-		t.Fatalf("state %v, want open", gw.Breaker(0).State())
+	if gw.osds[0].breaker.State() != BreakerOpen {
+		t.Fatalf("state %v, want open", gw.osds[0].breaker.State())
 	}
 	time.Sleep(260 * time.Millisecond) // cooldown elapses → next op is the probe
 	if _, err := gw.fetchShard(context.Background(), "probe@1", 0, 0, 1); err == nil {
@@ -1328,7 +1332,7 @@ func TestHalfOpenSingleProbe(t *testing.T) {
 	if gets != 1 {
 		t.Fatalf("half-open admitted %d physical ops, want exactly 1 probe", gets)
 	}
-	if st := gw.Breaker(0).State(); st != BreakerOpen {
+	if st := gw.osds[0].breaker.State(); st != BreakerOpen {
 		t.Fatalf("failed probe left breaker %v, want open", st)
 	}
 }
@@ -1406,7 +1410,7 @@ func TestOSDHealthViewFromBreaker(t *testing.T) {
 		return rows[0], status["osds_down"].(float64)
 	}
 	ctx := context.Background()
-	if err := gw.FaultStore(0).SetFault(FaultSpec{Partition: true}); err != nil {
+	if err := gw.osds[0].store.SetFault(FaultSpec{Partition: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < gw.cfg.BreakerThreshold; i++ {
@@ -1426,7 +1430,7 @@ func TestOSDHealthViewFromBreaker(t *testing.T) {
 		t.Fatalf("/v1/status osds_down = %v, want 1", down)
 	}
 
-	if err := gw.FaultStore(0).SetFault(FaultSpec{}); err != nil {
+	if err := gw.osds[0].store.SetFault(FaultSpec{}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(60 * time.Millisecond) // cooldown elapses → the next op is the probe
@@ -1509,12 +1513,12 @@ func TestWALParentFormat(t *testing.T) {
 		if m, _ := gw.lookup(key); m.chunk != cfg.ChunkSize {
 			t.Fatalf("%s: chunk-less record read at chunk %d, want cfg.ChunkSize %d", key, m.chunk, cfg.ChunkSize)
 		}
-		got, info, err := gw.GetObject(ctx, key)
+		got, info, err := gw.getObject(ctx, key)
 		if err != nil || info.Degraded || !bytes.Equal(got, want[key]) {
 			t.Fatalf("get %s from the parent's MetaDir: err=%v info=%+v", key, err, info)
 		}
 	}
-	if _, _, err := gw.GetObject(ctx, "xv/b"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := gw.getObject(ctx, "xv/b"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("deleted key: got %v, want ErrNotFound", err)
 	}
 	if st := gw.Status(); st.Objects != 2 || st.BytesStored != 1002+1003 {
@@ -1559,7 +1563,7 @@ func TestWALChunkField(t *testing.T) {
 			t.Fatalf("put %s: %v", o.key, err)
 		}
 	}
-	if n := gw.Metrics().Counter("ecgate_wal_compactions_total").Value(); n != 1 {
+	if n := gw.reg.Counter("ecgate_wal_compactions_total").Value(); n != 1 {
 		t.Fatalf("wal_compactions_total = %d, want 1", n)
 	}
 	lines := 0
@@ -1591,7 +1595,7 @@ func TestWALChunkField(t *testing.T) {
 	gw2 := mk()
 	t.Cleanup(func() { gw2.Close() })
 	for key, data := range want {
-		got, info, err := gw2.GetObject(ctx, key)
+		got, info, err := gw2.getObject(ctx, key)
 		if err != nil || info.Degraded || !bytes.Equal(got, data) {
 			t.Fatalf("restarted get %s: err=%v info=%+v match=%v", key, err, info, bytes.Equal(got, data))
 		}

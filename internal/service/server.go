@@ -61,9 +61,6 @@ func NewOSDServer(id int, store ShardStore, logger *slog.Logger) *OSDServer {
 	return s
 }
 
-// Metrics returns the daemon's registry.
-func (s *OSDServer) Metrics() *Registry { return s.reg }
-
 // Handler returns the daemon's routes:
 //
 //	PUT    /v1/shards/{key}/{idx}  store one shard (body = shard bytes)

@@ -6,9 +6,39 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"sync"
 	"testing"
 )
+
+// getObject reads an object back into memory: GetObjectTo over a buffer.
+func (g *Gateway) getObject(ctx context.Context, key string) ([]byte, GetInfo, error) {
+	var out bytes.Buffer
+	info, _, err := g.GetObjectTo(ctx, key, &out, func(info GetInfo) { out.Grow(int(info.Size)) })
+	if err != nil {
+		return nil, info, err
+	}
+	return out.Bytes(), info, nil
+}
+
+// deleteObject removes key through the gateway's HTTP front door.
+func (c *GateClient) deleteObject(ctx context.Context, key string) error {
+	_, err := c.doRetry(ctx, http.MethodDelete, key, nil, nil)
+	return err
+}
+
+// status fetches /v1/status.
+func (c *GateClient) status(ctx context.Context) (st StatusInfo, err error) {
+	err = c.call(ctx, http.MethodGet, "/v1/status", nil, &st)
+	return st, err
+}
+
+// metricsText fetches the raw /metrics exposition.
+func (c *GateClient) metricsText(ctx context.Context) (string, error) {
+	var raw []byte
+	err := c.call(ctx, http.MethodGet, "/metrics", nil, &raw)
+	return string(raw), err
+}
 
 // newSimGateway boots a gateway over a fresh virtual cluster with the
 // default RS(4,2) geometry.
@@ -56,7 +86,7 @@ func TestObjectRoundTrip(t *testing.T) {
 		if oi.Size != int64(size) || oi.Written != oi.Shards {
 			t.Fatalf("put %s: info %+v", key, oi)
 		}
-		got, info, err := gw.GetObject(ctx, key)
+		got, info, err := gw.getObject(ctx, key)
 		if err != nil {
 			t.Fatalf("get %s: %v", key, err)
 		}
@@ -84,10 +114,10 @@ func TestDegradedReadEveryDataShard(t *testing.T) {
 	}
 	for shard := 0; shard < gw.cfg.K; shard++ {
 		osd := oi.OSDs[shard]
-		if err := gw.FaultStore(osd).SetFault(FaultSpec{Partition: true}); err != nil {
+		if err := gw.osds[osd].store.SetFault(FaultSpec{Partition: true}); err != nil {
 			t.Fatalf("fail osd %d: %v", osd, err)
 		}
-		got, info, err := gw.GetObject(ctx, "victim")
+		got, info, err := gw.getObject(ctx, "victim")
 		if err != nil {
 			t.Fatalf("degraded get (shard %d down): %v", shard, err)
 		}
@@ -97,11 +127,11 @@ func TestDegradedReadEveryDataShard(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatalf("shard %d down: payload mismatch", shard)
 		}
-		if err := gw.FaultStore(osd).SetFault(FaultSpec{}); err != nil {
+		if err := gw.osds[osd].store.SetFault(FaultSpec{}); err != nil {
 			t.Fatalf("restore osd %d: %v", osd, err)
 		}
 	}
-	if n := gw.Metrics().Counter("ecgate_degraded_reads_total").Value(); n != int64(gw.cfg.K) {
+	if n := gw.reg.Counter("ecgate_degraded_reads_total").Value(); n != int64(gw.cfg.K) {
 		t.Fatalf("degraded_reads_total = %d, want %d", n, gw.cfg.K)
 	}
 }
@@ -116,10 +146,10 @@ func TestParityShardLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	if err := gw.FaultStore(oi.OSDs[gw.cfg.K]).SetFault(FaultSpec{Partition: true}); err != nil {
+	if err := gw.osds[oi.OSDs[gw.cfg.K]].store.SetFault(FaultSpec{Partition: true}); err != nil {
 		t.Fatal(err)
 	}
-	got, info, err := gw.GetObject(ctx, "pobj")
+	got, info, err := gw.getObject(ctx, "pobj")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
@@ -143,11 +173,11 @@ func TestInsufficientShards(t *testing.T) {
 		t.Fatalf("put: %v", err)
 	}
 	for _, osd := range oi.OSDs[:gw.cfg.M+1] {
-		if err := gw.FaultStore(osd).SetFault(FaultSpec{Partition: true}); err != nil {
+		if err := gw.osds[osd].store.SetFault(FaultSpec{Partition: true}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := gw.GetObject(ctx, "doomed"); !errors.Is(err, ErrInsufficientShards) {
+	if _, _, err := gw.getObject(ctx, "doomed"); !errors.Is(err, ErrInsufficientShards) {
 		t.Fatalf("get with %d OSDs down: got %v, want ErrInsufficientShards", gw.cfg.M+1, err)
 	}
 	if _, err := gw.PutObject(ctx, "doomed", data); !errors.Is(err, ErrInsufficientShards) {
@@ -156,11 +186,11 @@ func TestInsufficientShards(t *testing.T) {
 	// The failed overwrite must not have destroyed or orphaned anything on
 	// the surviving OSDs beyond the original object's shards.
 	for _, osd := range oi.OSDs[:gw.cfg.M+1] {
-		if err := gw.FaultStore(osd).SetFault(FaultSpec{}); err != nil {
+		if err := gw.osds[osd].store.SetFault(FaultSpec{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, _, err := gw.GetObject(ctx, "doomed")
+	got, _, err := gw.getObject(ctx, "doomed")
 	if err != nil {
 		t.Fatalf("get after restore: %v", err)
 	}
@@ -180,7 +210,7 @@ func TestNotFoundAfterDelete(t *testing.T) {
 	if err := gw.DeleteObject(ctx, "gone"); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, _, err := gw.GetObject(ctx, "gone"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := gw.getObject(ctx, "gone"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get after delete: got %v, want ErrNotFound", err)
 	}
 	if err := gw.DeleteObject(ctx, "gone"); !errors.Is(err, ErrNotFound) {
@@ -239,7 +269,7 @@ func TestAdmissionOverload(t *testing.T) {
 		t.Fatalf("second put: got %v, want ErrOverloaded", err)
 	}
 	unpark()
-	if n := gw.Metrics().Counter("ecgate_admission_rejected_total").Value(); n != 1 {
+	if n := gw.reg.Counter("ecgate_admission_rejected_total").Value(); n != 1 {
 		t.Fatalf("admission_rejected_total = %d, want 1", n)
 	}
 }

@@ -25,13 +25,6 @@ type SimClusterConfig struct {
 	Seed int64
 }
 
-// DefaultSimClusterConfig returns a small virtual cluster: 3 hosts × 2
-// OSDs with 256 MiB devices — enough for RS(6,3)-class schemes while
-// booting in milliseconds.
-func DefaultSimClusterConfig() SimClusterConfig {
-	return SimClusterConfig{Hosts: 3, OSDsPerHost: 2, DeviceBytes: 256 << 20, Seed: 1}
-}
-
 func (c *SimClusterConfig) validate() error {
 	if c.Hosts <= 0 || c.OSDsPerHost <= 0 {
 		return fmt.Errorf("service: sim cluster needs positive hosts and osds-per-host")
@@ -120,9 +113,6 @@ func (vc *SimCluster) Stores() []ShardStore {
 // across failures and the data path reconstructs around down OSDs instead
 // of remapping them.
 func (vc *SimCluster) CrushMap() *crush.Map { return vc.cmap }
-
-// OSDs returns the number of OSDs.
-func (vc *SimCluster) OSDs() int { return len(vc.osds) }
 
 // SimSeconds returns total simulated time accumulated by the cluster.
 func (vc *SimCluster) SimSeconds() float64 {

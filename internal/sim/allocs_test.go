@@ -73,11 +73,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	})
 
 	// Warm up: grow heap/pool/live capacities to their high-water marks.
-	e.RunFor(2 * time.Millisecond)
+	e.RunUntil(e.Now() + Time(2*time.Millisecond))
 
 	before := e.Executed()
 	allocs := testing.AllocsPerRun(50, func() {
-		e.RunFor(200 * time.Microsecond)
+		e.RunUntil(e.Now() + Time(200*time.Microsecond))
 	})
 	events := e.Executed() - before
 	if events == 0 {
@@ -125,7 +125,7 @@ func TestDrainThenReuseDeterministic(t *testing.T) {
 	// Workload A: sleepers, resource holders and never-woken waiters, then
 	// a mid-flight Drain that kills them all and recycles their workers.
 	ra := NewResource(used, "a", 2)
-	sig := NewSignal(used)
+	sig := NewLatch(used, 1)
 	for i := 0; i < 8; i++ {
 		used.Go("a-sleep", func(p *Proc) {
 			for {
@@ -135,13 +135,13 @@ func TestDrainThenReuseDeterministic(t *testing.T) {
 		used.Go("a-hold", func(p *Proc) {
 			ra.Acquire(p, 1)
 			defer ra.Release(1)
-			sig.Wait(p) // never fired: killed by Drain
+			sig.Wait(p) // never opened: killed by Drain
 		})
 	}
-	used.RunFor(50 * time.Microsecond)
+	used.RunUntil(used.Now() + Time(50*time.Microsecond))
 	used.Drain()
-	if used.Live() != 0 {
-		t.Fatalf("live after drain = %d, want 0", used.Live())
+	if len(used.live) != 0 {
+		t.Fatalf("live after drain = %d, want 0", len(used.live))
 	}
 
 	got := workloadB(used)

@@ -9,8 +9,8 @@ import "math/bits"
 //     engine's fns table; the callback runs in engine context;
 //   - wakeup: proc != nil, gen is the park-generation guard — stale wakeups
 //     (process resumed by someone else, or killed) drop harmlessly. Every
-//     Sleep, Resource grant, hold-chain step, Latch open and Signal fire is
-//     one;
+//     Sleep, Resource grant, hold-chain step, Latch open and Waker wake
+//     is one;
 //   - start (Go): proc != nil, gen == genStart — first resume of a fresh
 //     spawn.
 type event struct {

@@ -29,7 +29,7 @@ func holdScript(t *testing.T, seed int64, chained bool) []string {
 	hook := func(rest []Stage) {
 		inUse := -1
 		if rest[0].Res != nil {
-			inUse = rest[0].Res.InUse() // the stage's units are back
+			inUse = rest[0].Res.inUse // the stage's units are back
 		}
 		log = append(log, fmt.Sprintf("hook %d arg %d inUse %d", e.now, rest[0].Arg, inUse))
 		// Like netsim's propagation stage: a later delay set from state
@@ -82,8 +82,8 @@ func holdScript(t *testing.T, seed int64, chained bool) []string {
 	}
 	stats := func(when string) {
 		for _, r := range res {
-			log = append(log, fmt.Sprintf("%s %s: inUse %d queued %d acquires %d waits %d busy %.0f",
-				when, r.name, r.InUse(), r.QueueLen(), r.Acquires(), r.Waits(), r.Utilization(0)*1e9))
+			log = append(log, fmt.Sprintf("%s %s: inUse %d queued %d acquires %d waits %d",
+				when, r.name, r.inUse, r.queued, r.totalAcquires, r.totalWaits))
 		}
 	}
 	e.RunUntil(Time(rng.Intn(25)) * Time(time.Microsecond))
@@ -241,8 +241,8 @@ func TestEventQueueOrder(t *testing.T) {
 		if len(pending) != 0 {
 			t.Fatalf("seed %d: %d events never ran", seed, len(pending))
 		}
-		if finished != spawned || e.Live() != 0 {
-			t.Fatalf("seed %d: %d of %d processes finished, %d live", seed, finished, spawned, e.Live())
+		if finished != spawned || len(e.live) != 0 {
+			t.Fatalf("seed %d: %d of %d processes finished, %d live", seed, finished, spawned, len(e.live))
 		}
 	}
 }
@@ -291,7 +291,7 @@ func chainScript(t *testing.T, seed int64, chainOnly bool) []string {
 		if sc.release[sc.next-1] {
 			lock.Release(1)
 		}
-		log = append(log, fmt.Sprintf("leg %d of %d at %d, lock %d", sc.next-1, rest[0].Arg, e.now, lock.InUse()))
+		log = append(log, fmt.Sprintf("leg %d of %d at %d, lock %d", sc.next-1, rest[0].Arg, e.now, lock.inUse))
 		if sc.next < len(sc.legs) {
 			sc.next++
 			sc.p.Then(sc.legs[sc.next-1]...)
@@ -357,8 +357,8 @@ func chainScript(t *testing.T, seed int64, chainOnly bool) []string {
 
 	stats := func(when string) {
 		for _, r := range all {
-			log = append(log, fmt.Sprintf("%s %s: inUse %d queued %d acquires %d waits %d busy %.0f",
-				when, r.name, r.InUse(), r.QueueLen(), r.Acquires(), r.Waits(), r.Utilization(0)*1e9))
+			log = append(log, fmt.Sprintf("%s %s: inUse %d queued %d acquires %d waits %d",
+				when, r.name, r.inUse, r.queued, r.totalAcquires, r.totalWaits))
 		}
 	}
 	e.RunUntil(Time(5+rng.Intn(25)) * Time(time.Microsecond))
@@ -370,14 +370,14 @@ func chainScript(t *testing.T, seed int64, chainOnly bool) []string {
 		e.Go("late", unstarted)
 	}
 	stats("cut")
-	if hog.QueueLen() != 1 || kept.InUse() != 1 {
-		t.Fatalf("seed %d: at the cut, %d queued for hog (want 1), %d kept (want 1)", seed, hog.QueueLen(), kept.InUse())
+	if hog.queued != 1 || kept.inUse != 1 {
+		t.Fatalf("seed %d: at the cut, %d queued for hog (want 1), %d kept (want 1)", seed, hog.queued, kept.inUse)
 	}
 	e.Drain()
 	stats("drained")
-	if started || e.Live() != 0 || hog.QueueLen() != 0 || kept.InUse() != 1 {
+	if started || len(e.live) != 0 || hog.queued != 0 || kept.inUse != 1 {
 		t.Fatalf("seed %d: after Drain: late started %v, %d live, %d queued for hog (want 0), %d kept (want 1)",
-			seed, started, e.Live(), hog.QueueLen(), kept.InUse())
+			seed, started, len(e.live), hog.queued, kept.inUse)
 	}
 	e.Run()
 	e.Close() // chain-only processes in the pool: nothing to stop

@@ -29,7 +29,7 @@ type Proc struct {
 	chained  bool     // chain-only (GoChain): fn is its start body, no coroutine
 	pool     *[]*Proc // where it goes when it ends: Engine.free or chains
 
-	// Intrusive wait-queue link (Resource/Latch/Signal/Waker). A parked
+	// Intrusive wait-queue link (Resource/Latch/Waker). A parked
 	// process waits on at most one primitive, so one link suffices and
 	// queuing allocates nothing.
 	waitNext    *Proc
@@ -82,9 +82,6 @@ func (p *Proc) runBody() {
 	}
 	p.fn(p)
 }
-
-// Engine returns the engine the process runs on.
-func (p *Proc) Engine() *Engine { return p.e }
 
 // Name renders the process name given to Go/GoNamed.
 func (p *Proc) Name() string {

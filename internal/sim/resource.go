@@ -15,10 +15,6 @@ type Resource struct {
 	waiters  procList // FIFO
 	queued   int
 
-	// Busy-time accounting for utilization reports.
-	busyArea  float64 // integral of inUse over time, in unit·ns
-	lastStamp Time
-
 	// Queueing statistics.
 	totalAcquires int64
 	totalWaits    int64 // acquires that had to queue
@@ -29,29 +25,11 @@ func NewResource(e *Engine, name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{e: e, name: name, capacity: capacity, lastStamp: e.now}
+	return &Resource{e: e, name: name, capacity: capacity}
 }
 
 // Capacity returns the configured capacity.
 func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of waiting processes.
-func (r *Resource) QueueLen() int { return r.queued }
-
-// Acquires returns the total number of Acquire calls granted so far.
-func (r *Resource) Acquires() int64 { return r.totalAcquires }
-
-// Waits returns how many acquisitions had to queue before being granted.
-func (r *Resource) Waits() int64 { return r.totalWaits }
-
-func (r *Resource) stamp() {
-	now := r.e.now
-	r.busyArea += float64(r.inUse) * float64(now-r.lastStamp)
-	r.lastStamp = now
-}
 
 // Acquire takes n units, blocking the process in FIFO order until they are
 // available. It panics if n exceeds the capacity (the request could never be
@@ -77,7 +55,6 @@ func (r *Resource) acquire(p *Proc, n int) bool {
 	}
 	r.totalAcquires++
 	if r.waiters.empty() && r.inUse+n <= r.capacity {
-		r.stamp()
 		r.inUse += n
 		return true
 	}
@@ -99,56 +76,20 @@ func (r *Resource) cancel(p *Proc, n int) {
 	}
 }
 
-// TryAcquire takes n units if immediately available, reporting success.
-func (r *Resource) TryAcquire(n int) bool {
-	if n <= 0 || n > r.capacity {
-		panic("sim: invalid acquire count")
-	}
-	if r.waiters.empty() && r.inUse+n <= r.capacity {
-		r.totalAcquires++
-		r.stamp()
-		r.inUse += n
-		return true
-	}
-	return false
-}
-
 // Release returns n units and wakes queued waiters in FIFO order. It may be
 // called from process or engine context.
 func (r *Resource) Release(n int) {
 	if n <= 0 || n > r.inUse {
 		panic("sim: invalid release count")
 	}
-	r.stamp()
 	r.inUse -= n
 	for r.waiters.head != nil && r.inUse+r.waiters.head.waitN <= r.capacity {
 		w := r.waiters.pop()
 		r.queued--
-		r.stamp()
 		r.inUse += w.waitN
 		w.waitGranted = true
 		r.e.wake(w)
 	}
-}
-
-// Utilization returns average inUse/capacity over [since, now]. The since
-// argument is typically the measurement-window start.
-func (r *Resource) Utilization(since Time) float64 {
-	r.stamp()
-	window := float64(r.e.now - since)
-	if window <= 0 {
-		return 0
-	}
-	return r.busyArea / window / float64(r.capacity)
-}
-
-// ResetStats zeroes the accumulated busy-time integral and counters, starting
-// a new measurement window at the current time.
-func (r *Resource) ResetStats() {
-	r.busyArea = 0
-	r.lastStamp = r.e.now
-	r.totalAcquires = 0
-	r.totalWaits = 0
 }
 
 // Latch is a countdown synchronizer: Wait blocks until Done has been called
@@ -183,9 +124,6 @@ func (l *Latch) Done() {
 	}
 }
 
-// Open reports whether the latch has reached zero.
-func (l *Latch) Open() bool { return l.count == 0 }
-
 // Wait blocks the process until the latch opens.
 func (l *Latch) Wait(p *Proc) {
 	if l.count == 0 {
@@ -201,50 +139,9 @@ func (l *Latch) Wait(p *Proc) {
 	p.park()
 }
 
-// Signal is a one-shot broadcast event: Wait blocks until Fire is called.
-// Fire is idempotent.
-type Signal struct {
-	e       *Engine
-	fired   bool
-	waiters procList
-}
-
-// NewSignal creates an unfired signal.
-func NewSignal(e *Engine) *Signal { return &Signal{e: e} }
-
-// Fired reports whether Fire has been called.
-func (s *Signal) Fired() bool { return s.fired }
-
-// Fire opens the signal and wakes all waiters. Repeat calls are no-ops.
-func (s *Signal) Fire() {
-	if s.fired {
-		return
-	}
-	s.fired = true
-	for p := s.waiters.pop(); p != nil; p = s.waiters.pop() {
-		s.e.wake(p)
-	}
-}
-
-// Wait blocks the process until the signal fires (returns immediately if it
-// already has).
-func (s *Signal) Wait(p *Proc) {
-	if s.fired {
-		return
-	}
-	s.waiters.push(p)
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.waiters.remove(p) // killed while queued
-			panic(rec)
-		}
-	}()
-	p.park()
-}
-
 // Waker is a reusable wakeup for one long-lived process: the process parks
 // with Wait, any engine- or process-context code releases it with Wake, and
-// the pair can repeat round after round (unlike the one-shot Signal). Wakes
+// the pair can repeat round after round (unlike a one-shot Latch). Wakes
 // with no process waiting are counted, so no round is ever lost: a process
 // that falls behind observes one immediate Wait return per missed Wake.
 // Periodic daemons (OSD heartbeats) use one Waker per process to be ticked

@@ -15,7 +15,7 @@
 //
 //   - Events are four-word records, not boxed closures: {time, seq,
 //     generation, proc}. A process wakeup — the dominant event kind (every
-//     Sleep, Resource grant, Latch open and Signal fire produces one) — is
+//     Sleep, Resource grant, Latch open and Waker wake produces one) — is
 //     a {proc, generation} pair stored directly in the queue; the
 //     generation guard makes stale wakeups (a process resumed by someone
 //     else first, or killed by Drain) drop harmlessly. Engine.Schedule's
@@ -55,7 +55,7 @@
 //     driver resumes processes 1.35 M times instead of 7.77 M.
 //
 // Processes block on virtual time (Sleep), on counted resources (Resource),
-// and on synchronization primitives (Latch, Signal, Waker). Waiting
+// and on synchronization primitives (Latch, Waker). Waiting
 // processes are linked into intrusive per-primitive queues (a parked process
 // waits on at most one thing), so blocking allocates nothing. Model
 // components such as CPUs, NICs, SSDs and PG locks are built from these
@@ -170,9 +170,6 @@ func (e *Engine) wake(p *Proc) {
 	e.events.push(event{t: e.now, seq: e.seq, proc: p, gen: p.parkGen})
 }
 
-// Live returns the number of live (spawned, unfinished) processes.
-func (e *Engine) Live() int { return len(e.live) }
-
 // Executed returns the total number of events dispatched since creation:
 // the denominator of the simulator's events/second throughput.
 func (e *Engine) Executed() uint64 { return e.executed }
@@ -188,9 +185,6 @@ func (e *Engine) RunUntil(t Time) {
 		e.now = t
 	}
 }
-
-// RunFor advances the clock by d, executing everything due in the window.
-func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now + Time(d)) }
 
 // RunProc spawns fn as a process and drives the engine until it finishes,
 // leaving any unrelated queued events (periodic daemons) in place. It panics

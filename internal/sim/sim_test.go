@@ -186,8 +186,8 @@ func TestResourceParallelism(t *testing.T) {
 	if e.Now() != Time(2*time.Millisecond) {
 		t.Fatalf("duration = %v, want 2ms", e.Now())
 	}
-	if r.Waits() != 4 {
-		t.Fatalf("waits = %d, want 4", r.Waits())
+	if r.totalWaits != 4 {
+		t.Fatalf("waits = %d, want 4", r.totalWaits)
 	}
 }
 
@@ -234,37 +234,6 @@ func TestResourceMultiUnit(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	e := newEngine(t)
-	r := NewResource(e, "pool", 2)
-	if !r.TryAcquire(2) {
-		t.Fatal("TryAcquire on free resource must succeed")
-	}
-	if r.TryAcquire(1) {
-		t.Fatal("TryAcquire over capacity must fail")
-	}
-	r.Release(2)
-	if !r.TryAcquire(1) {
-		t.Fatal("TryAcquire after release must succeed")
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	e := newEngine(t)
-	r := NewResource(e, "cpu", 2)
-	e.Go("w", func(p *Proc) {
-		r.Acquire(p, 1)
-		p.Sleep(10 * time.Millisecond)
-		r.Release(1)
-	})
-	e.Run()
-	// One of two units busy for the whole window: 50%.
-	u := r.Utilization(0)
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v, want ~0.5", u)
-	}
-}
-
 func TestResourceInvalidOps(t *testing.T) {
 	e := newEngine(t)
 	r := NewResource(e, "r", 2)
@@ -277,7 +246,7 @@ func TestResourceInvalidOps(t *testing.T) {
 		fn()
 	}
 	mustPanic("zero capacity", func() { NewResource(e, "bad", 0) })
-	mustPanic("over-capacity acquire", func() { r.TryAcquire(3) })
+	mustPanic("over-capacity acquire", func() { r.acquire(nil, 3) })
 	mustPanic("release more than held", func() { r.Release(1) })
 }
 
@@ -297,8 +266,8 @@ func TestLatch(t *testing.T) {
 	if doneAt != Time(3*time.Millisecond) {
 		t.Fatalf("latch opened at %v, want 3ms", doneAt)
 	}
-	if !l.Open() {
-		t.Fatal("latch must report open")
+	if l.count != 0 {
+		t.Fatal("latch must be open")
 	}
 }
 
@@ -320,36 +289,6 @@ func TestLatchZeroAndOverdone(t *testing.T) {
 		}
 	}()
 	l.Done()
-}
-
-func TestSignalBroadcast(t *testing.T) {
-	e := newEngine(t)
-	s := NewSignal(e)
-	woke := 0
-	for i := 0; i < 4; i++ {
-		e.Go("waiter", func(p *Proc) {
-			s.Wait(p)
-			woke++
-		})
-	}
-	e.Schedule(time.Millisecond, func() { s.Fire() })
-	e.Run()
-	if woke != 4 {
-		t.Fatalf("woke = %d, want 4", woke)
-	}
-	if !s.Fired() {
-		t.Fatal("signal must report fired")
-	}
-	s.Fire() // idempotent
-	ran := false
-	e.Go("late", func(p *Proc) {
-		s.Wait(p) // already fired
-		ran = true
-	})
-	e.Run()
-	if !ran {
-		t.Fatal("Wait after Fire must not block")
-	}
 }
 
 func TestDeterminism(t *testing.T) {
@@ -388,17 +327,17 @@ func TestDrainKillsParkedProcs(t *testing.T) {
 	e := newEngine(t)
 	finished := false
 	e.Go("stuck", func(p *Proc) {
-		s := NewSignal(e) // never fired
+		s := NewLatch(e, 1) // never opened
 		s.Wait(p)
 		finished = true
 	})
 	e.RunUntil(Time(time.Millisecond))
-	if e.Live() != 1 {
-		t.Fatalf("live = %d, want 1", e.Live())
+	if len(e.live) != 1 {
+		t.Fatalf("live = %d, want 1", len(e.live))
 	}
 	e.Drain()
-	if e.Live() != 0 {
-		t.Fatalf("live after drain = %d, want 0", e.Live())
+	if len(e.live) != 0 {
+		t.Fatalf("live after drain = %d, want 0", len(e.live))
 	}
 	if finished {
 		t.Fatal("killed process must not resume normally")
@@ -415,7 +354,7 @@ func TestDrainRunsDeferredCleanup(t *testing.T) {
 			cleaned = true
 			r.Release(1)
 		}()
-		NewSignal(e).Wait(p) // block forever
+		NewLatch(e, 1).Wait(p) // block forever
 	})
 	e.Go("waiter", func(p *Proc) {
 		r.Acquire(p, 1)
@@ -426,8 +365,8 @@ func TestDrainRunsDeferredCleanup(t *testing.T) {
 	if !cleaned {
 		t.Fatal("deferred cleanup must run during Drain")
 	}
-	if r.InUse() != 0 {
-		t.Fatalf("resource still held after drain: %d", r.InUse())
+	if r.inUse != 0 {
+		t.Fatalf("resource still held after drain: %d", r.inUse)
 	}
 }
 
@@ -608,8 +547,8 @@ func TestStepPanicNamesItsProcess(t *testing.T) {
 				if unwound {
 					t.Fatal("the dispatching process was unwound by another process's step")
 				}
-				if r.QueueLen() != 1 {
-					t.Fatalf("%d processes queued for r, want the dispatcher", r.QueueLen())
+				if r.queued != 1 {
+					t.Fatalf("%d processes queued for r, want the dispatcher", r.queued)
 				}
 			}()
 			e.Run()
@@ -706,7 +645,7 @@ func TestCloseRetiresWorkers(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 32; i++ {
 		e.Go("sleeper", func(p *Proc) { p.Sleep(time.Microsecond) })
-		e.Go("stuck", func(p *Proc) { NewSignal(e).Wait(p) })
+		e.Go("stuck", func(p *Proc) { NewLatch(e, 1).Wait(p) })
 	}
 	e.RunUntil(Time(time.Millisecond))
 	e.Go("unstarted", func(p *Proc) { t.Error("process spawned after the last run must not execute") })
@@ -716,8 +655,8 @@ func TestCloseRetiresWorkers(t *testing.T) {
 	events, now := e.Executed(), e.Now()
 	e.Close()
 	e.Close() // idempotent
-	if e.Live() != 0 {
-		t.Fatalf("live after Close = %d, want 0", e.Live())
+	if len(e.live) != 0 {
+		t.Fatalf("live after Close = %d, want 0", len(e.live))
 	}
 	if e.Now() != now || e.Executed() < events {
 		t.Fatalf("Close moved the clock or lost events: %v/%d -> %v/%d", now, events, e.Now(), e.Executed())

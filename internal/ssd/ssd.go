@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"ecarray/internal/sim"
-	"ecarray/internal/stats"
 )
 
 const unmapped = ^uint32(0)
@@ -211,8 +210,7 @@ type Device struct {
 	lastReadEnd  int64 // sequential-read detector
 	lastWriteEnd int64 // sequential-write detector (write-buffer merge)
 
-	st   Stats
-	busy *stats.Counter // busy time integral, ns
+	st Stats
 
 	// Gray-failure injection (SetDegradation). rng draws happen at request
 	// entry, in simulated event order, so injection is deterministic; a
@@ -238,7 +236,6 @@ func New(e *sim.Engine, name string, cfg Config) (*Device, error) {
 		queue:  sim.NewResource(e, name+"/queue", cfg.QueueDepth),
 		blocks: make([]block, physBlocks),
 		l2p:    make([]*l2pLeaf, (logicalPages+l2pLeafSize-1)>>l2pLeafBits),
-		busy:   &stats.Counter{},
 	}
 	d.free = make([]int, 0, physBlocks-1)
 	for i := physBlocks - 1; i >= 1; i-- {
@@ -265,9 +262,6 @@ func fillUnmapped(s []uint32) {
 	}
 }
 
-// Name returns the device name.
-func (d *Device) Name() string { return d.name }
-
 // Capacity returns the logical capacity in bytes.
 func (d *Device) Capacity() int64 { return d.cfg.Capacity }
 
@@ -278,13 +272,8 @@ func (d *Device) Stats() Stats { return d.st }
 // and trim ('T'), for blktrace-style capture. Pass nil to remove it.
 func (d *Device) SetTracer(fn func(op byte, off, length int64)) { d.tracer = fn }
 
-// ResetStats zeroes the counters and the busy-time accumulator together, so
-// per-phase busy fractions computed from a mid-scenario reset line up with
-// the per-phase byte/op counters (FTL state is preserved).
-func (d *Device) ResetStats() {
-	d.st = Stats{}
-	d.busy.Reset()
-}
+// ResetStats zeroes the counters (FTL state is preserved).
+func (d *Device) ResetStats() { d.st = Stats{} }
 
 // SetDegradation installs (or, with a zero Degradation, clears) gray-failure
 // injection. rng drives the error/stuck draws and must be non-nil whenever
@@ -651,8 +640,7 @@ func xferTime(n, bw int64) time.Duration {
 // time, applying any installed degradation: the latency multiplier and
 // stuck-I/O hang stretch the service time, the error draw records an
 // injected fault for TakeFault. Draws happen as the step starts, so they
-// follow simulated event order deterministically; so does the busy-time
-// charge.
+// follow simulated event order deterministically.
 func (d *Device) slot(svc time.Duration) sim.Stage {
 	if d.deg.Active() {
 		if m := d.deg.LatencyMultiplier; m > 0 && m != 1 {
@@ -667,13 +655,8 @@ func (d *Device) slot(svc time.Duration) sim.Stage {
 			d.st.InjectedFaults++
 		}
 	}
-	d.busy.Add(int64(svc))
 	return sim.Stage{Res: d.queue, N: 1, D: svc}
 }
-
-// BusySeconds returns the cumulative device service time in seconds (sum
-// over queue slots; can exceed wall time under concurrency).
-func (d *Device) BusySeconds() float64 { return float64(d.busy.Value()) / 1e9 }
 
 // CheckInvariants validates FTL bookkeeping (used by tests and enabled
 // integrity checks): every mapped logical page must be backed by exactly the

@@ -304,16 +304,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestBusyAccounting(t *testing.T) {
-	e := newEngine(t)
-	cfg := DefaultConfig(16 * testBlockBytes)
-	d, _ := New(e, "d0", cfg)
-	run(t, e, func(p *sim.Proc) { d.Write(p, 0, nil, 4096) })
-	if d.BusySeconds() <= 0 {
-		t.Fatal("busy time must accumulate")
-	}
-}
-
 func TestDataIntegrityUnderGC(t *testing.T) {
 	// Property: after heavy random overwrites that force GC, every page
 	// still reads back the last value written to it.
@@ -394,25 +384,6 @@ func BenchmarkGCHeavyWorkload(b *testing.B) {
 }
 
 var _ = time.Second // keep time imported for config literals in failures
-
-// TestResetStatsResetsBusyTime: the busy-time accumulator and the Stats
-// counters form one measurement window — resetting one without the other
-// skews per-phase busy fractions.
-func TestResetStatsResetsBusyTime(t *testing.T) {
-	e := newEngine(t)
-	d, _ := New(e, "d0", DefaultConfig(16*testBlockBytes))
-	run(t, e, func(p *sim.Proc) { d.Write(p, 0, nil, 4096) })
-	if d.BusySeconds() <= 0 {
-		t.Fatal("busy time must accumulate before reset")
-	}
-	d.ResetStats()
-	if d.BusySeconds() != 0 {
-		t.Fatalf("ResetStats left busy time = %v", d.BusySeconds())
-	}
-	if d.Stats() != (Stats{}) {
-		t.Fatalf("ResetStats left counters = %+v", d.Stats())
-	}
-}
 
 // TestDegradationLatencyMultiplier: a degraded device serves the same
 // request slower by exactly the multiplier; clearing restores it.

@@ -4,9 +4,7 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -82,23 +80,12 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.max = math.Max(h.max, v)
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 { return h.total }
-
 // Mean returns the mean sample as a duration (0 if empty).
 func (h *Histogram) Mean() time.Duration {
 	if h.total == 0 {
 		return 0
 	}
 	return time.Duration(h.sum / float64(h.total))
-}
-
-// Min returns the smallest observed sample (0 if empty).
-func (h *Histogram) Min() time.Duration {
-	if h.total == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
 }
 
 // Max returns the largest observed sample (0 if empty).
@@ -134,26 +121,6 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// Reset clears all samples.
-func (h *Histogram) Reset() {
-	clear(h.counts)
-	h.total = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
-}
-
-// Merge adds all of o's samples into h (approximate: bucket-wise).
-func (h *Histogram) Merge(o *Histogram) {
-	for b, c := range o.counts {
-		h.counts[b] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	h.min = math.Min(h.min, o.min)
-	h.max = math.Max(h.max, o.max)
-}
-
 // Series is a fixed-interval time series: values are accumulated into the
 // bucket for the current interval. It backs the paper's per-second plots.
 type Series struct {
@@ -182,58 +149,10 @@ func (s *Series) Add(t time.Duration, v float64) {
 	s.buckets[idx] += v
 }
 
-// Interval returns the sampling interval.
-func (s *Series) Interval() time.Duration { return s.interval }
-
-// Len returns the number of buckets.
-func (s *Series) Len() int { return len(s.buckets) }
-
 // At returns the accumulated value of bucket i (0 beyond the end).
 func (s *Series) At(i int) float64 {
 	if i < 0 || i >= len(s.buckets) {
 		return 0
 	}
 	return s.buckets[i]
-}
-
-// Values returns a copy of all buckets.
-func (s *Series) Values() []float64 {
-	return append([]float64(nil), s.buckets...)
-}
-
-// Rate returns bucket values divided by the interval in seconds: a
-// per-second rate series for byte counters.
-func (s *Series) Rate() []float64 {
-	out := make([]float64, len(s.buckets))
-	secs := s.interval.Seconds()
-	for i, v := range s.buckets {
-		out[i] = v / secs
-	}
-	return out
-}
-
-// Percentile returns the p-th percentile of the bucket values (for summary
-// statistics over a time series).
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.buckets) == 0 {
-		return 0
-	}
-	vals := append([]float64(nil), s.buckets...)
-	sort.Float64s(vals)
-	idx := int(p / 100 * float64(len(vals)-1))
-	return vals[idx]
-}
-
-// FormatBytes renders a byte count with binary-unit suffixes for reports.
-func FormatBytes(n int64) string {
-	const unit = 1024
-	if n < unit {
-		return fmt.Sprintf("%dB", n)
-	}
-	div, exp := int64(unit), 0
-	for m := n / unit; m >= unit; m /= unit {
-		div *= unit
-		exp++
-	}
-	return fmt.Sprintf("%.1f%ciB", float64(n)/float64(div), "KMGTPE"[exp])
 }

@@ -158,15 +158,6 @@ func (s *Store) Exists(name string) bool {
 	return ok
 }
 
-// Size returns the object's logical size (0, false if missing).
-func (s *Store) Size(name string) (int64, bool) {
-	o, ok := s.objs[name]
-	if !ok {
-		return 0, false
-	}
-	return o.size, true
-}
-
 func (s *Store) allocUnit() int64 {
 	if n := len(s.freeLst); n > 0 {
 		off := s.freeLst[n-1]

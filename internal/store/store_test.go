@@ -79,8 +79,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !st.Exists("obj.a") || st.Objects() != 1 {
 		t.Fatal("object bookkeeping wrong")
 	}
-	if sz, ok := st.Size("obj.a"); !ok || sz != 124 {
-		t.Fatalf("Size = %d, %v", sz, ok)
+	if o := st.objs["obj.a"]; o == nil || o.size != 124 {
+		t.Fatalf("object = %+v, want size 124", o)
 	}
 }
 

@@ -71,21 +71,8 @@ func (r *Recorder) Attach(c *core.Cluster) {
 	}
 }
 
-// Detach removes tracers from the cluster's devices.
-func (r *Recorder) Detach(c *core.Cluster) {
-	for _, osd := range c.OSDs() {
-		osd.Store.Device().SetTracer(nil)
-	}
-}
-
-// Events returns the recorded events (time-ordered by construction).
-func (r *Recorder) Events() []Event { return r.events }
-
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return len(r.events) }
-
-// Reset drops recorded events (headers are kept).
-func (r *Recorder) Reset() { r.events = nil }
 
 // FilterRegion splits events at a device-offset boundary: events below the
 // boundary (the store's WAL+metadata regions) and events at or above it

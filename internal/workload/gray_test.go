@@ -64,10 +64,10 @@ func grayScenarioDigest(t *testing.T, codecConc int) string {
 			t.Fatalf("gray op failed: %+v", op)
 		}
 	}
-	if res.GrayMetrics.Zero() {
+	if res.GrayMetrics == (core.GrayMetrics{}) {
 		t.Fatalf("gray phase produced no tail-tolerance activity: %+v", res.GrayMetrics)
 	}
-	if !res.PhaseGray[0].Zero() {
+	if res.PhaseGray[0] != (core.GrayMetrics{}) {
 		t.Fatalf("healthy phase leaked gray activity: %+v", res.PhaseGray[0])
 	}
 	if res.GrayMetrics.Ejects == 0 {

@@ -131,17 +131,6 @@ func (s *Scenario) Ramp(d time.Duration) *Scenario {
 	return s
 }
 
-// SampleEvery records a merged cluster time series (throughput summed over
-// all jobs, CPU, context switches, network, device I/O) at the given
-// interval into ScenarioResult.Samples.
-func (s *Scenario) SampleEvery(interval time.Duration) *Scenario {
-	if interval <= 0 {
-		return s.fail("sample interval must be positive")
-	}
-	s.sample = interval
-	return s
-}
-
 // QoSReport is the per-tenant admission outcome of one scenario run:
 // the whole-run counter delta plus one delta per phase (same boundaries
 // as ScenarioResult.PhaseMetrics). All zero unless the cluster has an
@@ -240,7 +229,8 @@ type ScenarioResult struct {
 	// Metrics covers the cluster-side measurement window (from the ramp
 	// reset to scenario end).
 	Metrics core.Metrics
-	// Samples is the merged cluster time series (SampleEvery).
+	// Samples is the merged cluster time series, recorded when the
+	// scenario's sample interval is set.
 	Samples []Sample
 	// Recoveries lists StartRecovery outcomes in completion order.
 	Recoveries []RecoveryResult
@@ -317,20 +307,6 @@ func newTimeline(c *core.Cluster) *Timeline {
 	}
 	return tl
 }
-
-// Cluster returns the cluster the scenario will run on.
-func (tl *Timeline) Cluster() *core.Cluster { return tl.cluster }
-
-// At returns the scenario-clock offset the event under validation fires at.
-func (tl *Timeline) At() time.Duration { return tl.at }
-
-// OSDOut reports whether OSD id is projected out at this point of the
-// timeline (failed by an earlier event, or already out before the run).
-func (tl *Timeline) OSDOut(id int) bool { return tl.out[id] }
-
-// OSDDegraded reports whether OSD id is projected gray-degraded at this
-// point of the timeline.
-func (tl *Timeline) OSDDegraded(id int) bool { return tl.degraded[id] }
 
 // checkOSD validates an OSD id against the cluster size.
 func (tl *Timeline) checkOSD(what string, id int) error {

@@ -9,6 +9,17 @@ import (
 	"ecarray/internal/sim"
 )
 
+// SampleEvery records a merged cluster time series (throughput summed over
+// all jobs, CPU, context switches, network, device I/O) at the given
+// interval into ScenarioResult.Samples.
+func (s *Scenario) SampleEvery(interval time.Duration) *Scenario {
+	if interval <= 0 {
+		return s.fail("sample interval must be positive")
+	}
+	s.sample = interval
+	return s
+}
+
 // scenarioCluster builds a small carry-capable cluster with two images on
 // an EC pool plus one on a replicated pool.
 func scenarioCluster(t *testing.T, carry bool, codecConc int) (*core.Cluster, *core.Image, *core.Image) {

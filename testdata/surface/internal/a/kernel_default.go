@@ -1,0 +1,5 @@
+//go:build !purego
+
+package a
+
+func Kernel() int { return 1 }
