@@ -7,7 +7,7 @@
 //
 //	ecbench [-fig all|fig1|fig5|...|fig20] [-scale smoke|quick|paper]
 //	        [-ablations] [-scenarios]
-//	        [-sweep] [-out BENCH.json] [-shard i/n]
+//	        [-sweep] [-out BENCH.json] [-shard i/n] [-traces DIR]
 //	        [-compare old.json new.json]
 //	        [-merge merged.json shard0.json shard1.json ...]
 //	        [-duration 8s] [-image 32] [-qd 256] [-csvdir out/]
@@ -20,8 +20,10 @@
 //	-ablations mechanism ablations
 //	-sweep     run the -scale sweep grid and write a BenchReport JSON
 //	           (-out names the file, default BENCH_<sha>.json; -shard i/n
-//	           runs every n-th cell for CI matrix legs). -out or -shard
-//	           alone imply -sweep.
+//	           runs every n-th cell for CI matrix legs; -traces DIR
+//	           writes the block traces of the paper's 54-trace corpus, one
+//	           or two per corpus cell the run includes). -out, -shard or
+//	           -traces alone imply -sweep.
 //	-compare   diff two reports with noise-aware thresholds; exits 1 on
 //	           regression — the CI gate
 //	-merge     merge shard reports into one (first argument is the output)
@@ -58,6 +60,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the -scale sweep grid and emit a BenchReport JSON")
 	out := flag.String("out", "", "sweep report output path (implies -sweep; default BENCH_<sha>.json)")
 	shard := flag.String("shard", "", "run shard i of n sweep cells, as \"i/n\" (implies -sweep)")
+	traces := flag.String("traces", "", "write the trace corpus of the sweep's corpus cells into this directory (implies -sweep)")
 	compare := flag.Bool("compare", false, "compare two reports: ecbench -compare old.json new.json")
 	merge := flag.Bool("merge", false, "merge shard reports: ecbench -merge merged.json shard.json...")
 	scale := flag.String("scale", "quick", "preset: smoke, quick or paper")
@@ -83,6 +86,7 @@ func main() {
 		Ablations: *ablations,
 		Scenarios: *scenarios,
 		Sweep:     *sweep || *out != "" || *shard != "",
+		Traces:    *traces != "",
 		Compare:   *compare,
 		Merge:     *merge,
 	})
@@ -154,6 +158,7 @@ func main() {
 		opt.QueueDepth = *qd
 	}
 	opt.CodecConcurrency = *codecConc
+	opt.TraceDir = *traces
 	opt.CalibrateEncode = *calibrate
 	if *calibrate {
 		workers := opt.CodecConcurrency
@@ -219,6 +224,7 @@ type modeFlags struct {
 	Ablations bool
 	Scenarios bool
 	Sweep     bool // -sweep, -out or -shard
+	Traces    bool // -traces: a sweep that also writes the trace corpus
 	Compare   bool
 	Merge     bool
 }
@@ -233,7 +239,7 @@ func chooseMode(f modeFlags) (string, error) {
 	if f.Scenarios {
 		picked = append(picked, "scenarios")
 	}
-	if f.Sweep {
+	if f.Sweep || f.Traces {
 		picked = append(picked, "sweep")
 	}
 	if f.Compare {
@@ -297,6 +303,11 @@ func runSweep(suite *bench.Suite, preset string, grid bench.Grid, shardSpec, out
 	if err != nil {
 		usageError(err)
 	}
+	if dir := suite.Opt.TraceDir; dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			fatal(err)
+		}
+	}
 	sha := gitSHA()
 	if outPath == "" {
 		short := sha
@@ -323,6 +334,10 @@ func runSweep(suite *bench.Suite, preset string, grid bench.Grid, shardSpec, out
 	}
 	fmt.Printf("wrote %d cell(s) to %s in %.1fs elapsed on %d worker(s) (shard %d/%d)\n",
 		len(report.Cells), outPath, time.Since(start).Seconds(), bench.SweepWorkers(len(report.Cells)), shardIdx, shardCount)
+	if dir := suite.Opt.TraceDir; dir != "" {
+		files, _ := filepath.Glob(filepath.Join(dir, "*.trace"))
+		fmt.Printf("%d trace file(s) in %s\n", len(files), dir)
+	}
 }
 
 // runCompare diffs two reports and exits non-zero on regression: the CI

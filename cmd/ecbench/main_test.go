@@ -1,6 +1,13 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"ecarray/internal/bench"
+)
 
 func TestChooseMode(t *testing.T) {
 	ok := []struct {
@@ -12,6 +19,8 @@ func TestChooseMode(t *testing.T) {
 		{modeFlags{Scenarios: true}, "scenarios"},
 		{modeFlags{Ablations: true}, "ablations"},
 		{modeFlags{Sweep: true}, "sweep"},
+		{modeFlags{Traces: true}, "sweep"},
+		{modeFlags{Sweep: true, Traces: true}, "sweep"},
 		{modeFlags{Compare: true}, "compare"},
 		{modeFlags{Merge: true}, "merge"},
 	}
@@ -33,6 +42,12 @@ func TestChooseMode(t *testing.T) {
 		{FigSet: true, Compare: true},
 		{FigSet: true, Sweep: true},
 		{Compare: true, Scenarios: true, Sweep: true},
+		// -traces writes the corpus of a sweep's cells and nothing else.
+		{Traces: true, Compare: true},
+		{Traces: true, Merge: true},
+		{Traces: true, FigSet: true},
+		{Traces: true, Ablations: true},
+		{Traces: true, Scenarios: true},
 	}
 	for _, f := range bad {
 		if mode, err := chooseMode(f); err == nil {
@@ -60,5 +75,36 @@ func TestParseShard(t *testing.T) {
 		if _, _, err := parseShard(in); err == nil {
 			t.Errorf("parseShard(%q) accepted", in)
 		}
+	}
+}
+
+// TestTracesFollowTheShard runs shard 2/4 of the smoke sweep with -traces.
+// Faults are the innermost grid axis and block sizes the next, so that
+// shard holds the healthy 16 KiB cells and no other corpus cell.
+func TestTracesFollowTheShard(t *testing.T) {
+	opt, grid, err := bench.SweepPreset("smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.TraceDir = filepath.Join(t.TempDir(), "traces")
+	suite, err := bench.NewSuite(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runSweep(suite, "smoke", grid, "2/4", filepath.Join(t.TempDir(), "shard.json"))
+	entries, err := os.ReadDir(opt.TraceDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name())
+	}
+	want := []string{
+		"3rep_randread_bs16k_data.trace", "3rep_randwrite_bs16k_data.trace", "3rep_randwrite_bs16k_meta.trace",
+		"rs6_3_randread_bs16k_data.trace", "rs6_3_randwrite_bs16k_data.trace", "rs6_3_randwrite_bs16k_meta.trace",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("shard 2/4 wrote %v, want %v", got, want)
 	}
 }

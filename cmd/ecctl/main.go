@@ -26,19 +26,30 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"ecarray"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// subcommands lists what ecctl does, in usage order.
+var subcommands = []string{"crush", "map", "osd-df", "scenario", "degrade"}
+
+// run is ecctl over explicit arguments and output streams. It returns the
+// exit status: 2 for a bad invocation, 1 for a failed one.
+func run(args []string, w, ew io.Writer) int {
+	if len(args) < 1 || !slices.Contains(subcommands, args[0]) {
+		fmt.Fprintf(ew, "usage: ecctl %s [flags]\n", strings.Join(subcommands, "|"))
+		return 2
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	cmd := args[0]
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(ew)
 	profileName := fs.String("profile", "rs6.3", "pool profile: 3rep, rs6.3, rs10.4")
 	pgs := fs.Int("pgs", 32, "placement groups to show (crush) or configure")
 	object := fs.String("object", "", "object name (map)")
@@ -49,11 +60,13 @@ func main() {
 	latMult := fs.Float64("latency-mult", 10, "device latency multiplier, 1 = healthy (degrade)")
 	errRate := fs.Float64("error-rate", 0, "intermittent I/O error probability (degrade)")
 	clear := fs.Bool("clear", true, "restore the OSD's health at the last phase boundary (degrade)")
-	fs.Parse(os.Args[2:]) //nolint:errcheck
+	if err := fs.Parse(args[1:]); err != nil {
+		return 2
+	}
 
 	profile, err := parseProfile(*profileName)
 	if err != nil {
-		fatal(err)
+		return failed(ew, err)
 	}
 
 	cfg := ecarray.DefaultConfig()
@@ -66,50 +79,52 @@ func main() {
 	}
 	cluster, err := ecarray.NewCluster(cfg)
 	if err != nil {
-		fatal(err)
+		return failed(ew, err)
 	}
 	pool, err := cluster.CreatePool("data", profile)
 	if err != nil {
-		fatal(err)
+		return failed(ew, err)
 	}
 
 	switch cmd {
 	case "crush":
-		fmt.Printf("pool data profile=%s width=%d pgs=%d\n", profile, profile.Width(), pool.PGs())
+		fmt.Fprintf(w, "pool data profile=%s width=%d pgs=%d\n", profile, profile.Width(), pool.PGs())
 		for pg := 0; pg < *pgs && pg < pool.PGs(); pg++ {
 			// Use a synthetic object that maps to each PG for display; the
 			// acting set is a property of the PG itself.
-			fmt.Printf("  pg %4d -> %v\n", pg, actingOfPG(pool, pg))
+			fmt.Fprintf(w, "  pg %4d -> %v\n", pg, actingOfPG(pool, pg))
 		}
 	case "map":
 		if *object == "" {
-			fatal(fmt.Errorf("map requires -object"))
+			return failed(ew, fmt.Errorf("map requires -object"))
 		}
 		set := pool.ActingSet(*object)
-		fmt.Printf("object %q\n  pg:      %d\n  acting:  %v (primary osd%d)\n  hosts:   %s\n",
+		fmt.Fprintf(w, "object %q\n  pg:      %d\n  acting:  %v (primary osd%d)\n  hosts:   %s\n",
 			*object, pool.PGFor(*object), set, set[0], hostsOf(cluster, set))
 	case "osd-df":
-		osdDF(cluster, *duration)
+		err = osdDF(w, cluster, *duration)
 	case "scenario":
-		runScenario(cluster, *duration, *failN, *rateMiB)
+		err = runScenario(w, cluster, *duration, *failN, *rateMiB)
 	case "degrade":
-		runDegrade(cluster, *duration, *victim, *latMult, *errRate, *clear)
-	default:
-		usage()
+		err = runDegrade(w, cluster, *duration, *victim, *latMult, *errRate, *clear)
 	}
+	if err != nil {
+		return failed(ew, err)
+	}
+	return 0
 }
 
 // osdDF runs two concurrent tenants through the Scenario API — a random
 // writer and a random reader on separate images — then dumps per-OSD
 // utilization, so the dump reflects a realistically mixed load.
-func osdDF(cluster *ecarray.Cluster, duration time.Duration) {
+func osdDF(w io.Writer, cluster *ecarray.Cluster, duration time.Duration) error {
 	wImg, err := cluster.CreateImage("data", "ecctl-w", 2<<30)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rImg, err := cluster.CreateImage("data", "ecctl-r", 2<<30)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rImg.Prefill()
 	if _, err := ecarray.NewScenario(cluster).
@@ -122,9 +137,9 @@ func osdDF(cluster *ecarray.Cluster, duration time.Duration) {
 			BlockSize: 16 << 10, QueueDepth: 32, Duration: duration, Seed: 2,
 		}).
 		Run(); err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%-6s %-7s %9s %12s %12s %8s %8s %7s %9s %8s\n",
+	fmt.Fprintf(w, "%-6s %-7s %9s %12s %12s %8s %8s %7s %9s %8s\n",
 		"osd", "host", "objects", "dev-written", "dev-read", "flashWA", "erases",
 		"health", "ewma-lat", "samples")
 	for _, osd := range cluster.OSDs() {
@@ -137,21 +152,22 @@ func osdDF(cluster *ecarray.Cluster, duration time.Duration) {
 		if h.Ejected {
 			flags += " EJECTED"
 		}
-		fmt.Printf("osd%-3d %-7s %9d %11.1fM %11.1fM %8.2f %8d %7.3f %8.0fµ %8d%s\n",
+		fmt.Fprintf(w, "osd%-3d %-7s %9d %11.1fM %11.1fM %8.2f %8d %7.3f %8.0fµ %8d%s\n",
 			osd.ID, osd.Node.Name, osd.Store.Objects(),
 			float64(ds.HostWriteBytes)/(1<<20), float64(ds.HostReadBytes)/(1<<20),
 			ds.WriteAmplification(), ds.Erases,
 			h.Score, float64(h.EWMALatency)/1e3, h.Samples, flags)
 	}
+	return nil
 }
 
 // runScenario composes the fault timeline: a foreground reader across
 // healthy/degraded/recovering phases, failN OSDs failing at the first
 // boundary and a (optionally throttled) repair pass at the second.
-func runScenario(cluster *ecarray.Cluster, phase time.Duration, failN int, rateMiB int64) {
+func runScenario(w io.Writer, cluster *ecarray.Cluster, phase time.Duration, failN int, rateMiB int64) error {
 	img, err := cluster.CreateImage("data", "ecctl", 2<<30)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	img.Prefill()
 	sc := ecarray.NewScenario(cluster).
@@ -171,32 +187,33 @@ func runScenario(cluster *ecarray.Cluster, phase time.Duration, failN int, rateM
 	}
 	res, err := sc.Run()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	fg := res.Job("fg")
-	fmt.Printf("%-12s %10s %10s %10s %14s\n", "phase", "MB/s", "lat ms", "p99 ms", "privnet/req")
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %14s\n", "phase", "MB/s", "lat ms", "p99 ms", "privnet/req")
 	for i, pr := range fg.Phases {
 		perReq := 0.0
 		if pr.Bytes > 0 {
 			perReq = float64(res.PhaseMetrics[i].PrivateBytes) / float64(pr.Bytes)
 		}
-		fmt.Printf("%-12s %10.1f %10.2f %10.2f %14.2f\n",
+		fmt.Fprintf(w, "%-12s %10.1f %10.2f %10.2f %14.2f\n",
 			res.Phases[i].Name, pr.MBps,
 			float64(pr.MeanLatency)/1e6, float64(pr.P99Latency)/1e6, perReq)
 	}
 	for _, rec := range res.Recoveries {
 		if rec.Err != nil {
-			fatal(rec.Err)
+			return rec.Err
 		}
-		fmt.Printf("recovery: %d PGs, %.1f MiB pulled, %.1f MiB rebuilt, %v simulated\n",
+		fmt.Fprintf(w, "recovery: %d PGs, %.1f MiB pulled, %.1f MiB rebuilt, %v simulated\n",
 			rec.Stats.PGsRepaired, float64(rec.Stats.BytesPulled)/(1<<20),
 			float64(rec.Stats.BytesRebuilt)/(1<<20), rec.Stats.DurationSimulated)
 	}
-	fmt.Println("events:")
+	fmt.Fprintln(w, "events:")
 	for _, ev := range res.Events {
-		fmt.Printf("  %v\n", ev)
+		fmt.Fprintf(w, "  %v\n", ev)
 	}
+	return nil
 }
 
 // runDegrade composes the gray-failure timeline: a foreground reader runs
@@ -205,10 +222,10 @@ func runScenario(cluster *ecarray.Cluster, phase time.Duration, failN int, rateM
 // boundary. The per-phase gray counters show the tail-tolerant path
 // reacting: timeouts, hedges, and — if the fault persists — a breaker
 // eject.
-func runDegrade(cluster *ecarray.Cluster, phase time.Duration, victim int, latMult, errRate float64, clear bool) {
+func runDegrade(w io.Writer, cluster *ecarray.Cluster, phase time.Duration, victim int, latMult, errRate float64, clear bool) error {
 	img, err := cluster.CreateImage("data", "ecctl", 2<<30)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	img.Prefill()
 	deg := ecarray.OSDDegradation{Device: ecarray.DeviceDegradation{
@@ -229,27 +246,28 @@ func runDegrade(cluster *ecarray.Cluster, phase time.Duration, victim int, latMu
 	}
 	res, err := sc.Run()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	fg := res.Job("fg")
-	fmt.Printf("%-12s %10s %10s %10s %9s %7s %7s\n",
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %9s %7s %7s\n",
 		"phase", "MB/s", "lat ms", "p99 ms", "timeouts", "hedges", "ejects")
 	for i, pr := range fg.Phases {
 		g := res.PhaseGray[i]
-		fmt.Printf("%-12s %10.1f %10.2f %10.2f %9d %7d %7d\n",
+		fmt.Fprintf(w, "%-12s %10.1f %10.2f %10.2f %9d %7d %7d\n",
 			res.Phases[i].Name, pr.MBps,
 			float64(pr.MeanLatency)/1e6, float64(pr.P99Latency)/1e6,
 			g.ShardTimeouts, g.HedgesIssued, g.Ejects)
 	}
 	h := cluster.OSDHealth(victim)
-	fmt.Printf("osd%d health: score=%.3f ewma-lat=%v samples=%d slow=%v ejected=%v degraded=%v\n",
+	fmt.Fprintf(w, "osd%d health: score=%.3f ewma-lat=%v samples=%d slow=%v ejected=%v degraded=%v\n",
 		victim, h.Score, h.EWMALatency, h.Samples, h.Slow, h.Ejected, h.Degraded)
-	fmt.Printf("gray totals: %+v\n", res.GrayMetrics)
-	fmt.Println("events:")
+	fmt.Fprintf(w, "gray totals: %+v\n", res.GrayMetrics)
+	fmt.Fprintln(w, "events:")
 	for _, ev := range res.Events {
-		fmt.Printf("  %v\n", ev)
+		fmt.Fprintf(w, "  %v\n", ev)
 	}
+	return nil
 }
 
 // actingOfPG reflects a PG's acting set by probing object names until one
@@ -284,12 +302,7 @@ func parseProfile(s string) (ecarray.Profile, error) {
 	return ecarray.Profile{}, fmt.Errorf("unknown profile %q", s)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ecctl crush|map|osd-df|scenario [flags]")
-	os.Exit(2)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ecctl:", err)
-	os.Exit(1)
+func failed(ew io.Writer, err error) int {
+	fmt.Fprintln(ew, "ecctl:", err)
+	return 1
 }

@@ -45,11 +45,10 @@ func TestGatewayWiringPerBackend(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		var store service.ShardStore = service.NewMemStore(i)
 		if i%2 == 1 {
-			vc, err := service.NewSimCluster(service.SimClusterConfig{Hosts: 1, OSDsPerHost: 1, DeviceBytes: 64 << 20, Seed: 1})
-			if err != nil {
+			var err error
+			if store, err = service.NewSimOSD(i, fmt.Sprintf("node%d", i), 64<<20, 1); err != nil {
 				t.Fatal(err)
 			}
-			store = vc.Stores()[0]
 		}
 		srv := httptest.NewServer(service.NewOSDServer(i, store, nil).Handler())
 		t.Cleanup(srv.Close)

@@ -16,7 +16,8 @@
 //
 // Faults are not injected here: the gateway wraps its client for every OSD
 // in the service's one FaultStore (POST /v1/faults/{osd} on ecgate), and a
-// real crash is a real kill -9.
+// real crash is a real kill -9. `go test ./cmd/ecstored` boots this wiring
+// in-process on both backends.
 package main
 
 import (
@@ -31,18 +32,38 @@ import (
 )
 
 func main() {
-	var (
-		listen   = flag.String("listen", ":7411", "HTTP listen address")
-		id       = flag.Int("id", 0, "OSD id (matches the gateway's placement index)")
-		backend  = flag.String("backend", "mem", "shard store backend: mem | sim")
-		host     = flag.String("host", "", "failure-domain host label (default nodeN)")
-		deviceMB = flag.Int64("device-mb", 256, "sim backend: device capacity in MiB")
-		seed     = flag.Int64("seed", 1, "sim backend: device RNG seed")
-		inflight = flag.Int("max-inflight", 0, "shard-request admission bound; 0 = unlimited, excess gets 429")
-	)
-	flag.Parse()
-
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	fs := flag.NewFlagSet("ecstored", flag.ExitOnError)
+	listen := fs.String("listen", ":7411", "HTTP listen address")
+	h, err := newHandler(fs, os.Args[1:], logger)
+	if err != nil {
+		logger.Error("ecstored", "error", err.Error())
+		os.Exit(1)
+	}
+	logger.Info("ecstored listening", "addr", *listen)
+	if err := http.ListenAndServe(*listen, h); err != nil {
+		logger.Error("serve", "error", err.Error())
+		os.Exit(1)
+	}
+}
+
+// newHandler is everything between the command line and a servable shard
+// daemon: it declares the daemon's flags on fs, parses args, builds the
+// chosen backend's store and wraps its HTTP handler in admission. main
+// adds only -listen and the listener, so a test can boot exactly what the
+// binary boots.
+func newHandler(fs *flag.FlagSet, args []string, logger *slog.Logger) (http.Handler, error) {
+	var (
+		id       = fs.Int("id", 0, "OSD id (matches the gateway's placement index)")
+		backend  = fs.String("backend", "mem", "shard store backend: mem | sim")
+		host     = fs.String("host", "", "failure-domain host label (default nodeN)")
+		deviceMB = fs.Int64("device-mb", 256, "sim backend: device capacity in MiB")
+		seed     = fs.Int64("seed", 1, "sim backend: device RNG seed")
+		inflight = fs.Int("max-inflight", 0, "shard-request admission bound; 0 = unlimited, excess gets 429")
+	)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
 
 	hostLabel := *host
 	if hostLabel == "" {
@@ -56,31 +77,20 @@ func main() {
 		ms.SetHost(hostLabel)
 		st = ms
 	case "sim":
-		vc, err := service.NewSimCluster(service.SimClusterConfig{
-			Hosts: 1, OSDsPerHost: 1, DeviceBytes: *deviceMB << 20, Seed: *seed,
-		})
-		if err != nil {
-			logger.Error("sim backend", "error", err.Error())
-			os.Exit(1)
+		var err error
+		if st, err = service.NewSimOSD(*id, hostLabel, *deviceMB<<20, *seed); err != nil {
+			return nil, fmt.Errorf("sim backend: %w", err)
 		}
-		st = vc.Stores()[0]
 	default:
-		logger.Error("unknown backend", "backend", *backend)
-		os.Exit(1)
+		return nil, fmt.Errorf("unknown backend %q (want mem or sim)", *backend)
 	}
 
-	srv := service.NewOSDServer(*id, st, logger)
-	h := srv.Handler()
+	h := service.NewOSDServer(*id, st, logger).Handler()
 	if *inflight > 0 {
 		// Bound concurrent shard work; the gateway classifies the resulting
 		// 429s as transient and retries against the other replicas/shards.
 		h = service.AdmissionMiddleware(qos.NewMaxInflight(*inflight), h)
 	}
-	logger.Info("ecstored listening",
-		"addr", *listen, "osd", *id, "backend", *backend, "host", hostLabel,
-		"max_inflight", *inflight)
-	if err := http.ListenAndServe(*listen, h); err != nil {
-		logger.Error("serve", "error", err.Error())
-		os.Exit(1)
-	}
+	logger.Info("ecstored ready", "osd", *id, "backend", *backend, "host", hostLabel, "max_inflight", *inflight)
+	return h, nil
 }

@@ -1,0 +1,133 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"ecarray/internal/service"
+)
+
+// boot builds the daemon's handler from a command line exactly as main
+// does (minus -listen and the listener) and serves it.
+func boot(t *testing.T, args ...string) *httptest.Server {
+	t.Helper()
+	fs := flag.NewFlagSet("ecstored", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	h, err := newHandler(fs, args, slog.New(slog.NewJSONHandler(io.Discard, nil)))
+	if err != nil {
+		t.Fatalf("boot %v: %v", args, err)
+	}
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func do(t *testing.T, method, url string, body []byte) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, got
+}
+
+// TestBackends boots each backend with an explicit -id and -host, checks
+// that /v1/stat reports them, and runs a shard through PUT, GET and
+// DELETE over HTTP.
+func TestBackends(t *testing.T) {
+	for _, backend := range []string{"mem", "sim"} {
+		t.Run(backend, func(t *testing.T) {
+			srv := boot(t, "-backend", backend, "-id", "3", "-host", "rackA", "-device-mb", "64")
+			code, body := do(t, "GET", srv.URL+"/v1/stat", nil)
+			var st service.OSDStat
+			if code != http.StatusOK || json.Unmarshal(body, &st) != nil {
+				t.Fatalf("stat: %d %s", code, body)
+			}
+			if st.ID != 3 || st.Host != "rackA" || st.Backend != backend {
+				t.Errorf("stat = %+v, want id 3 on rackA from %s", st, backend)
+			}
+
+			shard := bytes.Repeat([]byte("ecstored"), 1000)
+			url := srv.URL + "/v1/shards/obj/2"
+			if code, body := do(t, "PUT", url, shard); code != http.StatusOK {
+				t.Fatalf("put: %d %s", code, body)
+			}
+			if code, body := do(t, "GET", url, nil); code != http.StatusOK || !bytes.Equal(body, shard) {
+				t.Fatalf("get: %d, %d bytes back of %d", code, len(body), len(shard))
+			}
+			if code, body := do(t, "DELETE", url, nil); code != http.StatusNoContent {
+				t.Fatalf("delete: %d %s", code, body)
+			}
+			if code, _ := do(t, "GET", url, nil); code != http.StatusNotFound {
+				t.Errorf("get after delete: %d, want 404", code)
+			}
+		})
+	}
+}
+
+// TestMaxInflight holds the one admission slot with a PUT whose body has
+// not arrived, so every other request gets 429 until the body does.
+func TestMaxInflight(t *testing.T) {
+	srv := boot(t, "-max-inflight", "1")
+	pr, pw := io.Pipe()
+	req, err := http.NewRequest("PUT", srv.URL+"/v1/shards/slow/0", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = 4
+	put := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			put <- 0
+			return
+		}
+		resp.Body.Close()
+		put <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, _ := do(t, "GET", srv.URL+"/v1/stat", nil)
+		if code == http.StatusTooManyRequests {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no 429 while the slot was held (last status %d)", code)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	pw.Write([]byte("body")) //nolint:errcheck // the put's status says whether it arrived
+	pw.Close()
+	if code := <-put; code != http.StatusOK {
+		t.Fatalf("held put: %d", code)
+	}
+	if code, _ := do(t, "GET", srv.URL+"/v1/stat", nil); code != http.StatusOK {
+		t.Errorf("stat after the slot freed: %d", code)
+	}
+}
+
+func TestUnknownBackend(t *testing.T) {
+	fs := flag.NewFlagSet("ecstored", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	_, err := newHandler(fs, []string{"-backend", "disk"}, slog.New(slog.NewJSONHandler(io.Discard, nil)))
+	if err == nil || !strings.Contains(err.Error(), `"disk"`) {
+		t.Fatalf("-backend disk: %v, want an unknown-backend error", err)
+	}
+}

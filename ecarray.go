@@ -50,8 +50,11 @@
 //	    BlockSize: 4096, QueueDepth: 256, Duration: 2 * time.Second,
 //	})
 //
-// See the examples directory for runnable programs (examples/scenario
-// shows mixed tenants with a mid-run failure).
+// The facade exports what the programs under examples/ and cmd/ecctl use,
+// and the types those calls take and return. Each example is a runnable
+// program with a test beside it that runs it twice and checks what it
+// demonstrates (examples/scenario shows mixed tenants with a mid-run
+// failure). The trace corpus comes from ecbench -sweep -traces DIR.
 package ecarray
 
 import (
@@ -59,8 +62,6 @@ import (
 
 	"ecarray/internal/bench"
 	"ecarray/internal/core"
-	"ecarray/internal/qos"
-	"ecarray/internal/retry"
 	"ecarray/internal/rs"
 	"ecarray/internal/sim"
 	"ecarray/internal/ssd"
@@ -72,8 +73,6 @@ import (
 type (
 	// Config describes the simulated cluster (see DefaultConfig).
 	Config = core.Config
-	// CostModel holds the calibrated software-stack costs.
-	CostModel = core.CostModel
 	// Profile selects a pool's fault-tolerance mechanism.
 	Profile = core.Profile
 	// Cluster is the assembled storage system.
@@ -82,67 +81,23 @@ type (
 	Pool = core.Pool
 	// Image is an RBD-style block device striped over 4 MiB objects.
 	Image = core.Image
-	// Metrics is a snapshot of cluster-side counters.
-	Metrics = core.Metrics
-	// OSD is one object storage daemon.
-	OSD = core.OSD
-	// RecoveryStats summarizes a repair pass.
-	RecoveryStats = core.RecoveryStats
-	// BackfillStats summarizes a backfill pass (divergent-object re-sync
-	// after a restored OSD rejoins).
-	BackfillStats = core.BackfillStats
-	// ScrubStats summarizes a deep-scrub pass (latent-error detection and
-	// repair).
-	ScrubStats = core.ScrubStats
-)
-
-// Simulation engine types.
-type (
-	// Engine is the deterministic discrete-event engine driving a cluster.
-	Engine = sim.Engine
 	// Proc is a simulation process handle.
 	Proc = sim.Proc
 )
 
-// Workload types.
+// Workload and scenario types.
 type (
 	// Job describes an FIO-like run.
 	Job = workload.Job
 	// Result summarizes a run.
 	Result = workload.Result
-	// Sample is one time-series point of a sampled run.
-	Sample = workload.Sample
-	// Pattern is the access pattern of a job.
-	Pattern = workload.Pattern
 	// Op is the request type of a job.
 	Op = workload.Op
-)
-
-// Scenario types.
-type (
 	// Scenario composes concurrent jobs, phases and fault events.
 	Scenario = workload.Scenario
-	// ScenarioResult holds per-job, per-phase results plus the merged
-	// cluster time series, recovery outcomes and the event log.
-	ScenarioResult = workload.ScenarioResult
-	// JobResult is one job's whole-run result plus per-phase slices.
-	JobResult = workload.JobResult
-	// PhaseInfo locates one phase on the scenario clock.
-	PhaseInfo = workload.PhaseInfo
-	// RecoveryResult is the outcome of one StartRecovery event.
-	RecoveryResult = workload.RecoveryResult
-	// BackfillResult is the outcome of one backfill pass run by RestoreOSD.
-	BackfillResult = workload.BackfillResult
-	// ScrubResult is the outcome of one StartScrub event.
-	ScrubResult = workload.ScrubResult
-	// InjectResult is the outcome of one InjectCorruption event.
-	InjectResult = workload.InjectResult
-	// ScenarioEvent is a scheduled cluster action (FailOSD, RestoreOSD,
-	// StartRecovery, StartScrub, InjectCorruption, SetRecoveryRate,
-	// DegradeOSD, RestoreOSDHealth, Callback).
+	// ScenarioEvent is a scheduled cluster action (FailOSD, StartRecovery,
+	// SetRecoveryRate, DegradeOSD, RestoreOSDHealth).
 	ScenarioEvent = workload.Event
-	// ClusterEvent is one logged cluster-state transition.
-	ClusterEvent = core.ClusterEvent
 )
 
 // Gray-failure types: slow/flaky-but-alive OSDs and the tail-tolerance
@@ -159,47 +114,6 @@ type (
 	// DeviceDegradation is the SSD-level gray fault: a service-latency
 	// multiplier, an intermittent-error probability, and stuck I/O.
 	DeviceDegradation = ssd.Degradation
-	// GrayMetrics counts tail-tolerance outcomes (timeouts, retries,
-	// hedges, ejects) cluster-wide.
-	GrayMetrics = core.GrayMetrics
-	// OSDHealth is one OSD's tracked health: EWMA latency, failure score,
-	// and the slow/ejected/degraded flags.
-	OSDHealth = core.OSDHealth
-	// GrayOpResult is the outcome of one DegradeOSD or RestoreOSDHealth
-	// scenario event.
-	GrayOpResult = workload.GrayOpResult
-)
-
-// Multi-tenant QoS types: admission policies shared by the simulator
-// data path (Config.QoS, Job.Tenant) and the service gateway
-// (service.GatewayConfig.Admission, the X-Tenant header). Every decision
-// can emit an auditable DecisionTrace with the rejected counterfactuals.
-type (
-	// AdmissionPolicy decides admit/throttle/reject per request.
-	AdmissionPolicy = qos.AdmissionPolicy
-	// TenantConfig holds one tenant's weight, token rate/burst and
-	// shaping bound.
-	TenantConfig = qos.TenantConfig
-	// AdmissionRequest is one admission question (tenant, cost, time).
-	AdmissionRequest = qos.Request
-	// AdmissionDecision is a policy verdict (admit/delay/reject + trace).
-	AdmissionDecision = qos.Decision
-	// DecisionTrace is the auditable record of one policy decision,
-	// including the rejected counterfactual candidates.
-	DecisionTrace = qos.DecisionTrace
-	// QoSConfig wires an admission policy into a simulated cluster
-	// (assign to Config.QoS).
-	QoSConfig = core.QoSConfig
-	// QoSMetrics is the cluster's per-tenant admission ledger.
-	QoSMetrics = core.QoSMetrics
-	// TenantQoS is one tenant's admission outcome counters.
-	TenantQoS = core.TenantQoS
-	// QoSReport is a scenario's per-tenant admission outcome, windowed
-	// per phase (see Scenario.CaptureQoS).
-	QoSReport = workload.QoSReport
-	// RetryPolicy is the shared bounded-retry/backoff schedule used by
-	// the gateway shard path, the GateClient and the core tail fetcher.
-	RetryPolicy = retry.Policy
 )
 
 // Benchmark-harness types.
@@ -240,20 +154,16 @@ type RS = rs.Code
 
 // Workload constants.
 const (
-	PatternSequential = workload.Sequential
-	PatternRandom     = workload.Random
-	OpRead            = workload.Read
-	OpWrite           = workload.Write
-	OpMixed           = workload.Mixed
+	PatternRandom = workload.Random
+	OpRead        = workload.Read
+	OpWrite       = workload.Write
+	OpMixed       = workload.Mixed
 )
 
 // DefaultConfig returns a cluster shaped like the paper's testbed: 4
 // storage nodes × 6 OSDs × 24 cores, a 36-core client, and two 10 Gb
 // networks.
 func DefaultConfig() Config { return core.DefaultConfig() }
-
-// DefaultCostModel returns the calibrated software cost model.
-func DefaultCostModel() CostModel { return core.DefaultCostModel() }
 
 // ProfileReplicated returns an n-replica pool profile (paper default: 3).
 func ProfileReplicated(n int) Profile { return core.ProfileReplicated(n) }
@@ -265,12 +175,6 @@ func ProfileEC(k, m int) Profile { return core.ProfileEC(k, m) }
 // NewCluster builds a cluster on a fresh simulation engine.
 func NewCluster(cfg Config) (*Cluster, error) {
 	return core.New(sim.NewEngine(), cfg)
-}
-
-// NewClusterOn builds a cluster on an existing engine (for co-simulation
-// with custom processes).
-func NewClusterOn(e *Engine, cfg Config) (*Cluster, error) {
-	return core.New(e, cfg)
 }
 
 // RunJob executes an FIO-like job against an image and returns its result:
@@ -287,27 +191,6 @@ func NewScenario(c *Cluster) *Scenario { return workload.NewScenario(c) }
 // FailOSD returns a scenario event that marks an OSD out mid-run; EC pools
 // serve its PGs' reads by reconstruction (degraded mode).
 func FailOSD(id int) ScenarioEvent { return workload.FailOSD(id) }
-
-// RestoreOSD returns a scenario event that marks a failed OSD back in and
-// immediately backfills: positions whose objects diverged during the outage
-// are served by reconstruction until the paced backfill pass re-syncs them,
-// so stale shard contents are never read.
-func RestoreOSD(id int) ScenarioEvent { return workload.RestoreOSD(id) }
-
-// RestoreOSDNoBackfill is RestoreOSD without the automatic backfill pass:
-// divergent positions stay excluded from service until a backfill runs.
-func RestoreOSDNoBackfill(id int) ScenarioEvent { return workload.RestoreOSDNoBackfill(id) }
-
-// StartScrub returns a scenario event that launches a deep-scrub pass on
-// the named pool, detecting and repairing latent shard errors.
-func StartScrub(pool string) ScenarioEvent { return workload.StartScrub(pool) }
-
-// InjectCorruption returns a scenario event that silently corrupts the
-// shard copy of obj at the given shard position in the named pool (a latent
-// media error for StartScrub to find).
-func InjectCorruption(pool, obj string, shard int) ScenarioEvent {
-	return workload.InjectCorruption(pool, obj, shard)
-}
 
 // StartRecovery returns a scenario event that launches a background repair
 // pass on the named pool while foreground jobs keep running.
@@ -336,34 +219,6 @@ func DegradeOSD(id int, deg OSDDegradation) ScenarioEvent {
 // service through probation and backfill.
 func RestoreOSDHealth(id int) ScenarioEvent { return workload.RestoreOSDHealth(id) }
 
-// ScenarioCallback returns an escape-hatch scenario event running fn as a
-// simulation process; fn must keep the run deterministic.
-func ScenarioCallback(name string, fn func(p *Proc, c *Cluster)) ScenarioEvent {
-	return workload.Callback(name, fn)
-}
-
-// NewTokenBucket returns a per-tenant token-bucket admission policy:
-// requests within the burst pass, modest overruns are shaped by a delay
-// up to each tenant's MaxWait, and worse is rejected with a Retry-After
-// hint. def applies to tenants not in the map.
-func NewTokenBucket(def TenantConfig, tenants map[string]TenantConfig) AdmissionPolicy {
-	return qos.NewTokenBucket(def, tenants)
-}
-
-// NewMaxInflight returns the classic bounded-admission policy: at most
-// limit requests in flight, regardless of tenant.
-func NewMaxInflight(limit int) AdmissionPolicy { return qos.NewMaxInflight(limit) }
-
-// NewWeightedFair returns a weighted-fair admission policy: the inflight
-// limit is split into per-tenant shares proportional to weight, and no
-// tenant can exceed its share — unconditional isolation under overload.
-func NewWeightedFair(limit int, def TenantConfig, tenants map[string]TenantConfig) AdmissionPolicy {
-	return qos.NewWeightedFair(limit, def, tenants)
-}
-
-// UnlimitedAdmission returns the always-admit policy (still traced).
-func UnlimitedAdmission() AdmissionPolicy { return qos.Unlimited{} }
-
 // NewRS constructs an RS(k,m) codec.
 func NewRS(k, m int) (*RS, error) { return rs.New(k, m) }
 
@@ -376,8 +231,7 @@ func NewTraceRecorder(c *Cluster) *TraceRecorder {
 // NewSuite creates a figure-reproduction suite.
 func NewSuite(opt BenchOptions) (*Suite, error) { return bench.NewSuite(opt) }
 
-// QuickBench returns reduced-scale benchmark options; PaperBench returns
-// the full-fidelity preset.
+// QuickBench returns reduced-scale benchmark options.
 func QuickBench() BenchOptions { return bench.Quick() }
 
 // PaperBench returns benchmark options matching the paper's campaign scale.
@@ -391,9 +245,6 @@ func Schemes() []Scheme { return bench.Schemes() }
 
 // FigureIDs lists every reproducible figure in paper order.
 func FigureIDs() []string { return bench.FigureIDs() }
-
-// AblationIDs lists the mechanism-ablation experiments.
-func AblationIDs() []string { return bench.AblationIDs() }
 
 // ScenarioIDs lists the composed fault/recovery experiments the bench
 // suite runs on the Scenario API.

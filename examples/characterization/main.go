@@ -8,19 +8,19 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"ecarray"
 )
 
-var duration = flag.Duration("duration", 1600*time.Millisecond, "measurement window per run")
-
 type outcome struct {
 	read, write ecarray.Result
 }
 
-func runScheme(name string, profile ecarray.Profile) outcome {
+func runScheme(name string, profile ecarray.Profile, duration time.Duration) outcome {
 	run := func(op ecarray.Op, prefill bool) ecarray.Result {
 		cfg := ecarray.DefaultConfig()
 		cfg.DeviceCapacity = 2 << 30
@@ -39,11 +39,11 @@ func runScheme(name string, profile ecarray.Profile) outcome {
 		job := ecarray.Job{
 			Name: name, Op: op, Pattern: ecarray.PatternRandom,
 			BlockSize: 4096, QueueDepth: 256,
-			Duration: *duration, Seed: 1,
+			Duration: duration, Seed: 1,
 		}
 		if prefill {
 			img.Prefill() // reads measure a pre-written image, as in §III
-			job.Ramp = *duration / 5
+			job.Ramp = duration / 5
 		}
 		res, err := ecarray.RunJob(cluster, img, job)
 		if err != nil {
@@ -56,10 +56,17 @@ func runScheme(name string, profile ecarray.Profile) outcome {
 }
 
 func main() {
+	duration := flag.Duration("duration", 1600*time.Millisecond, "measurement window per run")
 	flag.Parse()
-	fmt.Println("running 4KB random workloads (qd=256): 3-Rep vs RS(10,4) ...")
-	rep := runScheme("3-Rep", ecarray.ProfileReplicated(3))
-	ec := runScheme("RS(10,4)", ecarray.ProfileEC(10, 4))
+	run(os.Stdout, *duration)
+}
+
+// run is the whole example with the given measurement window per run; it
+// prints to w.
+func run(w io.Writer, duration time.Duration) {
+	fmt.Fprintln(w, "running 4KB random workloads (qd=256): 3-Rep vs RS(10,4) ...")
+	rep := runScheme("3-Rep", ecarray.ProfileReplicated(3), duration)
+	ec := runScheme("RS(10,4)", ecarray.ProfileEC(10, 4), duration)
 
 	ratio := func(a, b float64) float64 {
 		if b == 0 {
@@ -67,8 +74,8 @@ func main() {
 		}
 		return a / b
 	}
-	norm := func(metric string, r, w, paperR, paperW float64) {
-		fmt.Printf("%-24s %8.2f %8.2f   (paper: %s / %s)\n", metric, r, w,
+	norm := func(metric string, read, write, paperR, paperW float64) {
+		fmt.Fprintf(w, "%-24s %8.2f %8.2f   (paper: %s / %s)\n", metric, read, write,
 			fmtPaper(paperR), fmtPaper(paperW))
 	}
 	amp := func(res ecarray.Result, write bool) float64 {
@@ -87,8 +94,8 @@ func main() {
 		return float64(res.Metrics.ContextSwitches) / (float64(res.Bytes) / (1 << 20))
 	}
 
-	fmt.Println()
-	fmt.Println("RS(10,4) normalized to 3-Replication   read    write")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "RS(10,4) normalized to 3-Replication   read    write")
 	norm("throughput",
 		ratio(ec.read.MBps, rep.read.MBps), ratio(ec.write.MBps, rep.write.MBps), 0.67, 0.14)
 	norm("latency",
@@ -104,9 +111,9 @@ func main() {
 		ratio(amp(ec.read, false), amp(rep.read, false)),
 		ratio(amp(ec.write, true), amp(rep.write, true)), 10.4, 57.7)
 
-	fmt.Println()
-	fmt.Printf("absolute: 3-Rep  read %7.1f MB/s  write %7.1f MB/s\n", rep.read.MBps, rep.write.MBps)
-	fmt.Printf("          RS10,4 read %7.1f MB/s  write %7.1f MB/s\n", ec.read.MBps, ec.write.MBps)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "absolute: 3-Rep  read %7.1f MB/s  write %7.1f MB/s\n", rep.read.MBps, rep.write.MBps)
+	fmt.Fprintf(w, "          RS10,4 read %7.1f MB/s  write %7.1f MB/s\n", ec.read.MBps, ec.write.MBps)
 }
 
 func fmtPaper(v float64) string { return fmt.Sprintf("%.2g", v) }

@@ -12,13 +12,18 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"ecarray"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole example; it prints to w.
+func run(w io.Writer) {
 	cfg := ecarray.DefaultConfig()
 	cfg.DeviceCapacity = 2 << 30
 	cfg.PGsPerPool = 64
@@ -48,7 +53,7 @@ func main() {
 		}
 	})
 	img.Prefill() // remaining objects initialized for the read job
-	fmt.Printf("wrote %d KiB to RS(6,3) pool\n", len(payload)>>10)
+	fmt.Fprintf(w, "wrote %d KiB to RS(6,3) pool\n", len(payload)>>10)
 
 	// Fail three OSDs holding shards of the first object — the maximum
 	// RS(6,3) tolerates — at the first phase boundary; start recovery at
@@ -76,33 +81,33 @@ func main() {
 	if reader.Result.Errors != 0 {
 		log.Fatalf("reads failed: %d errors", reader.Result.Errors)
 	}
-	fmt.Printf("\n%-12s %10s %10s %14s\n", "phase", "MB/s", "lat ms", "privnet/req")
+	fmt.Fprintf(w, "\n%-12s %10s %10s %14s\n", "phase", "MB/s", "lat ms", "privnet/req")
 	for i, pr := range reader.Phases {
 		perReq := 0.0
 		if pr.Bytes > 0 {
 			perReq = float64(res.PhaseMetrics[i].PrivateBytes) / float64(pr.Bytes)
 		}
-		fmt.Printf("%-12s %10.1f %10.2f %14.2f\n",
+		fmt.Fprintf(w, "%-12s %10.1f %10.2f %14.2f\n",
 			res.Phases[i].Name, pr.MBps, float64(pr.MeanLatency)/1e6, perReq)
 	}
-	fmt.Println("\nan EC read always pulls k chunks, so online reads already pay repair-like")
-	fmt.Println("traffic (the paper's RS-concatenation observation); failed OSDs add the")
-	fmt.Println("recover-matrix reconstruction, and the recovery phase stacks repair pulls on top")
+	fmt.Fprintln(w, "\nan EC read always pulls k chunks, so online reads already pay repair-like")
+	fmt.Fprintln(w, "traffic (the paper's RS-concatenation observation); failed OSDs add the")
+	fmt.Fprintln(w, "recover-matrix reconstruction, and the recovery phase stacks repair pulls on top")
 
 	for _, rec := range res.Recoveries {
 		if rec.Err != nil {
 			log.Fatal(rec.Err)
 		}
-		fmt.Printf("\nrecovery: repaired %d PGs, rebuilt %d shards (%.1f MiB) in %v simulated\n",
+		fmt.Fprintf(w, "\nrecovery: repaired %d PGs, rebuilt %d shards (%.1f MiB) in %v simulated\n",
 			rec.Stats.PGsRepaired, rec.Stats.ShardsRebuilt,
 			float64(rec.Stats.BytesRebuilt)/(1<<20), rec.Stats.DurationSimulated)
-		fmt.Printf("          pulled %.1f MiB to rebuild %.1f MiB — the paper's k-fold repair traffic\n",
+		fmt.Fprintf(w, "          pulled %.1f MiB to rebuild %.1f MiB — the paper's k-fold repair traffic\n",
 			float64(rec.Stats.BytesPulled)/(1<<20), float64(rec.Stats.BytesRebuilt)/(1<<20))
 	}
 
-	fmt.Println("\nevent log:")
+	fmt.Fprintln(w, "\nevent log:")
 	for _, ev := range res.Events {
-		fmt.Printf("  %v\n", ev)
+		fmt.Fprintf(w, "  %v\n", ev)
 	}
 
 	// The payload must read back intact on the recovered layout.
@@ -112,7 +117,7 @@ func main() {
 			log.Fatal("post-recovery verification failed")
 		}
 	})
-	fmt.Println("\ndata verified on the recovered layout")
+	fmt.Fprintln(w, "\ndata verified on the recovered layout")
 
 	// Transient outage with writes: the victim OSD returns holding stale
 	// shards. Re-admission marks its divergent positions backfilling (reads
@@ -129,7 +134,7 @@ func main() {
 		}
 	})
 	cluster.MarkOSDIn(victim)
-	fmt.Printf("\nosd%d failed, 256 KiB rewritten, osd%d restored: %d PGs backfilling\n",
+	fmt.Fprintf(w, "\nosd%d failed, 256 KiB rewritten, osd%d restored: %d PGs backfilling\n",
 		victim, victim, pool.Backfilling())
 
 	// Before backfill the stale shard must not be served: reads reconstruct
@@ -140,14 +145,14 @@ func main() {
 			log.Fatal("read served stale shard contents before backfill")
 		}
 	})
-	fmt.Println("pre-backfill reads reconstruct around the stale shard: data correct")
+	fmt.Fprintln(w, "pre-backfill reads reconstruct around the stale shard: data correct")
 
 	cluster.Engine().RunProc("backfill", func(p *ecarray.Proc) {
 		st, err := pool.Backfill(p)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("backfill: %d PGs, %d objects re-synced (%.1f MiB) in %v simulated\n",
+		fmt.Fprintf(w, "backfill: %d PGs, %d objects re-synced (%.1f MiB) in %v simulated\n",
 			st.PGsBackfilled, st.ObjectsSynced,
 			float64(st.BytesRestored)/(1<<20), st.DurationSimulated)
 	})
@@ -157,7 +162,7 @@ func main() {
 			log.Fatal("post-backfill verification failed")
 		}
 	})
-	fmt.Printf("data verified after backfill; %d PGs still backfilling\n", pool.Backfilling())
+	fmt.Fprintf(w, "data verified after backfill; %d PGs still backfilling\n", pool.Backfilling())
 
 	// Latent shard error: corrupt a data chunk silently, then deep-scrub.
 	if err := pool.InjectLatentError(img.ObjectName(0), 1); err != nil {
@@ -168,7 +173,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nscrub: %d objects scanned, %d latent errors found, %d shards repaired\n",
+		fmt.Fprintf(w, "\nscrub: %d objects scanned, %d latent errors found, %d shards repaired\n",
 			st.ObjectsScanned, st.ErrorsFound, st.ShardsRepaired)
 	})
 	cluster.Engine().RunProc("post-scrub-verify", func(p *ecarray.Proc) {
@@ -177,7 +182,7 @@ func main() {
 			log.Fatal("post-scrub verification failed")
 		}
 	})
-	fmt.Println("data verified after scrub repair")
+	fmt.Fprintln(w, "data verified after scrub repair")
 
 	// A further m+1 failures exceed the restored tolerance: reads refuse.
 	acting = pool.ActingSet(img.ObjectName(0))
@@ -186,7 +191,7 @@ func main() {
 	}
 	cluster.Engine().RunProc("too-degraded", func(p *ecarray.Proc) {
 		if _, err := img.Read(p, 0, 4096); err != nil {
-			fmt.Printf("m+1 failures: read correctly refused (%v)\n", err)
+			fmt.Fprintf(w, "m+1 failures: read correctly refused (%v)\n", err)
 		} else {
 			log.Fatal("read beyond fault tolerance unexpectedly succeeded")
 		}

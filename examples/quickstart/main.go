@@ -6,12 +6,17 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"ecarray"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole example; it prints to w.
+func run(w io.Writer) {
 	// A scaled-down cluster in data-carrying mode: every byte really flows
 	// through striping, GF(2^8) encoding, the object stores and the
 	// simulated flash devices.
@@ -56,20 +61,20 @@ func main() {
 	if !bytes.Equal(got, payload) {
 		log.Fatal("read-back mismatch: erasure coding pipeline corrupted data")
 	}
-	fmt.Println("wrote and verified 1 MiB through RS(6,3)")
+	fmt.Fprintln(w, "wrote and verified 1 MiB through RS(6,3)")
 
 	m := cluster.Metrics()
 	defer func() { // drain background daemons before exit
 		cluster.Stop()
 		cluster.Engine().Run()
 	}()
-	fmt.Printf("virtual time elapsed:   %v\n", cluster.Engine().Now())
-	fmt.Printf("device writes:          %.1f MiB (%.2fx the payload: stripes + parity + WAL + metadata)\n",
+	fmt.Fprintf(w, "virtual time elapsed:   %v\n", cluster.Engine().Now())
+	fmt.Fprintf(w, "device writes:          %.1f MiB (%.2fx the payload: stripes + parity + WAL + metadata)\n",
 		float64(m.DeviceWriteBytes)/(1<<20), float64(m.DeviceWriteBytes)/float64(len(payload)))
-	fmt.Printf("device reads:           %.1f MiB\n", float64(m.DeviceReadBytes)/(1<<20))
-	fmt.Printf("private network:        %.1f MiB (chunk pushes + RS-concatenation pulls)\n",
+	fmt.Fprintf(w, "device reads:           %.1f MiB\n", float64(m.DeviceReadBytes)/(1<<20))
+	fmt.Fprintf(w, "private network:        %.1f MiB (chunk pushes + RS-concatenation pulls)\n",
 		float64(m.PrivateBytes)/(1<<20))
-	fmt.Printf("context switches:       %d\n", m.ContextSwitches)
-	fmt.Printf("storage-cluster CPU:    %.2f%% user / %.2f%% system\n",
+	fmt.Fprintf(w, "context switches:       %d\n", m.ContextSwitches)
+	fmt.Fprintf(w, "storage-cluster CPU:    %.2f%% user / %.2f%% system\n",
 		m.UserCPU*100, m.KernelCPU*100)
 }

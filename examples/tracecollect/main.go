@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
@@ -12,7 +13,11 @@ import (
 	"ecarray"
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run is the whole example; it prints to w and writes the trace file into
+// the working directory.
+func run(w io.Writer) {
 	cfg := ecarray.DefaultConfig()
 	cfg.DeviceCapacity = 2 << 30
 	cfg.PGsPerPool = 256
@@ -42,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("workload: %s\n", res)
+	fmt.Fprintf(w, "workload: %s\n", res)
 
 	const path = "randwrite_rs6_3.trace"
 	f, err := os.Create(path)
@@ -55,7 +60,7 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("wrote %d block events to %s\n", rec.Len(), path)
+	fmt.Fprintf(w, "wrote %d block events to %s\n", rec.Len(), path)
 
 	// Round-trip: parse the file back and summarize, as a downstream trace
 	// consumer would.
@@ -69,9 +74,9 @@ func main() {
 		log.Fatal(err)
 	}
 	s := ecarray.SummarizeTrace(events)
-	fmt.Printf("parsed back: scheme=%s workload=%s bs=%s\n", meta["scheme"], meta["workload"], meta["bs"])
-	fmt.Printf("  %d events across %d devices, spanning %v\n", s.Events, s.Devices, s.Span)
-	fmt.Printf("  device reads  %.1f MiB\n", float64(s.ReadBytes)/(1<<20))
-	fmt.Printf("  device writes %.1f MiB (vs %.1f MiB requested: EC write amplification)\n",
+	fmt.Fprintf(w, "parsed back: scheme=%s workload=%s bs=%s\n", meta["scheme"], meta["workload"], meta["bs"])
+	fmt.Fprintf(w, "  %d events across %d devices, spanning %v\n", s.Events, s.Devices, s.Span)
+	fmt.Fprintf(w, "  device reads  %.1f MiB\n", float64(s.ReadBytes)/(1<<20))
+	fmt.Fprintf(w, "  device writes %.1f MiB (vs %.1f MiB requested: EC write amplification)\n",
 		float64(s.WriteBytes)/(1<<20), float64(res.Bytes)/(1<<20))
 }

@@ -81,6 +81,9 @@ type Options struct {
 	// StripeUnit overrides the EC chunk size in bytes (0 = the paper's
 	// 4 KiB default). A sweep axis in the paper-scale grid.
 	StripeUnit int64
+	// TraceDir, when set, is where every trace-corpus cell the suite runs
+	// writes its block traces (corpus.go).
+	TraceDir string
 }
 
 // PaperBlockSizes is the paper's 1 KB..128 KB sweep.

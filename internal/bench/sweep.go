@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -11,6 +12,8 @@ import (
 	"ecarray/internal/core"
 	"ecarray/internal/gf"
 	"ecarray/internal/paperref"
+	"ecarray/internal/sim"
+	"ecarray/internal/trace"
 	"ecarray/internal/workload"
 )
 
@@ -468,9 +471,23 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 		img.Prefill()
 		job.Ramp = s.Opt.Ramp
 	}
+	var rec *trace.Recorder
+	name, corpus := corpusName(k)
+	if corpus && s.Opt.TraceDir != "" {
+		rec = corpusRecorder(c, k.Scheme, job, s.Opt.ImageSize)
+	}
+	from := c.Engine().Now() + sim.Time(job.Ramp)
 	res, err := s.runCellJob(c, img, job, k.fault())
 	if err != nil {
 		return CellReport{}, engineStats{}, err
+	}
+	if rec != nil {
+		// The cluster's counters cover [from, from+Duration): the trace
+		// keeps the same window, so the two sum to the same bytes.
+		stem := filepath.Join(s.Opt.TraceDir, name)
+		if err := writeCorpus(stem, rec, cfg, op == workload.Write, from, from+sim.Time(job.Duration)); err != nil {
+			return CellReport{}, engineStats{}, err
+		}
 	}
 	eng := finishRun(c.Engine(), started)
 

@@ -159,7 +159,7 @@ func (c *Cluster) qosAdmit(p *sim.Proc, tenant string) (func(), error) {
 	if c.qosM.Tenants == nil {
 		c.qosM.Tenants = map[string]TenantQoS{}
 	}
-	req := qos.Request{Tenant: tenant, Cost: 1, Now: int64(c.e.Now())}
+	req := qos.Request{Tenant: tenant, Now: int64(c.e.Now())}
 	d := pol.Admit(req)
 	if !d.Admit {
 		c.noteReject(tenant, d.Trace)

@@ -12,11 +12,10 @@
 //
 // An AdmissionPolicy decides whether one request enters the system now,
 // after a delay (shaping), or not at all. Implementations: Unlimited
-// (admit everything), TokenBucket (per-tenant rate+burst with a bounded
-// shaping window), MaxInflight (the gateway's classic bounded-concurrency
-// gate), and WeightedFair (MaxInflight partitioned across tenants in
-// proportion to configured weights — strict shares, so a heavy tenant
-// cannot starve a light one).
+// (admit everything), MaxInflight (the gateway's classic
+// bounded-concurrency gate), and WeightedFair (MaxInflight partitioned
+// across tenants in proportion to configured weights — strict shares, so
+// a heavy tenant cannot starve a light one). None of them shapes.
 //
 // Every decision carries a DecisionTrace naming the policy, the inputs
 // it saw, and the rejected counterfactual candidates with the reason
@@ -39,31 +38,21 @@ import (
 	"time"
 )
 
-// Request is one admission question: tenant identity, the cost of the
-// work (ops or tokens; callers use 1 per object op), and the caller's
+// Request is one admission question: tenant identity and the caller's
 // clock in nanoseconds. The simulator passes virtual time, the gateway
 // passes time.Now().UnixNano(); policies only ever difference Now
 // values from the same caller, so the epochs never mix.
 type Request struct {
 	Tenant string
-	Cost   int64
 	Now    int64
-}
-
-// cost normalizes Cost: any non-positive value charges 1.
-func (r Request) cost() float64 {
-	if r.Cost <= 0 {
-		return 1
-	}
-	return float64(r.Cost)
 }
 
 // Decision is an admission verdict. Admit=true with Delay=0 is an
 // immediate admit; Admit=true with Delay>0 means "admit after shaping
 // for Delay" (the caller sleeps, then proceeds — no second Admit call);
 // Admit=false is a rejection and RetryAfter is the policy's estimate of
-// when capacity will exist, derived from queue depth or token refill
-// time rather than a constant.
+// when capacity will exist, derived from queue depth rather than a
+// constant.
 type Decision struct {
 	Admit      bool
 	Delay      time.Duration
@@ -117,16 +106,6 @@ type TenantConfig struct {
 	// Weight is the tenant's share weight under WeightedFair.
 	// Non-positive means 1.
 	Weight float64
-	// Rate is the TokenBucket refill in tokens (ops) per second.
-	// Non-positive means the tenant is not rate-limited.
-	Rate float64
-	// Burst is the TokenBucket capacity; non-positive means Rate
-	// (a one-second burst).
-	Burst float64
-	// MaxWait is the TokenBucket shaping window: a request that cannot
-	// be served from the bucket but would become serviceable within
-	// MaxWait is admitted with a Delay instead of rejected.
-	MaxWait time.Duration
 }
 
 func (c TenantConfig) weight() float64 {
@@ -156,111 +135,6 @@ func (Unlimited) Admit(r Request) Decision {
 
 // Release implements AdmissionPolicy.
 func (Unlimited) Release(Request) {}
-
-// ---------------------------------------------------------------------
-// TokenBucket
-
-// TokenBucket rate-limits each tenant with a classic token bucket:
-// Rate tokens/second refill, Burst capacity, and a MaxWait shaping
-// window within which over-rate requests are delayed (in arrival
-// order — the bucket balance goes negative, so each subsequent
-// over-rate request queues behind the previous one) rather than
-// rejected. Requests beyond the window are rejected with RetryAfter
-// equal to the actual refill time needed.
-type TokenBucket struct {
-	mu      sync.Mutex
-	def     TenantConfig
-	tenants map[string]TenantConfig
-	state   map[string]*bucketState
-}
-
-type bucketState struct {
-	tokens float64
-	last   int64 // Request.Now of the last refill
-}
-
-// NewTokenBucket builds a per-tenant token-bucket policy. def applies
-// to tenants absent from the tenants map; a def.Rate <= 0 leaves
-// unknown tenants unlimited.
-func NewTokenBucket(def TenantConfig, tenants map[string]TenantConfig) *TokenBucket {
-	tb := &TokenBucket{def: def, tenants: map[string]TenantConfig{}, state: map[string]*bucketState{}}
-	for name, cfg := range tenants {
-		tb.tenants[name] = cfg
-	}
-	return tb
-}
-
-// Name implements AdmissionPolicy.
-func (tb *TokenBucket) Name() string { return "token-bucket" }
-
-// Admit implements AdmissionPolicy.
-func (tb *TokenBucket) Admit(r Request) Decision {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-
-	cfg, ok := tb.tenants[r.Tenant]
-	if !ok {
-		cfg = tb.def
-	}
-	trace := &DecisionTrace{Policy: "token-bucket", Tenant: r.Tenant, Now: r.Now}
-	if cfg.Rate <= 0 {
-		trace.Admitted = true
-		trace.Reason = "tenant not rate-limited"
-		return Decision{Admit: true, Trace: trace}
-	}
-	burst := cfg.Burst
-	if burst <= 0 {
-		burst = cfg.Rate
-	}
-	st, ok := tb.state[r.Tenant]
-	if !ok {
-		st = &bucketState{tokens: burst, last: r.Now}
-		tb.state[r.Tenant] = st
-	}
-	// Refill for the elapsed caller time, capped at burst.
-	if dt := r.Now - st.last; dt > 0 {
-		st.tokens = math.Min(burst, st.tokens+float64(dt)/1e9*cfg.Rate)
-	}
-	st.last = r.Now
-
-	cost := r.cost()
-	if st.tokens >= cost {
-		st.tokens -= cost
-		trace.Admitted = true
-		trace.Reason = fmt.Sprintf("%.1f tokens available for cost %.0f", st.tokens+cost, cost)
-		trace.Candidates = []Candidate{
-			{ID: "admit", Score: st.tokens + cost, Chosen: true, Reason: trace.Reason},
-		}
-		return Decision{Admit: true, Trace: trace}
-	}
-	// Not enough tokens: how long until there are?
-	wait := time.Duration((cost - st.tokens) / cfg.Rate * 1e9)
-	if wait <= cfg.MaxWait {
-		// Shape: charge now (balance goes negative, queueing subsequent
-		// arrivals behind this one) and admit after the refill interval.
-		st.tokens -= cost
-		trace.Admitted = true
-		trace.Reason = fmt.Sprintf("throttled %v awaiting refill", wait)
-		trace.Candidates = []Candidate{
-			{ID: "admit", Score: st.tokens + cost, Reason: "insufficient tokens"},
-			{ID: "throttle", Score: wait.Seconds(), Chosen: true, Reason: trace.Reason},
-			{ID: "reject", Reason: fmt.Sprintf("wait %v within MaxWait %v", wait, cfg.MaxWait)},
-		}
-		return Decision{Admit: true, Delay: wait, Trace: trace}
-	}
-	trace.Reason = fmt.Sprintf("refill of %.1f tokens needs %v, over MaxWait %v", cost-st.tokens, wait, cfg.MaxWait)
-	trace.RetryAfter = wait
-	trace.Candidates = []Candidate{
-		{ID: "admit", Score: st.tokens, Reason: "insufficient tokens"},
-		{ID: "throttle", Score: wait.Seconds(), Reason: "wait exceeds MaxWait"},
-		{ID: "reject", Chosen: true, Reason: trace.Reason},
-	}
-	return Decision{RetryAfter: wait, Trace: trace}
-}
-
-// Release implements AdmissionPolicy; token buckets track rate, not
-// occupancy, so it is a no-op.
-func (tb *TokenBucket) Release(Request) {}
 
 // ---------------------------------------------------------------------
 // MaxInflight

@@ -5,55 +5,11 @@ import (
 	"time"
 )
 
-func TestQoSTokenBucketAdmitThrottleReject(t *testing.T) {
-	tb := NewTokenBucket(TenantConfig{}, map[string]TenantConfig{
-		"a": {Rate: 10, Burst: 2, MaxWait: 150 * time.Millisecond},
-	})
-	now := int64(0)
-	// Burst of 2 admits immediately.
-	for i := 0; i < 2; i++ {
-		d := tb.Admit(Request{Tenant: "a", Cost: 1, Now: now})
-		if !d.Admit || d.Delay != 0 {
-			t.Fatalf("burst admit %d: %+v", i, d)
-		}
-	}
-	// Third is over-rate but within MaxWait: shaped, not rejected, and
-	// the delay is the refill time for one token at 10/s = 100ms.
-	d := tb.Admit(Request{Tenant: "a", Cost: 1, Now: now})
-	if !d.Admit || d.Delay != 100*time.Millisecond {
-		t.Fatalf("shaped admit: %+v", d)
-	}
-	// Fourth would need 200ms > MaxWait: rejected with the true refill
-	// time as RetryAfter, and a trace naming the counterfactuals.
-	d = tb.Admit(Request{Tenant: "a", Cost: 1, Now: now})
-	if d.Admit {
-		t.Fatalf("expected rejection, got %+v", d)
-	}
-	if d.RetryAfter != 200*time.Millisecond {
-		t.Errorf("RetryAfter = %v, want 200ms", d.RetryAfter)
-	}
-	if d.Trace == nil || len(d.Trace.Candidates) != 3 {
-		t.Fatalf("rejection must carry a trace with counterfactuals: %+v", d.Trace)
-	}
-	// After a second of refill the bucket recovers (capped at burst).
-	now += int64(time.Second)
-	d = tb.Admit(Request{Tenant: "a", Cost: 1, Now: now})
-	if !d.Admit || d.Delay != 0 {
-		t.Fatalf("post-refill admit: %+v", d)
-	}
-	// Unconfigured tenant under a zero default config is unlimited.
-	for i := 0; i < 100; i++ {
-		if d := tb.Admit(Request{Tenant: "z", Cost: 1, Now: now}); !d.Admit {
-			t.Fatalf("unlimited tenant rejected at %d", i)
-		}
-	}
-}
-
 func TestQoSMaxInflightMatchesChannelGate(t *testing.T) {
 	// Semantics of the historical channel-based gateway gate: admit up
 	// to limit, reject beyond, release frees a slot.
 	m := NewMaxInflight(2)
-	r := Request{Tenant: "", Cost: 1}
+	r := Request{}
 	if d := m.Admit(r); !d.Admit {
 		t.Fatal("first admit")
 	}
@@ -89,7 +45,7 @@ func TestQoSWeightedFairShares(t *testing.T) {
 		"bronze": {Weight: 1},
 	})
 	admit := func(tenant string) bool {
-		return w.Admit(Request{Tenant: tenant, Cost: 1}).Admit
+		return w.Admit(Request{Tenant: tenant}).Admit
 	}
 	// gold's share is floor(12*2/3)=8, bronze's floor(12*1/3)=4.
 	for i := 0; i < 8; i++ {
@@ -106,7 +62,7 @@ func TestQoSWeightedFairShares(t *testing.T) {
 			t.Fatalf("bronze admit %d under gold flood", i)
 		}
 	}
-	d := w.Admit(Request{Tenant: "bronze", Cost: 1})
+	d := w.Admit(Request{Tenant: "bronze"})
 	if d.Admit {
 		t.Fatal("bronze beyond share")
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // OverloadError is an admission rejection with the policy's decision
-// attached: a Retry-After derived from live queue depth or token refill
-// time (not a constant), and the DecisionTrace naming the rejected
+// attached: a Retry-After derived from live queue depth (not a
+// constant), and the DecisionTrace naming the rejected
 // counterfactual candidates. errors.Is(err, ErrOverloaded) matches it,
 // so every existing 429 path is unchanged.
 type OverloadError struct {
@@ -39,7 +39,7 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 // *OverloadError carrying the policy's DecisionTrace and its
 // queue-derived Retry-After hint.
 func admitRequest(ctx context.Context, pol qos.AdmissionPolicy, tenant string) (release func(), throttled bool, err error) {
-	req := qos.Request{Tenant: tenant, Cost: 1, Now: time.Now().UnixNano()}
+	req := qos.Request{Tenant: tenant, Now: time.Now().UnixNano()}
 	d := pol.Admit(req)
 	if !d.Admit {
 		return nil, false, &OverloadError{RetryAfter: d.RetryAfter, Trace: d.Trace}

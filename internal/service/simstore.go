@@ -99,6 +99,18 @@ func NewSimCluster(cfg SimClusterConfig) (*SimCluster, error) {
 	return vc, nil
 }
 
+// NewSimOSD builds a one-OSD virtual cluster and returns its store,
+// labelled as OSD id on host: the store `ecstored -backend sim` serves.
+func NewSimOSD(id int, host string, deviceBytes, seed int64) (ShardStore, error) {
+	vc, err := NewSimCluster(SimClusterConfig{Hosts: 1, OSDsPerHost: 1, DeviceBytes: deviceBytes, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	o := vc.osds[0]
+	o.id, o.host = id, host
+	return o, nil
+}
+
 // Stores returns the cluster's OSDs as ShardStores, indexed by OSD ID.
 func (vc *SimCluster) Stores() []ShardStore {
 	out := make([]ShardStore, len(vc.osds))

@@ -1,8 +1,8 @@
 // Package trace captures blktrace-style block-level I/O traces from the
 // simulated OSD devices. The reproduced paper collected 54 such traces from
 // its cluster with blktrace (§I, §III) and released them at
-// trace.camelab.org; cmd/tracegen regenerates an equivalent corpus from the
-// simulation.
+// trace.camelab.org; ecbench -sweep -traces DIR records an equivalent
+// corpus from the simulation's sweep cells (internal/bench/corpus.go).
 //
 // The text format is one event per line:
 //

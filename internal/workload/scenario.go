@@ -16,7 +16,7 @@ import (
 // concurrent Jobs (each bound to its own image and pool, closed-loop or
 // open-loop), a phase timeline that windows the metrics, and mid-run
 // fault/repair events (FailOSD, RestoreOSD with automatic backfill,
-// StartRecovery, StartScrub, InjectCorruption, recovery-rate changes).
+// StartRecovery, recovery-rate changes, gray faults).
 // Everything runs on the cluster's deterministic simulation
 // engine, so the same seed and scenario produce byte-identical results.
 //
@@ -180,7 +180,7 @@ type BackfillResult struct {
 	Err   error
 }
 
-// ScrubResult is the outcome of one StartScrub event.
+// ScrubResult is the outcome of one deep-scrub pass a scenario event ran.
 type ScrubResult struct {
 	Pool  string
 	Start time.Duration // offsets from scenario start
@@ -189,8 +189,9 @@ type ScrubResult struct {
 	Err   error
 }
 
-// InjectResult is the outcome of one InjectCorruption event. Err is non-nil
-// when the target object or shard position did not exist at firing time.
+// InjectResult is the outcome of one latent-error injection a scenario
+// event ran. Err is non-nil when the target object or shard position did
+// not exist at firing time.
 type InjectResult struct {
 	Pool  string
 	Obj   string
@@ -237,9 +238,9 @@ type ScenarioResult struct {
 	// Backfills lists the backfill passes RestoreOSD ran, in completion
 	// order.
 	Backfills []BackfillResult
-	// Scrubs lists StartScrub outcomes in completion order.
+	// Scrubs lists deep-scrub outcomes in completion order.
 	Scrubs []ScrubResult
-	// Injects lists InjectCorruption outcomes in firing order.
+	// Injects lists latent-error injections in firing order.
 	Injects []InjectResult
 	// GrayOps lists DegradeOSD/RestoreOSDHealth outcomes in firing order.
 	GrayOps []GrayOpResult
@@ -326,7 +327,7 @@ func (tl *Timeline) checkPool(what, pool string) error {
 
 // Event is a scheduled cluster action inside a scenario. Events are built
 // with the constructors below (FailOSD, RestoreOSD, DegradeOSD,
-// StartRecovery, SetRecoveryRate, Callback, ...) and scheduled with
+// StartRecovery, SetRecoveryRate, ...) and scheduled with
 // Scenario.At. Every event validates itself against the Timeline — the
 // cluster plus the projected OSD state at its firing instant — in one
 // time-ordered pass before anything runs, so sequences that would
@@ -339,8 +340,7 @@ type Event interface {
 	// events after it.
 	Validate(tl *Timeline) error
 	// run executes the event as a simulation process. Unexported: events
-	// are built with this package's constructors (Callback is the
-	// escape hatch for custom actions).
+	// are built with this package's constructors.
 	run(p *sim.Proc, r *scenarioRun)
 }
 
@@ -374,12 +374,6 @@ type restoreOSD struct {
 // rejects restoring an OSD that is not out at that point of the timeline.
 func RestoreOSD(id int) Event { return restoreOSD{id: id, backfill: true} }
 
-// RestoreOSDNoBackfill is RestoreOSD without the automatic backfill pass:
-// divergent positions stay `backfilling` (excluded from reads and writes)
-// until the caller runs a backfill some other way. Use it to measure the
-// degraded window itself, or to schedule the re-sync separately.
-func RestoreOSDNoBackfill(id int) Event { return restoreOSD{id: id, backfill: false} }
-
 func (ev restoreOSD) String() string {
 	if !ev.backfill {
 		return fmt.Sprintf("restore-osd-no-backfill(%d)", ev.id)
@@ -411,64 +405,6 @@ func (ev restoreOSD) run(p *sim.Proc, r *scenarioRun) {
 		bf.End = r.rel(p.Now())
 		r.backfills = append(r.backfills, bf)
 	}
-}
-
-type startScrub struct{ pool string }
-
-// StartScrub returns an event that launches a deep-scrub pass on the named
-// pool: every live shard copy of every object is read and verified, and
-// latent shard errors (InjectCorruption) are detected and repaired by
-// reconstruction. The outcome lands in ScenarioResult.Scrubs.
-func StartScrub(pool string) Event { return startScrub{pool} }
-
-func (ev startScrub) String() string { return fmt.Sprintf("start-scrub(%s)", ev.pool) }
-func (ev startScrub) Validate(tl *Timeline) error {
-	return tl.checkPool("StartScrub", ev.pool)
-}
-func (ev startScrub) run(p *sim.Proc, r *scenarioRun) {
-	pl := r.c.Pool(ev.pool)
-	sc := ScrubResult{Pool: ev.pool, Start: r.rel(p.Now())}
-	sc.Stats, sc.Err = pl.Scrub(p)
-	sc.End = r.rel(p.Now())
-	r.scrubs = append(r.scrubs, sc)
-}
-
-type injectCorruption struct {
-	pool  string
-	obj   string
-	shard int
-}
-
-// InjectCorruption returns an event that silently corrupts the shard copy
-// of obj held at shard position shard in the named pool — a latent media
-// error: no I/O is simulated and nothing notices until a scrub reads the
-// shard back. The outcome (including a lookup failure if the object does
-// not exist at firing time) lands in ScenarioResult.Injects.
-func InjectCorruption(pool, obj string, shard int) Event {
-	return injectCorruption{pool: pool, obj: obj, shard: shard}
-}
-
-func (ev injectCorruption) String() string {
-	return fmt.Sprintf("inject-corruption(%s, %s, shard %d)", ev.pool, ev.obj, ev.shard)
-}
-func (ev injectCorruption) Validate(tl *Timeline) error {
-	if err := tl.checkPool("InjectCorruption", ev.pool); err != nil {
-		return err
-	}
-	if ev.shard < 0 {
-		return fmt.Errorf("workload: InjectCorruption: negative shard position %d", ev.shard)
-	}
-	return nil
-}
-func (ev injectCorruption) run(p *sim.Proc, r *scenarioRun) {
-	pl := r.c.Pool(ev.pool)
-	r.injects = append(r.injects, InjectResult{
-		Pool:  ev.pool,
-		Obj:   ev.obj,
-		Shard: ev.shard,
-		At:    r.rel(p.Now()),
-		Err:   pl.InjectLatentError(ev.obj, ev.shard),
-	})
 }
 
 type degradeOSD struct {
@@ -584,27 +520,6 @@ func (ev setRecoveryRate) Validate(tl *Timeline) error {
 func (ev setRecoveryRate) run(p *sim.Proc, r *scenarioRun) {
 	r.c.Pool(ev.pool).SetRecoveryRate(ev.rate)
 }
-
-type callback struct {
-	name string
-	fn   func(p *sim.Proc, c *core.Cluster)
-}
-
-// Callback returns an escape-hatch event running fn as a simulation
-// process (custom fault injection, co-simulated processes). fn must keep
-// the run deterministic: no wall-clock time, no global randomness.
-func Callback(name string, fn func(p *sim.Proc, c *core.Cluster)) Event {
-	return callback{name: name, fn: fn}
-}
-
-func (ev callback) String() string { return ev.name }
-func (ev callback) Validate(tl *Timeline) error {
-	if ev.fn == nil {
-		return errors.New("workload: Callback with nil function")
-	}
-	return nil
-}
-func (ev callback) run(p *sim.Proc, r *scenarioRun) { ev.fn(p, r.c) }
 
 // --- runner ---
 
