@@ -37,7 +37,6 @@ import (
 	"syscall"
 
 	"ecarray/internal/crush"
-	"ecarray/internal/qos"
 	"ecarray/internal/service"
 )
 
@@ -171,9 +170,9 @@ func newGateway(fs *flag.FlagSet, args []string, logger *slog.Logger) (*service.
 }
 
 // parseTenants turns "gold:3,silver:2,bronze:1" into per-tenant
-// weighted-fair admission configs.
-func parseTenants(s string) (map[string]qos.TenantConfig, error) {
-	out := make(map[string]qos.TenantConfig)
+// weighted-fair admission weights.
+func parseTenants(s string) (map[string]float64, error) {
+	out := make(map[string]float64)
 	for _, pair := range strings.Split(s, ",") {
 		pair = strings.TrimSpace(pair)
 		if pair == "" {
@@ -189,7 +188,7 @@ func parseTenants(s string) (map[string]qos.TenantConfig, error) {
 		if err != nil || !(w > 0) || math.IsInf(w, 1) {
 			return nil, fmt.Errorf("tenant %q: weight must be a positive finite number", pair)
 		}
-		out[name] = qos.TenantConfig{Weight: w}
+		out[name] = w
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no tenants in %q", s)

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"ecarray/internal/qos"
 	"ecarray/internal/service"
 )
 
@@ -277,11 +276,10 @@ func TestBadFlags(t *testing.T) {
 var goodOSD = strings.Repeat("http://127.0.0.1:1,", 5)
 
 func TestParseTenants(t *testing.T) {
-	w := func(f float64) qos.TenantConfig { return qos.TenantConfig{Weight: f} }
-	for in, want := range map[string]map[string]qos.TenantConfig{
-		"gold:3,silver:2,bronze:1": {"gold": w(3), "silver": w(2), "bronze": w(1)},
-		" gold:0.5 , ,silver:1e2,": {"gold": w(0.5), "silver": w(100)},
-		"gold:1,gold:2":            {"gold": w(2)}, // last one wins
+	for in, want := range map[string]map[string]float64{
+		"gold:3,silver:2,bronze:1": {"gold": 3, "silver": 2, "bronze": 1},
+		" gold:0.5 , ,silver:1e2,": {"gold": 0.5, "silver": 100},
+		"gold:1,gold:2":            {"gold": 2}, // last one wins
 		"":                         nil,
 		" , ":                      nil,
 		"gold":                     nil,
@@ -331,9 +329,9 @@ func FuzzParseTenants(f *testing.F) {
 		if len(out) == 0 {
 			t.Fatalf("parseTenants(%q) accepted with no tenants", s)
 		}
-		for name, tc := range out {
-			if name == "" || !(tc.Weight > 0) || math.IsInf(tc.Weight, 1) {
-				t.Fatalf("parseTenants(%q) accepted %q with weight %v", s, name, tc.Weight)
+		for name, w := range out {
+			if name == "" || !(w > 0) || math.IsInf(w, 1) {
+				t.Fatalf("parseTenants(%q) accepted %q with weight %v", s, name, w)
 			}
 		}
 	})

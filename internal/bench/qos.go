@@ -37,11 +37,11 @@ func qosTenants() []qosTenant {
 // qosFairPolicy builds the weighted-fair admission policy over the tenant
 // weights with the given total inflight limit.
 func qosFairPolicy(limit int) qos.AdmissionPolicy {
-	tenants := map[string]qos.TenantConfig{}
+	weights := map[string]float64{}
 	for _, t := range qosTenants() {
-		tenants[t.name] = qos.TenantConfig{Weight: t.weight}
+		weights[t.name] = t.weight
 	}
-	return qos.NewWeightedFair(limit, qos.TenantConfig{Weight: 1}, tenants)
+	return qos.NewWeightedFair(limit, weights)
 }
 
 // qosFairLimit sizes the fair policy's total inflight budget: a fraction
@@ -60,7 +60,7 @@ func (s *Suite) qosFairLimit() int {
 func (s *Suite) qosCluster(admission qos.AdmissionPolicy) (*core.Cluster, map[string]*core.Image, error) {
 	cfg := s.baseConfig(s.Opt.Seed + 61)
 	s.applyCodecConfig(&cfg, core.ProfileEC(6, 3))
-	cfg.QoS.Admission = admission
+	cfg.Admission = admission
 	c, err := core.New(sim.NewEngine(), cfg)
 	if err != nil {
 		return nil, nil, err
@@ -201,7 +201,7 @@ func (s *Suite) scenarioQoSOverload() (Table, error) {
 		ID:    "scenario-qos-overload",
 		Title: "Multi-tenant overload: 3 tenants (3:2:1 weights) ramped to 120% capacity, weighted-fair vs unlimited admission",
 		Columns: []string{"policy", "tenant", "phase", "goodput IOPS",
-			"p50 ms", "p99 ms", "admitted", "throttled", "rejected"},
+			"p50 ms", "p99 ms", "admitted", "rejected"},
 	}
 	for _, arm := range []*qosOverloadArm{fair, unlim} {
 		for _, tn := range qosTenants() {
@@ -218,7 +218,7 @@ func (s *Suite) scenarioQoSOverload() (Table, error) {
 					arm.name, tn.name, ph.Name,
 					fmt.Sprintf("%.0f", goodput),
 					f2(ms(base.Phases[i].P50Latency)), f2(ms(base.Phases[i].P99Latency)),
-					fmt.Sprint(tq.Admitted), fmt.Sprint(tq.Throttled), fmt.Sprint(tq.Rejected),
+					fmt.Sprint(tq.Admitted), fmt.Sprint(tq.Rejected),
 				})
 			}
 		}

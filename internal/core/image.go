@@ -95,7 +95,7 @@ func (img *Image) Write(p *sim.Proc, off int64, data []byte, length int64) error
 
 // WriteFor is Write on behalf of a tenant: when the cluster has an
 // admission policy configured, the op passes through it (and may be
-// throttled or rejected) before any dispatch cost is charged. An empty
+// rejected) before any dispatch cost is charged. An empty
 // tenant is the anonymous tenant; with no policy configured the path is
 // identical to Write.
 func (img *Image) WriteFor(p *sim.Proc, tenant string, off int64, data []byte, length int64) error {
@@ -105,7 +105,7 @@ func (img *Image) WriteFor(p *sim.Proc, tenant string, off int64, data []byte, l
 	if data != nil && int64(len(data)) != length {
 		return fmt.Errorf("core: image write data length mismatch")
 	}
-	release, err := img.pool.c.qosAdmit(p, tenant)
+	release, err := img.pool.c.qosAdmit(tenant)
 	if err != nil {
 		return err
 	}
@@ -137,7 +137,7 @@ func (img *Image) ReadFor(p *sim.Proc, tenant string, off, length int64) ([]byte
 	if err := img.checkRange(off, length); err != nil {
 		return nil, err
 	}
-	release, err := img.pool.c.qosAdmit(p, tenant)
+	release, err := img.pool.c.qosAdmit(tenant)
 	if err != nil {
 		return nil, err
 	}

@@ -10,24 +10,23 @@
 // production follow-up: at 120% of capacity, who absorbs the inflation?
 // Policies make that an explicit, auditable decision.
 //
-// An AdmissionPolicy decides whether one request enters the system now,
-// after a delay (shaping), or not at all. Implementations: Unlimited
-// (admit everything), MaxInflight (the gateway's classic
+// An AdmissionPolicy admits a request or rejects it. Implementations:
+// Unlimited (admit everything), MaxInflight (the gateway's classic
 // bounded-concurrency gate), and WeightedFair (MaxInflight partitioned
 // across tenants in proportion to configured weights — strict shares, so
-// a heavy tenant cannot starve a light one). None of them shapes.
+// a heavy tenant cannot starve a light one).
 //
-// Every decision carries a DecisionTrace naming the policy, the inputs
-// it saw, and the rejected counterfactual candidates with the reason
-// each lost — so "why was this request 429'd" is answerable from the
-// trace alone, in the style of the inference-sim admission pipeline.
+// Every rejection carries a DecisionTrace naming the policy, the inputs
+// it saw, and the counterfactual candidates with the reason each lost —
+// so "why was this request 429'd" is answerable from the trace alone, in
+// the style of the inference-sim admission pipeline. An admit builds no
+// trace, so the admitted path allocates nothing.
 //
-// Determinism: policies use only the caller-supplied Request.Now clock
-// and their own internal counters — no wall-clock reads, no RNG — so
-// the simulator gets byte-identical decisions at any host parallelism.
-// All policies are safe for concurrent use (the gateway calls them from
-// many request goroutines); the mutexes are uncontended no-ops in the
-// single-batoned simulator.
+// Determinism: policies use only their own internal counters — no clock
+// reads, no RNG — so the simulator gets byte-identical decisions at any
+// host parallelism. All policies are safe for concurrent use (the
+// gateway calls them from many request goroutines); the mutexes are
+// uncontended no-ops in the single-batoned simulator.
 package qos
 
 import (
@@ -38,24 +37,17 @@ import (
 	"time"
 )
 
-// Request is one admission question: tenant identity and the caller's
-// clock in nanoseconds. The simulator passes virtual time, the gateway
-// passes time.Now().UnixNano(); policies only ever difference Now
-// values from the same caller, so the epochs never mix.
+// Request is one admission question: the requesting tenant's identity.
 type Request struct {
 	Tenant string
-	Now    int64
 }
 
-// Decision is an admission verdict. Admit=true with Delay=0 is an
-// immediate admit; Admit=true with Delay>0 means "admit after shaping
-// for Delay" (the caller sleeps, then proceeds — no second Admit call);
-// Admit=false is a rejection and RetryAfter is the policy's estimate of
-// when capacity will exist, derived from queue depth rather than a
-// constant.
+// Decision is an admission verdict. Admit=false is a rejection:
+// RetryAfter is the policy's estimate of when capacity will exist,
+// derived from queue depth rather than a constant, and Trace is the
+// audit record. An admit carries neither.
 type Decision struct {
 	Admit      bool
-	Delay      time.Duration
 	RetryAfter time.Duration
 	Trace      *DecisionTrace
 }
@@ -69,25 +61,14 @@ type Candidate struct {
 	Reason string
 }
 
-// DecisionTrace is the audit record of one policy decision: who asked,
-// what the policy chose, and the counterfactual candidates it rejected.
+// DecisionTrace is the audit record of one rejection: who asked, why
+// the policy refused, and the counterfactual candidates it weighed.
 type DecisionTrace struct {
 	Policy     string
 	Tenant     string
-	Now        int64
-	Admitted   bool
 	Reason     string
 	RetryAfter time.Duration
 	Candidates []Candidate
-}
-
-// String renders the trace on one line for logs and notes.
-func (t *DecisionTrace) String() string {
-	verdict := "rejected"
-	if t.Admitted {
-		verdict = "admitted"
-	}
-	return fmt.Sprintf("%s: tenant %q %s: %s", t.Policy, t.Tenant, verdict, t.Reason)
 }
 
 // AdmissionPolicy decides whether requests enter the system. Admit is
@@ -95,24 +76,8 @@ func (t *DecisionTrace) String() string {
 // every admitted request when its work completes (policies that track
 // in-flight occupancy depend on it; stateless policies ignore it).
 type AdmissionPolicy interface {
-	Name() string
 	Admit(Request) Decision
 	Release(Request)
-}
-
-// TenantConfig parameterizes one tenant under a policy. Zero values
-// fall back to policy defaults.
-type TenantConfig struct {
-	// Weight is the tenant's share weight under WeightedFair.
-	// Non-positive means 1.
-	Weight float64
-}
-
-func (c TenantConfig) weight() float64 {
-	if c.Weight <= 0 {
-		return 1
-	}
-	return c.Weight
 }
 
 // ---------------------------------------------------------------------
@@ -122,16 +87,8 @@ func (c TenantConfig) weight() float64 {
 // policy: useful as the baseline arm of overload experiments.
 type Unlimited struct{}
 
-// Name implements AdmissionPolicy.
-func (Unlimited) Name() string { return "unlimited" }
-
 // Admit implements AdmissionPolicy: always yes.
-func (Unlimited) Admit(r Request) Decision {
-	return Decision{Admit: true, Trace: &DecisionTrace{
-		Policy: "unlimited", Tenant: r.Tenant, Now: r.Now,
-		Admitted: true, Reason: "no admission control",
-	}}
-}
+func (Unlimited) Admit(Request) Decision { return Decision{Admit: true} }
 
 // Release implements AdmissionPolicy.
 func (Unlimited) Release(Request) {}
@@ -164,29 +121,24 @@ func NewMaxInflight(limit int) *MaxInflight {
 	return &MaxInflight{limit: limit}
 }
 
-// Name implements AdmissionPolicy.
-func (m *MaxInflight) Name() string { return "max-inflight" }
-
 // Admit implements AdmissionPolicy.
 func (m *MaxInflight) Admit(r Request) Decision {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	trace := &DecisionTrace{Policy: "max-inflight", Tenant: r.Tenant, Now: r.Now}
 	if m.inflight < m.limit {
 		m.inflight++
-		trace.Admitted = true
-		trace.Reason = fmt.Sprintf("%d/%d in flight", m.inflight, m.limit)
-		return Decision{Admit: true, Trace: trace}
+		return Decision{Admit: true}
 	}
 	m.pressure++
 	retry := time.Duration(1+min((m.pressure-1)/m.limit, 7)) * time.Second
-	trace.Reason = fmt.Sprintf("at limit %d with %d rejections pending", m.limit, m.pressure)
-	trace.RetryAfter = retry
-	trace.Candidates = []Candidate{
-		{ID: "admit", Score: float64(m.limit - m.inflight), Reason: "no in-flight slot free"},
-		{ID: "reject", Chosen: true, Reason: trace.Reason},
-	}
-	return Decision{RetryAfter: retry, Trace: trace}
+	reason := fmt.Sprintf("at limit %d with %d rejections pending", m.limit, m.pressure)
+	return Decision{RetryAfter: retry, Trace: &DecisionTrace{
+		Policy: "max-inflight", Tenant: r.Tenant, Reason: reason, RetryAfter: retry,
+		Candidates: []Candidate{
+			{ID: "admit", Score: float64(m.limit - m.inflight), Reason: "no in-flight slot free"},
+			{ID: "reject", Chosen: true, Reason: reason},
+		},
+	}}
 }
 
 // Release implements AdmissionPolicy.
@@ -212,38 +164,41 @@ func (m *MaxInflight) Release(Request) {
 type WeightedFair struct {
 	mu       sync.Mutex
 	limit    int
-	def      TenantConfig
-	tenants  map[string]TenantConfig
 	shares   map[string]int
 	sumW     float64
 	inflight map[string]int
 }
 
 // NewWeightedFair builds the weighted-fair policy over a total
-// concurrency limit. Tenants absent from the map get a share computed
-// from def's weight against the configured total. limit <= 0 means 1.
-func NewWeightedFair(limit int, def TenantConfig, tenants map[string]TenantConfig) *WeightedFair {
+// concurrency limit and per-tenant weights (non-positive means 1).
+// Tenants absent from the map get a weight-1 share against the
+// configured total. limit <= 0 means 1.
+func NewWeightedFair(limit int, weights map[string]float64) *WeightedFair {
 	if limit <= 0 {
 		limit = 1
 	}
 	w := &WeightedFair{
 		limit:    limit,
-		def:      def,
-		tenants:  map[string]TenantConfig{},
 		shares:   map[string]int{},
 		inflight: map[string]int{},
 	}
-	for name, cfg := range tenants {
-		w.tenants[name] = cfg
-		w.sumW += cfg.weight()
+	for _, wt := range weights {
+		w.sumW += positive(wt)
 	}
 	if w.sumW <= 0 {
-		w.sumW = def.weight()
+		w.sumW = 1
 	}
-	for name, cfg := range w.tenants {
-		w.shares[name] = shareOf(limit, cfg.weight(), w.sumW)
+	for name, wt := range weights {
+		w.shares[name] = shareOf(limit, positive(wt), w.sumW)
 	}
 	return w
+}
+
+func positive(weight float64) float64 {
+	if weight <= 0 {
+		return 1
+	}
+	return weight
 }
 
 func shareOf(limit int, weight, sumW float64) int {
@@ -254,37 +209,33 @@ func shareOf(limit int, weight, sumW float64) int {
 	return s
 }
 
-// Name implements AdmissionPolicy.
-func (w *WeightedFair) Name() string { return "weighted-fair" }
-
 // share returns the tenant's in-flight allowance.
 func (w *WeightedFair) share(tenant string) int {
 	if s, ok := w.shares[tenant]; ok {
 		return s
 	}
-	// Unknown tenants ride on the default weight against the configured
-	// total, so they can't crowd out configured tenants.
-	return shareOf(w.limit, w.def.weight(), w.sumW+w.def.weight())
+	// Unknown tenants ride on weight 1 against the configured total, so
+	// they can't crowd out configured tenants.
+	return shareOf(w.limit, 1, w.sumW+1)
 }
 
 // Admit implements AdmissionPolicy.
 func (w *WeightedFair) Admit(r Request) Decision {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	trace := &DecisionTrace{Policy: "weighted-fair", Tenant: r.Tenant, Now: r.Now}
 	share := w.share(r.Tenant)
 	cur := w.inflight[r.Tenant]
 	if cur < share {
 		w.inflight[r.Tenant] = cur + 1
-		trace.Admitted = true
-		trace.Reason = fmt.Sprintf("%d/%d of tenant share", cur+1, share)
-		return Decision{Admit: true, Trace: trace}
+		return Decision{Admit: true}
 	}
 	// Reject with a drain estimate: the deeper past its share the
 	// tenant is queued, the longer the suggested backoff.
 	retry := time.Duration(1+min((cur-share)/share, 7)) * time.Second
-	trace.Reason = fmt.Sprintf("tenant share %d exhausted (%d in flight)", share, cur)
-	trace.RetryAfter = retry
+	trace := &DecisionTrace{
+		Policy: "weighted-fair", Tenant: r.Tenant, RetryAfter: retry,
+		Reason: fmt.Sprintf("tenant share %d exhausted (%d in flight)", share, cur),
+	}
 	// Counterfactuals: every configured tenant's occupancy, so the
 	// trace shows who holds the capacity this request didn't get.
 	names := make([]string, 0, len(w.shares))

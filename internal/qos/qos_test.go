@@ -23,7 +23,7 @@ func TestQoSMaxInflightMatchesChannelGate(t *testing.T) {
 	if d.RetryAfter != time.Second {
 		t.Errorf("first rejection RetryAfter = %v, want 1s (matches historical static header)", d.RetryAfter)
 	}
-	if d.Trace == nil || !containsChosen(d.Trace.Candidates, "reject") {
+	if d.Trace == nil || d.Trace.Policy == "" || !containsChosen(d.Trace.Candidates, "reject") {
 		t.Errorf("rejection trace missing: %+v", d.Trace)
 	}
 	// Sustained rejection pressure raises the hint.
@@ -40,10 +40,7 @@ func TestQoSMaxInflightMatchesChannelGate(t *testing.T) {
 }
 
 func TestQoSWeightedFairShares(t *testing.T) {
-	w := NewWeightedFair(12, TenantConfig{Weight: 1}, map[string]TenantConfig{
-		"gold":   {Weight: 2},
-		"bronze": {Weight: 1},
-	})
+	w := NewWeightedFair(12, map[string]float64{"gold": 2, "bronze": 1})
 	admit := func(tenant string) bool {
 		return w.Admit(Request{Tenant: tenant}).Admit
 	}
@@ -80,13 +77,29 @@ func TestQoSWeightedFairShares(t *testing.T) {
 	}
 }
 
-func TestQoSUnlimitedTraces(t *testing.T) {
-	d := Unlimited{}.Admit(Request{Tenant: "x", Now: 42})
-	if !d.Admit || d.Trace == nil || !d.Trace.Admitted || d.Trace.Tenant != "x" {
+func TestQoSUnlimitedAdmitsWithoutTrace(t *testing.T) {
+	if d := (Unlimited{}).Admit(Request{Tenant: "x"}); d != (Decision{Admit: true}) {
 		t.Fatalf("unlimited decision: %+v", d)
 	}
-	if s := d.Trace.String(); s == "" {
-		t.Fatal("trace String")
+}
+
+// TestAdmitSteadyStateAllocs: an admitted Admit+Release builds no trace,
+// so a warm policy allocates nothing per request.
+func TestAdmitSteadyStateAllocs(t *testing.T) {
+	for name, pol := range map[string]AdmissionPolicy{
+		"max-inflight":  NewMaxInflight(4),
+		"weighted-fair": NewWeightedFair(4, map[string]float64{"gold": 1}),
+	} {
+		r := Request{Tenant: "gold"}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if !pol.Admit(r).Admit {
+				t.Fatalf("%s: rejected an admit below its limit", name)
+			}
+			pol.Release(r)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: admitted Admit+Release allocates %v, want 0", name, allocs)
+		}
 	}
 }
 

@@ -241,7 +241,6 @@ func TestShardConnRedialAfterRestart(t *testing.T) {
 // rejectAll refuses every request, as an ecstored at -max-inflight does.
 type rejectAll struct{}
 
-func (rejectAll) Name() string { return "reject-all" }
 func (rejectAll) Admit(qos.Request) qos.Decision {
 	return qos.Decision{RetryAfter: time.Second}
 }

@@ -45,18 +45,12 @@ type GatewayConfig struct {
 	// MaxInflight bounds concurrently admitted object requests; excess
 	// requests are rejected with ErrOverloaded (HTTP 429).
 	MaxInflight int
-	// Admission, when non-nil, replaces the default admission gate with
-	// an arbitrary qos.AdmissionPolicy. Nil selects the built-in policy:
-	// qos.MaxInflight over MaxInflight slots, or — when Tenants is
-	// non-empty — qos.WeightedFair partitioning those slots across
-	// tenants by weight. Either way the gate is one implementation of
-	// the same policy interface, and every rejection carries the
-	// policy's DecisionTrace and a queue-derived Retry-After.
-	Admission qos.AdmissionPolicy
-	// Tenants configures per-tenant admission (weights, rates) keyed by
-	// the X-Tenant request header value. Only consulted when Admission
-	// is nil (see above).
-	Tenants map[string]qos.TenantConfig
+	// Tenants holds per-tenant admission weights keyed by the X-Tenant
+	// request header value. Empty selects qos.MaxInflight over
+	// MaxInflight slots; non-empty selects qos.WeightedFair partitioning
+	// those slots across tenants by weight. Either way every rejection
+	// carries the policy's DecisionTrace and a queue-derived Retry-After.
+	Tenants map[string]float64
 	// MaxObjectBytes bounds PUT bodies.
 	MaxObjectBytes int64
 	// Retries bounds automatic re-attempts of a transient shard-op
@@ -238,13 +232,10 @@ func NewGateway(cfg GatewayConfig, stores []ShardStore, placer *Placer) (*Gatewa
 			defer rngMu.Unlock()
 			return time.Duration(rng.Int63n(int64(d/2) + 1))
 		}}
-	g.admission = cfg.Admission
-	if g.admission == nil {
-		if len(cfg.Tenants) > 0 {
-			g.admission = qos.NewWeightedFair(cfg.MaxInflight, qos.TenantConfig{Weight: 1}, cfg.Tenants)
-		} else {
-			g.admission = qos.NewMaxInflight(cfg.MaxInflight)
-		}
+	if len(cfg.Tenants) > 0 {
+		g.admission = qos.NewWeightedFair(cfg.MaxInflight, cfg.Tenants)
+	} else {
+		g.admission = qos.NewMaxInflight(cfg.MaxInflight)
 	}
 	g.osds = make([]osdPath, len(stores))
 	for i, s := range stores {

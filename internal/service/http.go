@@ -104,9 +104,8 @@ func bodyError(err error, limit int64) error {
 }
 
 // httpStatus maps gateway errors onto status codes and Retry-After hints.
-// Admission rejections carry the policy's live hint (queue depth or
-// token refill time) on the OverloadError; a bare ErrOverloaded keeps
-// the historical 1-second floor.
+// An admission rejection is an OverloadError carrying the policy's
+// queue-derived hint, rendered in whole seconds with a 1-second floor.
 func httpStatus(err error) (code int, retryAfter string) {
 	switch {
 	case err == nil:

@@ -234,14 +234,14 @@ type opSeries struct {
 type gatewaySeries struct {
 	op map[string]*opSeries
 
-	inflight, objects, bytesStored        *Gauge
-	bytesIn, bytesOut                     *Counter
-	admissionRejected, admissionThrottled *Counter
-	breakerTrips, breakerSkipped          *Counter
-	hedgedReads, hedgeWins                *Counter
-	degradedWrites, degradedReads         *Counter
-	reconstructedShards, failedReads      *Counter
-	walRecords, walCompactions            *Counter
+	inflight, objects, bytesStored   *Gauge
+	bytesIn, bytesOut                *Counter
+	admissionRejected                *Counter
+	breakerTrips, breakerSkipped     *Counter
+	hedgedReads, hedgeWins           *Counter
+	degradedWrites, degradedReads    *Counter
+	reconstructedShards, failedReads *Counter
+	walRecords, walCompactions       *Counter
 }
 
 func newGatewaySeries(r *Registry) *gatewaySeries {
@@ -253,7 +253,6 @@ func newGatewaySeries(r *Registry) *gatewaySeries {
 		bytesIn:             r.Counter("ecgate_bytes_in_total"),
 		bytesOut:            r.Counter("ecgate_bytes_out_total"),
 		admissionRejected:   r.Counter("ecgate_admission_rejected_total"),
-		admissionThrottled:  r.Counter("ecgate_admission_throttled_total"),
 		breakerTrips:        r.Counter("ecgate_breaker_trips_total"),
 		breakerSkipped:      r.Counter("ecgate_breaker_skipped_total"),
 		hedgedReads:         r.Counter("ecgate_hedged_reads_total"),

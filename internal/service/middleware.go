@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -32,25 +31,17 @@ func (e *OverloadError) Error() string {
 // Is makes errors.Is(err, ErrOverloaded) true for admission rejections.
 func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 
-// admitRequest asks pol whether a request from tenant may enter and
-// serves any shaping delay the policy asks for; if ctx ends during the
-// delay the slot is given back at once. On success release must be called
-// exactly once when the request completes; a rejection is an
-// *OverloadError carrying the policy's DecisionTrace and its
-// queue-derived Retry-After hint.
-func admitRequest(ctx context.Context, pol qos.AdmissionPolicy, tenant string) (release func(), throttled bool, err error) {
-	req := qos.Request{Tenant: tenant, Now: time.Now().UnixNano()}
+// admitRequest asks pol whether a request from tenant may enter. On
+// success release must be called exactly once when the request
+// completes; a rejection is an *OverloadError carrying the policy's
+// DecisionTrace and its queue-derived Retry-After hint.
+func admitRequest(pol qos.AdmissionPolicy, tenant string) (release func(), err error) {
+	req := qos.Request{Tenant: tenant}
 	d := pol.Admit(req)
 	if !d.Admit {
-		return nil, false, &OverloadError{RetryAfter: d.RetryAfter, Trace: d.Trace}
+		return nil, &OverloadError{RetryAfter: d.RetryAfter, Trace: d.Trace}
 	}
-	if d.Delay > 0 {
-		if err := sleep(ctx, d.Delay); err != nil {
-			pol.Release(req)
-			return nil, false, err
-		}
-	}
-	return func() { pol.Release(req) }, d.Delay > 0, nil
+	return func() { pol.Release(req) }, nil
 }
 
 // retryAfterSeconds renders a Retry-After hint in whole seconds, rounded
@@ -66,23 +57,14 @@ func retryAfterSeconds(d time.Duration) string {
 // keeps the admission series. On success the returned func must be called
 // exactly once when the request completes.
 func (g *Gateway) admit(ctx context.Context) (func(), error) {
-	raw := TenantFrom(ctx)
-	id, ts := g.tenant(raw)
-	if g.cfg.Admission != nil {
-		id = raw // a caller-supplied policy keeps its own view of tenant names
-	}
-	release, throttled, err := admitRequest(ctx, g.admission, id)
+	id, ts := g.tenant(TenantFrom(ctx))
+	release, err := admitRequest(g.admission, id)
 	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			g.series.admissionRejected.Inc()
-			if ts != nil {
-				ts.rejected.Inc()
-			}
+		g.series.admissionRejected.Inc()
+		if ts != nil {
+			ts.rejected.Inc()
 		}
 		return nil, err
-	}
-	if throttled {
-		g.series.admissionThrottled.Inc()
 	}
 	g.series.inflight.Add(1)
 	if ts != nil {
@@ -100,16 +82,16 @@ func (g *Gateway) admit(ctx context.Context) (func(), error) {
 
 // AdmissionMiddleware guards an HTTP handler with a qos.AdmissionPolicy:
 // each request is admitted under the identity in its X-Tenant header
-// (empty = anonymous), shaped by the policy's throttle delay, or refused
-// with 429 and a Retry-After hint. ecstored uses it to bound per-daemon
-// inflight work (-max-inflight); the gateway classifies the resulting
-// 429s as transient and retries around them.
+// (empty = anonymous) or refused with 429 and a Retry-After hint.
+// ecstored uses it to bound per-daemon inflight work (-max-inflight);
+// the gateway classifies the resulting 429s as transient and retries
+// around them.
 func AdmissionMiddleware(pol qos.AdmissionPolicy, next http.Handler) http.Handler {
 	if pol == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, _, err := admitRequest(r.Context(), pol, r.Header.Get(TenantHeader))
+		release, err := admitRequest(pol, r.Header.Get(TenantHeader))
 		if err != nil {
 			writeError(w, err)
 			return

@@ -16,12 +16,7 @@ import (
 func qosOverloadReport(t *testing.T, codecConc int) (*QoSReport, *ScenarioResult, *core.Cluster) {
 	t.Helper()
 	c, imgEC, imgRep := scenarioClusterCfg(t, true, codecConc, func(cfg *core.Config) {
-		cfg.QoS.Admission = qos.NewWeightedFair(3,
-			qos.TenantConfig{Weight: 1},
-			map[string]qos.TenantConfig{
-				"gold":   {Weight: 2},
-				"bronze": {Weight: 1},
-			})
+		cfg.Admission = qos.NewWeightedFair(3, map[string]float64{"gold": 2, "bronze": 1})
 	})
 	imgEC.Prefill()
 	imgRep.Prefill()
@@ -91,8 +86,6 @@ func TestQoSOverloadReportShape(t *testing.T) {
 		for _, ph := range qr.Phases {
 			p := ph.Tenant(tenant)
 			phaseSum.Admitted += p.Admitted
-			phaseSum.Throttled += p.Throttled
-			phaseSum.ThrottledFor += p.ThrottledFor
 			phaseSum.Rejected += p.Rejected
 		}
 		if phaseSum != tq {
@@ -112,7 +105,7 @@ func TestQoSOverloadReportShape(t *testing.T) {
 		t.Fatalf("%d rejections retained no decision traces", rejected)
 	}
 	for i, tr := range traces {
-		if tr.Policy == "" || tr.Reason == "" || tr.Admitted {
+		if tr.Policy == "" || tr.Reason == "" {
 			t.Fatalf("trace %d is not an auditable rejection: %+v", i, tr)
 		}
 	}
@@ -124,12 +117,7 @@ func TestQoSOverloadReportShape(t *testing.T) {
 // must land within 10% (relative) of its configured weight fraction.
 func TestQoSWeightedFairShareAcceptance(t *testing.T) {
 	c, _, imgRep := scenarioClusterCfg(t, false, 1, func(cfg *core.Config) {
-		cfg.QoS.Admission = qos.NewWeightedFair(12,
-			qos.TenantConfig{Weight: 1},
-			map[string]qos.TenantConfig{
-				"gold":   {Weight: 2},
-				"bronze": {Weight: 1},
-			})
+		cfg.Admission = qos.NewWeightedFair(12, map[string]float64{"gold": 2, "bronze": 1})
 	})
 	imgRep.Prefill()
 	var qr QoSReport

@@ -134,7 +134,7 @@ func (s *Scenario) Ramp(d time.Duration) *Scenario {
 // QoSReport is the per-tenant admission outcome of one scenario run:
 // the whole-run counter delta plus one delta per phase (same boundaries
 // as ScenarioResult.PhaseMetrics). All zero unless the cluster has an
-// admission policy configured (core.Config.QoS) and jobs carry tenants.
+// admission policy configured (core.Config.Admission) and jobs carry tenants.
 type QoSReport struct {
 	Total  core.QoSMetrics
 	Phases []core.QoSMetrics

@@ -89,7 +89,7 @@ func (a Arrival) String() string {
 type Job struct {
 	Name string
 	// Tenant is the identity the job's ops run under. When the cluster
-	// has an admission policy configured (core.Config.QoS), every op
+	// has an admission policy configured (core.Config.Admission), every op
 	// passes through it under this name and the per-tenant outcome
 	// counters land in the scenario's QoSReport; rejected ops count as
 	// job errors. Empty is the anonymous tenant.
