@@ -16,11 +16,76 @@ func cellF(t *testing.T, tb Table, row, col int) float64 {
 
 func TestAblationIDs(t *testing.T) {
 	s := tinySuite(t)
-	if len(AblationIDs()) != 5 {
+	if len(AblationIDs()) != 5 || len(ablations) != 5 {
 		t.Fatalf("ablations = %v", AblationIDs())
 	}
 	if _, err := s.RunAblation("nope"); err == nil {
 		t.Fatal("unknown ablation must error")
+	}
+	for _, id := range AblationIDs() {
+		if err := ablations[id].grid.validate(); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
+	}
+}
+
+// TestAblationCellsAreSweepCells: an ablation is a projection of sweep
+// cells. Every number in the client-cap table is the MB/s of the sweep
+// cell with the same key, run by another suite; the variant cells run on
+// their base cells' seeds; and the grid shards and merges like any other.
+func TestAblationCellsAreSweepCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep runs are slow")
+	}
+	opt := microSweepOptions()
+	abl, err := NewSuite(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := abl.RunAblation("client-cap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ablations["client-cap"]
+	sweep := func(shardIdx, shardCount int) *BenchReport {
+		s, err := NewSuite(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.RunSweep("micro", a.grid, shardIdx, shardCount, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := sweep(0, 1)
+	if len(tb.Rows) != len(a.grid.Variants) {
+		t.Fatalf("rows = %d, want one per variant %v", len(tb.Rows), a.grid.Variants)
+	}
+	for i, v := range a.grid.Variants {
+		for j, sc := range a.grid.Schemes {
+			k := CellKey{Scheme: sc, Pattern: a.grid.Patterns[0], Op: a.grid.Ops[0], BlockSize: a.grid.BlockSizes[0],
+				StripeUnit: a.grid.StripeUnits[0], Kernel: "auto", Fault: "none", Variant: v}
+			c := r.Cell(k.ID())
+			if c == nil {
+				t.Fatalf("sweep has no cell %s", k.ID())
+			}
+			if got, want := tb.Rows[i][j+1], f1(c.MBps); got != want {
+				t.Errorf("client-cap %s row %s = %s MB/s, sweep cell %s = %s", sc, v, got, k.ID(), want)
+			}
+			base := k
+			base.Variant = ""
+			if b := r.Cell(base.ID()); b == nil || c.Seed != b.Seed {
+				t.Errorf("cell %s seed %d, want its base cell %s's seed", k.ID(), c.Seed, base.ID())
+			}
+		}
+	}
+	merged, err := MergeReports(sweep(0, 2), sweep(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.DeterministicDigest() != r.DeterministicDigest() {
+		t.Fatal("sharded+merged ablation grid differs from the unsharded sweep")
 	}
 }
 

@@ -200,15 +200,15 @@ func TestCalibrationInvariants(t *testing.T) {
 	for _, sc := range Schemes()[:2] {
 		for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
 			for _, op := range []workload.Op{workload.Read, workload.Write} {
-				keys = append(keys, s.figureKey(sc.Name, pat, op, bs))
+				keys = append(keys, figureKey(sc.Name, pat, op, bs))
 			}
 		}
 	}
-	if _, err := s.figureCells(keys...); err != nil { // run side by side
+	if _, err := s.cellReports(keys...); err != nil { // run side by side
 		t.Fatal(err)
 	}
 	cell := func(scheme int, pat workload.Pattern, op workload.Op) CellReport {
-		c, err := s.figureCells(s.figureKey(Schemes()[scheme].Name, pat, op, bs))
+		c, err := s.cellReports(figureKey(Schemes()[scheme].Name, pat, op, bs))
 		if err != nil {
 			t.Fatal(err)
 		}

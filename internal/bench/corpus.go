@@ -14,10 +14,10 @@ import (
 // blktrace (§I): 36 data traces over 3 schemes × {4,16,128} KB × {seq,
 // rand} × {read, write}, and 18 metadata traces, one per write workload.
 // Here the corpus is a projection of sweep cells: with Options.TraceDir
-// set, every healthy 4 KiB-stripe-unit cell at one of those block sizes
-// records its OSD devices' I/O over its measurement window and writes it
-// there. Recording schedules nothing, so a traced cell reports the same
-// numbers as an untraced one.
+// set, every healthy 4 KiB-stripe-unit cell of the base config at one of
+// those block sizes records its OSD devices' I/O over its measurement
+// window and writes it there. Recording schedules nothing, so a traced
+// cell reports the same numbers as an untraced one.
 
 // corpusSchemes names each scheme in the corpus file names.
 var corpusSchemes = map[string]string{"3-Rep": "3rep", "RS(6,3)": "rs6_3", "RS(10,4)": "rs10_4"}
@@ -27,7 +27,7 @@ var corpusSchemes = map[string]string{"3-Rep": "3rep", "RS(6,3)": "rs6_3", "RS(1
 func corpusName(k CellKey) (string, bool) {
 	scheme, ok := corpusSchemes[k.Scheme]
 	switch {
-	case !ok, k.StripeUnit != 4<<10, k.fault() != "none":
+	case !ok, k.StripeUnit != 4<<10, k.fault() != "none", k.variant() != "":
 		return "", false
 	case k.BlockSize != 4<<10 && k.BlockSize != 16<<10 && k.BlockSize != 128<<10:
 		return "", false

@@ -107,3 +107,17 @@ func listDir(t *testing.T, dir string) []string {
 	}
 	return names
 }
+
+// TestCorpusSkipsVariantCells: a variant cell must not write the traces of
+// the base cell whose shape it shares.
+func TestCorpusSkipsVariantCells(t *testing.T) {
+	k := CellKey{Scheme: "RS(6,3)", Pattern: "rand", Op: "write", BlockSize: 4 << 10,
+		StripeUnit: 4 << 10, Kernel: "auto", Fault: "none", Variant: "base"}
+	if _, ok := corpusName(k); !ok {
+		t.Fatalf("%s is not a corpus cell", k.ID())
+	}
+	k.Variant = "cap-off"
+	if name, ok := corpusName(k); ok {
+		t.Fatalf("variant cell %s writes corpus traces %s", k.ID(), name)
+	}
+}

@@ -89,20 +89,15 @@ func (s *Suite) RunAll() ([]Table, error) {
 }
 
 // figureKey is the sweep cell a figure reads for one (scheme, pattern, op,
-// block size): the suite's stripe unit (the paper's 4 KiB by default) on a
-// healthy cluster.
-func (s *Suite) figureKey(scheme string, pattern workload.Pattern, op workload.Op, bs int64) CellKey {
-	su := s.Opt.StripeUnit
-	if su == 0 {
-		su = core.DefaultConfig().StripeUnit
-	}
+// block size): the paper's 4 KiB stripe unit on a healthy cluster.
+func figureKey(scheme string, pattern workload.Pattern, op workload.Op, bs int64) CellKey {
 	return CellKey{Scheme: scheme, Pattern: pattern.String(), Op: op.String(),
-		BlockSize: bs, StripeUnit: su, Kernel: "auto", Fault: "none"}
+		BlockSize: bs, StripeUnit: core.DefaultConfig().StripeUnit, Kernel: "auto", Fault: "none"}
 }
 
-// figureCells returns the reports of the given cells from the suite's one
+// cellReports returns the reports of the given cells from the suite's one
 // cell path, running the missing ones side by side.
-func (s *Suite) figureCells(keys ...CellKey) ([]CellReport, error) {
+func (s *Suite) cellReports(keys ...CellKey) ([]CellReport, error) {
 	outcomes, err := s.cells(keys, nil)
 	if err != nil {
 		return nil, err
@@ -120,10 +115,10 @@ func (s *Suite) sweep(pattern workload.Pattern, op workload.Op) (map[string][]Ce
 	var keys []CellKey
 	for _, sc := range Schemes() {
 		for _, bs := range s.Opt.BlockSizes {
-			keys = append(keys, s.figureKey(sc.Name, pattern, op, bs))
+			keys = append(keys, figureKey(sc.Name, pattern, op, bs))
 		}
 	}
-	reports, err := s.figureCells(keys...)
+	reports, err := s.cellReports(keys...)
 	if err != nil {
 		return nil, err
 	}
@@ -267,9 +262,9 @@ func (s *Suite) netFigure(id, title string, op workload.Op) ([]Table, error) {
 func (s *Suite) fig1() ([]Table, error) {
 	const bs = 4 << 10
 	rep, ec := Schemes()[0].Name, Schemes()[2].Name
-	c, err := s.figureCells(
-		s.figureKey(rep, workload.Random, workload.Read, bs), s.figureKey(rep, workload.Random, workload.Write, bs),
-		s.figureKey(ec, workload.Random, workload.Read, bs), s.figureKey(ec, workload.Random, workload.Write, bs))
+	c, err := s.cellReports(
+		figureKey(rep, workload.Random, workload.Read, bs), figureKey(rep, workload.Random, workload.Write, bs),
+		figureKey(ec, workload.Random, workload.Read, bs), figureKey(ec, workload.Random, workload.Write, bs))
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,8 @@ type CellReport struct {
 	BlockSize  int64  `json:"block_size"`
 	StripeUnit int64  `json:"stripe_unit"`
 	Kernel     string `json:"kernel"`
-	Fault      string `json:"fault,omitempty"` // "none", "degraded", "recovering"
+	Fault      string `json:"fault,omitempty"`   // "none", "degraded", "recovering"
+	Variant    string `json:"variant,omitempty"` // empty for the base config
 	Seed       int64  `json:"seed"`
 
 	Ops              int64   `json:"ops"`

@@ -308,7 +308,7 @@ func (s *Suite) grayFailureRun(tolerant bool) (*workload.ScenarioResult, error) 
 		cfg.Gray = core.DefaultGrayConfig()
 	}
 	s.applyCodecConfig(&cfg, sc.Profile)
-	c, img, err := s.clusterWith(cfg, sc.Profile, "bench")
+	c, img, err := s.clusterWith(cfg, sc.Profile)
 	if err != nil {
 		return nil, err
 	}

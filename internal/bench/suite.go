@@ -3,14 +3,16 @@
 // authors report, and renders them as tables.
 //
 // There is one cell runner (sweep.go). A cell is a CellKey — scheme,
-// pattern, op, block size, stripe unit, fault state — seeded from its own
-// ID by cellSeed, run on a fresh cluster, and measured into a CellReport.
-// The suite caches every cell it runs by ID. RunSweep runs a grid's cells
-// and serializes them as a versioned BenchReport (report.go, BENCH_*.json),
-// up to the paper-scale 52-OSD campaign, sharded across machines if need
-// be. Figures 1 and 5-18 are projections of the same cells at the suite's
-// block sizes and stripe unit, healthy cluster: a figure table and the
-// sweep cell with the same key print the same number. CompareReports
+// pattern, op, block size, stripe unit, fault state, config variant —
+// seeded from its own ID by CellKey.seed, run on a fresh cluster, and
+// measured into a CellReport. The suite caches every cell it runs by ID.
+// RunSweep runs a grid's cells and serializes them as a versioned
+// BenchReport (report.go, BENCH_*.json), up to the paper-scale 52-OSD
+// campaign, sharded across machines if need be. Figures 1 and 5-18 are
+// projections of the same cells at the suite's block sizes and the 4 KiB
+// stripe unit, healthy cluster, and each mechanism ablation (ablation.go)
+// is a table over a small grid of them: a table and the sweep cell with
+// the same key print the same number. CompareReports
 // (compare.go) diffs two reports under noise-aware thresholds: the
 // regression gate CI applies across commits (see README "Bench
 // trajectory").
@@ -56,10 +58,6 @@ type Options struct {
 	Duration   time.Duration
 	Ramp       time.Duration // read runs only
 	Seed       int64
-	// DeviceCapacity overrides the per-OSD device size (0 = auto).
-	DeviceCapacity int64
-	// Cost optionally overrides the cost model (nil = default).
-	Cost *core.CostModel
 
 	// CodecConcurrency caps the RS codec's worker goroutines in carry-mode
 	// clusters (0 = GOMAXPROCS, 1 = serial). Metrics are identical at any
@@ -78,9 +76,6 @@ type Options struct {
 	// the full 52-SSD array (4 × 13).
 	StorageNodes int
 	OSDsPerNode  int
-	// StripeUnit overrides the EC chunk size in bytes (0 = the paper's
-	// 4 KiB default). A sweep axis in the paper-scale grid.
-	StripeUnit int64
 	// TraceDir, when set, is where every trace-corpus cell the suite runs
 	// writes its block traces (corpus.go).
 	TraceDir string
@@ -164,14 +159,7 @@ func (o *Options) validate() error {
 }
 
 func (o *Options) deviceCapacity() int64 {
-	if o.DeviceCapacity > 0 {
-		return o.DeviceCapacity
-	}
-	per := o.ImageSize * 6 / 24 // worst case: EC fills every object's shards
-	if per < 2<<30 {
-		per = 2 << 30
-	}
-	return per
+	return max(o.ImageSize*6/24, 2<<30) // worst case: EC fills every object's shards
 }
 
 // calibration records one measured codec throughput and the worker count
@@ -293,8 +281,8 @@ func (s *Suite) calibrationInfo() []CalibrationInfo {
 
 // applyCodecConfig wires the suite's codec knobs — and, when calibrating
 // an EC profile, the measured encode cost — into a cluster config. Shared
-// by the figure and ablation cluster builders so a new knob cannot reach
-// one and miss the other.
+// by the cell runner and the scenario and time-series cluster builders so
+// a new knob cannot reach one and miss another.
 func (s *Suite) applyCodecConfig(cfg *core.Config, profile core.Profile) {
 	cfg.CodecConcurrency = s.Opt.CodecConcurrency
 	if s.Opt.CalibrateEncode && profile.IsEC() {
@@ -337,8 +325,8 @@ func (s *Suite) EngineReport() string {
 }
 
 // baseConfig builds the cluster config every suite run starts from: the
-// option overrides (device capacity, PG count, cluster shape, stripe unit,
-// cost model) applied over core.DefaultConfig, with the given seed.
+// suite's device capacity, PG count and cluster shape applied over
+// core.DefaultConfig, with the given seed.
 func (s *Suite) baseConfig(seed int64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.DeviceCapacity = s.Opt.deviceCapacity()
@@ -351,19 +339,13 @@ func (s *Suite) baseConfig(seed int64) core.Config {
 	if s.Opt.OSDsPerNode > 0 {
 		cfg.OSDsPerNode = s.Opt.OSDsPerNode
 	}
-	if s.Opt.StripeUnit > 0 {
-		cfg.StripeUnit = s.Opt.StripeUnit
-	}
-	if s.Opt.Cost != nil {
-		cfg.Cost = *s.Opt.Cost
-	}
 	return cfg
 }
 
-// clusterWith builds a fresh cluster and one pool image named image from
-// an explicit config (the codec knobs already applied by the caller via
+// clusterWith builds a fresh cluster and its one pool image from an
+// explicit config (the codec knobs already applied by the caller via
 // applyCodecConfig).
-func (s *Suite) clusterWith(cfg core.Config, profile core.Profile, image string) (*core.Cluster, *core.Image, error) {
+func (s *Suite) clusterWith(cfg core.Config, profile core.Profile) (*core.Cluster, *core.Image, error) {
 	e := sim.NewEngine()
 	c, err := core.New(e, cfg)
 	if err != nil {
@@ -372,7 +354,7 @@ func (s *Suite) clusterWith(cfg core.Config, profile core.Profile, image string)
 	if _, err := c.CreatePool("data", profile); err != nil {
 		return nil, nil, err
 	}
-	img, err := c.CreateImage("data", image, s.Opt.ImageSize)
+	img, err := c.CreateImage("data", "bench", s.Opt.ImageSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -384,7 +366,7 @@ func (s *Suite) clusterWith(cfg core.Config, profile core.Profile, image string)
 func (s *Suite) clusterFor(scheme Scheme, seedSalt int64) (*core.Cluster, *core.Image, error) {
 	cfg := s.baseConfig(s.Opt.Seed + seedSalt)
 	s.applyCodecConfig(&cfg, scheme.Profile)
-	return s.clusterWith(cfg, scheme.Profile, "bench")
+	return s.clusterWith(cfg, scheme.Profile)
 }
 
 // memo returns the cached result of the named run, running it the first

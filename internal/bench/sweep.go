@@ -23,8 +23,8 @@ import (
 // fault-state axes) — and serializes every run as a versioned
 // machine-readable BenchReport (BENCH_*.json).
 //
-// Every cell is independently seeded from its identity (cellSeed folds the
-// cell ID into the base seed), so cells are deterministic in isolation:
+// Every cell is independently seeded from its identity (CellKey.seed folds
+// the cell ID into the base seed), so cells are deterministic in isolation:
 // RunSweep runs them side by side on every core, and
 // a grid can be split across CI matrix legs or machines with RunSweep's
 // shard arguments and the shard reports merged back with MergeReports into
@@ -42,6 +42,8 @@ type Grid struct {
 	StripeUnits []int64  `json:"stripe_units"` // bytes (EC chunk size)
 	Kernels     []string `json:"kernels"`      // only "auto": kept because it is in every cell ID
 	Faults      []string `json:"faults"`       // cluster state: "none", "degraded", "recovering"
+	// Variants names config mutations (variants.go); empty means "base".
+	Variants []string `json:"variants,omitempty"`
 }
 
 // FaultAxis lists the valid fault-state axis values: a healthy cluster, a
@@ -59,6 +61,7 @@ type CellKey struct {
 	StripeUnit int64
 	Kernel     string
 	Fault      string // "" means "none"
+	Variant    string // "" means "base"
 }
 
 // fault normalizes the empty value to "none" (pre-fault-axis cell keys).
@@ -69,21 +72,56 @@ func (k CellKey) fault() string {
 	return k.Fault
 }
 
-// ID renders the canonical cell identifier used in reports and seeds.
+// variant normalizes "base" to the empty value, which keys, IDs and
+// reports use for the unmutated config.
+func (k CellKey) variant() string {
+	if k.Variant == "base" {
+		return ""
+	}
+	return k.Variant
+}
+
+// ID renders the canonical cell identifier used in reports and caches. A
+// variant cell appends its variant, so a base cell keeps its pre-variant ID.
 func (k CellKey) ID() string {
-	return fmt.Sprintf("%s/%s/%s/bs%d/su%d/%s/%s",
+	id := fmt.Sprintf("%s/%s/%s/bs%d/su%d/%s/%s",
 		k.Scheme, k.Pattern, k.Op, k.BlockSize, k.StripeUnit, k.Kernel, k.fault())
+	if v := k.variant(); v != "" {
+		id += "/" + v
+	}
+	return id
+}
+
+// seed folds the cell's ID into the suite seed with FNV-1a, so every cell
+// draws an independent deterministic stream regardless of which shard
+// runs it or in what order. The variant is left out of the ID: a variant
+// cell runs on its base cell's cluster and I/O stream, and differs from
+// it only by the variant's mutation.
+func (k CellKey) seed(suite int64) int64 {
+	k.Variant = ""
+	id := k.ID()
+	sum := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		sum ^= uint64(id[i])
+		sum *= 1099511628211
+	}
+	return suite ^ int64(sum&0x7fffffffffffffff)
 }
 
 // Cells enumerates the grid in canonical nested order (schemes, patterns,
-// ops, block sizes, stripe units, kernels, faults). The enumeration index
-// is what shards slice over, so it must stay stable for a given grid. An
-// empty Faults axis enumerates as a single healthy ("none") state, keeping
-// pre-fault-axis grids valid.
+// ops, block sizes, stripe units, kernels, faults, variants). The
+// enumeration index is what shards slice over, so it must stay stable for
+// a given grid. An empty Faults axis enumerates as a single healthy
+// ("none") state and an empty Variants axis as the base config, keeping
+// grids without those axes valid and sharded as before.
 func (g Grid) Cells() []CellKey {
 	faults := g.Faults
 	if len(faults) == 0 {
 		faults = []string{"none"}
+	}
+	variants := g.Variants
+	if len(variants) == 0 {
+		variants = []string{""}
 	}
 	var out []CellKey
 	for _, sc := range g.Schemes {
@@ -97,11 +135,13 @@ func (g Grid) Cells() []CellKey {
 						}
 						for _, kern := range g.Kernels {
 							for _, fault := range faults {
-								out = append(out, CellKey{
-									Scheme: sc, Pattern: pat, Op: op,
-									BlockSize: bs, StripeUnit: su, Kernel: kern,
-									Fault: fault,
-								})
+								for _, v := range variants {
+									out = append(out, CellKey{
+										Scheme: sc, Pattern: pat, Op: op,
+										BlockSize: bs, StripeUnit: su, Kernel: kern,
+										Fault: fault, Variant: v,
+									})
+								}
 							}
 						}
 					}
@@ -162,6 +202,20 @@ func (g Grid) validate() error {
 			return fmt.Errorf("bench: unknown fault state %q in grid (want one of %v)",
 				fault, FaultAxis())
 		}
+	}
+	for _, v := range g.Variants {
+		if _, err := variantMutation(v); err != nil {
+			return err
+		}
+	}
+	// A repeated axis value, or "base" next to "", would run and report
+	// one cell twice.
+	seen := map[string]bool{}
+	for _, k := range g.Cells() {
+		if seen[k.ID()] {
+			return fmt.Errorf("bench: grid enumerates cell %s twice", k.ID())
+		}
+		seen[k.ID()] = true
 	}
 	return nil
 }
@@ -224,18 +278,6 @@ func SweepPreset(name string) (Options, Grid, error) {
 		}, nil
 	}
 	return Options{}, Grid{}, fmt.Errorf("bench: unknown sweep preset %q", name)
-}
-
-// cellSeed folds a cell's identity into the base seed with FNV-1a, so
-// every cell draws an independent deterministic stream regardless of
-// which shard runs it or in what order.
-func cellSeed(base int64, id string) int64 {
-	sum := uint64(14695981039346656037)
-	for i := 0; i < len(id); i++ {
-		sum ^= uint64(id[i])
-		sum *= 1099511628211
-	}
-	return base ^ int64(sum&0x7fffffffffffffff)
 }
 
 // SweepWorkers is how many cells of a sweep run side by side: one per
@@ -432,19 +474,24 @@ func (s *Suite) reportConfig(preset string) ReportConfig {
 	}
 }
 
-// runSweepCell runs one grid cell on a fresh cluster: the stripe unit is
-// applied to the cluster config, and the cell's own seed drives both the
-// cluster and the load generator. It runs concurrently with other cells
-// and so only reads the suite.
+// runSweepCell runs one grid cell on a fresh cluster: the stripe unit and
+// the variant are applied to the cluster config, and the cell's own seed
+// drives both the cluster and the load generator. It runs concurrently
+// with other cells and so only reads the suite.
 func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 	scheme := schemeByName(k.Scheme) // validated with the grid
+	mutate, err := variantMutation(k.variant())
+	if err != nil {
+		return CellReport{}, engineStats{}, err
+	}
 	id := k.ID()
-	seed := cellSeed(s.Opt.Seed, id)
+	seed := k.seed(s.Opt.Seed)
 	started := time.Now()
 	cfg := s.baseConfig(seed)
 	cfg.StripeUnit = k.StripeUnit
 	s.applyCodecConfig(&cfg, scheme.Profile)
-	c, img, err := s.clusterWith(cfg, scheme.Profile, "bench")
+	mutate(&cfg)
+	c, img, err := s.clusterWith(cfg, scheme.Profile)
 	if err != nil {
 		return CellReport{}, engineStats{}, err
 	}
@@ -494,6 +541,7 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 	cr := newCellReport(res)
 	cr.ID, cr.Scheme, cr.Pattern, cr.Op = id, k.Scheme, k.Pattern, k.Op
 	cr.BlockSize, cr.StripeUnit, cr.Kernel, cr.Fault = k.BlockSize, k.StripeUnit, k.Kernel, k.fault()
+	cr.Variant = k.variant()
 	cr.Seed = seed
 	cr.EngineEvents, cr.SimSeconds = eng.events, eng.virtual.Seconds()
 	gray := c.GrayMetrics()
@@ -570,9 +618,10 @@ func (s *Suite) runCellJob(c *core.Cluster, img *core.Image, job workload.Job, f
 // isolation. Bands match the tier-1 calibration-invariant tests: wide,
 // guarding mechanisms and directions rather than exact testbed numbers.
 func cellChecks(k CellKey, c CellReport) []paperref.CheckResult {
-	if k.fault() != "none" {
-		// The paper-band numbers describe the healthy cluster; fault cells
-		// are checked cross-cell (healthy vs degraded) at report level.
+	if k.fault() != "none" || k.variant() != "" {
+		// The paper-band numbers describe the healthy cluster under the
+		// base config; fault cells are checked cross-cell (healthy vs
+		// degraded) at report level, variant cells not at all.
 		return nil
 	}
 	var out []paperref.CheckResult

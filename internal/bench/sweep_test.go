@@ -118,6 +118,18 @@ func TestGridEnumeration(t *testing.T) {
 			t.Fatalf("cell %s missing fault state", c.ID())
 		}
 	}
+	// A variant axis multiplies the grid innermost, after faults, so the
+	// cells of a grid without one keep their enumeration index.
+	g.Variants = []string{"base", "cache-off"}
+	cells = g.Cells()
+	if len(cells) != 12 {
+		t.Fatalf("variant-axis cells = %d, want 12", len(cells))
+	}
+	for i, c := range cells {
+		if want := g.Variants[i%2]; c.Variant != want || c.Fault != g.Faults[i/2%2] {
+			t.Fatalf("cell %d = %s, want fault %s variant %s innermost", i, c.ID(), g.Faults[i/2%2], want)
+		}
+	}
 	bad := []Grid{
 		{},
 		{Schemes: []string{"bogus"}, Patterns: []string{"rand"}, Ops: []string{"read"},
@@ -131,6 +143,12 @@ func TestGridEnumeration(t *testing.T) {
 		{Schemes: []string{"3-Rep"}, Patterns: []string{"rand"}, Ops: []string{"read"},
 			BlockSizes: []int64{4096}, StripeUnits: []int64{4096}, Kernels: []string{"auto"},
 			Faults: []string{"meteor"}},
+		{Schemes: []string{"3-Rep"}, Patterns: []string{"rand"}, Ops: []string{"read"},
+			BlockSizes: []int64{4096}, StripeUnits: []int64{4096}, Kernels: []string{"auto"},
+			Variants: []string{"turbo"}},
+		{Schemes: []string{"3-Rep"}, Patterns: []string{"rand"}, Ops: []string{"read"},
+			BlockSizes: []int64{4096}, StripeUnits: []int64{4096}, Kernels: []string{"auto"},
+			Variants: []string{"base", ""}},
 	}
 	for i, g := range bad {
 		if err := g.validate(); err == nil {
@@ -142,6 +160,40 @@ func TestGridEnumeration(t *testing.T) {
 		BlockSizes: []int64{4096}, StripeUnits: []int64{4096}, Kernels: []string{"scalar"}}
 	if err := scalar.validate(); err == nil || !strings.Contains(err.Error(), "ROADMAP item 4") {
 		t.Errorf("Kernels [scalar]: err = %v, want a rejection naming ROADMAP item 4", err)
+	}
+}
+
+// TestBaseCellKeysUnchanged pins what the variant axis must not move: a
+// base cell's ID, seed and JSON are what they were before the axis, so no
+// digest moves. A variant cell shares its base cell's seed.
+func TestBaseCellKeysUnchanged(t *testing.T) {
+	// ID and seed of a smoke-sweep cell, as .github/bench-baseline.json
+	// records them (suite seed 1).
+	const id, seed = "3-Rep/rand/read/bs16384/su4096/auto/none", int64(4673991194575456069)
+	for _, v := range []string{"", "base"} {
+		k := CellKey{Scheme: "3-Rep", Pattern: "rand", Op: "read", BlockSize: 16 << 10,
+			StripeUnit: 4 << 10, Kernel: "auto", Fault: "none", Variant: v}
+		if k.ID() != id || k.seed(1) != seed {
+			t.Errorf("variant %q: ID %s seed %d, want %s seed %d", v, k.ID(), k.seed(1), id, seed)
+		}
+		off := k
+		off.Variant = "cache-off"
+		if off.ID() != id+"/cache-off" || off.seed(1) != seed {
+			t.Errorf("cache-off: ID %s seed %d, want %s/cache-off seed %d", off.ID(), off.seed(1), id, seed)
+		}
+	}
+	_, g, err := SweepPreset("smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []any{g, CellReport{ID: id}} {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(data), `"variant`) {
+			t.Errorf("%T without a variant marshals a variant key: %s", v, data)
+		}
 	}
 }
 

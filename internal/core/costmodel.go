@@ -12,7 +12,8 @@ import "time"
 //
 // Defaults are calibrated so the headline ratios land in the paper's bands
 // (internal/paperref holds them; ROADMAP item 9 is the scorecard that
-// checks every one); they are exposed so ablation benchmarks can vary them.
+// checks every one); they are exposed so internal/bench's config variants
+// can vary them (the "cap-off" ablation zeroes ClientDispatchSerial).
 type CostModel struct {
 	// Messenger costs. Recv/Send model the kernel network stack plus the
 	// user-level messenger thread work per message; PerByte models copies.
