@@ -24,8 +24,9 @@
 //	           writes the block traces of the paper's 54-trace corpus, one
 //	           or two per corpus cell the run includes). -out, -shard or
 //	           -traces alone imply -sweep.
-//	-compare   diff two reports with noise-aware thresholds; exits 1 on
-//	           regression — the CI gate
+//	-compare   diff two reports: exits 1 unless their deterministic digests
+//	           match (listing every changed cell field) and engine
+//	           events/sec fell by at most -thr-events — the CI gate
 //	-merge     merge shard reports into one (first argument is the output)
 //
 // -scale resolves through one preset table (bench.SweepPreset) in every
@@ -40,6 +41,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -71,8 +73,6 @@ func main() {
 	codecConc := flag.Int("codec-conc", 0, "max codec worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	calibrate := flag.Bool("calibrate", false, "derive simulated encode cost from the real codec's measured MB/s")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	thrMBps := flag.Float64("thr-mbps", 0, "compare: max fractional per-cell throughput drop (0 = default 0.10)")
-	thrLatency := flag.Float64("thr-latency", 0, "compare: max fractional per-cell latency rise (0 = default 0.15)")
 	thrEvents := flag.Float64("thr-events", 0, "compare: max fractional engine events/sec drop (0 = default 0.50)")
 	flag.Parse()
 
@@ -107,8 +107,8 @@ func main() {
 			usageError(fmt.Errorf("unexpected arguments: %v", flag.Args()))
 		}
 	}
-	if (*thrMBps != 0 || *thrLatency != 0 || *thrEvents != 0) && mode != "compare" {
-		usageError(fmt.Errorf("-thr-* flags only apply to -compare"))
+	if *thrEvents != 0 && mode != "compare" {
+		usageError(fmt.Errorf("-thr-events only applies to -compare"))
 	}
 	if *csvdir != "" && (mode == "compare" || mode == "merge" || mode == "sweep") {
 		usageError(fmt.Errorf("-csvdir does not apply to -%s (sweep output is the JSON report)", mode))
@@ -133,12 +133,9 @@ func main() {
 
 	switch mode {
 	case "compare":
-		runCompare(flag.Arg(0), flag.Arg(1), bench.Thresholds{
-			ThroughputDropFrac:   *thrMBps,
-			LatencyRiseFrac:      *thrLatency,
-			EventsPerSecDropFrac: *thrEvents,
-		})
-		return
+		status := runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), *thrEvents)
+		stopProfile() // os.Exit skips the deferred flush
+		os.Exit(status)
 	case "merge":
 		runMerge(flag.Arg(0), flag.Args()[1:])
 		return
@@ -340,9 +337,10 @@ func runSweep(suite *bench.Suite, preset string, grid bench.Grid, shardSpec, out
 	}
 }
 
-// runCompare diffs two reports and exits non-zero on regression: the CI
-// gate behind the bench trajectory.
-func runCompare(oldPath, newPath string, th bench.Thresholds) {
+// runCompare diffs two reports, writes the verdict to w and returns the
+// exit status, 1 unless the new report passes: the CI gate behind the
+// bench trajectory.
+func runCompare(w io.Writer, oldPath, newPath string, eventsPerSecDrop float64) int {
 	old, err := bench.LoadReport(oldPath)
 	if err != nil {
 		fatal(err)
@@ -351,14 +349,15 @@ func runCompare(oldPath, newPath string, th bench.Thresholds) {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := bench.CompareReports(old, new, th)
+	res, err := bench.CompareReports(old, new, eventsPerSecDrop)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(res.Format())
+	fmt.Fprint(w, res.Format())
 	if !res.Ok() {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runMerge combines shard reports into one.

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"ecarray/internal/bench"
@@ -106,5 +108,54 @@ func TestTracesFollowTheShard(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("shard 2/4 wrote %v, want %v", got, want)
+	}
+}
+
+// TestCompareAgainstBaseline is CI's bench gate in tier-1: the smoke sweep
+// must match the committed baseline's digest, and a 1 % change to one
+// write cell's device writes per request must fail and be named. A drop
+// fraction of 1 turns the wall-clock engine events/sec gate off: under
+// -race the engine runs about 10× slower, and CI's bench job holds that
+// gate at 0.95.
+func TestCompareAgainstBaseline(t *testing.T) {
+	const baseline, noEventsGate = "../../.github/bench-baseline.json", 1
+	opt, grid, err := bench.SweepPreset("smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := bench.NewSuite(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "fresh.json")
+	runSweep(suite, "smoke", grid, "", fresh)
+
+	var out bytes.Buffer
+	if status := runCompare(&out, baseline, fresh, noEventsGate); status != 0 ||
+		!strings.Contains(out.String(), "deterministically identical (digest e4f948e9d1598712)") {
+		t.Fatalf("smoke sweep against the baseline: status %d\n%s", status, out.String())
+	}
+
+	r, err := bench.LoadReport(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cell *bench.CellReport
+	for i := range r.Cells {
+		if r.Cells[i].Op == "write" {
+			cell = &r.Cells[i]
+			break
+		}
+	}
+	cell.DevWritePerReq *= 1.01
+	changed := filepath.Join(dir, "changed.json")
+	if err := r.WriteFile(changed); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if status := runCompare(&out, baseline, changed, noEventsGate); status != 1 ||
+		!strings.Contains(out.String(), cell.ID+" dev_write_per_req: ") {
+		t.Fatalf("1%% dev_write_per_req change: status %d\n%s", status, out.String())
 	}
 }

@@ -21,7 +21,7 @@ import (
 type ablation struct {
 	title   string
 	columns []string
-	note    string
+	notes   []string
 	grid    Grid
 	// rows renders the table body from the grid's cells, in Cells() order.
 	rows func(s *Suite, cells []CellReport) [][]string
@@ -51,8 +51,11 @@ var ablations = map[string]ablation{
 		// rewrite.
 		title:   "Stripe-unit sweep, RS(6,3) 4KB random writes (paper §VIII discussion)",
 		columns: []string{"stripe unit", "stripe width", "MB/s", "lat ms", "dev-write/req"},
-		note:    "wider stripes amplify sub-stripe updates: more old data read, more chunks rewritten",
-		grid:    ablationGrid([]string{"RS(6,3)"}, workload.Random, workload.Write, 4<<10, []int64{4 << 10, 8 << 10, 16 << 10}),
+		notes: []string{
+			"wider stripes amplify sub-stripe updates: more old data read, more chunks rewritten",
+			"rows are not seed-paired: the stripe unit is part of the cell ID, so each row runs its own cluster and I/O stream, and the dev-write/req rise mixes the mechanism with seed noise",
+		},
+		grid: ablationGrid([]string{"RS(6,3)"}, workload.Random, workload.Write, 4<<10, []int64{4 << 10, 8 << 10, 16 << 10}),
 		rows: func(_ *Suite, cells []CellReport) (rows [][]string) {
 			for _, c := range cells {
 				rows = append(rows, []string{bsLabel(c.StripeUnit), bsLabel(6 * c.StripeUnit),
@@ -67,7 +70,7 @@ var ablations = map[string]ablation{
 		// traffic (the paper's Fig 15a vs 15b contrast).
 		title:   "Stripe cache on/off, RS(6,3) 16KB sequential reads",
 		columns: []string{"stripe cache", "MB/s", "dev-read/req", "privnet/req"},
-		note:    "without the cache every sequential request refetches its stripe from k OSDs",
+		notes:   []string{"without the cache every sequential request refetches its stripe from k OSDs"},
 		grid:    ablationGrid([]string{"RS(6,3)"}, workload.Sequential, workload.Read, 16<<10, []int64{4 << 10}, "base", "cache-off"),
 		rows: func(_ *Suite, cells []CellReport) (rows [][]string) {
 			for _, c := range cells {
@@ -81,7 +84,7 @@ var ablations = map[string]ablation{
 		// amplification should drop by roughly the journal's share (§VI-A).
 		title:   "Deferred-write journal on/off, 3-Rep 4KB random writes",
 		columns: []string{"WAL", "MB/s", "dev-write/req"},
-		note:    "journaling roughly doubles small-write device traffic",
+		notes:   []string{"journaling roughly doubles small-write device traffic"},
 		grid:    ablationGrid([]string{"3-Rep"}, workload.Random, workload.Write, 4<<10, []int64{4 << 10}, "base", "wal-off"),
 		rows: func(_ *Suite, cells []CellReport) (rows [][]string) {
 			for _, c := range cells {
@@ -96,7 +99,7 @@ var ablations = map[string]ablation{
 		// schemes (§IV-B). Without it the schemes separate.
 		title:   "Client dispatch serialization on/off, 4KB random reads",
 		columns: []string{"client serial", "3-Rep MB/s", "RS(6,3) MB/s", "ratio"},
-		note:    "the shared client dispatch path explains the paper's <10% random-read difference",
+		notes:   []string{"the shared client dispatch path explains the paper's <10% random-read difference"},
 		grid:    ablationGrid([]string{"3-Rep", "RS(6,3)"}, workload.Random, workload.Read, 4<<10, []int64{4 << 10}, "base", "cap-off"),
 		rows: func(_ *Suite, cells []CellReport) (rows [][]string) {
 			rep, ec := cells[:2], cells[2:] // per scheme: base, cap-off
@@ -111,7 +114,7 @@ var ablations = map[string]ablation{
 		// accesses their advantage (§VII-A).
 		title:   "PG-count sweep, RS(6,3) 4KB random writes",
 		columns: []string{"PGs", "MB/s", "lat ms"},
-		note:    "more PGs spread the PG-lock serialization that throttles random writes",
+		notes:   []string{"more PGs spread the PG-lock serialization that throttles random writes"},
 		grid:    ablationGrid([]string{"RS(6,3)"}, workload.Random, workload.Write, 4<<10, []int64{4 << 10}, "pgs-16", "pgs-128", "base"),
 		rows: func(s *Suite, cells []CellReport) (rows [][]string) {
 			for _, c := range cells {
@@ -144,7 +147,7 @@ func (s *Suite) RunAblation(id string) (Table, error) {
 		return Table{}, err
 	}
 	t := Table{ID: "ablation-" + id, Title: a.title, Columns: a.columns,
-		Rows: a.rows(s, cells), Notes: []string{a.note}}
+		Rows: a.rows(s, cells), Notes: a.notes}
 	if s.Opt.CalibrateEncode {
 		t.Notes = append(t.Notes, s.CalibrationNotes()...)
 	}

@@ -1,122 +1,98 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 )
 
-// Thresholds are the noise-aware regression gates ecbench -compare holds a
-// new report to. Simulated per-cell metrics are deterministic for a given
-// binary, so their thresholds flag real behaviour changes (an intended
-// model change fails the gate and forces a deliberate baseline refresh);
-// the engine events/sec gate watches wall-clock throughput and must stay
-// loose enough for shared CI runners.
-type Thresholds struct {
-	// ThroughputDropFrac fails a cell whose MB/s fell by more than this
-	// fraction of the old value.
-	ThroughputDropFrac float64
-	// LatencyRiseFrac fails a cell whose mean or p99 latency rose by more
-	// than this fraction.
-	LatencyRiseFrac float64
-	// EventsPerSecDropFrac fails the report when aggregate engine
-	// events/sec fell by more than this fraction (timing-based; loose).
-	EventsPerSecDropFrac float64
+// defaultEventsPerSecDrop is the engine events/sec gate's allowed drop
+// when CompareReports is given 0.
+const defaultEventsPerSecDrop = 0.50
+
+// Diff is one deterministic field that differs between two reports. Old
+// and New are JSON values; an empty one means the field or cell is absent
+// on that side.
+type Diff struct {
+	Cell  string // empty for a report-level field
+	Field string // JSON name, dotted or indexed when nested; empty for a lost or added cell
+	Old   string
+	New   string
 }
 
-// DefaultThresholds returns the gates CI uses: 10% throughput, 15%
-// latency, 50% engine events/sec.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		ThroughputDropFrac:   0.10,
-		LatencyRiseFrac:      0.15,
-		EventsPerSecDropFrac: 0.50,
+func (d Diff) String() string {
+	where := d.Cell
+	if where == "" {
+		where = "report"
 	}
+	if d.Field != "" {
+		where += " " + d.Field
+	}
+	return fmt.Sprintf("%s: %s → %s", where, orAbsent(d.Old), orAbsent(d.New))
 }
 
-// withDefaults fills every unset (zero) threshold with its default, so
-// overriding one gate (ecbench -thr-events) leaves the others at their
-// documented values instead of silently zero-tolerance.
-func (t Thresholds) withDefaults() Thresholds {
-	d := DefaultThresholds()
-	if t.ThroughputDropFrac == 0 {
-		t.ThroughputDropFrac = d.ThroughputDropFrac
+func orAbsent(v string) string {
+	if v == "" {
+		return "absent"
 	}
-	if t.LatencyRiseFrac == 0 {
-		t.LatencyRiseFrac = d.LatencyRiseFrac
-	}
-	if t.EventsPerSecDropFrac == 0 {
-		t.EventsPerSecDropFrac = d.EventsPerSecDropFrac
-	}
-	return t
-}
-
-// Regression is one failed gate.
-type Regression struct {
-	Cell   string  `json:"cell,omitempty"` // empty for report-level gates
-	Metric string  `json:"metric"`
-	Old    float64 `json:"old"`
-	New    float64 `json:"new"`
-	Limit  float64 `json:"limit"` // the boundary the new value crossed
-}
-
-func (r Regression) String() string {
-	where := "report"
-	if r.Cell != "" {
-		where = r.Cell
-	}
-	return fmt.Sprintf("%s: %s %.4g -> %.4g (limit %.4g)", where, r.Metric, r.Old, r.New, r.Limit)
+	return v
 }
 
 // CompareResult is the outcome of diffing two reports.
 type CompareResult struct {
-	Regressions []Regression `json:"regressions"`
-	// MissingCells are cells the old report had and the new one lost —
-	// coverage loss, counted as regressions too.
-	MissingCells []string `json:"missing_cells,omitempty"`
-	// NewCells are cells only the new report has (informational).
-	NewCells []string `json:"new_cells,omitempty"`
-	// Identical reports whether the two deterministic payloads match
-	// exactly (same digest).
-	Identical bool   `json:"identical"`
-	OldDigest string `json:"old_digest"`
-	NewDigest string `json:"new_digest"`
+	OldDigest string
+	NewDigest string
+	// Diffs lists every deterministic difference: changed cell fields and
+	// lost cells in the old report's cell order, then added cells, then
+	// changed report-level fields.
+	Diffs []Diff
+	// The engine events/sec gate, timing-based: EventsPerSecLimit is the
+	// lowest new rate it accepts, 0 when either report did not measure one.
+	OldEventsPerSec, NewEventsPerSec, EventsPerSecLimit float64
 }
 
-// Ok reports whether the new report passes every gate.
-func (c *CompareResult) Ok() bool {
-	return len(c.Regressions) == 0 && len(c.MissingCells) == 0
-}
+// Identical reports whether the two deterministic payloads match.
+func (c *CompareResult) Identical() bool { return c.OldDigest == c.NewDigest }
+
+func (c *CompareResult) engineSlow() bool { return c.NewEventsPerSec < c.EventsPerSecLimit }
+
+// Ok reports whether the new report passes: equal digests, and engine
+// events/sec above the gate's limit.
+func (c *CompareResult) Ok() bool { return c.Identical() && !c.engineSlow() }
 
 // Format renders a human-readable verdict.
 func (c *CompareResult) Format() string {
 	var b strings.Builder
-	if c.Identical {
-		b.WriteString("reports are deterministically identical (digest " + c.NewDigest + ")\n")
+	if c.Identical() {
+		fmt.Fprintf(&b, "reports are deterministically identical (digest %s)\n", c.NewDigest)
 	} else {
-		fmt.Fprintf(&b, "deterministic digests differ: old %s, new %s\n", c.OldDigest, c.NewDigest)
+		fmt.Fprintf(&b, "deterministic digests differ: old %s, new %s; %d difference(s):\n", c.OldDigest, c.NewDigest, len(c.Diffs))
+		for _, d := range c.Diffs {
+			fmt.Fprintf(&b, "  %s\n", d)
+		}
 	}
-	for _, m := range c.MissingCells {
-		fmt.Fprintf(&b, "MISSING cell %s (present in old report)\n", m)
-	}
-	for _, n := range c.NewCells {
-		fmt.Fprintf(&b, "new cell %s (not in old report)\n", n)
-	}
-	for _, r := range c.Regressions {
-		fmt.Fprintf(&b, "REGRESSION %s\n", r.String())
+	if c.engineSlow() {
+		fmt.Fprintf(&b, "REGRESSION engine events/sec %.4g -> %.4g (limit %.4g)\n", c.OldEventsPerSec, c.NewEventsPerSec, c.EventsPerSecLimit)
 	}
 	if c.Ok() {
-		b.WriteString("no regressions\n")
+		b.WriteString("pass\n")
 	} else {
-		fmt.Fprintf(&b, "%d regression(s), %d missing cell(s)\n", len(c.Regressions), len(c.MissingCells))
+		b.WriteString("FAIL\n")
 	}
 	return b.String()
 }
 
-// CompareReports diffs two reports cell by cell under the thresholds
-// (zero-value thresholds select DefaultThresholds). Reports must share the
-// schema version; differing run configs or grids are an error, because a
-// cell-wise comparison would be meaningless.
-func CompareReports(old, new *BenchReport, th Thresholds) (*CompareResult, error) {
+// CompareReports diffs two reports of one run shape. The new report passes
+// only if its deterministic digest equals the old one's: a cell's payload
+// is a pure function of code, grid and seed, so any change to simulated
+// behaviour fails, and the result lists every changed field. The one
+// tolerance is the wall-clock engine events/sec gate, which fails when the
+// rate fell by more than eventsPerSecDrop (0 selects 0.50). Reports must
+// share the schema version, run config and grid, or there is nothing to
+// compare cell by cell and CompareReports returns an error.
+func CompareReports(old, new *BenchReport, eventsPerSecDrop float64) (*CompareResult, error) {
 	if old.SchemaVersion != new.SchemaVersion {
 		return nil, fmt.Errorf("bench: compare: schema versions differ (%d vs %d)", old.SchemaVersion, new.SchemaVersion)
 	}
@@ -126,103 +102,105 @@ func CompareReports(old, new *BenchReport, th Thresholds) (*CompareResult, error
 	if !old.Grid.equal(new.Grid) {
 		return nil, fmt.Errorf("bench: compare: grids differ")
 	}
-	th = th.withDefaults()
 	res := &CompareResult{
-		OldDigest: old.DeterministicDigest(),
-		NewDigest: new.DeterministicDigest(),
+		OldDigest:       old.DeterministicDigest(),
+		NewDigest:       new.DeterministicDigest(),
+		OldEventsPerSec: old.Engine.EventsPerSec,
+		NewEventsPerSec: new.Engine.EventsPerSec,
 	}
-	res.Identical = res.OldDigest == res.NewDigest
+	if old.Engine.EventsPerSec > 0 && new.Engine.EventsPerSec > 0 {
+		if eventsPerSecDrop == 0 {
+			eventsPerSecDrop = defaultEventsPerSecDrop
+		}
+		res.EventsPerSecLimit = old.Engine.EventsPerSec * (1 - eventsPerSecDrop)
+	}
+	if res.Identical() {
+		return res, nil
+	}
 
-	newByID := map[string]*CellReport{}
-	for i := range new.Cells {
-		newByID[new.Cells[i].ID] = &new.Cells[i]
+	o, n := old.stripTiming(), new.stripTiming()
+	newByID := map[string]CellReport{}
+	for _, c := range n.Cells {
+		newByID[c.ID] = c
 	}
-	oldSeen := map[string]bool{}
-	for i := range old.Cells {
-		oc := &old.Cells[i]
-		oldSeen[oc.ID] = true
+	for _, oc := range o.Cells {
 		nc, ok := newByID[oc.ID]
 		if !ok {
-			res.MissingCells = append(res.MissingCells, oc.ID)
+			res.Diffs = append(res.Diffs, Diff{Cell: oc.ID, Old: "present"})
 			continue
 		}
-		res.Regressions = append(res.Regressions, compareCell(oc, nc, th)...)
+		delete(newByID, oc.ID)
+		res.Diffs = append(res.Diffs, diffCell(oc, nc)...)
 	}
-	for i := range new.Cells {
-		if !oldSeen[new.Cells[i].ID] {
-			res.NewCells = append(res.NewCells, new.Cells[i].ID)
+	for _, nc := range n.Cells {
+		if _, added := newByID[nc.ID]; added {
+			res.Diffs = append(res.Diffs, Diff{Cell: nc.ID, New: "present"})
 		}
 	}
-
-	// Engine throughput gate: timing-based, so only when both sides
-	// actually measured it.
-	if old.Engine.EventsPerSec > 0 && new.Engine.EventsPerSec > 0 {
-		limit := old.Engine.EventsPerSec * (1 - th.EventsPerSecDropFrac)
-		if new.Engine.EventsPerSec < limit {
-			res.Regressions = append(res.Regressions, Regression{
-				Metric: "engine_events_per_sec",
-				Old:    old.Engine.EventsPerSec,
-				New:    new.Engine.EventsPerSec,
-				Limit:  limit,
-			})
-		}
-	}
-
-	// Cross-cell paper checks: a band that passed before must not start
-	// failing.
-	oldChecks := map[string]bool{}
-	for _, ch := range old.Checks {
-		oldChecks[ch.Figure+"/"+ch.Metric] = ch.Pass
-	}
-	for _, ch := range new.Checks {
-		if oldChecks[ch.Figure+"/"+ch.Metric] && !ch.Pass {
-			res.Regressions = append(res.Regressions, Regression{
-				Metric: "paper_check " + ch.Figure + "/" + ch.Metric,
-				Old:    1, New: 0, Limit: 1,
-			})
-		}
-	}
+	o.Cells, n.Cells = nil, nil
+	res.Diffs = diffJSON(res.Diffs, "", "", mustJSON(o), mustJSON(n))
 	return res, nil
 }
 
-// compareCell gates one matched cell pair.
-func compareCell(oc, nc *CellReport, th Thresholds) []Regression {
-	var out []Regression
-	if oc.MBps > 0 {
-		limit := oc.MBps * (1 - th.ThroughputDropFrac)
-		if nc.MBps < limit {
-			out = append(out, Regression{Cell: oc.ID, Metric: "mbps", Old: oc.MBps, New: nc.MBps, Limit: limit})
+// diffCell lists the deterministic fields in which two results for one
+// cell differ, by JSON name; the timing fields wall_ms and events_per_sec
+// are not compared.
+func diffCell(old, new CellReport) []Diff {
+	old.WallMS, old.EventsPerSec = 0, 0
+	new.WallMS, new.EventsPerSec = 0, 0
+	return diffJSON(nil, old.ID, "", mustJSON(old), mustJSON(new))
+}
+
+// diffJSON appends to out every leaf in which the JSON values a and b
+// differ, naming it from name down: object fields are dotted
+// (engine.events), array elements indexed (checks[0].measured).
+func diffJSON(out []Diff, cell, name string, a, b []byte) []Diff {
+	var ao, bo map[string]json.RawMessage
+	if json.Unmarshal(a, &ao) == nil && json.Unmarshal(b, &bo) == nil {
+		var keys []string
+		for k := range ao {
+			keys = append(keys, k)
 		}
-	}
-	for _, lat := range []struct {
-		name     string
-		old, new float64
-	}{
-		{"mean_latency_us", oc.MeanLatencyUS, nc.MeanLatencyUS},
-		{"p99_latency_us", oc.P99LatencyUS, nc.P99LatencyUS},
-	} {
-		if lat.old <= 0 {
-			continue
+		for k := range bo {
+			if _, ok := ao[k]; !ok {
+				keys = append(keys, k)
+			}
 		}
-		limit := lat.old * (1 + th.LatencyRiseFrac)
-		if lat.new > limit {
-			out = append(out, Regression{Cell: oc.ID, Metric: lat.name, Old: lat.old, New: lat.new, Limit: limit})
+		sort.Strings(keys)
+		if name != "" {
+			name += "."
 		}
-	}
-	if nc.Errors > oc.Errors {
-		out = append(out, Regression{Cell: oc.ID, Metric: "errors",
-			Old: float64(oc.Errors), New: float64(nc.Errors), Limit: float64(oc.Errors)})
-	}
-	// Per-cell paper bands: pass → fail is a regression.
-	oldPass := map[string]bool{}
-	for _, ch := range oc.Checks {
-		oldPass[ch.Figure+"/"+ch.Metric] = ch.Pass
-	}
-	for _, ch := range nc.Checks {
-		if oldPass[ch.Figure+"/"+ch.Metric] && !ch.Pass {
-			out = append(out, Regression{Cell: oc.ID,
-				Metric: "paper_check " + ch.Figure + "/" + ch.Metric, Old: 1, New: 0, Limit: 1})
+		for _, k := range keys {
+			out = diffJSON(out, cell, name+k, ao[k], bo[k])
 		}
+		return out
+	}
+	var aa, ba []json.RawMessage
+	if json.Unmarshal(a, &aa) == nil && json.Unmarshal(b, &ba) == nil {
+		for i := 0; i < max(len(aa), len(ba)); i++ {
+			out = diffJSON(out, cell, fmt.Sprintf("%s[%d]", name, i), elem(aa, i), elem(ba, i))
+		}
+		return out
+	}
+	if !bytes.Equal(a, b) {
+		out = append(out, Diff{Cell: cell, Field: name, Old: string(a), New: string(b)})
 	}
 	return out
+}
+
+// elem is s[i], or nil past its end.
+func elem(s []json.RawMessage, i int) json.RawMessage {
+	if i < len(s) {
+		return s[i]
+	}
+	return nil
+}
+
+// mustJSON marshals a report or cell, which cannot fail.
+func mustJSON(v any) []byte {
+	data, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return data
 }

@@ -85,7 +85,7 @@ type EngineInfo struct {
 // CellReport is one sweep cell's outcome. All fields above the timing
 // block are deterministic: the same binary, grid and seed reproduce them
 // byte-identically on any machine (asserted by TestSweepDeterminism), so
-// regression comparison can hold them to tight thresholds.
+// CompareReports holds them exactly.
 type CellReport struct {
 	ID         string `json:"id"`
 	Scheme     string `json:"scheme"`

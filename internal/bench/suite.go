@@ -13,9 +13,9 @@
 // stripe unit, healthy cluster, and each mechanism ablation (ablation.go)
 // is a table over a small grid of them: a table and the sweep cell with
 // the same key print the same number. CompareReports
-// (compare.go) diffs two reports under noise-aware thresholds: the
-// regression gate CI applies across commits (see README "Bench
-// trajectory").
+// (compare.go) is the gate CI applies across commits (see README "CI
+// regression gates"): two reports pass only with equal deterministic
+// digests, and it lists every cell field that changed.
 package bench
 
 import (

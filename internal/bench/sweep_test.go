@@ -345,99 +345,99 @@ func TestReportRoundTripAndSchemaGate(t *testing.T) {
 	}
 }
 
+// TestCompareGates pins the -compare verdict: the deterministic digest
+// decides, every changed cell field is listed, and only the wall-clock
+// engine events/sec gate tolerates a difference.
 func TestCompareGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep runs are slow")
 	}
 	r := runMicroSweep(t, 0, 1)
-
-	// Same SHA, same run: zero regressions, identical payloads.
-	self, err := CompareReports(r, r, Thresholds{})
-	if err != nil {
-		t.Fatal(err)
+	compare := func(new *BenchReport) *CompareResult {
+		t.Helper()
+		res, err := CompareReports(r, new, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if !self.Ok() || !self.Identical {
+	mustFail := func(what string, new *BenchReport, want ...string) {
+		t.Helper()
+		res := compare(new)
+		if res.Ok() {
+			t.Fatalf("%s passed the gate:\n%s", what, res.Format())
+		}
+		out := res.Format()
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Errorf("%s: verdict lacks %q:\n%s", what, w, out)
+			}
+		}
+	}
+
+	// Same run: identical payloads, nothing listed.
+	if self := compare(r); !self.Ok() || !self.Identical() || len(self.Diffs) != 0 {
 		t.Fatalf("self-compare not clean: %s", self.Format())
 	}
 
-	// A synthetic >threshold throughput drop must fail the gate.
-	worse := cloneReport(t, r)
-	worse.Cells[0].MBps *= 0.5
-	res, err := CompareReports(r, worse, Thresholds{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ok() {
-		t.Fatalf("50%% throughput drop passed the gate: %s", res.Format())
-	}
-	found := false
-	for _, reg := range res.Regressions {
-		if reg.Metric == "mbps" && reg.Cell == worse.Cells[0].ID {
-			found = true
+	// A 1 % change to one write cell's device writes per request fails and
+	// is listed with the cell, the field and both values.
+	var w int
+	for w = range r.Cells {
+		if r.Cells[w].Op == "write" {
+			break
 		}
 	}
-	if !found {
-		t.Fatalf("mbps regression not attributed to the right cell: %+v", res.Regressions)
+	amp := cloneReport(t, r)
+	amp.Cells[w].DevWritePerReq *= 1.01
+	old, _ := json.Marshal(r.Cells[w].DevWritePerReq)
+	now, _ := json.Marshal(amp.Cells[w].DevWritePerReq)
+	mustFail("1% dev_write_per_req rise", amp,
+		r.Cells[w].ID+" dev_write_per_req: "+string(old)+" → "+string(now))
+	if res := compare(amp); len(res.Diffs) != 1 {
+		t.Fatalf("one changed field, %d listed: %s", len(res.Diffs), res.Format())
 	}
 
-	// A sub-threshold wiggle passes.
-	wiggle := cloneReport(t, r)
-	wiggle.Cells[0].MBps *= 0.95
-	res, err = CompareReports(r, wiggle, Thresholds{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Ok() {
-		t.Fatalf("5%% wiggle failed the 10%% gate: %s", res.Format())
-	}
+	// So does a 5 % throughput drop, once a sub-threshold wiggle; a second
+	// changed cell is listed too.
+	thr := cloneReport(t, r)
+	thr.Cells[0].MBps *= 0.95
+	thr.Cells[1].P99LatencyUS *= 2
+	mustFail("5% mbps drop", thr, r.Cells[0].ID+" mbps: ", r.Cells[1].ID+" p99_latency_us: ")
 
-	// Overriding one threshold must leave the others at their defaults,
-	// not at zero tolerance (the CI invocation sets only -thr-events).
-	res, err = CompareReports(r, wiggle, Thresholds{EventsPerSecDropFrac: 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Ok() {
-		t.Fatalf("5%% wiggle failed when only the events threshold was set: %s", res.Format())
-	}
-
-	// Latency rises fail too.
-	slow := cloneReport(t, r)
-	slow.Cells[1].P99LatencyUS *= 2
-	res, err = CompareReports(r, slow, Thresholds{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ok() {
-		t.Fatal("2x p99 latency rise passed the gate")
-	}
-
-	// Lost coverage fails.
+	// Lost and added coverage fail.
 	lost := cloneReport(t, r)
 	lost.Cells = lost.Cells[1:]
-	res, err = CompareReports(r, lost, Thresholds{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ok() || len(res.MissingCells) != 1 {
-		t.Fatalf("missing cell not flagged: %s", res.Format())
+	mustFail("lost cell", lost, r.Cells[0].ID+": present → absent")
+	added := cloneReport(t, r)
+	extra := added.Cells[0]
+	extra.ID += "/extra"
+	added.Cells = append(added.Cells, extra)
+	mustFail("added cell", added, extra.ID+": absent → present")
+
+	// A report-level deterministic field is listed by its dotted name.
+	events := cloneReport(t, r)
+	events.Engine.Events++
+	mustFail("engine event count change", events, "report engine.events: ")
+
+	// Timing fields are not compared.
+	timing := cloneReport(t, r)
+	timing.Cells[0].WallMS *= 3
+	timing.Cells[1].EventsPerSec /= 3
+	timing.Engine.WallSeconds *= 3
+	if res := compare(timing); !res.Ok() || !res.Identical() {
+		t.Fatalf("timing-only change failed the gate: %s", res.Format())
 	}
 
 	// An engine events/sec collapse fails (timing gate).
 	slowEng := cloneReport(t, r)
 	slowEng.Engine.EventsPerSec = r.Engine.EventsPerSec * 0.1
-	res, err = CompareReports(r, slowEng, Thresholds{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ok() {
-		t.Fatal("90% engine events/sec drop passed the gate")
-	}
+	mustFail("90% engine events/sec drop", slowEng, "REGRESSION engine events/sec")
 
 	// Mismatched configs refuse to compare at all.
 	other := cloneReport(t, r)
 	other.Config.Seed++
-	if _, err := CompareReports(r, other, Thresholds{}); err == nil {
+	if _, err := CompareReports(r, other, 0); err == nil {
 		t.Fatal("config mismatch compared anyway")
 	}
 }
