@@ -6,8 +6,7 @@
 // finishes the requests in flight and the shard cleanup they left
 // running, and closes the metadata WAL.
 //
-//	ecgate -listen :7310 -backend sim                 # in-process virtual cluster
-//	ecgate -listen :7310 -backend mem -hosts 3 -osds-per-host 2
+//	ecgate -listen :7310 -backend mem -hosts 3 -osds-per-host 2   # in-process shard maps (the default)
 //	ecgate -listen :7310 -backend osd -osd-urls http://h1:7411,http://h2:7411,...
 //	ecgate -listen :7310 -tenants gold:3,silver:2,bronze:1   # weighted-fair admission
 //
@@ -17,7 +16,7 @@
 // unnamed tenants share a weight-1 default.
 //
 // ecgate only serves. What drives it: `go test ./cmd/ecgate` (this wiring,
-// in-process, on all three backends) and `bash benchmarks/run.sh -check`
+// in-process, on both backends) and `bash benchmarks/run.sh -check`
 // (real processes over sockets, every GET byte-compared).
 package main
 
@@ -90,11 +89,10 @@ func serve(ctx context.Context, ln net.Listener, gw *service.Gateway) error {
 // the binary boots.
 func newGateway(fs *flag.FlagSet, args []string, logger *slog.Logger) (*service.Gateway, error) {
 	var (
-		backend     = fs.String("backend", "sim", "shard backend: sim | mem | osd")
-		hosts       = fs.Int("hosts", 3, "sim/mem: failure-domain hosts")
-		osdsPerHost = fs.Int("osds-per-host", 2, "sim/mem: OSDs per host")
-		deviceMB    = fs.Int64("device-mb", 256, "sim: device capacity in MiB")
-		seed        = fs.Int64("seed", 1, "sim device, retry-jitter and fault-injection RNG seed")
+		backend     = fs.String("backend", "mem", "shard backend: mem | osd")
+		hosts       = fs.Int("hosts", 3, "mem: failure-domain hosts")
+		osdsPerHost = fs.Int("osds-per-host", 2, "mem: OSDs per host")
+		seed        = fs.Int64("seed", 1, "retry-jitter and fault-injection RNG seed")
 		k           = fs.Int("k", 4, "RS data shards")
 		m           = fs.Int("m", 2, "RS parity shards")
 		chunk       = fs.Int("chunk", 64<<10, "largest stripe unit (per-shard chunk) in bytes; objects smaller than a stripe use a smaller one, recorded per object")
@@ -129,15 +127,6 @@ func newGateway(fs *flag.FlagSet, args []string, logger *slog.Logger) (*service.
 		cmap   *crush.Map
 	)
 	switch *backend {
-	case "sim":
-		vc, err := service.NewSimCluster(service.SimClusterConfig{
-			Hosts: *hosts, OSDsPerHost: *osdsPerHost, DeviceBytes: *deviceMB << 20, Seed: *seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim cluster: %w", err)
-		}
-		stores, cmap = vc.Stores(), vc.CrushMap()
-		cfg.Sim = vc
 	case "mem":
 		cmap = crush.Uniform(*hosts, *osdsPerHost)
 		for i := 0; i < cmap.Devices(); i++ {

@@ -38,23 +38,14 @@ func boot(args ...string) (*service.Gateway, error) {
 // kill and the heal going through the one fault path — POST
 // /v1/faults/{osd} — which must behave the same whatever is behind it.
 func TestGatewayWiringPerBackend(t *testing.T) {
-	// Six shard daemons as ecstored builds them, alternating its two
-	// backends.
+	// Six shard daemons as ecstored builds them.
 	var osdURLs []string
 	for i := 0; i < 6; i++ {
-		var store service.ShardStore = service.NewMemStore(i)
-		if i%2 == 1 {
-			var err error
-			if store, err = service.NewSimOSD(i, fmt.Sprintf("node%d", i), 64<<20, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		srv := httptest.NewServer(service.NewOSDServer(i, store, nil).Handler())
+		srv := httptest.NewServer(service.NewOSDServer(i, service.NewMemStore(i), nil).Handler())
 		t.Cleanup(srv.Close)
 		osdURLs = append(osdURLs, srv.URL)
 	}
 	for _, args := range [][]string{
-		{"-backend", "sim", "-device-mb", "64"},
 		{"-backend", "mem", "-tenants", "gold:3,silver:1"},
 		{"-backend", "osd", "-osd-urls", strings.Join(osdURLs, ","), "-meta-dir", t.TempDir()},
 	} {
@@ -120,8 +111,8 @@ func TestGatewayWiringPerBackend(t *testing.T) {
 
 			// Every stripe geometry -k 4 -chunk 65536 produces (the sizes of
 			// service.TestStripeGeometry), healthy and with data shard 0
-			// cut off: each backend, SimCluster included, stores and returns
-			// shards that are not a multiple of -chunk long.
+			// cut off: each backend stores and returns shards that are not a
+			// multiple of -chunk long.
 			const stripe = 4 * 64 << 10
 			for _, size := range []int{0, 1, 511, 512, 513, 8 << 10, stripe - 1, stripe, stripe + 1, 300 << 10, 3*stripe + 7} {
 				key := fmt.Sprintf("wiring/geo-%d", size)
@@ -146,6 +137,27 @@ func TestGatewayWiringPerBackend(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDefaultBackend: with no -backend, ecgate boots the mem backend and
+// says so on /v1/status.
+func TestDefaultBackend(t *testing.T) {
+	gw, err := boot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { gw.Close() })
+	srv := httptest.NewServer(gw.Handler())
+	t.Cleanup(srv.Close)
+	var st service.StatusInfo
+	resp, err := http.Get(srv.URL + "/v1/status")
+	if err == nil {
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+	}
+	if err != nil || st.Backend != "mem" || st.OSDs != 6 {
+		t.Fatalf("status %+v, err %v; want backend mem over 6 OSDs", st, err)
 	}
 }
 
@@ -248,6 +260,7 @@ func TestServeDrainsOnStop(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	for name, args := range map[string][]string{
 		"unknown backend":        {"-backend", "tape"},
+		"sim backend":            {"-backend", "sim"},
 		"osd without urls":       {"-backend", "osd"},
 		"placer wider than osds": {"-backend", "mem", "-hosts", "1", "-osds-per-host", "2"},
 		"bad tenants":            {"-tenants", "gold"},

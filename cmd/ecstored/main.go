@@ -5,19 +5,14 @@
 // Usage:
 //
 //	ecstored -listen :7411 -id 0 -backend mem
-//	ecstored -listen :7412 -id 1 -backend sim -device-mb 256 -seed 1
-//	ecstored -listen :7413 -id 2 -backend mem -max-inflight 128
+//	ecstored -listen :7412 -id 1 -max-inflight 128
 //
-// Backends:
-//
-//	mem  in-memory shard map (default; fast, volatile)
-//	sim  one simulated SSD + BlueStore-style store on a discrete-event
-//	     engine, so shard ops carry a simulated service-time cost
+// The one backend, mem, is an in-memory shard map: fast and volatile.
 //
 // Faults are not injected here: the gateway wraps its client for every OSD
 // in the service's one FaultStore (POST /v1/faults/{osd} on ecgate), and a
 // real crash is a real kill -9. `go test ./cmd/ecstored` boots this wiring
-// in-process on both backends.
+// in-process.
 package main
 
 import (
@@ -55,10 +50,8 @@ func main() {
 func newHandler(fs *flag.FlagSet, args []string, logger *slog.Logger) (http.Handler, error) {
 	var (
 		id       = fs.Int("id", 0, "OSD id (matches the gateway's placement index)")
-		backend  = fs.String("backend", "mem", "shard store backend: mem | sim")
+		backend  = fs.String("backend", "mem", "shard store backend: mem")
 		host     = fs.String("host", "", "failure-domain host label (default nodeN)")
-		deviceMB = fs.Int64("device-mb", 256, "sim backend: device capacity in MiB")
-		seed     = fs.Int64("seed", 1, "sim backend: device RNG seed")
 		inflight = fs.Int("max-inflight", 0, "shard-request admission bound; 0 = unlimited, excess gets 429")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -70,20 +63,11 @@ func newHandler(fs *flag.FlagSet, args []string, logger *slog.Logger) (http.Hand
 		hostLabel = fmt.Sprintf("node%d", *id)
 	}
 
-	var st service.ShardStore
-	switch *backend {
-	case "mem":
-		ms := service.NewMemStore(*id)
-		ms.SetHost(hostLabel)
-		st = ms
-	case "sim":
-		var err error
-		if st, err = service.NewSimOSD(*id, hostLabel, *deviceMB<<20, *seed); err != nil {
-			return nil, fmt.Errorf("sim backend: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("unknown backend %q (want mem or sim)", *backend)
+	if *backend != "mem" {
+		return nil, fmt.Errorf("unknown backend %q (want mem)", *backend)
 	}
+	st := service.NewMemStore(*id)
+	st.SetHost(hostLabel)
 
 	h := service.NewOSDServer(*id, st, logger).Handler()
 	if *inflight > 0 {

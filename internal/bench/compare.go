@@ -143,12 +143,9 @@ func CompareReports(old, new *BenchReport, eventsPerSecDrop float64) (*CompareRe
 }
 
 // diffCell lists the deterministic fields in which two results for one
-// cell differ, by JSON name; the timing fields wall_ms and events_per_sec
-// are not compared.
+// cell differ, by JSON name; the timing fields are not compared.
 func diffCell(old, new CellReport) []Diff {
-	old.WallMS, old.EventsPerSec = 0, 0
-	new.WallMS, new.EventsPerSec = 0, 0
-	return diffJSON(nil, old.ID, "", mustJSON(old), mustJSON(new))
+	return diffJSON(nil, old.ID, "", mustJSON(old.withoutTiming()), mustJSON(new.withoutTiming()))
 }
 
 // diffJSON appends to out every leaf in which the JSON values a and b

@@ -4,9 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"ecarray/internal/paperref"
@@ -231,8 +231,7 @@ func (r *BenchReport) stripTiming() *BenchReport {
 	c.Calibrations = nil // measured MB/s is host-dependent
 	c.Cells = append([]CellReport(nil), r.Cells...)
 	for i := range c.Cells {
-		c.Cells[i].WallMS = 0
-		c.Cells[i].EventsPerSec = 0
+		c.Cells[i] = c.Cells[i].withoutTiming()
 	}
 	c.sortCells()
 	return &c
@@ -311,8 +310,12 @@ func MergeReports(reports ...*BenchReport) (*BenchReport, error) {
 		out.Engine.WallSeconds += r.Engine.WallSeconds
 		for _, c := range r.Cells {
 			if j, dup := seen[c.ID]; dup {
-				if !cellsEqualDeterministic(out.Cells[j], c) {
-					return nil, fmt.Errorf("bench: merge: cell %s differs between shards — determinism violation", c.ID)
+				if diffs := diffCell(out.Cells[j], c); len(diffs) > 0 {
+					lines := make([]string, len(diffs))
+					for i, d := range diffs {
+						lines[i] = "cell " + d.String()
+					}
+					return nil, fmt.Errorf("bench: merge: a cell differs between shards — determinism violation:\n%s", strings.Join(lines, "\n"))
 				}
 				continue
 			}
@@ -348,11 +351,12 @@ func MergeReports(reports ...*BenchReport) (*BenchReport, error) {
 	return &out, nil
 }
 
-// cellsEqualDeterministic compares two cells on deterministic fields only.
-func cellsEqualDeterministic(a, b CellReport) bool {
-	a.WallMS, b.WallMS = 0, 0
-	a.EventsPerSec, b.EventsPerSec = 0, 0
-	return reflect.DeepEqual(a, b)
+// withoutTiming returns c with its timing fields, wall_ms and
+// events_per_sec, zeroed: the one place that says which cell fields are
+// host-dependent.
+func (c CellReport) withoutTiming() CellReport {
+	c.WallMS, c.EventsPerSec = 0, 0
+	return c
 }
 
 // Summary renders the report as a table (one row per cell) so a sweep run

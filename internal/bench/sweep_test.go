@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -458,11 +459,20 @@ func TestMergeValidation(t *testing.T) {
 	if len(m.Cells) != len(r.Cells) {
 		t.Fatalf("self-merge cells = %d, want %d", len(m.Cells), len(r.Cells))
 	}
-	// A conflicting duplicate cell is a determinism violation, not mergeable.
+	// A duplicate that differs only in its timing fields merges.
+	timing := cloneReport(t, r)
+	timing.Cells[0].WallMS *= 3
+	timing.Cells[0].EventsPerSec /= 3
+	if _, err := MergeReports(r, timing); err != nil {
+		t.Fatalf("timing-only difference refused: %v", err)
+	}
+	// A conflicting duplicate cell is a determinism violation, not
+	// mergeable, and the error names the field.
 	evil := cloneReport(t, r)
 	evil.Cells[0].Ops++
-	if _, err := MergeReports(r, evil); err == nil {
-		t.Fatal("conflicting duplicate cell merged silently")
+	_, err = MergeReports(r, evil)
+	if want := fmt.Sprintf("cell %s ops: %d → %d", r.Cells[0].ID, r.Cells[0].Ops, evil.Cells[0].Ops); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("conflicting duplicate cell: err %v, want one naming %q", err, want)
 	}
 	// Different run shapes don't merge.
 	other := cloneReport(t, r)

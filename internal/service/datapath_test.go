@@ -395,15 +395,10 @@ func TestWarmPutDoesNotRegrow(t *testing.T) {
 // as it was.
 func TestShardStoreBufferOwnership(t *testing.T) {
 	ctx := context.Background()
-	vc, err := NewSimCluster(SimClusterConfig{Hosts: 3, OSDsPerHost: 2, DeviceBytes: 256 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	daemon := httptest.NewServer(NewOSDServer(0, NewMemStore(0), nil).Handler())
 	t.Cleanup(daemon.Close)
 	for name, store := range map[string]ShardStore{
 		"mem":        NewMemStore(0),
-		"sim":        vc.Stores()[0],
 		"osd-client": NewOSDClient(0, daemon.URL),
 	} {
 		t.Run(name, func(t *testing.T) {

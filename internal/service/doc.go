@@ -12,25 +12,20 @@
 //	                        CRUSH shard placement, degraded-read fallback,
 //	                        admission control, request logs, /metrics.
 //	OSD       cmd/ecstored  BlobNode layer: one shard-store daemon per OSD,
-//	                        serving shard read/write/delete against a
-//	                        pluggable backend (in-memory or simulated
-//	                        BlueStore+SSD).
+//	                        serving shard read/write/delete from an
+//	                        in-memory shard map.
 //
 // The seam between them is the ShardStore interface: the gateway speaks it,
-// and three implementations exist —
+// and two implementations exist —
 //
-//   - MemStore: a mutex-guarded in-memory shard map (the ecstored default);
-//   - SimCluster / SimStore: the simulated cluster as a backend — every
-//     shard op runs through the deterministic discrete-event engine against
-//     a BlueStore-like store on a simulated SSD, so `ecgate -backend=sim`
-//     boots a full in-process "virtual cluster" that is load-testable with
-//     no real daemons and byte-deterministic under a fixed seed;
+//   - MemStore: a mutex-guarded in-memory shard map (what ecstored serves,
+//     and what `ecgate -backend mem` boots in process);
 //   - OSDClient: the HTTP client for a remote ecstored daemon.
 //
 // Because placement (CRUSH straw2 over the healthy map), striping geometry
 // (per-object chunk size, RS(k,m)) and shard layout are identical across
 // backends, the same gateway code path is exercised whether the shards
-// live in process memory, in the simulator, or behind real HTTP daemons.
+// live in process memory or behind real HTTP daemons.
 //
 // # Data path
 //
@@ -145,7 +140,7 @@
 // fault injector (error probability, latency inflation, stuck ops, full
 // partition) runtime-controlled via POST /v1/faults/{osd} on ecgate. It
 // is the only injector and the gateway is the only tier: killing an OSD
-// is {"partition":true}, on the sim, mem and osd backends alike, so the
+// is {"partition":true}, on the mem and osd backends alike, so the
 // whole stack is chaos-testable over real sockets (a real crash is a real
 // kill -9 of the daemon).
 //

@@ -83,14 +83,12 @@ type GatewayConfig struct {
 	MetaCompactThreshold int
 	// Logger receives one structured line per request; nil discards.
 	Logger *slog.Logger
-	// Sim, when non-nil, reports simulated time on /v1/status.
-	Sim SimClock
 	// Backend names the shard-store flavour for /v1/status.
 	Backend string
 }
 
 // DefaultGatewayConfig returns production-shaped defaults for a 6-OSD
-// virtual cluster: RS(4,2), stripe units up to 64 KiB, 2 s shard deadline.
+// cluster: RS(4,2), stripe units up to 64 KiB, 2 s shard deadline.
 func DefaultGatewayConfig() GatewayConfig {
 	return GatewayConfig{
 		K: 4, M: 2,
@@ -643,20 +641,19 @@ func (g *Gateway) DeleteObject(ctx context.Context, key string) error {
 
 // StatusInfo is the /v1/status document.
 type StatusInfo struct {
-	Scheme          string  `json:"scheme"`
-	Backend         string  `json:"backend"`
-	ChunkSize       int     `json:"chunk_size"`
-	Objects         int     `json:"objects"`
-	BytesStored     int64   `json:"bytes_stored"`
-	OSDs            int     `json:"osds"`
-	OSDsDown        int     `json:"osds_down"`
-	BreakersOpen    int     `json:"breakers_open"`
-	Retries         int64   `json:"shard_retries"`
-	HedgedReads     int64   `json:"hedged_reads"`
-	DegradedReads   int64   `json:"degraded_reads"`
-	Reconstructions int64   `json:"reconstructed_shards"`
-	AdmissionDrops  int64   `json:"admission_rejected"`
-	SimSeconds      float64 `json:"sim_seconds,omitempty"`
+	Scheme          string `json:"scheme"`
+	Backend         string `json:"backend"`
+	ChunkSize       int    `json:"chunk_size"`
+	Objects         int    `json:"objects"`
+	BytesStored     int64  `json:"bytes_stored"`
+	OSDs            int    `json:"osds"`
+	OSDsDown        int    `json:"osds_down"`
+	BreakersOpen    int    `json:"breakers_open"`
+	Retries         int64  `json:"shard_retries"`
+	HedgedReads     int64  `json:"hedged_reads"`
+	DegradedReads   int64  `json:"degraded_reads"`
+	Reconstructions int64  `json:"reconstructed_shards"`
+	AdmissionDrops  int64  `json:"admission_rejected"`
 
 	// Tenants holds per-tenant admission and latency stats, keyed by
 	// tenant identity (a configured X-Tenant value, or "other" for every
@@ -692,9 +689,6 @@ func (g *Gateway) Status() StatusInfo {
 		DegradedReads:   g.series.degradedReads.Value(),
 		Reconstructions: g.series.reconstructedShards.Value(),
 		AdmissionDrops:  g.series.admissionRejected.Value(),
-	}
-	if g.cfg.Sim != nil {
-		st.SimSeconds = g.cfg.Sim.SimSeconds()
 	}
 	g.tenants.Range(func(k, v any) bool {
 		ts := v.(*tenantSeries)

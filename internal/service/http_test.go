@@ -18,11 +18,11 @@ import (
 	"ecarray/internal/crush"
 )
 
-// simService boots a gateway over a fresh virtual cluster behind a real
-// HTTP server, returning the client and the gateway.
-func simService(t *testing.T, mutate func(*GatewayConfig)) (*GateClient, *Gateway) {
+// memService boots a gateway over six fresh MemStores behind a real HTTP
+// server, returning the client and the gateway.
+func memService(t *testing.T, mutate func(*GatewayConfig)) (*GateClient, *Gateway) {
 	t.Helper()
-	gw := newSimGateway(t, mutate)
+	gw := buildGateway(t, memStores(6), mutate)
 	srv := httptest.NewServer(gw.Handler())
 	t.Cleanup(srv.Close)
 	return NewGateClient(srv.URL), gw
@@ -56,7 +56,7 @@ func TestServiceE2E(t *testing.T) {
 		payload []byte
 	}
 	run := func(t *testing.T) outcome {
-		gc, _ := simService(t, nil)
+		gc, _ := memService(t, nil)
 		ctx := context.Background()
 		data := payload(700<<10+321, 42)
 
@@ -176,7 +176,7 @@ func checkBodyLimits(t *testing.T, h http.Handler, pathOf func(key string) strin
 // TestHTTPErrorMapping drives each error path over real HTTP and checks
 // status codes and Retry-After headers.
 func TestHTTPErrorMapping(t *testing.T) {
-	gc, gw := simService(t, func(cfg *GatewayConfig) {
+	gc, gw := memService(t, func(cfg *GatewayConfig) {
 		cfg.MaxObjectBytes = 1 << 20
 	})
 	ctx := context.Background()

@@ -988,7 +988,7 @@ func TestWaitReadyCancel(t *testing.T) {
 // TestFaultAdminEndpoints drives the gateway's /v1/faults surface over
 // real HTTP.
 func TestFaultAdminEndpoints(t *testing.T) {
-	gc, gw := simService(t, nil)
+	gc, gw := memService(t, nil)
 	ctx := context.Background()
 
 	spec := FaultSpec{ErrorProb: 0.25, LatencyMult: 2}

@@ -15,8 +15,8 @@ import (
 const MaxShardBytes = 128 << 20
 
 // OSDServer is the ecstored daemon's HTTP surface over one ShardStore:
-// the BlobNode of the service split. It is store-agnostic — the same
-// handler serves the in-memory backend and a simulated BlueStore OSD.
+// the BlobNode of the service split. It is store-agnostic: ecstored serves
+// a MemStore through it, and tests serve their own stores.
 type OSDServer struct {
 	id       int
 	store    ShardStore

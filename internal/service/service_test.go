@@ -40,31 +40,6 @@ func (c *GateClient) metricsText(ctx context.Context) (string, error) {
 	return string(raw), err
 }
 
-// newSimGateway boots a gateway over a fresh virtual cluster with the
-// default RS(4,2) geometry.
-func newSimGateway(t *testing.T, mutate func(*GatewayConfig)) *Gateway {
-	t.Helper()
-	vc, err := NewSimCluster(SimClusterConfig{Hosts: 3, OSDsPerHost: 2, DeviceBytes: 64 << 20, Seed: 1})
-	if err != nil {
-		t.Fatalf("sim cluster: %v", err)
-	}
-	cfg := DefaultGatewayConfig()
-	cfg.Backend = "sim"
-	cfg.Sim = vc
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	placer, err := NewPlacer(vc.CrushMap(), cfg.K+cfg.M)
-	if err != nil {
-		t.Fatalf("placer: %v", err)
-	}
-	gw, err := NewGateway(cfg, vc.Stores(), placer)
-	if err != nil {
-		t.Fatalf("gateway: %v", err)
-	}
-	return gw
-}
-
 func payload(n int, seed int64) []byte {
 	b := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(b)
@@ -74,7 +49,7 @@ func payload(n int, seed int64) []byte {
 // TestObjectRoundTrip covers put/get/delete on the healthy path, including
 // sizes that are not stripe-aligned and the empty object.
 func TestObjectRoundTrip(t *testing.T) {
-	gw := newSimGateway(t, nil)
+	gw := buildGateway(t, memStores(6), nil)
 	ctx := context.Background()
 	for _, size := range []int{0, 1, 4096, 64 << 10, 256<<10 + 17, 1 << 20} {
 		key := fmt.Sprintf("obj-%d", size)
@@ -105,7 +80,7 @@ func TestObjectRoundTrip(t *testing.T) {
 // TestDegradedReadEveryDataShard kills, in turn, the OSD behind each data
 // shard and checks the read is served byte-identical via reconstruction.
 func TestDegradedReadEveryDataShard(t *testing.T) {
-	gw := newSimGateway(t, nil)
+	gw := buildGateway(t, memStores(6), nil)
 	ctx := context.Background()
 	data := payload(300<<10+999, 3)
 	oi, err := gw.PutObject(ctx, "victim", data)
@@ -139,7 +114,7 @@ func TestDegradedReadEveryDataShard(t *testing.T) {
 // TestParityShardLoss kills a parity OSD: reads stay non-degraded because
 // all k data shards are intact.
 func TestParityShardLoss(t *testing.T) {
-	gw := newSimGateway(t, nil)
+	gw := buildGateway(t, memStores(6), nil)
 	ctx := context.Background()
 	data := payload(128<<10, 11)
 	oi, err := gw.PutObject(ctx, "pobj", data)
@@ -165,7 +140,7 @@ func TestParityShardLoss(t *testing.T) {
 // a fresh PUT both return ErrInsufficientShards, and the failed PUT leaves
 // no orphan shards behind.
 func TestInsufficientShards(t *testing.T) {
-	gw := newSimGateway(t, nil)
+	gw := buildGateway(t, memStores(6), nil)
 	ctx := context.Background()
 	data := payload(96<<10, 5)
 	oi, err := gw.PutObject(ctx, "doomed", data)
@@ -202,7 +177,7 @@ func TestInsufficientShards(t *testing.T) {
 // TestNotFoundAfterDelete checks the delete → 404 contract at the API
 // layer.
 func TestNotFoundAfterDelete(t *testing.T) {
-	gw := newSimGateway(t, nil)
+	gw := buildGateway(t, memStores(6), nil)
 	ctx := context.Background()
 	if _, err := gw.PutObject(ctx, "gone", payload(4096, 1)); err != nil {
 		t.Fatalf("put: %v", err)

@@ -28,9 +28,6 @@ type OSDStat struct {
 	Host    string `json:"host,omitempty"`
 	Shards  int64  `json:"shards"`
 	Bytes   int64  `json:"bytes"`
-	// SimSeconds is the simulated-time cost this OSD has accumulated
-	// serving shard ops (virtual-cluster backend only).
-	SimSeconds float64 `json:"sim_seconds,omitempty"`
 }
 
 // ShardStore is the seam between the access gateway and one OSD's shard
@@ -55,10 +52,6 @@ type ShardStore interface {
 	// Stat reports the OSD's state.
 	Stat(ctx context.Context) (OSDStat, error)
 }
-
-// SimClock is implemented by backends that accumulate simulated time (the
-// virtual cluster); the gateway surfaces it on /v1/status when present.
-type SimClock interface{ SimSeconds() float64 }
 
 // shardName is the canonical backend object name for (key, shard).
 func shardName(key string, shard int) string {

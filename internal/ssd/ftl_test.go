@@ -135,21 +135,8 @@ func (f *denseFTL) write(off, length int64) {
 	}
 }
 
-func (f *denseFTL) trim(off, length int64) {
-	ps := int64(f.cfg.PageSize)
-	for pg := (off + ps - 1) / ps; pg < (off+length)/ps; pg++ {
-		if phys := f.l2p[pg]; phys != unmapped {
-			b := &f.blocks[int(phys)/f.cfg.PagesPerBlock]
-			b.p2l[int(phys)%f.cfg.PagesPerBlock] = unmapped
-			b.valid--
-			f.l2p[pg] = unmapped
-			f.st.TrimmedBytes += ps
-		}
-	}
-}
-
 // TestLazyMapsMatchDenseReference drives seeded random write / overwrite /
-// trim / sub-page-RMW sequences, long enough to force GC on a small
+// sub-page-RMW sequences, long enough to force GC on a small
 // over-provisioned device, through the Device and the dense reference, and
 // requires the same counters, the same physical page for every logical page
 // and clean invariants after every step.
@@ -172,8 +159,7 @@ func TestLazyMapsMatchDenseReference(t *testing.T) {
 		run(t, e, func(p *sim.Proc) {
 			for step := 0; step < steps; step++ {
 				var off, length int64
-				trim := false
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(8); {
 				case op < 5: // whole pages: first writes and overwrites
 					n := 1 + rng.Int63n(8)
 					pg := rng.Int63n(pages - n + 1)
@@ -181,24 +167,14 @@ func TestLazyMapsMatchDenseReference(t *testing.T) {
 				case op < 7: // sub-page, may straddle a page boundary: RMW
 					off = rng.Int63n(capacity - ps)
 					length = 1 + rng.Int63n(ps-1)
-				case op < 8: // continues the previous write: merges, no RMW
+				default: // continues the previous write: merges, no RMW
 					off, length = ref.lastWriteEnd, 1+rng.Int63n(2*ps)
 					if off < 0 || off+length > capacity {
 						off, length = 0, ps/2
 					}
-				default: // trim, unaligned so partial pages stay mapped
-					n := 1 + rng.Int63n(64)
-					pg := rng.Int63n(pages - n)
-					off, length = pg*ps+rng.Int63n(ps), n*ps
-					trim = true
 				}
-				if trim {
-					d.Trim(off, length)
-					ref.trim(off, length)
-				} else {
-					d.Write(p, off, nil, length)
-					ref.write(off, length)
-				}
+				d.Write(p, off, nil, length)
+				ref.write(off, length)
 				if got := d.Stats(); got != ref.st {
 					t.Errorf("seed %d step %d: stats %+v, dense reference %+v", seed, step, got, ref.st)
 					return
@@ -216,8 +192,8 @@ func TestLazyMapsMatchDenseReference(t *testing.T) {
 			}
 		})
 		e.Close()
-		if st := d.Stats(); st.GCMigratedPages == 0 || st.Erases == 0 || st.TrimmedBytes == 0 {
-			t.Errorf("seed %d: sequence never reached GC or trim: %+v", seed, st)
+		if st := d.Stats(); st.GCMigratedPages == 0 || st.Erases == 0 {
+			t.Errorf("seed %d: sequence never reached GC: %+v", seed, st)
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // This model reproduces those mechanisms so the bare-SSD baseline of Fig 18
 // and the flash-lifetime discussion of §I have a concrete substrate.
 //
-// The device exposes host-level Read/Write/Trim in virtual time (requests
+// The device exposes host-level Read/Write in virtual time (requests
 // queue on an NCQ-like resource and are serviced with a latency+bandwidth
 // cost model) and tracks both host-level and flash-level byte counters.
 package ssd
@@ -140,7 +140,6 @@ type Stats struct {
 	FlashWriteBytes int64
 	GCMigratedPages int64
 	Erases          int64
-	TrimmedBytes    int64
 	// Gray-failure injection outcomes (zero on a healthy device).
 	InjectedFaults int64
 	StuckIOs       int64
@@ -268,8 +267,8 @@ func (d *Device) Capacity() int64 { return d.cfg.Capacity }
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.st }
 
-// SetTracer installs a callback invoked for every host-level I/O ('R', 'W')
-// and trim ('T'), for blktrace-style capture. Pass nil to remove it.
+// SetTracer installs a callback invoked for every host-level I/O ('R' or
+// 'W'), for blktrace-style capture. Pass nil to remove it.
 func (d *Device) SetTracer(fn func(op byte, off, length int64)) { d.tracer = fn }
 
 // ResetStats zeroes the counters (FTL state is preserved).
@@ -329,7 +328,7 @@ func (d *Device) mapping(lpn int64) *uint32 {
 }
 
 // invalidate drops the reverse mapping of a physical page whose logical
-// page was overwritten, trimmed or migrated.
+// page was overwritten or migrated.
 func (d *Device) invalidate(phys uint32) {
 	b, slot := d.decodePhys(phys)
 	d.blocks[b].p2l[slot] = unmapped
@@ -603,29 +602,6 @@ func (d *Device) Corrupt(off, length int64) {
 			abs := pStart + int64(i)
 			if abs >= off && abs < off+length {
 				pdata[i] ^= 0xFF
-			}
-		}
-	}
-}
-
-// Trim unmaps whole pages fully covered by [off, off+length), making them
-// GC-reclaimable without migration (issued by the object store when objects
-// are deleted or extents freed).
-func (d *Device) Trim(off, length int64) {
-	d.checkRange(off, length)
-	if d.tracer != nil {
-		d.tracer('T', off, length)
-	}
-	ps := int64(d.cfg.PageSize)
-	firstPage := (off + ps - 1) / ps // first fully covered page
-	lastPage := (off + length) / ps  // one past last fully covered
-	for pg := firstPage; pg < lastPage; pg++ {
-		if phys := d.lookup(pg); phys != unmapped {
-			d.invalidate(phys)
-			*d.mapping(pg) = unmapped
-			d.st.TrimmedBytes += ps
-			if d.cfg.CarryData {
-				delete(d.data, pg)
 			}
 		}
 	}

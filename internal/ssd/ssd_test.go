@@ -158,43 +158,6 @@ func TestRandomOverwriteAmplifiesWrites(t *testing.T) {
 	}
 }
 
-func TestTrimReducesGCPressure(t *testing.T) {
-	e := newEngine(t)
-	cfg := testConfig(16 * testBlockBytes)
-	d, _ := New(e, "d0", cfg)
-	run(t, e, func(p *sim.Proc) {
-		for off := int64(0); off < 16*testBlockBytes; off += 65536 {
-			d.Write(p, off, nil, 65536)
-		}
-		d.Trim(0, 8*testBlockBytes)
-	})
-	if d.Stats().TrimmedBytes != 8*testBlockBytes {
-		t.Fatalf("TrimmedBytes = %d", d.Stats().TrimmedBytes)
-	}
-	run(t, e, func(p *sim.Proc) {
-		if got := d.Read(p, 0, 64); !bytes.Equal(got, make([]byte, 64)) {
-			t.Errorf("trimmed range must read zeroes")
-		}
-	})
-	if err := d.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTrimPartialPagesIgnored(t *testing.T) {
-	e := newEngine(t)
-	d, _ := New(e, "d0", testConfig(16*testBlockBytes))
-	run(t, e, func(p *sim.Proc) {
-		d.Write(p, 0, bytes.Repeat([]byte{7}, 8192), 8192)
-		// Trim covering only part of each page must not unmap anything.
-		d.Trim(100, 4096)
-		got := d.Read(p, 0, 8192)
-		if got[0] != 7 || got[8191] != 7 {
-			t.Errorf("partial trim must not drop data")
-		}
-	})
-}
-
 func TestSubPageRandomWriteCausesRMW(t *testing.T) {
 	e := newEngine(t)
 	cfg := DefaultConfig(16 * testBlockBytes)

@@ -18,11 +18,10 @@
 //
 // The cache is a FIFO-evicted membership set of device blocks: a hit costs
 // no I/O and, in carry mode, reads the device's bytes free (ssd.Device.Peek),
-// which Write, Corrupt and Delete keep current by dropping what they change.
+// which writes and Corrupt keep current by dropping what they change.
 //
-// Objects are allocated in min-alloc units from a simple bump+free-list
-// allocator; deleting an object trims its extents so the SSD's garbage
-// collector can reclaim them.
+// Objects are allocated in min-alloc units from a bump allocator. No
+// simulated workload deletes an object, so a unit is never freed.
 package store
 
 import (
@@ -88,15 +87,14 @@ type object struct {
 
 // Stats are store-level counters, complementing the device's.
 type Stats struct {
-	WriteOps     int64
-	ReadOps      int64
-	WALBytes     int64 // journal writes issued for deferred I/O
-	MetaBytes    int64 // metadata flush bytes
-	RMWReads     int64 // block reads forced by sub-block writes
-	CacheHits    int64
-	CacheMisses  int64
-	ObjectsMade  int64
-	ObjectsFreed int64
+	WriteOps    int64
+	ReadOps     int64
+	WALBytes    int64 // journal writes issued for deferred I/O
+	MetaBytes   int64 // metadata flush bytes
+	RMWReads    int64 // block reads forced by sub-block writes
+	CacheHits   int64
+	CacheMisses int64
+	ObjectsMade int64
 }
 
 // Store is one OSD's object store.
@@ -106,10 +104,9 @@ type Store struct {
 	dev  *ssd.Device
 	objs map[string]*object
 
-	next     int64   // bump allocator cursor (device offset)
-	freeLst  []int64 // recycled MinAlloc units (LIFO)
-	walOff   int64   // WAL ring cursor
-	metaOff  int64   // metadata region cursor (rotates within WAL region tail)
+	next     int64 // bump allocator cursor (device offset)
+	walOff   int64 // WAL ring cursor
+	metaOff  int64 // metadata region cursor (rotates within WAL region tail)
 	metaPend int64
 
 	cache     blockSet // cached device block indexes
@@ -159,11 +156,6 @@ func (s *Store) Exists(name string) bool {
 }
 
 func (s *Store) allocUnit() int64 {
-	if n := len(s.freeLst); n > 0 {
-		off := s.freeLst[n-1]
-		s.freeLst = s.freeLst[:n-1]
-		return off
-	}
 	off := s.next
 	s.next += s.cfg.MinAlloc
 	if off+s.cfg.MinAlloc > s.dev.Capacity() {
@@ -278,16 +270,6 @@ func (b *blockSet) drop(key int64) {
 		}
 	}
 	b.slots[i] = 0
-}
-
-// Write stores length bytes at off within the object, creating it if
-// needed. data may be nil (zero-fill semantics in data-carrying mode).
-func (s *Store) Write(p *sim.Proc, name string, off int64, data []byte, length int64) {
-	var op Op
-	s.WriteOp(&op, name, off, data, length)
-	for st, ok := op.Next(); ok; st, ok = op.Next() {
-		p.Hold(st)
-	}
 }
 
 // Read returns length bytes at off. Reads of holes and beyond-EOF ranges
@@ -561,29 +543,6 @@ func (s *Store) Prefill(name string, size int64) {
 	if size > o.size {
 		o.size = size
 	}
-}
-
-// Delete removes the object, returning its extents to the allocator and
-// trimming them on the device.
-func (s *Store) Delete(p *sim.Proc, name string) {
-	o, ok := s.objs[name]
-	if !ok {
-		return
-	}
-	for _, u := range o.units {
-		if u < 0 {
-			continue
-		}
-		s.dev.Trim(u, s.cfg.MinAlloc)
-		for b := u / s.cfg.BlockSize; b < (u+s.cfg.MinAlloc)/s.cfg.BlockSize; b++ {
-			s.cache.drop(b)
-		}
-		s.freeLst = append(s.freeLst, u)
-	}
-	delete(s.objs, name)
-	s.st.ObjectsFreed++
-	s.metaPend += s.cfg.MetaPerOp
-	_ = p
 }
 
 func alignUp(v, a int64) int64 { return (v + a - 1) / a * a }

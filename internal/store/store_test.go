@@ -10,6 +10,17 @@ import (
 
 const testDevCap = 512 << 20 // 512 MiB
 
+// Write stores length bytes at off within the object, creating it if
+// needed, holding p through the op's stages. data may be nil (zero-fill
+// semantics in data-carrying mode).
+func (s *Store) Write(p *sim.Proc, name string, off int64, data []byte, length int64) {
+	var op Op
+	s.WriteOp(&op, name, off, data, length)
+	for st, ok := op.Next(); ok; st, ok = op.Next() {
+		p.Hold(st)
+	}
+}
+
 // newEngine returns an engine that is closed when the test ends, so its
 // pooled workers do not outlive it.
 func newEngine(tb testing.TB) *sim.Engine {
@@ -231,32 +242,6 @@ func TestCacheEviction(t *testing.T) {
 			t.Error("expected eviction-driven miss")
 		}
 	})
-}
-
-func TestDeleteFreesAndTrims(t *testing.T) {
-	e := newEngine(t)
-	st := newStore(t, e, true, nil)
-	run(t, e, func(p *sim.Proc) {
-		st.Write(p, "o", 0, bytes.Repeat([]byte{9}, 65536), 65536)
-		st.Delete(p, "o")
-		if st.Exists("o") {
-			t.Error("object must be gone")
-		}
-		if st.Device().Stats().TrimmedBytes == 0 {
-			t.Error("delete must trim device extents")
-		}
-		// Recreate: allocator reuses the freed units.
-		st.Write(p, "o2", 0, bytes.Repeat([]byte{5}, 65536), 65536)
-		got := st.Read(p, "o2", 0, 4)
-		if !bytes.Equal(got, []byte{5, 5, 5, 5}) {
-			t.Errorf("reused extent read = %v", got)
-		}
-	})
-	if st.Stats().ObjectsFreed != 1 {
-		t.Fatal("ObjectsFreed wrong")
-	}
-	// Delete of missing object is a no-op.
-	run(t, e, func(p *sim.Proc) { st.Delete(p, "missing") })
 }
 
 func TestLargeWriteSpansUnits(t *testing.T) {
