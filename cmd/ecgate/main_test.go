@@ -33,6 +33,19 @@ func boot(args ...string) (*service.Gateway, error) {
 	return newGateway(fs, args, slog.New(slog.NewJSONHandler(io.Discard, nil)))
 }
 
+// startOSD serves an ecstored daemon on a loopback listener until the test
+// ends, as ecstored serves its own, and returns its URL.
+func startOSD(t *testing.T, osd *service.OSDServer) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go osd.Serve(ln) //nolint:errcheck // returns once the test closes ln
+	t.Cleanup(func() { ln.Close() })
+	return "http://" + ln.Addr().String()
+}
+
 // TestGatewayWiringPerBackend boots the binary's wiring on each backend
 // and drives the object lifecycle through GateClient over HTTP, with the
 // kill and the heal going through the one fault path — POST
@@ -41,9 +54,7 @@ func TestGatewayWiringPerBackend(t *testing.T) {
 	// Six shard daemons as ecstored builds them.
 	var osdURLs []string
 	for i := 0; i < 6; i++ {
-		srv := httptest.NewServer(service.NewOSDServer(i, service.NewMemStore(i), nil).Handler())
-		t.Cleanup(srv.Close)
-		osdURLs = append(osdURLs, srv.URL)
+		osdURLs = append(osdURLs, startOSD(t, service.NewOSDServer(i, service.NewMemStore(i), nil)))
 	}
 	for _, args := range [][]string{
 		{"-backend", "mem", "-tenants", "gold:3,silver:1"},
@@ -194,9 +205,7 @@ func TestServeDrainsOnStop(t *testing.T) {
 	var urls []string
 	for i := range mems {
 		mems[i] = service.NewMemStore(i)
-		srv := httptest.NewServer(service.NewOSDServer(i, parkDeletes{mems[i], arrived, release}, nil).Handler())
-		t.Cleanup(srv.Close)
-		urls = append(urls, srv.URL)
+		urls = append(urls, startOSD(t, service.NewOSDServer(i, parkDeletes{mems[i], arrived, release}, nil)))
 	}
 	gw, err := boot("-backend", "osd", "-osd-urls", strings.Join(urls, ","), "-meta-dir", t.TempDir())
 	if err != nil {

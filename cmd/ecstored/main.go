@@ -1,5 +1,7 @@
 // Command ecstored is the shard-store daemon: one per OSD, serving the
-// BlobNode side of the service split over HTTP. The gateway (ecgate)
+// BlobNode side of the service split over HTTP/1.1. It answers on its own
+// request loop (service.OSDServer.Serve), not net/http's server: one
+// goroutine per connection, one write per answer. The gateway (ecgate)
 // speaks to a fleet of these through service.OSDClient.
 //
 // Usage:
@@ -19,7 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
+	"net"
 	"os"
 
 	"ecarray/internal/qos"
@@ -30,24 +32,29 @@ func main() {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	fs := flag.NewFlagSet("ecstored", flag.ExitOnError)
 	listen := fs.String("listen", ":7411", "HTTP listen address")
-	h, err := newHandler(fs, os.Args[1:], logger)
+	srv, err := newServer(fs, os.Args[1:], logger)
 	if err != nil {
 		logger.Error("ecstored", "error", err.Error())
 		os.Exit(1)
 	}
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		logger.Error("listen", "error", err.Error())
+		os.Exit(1)
+	}
 	logger.Info("ecstored listening", "addr", *listen)
-	if err := http.ListenAndServe(*listen, h); err != nil {
+	if err := srv.Serve(ln); err != nil {
 		logger.Error("serve", "error", err.Error())
 		os.Exit(1)
 	}
 }
 
-// newHandler is everything between the command line and a servable shard
+// newServer is everything between the command line and a servable shard
 // daemon: it declares the daemon's flags on fs, parses args, builds the
-// chosen backend's store and wraps its HTTP handler in admission. main
+// chosen backend's store and the daemon over it, admission included. main
 // adds only -listen and the listener, so a test can boot exactly what the
 // binary boots.
-func newHandler(fs *flag.FlagSet, args []string, logger *slog.Logger) (http.Handler, error) {
+func newServer(fs *flag.FlagSet, args []string, logger *slog.Logger) (*service.OSDServer, error) {
 	var (
 		id       = fs.Int("id", 0, "OSD id (matches the gateway's placement index)")
 		backend  = fs.String("backend", "mem", "shard store backend: mem")
@@ -69,12 +76,12 @@ func newHandler(fs *flag.FlagSet, args []string, logger *slog.Logger) (http.Hand
 	st := service.NewMemStore(*id)
 	st.SetHost(hostLabel)
 
-	h := service.NewOSDServer(*id, st, logger).Handler()
+	srv := service.NewOSDServer(*id, st, logger)
 	if *inflight > 0 {
 		// Bound concurrent shard work; the gateway classifies the resulting
 		// 429s as transient and retries against the other replicas/shards.
-		h = service.AdmissionMiddleware(qos.NewMaxInflight(*inflight), h)
+		srv.SetAdmission(qos.NewMaxInflight(*inflight))
 	}
 	logger.Info("ecstored ready", "osd", *id, "backend", *backend, "host", hostLabel, "max_inflight", *inflight)
-	return h, nil
+	return srv, nil
 }

@@ -6,8 +6,8 @@ import (
 	"flag"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,19 +16,24 @@ import (
 	"ecarray/internal/service"
 )
 
-// boot builds the daemon's handler from a command line exactly as main
-// does (minus -listen and the listener) and serves it.
-func boot(t *testing.T, args ...string) *httptest.Server {
+// boot builds the daemon from a command line exactly as main does (minus
+// -listen) and serves it on a loopback listener, as main serves its own.
+// It returns the daemon's URL.
+func boot(t *testing.T, args ...string) string {
 	t.Helper()
 	fs := flag.NewFlagSet("ecstored", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	h, err := newHandler(fs, args, slog.New(slog.NewJSONHandler(io.Discard, nil)))
+	srv, err := newServer(fs, args, slog.New(slog.NewJSONHandler(io.Discard, nil)))
 	if err != nil {
 		t.Fatalf("boot %v: %v", args, err)
 	}
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
-	return srv
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln) //nolint:errcheck // returns once the test closes ln
+	t.Cleanup(func() { ln.Close() })
+	return "http://" + ln.Addr().String()
 }
 
 func do(t *testing.T, method, url string, body []byte) (int, []byte) {
@@ -55,8 +60,8 @@ func do(t *testing.T, method, url string, body []byte) (int, []byte) {
 func TestBackends(t *testing.T) {
 	for _, backend := range []string{"mem"} {
 		t.Run(backend, func(t *testing.T) {
-			srv := boot(t, "-backend", backend, "-id", "3", "-host", "rackA")
-			code, body := do(t, "GET", srv.URL+"/v1/stat", nil)
+			base := boot(t, "-backend", backend, "-id", "3", "-host", "rackA")
+			code, body := do(t, "GET", base+"/v1/stat", nil)
 			var st service.OSDStat
 			if code != http.StatusOK || json.Unmarshal(body, &st) != nil {
 				t.Fatalf("stat: %d %s", code, body)
@@ -66,7 +71,7 @@ func TestBackends(t *testing.T) {
 			}
 
 			shard := bytes.Repeat([]byte("ecstored"), 1000)
-			url := srv.URL + "/v1/shards/obj/2"
+			url := base + "/v1/shards/obj/2"
 			if code, body := do(t, "PUT", url, shard); code != http.StatusOK {
 				t.Fatalf("put: %d %s", code, body)
 			}
@@ -86,9 +91,9 @@ func TestBackends(t *testing.T) {
 // TestMaxInflight holds the one admission slot with a PUT whose body has
 // not arrived, so every other request gets 429 until the body does.
 func TestMaxInflight(t *testing.T) {
-	srv := boot(t, "-max-inflight", "1")
+	base := boot(t, "-max-inflight", "1")
 	pr, pw := io.Pipe()
-	req, err := http.NewRequest("PUT", srv.URL+"/v1/shards/slow/0", pr)
+	req, err := http.NewRequest("PUT", base+"/v1/shards/slow/0", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +110,7 @@ func TestMaxInflight(t *testing.T) {
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		code, _ := do(t, "GET", srv.URL+"/v1/stat", nil)
+		code, _ := do(t, "GET", base+"/v1/stat", nil)
 		if code == http.StatusTooManyRequests {
 			break
 		}
@@ -119,7 +124,7 @@ func TestMaxInflight(t *testing.T) {
 	if code := <-put; code != http.StatusOK {
 		t.Fatalf("held put: %d", code)
 	}
-	if code, _ := do(t, "GET", srv.URL+"/v1/stat", nil); code != http.StatusOK {
+	if code, _ := do(t, "GET", base+"/v1/stat", nil); code != http.StatusOK {
 		t.Errorf("stat after the slot freed: %d", code)
 	}
 }
@@ -128,7 +133,7 @@ func TestUnknownBackend(t *testing.T) {
 	for _, backend := range []string{"disk", "sim"} {
 		fs := flag.NewFlagSet("ecstored", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		_, err := newHandler(fs, []string{"-backend", backend}, slog.New(slog.NewJSONHandler(io.Discard, nil)))
+		_, err := newServer(fs, []string{"-backend", backend}, slog.New(slog.NewJSONHandler(io.Discard, nil)))
 		if err == nil || !strings.Contains(err.Error(), strconv.Quote(backend)) {
 			t.Errorf("-backend %s: %v, want an unknown-backend error", backend, err)
 		}

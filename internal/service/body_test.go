@@ -285,7 +285,7 @@ func TestOSDPutReturnsAfterItsBody(t *testing.T) {
 
 // TestPutGetBytesAllocated gates the data path's allocation the way
 // TestStreamEncodeSteadyStateAllocs gates the codec's: through a gateway
-// handler and six ecstored handlers over loopback HTTP, a PUT and a GET of
+// handler and six ecstored daemons over loopback HTTP, a PUT and a GET of
 // a 4 MiB object, and of one a byte over 5 MiB whose shards fit no pool
 // class exactly, allocate at most 3× the object between client, gateway
 // and daemons together. Every shard buffer has one owner that gives it
@@ -306,9 +306,7 @@ func TestPutGetBytesAllocated(t *testing.T) {
 	osds := make([]*OSDServer, 6)
 	for i := range stores {
 		osds[i] = NewOSDServer(i, NewMemStore(i), nil)
-		srv := httptest.NewServer(osds[i].Handler())
-		t.Cleanup(srv.Close)
-		stores[i] = NewOSDClient(i, srv.URL)
+		stores[i] = NewOSDClient(i, startDaemon(t, osds[i]).URL)
 	}
 	placer, err := NewPlacer(crush.Uniform(6, 1), 6)
 	if err != nil {

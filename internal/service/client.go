@@ -319,10 +319,12 @@ func (c *OSDClient) idled(cn *osdConn) {
 
 // write sends the request head and body in one writev (a write each on a
 // connection that is not a *net.TCPConn). The request ID is forwarded
-// unless it would break the head. A daemon may answer a large body (a 503,
-// a 429) unread and stall with the connection open, so a goroutine started
-// after earlyAnswerDelay waits for that answer and cuts the write; write
-// returns only after it, so the body and cn.br are the caller's again.
+// when it is a valid one (validRequestID): a daemon refuses a head with a
+// control character in it, and bounds its length (maxHead). A daemon may
+// answer a large body (a 503, a 429) unread and stall with the connection
+// open, so a goroutine started after earlyAnswerDelay waits for that
+// answer and cuts the write; write returns only after it, so the body and
+// cn.br are the caller's again.
 func (cn *osdConn) write(ctx context.Context, method, host, path string, body []byte) error {
 	h := append(make([]byte, 0, 256), method...)
 	h = append(append(append(h, ' '), path...), " HTTP/1.1\r\nHost: "...)
@@ -330,7 +332,7 @@ func (cn *osdConn) write(ctx context.Context, method, host, path string, body []
 	if body != nil {
 		h = strconv.AppendInt(append(h, "\r\nContent-Length: "...), int64(len(body)), 10)
 	}
-	if id := RequestIDFrom(ctx); id != "" && !strings.ContainsAny(id, "\r\n") {
+	if id := RequestIDFrom(ctx); validRequestID(id) {
 		h = append(append(h, "\r\n"+RequestIDHeader+": "...), id...)
 	}
 	bufs := net.Buffers{append(h, "\r\n\r\n"...), body} // writev skips an empty body

@@ -84,16 +84,8 @@ func TestLentBodyOneWrite(t *testing.T) {
 // large shards, DELETEs, and GETs answered 404 — all go over the one
 // connection the first of them opened.
 func TestShardConnReuse(t *testing.T) {
-	srv := httptest.NewUnstartedServer(NewOSDServer(0, NewMemStore(0), nil).Handler())
-	var opened atomic.Int64
-	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			opened.Add(1)
-		}
-	}
-	srv.Start()
-	defer srv.Close()
-	oc := NewOSDClient(0, srv.URL)
+	d := startDaemon(t, NewOSDServer(0, NewMemStore(0), nil))
+	oc := NewOSDClient(0, d.URL)
 	ctx := context.Background()
 	for i := 0; i < 25; i++ {
 		data := payload(2<<10+i%2*(1<<20), int64(i))
@@ -110,7 +102,7 @@ func TestShardConnReuse(t *testing.T) {
 			t.Fatalf("get %d after delete: %v, want ErrNotFound", i, err)
 		}
 	}
-	if n := opened.Load(); n != 1 {
+	if n := d.accepted.Load(); n != 1 {
 		t.Fatalf("100 sequential shard ops opened %d connections, want 1", n)
 	}
 }
@@ -121,9 +113,7 @@ func TestShardConnReuse(t *testing.T) {
 // its own shard back, never an answer meant for another request, and no
 // connection a cancellation closed is kept for reuse.
 func TestShardConnConcurrentCancel(t *testing.T) {
-	srv := httptest.NewServer(NewOSDServer(0, NewMemStore(0), nil).Handler())
-	defer srv.Close()
-	oc := NewOSDClient(0, srv.URL)
+	oc := NewOSDClient(0, startDaemon(t, NewOSDServer(0, NewMemStore(0), nil)).URL)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -187,21 +177,14 @@ func TestShardConnCancelAfterAnswer(t *testing.T) {
 // each finds its idle connection closed. Each succeeds through one new
 // connection, and no error surfaces.
 func TestShardConnRedialAfterRestart(t *testing.T) {
-	h := NewOSDServer(0, NewMemStore(0), nil).Handler()
-	srv := httptest.NewServer(h)
-	addr := srv.Listener.Addr().String()
+	osd := NewOSDServer(0, NewMemStore(0), nil)
+	d := startDaemon(t, osd)
+	addr := d.Addr().String()
 	restart := func() {
-		srv.Close()
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv = httptest.NewUnstartedServer(h)
-		srv.Listener = ln
-		srv.Start()
+		d.Close()
+		d = serveDaemon(t, osd, addr, nil)
 	}
-	defer func() { srv.Close() }()
-	oc := NewOSDClient(0, srv.URL)
+	oc := NewOSDClient(0, d.URL)
 	var dials atomic.Int64
 	oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
 		dials.Add(1)
@@ -246,10 +229,10 @@ func (rejectAll) Admit(qos.Request) qos.Decision {
 }
 func (rejectAll) Release(qos.Request) {}
 
-// TestShardConnEarlyAnswer: a daemon that answers 503, and one that answers
-// 429 through AdmissionMiddleware, without reading an 8 MiB shard body.
-// net/http's server then closes the connection, and the rest of the body
-// fails to send; Put still reads the answer the daemon sent before it
+// TestShardConnEarlyAnswer: a daemon that answers 503, and an ecstored
+// that answers 429 through its admission, without reading an 8 MiB shard
+// body. Each then closes the connection, and the rest of the body fails to
+// send; Put still reads the answer the daemon sent before it
 // closed, as net/http's client does, and returns that status's mapping
 // well inside its 2 s deadline. A daemon that answers 503 and then stalls
 // with the connection open gets the same: a body of earlyAnswerBody or
@@ -264,27 +247,32 @@ func TestShardConnEarlyAnswer(t *testing.T) {
 			srv.Close()
 		}
 	}()
+	serve := func(h http.Handler) string {
+		srv := httptest.NewServer(h)
+		srvs = append(srvs, srv)
+		return srv.URL
+	}
+	rejecting := NewOSDServer(0, NewMemStore(0), nil)
+	rejecting.SetAdmission(rejectAll{})
 	busy := func(err error) bool { return errors.Is(err, ErrOSDDown) && strings.HasSuffix(err.Error(), ": busy") }
 	stalled := stalledBusy(release)
 	for _, c := range []struct {
 		name  string
 		size  int
-		h     http.Handler
+		url   string
 		check func(error) bool
 	}{
-		{"503", 8 << 20, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		{"503", 8 << 20, serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "busy"})
-		}), busy},
-		{"429", 8 << 20, AdmissionMiddleware(rejectAll{}, http.NotFoundHandler()), func(err error) bool {
+		})), busy},
+		{"429", 8 << 20, startDaemon(t, rejecting).URL, func(err error) bool {
 			var se *StatusError
 			return errors.As(err, &se) && se.Code == http.StatusTooManyRequests && se.RetryAfter == "1"
 		}},
-		{"stalled 503", 8 << 20, stalled, busy},
-		{"stalled 503, 2 KiB", 2 << 10, stalled, busy},
+		{"stalled 503", 8 << 20, serve(stalled), busy},
+		{"stalled 503, 2 KiB", 2 << 10, serve(stalled), busy},
 	} {
-		srv := httptest.NewServer(c.h)
-		srvs = append(srvs, srv)
-		oc := NewOSDClient(0, srv.URL)
+		oc := NewOSDClient(0, c.url)
 		var failed atomic.Bool
 		oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
 			nc, err := (&net.Dialer{}).DialContext(ctx, network, addr)
@@ -328,19 +316,11 @@ func stalledBusy(release <-chan struct{}) http.Handler {
 // deadline with which a listener cuts a write is not left on a pooled
 // connection.
 func TestShardConnListenerLeavesNoDeadline(t *testing.T) {
-	h := NewOSDServer(0, NewMemStore(0), nil).Handler()
-	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(5 * earlyAnswerDelay)
-		h.ServeHTTP(w, r)
-	}))
-	srv.Config.ConnState = func(c net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			_ = c.(*net.TCPConn).SetReadBuffer(64 << 10)
-		}
-	}
-	srv.Start()
-	defer srv.Close()
-	oc := NewOSDClient(0, srv.URL)
+	d := serveDaemon(t, NewOSDServer(0, NewMemStore(0), nil), "127.0.0.1:0", func(c net.Conn) net.Conn {
+		_ = c.(*net.TCPConn).SetReadBuffer(64 << 10)
+		return &lateReader{Conn: c}
+	})
+	oc := NewOSDClient(0, d.URL)
 	var dials atomic.Int64
 	oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
 		dials.Add(1)
@@ -362,6 +342,21 @@ func TestShardConnListenerLeavesNoDeadline(t *testing.T) {
 	if n := dials.Load(); n != 1 {
 		t.Fatalf("a put whose write the listener waited on, and a get after it, dialled %d times, want 1", n)
 	}
+}
+
+// lateReader is a daemon connection that waits longer than
+// earlyAnswerDelay before its first read.
+type lateReader struct {
+	net.Conn
+	waited bool
+}
+
+func (c *lateReader) Read(p []byte) (int, error) {
+	if !c.waited {
+		c.waited = true
+		time.Sleep(5 * earlyAnswerDelay)
+	}
+	return c.Conn.Read(p)
 }
 
 // TestOSDAddr: an ecstored URL is http://host:port and nothing else.
@@ -502,9 +497,7 @@ func newKeyRig(tb testing.TB) *keyRig {
 	stores := make([]ShardStore, len(r.mems))
 	for i := range r.mems {
 		r.mems[i] = NewMemStore(i)
-		daemon := httptest.NewServer(NewOSDServer(i, r.mems[i], nil).Handler())
-		tb.Cleanup(daemon.Close)
-		stores[i] = NewOSDClient(i, daemon.URL)
+		stores[i] = NewOSDClient(i, startDaemon(tb, NewOSDServer(i, r.mems[i], nil)).URL)
 	}
 	r.oc = stores[0].(*OSDClient)
 	r.gw = buildGateway(tb, stores, nil)
@@ -587,6 +580,13 @@ func TestDotKeys(t *testing.T) {
 			t.Fatalf("shard key %q: delete: %v", key, err)
 		}
 	}
+}
+
+// TestLongestKey: a key of maxKeyBytes that escapes to three bytes a byte,
+// the longest shard path the gateway builds, is a shard and an object
+// like any other: every daemon takes its heads.
+func TestLongestKey(t *testing.T) {
+	newKeyRig(t).roundTrip(t, strings.Repeat("\xff", maxKeyBytes), 1<<63, 255)
 }
 
 // FuzzShardKeyRoundTrip: whatever the user key, generation and shard index,

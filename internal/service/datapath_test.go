@@ -145,6 +145,17 @@ func (c logRecords) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// logFunc is a log destination that hands each JSON record to a function.
+type logFunc func(rec map[string]any)
+
+func (f logFunc) Write(p []byte) (int, error) {
+	var rec map[string]any
+	if json.Unmarshal(p, &rec) == nil {
+		f(rec)
+	}
+	return len(p), nil
+}
+
 // TestGetClientLeavesMidBody: a GET whose client hangs up after the
 // response headers is logged as what happened — the bytes that were
 // written and the write's error — at the gateway and at the daemon, where
@@ -166,14 +177,20 @@ func TestGetClientLeavesMidBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, c := range map[string]struct {
-		h    http.Handler
-		path string
+		start func() (addr string, stop func())
+		path  string
 	}{
-		"gateway": {gw.Handler(), "/v1/objects/big"},
-		"daemon":  {NewOSDServer(0, ms, logger).Handler(), "/v1/shards/big/0"},
+		"gateway": {func() (string, func()) {
+			srv := httptest.NewServer(gw.Handler())
+			return srv.Listener.Addr().String(), srv.Close
+		}, "/v1/objects/big"},
+		"daemon": {func() (string, func()) {
+			d := startDaemon(t, NewOSDServer(0, ms, logger))
+			return d.Addr().String(), func() { d.Close() }
+		}, "/v1/shards/big/0"},
 	} {
-		srv := httptest.NewServer(c.h)
-		conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+		addr, stop := c.start()
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +213,7 @@ func TestGetClientLeavesMidBody(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: no log record for the abandoned GET", name)
 		}
-		srv.Close()
+		stop()
 	}
 }
 
@@ -209,6 +226,10 @@ func TestResolvedSeriesExposition(t *testing.T) {
 	do := func(h http.Handler, method, path, body string) {
 		t.Helper()
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, path, strings.NewReader(body)))
+	}
+	osdDo := func(s *OSDServer, method, path, body string) {
+		t.Helper()
+		osdSend(s, method, path, strings.NewReader(body), int64(len(body)))
 	}
 	exposition := func(reg *Registry, keep func(line string) bool) string {
 		t.Helper()
@@ -227,13 +248,12 @@ func TestResolvedSeriesExposition(t *testing.T) {
 
 	osd := NewOSDServer(0, NewMemStore(0), nil)
 	osd.maxShard = 8
-	h := osd.Handler()
-	do(h, http.MethodPut, "/v1/shards/k/0", "hello")
-	do(h, http.MethodGet, "/v1/shards/k/0", "")
-	do(h, http.MethodGet, "/v1/shards/missing/0", "")
-	do(h, http.MethodDelete, "/v1/shards/k/0", "")
-	do(h, http.MethodDelete, "/v1/shards/k/0", "")
-	do(h, http.MethodPut, "/v1/shards/k/0", "over the limit")
+	osdDo(osd, http.MethodPut, "/v1/shards/k/0", "hello")
+	osdDo(osd, http.MethodGet, "/v1/shards/k/0", "")
+	osdDo(osd, http.MethodGet, "/v1/shards/missing/0", "")
+	osdDo(osd, http.MethodDelete, "/v1/shards/k/0", "")
+	osdDo(osd, http.MethodDelete, "/v1/shards/k/0", "")
+	osdDo(osd, http.MethodPut, "/v1/shards/k/0", "over the limit")
 	got := exposition(osd.reg, func(line string) bool {
 		return !strings.Contains(line, "_bucket{") && !strings.Contains(line, "_sum{")
 	})
@@ -253,7 +273,7 @@ ecstored_ops_total{op="put",code="413"} 1
 	}
 
 	gw := buildGateway(t, memStores(6), nil)
-	h = gw.Handler()
+	h := gw.Handler()
 	do(h, http.MethodPut, "/v1/objects/k", "hello")
 	do(h, http.MethodGet, "/v1/objects/k", "")
 	do(h, http.MethodGet, "/v1/objects/missing", "")
@@ -395,8 +415,7 @@ func TestWarmPutDoesNotRegrow(t *testing.T) {
 // as it was.
 func TestShardStoreBufferOwnership(t *testing.T) {
 	ctx := context.Background()
-	daemon := httptest.NewServer(NewOSDServer(0, NewMemStore(0), nil).Handler())
-	t.Cleanup(daemon.Close)
+	daemon := startDaemon(t, NewOSDServer(0, NewMemStore(0), nil))
 	for name, store := range map[string]ShardStore{
 		"mem":        NewMemStore(0),
 		"osd-client": NewOSDClient(0, daemon.URL),

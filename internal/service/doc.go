@@ -88,6 +88,10 @@
 // buffer. A daemon may answer (a 503, a 429) before it reads a shard and
 // then stall; a write of 64 KiB or more still running after 10 ms gets a
 // goroutine that waits for that answer and cuts the write once it is in.
+// The daemon's end speaks HTTP/1.1 itself too (OSDServer.Serve): one
+// goroutine per connection reads requests off a bufio.Reader and answers
+// each in one write, a GET in one writev of its head and the stored shard,
+// with no net/http server, request context or header map in between.
 // GateClient uploads go through net/http, handed the body in place
 // (lentBody) over a connection that sends it in one write (bodyConn). So no
 // payload byte is copied in user space between client, gateway and
@@ -110,8 +114,8 @@
 // # Gateway source map
 //
 // The gateway is three files on three seams (cubeFS's Access /
-// ClusterManager / Proxy split, scaled down), plus the fault injector and
-// the HTTP clients:
+// ClusterManager / Proxy split, scaled down), plus the fault injector, the
+// HTTP clients and the shard daemon they speak to:
 //
 //	gateway.go           data path: config, PUT/GET/DELETE, /v1/status
 //	osd.go               per OSD: store + Breaker + the one resilient shard
@@ -123,6 +127,9 @@
 //	                     its own connections, plus a listener for an early
 //	                     answer to a large body; GateClient over net/http
 //	                     (send); both finish answers through finish
+//	server.go            OSDServer, ecstored's HTTP/1.1 request loop: one
+//	                     goroutine per connection, one write per answer,
+//	                     MemStore's buffers served without a copy
 //	shardbuf.go          the shard-buffer pool the data path recycles
 //	                     through
 //

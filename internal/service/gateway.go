@@ -293,6 +293,11 @@ func (g *Gateway) PutObject(ctx context.Context, key string, data []byte) (Objec
 	return g.PutObjectFrom(ctx, key, bytes.NewReader(data), int64(len(data)))
 }
 
+// maxKeyBytes bounds an object key. Escaped into a shard path, each byte
+// takes at most three, so every shard request head the gateway builds fits
+// the daemon's head bound (maxHead).
+const maxKeyBytes = 16 << 10
+
 // PutObjectFrom reads a size-byte object from body, stripes it into k+m
 // shards and fans them out to the placed OSDs. At least k shards must
 // land; fewer is ErrInsufficientShards and any partial shards are deleted.
@@ -310,8 +315,8 @@ func (g *Gateway) PutObjectFrom(ctx context.Context, key string, body io.Reader,
 	}
 	var gone *objectMeta // the generation this PUT leaves behind, if any
 	defer func() { g.deleteShards(ctx, gone, "put", release) }()
-	if key == "" {
-		return ObjectInfo{}, fmt.Errorf("%w: empty key", ErrBadRequest)
+	if key == "" || len(key) > maxKeyBytes {
+		return ObjectInfo{}, fmt.Errorf("%w: key of %d bytes, want 1 to %d", ErrBadRequest, len(key), maxKeyBytes)
 	}
 	if size < 0 {
 		return ObjectInfo{}, fmt.Errorf("%w: negative size %d", ErrBadRequest, size)

@@ -20,9 +20,14 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(jsonBody(v))
+}
+
+// jsonBody is v as every JSON answer of the gateway and the daemon
+// carries it: indented, ending in a newline.
+func jsonBody(v any) []byte {
+	b, _ := json.MarshalIndent(v, "", "  ")
+	return append(b, '\n')
 }
 
 // bodyHead is readBody's first buffer: what a sender is granted before it

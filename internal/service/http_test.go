@@ -150,6 +150,11 @@ func putBody(h http.Handler, path string, body []byte, declared int64) (code int
 	return rec.Code, cr.n
 }
 
+// bodyPut sends a PUT body to path with the given Content-Length (-1:
+// none, a chunked upload) and returns the status and how many body bytes
+// the server consumed.
+type bodyPut func(path string, body []byte, declared int64) (code int, consumed int64)
+
 // checkBodyLimits drives a PUT route with body limit limit through the ways
 // a body can disagree with the limit or with its own Content-Length. Both
 // daemons read bodies through readBody and must answer alike: a declared
@@ -157,18 +162,18 @@ func putBody(h http.Handler, path string, body []byte, declared int64) (code int
 // that hangs up short of its declared length is a 400, and a chunked body
 // is accepted up to the limit and a 413 past it. Of the keys it uses only
 // "fits" may be stored afterwards.
-func checkBodyLimits(t *testing.T, h http.Handler, pathOf func(key string) string, limit int) {
+func checkBodyLimits(t *testing.T, put bodyPut, pathOf func(key string) string, limit int) {
 	t.Helper()
-	if code, consumed := putBody(h, pathOf("declared-over"), make([]byte, limit+1), int64(limit+1)); code != http.StatusRequestEntityTooLarge || consumed != 0 {
+	if code, consumed := put(pathOf("declared-over"), make([]byte, limit+1), int64(limit+1)); code != http.StatusRequestEntityTooLarge || consumed != 0 {
 		t.Fatalf("declared length over the limit: status %d after consuming %d body bytes, want 413 after 0", code, consumed)
 	}
-	if code, _ := putBody(h, pathOf("hung-up"), []byte("half a sh"), 100); code != http.StatusBadRequest {
+	if code, _ := put(pathOf("hung-up"), []byte("half a sh"), 100); code != http.StatusBadRequest {
 		t.Fatalf("body shorter than declared: status %d, want 400", code)
 	}
-	if code, _ := putBody(h, pathOf("fits"), make([]byte, limit), -1); code != http.StatusOK {
+	if code, _ := put(pathOf("fits"), make([]byte, limit), -1); code != http.StatusOK {
 		t.Fatalf("chunked body at the limit: status %d, want 200", code)
 	}
-	if code, _ := putBody(h, pathOf("chunked-over"), make([]byte, limit+1), -1); code != http.StatusRequestEntityTooLarge {
+	if code, _ := put(pathOf("chunked-over"), make([]byte, limit+1), -1); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("chunked body over the limit: status %d, want 413", code)
 	}
 }
@@ -201,7 +206,10 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized put: got %v, want 413", err)
 	}
-	checkBodyLimits(t, gw.Handler(), func(key string) string { return "/v1/objects/limits/" + key }, 1<<20)
+	h := gw.Handler()
+	checkBodyLimits(t, func(path string, body []byte, declared int64) (int, int64) {
+		return putBody(h, path, body, declared)
+	}, func(key string) string { return "/v1/objects/limits/" + key }, 1<<20)
 	if _, _, err := gc.GetObject(ctx, "limits/fits"); err != nil {
 		t.Fatalf("chunked put at the limit was not stored: %v", err)
 	}
@@ -240,6 +248,11 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("empty-key put: got %v, want 400", err)
 	}
+	// 400: a key over maxKeyBytes, before any shard request is built.
+	_, err = gc.PutObject(ctx, strings.Repeat("k", maxKeyBytes+1), payload(16, 5))
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("over-long key put: got %v, want 400", err)
+	}
 }
 
 // TestHTTPOverload checks the 429 + Retry-After mapping end to end using
@@ -270,9 +283,7 @@ func TestOSDServerRoundTrip(t *testing.T) {
 	ms := NewMemStore(3)
 	ms.SetHost("node3")
 	fs := NewFaultStore(ms, 3, 1)
-	srv := httptest.NewServer(NewOSDServer(3, fs, nil).Handler())
-	t.Cleanup(srv.Close)
-	oc := NewOSDClient(3, srv.URL)
+	oc := NewOSDClient(3, startDaemon(t, NewOSDServer(3, fs, nil)).URL)
 	ctx := context.Background()
 
 	shard := payload(32<<10, 9)
@@ -317,23 +328,23 @@ func TestOSDServerPutBodyErrors(t *testing.T) {
 	ms := NewMemStore(0)
 	osd := NewOSDServer(0, ms, nil)
 	osd.maxShard = 1 << 10
-	h := osd.Handler()
-	put := func(body io.Reader) int {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/shards/k/0", body))
-		return rec.Code
+	put := func(body io.Reader, declared int64) int {
+		code, _ := osdSend(osd, http.MethodPut, "/v1/shards/k/0", body, declared)
+		return code
 	}
-	if code := put(bytes.NewReader(make([]byte, 1<<10+1))); code != http.StatusRequestEntityTooLarge {
+	if code := put(bytes.NewReader(make([]byte, 1<<10+1)), 1<<10+1); code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized shard: status %d, want 413", code)
 	}
 	aborted := io.MultiReader(strings.NewReader("half a sh"), iotest.ErrReader(io.ErrUnexpectedEOF))
-	if code := put(aborted); code != http.StatusBadRequest {
+	if code := put(aborted, -1); code != http.StatusBadRequest {
 		t.Fatalf("aborted body: status %d, want 400", code)
 	}
-	if code := put(bytes.NewReader(make([]byte, 1<<10))); code != http.StatusOK {
+	if code := put(bytes.NewReader(make([]byte, 1<<10)), 1<<10); code != http.StatusOK {
 		t.Fatalf("shard at the limit: status %d, want 200", code)
 	}
-	checkBodyLimits(t, h, func(key string) string { return "/v1/shards/" + key + "/0" }, 1<<10)
+	checkBodyLimits(t, func(path string, body []byte, declared int64) (int, int64) {
+		return osdSend(osd, http.MethodPut, path, bytes.NewReader(body), declared)
+	}, func(key string) string { return "/v1/shards/" + key + "/0" }, 1<<10)
 	for code, want := range map[string]int64{"413": 3, "400": 2, "200": 2} {
 		if n := osd.reg.Counter(`ecstored_ops_total{op="put",code="` + code + `"}`).Value(); n != want {
 			t.Fatalf("ecstored_ops_total{op=put,code=%s} = %d, want %d", code, n, want)
@@ -349,12 +360,11 @@ func TestOSDServerPutBodyErrors(t *testing.T) {
 // degraded read after one daemon is torn down.
 func TestGatewayOverOSDDaemons(t *testing.T) {
 	stores := make([]ShardStore, 6)
-	servers := make([]*httptest.Server, 6)
+	servers := make([]*testDaemon, 6)
 	for i := range stores {
 		ms := NewMemStore(i)
 		ms.SetHost(fmt.Sprintf("node%d", i))
-		servers[i] = httptest.NewServer(NewOSDServer(i, ms, nil).Handler())
-		t.Cleanup(servers[i].Close)
+		servers[i] = startDaemon(t, NewOSDServer(i, ms, nil))
 		stores[i] = NewOSDClient(i, servers[i].URL)
 	}
 	placer, err := NewPlacer(crush.Uniform(6, 1), 6)

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strconv"
 	"time"
 
@@ -78,25 +77,4 @@ func (g *Gateway) admit(ctx context.Context) (func(), error) {
 			ts.inflight.Add(-1)
 		}
 	}, nil
-}
-
-// AdmissionMiddleware guards an HTTP handler with a qos.AdmissionPolicy:
-// each request is admitted under the identity in its X-Tenant header
-// (empty = anonymous) or refused with 429 and a Retry-After hint.
-// ecstored uses it to bound per-daemon inflight work (-max-inflight);
-// the gateway classifies the resulting 429s as transient and retries
-// around them.
-func AdmissionMiddleware(pol qos.AdmissionPolicy, next http.Handler) http.Handler {
-	if pol == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, err := admitRequest(pol, r.Header.Get(TenantHeader))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		defer release()
-		next.ServeHTTP(w, r)
-	})
 }

@@ -42,12 +42,32 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// maxRequestIDLen bounds a client-supplied request ID. The gateway
+// forwards the ID on every shard request and writes it into every access
+// line, so a longer one, or one holding a control character, is replaced
+// by a fresh ID rather than carried along.
+const maxRequestIDLen = 128
+
+// validRequestID reports whether id is one to carry: 1 to maxRequestIDLen
+// bytes, no control characters.
+func validRequestID(id string) bool {
+	if id == "" || len(id) > maxRequestIDLen {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		if id[i] < ' ' || id[i] == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
 // requestID resolves the effective ID for an incoming request: the
-// client's header if present, else a fresh one; it is echoed on the
-// response so callers can correlate too.
+// client's header if it is a valid one, else a fresh one; it is echoed on
+// the response so callers can correlate too.
 func requestID(w http.ResponseWriter, r *http.Request) string {
 	id := r.Header.Get(RequestIDHeader)
-	if id == "" {
+	if !validRequestID(id) {
 		id = newRequestID()
 	}
 	w.Header().Set(RequestIDHeader, id)

@@ -7,7 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"maps"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -833,17 +836,18 @@ func TestChaosNoLeak(t *testing.T) {
 func TestRequestIDPropagation(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]int{}
+	// Each daemon's access line names the request ID its shard request
+	// arrived with.
+	access := logFunc(func(rec map[string]any) {
+		id, _ := rec["request_id"].(string)
+		mu.Lock()
+		seen[id]++
+		mu.Unlock()
+	})
 	stores := make([]ShardStore, 6)
 	for i := range stores {
-		inner := NewOSDServer(i, NewMemStore(i), nil).Handler()
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			mu.Lock()
-			seen[r.Header.Get(RequestIDHeader)]++
-			mu.Unlock()
-			inner.ServeHTTP(w, r)
-		}))
-		t.Cleanup(srv.Close)
-		stores[i] = NewOSDClient(i, srv.URL)
+		osd := NewOSDServer(i, NewMemStore(i), slog.New(slog.NewJSONHandler(access, nil)))
+		stores[i] = NewOSDClient(i, startDaemon(t, osd).URL)
 	}
 	placer, err := NewPlacer(crush.Uniform(6, 1), 6)
 	if err != nil {
@@ -863,10 +867,23 @@ func TestRequestIDPropagation(t *testing.T) {
 	if _, err := gc.PutObject(ctx, "rid/obj", payload(64<<10, 61)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	mu.Lock()
-	n := seen["rid-e2e-42"]
-	mu.Unlock()
-	if n != cfg.K+cfg.M {
+	// A daemon writes its access line after its answer: wait for them.
+	lines := func(least int) map[string]int {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			mu.Lock()
+			n := 0
+			for _, c := range seen {
+				n += c
+			}
+			mu.Unlock()
+			if n >= least || time.Now().After(deadline) {
+				mu.Lock()
+				defer mu.Unlock()
+				return maps.Clone(seen)
+			}
+		}
+	}
+	if n := lines(cfg.K + cfg.M)["rid-e2e-42"]; n != cfg.K+cfg.M {
 		t.Fatalf("client request ID reached %d shard requests, want %d", n, cfg.K+cfg.M)
 	}
 
@@ -880,13 +897,82 @@ func TestRequestIDPropagation(t *testing.T) {
 	if _, _, err := gc.GetObject(context.Background(), "rid/obj"); err != nil {
 		t.Fatalf("get: %v", err)
 	}
+	got := lines(cfg.K)
+	if got[""] != 0 {
+		t.Fatalf("%d shard requests carried no request ID", got[""])
+	}
+	if len(got) != 1 {
+		t.Fatalf("generated ID not uniform across shard requests: %v", got)
+	}
+}
+
+// headRecorder is a gateway-side shard connection that records every
+// buffer written to it.
+type headRecorder struct {
+	net.Conn
+	mu     *sync.Mutex
+	writes *[]string
+}
+
+func (c headRecorder) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	*c.writes = append(*c.writes, string(p))
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// TestLongRequestIDIsReplaced: a client X-Request-ID of 100 KiB, past
+// maxRequestIDLen, is not carried. The gateway answers with a fresh ID of
+// its own, and every shard request head carries that one; no byte the
+// gateway sends a daemon holds the client's.
+func TestLongRequestIDIsReplaced(t *testing.T) {
+	var mu sync.Mutex
+	var writes []string
+	stores := make([]ShardStore, 6)
+	for i := range stores {
+		oc := NewOSDClient(i, startDaemon(t, NewOSDServer(i, NewMemStore(i), nil)).URL)
+		oc.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			return headRecorder{c, &mu, &writes}, err
+		}
+		stores[i] = oc
+	}
+	gw := buildGateway(t, stores, nil)
+	gsrv := httptest.NewServer(gw.Handler())
+	t.Cleanup(gsrv.Close)
+
+	long := strings.Repeat("r", 100<<10)
+	req, err := http.NewRequest(http.MethodPut, gsrv.URL+"/v1/objects/rid/long", bytes.NewReader(payload(4<<10, 62)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(RequestIDHeader, long)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	id := resp.Header.Get(RequestIDHeader)
+	if resp.StatusCode != http.StatusOK || id == long || !validRequestID(id) {
+		t.Fatalf("put with a 100 KiB request ID: status %d, echoed ID of %d bytes, want 200 and a fresh valid ID", resp.StatusCode, len(id))
+	}
+	drain(gw)
 	mu.Lock()
 	defer mu.Unlock()
-	if seen[""] != 0 {
-		t.Fatalf("%d shard requests carried no request ID", seen[""])
+	shardPuts := 0
+	for _, w := range writes {
+		if strings.Contains(w, long[:maxRequestIDLen+1]) {
+			t.Fatalf("a %d-byte write to a daemon holds the client's request ID", len(w))
+		}
+		if strings.HasPrefix(w, "PUT /v1/shards/") {
+			shardPuts++
+			if !strings.Contains(w, "\r\n"+RequestIDHeader+": "+id+"\r\n") {
+				t.Fatalf("shard request head %q does not carry the gateway's ID %q", w, id)
+			}
+		}
 	}
-	if len(seen) != 1 {
-		t.Fatalf("generated ID not uniform across shard requests: %v", seen)
+	if shardPuts != gw.cfg.K+gw.cfg.M {
+		t.Fatalf("%d shard PUT heads, want %d", shardPuts, gw.cfg.K+gw.cfg.M)
 	}
 }
 

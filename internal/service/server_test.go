@@ -1,46 +1,91 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 )
 
-// bodySink is a ResponseWriter that keeps the first buffer a handler
-// writes, not a copy of it.
+// bodySink is a daemon's end of a connection that keeps the buffers the
+// daemon reads into and writes from, not copies of them, each read with
+// the stream offset it starts at.
 type bodySink struct {
-	header http.Header
-	code   int
-	first  []byte
+	net.Conn
+	mu     sync.Mutex
+	off    int
+	reads  []sinkRead
+	writes [][]byte
 }
 
-func (w *bodySink) Header() http.Header { return w.header }
+type sinkRead struct {
+	off int
+	p   []byte
+}
 
-func (w *bodySink) WriteHeader(code int) { w.code = code }
+func (c *bodySink) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.reads = append(c.reads, sinkRead{c.off, p})
+	c.off += n
+	c.mu.Unlock()
+	return n, err
+}
 
-func (w *bodySink) Write(p []byte) (int, error) {
-	if w.first == nil {
-		w.first = p
+func (c *bodySink) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// readAt returns the buffer of the read that started at stream offset off.
+func (c *bodySink) readAt(off int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range c.reads {
+		if r.off == off {
+			return r.p
+		}
 	}
-	return len(p), nil
+	return nil
 }
 
-// firstRead is a request body that keeps the first buffer it is read into.
-type firstRead struct {
-	r     io.Reader
-	first []byte
+// lastWrite returns the buffer written last.
+func (c *bodySink) lastWrite() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes[len(c.writes)-1]
 }
 
-func (f *firstRead) Read(p []byte) (int, error) {
-	if f.first == nil {
-		f.first = p
+// readAnswer reads one answer off br into body, which must hold it, and
+// returns its status and body length. It allocates nothing.
+func readAnswer(br *bufio.Reader, body []byte) (code, n int, err error) {
+	line, err := br.ReadSlice('\n')
+	if err != nil || len(line) < 12 {
+		return 0, 0, fmt.Errorf("status line %q: %v", line, err)
 	}
-	return f.r.Read(p)
+	code = int(line[9]-'0')*100 + int(line[10]-'0')*10 + int(line[11]-'0')
+	for {
+		if line, err = br.ReadSlice('\n'); err != nil {
+			return 0, 0, err
+		}
+		if len(line) <= 2 {
+			break
+		}
+		if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
+			n, _ = strconv.Atoi(string(bytes.TrimSpace(v)))
+		}
+	}
+	_, err = io.ReadFull(br, body[:n])
+	return code, n, err
 }
 
 // TestOSDServerKeepsBody: over a MemStore, an n-byte shard PUT allocates
@@ -50,26 +95,45 @@ func (f *firstRead) Read(p []byte) (int, error) {
 func TestOSDServerKeepsBody(t *testing.T) {
 	const n = 768 << 10
 	ms := NewMemStore(0)
-	h := NewOSDServer(0, ms, nil).Handler()
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	sink := &bodySink{Conn: srv, reads: make([]sinkRead, 0, 64), writes: make([][]byte, 0, 64)}
+	go NewOSDServer(0, ms, nil).serveConn(sink)
 	data := payload(n, 3)
-	var body *firstRead
-	serve := func(method string) *bodySink {
-		body = &firstRead{r: bytes.NewReader(data)}
-		r := httptest.NewRequest(method, "/v1/shards/k@1/2", body)
-		r.ContentLength = n
-		w := &bodySink{header: http.Header{}}
-		h.ServeHTTP(w, r)
-		return w
+	heads := map[string]string{
+		http.MethodPut: "PUT /v1/shards/k@1/2 HTTP/1.1\r\nHost: osd\r\nContent-Length: " + strconv.Itoa(n) + "\r\n\r\n",
+		http.MethodGet: "GET /v1/shards/k@1/2 HTTP/1.1\r\nHost: osd\r\n\r\n",
+	}
+	br, answer := bufio.NewReader(cli), make([]byte, n)
+	var sent, bodyAt int
+	serve := func(method string) (code int) {
+		head := heads[method]
+		if _, err := io.WriteString(cli, head); err != nil {
+			t.Fatal(err)
+		}
+		sent += len(head)
+		if method == http.MethodPut {
+			bodyAt = sent
+			if _, err := cli.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			sent += n
+		}
+		code, _, err := readAnswer(br, answer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return code
 	}
 	serve(http.MethodPut) // warm-up: registry series, log attrs
 	serve(http.MethodGet)
 
-	var put, get *bodySink
+	var put, get int
 	putBytes := allocatedBy(func() { put = serve(http.MethodPut) })
-	read := body.first
+	read := sink.readAt(bodyAt)
 	getBytes := allocatedBy(func() { get = serve(http.MethodGet) })
-	if put.code != http.StatusOK || get.code != http.StatusOK {
-		t.Fatalf("put %d, get %d, want 200s", put.code, get.code)
+	if put != http.StatusOK || get != http.StatusOK {
+		t.Fatalf("put %d, get %d, want 200s", put, get)
 	}
 	if putBytes < n || putBytes > n+64<<10 {
 		t.Fatalf("a %d-byte shard PUT allocated %d bytes, want the shard and at most 64 KiB more", n, putBytes)
@@ -77,14 +141,14 @@ func TestOSDServerKeepsBody(t *testing.T) {
 	if getBytes > n/4 {
 		t.Fatalf("a %d-byte shard GET allocated %d bytes, want no shard-sized buffer", n, getBytes)
 	}
-	stored, err := ms.kept(context.Background(), "k@1", 2)
+	stored, err := ms.kept("k@1", 2)
 	if err != nil || !bytes.Equal(stored, data) || cap(stored) != n {
 		t.Fatalf("stored %d bytes in a buffer of %d (err %v), want the %d sent in an exact-length buffer", len(stored), cap(stored), err, n)
 	}
 	if len(read) == 0 || &read[0] != &stored[0] {
 		t.Fatal("the PUT did not store the buffer it read the body into")
 	}
-	if len(get.first) != n || &get.first[0] != &stored[0] {
+	if first := sink.lastWrite(); len(first) != n || &first[0] != &stored[0] {
 		t.Fatal("the GET did not write the stored buffer itself")
 	}
 }
@@ -95,9 +159,7 @@ func TestOSDServerKeepsBody(t *testing.T) {
 // returns one version intact or ErrNotFound; under -race, a write into a
 // buffer while it is being served would be reported.
 func TestKeptShardReadsRaceOverwrites(t *testing.T) {
-	srv := httptest.NewServer(NewOSDServer(0, NewMemStore(0), nil).Handler())
-	defer srv.Close()
-	oc := NewOSDClient(0, srv.URL)
+	oc := NewOSDClient(0, startDaemon(t, NewOSDServer(0, NewMemStore(0), nil)).URL)
 	ctx := context.Background()
 	versions := [][]byte{payload(64<<10, 1), payload(64<<10, 2), payload(96<<10, 3)}
 	if err := oc.Put(ctx, "k@1", 0, versions[0]); err != nil {

@@ -87,32 +87,25 @@ func (s *MemStore) SetHost(h string) { s.host = h }
 // modify it again. Its whole capacity stays held while the shard is
 // stored, so it should be exact-length (a pool buffer would hold its
 // class's capacity).
-func (s *MemStore) keep(ctx context.Context, key string, shard int, buf []byte) error {
+func (s *MemStore) keep(key string, shard int, buf []byte) {
 	name := shardName(key, shard)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if old, ok := s.shards[name]; ok {
 		s.bytes -= int64(len(old))
 	}
 	s.shards[name] = buf
 	s.bytes += int64(len(buf))
-	return nil
 }
 
 // kept returns the buffer the shard is stored in, ErrNotFound if absent.
 // It stays the store's: the caller reads it and neither modifies nor
 // recycles it.
-func (s *MemStore) kept(ctx context.Context, key string, shard int) ([]byte, error) {
+func (s *MemStore) kept(key string, shard int) ([]byte, error) {
 	name := shardName(key, shard)
 	s.mu.RLock()
 	data, ok := s.shards[name]
 	s.mu.RUnlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -121,12 +114,19 @@ func (s *MemStore) kept(ctx context.Context, key string, shard int) ([]byte, err
 
 // Put implements ShardStore.
 func (s *MemStore) Put(ctx context.Context, key string, shard int, data []byte) error {
-	return s.keep(ctx, key, shard, bytes.Clone(data))
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	s.keep(key, shard, bytes.Clone(data))
+	return nil
 }
 
 // Get implements ShardStore.
 func (s *MemStore) Get(ctx context.Context, key string, shard int) ([]byte, error) {
-	data, err := s.kept(ctx, key, shard)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	data, err := s.kept(key, shard)
 	if err != nil {
 		return nil, err
 	}
