@@ -31,10 +31,12 @@
 //
 // -scale resolves through one preset table (bench.SweepPreset) in every
 // mode. Scale "paper" is the full campaign — 52-OSD array, 1KB..128KB
-// blocks, stripe-unit and fault-state axes, 672 cells (hours serially;
-// shard it); "quick" is a reduced sweep for iteration; "smoke" finishes in
-// tens of seconds and is what CI runs. Figures 1 and 5-18 are projections
-// of the preset's sweep cells. The GF kernel tier is not a flag: the
+// blocks, stripe-unit and fault-state axes, and the bare-SSD baseline,
+// 704 cells (hours serially; shard it); "quick" is a reduced sweep for
+// iteration, 64 cells; "smoke" finishes in tens of seconds and is what CI
+// runs. Every figure is a projection of sweep cells at the preset's
+// options; Figs 19-20 read the time series of "series" and
+// "prefill-writes" variant cells. The GF kernel tier is not a flag: the
 // CPU picks it (gfni, else fused; ECARRAY_NO_GFNI=1 masks gfni).
 package main
 

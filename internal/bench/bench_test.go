@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -56,9 +58,9 @@ func TestSchemes(t *testing.T) {
 }
 
 // TestEveryFigureRenders renders every figure at micro options with its
-// table count, then all of them again through RunAll: every cell, bare-SSD
-// baseline and time series is cached, so the second pass runs no
-// simulation at all.
+// table count, then all of them again through RunAll: every cell,
+// bare-ssd and time-series cells included, is cached, so the second pass
+// runs no simulation at all.
 func TestEveryFigureRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs are slow")
@@ -100,7 +102,9 @@ func TestEveryFigureRenders(t *testing.T) {
 
 // TestFigureCellsAreSweepCells: a figure is a projection of sweep cells.
 // Every number in fig7a is the MB/s of the sweep cell with the same key,
-// run by another suite.
+// every fig18 ratio is of two such cells' MB/s, bare-ssd included, and
+// every fig19 and fig20 row is a sample of a "series" or "prefill-writes"
+// cell, all run by another suite.
 func TestFigureCellsAreSweepCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep runs are slow")
@@ -110,39 +114,155 @@ func TestFigureCellsAreSweepCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := fig.RunFigure("fig7")
-	if err != nil {
-		t.Fatal(err)
+	figure := func(id string) []Table {
+		t.Helper()
+		tables, err := fig.RunFigure(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tables
 	}
 	sw, err := NewSuite(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := Grid{
-		Schemes:     []string{"3-Rep", "RS(6,3)", "RS(10,4)"},
-		Patterns:    []string{workload.Random.String()},
-		Ops:         []string{workload.Write.String()},
+	sweep := func(g Grid) *BenchReport {
+		t.Helper()
+		r, err := sw.RunSweep("micro", g, 0, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	cell := func(r *BenchReport, k CellKey) CellReport {
+		t.Helper()
+		c := r.Cell(k.ID())
+		if c == nil {
+			t.Fatalf("sweep has no cell %s", k.ID())
+		}
+		return *c
+	}
+	seq, rand := workload.Sequential, workload.Random
+	r := sweep(Grid{
+		Schemes:     []string{"3-Rep", "RS(6,3)", "RS(10,4)", bareSSD},
+		Patterns:    []string{seq.String(), rand.String()},
+		Ops:         []string{workload.Read.String(), workload.Write.String()},
 		BlockSizes:  opt.BlockSizes,
 		StripeUnits: []int64{4 << 10},
 		Kernels:     []string{"auto"},
 		Faults:      []string{"none"},
+	})
+	fig7a := figure("fig7")[0]
+	for i, bs := range opt.BlockSizes {
+		for j, sc := range Schemes() {
+			k := figureKey(sc.Name, rand, workload.Write, bs)
+			if got, want := fig7a.Rows[i][j+1], f1(cell(r, k).MBps); got != want {
+				t.Errorf("fig7a %s at %s = %s MB/s, sweep cell %s = %s", sc.Name, bsLabel(bs), got, k.ID(), want)
+			}
+		}
 	}
-	r, err := sw.RunSweep("micro", g, 0, 1, nil)
+	fig18 := figure("fig18")
+	for ti, op := range []workload.Op{workload.Read, workload.Write} {
+		for i, bs := range opt.BlockSizes {
+			for j, sc := range []string{bareSSD, "3-Rep", "RS(6,3)", "RS(10,4)"} {
+				want := ratio(cell(r, figureKey(sc, rand, op, bs)).MBps, cell(r, figureKey(sc, seq, op, bs)).MBps)
+				if got := fig18[ti].Rows[i][j+1]; got != want {
+					t.Errorf("%s %s at %s = %s, sweep cells' rand/seq = %s", fig18[ti].ID, sc, bsLabel(bs), got, want)
+				}
+			}
+		}
+	}
+	// Fig 18's claims are report checks over the same cells: each divides
+	// one scheme's rand/seq MB/s by another's.
+	var metrics []string
+	for _, c := range r.Checks {
+		if c.Figure != "fig18" {
+			continue
+		}
+		metrics = append(metrics, c.Metric)
+		var mbps []float64
+		for _, id := range c.Cells {
+			mbps = append(mbps, r.Cell(id).MBps)
+		}
+		if len(mbps) != 4 || c.Measured != mbps[0]/mbps[1]/(mbps[2]/mbps[3]) {
+			t.Errorf("fig18/%s measured %v over cells %v", c.Metric, c.Measured, c.Cells)
+		}
+	}
+	if got, want := strings.Join(metrics, " "), "rep_over_ssd rs63_over_rep rs104_over_rep rs63_write_over_ssd rs104_write_over_ssd"; got != want {
+		t.Errorf("fig18 report checks = %q, want %q", got, want)
+	}
+
+	// rows checks a time-series table against the samples it projects.
+	rows := func(tb Table, samples []workload.Sample, row func(i int, sm workload.Sample) []string) {
+		t.Helper()
+		if len(samples) == 0 || len(tb.Rows) != len(samples) {
+			t.Fatalf("%s has %d rows, its cell %d samples", tb.ID, len(tb.Rows), len(samples))
+		}
+		for i, sm := range samples {
+			if got, want := strings.Join(tb.Rows[i], " "), strings.Join(row(i, sm), " "); got != want {
+				t.Errorf("%s row %d = %q, sample %q", tb.ID, i, got, want)
+			}
+		}
+	}
+	s19 := sweep(Grid{Schemes: []string{"3-Rep", "RS(6,3)"}, Patterns: []string{seq.String()},
+		Ops: []string{workload.Write.String()}, BlockSizes: []int64{16 << 10}, StripeUnits: []int64{4 << 10},
+		Kernels: []string{"auto"}, Variants: []string{"series"}})
+	ec := cell(s19, seriesKey("RS(6,3)", seq, 16<<10, "series")).Samples
+	rows(figure("fig19")[0], cell(s19, seriesKey("3-Rep", seq, 16<<10, "series")).Samples, func(i int, sm workload.Sample) []string {
+		return []string{seconds(sm.Second), f1(sm.MBps), f1(ec[i].MBps)}
+	})
+	s20 := sweep(Grid{Schemes: []string{"RS(6,3)"}, Patterns: []string{rand.String()},
+		Ops: []string{workload.Write.String()}, BlockSizes: []int64{4 << 10}, StripeUnits: []int64{4 << 10},
+		Kernels: []string{"auto"}, Variants: []string{"series", "prefill-writes"}})
+	for ti, v := range s20.Grid.Variants {
+		rows(figure("fig20")[ti], cell(s20, seriesKey("RS(6,3)", rand, 4<<10, v)).Samples, func(_ int, sm workload.Sample) []string {
+			return []string{seconds(sm.Second), f1(sm.MBps), fmt.Sprintf("%.0f", sm.CtxPerSec),
+				f2(sm.UserCPU * 100), f2(sm.KernelCPU * 100), f2(sm.PrivateRx / (1 << 20))}
+		})
+	}
+}
+
+// TestSeriesCellIsItsBaseCell: sampling observes a run and changes nothing
+// in it. A "series" cell equals its base cell field for field, except for
+// its identity, its samples and the sampler's own engine events: one per
+// tick, ten in the window and one past its end.
+func TestSeriesCellIsItsBaseCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep runs are slow")
+	}
+	s, err := NewSuite(microSweepOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig7a := tables[0]
-	for i, bs := range opt.BlockSizes {
-		for j, sc := range g.Schemes {
-			k := CellKey{Scheme: sc, Pattern: g.Patterns[0], Op: g.Ops[0], BlockSize: bs,
-				StripeUnit: 4 << 10, Kernel: "auto", Fault: "none"}
-			c := r.Cell(k.ID())
-			if c == nil {
-				t.Fatalf("sweep has no cell %s", k.ID())
+	// The figures' write cells: Fig 19's 16 KiB sequential, Fig 20's
+	// 4 KiB random, each with and without a paper-band check.
+	r, err := s.RunSweep("micro", Grid{
+		Schemes:     []string{"3-Rep", "RS(6,3)"},
+		Patterns:    []string{workload.Sequential.String(), workload.Random.String()},
+		Ops:         []string{workload.Write.String()},
+		BlockSizes:  []int64{4 << 10, 16 << 10},
+		StripeUnits: []int64{4 << 10},
+		Kernels:     []string{"auto"},
+		Variants:    []string{"base", "series"},
+	}, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range r.Cells {
+		if base.Variant != "" {
+			continue
+		}
+		series := r.Cell(base.ID + "/series")
+		if series == nil || len(series.Samples) != 10 {
+			t.Fatalf("%s/series: %+v, want 10 samples", base.ID, series)
+		}
+		for _, d := range diffCell(base, *series) {
+			if d.Field != "id" && d.Field != "variant" && d.Field != "samples" && d.Field != "engine_events" {
+				t.Errorf("sampling moved %s", d)
 			}
-			if got, want := fig7a.Rows[i][j+1], f1(c.MBps); got != want {
-				t.Errorf("fig7a %s at %s = %s MB/s, sweep cell %s = %s", sc, bsLabel(bs), got, k.ID(), want)
-			}
+		}
+		if got := series.EngineEvents - base.EngineEvents; got != 11 {
+			t.Errorf("%s: sampling added %d engine events, want 11", base.ID, got)
 		}
 	}
 }
@@ -301,23 +421,23 @@ func TestBareSSDRandSeqRatio(t *testing.T) {
 		t.Skip("slow")
 	}
 	s := tinySuite(t)
-	seq, err := s.BareSSD(workload.Sequential, workload.Read, 4096)
+	c, err := s.cellReports(figureKey(bareSSD, workload.Sequential, workload.Read, 4096),
+		figureKey(bareSSD, workload.Random, workload.Read, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := s.BareSSD(workload.Random, workload.Read, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, rnd := c[0], c[1]
 	// Paper Fig 18: the bare SSD's random throughput never beats sequential.
 	if ratio := rnd.MBps / seq.MBps; ratio > 1.05 {
 		t.Fatalf("bare SSD rand/seq = %.2f, want <= 1", ratio)
 	}
-	if seq.MBps == 0 || rnd.MBps == 0 {
+	if seq.MBps == 0 || rnd.MBps == 0 || seq.EngineEvents == 0 {
 		t.Fatal("bare SSD produced no throughput")
 	}
 }
 
+// TestFig19ShowsECStalls renders Fig 19 at tiny scale: enough rows, and a
+// time column that reads strictly increasing.
 func TestFig19ShowsECStalls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -329,5 +449,13 @@ func TestFig19ShowsECStalls(t *testing.T) {
 	}
 	if len(tables) != 1 || len(tables[0].Rows) < 5 {
 		t.Fatalf("fig19 shape wrong: %+v", tables)
+	}
+	last := -1.0
+	for _, row := range tables[0].Rows {
+		sec, err := strconv.ParseFloat(row[0], 64)
+		if err != nil || sec <= last {
+			t.Fatalf("fig19 t(s) column %q after %v: not strictly increasing (%v)", row[0], last, err)
+		}
+		last = sec
 	}
 }

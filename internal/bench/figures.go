@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"ecarray/internal/core"
@@ -52,19 +53,20 @@ func (s *Suite) runFigure(id string) ([]Table, error) {
 	case "fig10":
 		return s.cpuFigure("fig10", "CPU utilization by reads (paper Fig 10)", workload.Read)
 	case "fig11":
-		return s.ctxFigure("fig11", "Context switches per MB, writes (paper Fig 11)", workload.Write)
+		return s.patternFigure("fig11", "Context switches per MB, writes (paper Fig 11) — %s (switches/MB)", workload.Write, ctxPerMB)
 	case "fig12":
-		return s.ctxFigure("fig12", "Context switches per MB, reads (paper Fig 12)", workload.Read)
+		return s.patternFigure("fig12", "Context switches per MB, reads (paper Fig 12) — %s (switches/MB)", workload.Read, ctxPerMB)
 	case "fig13":
-		return s.ampFigure("fig13", "I/O amplification, sequential writes (paper Fig 13)", workload.Sequential, workload.Write, true)
+		return s.ampFigure("fig13", "I/O amplification, sequential writes (paper Fig 13)", workload.Sequential, workload.Write)
 	case "fig14":
-		return s.ampFigure("fig14", "I/O amplification, random writes (paper Fig 14)", workload.Random, workload.Write, true)
+		return s.ampFigure("fig14", "I/O amplification, random writes (paper Fig 14)", workload.Random, workload.Write)
 	case "fig15":
-		return s.readAmpFigure()
+		return s.patternFigure("fig15", "Read volumes normalized to input, %s reads (paper Fig 15)", workload.Read,
+			func(c CellReport) string { return f2(c.DevReadPerReq) })
 	case "fig16":
-		return s.netFigure("fig16", "Private network traffic per request, writes (paper Fig 16)", workload.Write)
+		return s.patternFigure("fig16", "Private network traffic per request, writes (paper Fig 16) — %s (private bytes / requested bytes)", workload.Write, netPerReq)
 	case "fig17":
-		return s.netFigure("fig17", "Private network traffic per request, reads (paper Fig 17)", workload.Read)
+		return s.patternFigure("fig17", "Private network traffic per request, reads (paper Fig 17) — %s (private bytes / requested bytes)", workload.Read, netPerReq)
 	case "fig18":
 		return s.fig18()
 	case "fig19":
@@ -173,7 +175,10 @@ func (s *Suite) cpuFigure(id, title string, op workload.Op) ([]Table, error) {
 	return out, nil
 }
 
-func (s *Suite) ctxFigure(id, title string, op workload.Op) ([]Table, error) {
+// patternFigure renders one cell field of a (pattern, op) family: table
+// <id>a for sequential and <id>b for random requests, titled by format
+// with the pattern, a row per block size and a column per scheme.
+func (s *Suite) patternFigure(id, format string, op workload.Op, field func(CellReport) string) ([]Table, error) {
 	var out []Table
 	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
 		cells, err := s.sweep(pat, op)
@@ -181,20 +186,23 @@ func (s *Suite) ctxFigure(id, title string, op workload.Op) ([]Table, error) {
 			return nil, err
 		}
 		t := Table{
-			ID:      fmt.Sprintf("%s%s", id, map[workload.Pattern]string{workload.Sequential: "a", workload.Random: "b"}[pat]),
-			Title:   fmt.Sprintf("%s — %s (switches/MB)", title, pat),
+			ID:      id + map[workload.Pattern]string{workload.Sequential: "a", workload.Random: "b"}[pat],
+			Title:   fmt.Sprintf(format, pat),
 			Columns: []string{"bs", "3-Rep", "RS(6,3)", "RS(10,4)"},
 		}
 		for i, bs := range s.Opt.BlockSizes {
 			t.Rows = append(t.Rows, []string{bsLabel(bs),
-				f1(cells["3-Rep"][i].CtxPerMB), f1(cells["RS(6,3)"][i].CtxPerMB), f1(cells["RS(10,4)"][i].CtxPerMB)})
+				field(cells["3-Rep"][i]), field(cells["RS(6,3)"][i]), field(cells["RS(10,4)"][i])})
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
 
-func (s *Suite) ampFigure(id, title string, pattern workload.Pattern, op workload.Op, withWrites bool) ([]Table, error) {
+func ctxPerMB(c CellReport) string  { return f1(c.CtxPerMB) }
+func netPerReq(c CellReport) string { return f2(c.NetPerReq) }
+
+func (s *Suite) ampFigure(id, title string, pattern workload.Pattern, op workload.Op) ([]Table, error) {
 	cells, err := s.sweep(pattern, op)
 	if err != nil {
 		return nil, err
@@ -209,52 +217,7 @@ func (s *Suite) ampFigure(id, title string, pattern workload.Pattern, op workloa
 		wr.Rows = append(wr.Rows, []string{bsLabel(bs),
 			f2(cells["3-Rep"][i].DevWritePerReq), f2(cells["RS(6,3)"][i].DevWritePerReq), f2(cells["RS(10,4)"][i].DevWritePerReq)})
 	}
-	if !withWrites {
-		return []Table{rd}, nil
-	}
 	return []Table{rd, wr}, nil
-}
-
-func (s *Suite) readAmpFigure() ([]Table, error) {
-	var out []Table
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
-		cells, err := s.sweep(pat, workload.Read)
-		if err != nil {
-			return nil, err
-		}
-		t := Table{
-			ID:      fmt.Sprintf("fig15%s", map[workload.Pattern]string{workload.Sequential: "a", workload.Random: "b"}[pat]),
-			Title:   fmt.Sprintf("Read volumes normalized to input, %s reads (paper Fig 15)", pat),
-			Columns: []string{"bs", "3-Rep", "RS(6,3)", "RS(10,4)"},
-		}
-		for i, bs := range s.Opt.BlockSizes {
-			t.Rows = append(t.Rows, []string{bsLabel(bs),
-				f2(cells["3-Rep"][i].DevReadPerReq), f2(cells["RS(6,3)"][i].DevReadPerReq), f2(cells["RS(10,4)"][i].DevReadPerReq)})
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-func (s *Suite) netFigure(id, title string, op workload.Op) ([]Table, error) {
-	var out []Table
-	for _, pat := range []workload.Pattern{workload.Sequential, workload.Random} {
-		cells, err := s.sweep(pat, op)
-		if err != nil {
-			return nil, err
-		}
-		t := Table{
-			ID:      fmt.Sprintf("%s%s", id, map[workload.Pattern]string{workload.Sequential: "a", workload.Random: "b"}[pat]),
-			Title:   fmt.Sprintf("%s — %s (private bytes / requested bytes)", title, pat),
-			Columns: []string{"bs", "3-Rep", "RS(6,3)", "RS(10,4)"},
-		}
-		for i, bs := range s.Opt.BlockSizes {
-			t.Rows = append(t.Rows, []string{bsLabel(bs),
-				f2(cells["3-Rep"][i].NetPerReq), f2(cells["RS(6,3)"][i].NetPerReq), f2(cells["RS(10,4)"][i].NetPerReq)})
-		}
-		out = append(out, t)
-	}
-	return out, nil
 }
 
 // fig1 computes the paper's summary chart: RS(10,4) normalized to 3-Rep for
@@ -290,13 +253,16 @@ func (s *Suite) fig1() ([]Table, error) {
 // fig18 compares random/sequential throughput ratios of the cluster schemes
 // against a bare SSD (paper §VII-A placement-group parallelism).
 func (s *Suite) fig18() ([]Table, error) {
+	schemes := []string{bareSSD, "3-Rep", "RS(6,3)", "RS(10,4)"}
 	var out []Table
 	for _, op := range []workload.Op{workload.Read, workload.Write} {
-		seq, err := s.sweep(workload.Sequential, op)
-		if err != nil {
-			return nil, err
+		var keys []CellKey
+		for _, bs := range s.Opt.BlockSizes {
+			for _, sc := range schemes {
+				keys = append(keys, figureKey(sc, workload.Random, op, bs), figureKey(sc, workload.Sequential, op, bs))
+			}
 		}
-		rnd, err := s.sweep(workload.Random, op)
+		c, err := s.cellReports(keys...)
 		if err != nil {
 			return nil, err
 		}
@@ -306,79 +272,46 @@ func (s *Suite) fig18() ([]Table, error) {
 			Columns: []string{"bs", "SSD", "3-Rep", "RS(6,3)", "RS(10,4)"},
 		}
 		for i, bs := range s.Opt.BlockSizes {
-			ssdSeq, err := s.BareSSD(workload.Sequential, op, bs)
-			if err != nil {
-				return nil, err
+			row := []string{bsLabel(bs)}
+			for j := range schemes {
+				n := 2 * (i*len(schemes) + j)
+				row = append(row, ratio(c[n].MBps, c[n+1].MBps))
 			}
-			ssdRnd, err := s.BareSSD(workload.Random, op, bs)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{bsLabel(bs),
-				ratio(ssdRnd.MBps, ssdSeq.MBps),
-				ratio(rnd["3-Rep"][i].MBps, seq["3-Rep"][i].MBps),
-				ratio(rnd["RS(6,3)"][i].MBps, seq["RS(6,3)"][i].MBps),
-				ratio(rnd["RS(10,4)"][i].MBps, seq["RS(10,4)"][i].MBps)})
+			t.Rows = append(t.Rows, row)
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
 
-// seriesRun runs (or returns the cached) sampled write job behind a
-// time-series figure: one scheme on a fresh cluster seeded with the suite
-// seed plus salt, sampled every tenth of the window (every second once the
-// window reaches 10 s). A prefilled image makes every write an overwrite.
-func (s *Suite) seriesRun(name string, sc Scheme, salt int64, prefill bool, pattern workload.Pattern, bs int64) (workload.Result, error) {
-	return s.memo(name, func() (workload.Result, error) {
-		interval := time.Second
-		if s.Opt.Duration < 10*time.Second {
-			interval = s.Opt.Duration / 10
-		}
-		started := time.Now()
-		c, img, err := s.clusterFor(sc, salt)
-		if err != nil {
-			return workload.Result{}, err
-		}
-		if prefill {
-			img.Prefill()
-		}
-		res, err := workload.Run(c, img, workload.Job{
-			Name: name, Op: workload.Write, Pattern: pattern,
-			BlockSize: bs, QueueDepth: s.Opt.QueueDepth, Duration: s.Opt.Duration,
-			Seed: s.Opt.Seed, SampleInterval: interval,
-		})
-		if err != nil {
-			return workload.Result{}, err
-		}
-		s.drainAndNote(c.Engine(), started)
-		return res, nil
-	})
+// seriesKey is the write cell of a time-series figure: figureKey's cell
+// under a sampling variant ("series" or "prefill-writes").
+func seriesKey(scheme string, pattern workload.Pattern, bs int64, variant string) CellKey {
+	k := figureKey(scheme, pattern, workload.Write, bs)
+	k.Variant = variant
+	return k
 }
+
+// seconds labels a time-series row with its sample time, in as many
+// decimals as the time needs, so consecutive rows always differ.
+func seconds(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 // fig19 reproduces the 16 KB sequential-write time series showing EC's
 // periodic object-initialization stalls (paper §VII-B).
 func (s *Suite) fig19() ([]Table, error) {
-	series := map[string][]workload.Sample{}
-	for _, sc := range []Scheme{Schemes()[0], Schemes()[1]} { // 3-Rep vs RS(6,3)
-		res, err := s.seriesRun("fig19-"+sc.Name, sc, 19, false, workload.Sequential, 16<<10)
-		if err != nil {
-			return nil, err
-		}
-		series[sc.Name] = res.Samples
+	c, err := s.cellReports(seriesKey("3-Rep", workload.Sequential, 16<<10, "series"),
+		seriesKey("RS(6,3)", workload.Sequential, 16<<10, "series"))
+	if err != nil {
+		return nil, err
 	}
+	rep, ec := c[0].Samples, c[1].Samples
 	t := Table{
 		ID:      "fig19",
 		Title:   "Sequential 16KB write time series — object management stalls (paper Fig 19)",
 		Columns: []string{"t(s)", "3-Rep MB/s", "RS(6,3) MB/s"},
 	}
-	n := min(len(series["3-Rep"]), len(series["RS(6,3)"]))
-	for i := 0; i < n; i++ {
-		t.Rows = append(t.Rows, []string{
-			f1(series["3-Rep"][i].Second),
-			f1(series["3-Rep"][i].MBps),
-			f1(series["RS(6,3)"][i].MBps),
-		})
+	for i := range min(len(rep), len(ec)) {
+		t.Rows = append(t.Rows, []string{seconds(rep[i].Second), f1(rep[i].MBps), f1(ec[i].MBps)})
 	}
 	t.Notes = append(t.Notes, "RS(6,3) throughput dips when sequential writes cross into uninitialized objects")
 	return []Table{t}, nil
@@ -388,12 +321,8 @@ func (s *Suite) fig19() ([]Table, error) {
 // (paper §VII-B): object initialization makes the pristine phase slower,
 // with lower CPU/context switches but far higher private network traffic.
 func (s *Suite) fig20() ([]Table, error) {
-	sc := Schemes()[1] // RS(6,3)
-	pristine, err := s.seriesRun("fig20-pristine", sc, 20, false, workload.Random, 4<<10)
-	if err != nil {
-		return nil, err
-	}
-	over, err := s.seriesRun("fig20-overwrite", sc, 21, true, workload.Random, 4<<10)
+	c, err := s.cellReports(seriesKey("RS(6,3)", workload.Random, 4<<10, "series"),
+		seriesKey("RS(6,3)", workload.Random, 4<<10, "prefill-writes"))
 	if err != nil {
 		return nil, err
 	}
@@ -405,7 +334,7 @@ func (s *Suite) fig20() ([]Table, error) {
 		}
 		for _, sm := range samples {
 			t.Rows = append(t.Rows, []string{
-				f1(sm.Second), f1(sm.MBps), fmt.Sprintf("%.0f", sm.CtxPerSec),
+				seconds(sm.Second), f1(sm.MBps), fmt.Sprintf("%.0f", sm.CtxPerSec),
 				f2(sm.UserCPU * 100), f2(sm.KernelCPU * 100),
 				f2(sm.PrivateRx / (1 << 20)),
 			})
@@ -413,8 +342,8 @@ func (s *Suite) fig20() ([]Table, error) {
 		return t
 	}
 	return []Table{
-		mk("fig20a", "Random 4KB writes on pristine image (paper Fig 20 left)", pristine.Samples),
-		mk("fig20b", "Random 4KB overwrites (paper Fig 20 right)", over.Samples),
+		mk("fig20a", "Random 4KB writes on pristine image (paper Fig 20 left)", c[0].Samples),
+		mk("fig20b", "Random 4KB overwrites (paper Fig 20 right)", c[1].Samples),
 	}, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ecarray/internal/paperref"
+	"ecarray/internal/workload"
 )
 
 // ReportSchemaVersion is the BENCH_*.json schema version. Bump it on any
@@ -131,6 +132,10 @@ type CellReport struct {
 	// Checks are the structured paper-band verdicts applicable to this
 	// cell alone (cross-cell ratio checks live in BenchReport.Checks).
 	Checks []paperref.CheckResult `json:"checks,omitempty"`
+
+	// Samples is the run's time series, recorded only by the "series" and
+	// "prefill-writes" variants (Figs 19-20).
+	Samples []workload.Sample `json:"samples,omitempty"`
 
 	// Timing fields: host-dependent, excluded from the deterministic
 	// digest and from exact comparison.

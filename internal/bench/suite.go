@@ -3,16 +3,18 @@
 // authors report, and renders them as tables.
 //
 // There is one cell runner (sweep.go). A cell is a CellKey — scheme,
-// pattern, op, block size, stripe unit, fault state, config variant —
-// seeded from its own ID by CellKey.seed, run on a fresh cluster, and
-// measured into a CellReport. The suite caches every cell it runs by ID.
-// RunSweep runs a grid's cells and serializes them as a versioned
-// BenchReport (report.go, BENCH_*.json), up to the paper-scale 52-OSD
-// campaign, sharded across machines if need be. Figures 1 and 5-18 are
-// projections of the same cells at the suite's block sizes and the 4 KiB
-// stripe unit, healthy cluster, and each mechanism ablation (ablation.go)
-// is a table over a small grid of them: a table and the sweep cell with
-// the same key print the same number. CompareReports
+// pattern, op, block size, stripe unit, fault state, run variant — seeded
+// from its own ID by CellKey.seed, run on a fresh cluster (or, for the
+// bare-ssd scheme, one bare SSD), and measured into a CellReport. The
+// suite caches every cell it runs by ID. RunSweep runs a grid's cells and
+// serializes them as a versioned BenchReport (report.go, BENCH_*.json), up
+// to the paper-scale 52-OSD campaign, sharded across machines if need be.
+// Every figure is a projection of the same cells at the 4 KiB stripe unit,
+// healthy cluster: Figs 1 and 5-18 at the suite's block sizes, Figs 19-20
+// the time series of their "series" and "prefill-writes" variant cells
+// (variants.go). Each mechanism ablation (ablation.go) is a table over a
+// small grid of them: a table and the sweep cell with the same key print
+// the same number. CompareReports
 // (compare.go) is the gate CI applies across commits (see README "CI
 // regression gates"): two reports pass only with equal deterministic
 // digests, and it lists every cell field that changed.
@@ -28,8 +30,6 @@ import (
 	"ecarray/internal/gf"
 	"ecarray/internal/rs"
 	"ecarray/internal/sim"
-	"ecarray/internal/ssd"
-	"ecarray/internal/workload"
 )
 
 // Scheme pairs a display name with a pool profile.
@@ -178,8 +178,7 @@ type calKey struct{ k, m int }
 // Suite runs and caches cells.
 type Suite struct {
 	Opt   Options
-	cache map[string]cellOutcome     // every cell run so far, by CellKey.ID()
-	runs  map[string]workload.Result // runs that are not cells: bare SSD, time series
+	cache map[string]cellOutcome // every cell run so far, by CellKey.ID()
 	mbps  map[calKey]calibration
 	eng   engineStats
 }
@@ -207,7 +206,7 @@ func NewSuite(opt Options) (*Suite, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	return &Suite{Opt: opt, cache: map[string]cellOutcome{}, runs: map[string]workload.Result{}, mbps: map[calKey]calibration{}}, nil
+	return &Suite{Opt: opt, cache: map[string]cellOutcome{}, mbps: map[calKey]calibration{}}, nil
 }
 
 // encodeMBps measures (and caches) the real codec's per-parity-row encode
@@ -281,7 +280,7 @@ func (s *Suite) calibrationInfo() []CalibrationInfo {
 
 // applyCodecConfig wires the suite's codec knobs — and, when calibrating
 // an EC profile, the measured encode cost — into a cluster config. Shared
-// by the cell runner and the scenario and time-series cluster builders so
+// by the cell runner and the scenario cluster builder so
 // a new knob cannot reach one and miss another.
 func (s *Suite) applyCodecConfig(cfg *core.Config, profile core.Profile) {
 	cfg.CodecConcurrency = s.Opt.CodecConcurrency
@@ -361,81 +360,10 @@ func (s *Suite) clusterWith(cfg core.Config, profile core.Profile) (*core.Cluste
 	return c, img, nil
 }
 
-// clusterFor builds a fresh cluster+image for one scenario or time-series
-// run, seeded with the suite seed plus the run's own salt.
+// clusterFor builds a fresh cluster+image for one scenario run, seeded
+// with the suite seed plus the run's own salt.
 func (s *Suite) clusterFor(scheme Scheme, seedSalt int64) (*core.Cluster, *core.Image, error) {
 	cfg := s.baseConfig(s.Opt.Seed + seedSalt)
 	s.applyCodecConfig(&cfg, scheme.Profile)
 	return s.clusterWith(cfg, scheme.Profile)
-}
-
-// memo returns the cached result of the named run, running it the first
-// time. It holds the runs that are not grid cells: the bare-SSD baselines
-// and the figure time series.
-func (s *Suite) memo(name string, run func() (workload.Result, error)) (workload.Result, error) {
-	if res, ok := s.runs[name]; ok {
-		return res, nil
-	}
-	res, err := run()
-	if err != nil {
-		return workload.Result{}, err
-	}
-	s.runs[name] = res
-	return res, nil
-}
-
-// BareSSD runs (or returns cached) the Fig 18 baseline: the same pattern
-// directly against one simulated OSD device, no cluster software.
-func (s *Suite) BareSSD(pattern workload.Pattern, op workload.Op, bs int64) (workload.Result, error) {
-	return s.memo(fmt.Sprintf("SSD/%s/%s/bs%d", pattern, op, bs), func() (workload.Result, error) {
-		return s.runBareSSD(pattern, op, bs)
-	})
-}
-
-func (s *Suite) runBareSSD(pattern workload.Pattern, op workload.Op, bs int64) (workload.Result, error) {
-	started := time.Now()
-	e := sim.NewEngine()
-	capacity := int64(4 << 30)
-	dev, err := ssd.New(e, "bare", ssd.DefaultConfig(capacity))
-	if err != nil {
-		return workload.Result{}, err
-	}
-	span := capacity / 2
-	blocks := span / bs
-	rng := sim.NewRand(s.Opt.Seed)
-	end := sim.Time(s.Opt.Duration)
-	var ops, bytes int64
-	var cursor int64 // shared sequential cursor, as one FIO job
-	// Device-level queue depth: bounded by NCQ, as with FIO on a raw device.
-	for w := 0; w < 32; w++ {
-		e.GoNamed("ssd", "", w, func(p *sim.Proc) {
-			for p.Now() < end {
-				var off int64
-				if pattern == workload.Sequential {
-					off = (cursor % blocks) * bs
-					cursor++
-				} else {
-					off = rng.Int63n(blocks) * bs
-				}
-				if op == workload.Write {
-					dev.Write(p, off, nil, bs)
-				} else {
-					dev.Read(p, off, bs)
-				}
-				ops++
-				bytes += bs
-			}
-		})
-	}
-	e.RunUntil(end)
-	s.drainAndNote(e, started)
-	res := workload.Result{
-		Job:   workload.Job{Op: op, Pattern: pattern, BlockSize: bs},
-		Ops:   ops,
-		Bytes: bytes,
-	}
-	secs := s.Opt.Duration.Seconds()
-	res.MBps = float64(bytes) / secs / (1 << 20)
-	res.IOPS = float64(ops) / secs
-	return res, nil
 }

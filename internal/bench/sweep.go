@@ -13,6 +13,7 @@ import (
 	"ecarray/internal/gf"
 	"ecarray/internal/paperref"
 	"ecarray/internal/sim"
+	"ecarray/internal/ssd"
 	"ecarray/internal/trace"
 	"ecarray/internal/workload"
 )
@@ -33,9 +34,10 @@ import (
 // Grid is the cross-product cell space of one sweep. Axes hold the
 // string forms used in cell IDs and JSON; presets fill them, validate
 // checks them. Replicated schemes ignore the stripe unit, so they run
-// only the first StripeUnits entry instead of multiplying the grid.
+// only the first StripeUnits entry instead of multiplying the grid, and
+// the bare-ssd baseline runs once per (pattern, op, block size).
 type Grid struct {
-	Schemes     []string `json:"schemes"`      // "3-Rep", "RS(6,3)", "RS(10,4)"
+	Schemes     []string `json:"schemes"`      // "3-Rep", "RS(6,3)", "RS(10,4)", "bare-ssd"
 	Patterns    []string `json:"patterns"`     // "seq", "rand"
 	Ops         []string `json:"ops"`          // "read", "write"
 	BlockSizes  []int64  `json:"block_sizes"`  // bytes
@@ -113,7 +115,9 @@ func (k CellKey) seed(suite int64) int64 {
 // enumeration index is what shards slice over, so it must stay stable for
 // a given grid. An empty Faults axis enumerates as a single healthy
 // ("none") state and an empty Variants axis as the base config, keeping
-// grids without those axes valid and sharded as before.
+// grids without those axes valid and sharded as before. A bare-ssd cell
+// has no cluster to fail or mutate: it runs at the first stripe unit,
+// healthy, under the base config.
 func (g Grid) Cells() []CellKey {
 	faults := g.Faults
 	if len(faults) == 0 {
@@ -126,6 +130,10 @@ func (g Grid) Cells() []CellKey {
 	var out []CellKey
 	for _, sc := range g.Schemes {
 		ec := sc != "3-Rep" && schemeByName(sc) != nil && schemeByName(sc).Profile.IsEC()
+		faults, variants := faults, variants
+		if sc == bareSSD {
+			faults, variants = []string{"none"}, []string{""}
+		}
 		for _, pat := range g.Patterns {
 			for _, op := range g.Ops {
 				for _, bs := range g.BlockSizes {
@@ -160,7 +168,7 @@ func (g Grid) validate() error {
 		return fmt.Errorf("bench: sweep grid has an empty axis: %+v", g)
 	}
 	for _, sc := range g.Schemes {
-		if schemeByName(sc) == nil {
+		if sc != bareSSD && schemeByName(sc) == nil {
 			return fmt.Errorf("bench: unknown scheme %q in grid", sc)
 		}
 	}
@@ -220,7 +228,12 @@ func (g Grid) validate() error {
 	return nil
 }
 
-// schemeByName maps a scheme display name back to its profile.
+// bareSSD is the scheme of Fig 18's baseline: the cell's pattern straight
+// against one simulated SSD, no cluster software (runBareSSD).
+const bareSSD = "bare-ssd"
+
+// schemeByName maps a scheme display name back to its profile; nil for
+// bare-ssd, which has none.
 func schemeByName(name string) *Scheme {
 	for _, sc := range Schemes() {
 		if sc.Name == name {
@@ -237,13 +250,15 @@ func schemeByName(name string) *Scheme {
 //   - "smoke": the CI gate — 2 schemes × random × read/write × {4,16} KB on
 //     the small testbed, healthy and degraded (one OSD failed) cluster
 //     states, short windows; finishes in tens of seconds.
-//   - "quick": 3 schemes × both patterns × read/write × the Quick block
-//     sweep on the small testbed, healthy cluster only.
+//   - "quick": 3 schemes and the bare SSD × both patterns × read/write ×
+//     the Quick block sweep on the small testbed, healthy cluster only:
+//     64 cells.
 //   - "paper": the full campaign — 52-OSD array, 3 schemes × both
 //     patterns × read/write × the paper's 1 KB..128 KB sweep, stripe units
 //     {4,16,64} KB, and all three fault states (healthy, degraded,
-//     recovering — the §IV-E axis): 672 cells. Hours of wall time
-//     serially; shard it (ecbench -shard i/n).
+//     recovering — the §IV-E axis), plus the bare SSD's 32 healthy cells:
+//     704 cells. Hours of wall time serially; shard it (ecbench -shard
+//     i/n).
 func SweepPreset(name string) (Options, Grid, error) {
 	switch name {
 	case "smoke":
@@ -258,7 +273,7 @@ func SweepPreset(name string) (Options, Grid, error) {
 		}, nil
 	case "quick":
 		return Quick(), Grid{
-			Schemes:     []string{"3-Rep", "RS(6,3)", "RS(10,4)"},
+			Schemes:     []string{"3-Rep", "RS(6,3)", "RS(10,4)", bareSSD},
 			Patterns:    []string{workload.Sequential.String(), workload.Random.String()},
 			Ops:         []string{workload.Read.String(), workload.Write.String()},
 			BlockSizes:  Quick().BlockSizes,
@@ -268,7 +283,7 @@ func SweepPreset(name string) (Options, Grid, error) {
 		}, nil
 	case "paper":
 		return Paper(), Grid{
-			Schemes:     []string{"3-Rep", "RS(6,3)", "RS(10,4)"},
+			Schemes:     []string{"3-Rep", "RS(6,3)", "RS(10,4)", bareSSD},
 			Patterns:    []string{workload.Sequential.String(), workload.Random.String()},
 			Ops:         []string{workload.Read.String(), workload.Write.String()},
 			BlockSizes:  PaperBlockSizes(),
@@ -405,8 +420,8 @@ func (s *Suite) runCells(cells []CellKey, completed func(CellKey)) []cellOutcome
 		// Measure before any cell runs: a measurement must not share the
 		// cores with simulation, and afterwards cells only read the cache.
 		for _, k := range cells {
-			if p := schemeByName(k.Scheme).Profile; p.IsEC() {
-				s.encodeMBps(p.K, p.M)
+			if sc := schemeByName(k.Scheme); sc != nil && sc.Profile.IsEC() {
+				s.encodeMBps(sc.Profile.K, sc.Profile.M)
 			}
 		}
 	}
@@ -474,50 +489,74 @@ func (s *Suite) reportConfig(preset string) ReportConfig {
 	}
 }
 
-// runSweepCell runs one grid cell on a fresh cluster: the stripe unit and
-// the variant are applied to the cluster config, and the cell's own seed
-// drives both the cluster and the load generator. It runs concurrently
-// with other cells and so only reads the suite.
+// runSweepCell runs one grid cell, seeded from its own ID, and measures
+// it into a CellReport. It runs concurrently with other cells and so only
+// reads the suite.
 func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
+	seed := k.seed(s.Opt.Seed)
+	run := s.runClusterCell
+	if k.Scheme == bareSSD {
+		run = s.runBareSSD
+	}
+	cr, eng, err := run(k, seed, time.Now())
+	if err != nil {
+		return CellReport{}, engineStats{}, err
+	}
+	cr.ID, cr.Scheme, cr.Pattern, cr.Op = k.ID(), k.Scheme, k.Pattern, k.Op
+	cr.BlockSize, cr.StripeUnit, cr.Kernel, cr.Fault = k.BlockSize, k.StripeUnit, k.Kernel, k.fault()
+	cr.Variant = k.variant()
+	cr.Seed = seed
+	cr.EngineEvents, cr.SimSeconds = eng.events, eng.virtual.Seconds()
+	cr.Checks = cellChecks(k, cr)
+	cr.WallMS = float64(eng.wall.Microseconds()) / 1e3
+	if secs := eng.wall.Seconds(); secs > 0 {
+		cr.EventsPerSec = float64(cr.EngineEvents) / secs
+	}
+	return cr, eng, nil
+}
+
+// ops returns the cell's op and access pattern.
+func (k CellKey) ops() (workload.Op, workload.Pattern) {
+	op, pattern := workload.Read, workload.Sequential
+	if k.Op == workload.Write.String() {
+		op = workload.Write
+	}
+	if k.Pattern == workload.Random.String() {
+		pattern = workload.Random
+	}
+	return op, pattern
+}
+
+// runClusterCell runs a cell of a cluster scheme on a fresh cluster: the
+// stripe unit and the variant are applied to the run, and the cell's seed
+// drives both the cluster and the load generator. started is taken before
+// the cluster is built, so setup counts against the simulator.
+func (s *Suite) runClusterCell(k CellKey, seed int64, started time.Time) (CellReport, engineStats, error) {
 	scheme := schemeByName(k.Scheme) // validated with the grid
 	mutate, err := variantMutation(k.variant())
 	if err != nil {
 		return CellReport{}, engineStats{}, err
 	}
-	id := k.ID()
-	seed := k.seed(s.Opt.Seed)
-	started := time.Now()
-	cfg := s.baseConfig(seed)
-	cfg.StripeUnit = k.StripeUnit
-	s.applyCodecConfig(&cfg, scheme.Profile)
-	mutate(&cfg)
-	c, img, err := s.clusterWith(cfg, scheme.Profile)
+	op, pattern := k.ops()
+	run := cellRun{cfg: s.baseConfig(seed), job: workload.Job{
+		Name: k.ID(), Op: op, Pattern: pattern, BlockSize: k.BlockSize,
+		QueueDepth: s.Opt.QueueDepth, Duration: s.Opt.Duration, Seed: seed,
+	}}
+	run.cfg.StripeUnit = k.StripeUnit
+	s.applyCodecConfig(&run.cfg, scheme.Profile)
+	if op == workload.Read {
+		// The paper pre-writes images before read measurements (§III).
+		run.prefill, run.job.Ramp = true, s.Opt.Ramp
+	}
+	mutate(&run)
+	c, img, err := s.clusterWith(run.cfg, scheme.Profile)
 	if err != nil {
 		return CellReport{}, engineStats{}, err
 	}
-
-	op := workload.Read
-	if k.Op == workload.Write.String() {
-		op = workload.Write
-	}
-	pattern := workload.Sequential
-	if k.Pattern == workload.Random.String() {
-		pattern = workload.Random
-	}
-	job := workload.Job{
-		Name:       id,
-		Op:         op,
-		Pattern:    pattern,
-		BlockSize:  k.BlockSize,
-		QueueDepth: s.Opt.QueueDepth,
-		Duration:   s.Opt.Duration,
-		Seed:       seed,
-	}
-	if op == workload.Read {
-		// The paper pre-writes images before read measurements (§III).
+	if run.prefill {
 		img.Prefill()
-		job.Ramp = s.Opt.Ramp
 	}
+	job := run.job
 	var rec *trace.Recorder
 	name, corpus := corpusName(k)
 	if corpus && s.Opt.TraceDir != "" {
@@ -532,28 +571,64 @@ func (s *Suite) runSweepCell(k CellKey) (CellReport, engineStats, error) {
 		// The cluster's counters cover [from, from+Duration): the trace
 		// keeps the same window, so the two sum to the same bytes.
 		stem := filepath.Join(s.Opt.TraceDir, name)
-		if err := writeCorpus(stem, rec, cfg, op == workload.Write, from, from+sim.Time(job.Duration)); err != nil {
+		if err := writeCorpus(stem, rec, run.cfg, op == workload.Write, from, from+sim.Time(job.Duration)); err != nil {
 			return CellReport{}, engineStats{}, err
 		}
 	}
 	eng := finishRun(c.Engine(), started)
 
 	cr := newCellReport(res)
-	cr.ID, cr.Scheme, cr.Pattern, cr.Op = id, k.Scheme, k.Pattern, k.Op
-	cr.BlockSize, cr.StripeUnit, cr.Kernel, cr.Fault = k.BlockSize, k.StripeUnit, k.Kernel, k.fault()
-	cr.Variant = k.variant()
-	cr.Seed = seed
-	cr.EngineEvents, cr.SimSeconds = eng.events, eng.virtual.Seconds()
 	gray := c.GrayMetrics()
 	cr.GrayShardTimeouts, cr.GrayShardFaults, cr.GrayShardRetries = gray.ShardTimeouts, gray.ShardFaults, gray.ShardRetries
 	cr.GrayHedgesIssued, cr.GrayHedgesWon = gray.HedgesIssued, gray.HedgesWon
 	cr.GrayEjects, cr.GrayReadmits = gray.Ejects, gray.Readmits
-	cr.Checks = cellChecks(k, cr)
-	cr.WallMS = float64(eng.wall.Microseconds()) / 1e3
-	if secs := eng.wall.Seconds(); secs > 0 {
-		cr.EventsPerSec = float64(cr.EngineEvents) / secs
-	}
 	return cr, eng, nil
+}
+
+// runBareSSD runs a bare-ssd cell: the cell's pattern straight against one
+// 4 GiB simulated SSD from 32 workers (device-level queue depth bounded by
+// NCQ, as with FIO on a raw device), no cluster software.
+func (s *Suite) runBareSSD(k CellKey, seed int64, started time.Time) (CellReport, engineStats, error) {
+	if k.fault() != "none" || k.variant() != "" {
+		return CellReport{}, engineStats{}, fmt.Errorf("bench: %s runs healthy base cells only", bareSSD)
+	}
+	op, pattern := k.ops()
+	bs := k.BlockSize
+	e := sim.NewEngine()
+	capacity := int64(4 << 30)
+	dev, err := ssd.New(e, "bare", ssd.DefaultConfig(capacity))
+	if err != nil {
+		return CellReport{}, engineStats{}, err
+	}
+	blocks := capacity / 2 / bs
+	rng := sim.NewRand(seed)
+	end := sim.Time(s.Opt.Duration)
+	var ops, bytes int64
+	var cursor int64 // shared sequential cursor, as one FIO job
+	for w := 0; w < 32; w++ {
+		e.GoNamed("ssd", "", w, func(p *sim.Proc) {
+			for p.Now() < end {
+				var off int64
+				if pattern == workload.Sequential {
+					off = (cursor % blocks) * bs
+					cursor++
+				} else {
+					off = rng.Int63n(blocks) * bs
+				}
+				if op == workload.Write {
+					dev.Write(p, off, nil, bs)
+				} else {
+					dev.Read(p, off, bs)
+				}
+				ops++
+				bytes += bs
+			}
+		})
+	}
+	e.RunUntil(end)
+	secs := s.Opt.Duration.Seconds()
+	return CellReport{Ops: ops, Bytes: bytes, MBps: float64(bytes) / secs / (1 << 20), IOPS: float64(ops) / secs},
+		finishRun(e, started), nil
 }
 
 // newCellReport turns one run's result into the measured fields of a
@@ -574,6 +649,7 @@ func newCellReport(res workload.Result) CellReport {
 		UserCPU:       res.Metrics.UserCPU,
 		KernelCPU:     res.Metrics.KernelCPU,
 		Errors:        res.Errors,
+		Samples:       res.Samples,
 	}
 	if res.Bytes > 0 {
 		b := float64(res.Bytes)
@@ -618,10 +694,11 @@ func (s *Suite) runCellJob(c *core.Cluster, img *core.Image, job workload.Job, f
 // isolation. Bands match the tier-1 calibration-invariant tests: wide,
 // guarding mechanisms and directions rather than exact testbed numbers.
 func cellChecks(k CellKey, c CellReport) []paperref.CheckResult {
-	if k.fault() != "none" || k.variant() != "" {
+	if k.fault() != "none" || (k.variant() != "" && k.variant() != "series") {
 		// The paper-band numbers describe the healthy cluster under the
 		// base config; fault cells are checked cross-cell (healthy vs
-		// degraded) at report level, variant cells not at all.
+		// degraded) at report level, variant cells not at all. A series
+		// cell is its base cell, sampled, and so checked as it is.
 		return nil
 	}
 	var out []paperref.CheckResult
@@ -715,6 +792,24 @@ func computeReportChecks(r *BenchReport) []ReportCheck {
 			if p, ok := paperref.Lookup("text", "degraded_read_penalty"); ok {
 				add(p.CheckWithin(healthy.MBps/faulty.MBps, 0.9, 50), healthy, faulty)
 			}
+		}
+	}
+	// Fig 18 (§VII-A): a scheme's random/sequential throughput ratio over
+	// another's, on 4 KiB requests; ×/÷2 bands.
+	for _, f := range []struct{ metric, scheme, over, op string }{
+		{"rep_over_ssd", "3-Rep", bareSSD, read},
+		{"rs63_over_rep", "RS(6,3)", "3-Rep", read},
+		{"rs104_over_rep", "RS(10,4)", "3-Rep", read},
+		{"rs63_write_over_ssd", "RS(6,3)", bareSSD, write},
+		{"rs104_write_over_ssd", "RS(10,4)", bareSSD, write},
+	} {
+		rnd, sq := cell(f.scheme, rand, f.op, bs), cell(f.scheme, seq, f.op, bs)
+		overR, overS := cell(f.over, rand, f.op, bs), cell(f.over, seq, f.op, bs)
+		if rnd == nil || sq == nil || overR == nil || overS == nil || sq.MBps == 0 || overR.MBps == 0 {
+			continue
+		}
+		if p, ok := paperref.Lookup("fig18", f.metric); ok {
+			add(p.CheckWithin(rnd.MBps/sq.MBps/(overR.MBps/overS.MBps), p.Value/2, p.Value*2), rnd, sq, overR, overS)
 		}
 	}
 	return out

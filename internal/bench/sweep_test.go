@@ -53,10 +53,12 @@ func runMicroSweep(t *testing.T, shardIdx, shardCount int) *BenchReport {
 }
 
 func TestSweepPresets(t *testing.T) {
-	// The paper's campaign is 672 cells: 3-Rep at one stripe unit plus two
+	// The paper's campaign is 704 cells: 3-Rep at one stripe unit plus two
 	// EC schemes at three, × seq/rand × read/write × 8 block sizes × 3
-	// fault states. Every preset's kernel axis is the single "auto" value.
-	for name, cells := range map[string]int{"smoke": 16, "quick": 48, "paper": 672} {
+	// fault states, plus the bare SSD's 32 healthy cells (seq/rand ×
+	// read/write × 8 block sizes). Quick's 64 are 48 cluster cells and 16
+	// bare-ssd ones. Every preset's kernel axis is the single "auto" value.
+	for name, cells := range map[string]int{"smoke": 16, "quick": 64, "paper": 704} {
 		opt, g, err := SweepPreset(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -131,8 +133,55 @@ func TestGridEnumeration(t *testing.T) {
 			t.Fatalf("cell %d = %s, want fault %s variant %s innermost", i, c.ID(), g.Faults[i/2%2], want)
 		}
 	}
+	// bare-ssd has no cluster to fail or mutate: it runs one healthy base
+	// cell per (pattern, op, block size), at the first stripe unit,
+	// whatever the other axes hold.
+	bare := Grid{
+		Schemes:     []string{bareSSD, "RS(6,3)"},
+		Patterns:    []string{"seq", "rand"},
+		Ops:         []string{"read"},
+		BlockSizes:  []int64{4096},
+		StripeUnits: []int64{4 << 10, 16 << 10},
+		Kernels:     []string{"auto"},
+		Faults:      []string{"degraded", "none"},
+		Variants:    []string{"cache-off", "series"},
+	}
+	if err := bare.validate(); err != nil {
+		t.Fatalf("bare-ssd grid: %v", err)
+	}
+	cells = bare.Cells()
+	if len(cells) != 2+16 {
+		t.Fatalf("bare-ssd grid cells = %d, want 2 bare-ssd + 16 RS(6,3)", len(cells))
+	}
+	for i, c := range cells[:2] {
+		want := CellKey{Scheme: bareSSD, Pattern: bare.Patterns[i], Op: "read", BlockSize: 4096,
+			StripeUnit: 4 << 10, Kernel: "auto", Fault: "none"}
+		if c != want {
+			t.Errorf("bare-ssd cell %d = %+v, want %+v", i, c, want)
+		}
+	}
+	// Such a cell can only be asked for directly, and is refused.
+	s, err := NewSuite(microSweepOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded := figureKey(bareSSD, workload.Random, workload.Read, 4096)
+	degraded.Fault = "degraded"
+	if _, err := s.cellReports(degraded); err == nil {
+		t.Error("degraded bare-ssd cell ran")
+	}
+	// An unknown variant's error lists every name the axis takes.
+	_, err = variantMutation("turbo")
+	for name := range variants {
+		if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "pgs-<n>") {
+			t.Errorf("variant error %v does not list %q and pgs-<n>", err, name)
+		}
+	}
+
 	bad := []Grid{
 		{},
+		{Schemes: []string{"SSD"}, Patterns: []string{"rand"}, Ops: []string{"read"},
+			BlockSizes: []int64{4096}, StripeUnits: []int64{4096}, Kernels: []string{"auto"}},
 		{Schemes: []string{"bogus"}, Patterns: []string{"rand"}, Ops: []string{"read"},
 			BlockSizes: []int64{4096}, StripeUnits: []int64{4096}, Kernels: []string{"auto"}},
 		{Schemes: []string{"3-Rep"}, Patterns: []string{"diagonal"}, Ops: []string{"read"},

@@ -155,15 +155,15 @@ func (j *Job) validate(imageSize int64) error {
 
 // Sample is one time-series point.
 type Sample struct {
-	Second      float64
-	MBps        float64 // client-visible completion throughput
-	UserCPU     float64 // storage-cluster fraction
-	KernelCPU   float64
-	CtxPerSec   float64
-	PrivateRx   float64 // B/s delivered over the private network
-	PrivateTx   float64 // B/s sent over the private network
-	DevReadBps  float64
-	DevWriteBps float64
+	Second      float64 `json:"second"`
+	MBps        float64 `json:"mbps"`     // client-visible completion throughput
+	UserCPU     float64 `json:"user_cpu"` // storage-cluster fraction
+	KernelCPU   float64 `json:"kernel_cpu"`
+	CtxPerSec   float64 `json:"ctx_per_sec"`
+	PrivateRx   float64 `json:"private_rx"` // B/s delivered over the private network
+	PrivateTx   float64 `json:"private_tx"` // B/s sent over the private network
+	DevReadBps  float64 `json:"dev_read_bps"`
+	DevWriteBps float64 `json:"dev_write_bps"`
 }
 
 // Result summarizes a run.
