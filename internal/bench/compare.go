@@ -90,17 +90,16 @@ func (c *CompareResult) Format() string {
 // behaviour fails, and the result lists every changed field. The one
 // tolerance is the wall-clock engine events/sec gate, which fails when the
 // rate fell by more than eventsPerSecDrop (0 selects 0.50). Reports must
-// share the schema version, run config and grid, or there is nothing to
-// compare cell by cell and CompareReports returns an error.
+// share the schema version and run config, or there is nothing to compare
+// cell by cell and CompareReports returns an error. Their grids may
+// differ: a grown grid fails the digest, and the diff lists its cells as
+// absent → present and its grid.* fields.
 func CompareReports(old, new *BenchReport, eventsPerSecDrop float64) (*CompareResult, error) {
 	if old.SchemaVersion != new.SchemaVersion {
 		return nil, fmt.Errorf("bench: compare: schema versions differ (%d vs %d)", old.SchemaVersion, new.SchemaVersion)
 	}
 	if old.Config != new.Config {
 		return nil, fmt.Errorf("bench: compare: run configs differ\nold: %+v\nnew: %+v", old.Config, new.Config)
-	}
-	if !old.Grid.equal(new.Grid) {
-		return nil, fmt.Errorf("bench: compare: grids differ")
 	}
 	res := &CompareResult{
 		OldDigest:       old.DeterministicDigest(),

@@ -464,6 +464,10 @@ func TestCompareGates(t *testing.T) {
 	extra.ID += "/extra"
 	added.Cells = append(added.Cells, extra)
 	mustFail("added cell", added, extra.ID+": absent → present")
+	// So does a grown grid: its new cells and its grid fields are listed.
+	grown := cloneReport(t, added)
+	grown.Grid.Variants = append(grown.Grid.Variants, "series")
+	mustFail("grown grid", grown, extra.ID+": absent → present", "report grid.variants")
 
 	// A report-level deterministic field is listed by its dotted name.
 	events := cloneReport(t, r)

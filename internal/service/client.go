@@ -115,20 +115,16 @@ func (c bodyConn) ReadFrom(r io.Reader) (int64, error) {
 	return io.Copy(c.Conn, r)
 }
 
-// pooledBody is a finish target like *[]byte for a caller that gives the
-// body back with putShardBuf: it arrives in a shard-pool buffer.
-type pooledBody []byte
-
-// finish consumes and closes a response. On 2xx, out says what the caller
-// wants of the body: a *[]byte takes it raw in an exact-length buffer, a
-// *pooledBody in a pool buffer, nil drains it (so the connection is
-// reused), anything else is JSON-decoded into. Any other status becomes an
-// error: ErrNotFound for 404, else a StatusError. No body read has a limit
-// of its own: the caller asked for whatever the object or shard holds.
+// finish consumes and closes a GateClient response. On 2xx, out says what
+// the caller wants of the body: a *[]byte takes it raw in an exact-length
+// buffer, nil drains it (so the connection is reused), anything else is
+// JSON-decoded into. Any other status is decodeError's. No body read has
+// a limit of its own: the caller asked for whatever the object holds.
 func finish(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return decodeError(resp)
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+		return decodeError(resp.StatusCode, raw, resp.Header.Get("Retry-After"))
 	}
 	var err error
 	switch out := out.(type) {
@@ -138,25 +134,22 @@ func finish(resp *http.Response, out any) error {
 	case *[]byte:
 		*out, err = readBody(resp.Body, resp.ContentLength, math.MaxInt64, false)
 		return err
-	case *pooledBody:
-		*out, err = readBody(resp.Body, resp.ContentLength, math.MaxInt64, true)
-		return err
 	default:
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
 }
 
-// decodeError turns a non-2xx response into an error, keeping the full
-// status detail (the 429/503 semantics matter to callers) except for 404,
-// which is the ErrNotFound sentinel.
-func decodeError(resp *http.Response) error {
-	var body errorBody
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	_ = json.Unmarshal(raw, &body)
-	if resp.StatusCode == http.StatusNotFound {
+// decodeError turns a non-2xx answer, of GateClient or OSDClient, into an
+// error, keeping the full status detail (the 429/503 semantics matter to
+// callers) and the message of the JSON error envelope in body, except for
+// 404, which is the ErrNotFound sentinel.
+func decodeError(code int, body []byte, retryAfter string) error {
+	if code == http.StatusNotFound {
 		return ErrNotFound
 	}
-	return &StatusError{Code: resp.StatusCode, Message: body.Error, RetryAfter: resp.Header.Get("Retry-After")}
+	var eb errorBody
+	_ = json.Unmarshal(body, &eb)
+	return &StatusError{Code: code, Message: eb.Error, RetryAfter: retryAfter}
 }
 
 // newHTTPClient is GateClient's HTTP client over connections from dial,
@@ -185,7 +178,7 @@ const (
 // OSDClient is the gateway-side ShardStore speaking HTTP/1.1 to one
 // ecstored daemon over keep-alive connections of its own. A request runs
 // on the caller's goroutine: its head and body leave in one writev, and
-// the answer is read off the connection's bufio.Reader.
+// its answer is read with the daemon's own head reader (readHead).
 type OSDClient struct {
 	id   int
 	addr string // the daemon's host:port, also the Host header
@@ -198,7 +191,10 @@ type OSDClient struct {
 // osdConn is one keep-alive connection to the daemon.
 type osdConn struct {
 	net.Conn
-	br *bufio.Reader
+	headReader
+	out  []byte      // a request's head
+	bufs [2][]byte   // backs wv
+	wv   net.Buffers // a request's writev: head and body
 }
 
 // OSDAddr returns the host:port of an ecstored URL, http://host:port.
@@ -222,22 +218,23 @@ func shardPath(key string, shard int) string {
 	return "/v1/shards/" + pathSegment(key) + "/" + strconv.Itoa(shard)
 }
 
-// call is one daemon request finished into out, written and read on the
-// caller's goroutine (so body is the caller's again when it returns). The
-// two ways a daemon is down from the gateway's view both come back as
-// ErrOSDDown: it cannot be reached (dial, transport or deadline failure
-// before an answer), or it answers 503; a cancellation while the body is
-// arriving returns ctx's error, also when the connection's deadline beats
-// ctx's timer. ctx's deadline is the connection's, and its cancellation
-// cuts the connection, which is never reused then. Every shard op is
-// idempotent, so a reused connection that fails before a byte of the
-// answer arrives (the daemon closed it while idle, or restarted) is
-// redialled once.
-func (c *OSDClient) call(ctx context.Context, method, path string, body []byte, out any) error {
+// call is one daemon request, written and read on the caller's goroutine
+// (so body is the caller's again when it returns), and returns a 2xx
+// answer's body in a shard-pool buffer. The two ways a daemon is down from
+// the gateway's view both come back as ErrOSDDown: it cannot be reached
+// (dial, transport or deadline failure before an answer, or an answer it
+// does not send: readHead), or it answers 503; any other non-2xx is
+// decodeError's. A cancellation while the body is arriving returns ctx's
+// error, also when the connection's deadline beats ctx's timer. ctx's
+// deadline is the connection's, and its cancellation cuts the connection,
+// which is never reused then. Every shard op is idempotent, so a reused
+// connection that fails before a byte of the answer arrives (the daemon
+// closed it while idle, or restarted) is redialled once.
+func (c *OSDClient) call(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	for fresh := false; ; fresh = true {
 		cn, reused, err := c.conn(ctx, fresh)
 		if err != nil {
-			return downErr(ctx, err)
+			return nil, downErr(ctx, err)
 		}
 		deadline, _ := ctx.Deadline()
 		_ = cn.SetDeadline(deadline)
@@ -247,9 +244,9 @@ func (c *OSDClient) call(ctx context.Context, method, path string, body []byte, 
 		// fails or cuts the write; its answer is read all the same.
 		_, err = cn.br.Peek(1)
 		answered := err == nil
-		var resp *http.Response
+		var a httpHead
 		if answered {
-			resp, err = http.ReadResponse(cn.br, nil)
+			err = cn.readHead(&a, true)
 		}
 		if err != nil {
 			stop()
@@ -257,24 +254,25 @@ func (c *OSDClient) call(ctx context.Context, method, path string, body []byte, 
 			if !answered && reused && ctx.Err() == nil {
 				continue
 			}
-			return downErr(ctx, cmp.Or(werr, err))
+			return nil, downErr(ctx, cmp.Or(werr, err))
 		}
-		rb := &eofBody{ReadCloser: resp.Body}
-		resp.Body = rb
-		err = finish(resp, out)
-		if stop() && werr == nil && rb.eof && !resp.Close && resp.StatusCode >= 200 && cn.br.Buffered() == 0 {
+		data, err := readBody(cn.br, a.declared, math.MaxInt64, true)
+		if stop() && werr == nil && err == nil && !a.close && cn.br.Buffered() == 0 {
 			c.idled(cn)
 		} else {
 			cn.Close()
 		}
-		var se *StatusError
 		switch {
-		case rb.err != nil && (ctx.Err() != nil || errors.Is(rb.err, os.ErrDeadlineExceeded)):
-			return cmp.Or(ctx.Err(), context.DeadlineExceeded)
-		case errors.As(err, &se) && se.Code == http.StatusServiceUnavailable:
-			return fmt.Errorf("%w: %s", ErrOSDDown, se.Message)
+		case err != nil && (ctx.Err() != nil || errors.Is(err, os.ErrDeadlineExceeded)):
+			return nil, cmp.Or(ctx.Err(), context.DeadlineExceeded)
+		case a.code > 299:
+			var se *StatusError
+			if err = decodeError(a.code, data, a.retryAfter); errors.As(err, &se) && se.Code == http.StatusServiceUnavailable {
+				err = fmt.Errorf("%w: %s", ErrOSDDown, se.Message)
+			}
+			return nil, err
 		}
-		return err
+		return data, err
 	}
 }
 
@@ -301,7 +299,7 @@ func (c *OSDClient) conn(ctx context.Context, fresh bool) (cn *osdConn, reused b
 	if err != nil {
 		return nil, false, err
 	}
-	return &osdConn{Conn: nc, br: bufio.NewReader(nc)}, false, nil
+	return &osdConn{Conn: nc, headReader: headReader{br: bufio.NewReader(nc)}}, false, nil
 }
 
 // idled keeps cn for the next request, or closes it when
@@ -326,7 +324,7 @@ func (c *OSDClient) idled(cn *osdConn) {
 // answer and cuts the write; write returns only after it, so the body and
 // cn.br are the caller's again.
 func (cn *osdConn) write(ctx context.Context, method, host, path string, body []byte) error {
-	h := append(make([]byte, 0, 256), method...)
+	h := append(cn.out[:0], method...)
 	h = append(append(append(h, ' '), path...), " HTTP/1.1\r\nHost: "...)
 	h = append(h, host...)
 	if body != nil {
@@ -335,7 +333,14 @@ func (cn *osdConn) write(ctx context.Context, method, host, path string, body []
 	if id := RequestIDFrom(ctx); validRequestID(id) {
 		h = append(append(h, "\r\n"+RequestIDHeader+": "...), id...)
 	}
-	bufs := net.Buffers{append(h, "\r\n\r\n"...), body} // writev skips an empty body
+	cn.out = append(h, "\r\n\r\n"...)
+	cn.bufs = [2][]byte{cn.out, body}
+	cn.wv = cn.bufs[:]
+	if len(body) == 0 {
+		// Only a *net.TCPConn's writev skips an empty buffer. On a
+		// net.Pipe, a write of one waits for the daemon to read it.
+		cn.wv = cn.bufs[:1]
+	}
 	if len(body) >= earlyAnswerBody {
 		heard := make(chan struct{})
 		t := time.AfterFunc(earlyAnswerDelay, func() {
@@ -349,68 +354,42 @@ func (cn *osdConn) write(ctx context.Context, method, host, path string, body []
 			}
 		}()
 	}
-	_, err := bufs.WriteTo(cn.Conn)
+	_, err := cn.wv.WriteTo(cn.Conn)
+	cn.bufs = [2][]byte{} // the body is the caller's again
 	return err
-}
-
-// eofBody is a response body that records whether it was read to its end
-// and the error, other than io.EOF, that reading it ended on: its
-// connection carries another request only after an answer read to its
-// end.
-type eofBody struct {
-	io.ReadCloser
-	eof bool
-	err error
-}
-
-func (b *eofBody) Read(p []byte) (int, error) {
-	n, err := b.ReadCloser.Read(p)
-	switch {
-	case err == io.EOF:
-		b.eof = true
-	case err != nil:
-		b.err = err
-	}
-	return n, err
-}
-
-// Close looks one byte past what was read rather than draining the rest:
-// a body not at its end costs its connection, not the time to read it.
-func (b *eofBody) Close() error {
-	if !b.eof && b.err == nil {
-		var one [1]byte
-		_, _ = b.Read(one[:])
-	}
-	return nil
 }
 
 // Put implements ShardStore: data is the caller's again once it returns.
 func (c *OSDClient) Put(ctx context.Context, key string, shard int, data []byte) error {
-	return c.call(ctx, http.MethodPut, shardPath(key, shard), data, nil)
+	_, err := c.call(ctx, http.MethodPut, shardPath(key, shard), data)
+	return err
 }
 
 // Get implements ShardStore. The shard arrives in a shard-pool buffer.
 func (c *OSDClient) Get(ctx context.Context, key string, shard int) ([]byte, error) {
-	var data pooledBody
-	err := c.call(ctx, http.MethodGet, shardPath(key, shard), nil, &data)
-	return data, err
+	return c.call(ctx, http.MethodGet, shardPath(key, shard), nil)
 }
 
 // Delete implements ShardStore.
 func (c *OSDClient) Delete(ctx context.Context, key string, shard int) error {
-	return c.call(ctx, http.MethodDelete, shardPath(key, shard), nil, nil)
+	_, err := c.call(ctx, http.MethodDelete, shardPath(key, shard), nil)
+	return err
 }
 
 // Stat implements ShardStore.
 func (c *OSDClient) Stat(ctx context.Context) (st OSDStat, err error) {
-	err = c.call(ctx, http.MethodGet, "/v1/stat", nil, &st)
+	data, err := c.call(ctx, http.MethodGet, "/v1/stat", nil)
+	if err == nil {
+		err = json.Unmarshal(data, &st)
+	}
 	st.ID = c.id
 	return st, err
 }
 
 // Healthz probes the daemon's liveness endpoint.
 func (c *OSDClient) Healthz(ctx context.Context) error {
-	return c.call(ctx, http.MethodGet, "/healthz", nil, nil)
+	_, err := c.call(ctx, http.MethodGet, "/healthz", nil)
+	return err
 }
 
 // GateClient is the object-level HTTP client for an ecgate gateway — what

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -404,10 +406,15 @@ func (c writeWatch) Write(p []byte) (int, error) {
 }
 
 // FuzzShardResponse serves arbitrary bytes as the daemon's reply to a
-// shard PUT, GET and DELETE over net.Pipe, under a deadline. Each op
-// returns an error or succeeds; a GET that succeeds returns exactly the
-// body the reply declares. Nothing panics or hangs, and a connection
-// whose reply is not one complete answer is never kept for reuse.
+// shard PUT, GET and DELETE over net.Pipe, under a deadline; nothing
+// panics or hangs. It is differential: whenever OSDClient takes an answer
+// from the reply, http.ReadResponse reads the same status, body and, on a
+// 429, Retry-After, and the two agree on whether the connection may carry
+// another request (the answer read to its end, no Connection: close and
+// nothing after it). Each op then returns what that answer maps to (a GET
+// its body), and keeps its connection exactly when it may carry another
+// request; an op whose reply OSDClient does not take fails, and keeps no
+// connection.
 func FuzzShardResponse(f *testing.F) {
 	for _, r := range []string{
 		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello",
@@ -427,6 +434,12 @@ func FuzzShardResponse(f *testing.F) {
 		"HTTP/1.1 2000 OK\r\n\r\n",
 		"garbage\r\n\r\n",
 		"",
+		"HTTP/1.1 103 Early Hints\r\nLink: </k>\r\n\r\nHTTP/1.1 204 No Content\r\n\r\n",
+		"HTTP/1.1 404 Not Found\r\nTransfer-Encoding: chunked\r\n\r\n15\r\n{\"error\":\"not found\"}\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\n\r\nuntil close",
+		"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 1\r\nRetry-After: 2\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 204 No Content\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 304 Not Modified\r\nContent-Length: 2\r\n\r\nok",
 	} {
 		f.Add([]byte(r))
 	}
@@ -437,20 +450,42 @@ func FuzzShardResponse(f *testing.F) {
 		"delete": func(ctx context.Context, oc *OSDClient) ([]byte, error) { return nil, oc.Delete(ctx, "k", 0) },
 	}
 	f.Fuzz(func(t *testing.T, reply []byte) {
-		// What the reply holds, read the way a client should: its answer's
-		// status and body, and whether it is one complete answer that a
-		// connection can carry another request after.
-		var (
-			status   int
-			body     []byte
-			complete bool
-		)
-		if resp, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(reply)), nil); err == nil {
-			status = resp.StatusCode
-			var rerr error
-			body, rerr = io.ReadAll(resp.Body)
-			complete = rerr == nil && status >= 200 && !resp.Close
+		// read reads the reply's answer the way OSDClient does (ours) or
+		// net/http does, and reports whether its connection may carry
+		// another request.
+		read := func(ours bool) (a httpHead, body []byte, reusable bool, err error) {
+			rest := bytes.NewReader(reply)
+			h := &headReader{br: bufio.NewReader(rest)}
+			if ours {
+				if err = h.readHead(&a, true); err == nil {
+					body, err = readBody(h.br, a.declared, math.MaxInt64, false)
+				}
+			} else {
+				var resp *http.Response
+				if resp, err = http.ReadResponse(h.br, nil); err == nil {
+					a.code, a.retryAfter, a.close = resp.StatusCode, resp.Header.Get("Retry-After"), resp.Close
+					body, err = io.ReadAll(resp.Body)
+				}
+			}
+			return a, body, err == nil && !a.close && h.br.Buffered() == 0 && rest.Len() == 0, err
 		}
+		a, body, reusable, err := read(true)
+		taken := err == nil
+		if taken {
+			b, rbody, rreusable, rerr := read(false)
+			switch {
+			case rerr != nil:
+				t.Fatalf("OSDClient took a %d answer net/http refuses (%v): %q", a.code, rerr, reply)
+			case b.code != a.code || !bytes.Equal(rbody, body):
+				t.Fatalf("OSDClient read %d with %q, net/http %d with %q: %q", a.code, body, b.code, rbody, reply)
+			case a.code == http.StatusTooManyRequests && b.retryAfter != a.retryAfter:
+				t.Fatalf("OSDClient read Retry-After %q, net/http %q: %q", a.retryAfter, b.retryAfter, reply)
+			case rreusable != reusable:
+				t.Fatalf("OSDClient reads the connection as reusable: %v, net/http %v: %q", reusable, rreusable, reply)
+			}
+		}
+		var eb errorBody
+		_ = json.Unmarshal(body, &eb)
 		for name, op := range ops {
 			cli, srv := net.Pipe()
 			go func() { _, _ = io.Copy(io.Discard, srv) }() // the request
@@ -471,11 +506,24 @@ func FuzzShardResponse(f *testing.F) {
 			data, err := op(ctx, oc)
 			cancel()
 			cli.Close()
-			if err == nil && name == "get" && (status/100 != 2 || !bytes.Equal(data, body)) {
-				t.Fatalf("get: %d bytes from a %d answer with a %d-byte body", len(data), status, len(body))
+			var se *StatusError
+			switch {
+			case !taken && err == nil:
+				t.Fatalf("%s: succeeded on a reply OSDClient does not take: %q", name, reply)
+			case !taken:
+			case a.code/100 == 2 && (err != nil || name == "get" && !bytes.Equal(data, body)):
+				t.Fatalf("%s: %d bytes, %v from a %d answer with a %d-byte body", name, len(data), err, a.code, len(body))
+			case a.code == http.StatusNotFound && !errors.Is(err, ErrNotFound),
+				a.code == http.StatusServiceUnavailable && (!errors.Is(err, ErrOSDDown) || !strings.HasSuffix(err.Error(), ": "+eb.Error)),
+				a.code/100 != 2 && a.code != http.StatusNotFound && a.code != http.StatusServiceUnavailable &&
+					(!errors.As(err, &se) || se.Code != a.code || se.Message != eb.Error || se.RetryAfter != a.retryAfter):
+				t.Fatalf("%s: %v from a %d answer: %q", name, err, a.code, reply)
 			}
-			if len(oc.idle) != 0 && !complete {
-				t.Fatalf("%s: kept a connection whose reply was not one complete answer (%q)", name, reply)
+			// A reply that fits the connection's read buffer arrives whole
+			// in its first read, so whatever follows the answer is seen.
+			kept := len(oc.idle) != 0
+			if kept && !(taken && reusable) || !kept && taken && reusable && len(reply) <= 4096 {
+				t.Fatalf("%s: kept the connection: %v, want %v: %q", name, kept, taken && reusable, reply)
 			}
 		}
 	})

@@ -90,8 +90,8 @@
 // goroutine that waits for that answer and cuts the write once it is in.
 // The daemon's end speaks HTTP/1.1 itself too (OSDServer.Serve): one
 // goroutine per connection reads requests off a bufio.Reader and answers
-// each in one write, a GET in one writev of its head and the stored shard,
-// with no net/http server, request context or header map in between.
+// each in one write, a GET in one writev of its head and the stored shard.
+// Both ends parse heads with one reader (readHead), without net/http.
 // GateClient uploads go through net/http, handed the body in place
 // (lentBody) over a connection that sends it in one write (bodyConn). So no
 // payload byte is copied in user space between client, gateway and
@@ -126,10 +126,10 @@
 //	client.go            OSDClient, HTTP/1.1 on the caller's goroutine over
 //	                     its own connections, plus a listener for an early
 //	                     answer to a large body; GateClient over net/http
-//	                     (send); both finish answers through finish
-//	server.go            OSDServer, ecstored's HTTP/1.1 request loop: one
-//	                     goroutine per connection, one write per answer,
-//	                     MemStore's buffers served without a copy
+//	                     (send, finish); decodeError for both
+//	server.go            OSDServer, ecstored's HTTP/1.1 request loop (one
+//	                     goroutine per connection, one write per answer),
+//	                     and readHead, the head reader of both ends
 //	shardbuf.go          the shard-buffer pool the data path recycles
 //	                     through
 //

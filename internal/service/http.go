@@ -310,7 +310,7 @@ func (g *Gateway) serveObject(w http.ResponseWriter, r *http.Request, op string)
 		slog.String("key", key),
 		slog.Int("status", status),
 		slog.Int64("bytes", bytesN),
-		slog.Float64("ms", float64(dur.Microseconds())/1e3),
+		slog.Int64("us", dur.Microseconds()),
 	}
 	if op == "get" && info.Degraded {
 		attrs = append(attrs,

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -259,7 +260,8 @@ func TestOSDLoopClientLeavesMidBody(t *testing.T) {
 // beforehand sends a warm 2 KiB shard PUT, GET and DELETE, and each
 // allocates at most its gate, the daemon's access line included (written
 // to a discarding JSON handler). The PUT's count includes the stored
-// shard's buffer.
+// shard's buffer. The answers are read with headReader.readHead, so the
+// gates hold it to no allocation on a 2xx answer as well.
 func TestOSDShardOpAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -278,15 +280,20 @@ func TestOSDShardOpAllocs(t *testing.T) {
 	put := append([]byte(fmt.Sprintf(head+"Content-Length: %d\r\n\r\n", "PUT", len(shard))), shard...)
 	get := []byte(fmt.Sprintf(head+"\r\n", "GET"))
 	del := []byte(fmt.Sprintf(head+"\r\n", "DELETE"))
-	br, answer := bufio.NewReader(cli), make([]byte, 4<<10)
+	h, answer := &headReader{br: bufio.NewReader(cli)}, make([]byte, 4<<10)
 	// op sends req and waits for its answer and then its access line, so
 	// each measurement holds one request's whole cost and nothing else.
 	op := func(req []byte, want int) {
 		if _, err := cli.Write(req); err != nil {
 			t.Fatal(err)
 		}
-		if code, _, err := readAnswer(br, answer); err != nil || code != want {
-			t.Fatalf("answer %d (%v), want %d", code, err, want)
+		var a httpHead
+		err := h.readHead(&a, true)
+		if err == nil {
+			_, err = io.ReadFull(h.br, answer[:a.declared])
+		}
+		if err != nil || a.code != want {
+			t.Fatalf("answer %d (%v), want %d", a.code, err, want)
 		}
 		<-logged
 	}
@@ -303,9 +310,90 @@ func TestOSDShardOpAllocs(t *testing.T) {
 	for _, c := range []struct {
 		op        string
 		got, gate float64
-	}{{"put", puts, 9}, {"get", gets, 8}, {"delete", dels, 8}} {
+	}{{"put", puts, 6}, {"get", gets, 5}, {"delete", dels, 5}} {
 		if c.got > c.gate {
 			t.Errorf("a warm 2 KiB shard %s allocates %.0f times, want at most %.0f", c.op, c.got, c.gate)
+		}
+	}
+}
+
+// TestOSDClientShardOpAllocs gates what one shard op costs the gateway's
+// client and the daemon together: OSDClient, over one kept-alive net.Pipe
+// connection to OSDServer.serveConn, sends a warm 2 KiB shard PUT, GET
+// and DELETE, each under a 1 s deadline, and each allocates at most its
+// gate, the daemon's access line and the GET's shard buffer included. Not
+// counted is the test's own share of an op, measured on its own: the
+// deadline, and the timers with which a net.Pipe keeps one (a
+// *net.TCPConn keeps its deadline in the runtime's poller). A GET and a
+// DELETE carry no body, and a connection that is not a *net.TCPConn
+// writes each buffer of a writev on its own: an empty one is a write that
+// waits for the daemon to read, while the daemon waits to write its
+// answer.
+func TestOSDClientShardOpAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	logged := make(chan struct{}, 1)
+	signal := writeFunc(func(p []byte) (int, error) {
+		logged <- struct{}{}
+		return len(p), nil
+	})
+	osd := NewOSDServer(0, NewMemStore(0), slog.New(slog.NewJSONHandler(signal, nil)))
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	go osd.serveConn(srv)
+	oc := NewOSDClient(0, "http://127.0.0.1:7411")
+	dialled := false
+	oc.dial = func(context.Context, string, string) (net.Conn, error) {
+		if dialled {
+			return nil, errors.New("redialled: one connection must carry every op")
+		}
+		dialled = true
+		return cli, nil
+	}
+	shard := payload(2<<10, 2)
+	put := func(ctx context.Context) error { return oc.Put(ctx, "obj@12", 3, shard) }
+	get := func(ctx context.Context) error {
+		data, err := oc.Get(ctx, "obj@12", 3)
+		if err == nil && !bytes.Equal(data, shard) {
+			err = fmt.Errorf("read back %d bytes that differ", len(data))
+		}
+		return err
+	}
+	del := func(ctx context.Context) error { return oc.Delete(ctx, "obj@12", 3) }
+	// op runs one shard op and waits for its access line, so each
+	// measurement holds one op's whole cost and nothing else.
+	base := WithRequestID(context.Background(), "0123456789abcdef") // as the gateway forwards one
+	op := func(do func(context.Context) error) {
+		ctx, cancel := context.WithTimeout(base, time.Second)
+		defer cancel()
+		if err := do(ctx); err != nil {
+			t.Fatal(err)
+		}
+		<-logged
+	}
+	op(put) // warm-up: registry series, buffers
+	op(get)
+	op(del)
+
+	const runs = 200
+	own := testing.AllocsPerRun(runs, func() {
+		ctx, cancel := context.WithTimeout(base, time.Second)
+		deadline, _ := ctx.Deadline()
+		_ = cli.SetDeadline(deadline)
+		cancel()
+	})
+	puts := testing.AllocsPerRun(runs, func() { op(put) }) - own
+	gets := testing.AllocsPerRun(runs, func() { op(get) }) - own
+	putDels := testing.AllocsPerRun(runs, func() { op(put); op(del) }) - 2*own
+	dels := putDels - puts
+	t.Logf("allocations per 2 KiB shard op, client and daemon: put %.0f, get %.0f, delete %.0f (and the test's own %.0f)", puts, gets, dels, own)
+	for _, c := range []struct {
+		op        string
+		got, gate float64
+	}{{"put", puts, 13}, {"get", gets, 13}, {"delete", dels, 12}} {
+		if c.got > c.gate {
+			t.Errorf("a warm 2 KiB shard %s allocates %.0f times, client and daemon, want at most %.0f", c.op, c.got, c.gate)
 		}
 	}
 }

@@ -23,8 +23,8 @@ import (
 // stream for a max-size object comfortably fits).
 const MaxShardBytes = 128 << 20
 
-// maxHead bounds one request head, its request line and header lines
-// together; a longer head is answered 431 and its connection closed. A
+// maxHead bounds one head, its first line and header lines together; a
+// longer request head is answered 431 and its connection closed. A
 // head the gateway builds is a shard path, its key escaped from at most
 // maxKeyBytes, and three short headers, its request ID bounded by
 // maxRequestIDLen.
@@ -131,49 +131,37 @@ func (s *OSDServer) Serve(ln net.Listener) error {
 
 // daemonConn is one connection's state, reused request after request.
 type daemonConn struct {
+	headReader
 	s    *OSDServer
 	nc   net.Conn
-	br   *bufio.Reader
-	long []byte      // a head line longer than br's buffer, put together
 	out  []byte      // an answer's head, and a body that is not a stored shard
 	bufs [2][]byte   // backs wv
 	wv   net.Buffers // a GET's writev: head and stored shard
-	req  daemonHead  // the request being answered
+	req  httpHead    // the request being answered
 	rid  string      // the request ID a shard answer echoes
 	dead bool        // a write failed: the connection carries nothing more
 }
 
-// daemonHead is what the daemon keeps of a request head.
-type daemonHead struct {
-	method   string // GET, HEAD, PUT or DELETE; "" for any other
-	target   []byte // the request target, copied out of br
-	declared int64  // Content-Length; -1 when the head has none
-	chunked  bool   // Transfer-Encoding: chunked
-	expect   bool   // Expect: 100-continue
-	close    bool   // close the connection after the answer
-	unread   bool   // a body the answer has not read
-	id       string // X-Request-ID as sent
-	tenant   string // X-Tenant
-}
-
-// errHeadTooLarge is a head past maxHead.
-var errHeadTooLarge = errors.New("request head too large")
-
 // serveConn answers nc's requests until it is closed, breaks or asks to
-// be closed.
+// be closed. A head that cannot be taken is answered 400, or 431 when it
+// is too long.
 func (s *OSDServer) serveConn(nc net.Conn) {
-	c := &daemonConn{s: s, nc: nc, br: bufio.NewReader(nc)}
+	c := &daemonConn{s: s, nc: nc, headReader: headReader{br: bufio.NewReader(nc)}}
 	for {
-		code, err := c.readHead()
-		if err != nil { // the peer left or broke off mid-head
-			nc.Close()
-			return
-		}
-		if code != 0 {
+		c.rid = ""
+		switch err := c.readHead(&c.req, false); err {
+		case nil:
+			c.serve()
+		case errBadHead, errHeadTooLarge:
+			code := http.StatusBadRequest
+			if err == errHeadTooLarge {
+				code = http.StatusRequestHeaderFieldsTooLarge
+			}
 			c.req.close, c.req.unread = true, true
 			c.fail(code, http.StatusText(code))
-		} else {
-			c.serve()
+		default: // the peer left or broke off mid-head
+			nc.Close()
+			return
 		}
 		if c.dead || c.req.close {
 			break
@@ -186,18 +174,137 @@ func (s *OSDServer) serveConn(nc net.Conn) {
 	nc.Close()
 }
 
+// headReader reads HTTP/1.1 heads off br: the daemon's requests and,
+// in OSDClient, the daemon's answers.
+type headReader struct {
+	br   *bufio.Reader
+	long []byte // a head line longer than br's buffer, put together
+}
+
+// httpHead is what either end of the shard hop keeps of a head: the
+// daemon of a request, OSDClient of an answer.
+type httpHead struct {
+	method     string // a request's GET, HEAD, PUT or DELETE; "" for any other
+	target     []byte // a request's target, copied out of br
+	code       int    // an answer's status
+	declared   int64  // Content-Length; -1 when the head has none
+	chunked    bool   // Transfer-Encoding: chunked
+	expect     bool   // Expect: 100-continue
+	close      bool   // close the connection after this message
+	unread     bool   // a request body the answer has not read
+	id         string // a request's X-Request-ID as sent
+	tenant     string // X-Tenant
+	retryAfter string // an answer's Retry-After
+}
+
+// errBadHead is a head that is malformed, or one the reader does not
+// take; errHeadTooLarge is one past maxHead.
+var (
+	errBadHead      = errors.New("malformed head")
+	errHeadTooLarge = errors.New("head too large")
+)
+
+// readHead reads one head into r, an answer's when answer is set, else a
+// request's; an I/O error, the peer leaving included, is returned as is.
+// An answer the daemon does not send is errBadHead: a 1xx, any version but
+// HTTP/1.1, a chunked body, a second Retry-After, or a body of no declared
+// length but a 204's or a 304's (which have none whatever they declare).
+func (h *headReader) readHead(r *httpHead, answer bool) error {
+	*r = httpHead{target: r.target[:0], declared: -1}
+	left := maxHead
+	line, err := h.readLine(&left)
+	if err != nil {
+		return err
+	}
+	// The line's three parts: a request's method, target and version, or
+	// an answer's version, status code and reason.
+	first, rest, _ := bytes.Cut(line, []byte{' '})
+	second, third, ok := bytes.Cut(rest, []byte{' '})
+	http10 := !answer && string(third) == "HTTP/1.0"
+	if answer {
+		n, isNum := parseLength(second)
+		if !ok || string(first) != "HTTP/1.1" || len(second) != 3 || !isNum || n < 200 {
+			return errBadHead
+		}
+		r.code = int(n)
+	} else {
+		if !ok || !isToken(first) || len(second) == 0 || second[0] != '/' || hasCTL(second, false) ||
+			!http10 && string(third) != "HTTP/1.1" {
+			return errBadHead
+		}
+		r.close = http10 // no keep-alive for HTTP/1.0
+		for _, m := range []string{http.MethodGet, http.MethodHead, http.MethodPut, http.MethodDelete} {
+			if string(first) == m {
+				r.method = m
+			}
+		}
+		r.target = append(r.target, second...)
+	}
+	for retry := false; ; {
+		if line, err = h.readLine(&left); err != nil {
+			return err
+		}
+		if len(line) == 0 {
+			break
+		}
+		name, value, ok := headerField(line)
+		switch {
+		case !ok:
+			return errBadHead
+		case foldEqual(name, "Content-Length"):
+			n, ok := parseLength(value)
+			if !ok || r.declared >= 0 {
+				return errBadHead
+			}
+			r.declared = n
+		case foldEqual(name, "Transfer-Encoding"):
+			// Only chunked, once, and only in HTTP/1.1: anything else
+			// is a body whose end two parsers could disagree on.
+			if r.chunked || !foldEqual(value, "chunked") || http10 {
+				return errBadHead
+			}
+			r.chunked = true
+		case foldEqual(name, "Expect"):
+			r.expect = foldEqual(value, "100-continue")
+		case foldEqual(name, "Connection"):
+			for rest := value; len(rest) > 0; {
+				var tok []byte
+				tok, rest, _ = bytes.Cut(rest, []byte{','})
+				r.close = r.close || foldEqual(bytes.Trim(tok, " \t"), "close")
+			}
+		case answer && foldEqual(name, "Retry-After"):
+			if retry {
+				return errBadHead
+			}
+			r.retryAfter, retry = string(value), true
+		case !answer && foldEqual(name, RequestIDHeader): // an answer's echoes ours
+			r.id = string(value)
+		case foldEqual(name, TenantHeader):
+			r.tenant = string(value)
+		}
+	}
+	if answer && (r.code == http.StatusNoContent || r.code == http.StatusNotModified) {
+		r.declared = 0
+	}
+	if r.chunked && r.declared >= 0 || answer && (r.chunked || r.declared < 0) {
+		return errBadHead
+	}
+	r.unread = r.declared > 0 || r.chunked
+	return nil
+}
+
 // readLine returns the next head line without its line end (CRLF or a
 // bare LF), charging it against left. The line is valid until the next
 // read.
-func (c *daemonConn) readLine(left *int) ([]byte, error) {
-	line, err := c.br.ReadSlice('\n')
+func (h *headReader) readLine(left *int) ([]byte, error) {
+	line, err := h.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
-		c.long = append(c.long[:0], line...)
-		for err == bufio.ErrBufferFull && len(c.long) <= *left {
-			line, err = c.br.ReadSlice('\n')
-			c.long = append(c.long, line...)
+		h.long = append(h.long[:0], line...)
+		for err == bufio.ErrBufferFull && len(h.long) <= *left {
+			line, err = h.br.ReadSlice('\n')
+			h.long = append(h.long, line...)
 		}
-		line = c.long
+		line = h.long
 	}
 	if *left -= len(line); *left < 0 {
 		return nil, errHeadTooLarge
@@ -210,93 +317,6 @@ func (c *daemonConn) readLine(left *int) ([]byte, error) {
 		line = line[:n-1]
 	}
 	return line, nil
-}
-
-// readHead reads one request head into c.req. A head that cannot be taken
-// is a status to answer with (400, 431); an I/O error, the peer leaving
-// included, is returned as is.
-func (c *daemonConn) readHead() (code int, err error) {
-	r := &c.req
-	*r = daemonHead{target: r.target[:0], declared: -1}
-	c.rid = ""
-	left := maxHead
-	bad := func(err error) (int, error) {
-		if err == errHeadTooLarge {
-			return http.StatusRequestHeaderFieldsTooLarge, nil
-		}
-		return 0, err
-	}
-	line, err := c.readLine(&left)
-	if err != nil {
-		return bad(err)
-	}
-	method, rest, ok1 := bytes.Cut(line, []byte{' '})
-	target, proto, ok2 := bytes.Cut(rest, []byte{' '})
-	if !ok1 || !ok2 || !isToken(method) || len(target) == 0 || target[0] != '/' || hasCTL(target, false) {
-		return http.StatusBadRequest, nil
-	}
-	switch string(proto) {
-	case "HTTP/1.1":
-	case "HTTP/1.0":
-		r.close = true // no keep-alive for HTTP/1.0
-	default:
-		return http.StatusBadRequest, nil
-	}
-	switch string(method) {
-	case http.MethodGet:
-		r.method = http.MethodGet
-	case http.MethodHead:
-		r.method = http.MethodHead
-	case http.MethodPut:
-		r.method = http.MethodPut
-	case http.MethodDelete:
-		r.method = http.MethodDelete
-	}
-	r.target = append(r.target, target...)
-	for {
-		if line, err = c.readLine(&left); err != nil {
-			return bad(err)
-		}
-		if len(line) == 0 {
-			break
-		}
-		name, value, ok := headerField(line)
-		if !ok {
-			return http.StatusBadRequest, nil
-		}
-		switch {
-		case foldEqual(name, "Content-Length"):
-			n, ok := parseLength(value)
-			if !ok || r.declared >= 0 {
-				return http.StatusBadRequest, nil
-			}
-			r.declared = n
-		case foldEqual(name, "Transfer-Encoding"):
-			// Only chunked, once, and only in HTTP/1.1: anything else
-			// is a body whose end two parsers could disagree on.
-			if r.chunked || !foldEqual(value, "chunked") || string(proto) != "HTTP/1.1" {
-				return http.StatusBadRequest, nil
-			}
-			r.chunked = true
-		case foldEqual(name, "Expect"):
-			r.expect = foldEqual(value, "100-continue")
-		case foldEqual(name, "Connection"):
-			for rest := value; len(rest) > 0; {
-				var tok []byte
-				tok, rest, _ = bytes.Cut(rest, []byte{','})
-				r.close = r.close || foldEqual(bytes.Trim(tok, " \t"), "close")
-			}
-		case foldEqual(name, RequestIDHeader):
-			r.id = string(value)
-		case foldEqual(name, TenantHeader):
-			r.tenant = string(value)
-		}
-	}
-	if r.chunked && r.declared >= 0 {
-		return http.StatusBadRequest, nil
-	}
-	r.unread = r.declared > 0 || r.chunked
-	return 0, nil
 }
 
 // headerField splits a header line into its name and its value, trimmed
@@ -646,7 +666,7 @@ func (c *daemonConn) serveShard(op string, keySeg, idxSeg []byte) {
 		slog.String("request_id", c.rid),
 		slog.String("op", op), slog.String("key", key), slog.Int("idx", idx),
 		slog.Int("status", status), slog.Int64("bytes", n),
-		slog.Float64("ms", float64(dur.Microseconds())/1e3),
+		slog.Int64("us", dur.Microseconds()),
 	}
 	if opErr != nil {
 		attrs = append(attrs, slog.String("error", opErr.Error()))

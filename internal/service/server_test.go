@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -65,29 +64,6 @@ func (c *bodySink) lastWrite() []byte {
 	return c.writes[len(c.writes)-1]
 }
 
-// readAnswer reads one answer off br into body, which must hold it, and
-// returns its status and body length. It allocates nothing.
-func readAnswer(br *bufio.Reader, body []byte) (code, n int, err error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil || len(line) < 12 {
-		return 0, 0, fmt.Errorf("status line %q: %v", line, err)
-	}
-	code = int(line[9]-'0')*100 + int(line[10]-'0')*10 + int(line[11]-'0')
-	for {
-		if line, err = br.ReadSlice('\n'); err != nil {
-			return 0, 0, err
-		}
-		if len(line) <= 2 {
-			break
-		}
-		if v, ok := bytes.CutPrefix(line, []byte("Content-Length: ")); ok {
-			n, _ = strconv.Atoi(string(bytes.TrimSpace(v)))
-		}
-	}
-	_, err = io.ReadFull(br, body[:n])
-	return code, n, err
-}
-
 // TestOSDServerKeepsBody: over a MemStore, an n-byte shard PUT allocates
 // about n bytes, the buffer the body is read into, which is what is
 // stored; and a GET allocates no buffer the size of a shard: it writes the
@@ -104,7 +80,7 @@ func TestOSDServerKeepsBody(t *testing.T) {
 		http.MethodPut: "PUT /v1/shards/k@1/2 HTTP/1.1\r\nHost: osd\r\nContent-Length: " + strconv.Itoa(n) + "\r\n\r\n",
 		http.MethodGet: "GET /v1/shards/k@1/2 HTTP/1.1\r\nHost: osd\r\n\r\n",
 	}
-	br, answer := bufio.NewReader(cli), make([]byte, n)
+	h, answer := &headReader{br: bufio.NewReader(cli)}, make([]byte, n)
 	var sent, bodyAt int
 	serve := func(method string) (code int) {
 		head := heads[method]
@@ -119,11 +95,15 @@ func TestOSDServerKeepsBody(t *testing.T) {
 			}
 			sent += n
 		}
-		code, _, err := readAnswer(br, answer)
+		var a httpHead
+		err := h.readHead(&a, true)
+		if err == nil {
+			_, err = io.ReadFull(h.br, answer[:a.declared])
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return code
+		return a.code
 	}
 	serve(http.MethodPut) // warm-up: registry series, log attrs
 	serve(http.MethodGet)

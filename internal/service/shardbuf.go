@@ -59,9 +59,8 @@ func putShardBuf(b []byte) {
 	if cap(b) < minPooledShard {
 		return
 	}
-	class := classOf(cap(b))
-	b = b[:0]
-	shardPools[class].Put(&b)
+	idle := b[:0] // not &b: a parameter whose address is taken escapes on every call
+	shardPools[classOf(cap(b))].Put(&idle)
 }
 
 // classFor returns the smallest class that holds n bytes (n at least
